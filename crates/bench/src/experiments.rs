@@ -60,7 +60,8 @@ impl SchedulerSweep {
     }
 }
 
-/// Generates the paper's 140-frame CIF workload (expensive; cache it).
+/// Generates the paper's 140-frame CIF workload (about a second in a
+/// release build; cache it).
 #[must_use]
 pub fn paper_workload() -> EncoderWorkload {
     EncoderWorkload::paper_cif()

@@ -14,7 +14,7 @@ use crate::kernels::deblock::{
 };
 use crate::kernels::hadamard::{forward_ht2x2, forward_ht4x4, inverse_ht2x2, inverse_ht4x4};
 use crate::kernels::intra::{predict_dc_16x16, predict_h_16x16, predict_v_16x16, Neighbours};
-use crate::kernels::mc::compensate_16x16;
+use crate::kernels::mc::InterpolatedRef;
 use crate::kernels::sad::sad_block;
 use crate::me::{MotionEstimator, MotionVector};
 use crate::si_library::SiKind;
@@ -130,7 +130,9 @@ impl FrameReport {
 pub struct Encoder {
     config: EncoderConfig,
     video: SyntheticVideo,
-    reference: Option<Frame>,
+    /// The previous reconstruction's luma, interpolated once per frame
+    /// (`None` before the first frame).
+    reference: Option<InterpolatedRef>,
     mv_predictors: Vec<MotionVector>,
 }
 
@@ -177,7 +179,7 @@ impl Encoder {
                     let mb = mb_y * mb_cols + mb_x;
                     let out = self.config.me.search(
                         &source.y,
-                        &reference.y,
+                        reference,
                         mb_x * MB_SIZE,
                         mb_y * MB_SIZE,
                         self.mv_predictors[mb],
@@ -232,7 +234,7 @@ impl Encoder {
                 let mut bursts: Vec<(SiKind, u32)> = Vec::with_capacity(5);
                 let mode = match (&self.reference, search_results[mb]) {
                     (Some(reference), Some(sr)) => {
-                        compensate_16x16(&reference.y, x, y, sr.mv.x4, sr.mv.y4, &mut pred);
+                        reference.compensate_16x16(x, y, sr.mv.x4, sr.mv.y4, &mut pred);
                         let inter_cost = sad_block(&src_block, &pred, MB_SIZE);
                         if intra_cost + self.config.intra_bias < inter_cost {
                             pred = intra_pred;
@@ -335,7 +337,10 @@ impl Encoder {
         }
 
         let psnr_y = recon.psnr_y(&source);
-        self.reference = Some(recon);
+        match &mut self.reference {
+            Some(reference) => reference.rebuild(&recon.y),
+            None => self.reference = Some(InterpolatedRef::new(&recon.y)),
+        }
         FrameReport {
             index,
             me_bursts,

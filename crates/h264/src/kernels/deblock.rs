@@ -36,8 +36,8 @@ impl Thresholds {
 /// samples, or `None` when the filter decision rejects the line.
 #[must_use]
 pub fn filter_line_bs4(p: &[u8; 4], q: &[u8; 4], t: Thresholds) -> Option<([u8; 3], [u8; 3])> {
-    let pi: Vec<i32> = p.iter().map(|&v| i32::from(v)).collect();
-    let qi: Vec<i32> = q.iter().map(|&v| i32::from(v)).collect();
+    let pi = p.map(i32::from);
+    let qi = q.map(i32::from);
     // Filter-on decision (CondSub atom).
     if (pi[0] - qi[0]).abs() >= t.alpha
         || (pi[1] - pi[0]).abs() >= t.beta

@@ -5,8 +5,7 @@
 //! 31,977 for one run of the hot spot).
 
 use crate::frame::Plane;
-use crate::kernels::mc::compensate_16x16;
-use crate::kernels::sad::sad_16x16;
+use crate::kernels::mc::InterpolatedRef;
 use crate::kernels::satd::satd_nxn;
 
 /// A motion vector in quarter-pel units.
@@ -34,7 +33,10 @@ pub struct SearchOutcome {
 /// Configurable motion estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct MotionEstimator {
-    /// Integer search range in pel (± around the predictor).
+    /// Integer search range in pel: the diamond rounds skip candidates
+    /// whose components exceed `±range` around the zero vector. The
+    /// predictor candidate is evaluated unchecked and the sub-pel rings
+    /// refine past the bound, so a returned vector can lie outside it.
     pub range: isize,
     /// Early-termination SAD threshold: a candidate below this stops the
     /// integer search (static background terminates quickly, which makes
@@ -70,20 +72,23 @@ const DIAMOND_SMALL: [(isize, isize); 4] = [(-1, 0), (1, 0), (0, -1), (0, 1)];
 
 impl MotionEstimator {
     /// Estimates the MB at `(mb_x, mb_y)` (sample coordinates) of `cur`
-    /// against `reference`, starting from `predictor` (quarter-pel).
+    /// against the interpolated `reference`, starting from `predictor`
+    /// (quarter-pel).
     #[must_use]
     pub fn search(
         &self,
         cur: &Plane,
-        reference: &Plane,
+        reference: &InterpolatedRef,
         mb_x: usize,
         mb_y: usize,
         predictor: MotionVector,
     ) -> SearchOutcome {
+        let mut cur_block = [0u8; 256];
+        cur.read_block(mb_x as isize, mb_y as isize, 16, &mut cur_block);
         let mut sad_count = 0u32;
         let eval = |mx: isize, my: isize, counter: &mut u32| -> u32 {
             *counter += 1;
-            sad_16x16(cur, reference, mb_x, mb_y, mx, my)
+            reference.sad_16x16(&cur_block, mb_x, mb_y, mx, my)
         };
 
         // Integer-pel: start at predictor and (0,0), then diamond rounds.
@@ -136,14 +141,12 @@ impl MotionEstimator {
         // Sub-pel refinement with SATD: half-pel ring, then two quarter-pel
         // polish rings around the running best (8 + 8 + 8 positions +
         // centre).
-        let mut cur_block = [0u8; 256];
-        cur.read_block(mb_x as isize, mb_y as isize, 16, &mut cur_block);
         let mut satd_count = 0u32;
         let mut pred_block = [0u8; 256];
         let mut best_q = (best_mv.0 * 4, best_mv.1 * 4);
         let mut eval_q = |x4: isize, y4: isize, counter: &mut u32| -> u32 {
             *counter += 1;
-            compensate_16x16(reference, mb_x, mb_y, x4, y4, &mut pred_block);
+            reference.compensate_16x16(mb_x, mb_y, x4, y4, &mut pred_block);
             satd_nxn(&cur_block, &pred_block, 16)
         };
         let mut best_cost = eval_q(best_q.0, best_q.1, &mut satd_count);
@@ -180,12 +183,12 @@ mod tests {
     use super::*;
     use crate::frame::Plane;
 
-    /// Builds current/reference planes where the current frame's content
-    /// sits at offset `(dx, dy)` in the reference (i.e. the true motion
-    /// vector is `(dx, dy)` integer pel). The texture is a smooth,
-    /// non-periodic sum of sinusoids so the SAD surface has a unique
-    /// minimum that a diamond search can descend to.
-    fn shifted_pair(dx: isize, dy: isize) -> (Plane, Plane) {
+    /// Builds the current plane and interpolated reference where the
+    /// current frame's content sits at offset `(dx, dy)` in the reference
+    /// (i.e. the true motion vector is `(dx, dy)` integer pel). The
+    /// texture is a smooth, non-periodic sum of sinusoids so the SAD
+    /// surface has a unique minimum that a diamond search can descend to.
+    fn shifted_pair(dx: isize, dy: isize) -> (Plane, InterpolatedRef) {
         let w = 96;
         let h = 96;
         let tex = |x: f64, y: f64| -> u8 {
@@ -209,7 +212,7 @@ mod tests {
                 );
             }
         }
-        (cur, reference)
+        (cur, InterpolatedRef::new(&reference))
     }
 
     #[test]
@@ -250,6 +253,18 @@ mod tests {
         let hot = me.search(&cur, &reference, 32, 32, MotionVector { x4: 32, y4: 0 });
         assert!(hot.sad_count <= cold.sad_count);
         assert_eq!(hot.mv.x4, 32);
+    }
+
+    #[test]
+    fn predictor_outside_the_range_is_returned() {
+        // `range` bounds only the diamond rounds: the predictor candidate
+        // is evaluated unchecked, so a vector beyond ±range pel can win.
+        let (cur, reference) = shifted_pair(20, 0);
+        let me = MotionEstimator::default();
+        let predictor = MotionVector { x4: 80, y4: 0 };
+        let out = me.search(&cur, &reference, 32, 32, predictor);
+        assert_eq!(out.mv, predictor);
+        assert!(out.mv.x4 > 4 * me.range);
     }
 
     #[test]

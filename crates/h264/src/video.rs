@@ -96,13 +96,16 @@ impl SyntheticVideo {
         let pan_x = t * 0.8 * burst + cut;
         let pan_y = t * 0.3 + cut * 0.4;
 
+        // Textured background: two low-frequency gradients, a sine per
+        // column and a cosine per row.
+        let column_sin: Vec<f64> = (0..self.width)
+            .map(|xx| ((xx as f64 + pan_x) * 0.05).sin())
+            .collect();
         let mut y_samples = Vec::with_capacity(self.width * self.height);
         for yy in 0..self.height {
-            for xx in 0..self.width {
-                // Textured background: two low-frequency gradients.
-                let gx = (xx as f64 + pan_x) * 0.05;
-                let gy = (yy as f64 + pan_y) * 0.07;
-                let v = 110.0 + 35.0 * (gx.sin() + gy.cos());
+            let row_cos = ((yy as f64 + pan_y) * 0.07).cos();
+            for &sin in &column_sin {
+                let v = 110.0 + 35.0 * (sin + row_cos);
                 y_samples.push(v.clamp(0.0, 255.0) as u8);
             }
         }

@@ -87,8 +87,10 @@ impl EncoderWorkload {
         EncoderWorkload::from_reports(config, &reports)
     }
 
-    /// The paper's 140-frame CIF benchmark workload (expensive: encodes
-    /// ~55 K macroblocks; generate once and reuse).
+    /// The paper's 140-frame CIF benchmark workload. It encodes ~55 K
+    /// macroblocks, about a second in a release build and still far
+    /// more than one replay of its trace, so generate it once and reuse
+    /// it across simulations.
     #[must_use]
     pub fn paper_cif() -> Self {
         EncoderWorkload::generate(&EncoderConfig::paper_cif())

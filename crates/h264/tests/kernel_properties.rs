@@ -1,13 +1,16 @@
 //! Property-based tests of the codec kernels: transform/quantisation
-//! error bounds, metric axioms for SAD/SATD, interpolation invariants and
-//! deblocking safety.
+//! error bounds, metric axioms for SAD/SATD, interpolation invariants,
+//! equivalence of the interpolate-once reads with the per-sample
+//! reference, and deblocking safety.
 
 use proptest::prelude::*;
 use rispp_h264::kernels::dct::{forward_quantised, reconstruct_residual, transform_roundtrip};
 use rispp_h264::kernels::entropy::{estimate_block_bits, run_level, zigzag_scan, zigzag_unscan};
 use rispp_h264::kernels::hadamard::{forward_ht2x2, inverse_ht2x2};
-use rispp_h264::kernels::mc::{clip3, pack_half_pel, point_filter, sample_quarter_pel};
-use rispp_h264::kernels::sad::sad_block;
+use rispp_h264::kernels::mc::{
+    clip3, compensate_16x16, pack_half_pel, point_filter, sample_quarter_pel, InterpolatedRef,
+};
+use rispp_h264::kernels::sad::{sad_16x16, sad_block};
 use rispp_h264::kernels::satd::satd_4x4;
 use rispp_h264::Plane;
 
@@ -21,6 +24,83 @@ fn residual() -> impl Strategy<Value = [i32; 16]> {
 
 fn block() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 16)
+}
+
+/// A plane of uniformly random samples, `w×h`.
+fn random_plane(w: usize, h: usize) -> impl Strategy<Value = Plane> {
+    proptest::collection::vec(any::<u8>(), w * h)
+        .prop_map(move |samples| Plane::from_samples(w, h, samples))
+}
+
+/// A reference plane and a current plane of the same random size (16×16
+/// up to 48×48), an in-bounds 16×16 block position, and a quarter-pel
+/// motion vector reaching up to 24 pel past the plane on either side, so
+/// reads cover the interior, the padded border and far beyond it.
+fn planes_block_mv() -> impl Strategy<Value = (Plane, Plane, usize, usize, isize, isize)> {
+    (16usize..=48, 16usize..=48).prop_flat_map(|(w, h)| {
+        let (rx, ry) = (4 * (w as isize + 24), 4 * (h as isize + 24));
+        (
+            random_plane(w, h),
+            random_plane(w, h),
+            0..=w - 16,
+            0..=h - 16,
+            -rx..=rx,
+            -ry..=ry,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn interpolated_compensation_equals_the_per_sample_reference(
+        (reference, _cur, x, y, mvx4, mvy4) in planes_block_mv(),
+    ) {
+        let interpolated = InterpolatedRef::new(&reference);
+        let mut want = [0u8; 256];
+        let mut got = [0u8; 256];
+        // Every quarter-pel phase at the drawn integer position.
+        for phase in 0..16 {
+            let (mx, my) = ((mvx4 & !3) + phase % 4, (mvy4 & !3) + phase / 4);
+            compensate_16x16(&reference, x, y, mx, my, &mut want);
+            interpolated.compensate_16x16(x, y, mx, my, &mut got);
+            prop_assert_eq!(got, want, "mv ({}, {}) at ({}, {})", mx, my, x, y);
+        }
+    }
+
+    #[test]
+    fn interpolated_integer_sad_equals_the_per_sample_reference(
+        (reference, cur, x, y, mvx4, mvy4) in planes_block_mv(),
+    ) {
+        let interpolated = InterpolatedRef::new(&reference);
+        let mut block = [0u8; 256];
+        cur.read_block(x as isize, y as isize, 16, &mut block);
+        let (mvx, mvy) = (mvx4 >> 2, mvy4 >> 2);
+        prop_assert_eq!(
+            interpolated.sad_16x16(&block, x, y, mvx, mvy),
+            sad_16x16(&cur, &reference, x, y, mvx, mvy),
+            "mv ({}, {}) at ({}, {})", mvx, mvy, x, y
+        );
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_a_fresh_build(
+        (first, second) in (16usize..=48, 16usize..=48, 16usize..=48, 16usize..=48)
+            .prop_flat_map(|(w0, h0, w1, h1)| (random_plane(w0, h0), random_plane(w1, h1))),
+    ) {
+        let mut rebuilt = InterpolatedRef::new(&first);
+        rebuilt.rebuild(&second);
+        let fresh = InterpolatedRef::new(&second);
+        prop_assert!(
+            rebuilt == fresh,
+            "{}x{} over {}x{}",
+            second.width(),
+            second.height(),
+            first.width(),
+            first.height()
+        );
+    }
 }
 
 proptest! {

@@ -4,9 +4,10 @@
 //! request carries a [`SimConfig`] and a trace payload; the trace is
 //! either an inline `{"invocations": [...]}` object or a string naming a
 //! built-in workload (`"fig7"` / `"fig7:FRAMES"`, the paper's CIF
-//! encoder trace). Both forms are normalised to a canonical payload
-//! string, which doubles as the warm-trace-cache key, so resubmitting
-//! the same trace — in either spelling — hits the cache.
+//! encoder trace, at most the paper's 140 frames). Both forms are
+//! normalised to a canonical payload string, which doubles as the
+//! warm-trace-cache key, so resubmitting the same trace — in either
+//! spelling — hits the cache.
 //!
 //! The codec is hand-rolled over [`rispp_telemetry::JsonValue`]; the
 //! workspace is offline and carries no serde.
@@ -437,7 +438,9 @@ pub fn encode_trace(trace: &Trace) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message for unknown workload names or malformed inline
+/// Returns a message for unknown workload names, frame counts outside
+/// `1..=140` (the paper's clip; the encode runs before the cancellable
+/// replay, so no deadline could stop a longer one) or malformed inline
 /// traces.
 pub fn canonical_trace_payload(value: &JsonValue) -> Result<String, String> {
     match value {
@@ -463,8 +466,11 @@ fn parse_workload_name(name: &str) -> Result<(&str, u32), String> {
     if base != "fig7" {
         return Err(format!("unknown workload `{base}` (supported: fig7[:FRAMES])"));
     }
-    if frames == 0 {
-        return Err("workload frame count must be positive".into());
+    let max = rispp_h264::EncoderConfig::paper_cif().frames;
+    if frames == 0 || frames > max {
+        return Err(format!(
+            "workload frame count must be between 1 and {max}, got {frames}"
+        ));
     }
     Ok((base, frames))
 }
@@ -730,6 +736,12 @@ mod tests {
         assert_eq!(canonical_trace_payload(&v).unwrap(), "fig7:3");
         assert!(canonical_trace_payload(&JsonValue::String("fig8".into())).is_err());
         assert!(canonical_trace_payload(&JsonValue::String("fig7:0".into())).is_err());
+        let v = JsonValue::String("fig7:140".into());
+        assert_eq!(canonical_trace_payload(&v).unwrap(), "fig7:140");
+        for too_long in ["fig7:141", "fig7:4294967295"] {
+            let err = canonical_trace_payload(&JsonValue::String(too_long.into())).unwrap_err();
+            assert!(err.contains("between 1 and 140"), "{too_long}: {err}");
+        }
     }
 
     #[test]

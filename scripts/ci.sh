@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: release build, tier-1 tests, workspace tests, strict
+# Local CI gate: release build, tier-1 tests, workspace tests, the
+# standalone benchmark package's tests, smokes, the fig7 cycle pin, strict
 # clippy, strict rustdoc. Everything runs offline against the vendored
 # dev-dependencies in vendor/.
 set -euo pipefail
@@ -15,6 +16,11 @@ cargo test -q
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> cargo test -q (benchmark package)"
+# The layered benchmark is a standalone package outside the workspace
+# (its own lock file and target directory), so --workspace skips it.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> tier-forced kernel equivalence suite"
 # Re-run the three-way kernel equivalence proptests once per *available*
@@ -169,21 +175,35 @@ fi
 echo "==> cargo bench --no-run --workspace"
 cargo bench --no-run --workspace
 
+echo "==> fig7 simulated-cycle pin vs committed BENCH_sweep.json"
+# Correctness gate, independent of host speed: the full sweep over the
+# committed frame count must reproduce the committed simulated cycles
+# exactly, so any drift in the encoder, the trace or the replay fails
+# here. The encode takes about a second.
+frames=$(grep -o '"frames": [0-9]*' BENCH_sweep.json | awk '{print $2}')
+pinned=$(grep -o '"simulated_cycles": [0-9]*' BENCH_sweep.json | awk '{print $2}')
+RISPP_THREADS=1 ./target/release/fig7 "$frames" --json target/ci_sweep.json \
+  >/dev/null 2>&1
+cycles=$(grep -o '"simulated_cycles": [0-9]*' target/ci_sweep.json | awk '{print $2}')
+echo "    committed ${pinned} simulated cycles, measured ${cycles}"
+if [ "$cycles" != "$pinned" ]; then
+  echo "ci: fig7 cycle pin failed — ${cycles} simulated cycles, committed ${pinned}" >&2
+  exit 1
+fi
+
 if [ "${RISPP_CI_SKIP_PERF:-0}" != "1" ]; then
   echo "==> fig7 throughput smoke vs committed BENCH_sweep.json"
   # Wall-clock gate: the sweep must stay within 20% of the committed
   # record (same frames, single worker thread, best of two runs to damp
-  # scheduler noise). Set RISPP_CI_SKIP_PERF=1 on machines whose absolute
-  # speed is not comparable to the one that recorded the baseline.
-  frames=$(grep -o '"frames": [0-9]*' BENCH_sweep.json | awk '{print $2}')
+  # scheduler noise; the first is the cycle-pin run above). Set
+  # RISPP_CI_SKIP_PERF=1 on machines whose absolute speed is not
+  # comparable to the one that recorded the baseline.
   baseline=$(grep -o '"jobs_per_s": [0-9.]*' BENCH_sweep.json | awk '{print $2}')
-  best=0
-  for _ in 1 2; do
-    RISPP_THREADS=1 ./target/release/fig7 "$frames" --json target/ci_sweep.json \
-      >/dev/null 2>&1
-    run=$(grep -o '"jobs_per_s": [0-9.]*' target/ci_sweep.json | awk '{print $2}')
-    best=$(awk -v a="$best" -v b="$run" 'BEGIN{print (b>a)?b:a}')
-  done
+  best=$(grep -o '"jobs_per_s": [0-9.]*' target/ci_sweep.json | awk '{print $2}')
+  RISPP_THREADS=1 ./target/release/fig7 "$frames" --json target/ci_sweep.json \
+    >/dev/null 2>&1
+  run=$(grep -o '"jobs_per_s": [0-9.]*' target/ci_sweep.json | awk '{print $2}')
+  best=$(awk -v a="$best" -v b="$run" 'BEGIN{print (b>a)?b:a}')
   echo "    committed ${baseline} jobs/s, measured best-of-2 ${best} jobs/s"
   awk -v b="$baseline" -v m="$best" 'BEGIN{exit !(m >= 0.8 * b)}' || {
     echo "ci: sweep throughput regression — ${best} jobs/s is below 80% of the committed ${baseline} (set RISPP_CI_SKIP_PERF=1 to skip on incomparable hardware)" >&2

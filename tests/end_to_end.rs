@@ -13,6 +13,49 @@ fn small_workload() -> EncoderWorkload {
 }
 
 #[test]
+fn small_workload_trace_is_pinned() {
+    // The 6-frame CIF prefix as the per-sample reference encoder produced
+    // it: SI totals, mean luma PSNR bits and an FNV-1a digest of every
+    // (hot spot, SI, count) burst in trace order. Any change to the
+    // encoder's arithmetic or burst order moves one of them.
+    let workload = small_workload();
+    let summary = workload.summary();
+    assert_eq!(
+        summary.per_si,
+        vec![
+            (SiKind::Sad, 51_575),
+            (SiKind::Satd, 49_500),
+            (SiKind::Dct, 57_024),
+            (SiKind::Ht2x2, 4_752),
+            (SiKind::Ht4x4, 396),
+            (SiKind::Mc, 1_980),
+            (SiKind::IPredHdc, 178),
+            (SiKind::IPredVdc, 218),
+            (SiKind::LfBs4, 17_582),
+        ]
+    );
+    assert_eq!(workload.trace().total_si_executions(), 183_205);
+    assert_eq!(summary.mean_psnr_y.to_bits(), 0x4044_0a0c_ede8_5b79);
+
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = |bytes: &[u8]| {
+        for &byte in bytes {
+            digest ^= u64::from(byte);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for inv in workload.trace().invocations() {
+        for burst in &inv.bursts {
+            let si = u16::try_from(burst.si.index()).expect("nine SIs");
+            hash(&inv.hot_spot.0.to_le_bytes());
+            hash(&si.to_le_bytes());
+            hash(&burst.count.to_le_bytes());
+        }
+    }
+    assert_eq!(digest, 0x5209_d1fa_c14c_04e6);
+}
+
+#[test]
 fn rispp_is_much_faster_than_pure_software() {
     let library = h264_si_library();
     let workload = small_workload();
