@@ -36,14 +36,6 @@ fn main() {
         i += 1;
     }
 
-    let tier = match rispp_model::init_tier_from_env() {
-        Ok(tier) => tier,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-
     eprintln!("encoding {frames} CIF frames...");
     let workload = quick_workload(frames);
     let s = workload.summary();
@@ -59,8 +51,7 @@ fn main() {
     let ac_count = AC_SWEEP.clone().count();
     let jobs = 1 + ac_count * (SchedulerKind::ALL.len() + 1);
     eprintln!(
-        "sweeping {AC_SWEEP:?} ACs x 4 schedulers + Molen ({jobs} simulations) on {} thread(s), \
-         kernel tier {tier}...",
+        "sweeping {AC_SWEEP:?} ACs x 4 schedulers + Molen ({jobs} simulations) on {} thread(s)...",
         runner.threads()
     );
     let started = Instant::now();
@@ -83,7 +74,7 @@ fn main() {
                 .sum::<u64>();
         let wall_s = wall.as_secs_f64();
         let json = format!(
-            "{{\n  \"benchmark\": \"fig7_scheduler_sweep\",\n  \"frames\": {frames},\n  \"threads\": {},\n  \"kernel_tier\": \"{tier}\",\n  \"jobs\": {jobs},\n  \"wall_clock_s\": {wall_s:.6},\n  \"simulated_cycles\": {simulated_cycles},\n  \"simulated_cycles_per_s\": {:.0},\n  \"jobs_per_s\": {:.3}\n}}\n",
+            "{{\n  \"benchmark\": \"fig7_scheduler_sweep\",\n  \"frames\": {frames},\n  \"threads\": {},\n  \"jobs\": {jobs},\n  \"wall_clock_s\": {wall_s:.6},\n  \"simulated_cycles\": {simulated_cycles},\n  \"simulated_cycles_per_s\": {:.0},\n  \"jobs_per_s\": {:.3}\n}}\n",
             runner.threads(),
             simulated_cycles as f64 / wall_s.max(1e-9),
             jobs as f64 / wall_s.max(1e-9),

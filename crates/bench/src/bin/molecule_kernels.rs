@@ -1,26 +1,21 @@
-//! Micro-benchmarks every available [`Molecule`] kernel tier — the scalar
-//! reference, the portable u64 SWAR tier and (when the CPU supports it)
-//! the AVX2 wide tier — plus the *dispatched* public `Molecule` API, which
-//! routes through the per-process tier selection.
+//! Micro-benchmarks the [`Molecule`] lattice kernels twice per (op,
+//! arity): on bare count slices (`rispp_model::kernels`) and through the
+//! public `Molecule` call that runs the same kernel. The gap between the
+//! two columns is what the `Molecule` wrapper costs: the arity check and,
+//! for the zip ops, building the result Molecule.
 //!
 //! Times the zip kernels (`union`, `residual`) and the fused reductions
 //! (`total_atoms`, `union_atoms`, `residual_atoms`) at arities 4/8/16/32
-//! (the inline small-buffer range) and reports per-op nanoseconds for each
-//! tier. With `--json` the results are written as a self-describing record
-//! (default `BENCH_kernels.json`) listing which tiers were available and
-//! which one the dispatch selected, so CI and the README can track
-//! kernel-level speedups separately from end-to-end sweep throughput.
-//!
-//! `RISPP_KERNEL_TIER=scalar|swar|wide|auto` overrides what the dispatched
-//! rows run on; naming an unavailable tier is a startup error.
+//! (the inline small-buffer range). With `--json` the results are written
+//! as a record (default `BENCH_kernels.json`), so the kernel-level cost is
+//! tracked separately from end-to-end sweep throughput.
 //!
 //! Usage: `molecule_kernels [iterations] [--json [PATH]]`
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use rispp_model::kernels::{scalar, swar, wide};
-use rispp_model::{init_tier_from_env, KernelTier, Molecule};
+use rispp_model::{kernels, Molecule};
 
 /// Deterministic xorshift so every run benches identical inputs.
 struct Rng(u64);
@@ -52,35 +47,26 @@ fn bench_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     started.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Per-(op, arity) nanoseconds: one slot per tier (in [`KernelTier::ALL`]
-/// order, `None` when unavailable) plus the dispatched `Molecule` call.
+/// Per-(op, arity) nanoseconds on slices and through `Molecule`.
 struct Record {
     op: &'static str,
     arity: usize,
-    tier_ns: [Option<f64>; 3],
-    dispatched_ns: f64,
+    kernel_ns: f64,
+    molecule_ns: f64,
 }
 
-/// Benches one op shape on every available tier and on the dispatched
-/// public API.
 fn record(
     op: &'static str,
     arity: usize,
     iters: u32,
-    mut tier_fn: impl FnMut(KernelTier),
-    mut dispatched_fn: impl FnMut(),
+    kernel: impl FnMut(),
+    molecule: impl FnMut(),
 ) -> Record {
-    let mut tier_ns = [None; 3];
-    for (slot, tier) in KernelTier::ALL.into_iter().enumerate() {
-        if tier.is_available() {
-            tier_ns[slot] = Some(bench_ns(iters, || tier_fn(tier)));
-        }
-    }
     Record {
         op,
         arity,
-        tier_ns,
-        dispatched_ns: bench_ns(iters, &mut dispatched_fn),
+        kernel_ns: bench_ns(iters, kernel),
+        molecule_ns: bench_ns(iters, molecule),
     }
 }
 
@@ -105,32 +91,8 @@ fn main() {
         i += 1;
     }
 
-    let selected = match init_tier_from_env() {
-        Ok(tier) => tier,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let available: Vec<KernelTier> = KernelTier::ALL
-        .into_iter()
-        .filter(|t| t.is_available())
-        .collect();
-    eprintln!(
-        "tiers available: {}; dispatch selected: {selected}",
-        available
-            .iter()
-            .map(|t| t.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-
     let mut rng = Rng(0x5eed_cafe_f00d_d00d);
     let mut records = Vec::new();
-    println!(
-        "{:<14} {:>6} {:>11} {:>11} {:>11} {:>13}",
-        "op", "arity", "scalar_ns", "swar_ns", "wide_ns", "dispatched_ns"
-    );
     for &arity in &[4usize, 8, 16, 32] {
         let a = rng.counts(arity);
         let b = rng.counts(arity);
@@ -138,37 +100,23 @@ fn main() {
         let mb = Molecule::from_counts(b.iter().copied());
         let mut out = vec![0u16; arity];
 
-        // The zip kernels are compared on their `_into` forms so every
-        // tier (and the dispatched API, which reuses buffers internally)
-        // does the same work: no per-call allocation anywhere.
-        let zip = |tier: KernelTier| -> fn(&[u16], &[u16], &mut [u16]) {
-            match tier {
-                KernelTier::Scalar => scalar::union_into,
-                KernelTier::Swar => swar::union_into,
-                KernelTier::Wide => wide::union_into,
-            }
-        };
+        // The zip ops are timed on the `_into` kernels: the `Molecule`
+        // call writes into a fresh inline Molecule, so neither side
+        // allocates.
         records.push(record(
             "union",
             arity,
             iters,
-            |tier| zip(tier)(black_box(&a), black_box(&b), black_box(&mut out)),
+            || kernels::union_into(black_box(&a), black_box(&b), black_box(&mut out)),
             || {
                 black_box(black_box(&ma).union(black_box(&mb)));
             },
         ));
-        let zip = |tier: KernelTier| -> fn(&[u16], &[u16], &mut [u16]) {
-            match tier {
-                KernelTier::Scalar => scalar::residual_into,
-                KernelTier::Swar => swar::residual_into,
-                KernelTier::Wide => wide::residual_into,
-            }
-        };
         records.push(record(
             "residual",
             arity,
             iters,
-            |tier| zip(tier)(black_box(&a), black_box(&b), black_box(&mut out)),
+            || kernels::residual_into(black_box(&a), black_box(&b), black_box(&mut out)),
             || {
                 black_box(black_box(&ma).residual(black_box(&mb)));
             },
@@ -177,12 +125,8 @@ fn main() {
             "total_atoms",
             arity,
             iters,
-            |tier| {
-                black_box(match tier {
-                    KernelTier::Scalar => scalar::total_atoms(black_box(&a)),
-                    KernelTier::Swar => swar::total_atoms(black_box(&a)),
-                    KernelTier::Wide => wide::total_atoms(black_box(&a)),
-                });
+            || {
+                black_box(kernels::total_atoms(black_box(&a)));
             },
             || {
                 black_box(black_box(&ma).total_atoms());
@@ -195,12 +139,8 @@ fn main() {
             "union_atoms",
             arity,
             iters,
-            |tier| {
-                black_box(match tier {
-                    KernelTier::Scalar => scalar::union_atoms(black_box(&a), black_box(&b)),
-                    KernelTier::Swar => swar::union_atoms(black_box(&a), black_box(&b)),
-                    KernelTier::Wide => wide::union_atoms(black_box(&a), black_box(&b)),
-                });
+            || {
+                black_box(kernels::union_atoms(black_box(&a), black_box(&b)));
             },
             || {
                 black_box(black_box(&ma).union_atoms(black_box(&mb)));
@@ -210,12 +150,8 @@ fn main() {
             "residual_atoms",
             arity,
             iters,
-            |tier| {
-                black_box(match tier {
-                    KernelTier::Scalar => scalar::residual_atoms(black_box(&a), black_box(&b)),
-                    KernelTier::Swar => swar::residual_atoms(black_box(&a), black_box(&b)),
-                    KernelTier::Wide => wide::residual_atoms(black_box(&a), black_box(&b)),
-                });
+            || {
+                black_box(kernels::residual_atoms(black_box(&a), black_box(&b)));
             },
             || {
                 black_box(black_box(&ma).residual_atoms(black_box(&mb)));
@@ -223,43 +159,31 @@ fn main() {
         ));
     }
 
-    let fmt_ns = |ns: Option<f64>| match ns {
-        Some(v) => format!("{v:>11.2}"),
-        None => format!("{:>11}", "-"),
-    };
+    println!(
+        "{:<14} {:>6} {:>10} {:>12}",
+        "op", "arity", "kernel_ns", "molecule_ns"
+    );
     for r in &records {
         println!(
-            "{:<14} {:>6} {} {} {} {:>13.2}",
-            r.op,
-            r.arity,
-            fmt_ns(r.tier_ns[0]),
-            fmt_ns(r.tier_ns[1]),
-            fmt_ns(r.tier_ns[2]),
-            r.dispatched_ns
+            "{:<14} {:>6} {:>10.2} {:>12.2}",
+            r.op, r.arity, r.kernel_ns, r.molecule_ns
         );
     }
 
     if let Some(path) = json_path {
-        let tiers: Vec<String> = available.iter().map(|t| format!("\"{t}\"")).collect();
-        let mut body = String::new();
-        for (i, r) in records.iter().enumerate() {
-            if i > 0 {
-                body.push_str(",\n");
-            }
-            let mut fields = format!("\"op\": \"{}\", \"arity\": {}", r.op, r.arity);
-            for (slot, tier) in KernelTier::ALL.into_iter().enumerate() {
-                if let Some(ns) = r.tier_ns[slot] {
-                    fields.push_str(&format!(", \"{}_ns\": {ns:.2}", tier.name()));
-                }
-            }
-            fields.push_str(&format!(", \"dispatched_ns\": {:.2}", r.dispatched_ns));
-            body.push_str(&format!("    {{{fields}}}"));
-        }
+        let body: Vec<String> = records
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\"op\": \"{}\", \"arity\": {}, \"kernel_ns\": {:.2}, \"molecule_ns\": {:.2}}}",
+                    r.op, r.arity, r.kernel_ns, r.molecule_ns
+                )
+            })
+            .collect();
         let json = format!(
             "{{\n  \"benchmark\": \"molecule_kernels\",\n  \"iterations\": {iters},\n  \
-             \"tiers_available\": [{}],\n  \"dispatch_selected\": \"{selected}\",\n  \
-             \"results\": [\n{body}\n  ]\n}}\n",
-            tiers.join(", ")
+             \"results\": [\n{}\n  ]\n}}\n",
+            body.join(",\n")
         );
         match std::fs::write(&path, &json) {
             Ok(()) => eprintln!("wrote {path}"),

@@ -7,9 +7,6 @@
 //! to find which phase to optimise, not for absolute numbers.
 //! `gprofng`-class profilers are unreliable in this container; this
 //! binary is the substitute.
-//!
-//! Honours `RISPP_KERNEL_TIER`; the selected kernel tier is printed at
-//! startup.
 
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -115,13 +112,6 @@ impl ExecutionSystem for Timed<'_> {
 }
 
 fn main() {
-    match rispp_model::init_tier_from_env() {
-        Ok(tier) => eprintln!("kernel tier: {tier}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
     let frames: u32 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())

@@ -93,13 +93,6 @@ fn main() {
         }
         i += 1;
     }
-    let tier = match rispp_model::init_tier_from_env() {
-        Ok(tier) => tier,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
 
     let library = h264_si_library();
     let demands = demands();
@@ -126,7 +119,7 @@ fn main() {
     if let Some(path) = json_path {
         let json = format!(
             "{{\n  \"benchmark\": \"plan_cache\",\n  \"iterations\": {iters},\n  \
-             \"kernel_tier\": \"{tier}\",\n  \"cold_ns_per_entry\": {cold_ns:.0},\n  \
+             \"cold_ns_per_entry\": {cold_ns:.0},\n  \
              \"warm_ns_per_entry\": {warm_ns:.0},\n  \"speedup\": {:.3},\n  \
              \"hits\": {},\n  \"misses\": {},\n  \"insertions\": {},\n  \
              \"hit_rate\": {hit_rate:.4}\n}}\n",

@@ -4,6 +4,8 @@
 //! `profile`, `contend`, `check-trace`, `forensics`, `hw`, `serve`,
 //! `submit`. Run `rispp-cli help` for details.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod serving;
@@ -12,22 +14,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // Resolve the Molecule kernel tier up front for every simulating
-    // subcommand, so a bad RISPP_KERNEL_TIER (unknown name, or a tier
-    // this CPU cannot run) is a clean CLI error instead of a panic deep
-    // inside the first Molecule operation.
-    if matches!(
-        argv.first().map(String::as_str),
-        Some(
-            "schedule" | "simulate" | "sweep" | "resilience" | "profile" | "contend" | "hw"
-                | "serve" | "submit"
-        )
-    ) {
-        if let Err(e) = rispp_model::init_tier_from_env() {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     match argv.first().map(String::as_str) {
         Some("inventory") => commands::inventory(&argv[1..]),
         Some("schedule") => commands::schedule(&argv[1..]),
@@ -150,11 +136,6 @@ SUBCOMMANDS:
         Show this message.
 
 ENVIRONMENT:
-    RISPP_KERNEL_TIER=scalar|swar|wide|auto
-        Force the Molecule kernel tier (default auto: AVX2 `wide` when the
-        CPU supports it, else `scalar`). All tiers are bit-identical; this
-        only affects wall-clock speed. Naming an unavailable tier is an
-        error.
     RISPP_THREADS=N
         Worker threads for sweep-style commands (default: all cores).
 ";

@@ -32,9 +32,7 @@
 //! assert_eq!(m.residual(&o).counts(), &[0, 3, 0]);
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 wide kernel tier opts back in with
-// a scoped `allow` in `kernels::wide`; everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod atom;
@@ -46,10 +44,5 @@ mod si;
 
 pub use atom::{AtomTypeId, AtomTypeInfo, AtomUniverse};
 pub use error::ModelError;
-#[doc(hidden)]
-pub use kernels::scalar;
-pub use kernels::{
-    active_tier, default_tier, init_tier_from_env, set_active_tier, KernelTier, TIER_ENV,
-};
 pub use molecule::{Molecule, INLINE_LANES};
 pub use si::{MoleculeVariant, SiDefinition, SiId, SiLibrary, SiLibraryBuilder};

@@ -12,12 +12,9 @@ pub const INLINE_LANES: usize = 32;
 /// Internal storage: inline small-buffer up to [`INLINE_LANES`] components,
 /// heap spill above.
 ///
-/// Invariants (relied on by the SWAR kernels and `PartialEq`/`Hash`):
-///
-/// * a Molecule of arity ≤ [`INLINE_LANES`] is *always* `Inline` (canonical
-///   representation — equality can compare `counts()` slices);
-/// * `Inline` lanes at positions ≥ `len` are always zero (zero-tail), so a
-///   partially filled final 4-lane word can be processed as-is.
+/// Invariant (relied on by `PartialEq`/`Hash`): a Molecule of arity ≤
+/// [`INLINE_LANES`] is *always* `Inline`, so the representation is
+/// canonical and equality can compare `counts()` slices.
 #[derive(Clone)]
 enum Repr {
     Inline { len: u8, lanes: [u16; INLINE_LANES] },
@@ -37,11 +34,8 @@ enum Repr {
 /// # Representation and kernels
 ///
 /// Counts are stored inline (no heap allocation) up to [`INLINE_LANES`]
-/// components and spill to a `Vec<u16>` above that. All lattice operations
-/// route through the per-process kernel tier dispatch in
-/// [`crate::kernels`] — scalar reference loops, portable u64 SWAR, or
-/// AVX2 wide SIMD, all bit-identical (the scalar tier is the reference
-/// implementation the others are property-tested against).
+/// components and spill to a `Vec<u16>` above that. Every lattice
+/// operation calls the slice loops in [`crate::kernels`] directly.
 ///
 /// # Examples
 ///
@@ -139,9 +133,7 @@ impl Molecule {
         }
     }
 
-    /// Mutable view of the per-type instance counts (private: callers
-    /// must preserve the zero-tail invariant of the inline repr, which
-    /// every lane-wise kernel does).
+    /// Mutable view of the per-type instance counts.
     fn counts_mut(&mut self) -> &mut [u16] {
         match &mut self.repr {
             Repr::Inline { len, lanes } => &mut lanes[..usize::from(*len)],
@@ -341,8 +333,8 @@ impl Molecule {
     ///
     /// Equivalent to `self.partial_cmp(other)` being `Less` or `Equal`, in
     /// particular Molecules of differing arity are *not* subsets of each
-    /// other. One directed SWAR pass — cheaper than `partial_cmp` when only
-    /// the `≤` direction matters (the cleaning rule of eq. 4).
+    /// other. One directed pass — cheaper than `partial_cmp` when only the
+    /// `≤` direction matters (the cleaning rule of eq. 4).
     #[must_use]
     pub fn is_subset(&self, other: &Molecule) -> bool {
         self.arity() == other.arity() && kernels::is_subset(self.counts(), other.counts())
@@ -504,7 +496,6 @@ impl fmt::Display for Molecule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::scalar;
 
     fn m(counts: &[u16]) -> Molecule {
         Molecule::from_counts(counts.iter().copied())
@@ -672,8 +663,8 @@ mod tests {
 
     #[test]
     fn lane_boundary_values_survive_all_ops() {
-        // Exercise lane extremes around the SWAR sign bits at every lane
-        // position of a word, plus a partial tail word.
+        // Lane extremes around the per-lane sign bit and the saturation
+        // bounds: no operation may carry or borrow across lanes.
         let a = m(&[0, u16::MAX, 0x8000, 0x7FFF, 1, 0x8001]);
         let b = m(&[u16::MAX, 0, 0x7FFF, 0x8000, 0x8000, 0x8001]);
         assert_eq!(
@@ -689,9 +680,6 @@ mod tests {
             &[u16::MAX, 0, 0, 1, 0x7FFF, 0]
         );
         assert_eq!(a.partial_cmp(&b), None);
-        assert_eq!(
-            u64::from(a.residual_atoms(&b)),
-            scalar::residual_atoms(a.counts(), b.counts())
-        );
+        assert_eq!(a.residual_atoms(&b), 0xFFFF + 1 + 0x7FFF);
     }
 }

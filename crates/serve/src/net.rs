@@ -92,11 +92,13 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
         .expect("spawn connection writer");
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // One request line, accumulated across read timeouts: a timeout can
+    // fire mid-line, and the bytes read before it belong to the line. It
+    // is cleared only once the whole line has been handled.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => break, // EOF
             Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -109,8 +111,12 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
             }
             Err(_) => break,
         }
-        let trimmed = line.trim();
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break; // invalid UTF-8 closes the connection
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
+            line.clear();
             continue;
         }
         let pending = match parse_request(trimmed) {
@@ -134,6 +140,7 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
                 SubmitResult::Enqueued(ticket) => Pending::Outcome(ticket.outcome),
             },
         };
+        line.clear();
         if pending_tx.send(pending).is_err() {
             break; // writer died (peer gone)
         }

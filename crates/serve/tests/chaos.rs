@@ -365,6 +365,52 @@ fn tcp_daemon_round_trip_with_drain_handshake() {
     assert_eq!(snapshot.counter("rispp_serve_jobs_drain_rejected_total"), 1);
 }
 
+/// A slow client that pauses mid-line for longer than the daemon's
+/// 250 ms read timeout must get its request served whole: the bytes read
+/// before the timeout belong to the line and must not be dropped.
+#[test]
+fn request_line_split_across_a_read_timeout_is_served_whole() {
+    let server = Server::start(
+        library(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let stop = AtomicBool::new(false);
+    let daemon = std::thread::spawn({
+        let server = server.clone();
+        move || run_daemon(&server, listener, &stop).map_err(|e| e.to_string())
+    });
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut read_json = |context: &str| -> JsonValue {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect(context);
+        JsonValue::parse(line.trim()).unwrap_or_else(|e| panic!("{context}: {e}: {line}"))
+    };
+
+    writer.write_all(br#"{"op":"hea"#).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    writer.write_all(b"lth\"}\n").unwrap();
+    let health = read_json("split health");
+    assert_eq!(health.get("ok").and_then(JsonValue::as_bool), Some(true));
+    assert_eq!(
+        health.get("status").and_then(JsonValue::as_str),
+        Some("ready")
+    );
+
+    writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+    let ack = read_json("shutdown ack");
+    assert_eq!(ack.get("ok").and_then(JsonValue::as_bool), Some(true));
+    drop(writer);
+    daemon.join().expect("daemon thread").expect("daemon result");
+}
+
 #[test]
 fn deadline_timeout_is_reported_as_timeout() {
     let server = Server::start(

@@ -458,30 +458,20 @@ pub fn simulate_with(
     trace: &Trace,
     observers: &mut [&mut (dyn SimObserver + '_)],
 ) {
-    let mut state = ReplayState::new(system, observers);
-    let mut now = 0u64;
-    for inv in trace.invocations() {
-        now = replay_invocation(system, inv, now, &mut state, observers);
-    }
-    finish_replay(system, now, now, &mut state, observers);
+    replay(system, trace, observers, None);
 }
 
-/// [`simulate_with`] with cooperative cancellation: the replay checks
-/// `token` at every hot-spot entry and burst-batch boundary and stops
-/// early once it fires. Returns `true` when the trace ran to completion,
-/// `false` when the token cut it short (the observers then saw a partial
-/// event stream, closed by a final [`SimEvent::RunFinished`] at the
-/// cancellation cycle).
-///
-/// A run whose token never fires is bit-identical to [`simulate_with`]:
-/// the only extra work is a relaxed atomic load per boundary.
-pub fn simulate_with_cancellable(
+/// The body of [`simulate_with`], optionally cancellable (semantics in
+/// [`simulate_observed_cancellable_shared`]). Returns `true` when the
+/// trace ran to completion, `false` when the token cut it short.
+fn replay(
     system: &mut dyn ExecutionSystem,
     trace: &Trace,
     observers: &mut [&mut (dyn SimObserver + '_)],
-    token: &CancelToken,
+    token: Option<&CancelToken>,
 ) -> bool {
-    let mut state = ReplayState::new(system, observers).with_cancel(token.clone());
+    let mut state = ReplayState::new(system, observers);
+    state.cancel = token.cloned();
     let mut now = 0u64;
     for inv in trace.invocations() {
         now = replay_invocation(system, inv, now, &mut state, observers);
@@ -520,10 +510,9 @@ pub(crate) struct ReplayState {
     recovery_active: bool,
     telemetry_active: bool,
     // Cooperative cancellation: `None` for classic runs (the boundary
-    // checks reduce to one branch), `Some` when driven through
-    // [`simulate_with_cancellable`]. `cancelled` latches once the token
-    // is observed fired, so callers distinguish complete from cut-short
-    // replays.
+    // checks reduce to one branch), `Some` when a run is given a token.
+    // `cancelled` latches once the token is observed fired, so callers
+    // distinguish complete from cut-short replays.
     cancel: Option<CancelToken>,
     pub(crate) cancelled: bool,
 }
@@ -550,12 +539,6 @@ impl ReplayState {
             cancel: None,
             cancelled: false,
         }
-    }
-
-    /// Attaches a cancellation token (builder style).
-    pub(crate) fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
     }
 
     /// Samples the token (if any) and latches the cancelled flag.
@@ -785,27 +768,7 @@ pub fn simulate_observed_planned(
     shared: Option<&PlanCacheHandle>,
     extra: &mut [&mut (dyn SimObserver + '_)],
 ) -> (RunStats, PlanCacheStats) {
-    let mut system = config.build_system_shared(library, shared);
-    let mut stats = RunStats::new(
-        system.label(),
-        library.len(),
-        config.bucket_cycles,
-        config.detail,
-    );
-    {
-        let mut observers: Vec<&mut (dyn SimObserver + '_)> = Vec::with_capacity(1 + extra.len());
-        observers.push(&mut stats);
-        for obs in extra.iter_mut() {
-            observers.push(&mut **obs);
-        }
-        if let Some(ctx) = config.trace {
-            for obs in observers.iter_mut() {
-                obs.set_trace_context(ctx);
-            }
-        }
-        simulate_with(system.as_mut(), trace, &mut observers);
-    }
-    let plan = system.plan_cache_stats();
+    let (stats, plan, _) = simulate_builtin(library, trace, config, shared, None, extra);
     (stats, plan)
 }
 
@@ -823,29 +786,14 @@ pub fn simulate(library: &SiLibrary, trace: &Trace, config: &SimConfig) -> RunSt
     simulate_observed(library, trace, config, &mut [])
 }
 
-/// [`simulate_observed`] with cooperative cancellation: stops early once
-/// `token` fires (see [`simulate_with_cancellable`] for the boundary
-/// semantics). A run whose token never fires returns statistics
-/// bit-identical to [`simulate_observed`] — same code path, the check just
-/// never triggers.
-///
-/// # Panics
-///
-/// Panics if the trace references SIs outside `library`.
-#[must_use]
-pub fn simulate_observed_cancellable(
-    library: &SiLibrary,
-    trace: &Trace,
-    config: &SimConfig,
-    token: &CancelToken,
-    extra: &mut [&mut (dyn SimObserver + '_)],
-) -> CancellableRun {
-    simulate_observed_cancellable_shared(library, trace, config, token, None, extra)
-}
-
-/// [`simulate_observed_cancellable`] with an optional *shared* plan cache
-/// (the warm-cache job-server path). See
-/// [`simulate_observed_planned`] for the sharing semantics.
+/// [`simulate_observed_planned`] with cooperative cancellation — the
+/// job-server execution path. The replay checks `token` at every hot-spot
+/// entry and burst-batch boundary and stops early once it fires; the
+/// observers then see a partial event stream, closed by a final
+/// [`SimEvent::RunFinished`] at the cancellation cycle, and the returned
+/// statistics cover the run up to that point. A run whose token never
+/// fires returns statistics bit-identical to [`simulate_observed`]: the
+/// only extra work is a relaxed atomic load per boundary.
 ///
 /// # Panics
 ///
@@ -859,6 +807,44 @@ pub fn simulate_observed_cancellable_shared(
     shared: Option<&PlanCacheHandle>,
     extra: &mut [&mut (dyn SimObserver + '_)],
 ) -> CancellableRun {
+    let (stats, _, completed) =
+        simulate_builtin(library, trace, config, shared, Some(token), extra);
+    CancellableRun {
+        stats,
+        cancelled: !completed,
+    }
+}
+
+/// [`simulate_observed_cancellable_shared`] with no extra observers.
+///
+/// # Panics
+///
+/// Panics if the trace references SIs outside `library`.
+#[must_use]
+pub fn simulate_cancellable_shared(
+    library: &SiLibrary,
+    trace: &Trace,
+    config: &SimConfig,
+    token: &CancelToken,
+    shared: Option<&PlanCacheHandle>,
+) -> CancellableRun {
+    simulate_observed_cancellable_shared(library, trace, config, token, shared, &mut [])
+}
+
+/// One run of a built-in system, the body behind every entry point above:
+/// builds the system from `config` (on the `shared` plan cache, if any),
+/// puts the [`RunStats`] collector ahead of `extra`, hands every observer
+/// the configured [`TraceContext`] and replays `trace`. Returns the
+/// statistics, the run's plan-cache counters and whether the replay ran
+/// to completion.
+fn simulate_builtin(
+    library: &SiLibrary,
+    trace: &Trace,
+    config: &SimConfig,
+    shared: Option<&PlanCacheHandle>,
+    token: Option<&CancelToken>,
+    extra: &mut [&mut (dyn SimObserver + '_)],
+) -> (RunStats, PlanCacheStats, bool) {
     let mut system = config.build_system_shared(library, shared);
     let mut stats = RunStats::new(
         system.label(),
@@ -877,46 +863,10 @@ pub fn simulate_observed_cancellable_shared(
                 obs.set_trace_context(ctx);
             }
         }
-        simulate_with_cancellable(system.as_mut(), trace, &mut observers, token)
+        replay(system.as_mut(), trace, &mut observers, token)
     };
-    CancellableRun {
-        stats,
-        cancelled: !completed,
-    }
-}
-
-/// [`simulate`] with cooperative cancellation — the job-server execution
-/// path. See [`simulate_observed_cancellable`].
-///
-/// # Panics
-///
-/// Panics if the trace references SIs outside `library`.
-#[must_use]
-pub fn simulate_cancellable(
-    library: &SiLibrary,
-    trace: &Trace,
-    config: &SimConfig,
-    token: &CancelToken,
-) -> CancellableRun {
-    simulate_observed_cancellable(library, trace, config, token, &mut [])
-}
-
-/// [`simulate_cancellable`] against a *shared* warm plan cache — the
-/// job-server execution path with cross-request plan reuse. See
-/// [`simulate_observed_planned`] for the sharing semantics.
-///
-/// # Panics
-///
-/// Panics if the trace references SIs outside `library`.
-#[must_use]
-pub fn simulate_cancellable_shared(
-    library: &SiLibrary,
-    trace: &Trace,
-    config: &SimConfig,
-    token: &CancelToken,
-    shared: Option<&PlanCacheHandle>,
-) -> CancellableRun {
-    simulate_observed_cancellable_shared(library, trace, config, token, shared, &mut [])
+    let plan = system.plan_cache_stats();
+    (stats, plan, completed)
 }
 
 #[cfg(test)]
@@ -1125,7 +1075,7 @@ mod tests {
             SimConfig::rispp(3, SchedulerKind::Asf),
         ] {
             let plain = simulate(&lib, &t, &config);
-            let run = simulate_cancellable(&lib, &t, &config, &CancelToken::new());
+            let run = simulate_cancellable_shared(&lib, &t, &config, &CancelToken::new(), None);
             assert!(!run.cancelled, "{}", config.system.label());
             assert_eq!(run.stats, plain, "{}", config.system.label());
         }
@@ -1137,7 +1087,13 @@ mod tests {
         let t = trace(6);
         let token = CancelToken::new();
         token.cancel();
-        let run = simulate_cancellable(&lib, &t, &SimConfig::rispp(4, SchedulerKind::Hef), &token);
+        let run = simulate_cancellable_shared(
+            &lib,
+            &t,
+            &SimConfig::rispp(4, SchedulerKind::Hef),
+            &token,
+            None,
+        );
         assert!(run.cancelled);
         assert_eq!(run.stats.total_executions(), 0);
         assert_eq!(run.stats.total_cycles, 0);
@@ -1172,11 +1128,12 @@ mod tests {
             segments: 0,
         };
         let mut extra: [&mut dyn SimObserver; 1] = [&mut fire];
-        let run = simulate_observed_cancellable(
+        let run = simulate_observed_cancellable_shared(
             &lib,
             &t,
             &SimConfig::rispp(4, SchedulerKind::Hef),
             &token,
+            None,
             &mut extra,
         );
         assert!(run.cancelled);

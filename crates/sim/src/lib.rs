@@ -74,10 +74,8 @@ pub use cancel::{CancelCause, CancelToken, CancellableRun};
 pub use context::TraceContext;
 pub use flight::{FlightRecorder, FlightRecorderConfig};
 pub use engine::{
-    simulate, simulate_cancellable, simulate_cancellable_shared, simulate_observed,
-    simulate_observed_cancellable, simulate_observed_cancellable_shared,
-    simulate_observed_planned, simulate_with, simulate_with_cancellable, FaultConfig, SimConfig,
-    SystemKind,
+    simulate, simulate_cancellable_shared, simulate_observed, simulate_observed_cancellable_shared,
+    simulate_observed_planned, simulate_with, FaultConfig, SimConfig, SystemKind,
 };
 pub use multi::{
     simulate_multi, simulate_multi_observed, MultiRunStats, TenancyConfig, TenantArbitration,

@@ -22,25 +22,6 @@ echo "==> cargo test -q (benchmark package)"
 # (its own lock file and target directory), so --workspace skips it.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> tier-forced kernel equivalence suite"
-# Re-run the three-way kernel equivalence proptests once per *available*
-# tier with RISPP_KERNEL_TIER forced, so the dispatched Molecule layer is
-# exercised end-to-end on every tier this CPU can run (the wide/AVX2 tier
-# is skipped on hosts without it; forcing an unavailable tier is an error
-# by design). Availability comes from molecule_kernels' self-description.
-tiers="scalar swar"
-if ./target/release/molecule_kernels 1 2>&1 >/dev/null | grep -q '^tiers available.*wide'; then
-  tiers="$tiers wide"
-fi
-for tier in $tiers; do
-  echo "    RISPP_KERNEL_TIER=$tier"
-  RISPP_KERNEL_TIER="$tier" cargo test -q -p rispp-model --test tier_equivalence >/dev/null
-  # Backend conformance includes the K=1 arbiter bit-identity suite; the
-  # single-tenant multiplexed path must match the classic path on every
-  # kernel tier, not just the dispatcher's pick.
-  RISPP_KERNEL_TIER="$tier" cargo test -q -p rispp-sim --test backend_conformance >/dev/null
-done
-
 echo "==> fault-sweep smoke (rispp-cli resilience)"
 # Seeded so the run provably exercises the whole recovery path: the CSV row
 # must show injected faults AND quarantined containers, and the run must
