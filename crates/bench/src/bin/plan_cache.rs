@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use rispp_core::{PlanCacheHandle, PlanCacheStats, RunTimeManager};
+use rispp_core::{FabricArbiter, PlanCacheHandle, PlanCacheStats};
 use rispp_h264::{h264_si_library, HotSpot, SiKind};
 use rispp_model::{SiId, SiLibrary};
 
@@ -41,7 +41,7 @@ fn demands() -> Vec<(SiId, u64)> {
 /// Runs `iters` timed pinned-profile entries on `mgr` after `warmup`
 /// untimed ones, returning ns per entry.
 fn run_entries(
-    mgr: &mut RunTimeManager<'_>,
+    mgr: &mut FabricArbiter<'_>,
     demands: &[(SiId, u64)],
     warmup: u32,
     iters: u32,
@@ -50,23 +50,25 @@ fn run_entries(
     let mut now = 0u64;
     let hs = HotSpot::MotionEstimation.id();
     for _ in 0..warmup {
-        mgr.enter_hot_spot_with_profile(hs, demands, now).expect("valid profile");
+        mgr.enter_hot_spot_with_profile(0, hs, demands, now)
+            .expect("valid profile");
         now += dwell;
-        mgr.exit_hot_spot(now);
+        mgr.exit_hot_spot(0, now);
         now += 100;
     }
     let t = Instant::now();
     for _ in 0..iters {
-        mgr.enter_hot_spot_with_profile(hs, demands, now).expect("valid profile");
+        mgr.enter_hot_spot_with_profile(0, hs, demands, now)
+            .expect("valid profile");
         now += dwell;
-        mgr.exit_hot_spot(now);
+        mgr.exit_hot_spot(0, now);
         now += 100;
     }
     t.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-fn build(library: &SiLibrary, cache: Option<PlanCacheHandle>) -> RunTimeManager<'_> {
-    let mut b = RunTimeManager::builder(library).containers(20);
+fn build(library: &SiLibrary, cache: Option<PlanCacheHandle>) -> FabricArbiter<'_> {
+    let mut b = FabricArbiter::builder(library).containers(20);
     if let Some(handle) = cache {
         b = b.plan_cache(handle);
     }

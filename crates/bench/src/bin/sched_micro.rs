@@ -1,14 +1,14 @@
 //! Scheduler-path microbenchmarks: isolates the cost of one hot-spot
 //! entry (the paper's "decide within a fraction of one Atom load"
 //! requirement) into Molecule selection, Atom scheduling per scheduler,
-//! and the full [`RunTimeManager::enter_hot_spot`] pipeline.
+//! and the full [`FabricArbiter::enter_hot_spot`] pipeline.
 //!
 //! Usage: `sched_micro [iterations]` (default 2000).
 
 use std::time::Instant;
 
 use rispp_core::{
-    GreedySelector, PlanCacheHandle, RunTimeManager, ScheduleRequest, SchedulerKind,
+    FabricArbiter, GreedySelector, PlanCacheHandle, ScheduleRequest, SchedulerKind,
     SelectionRequest, UpgradeBuffers,
 };
 use rispp_h264::{h264_si_library, HotSpot, SiKind};
@@ -90,18 +90,19 @@ fn main() {
 
     // The full hot-spot entry pipeline, alternating between two hot spots
     // so each entry re-plans against the other's leftover fabric state.
-    let mut mgr = RunTimeManager::builder(&library)
+    let mut mgr = FabricArbiter::builder(&library)
         .containers(containers)
         .build();
     let hints = demands;
     let mut now = 0u64;
-    bench("RunTimeManager::enter_hot_spot", iters, || {
+    bench("FabricArbiter::enter_hot_spot", iters, || {
         let hs = if now.is_multiple_of(2) {
             HotSpot::MotionEstimation.id()
         } else {
             HotSpot::EncodingEngine.id()
         };
-        mgr.enter_hot_spot(hs, &hints, now * 1000).expect("valid");
+        mgr.enter_hot_spot(0, hs, &hints, now * 1000)
+            .expect("valid");
         now += 1;
     });
 
@@ -110,27 +111,29 @@ fn main() {
     // a dwell long enough for every scheduled load to complete — planned
     // from scratch on every entry vs replayed from a steady-state hit.
     let dwell = 10_000_000u64;
-    let mut cold_mgr = RunTimeManager::builder(&library).containers(containers).build();
+    let mut cold_mgr = FabricArbiter::builder(&library)
+        .containers(containers)
+        .build();
     let mut now = 0u64;
     bench("enter_with_profile (cold plan)", iters, || {
         cold_mgr
-            .enter_hot_spot_with_profile(HotSpot::MotionEstimation.id(), &hints, now)
+            .enter_hot_spot_with_profile(0, HotSpot::MotionEstimation.id(), &hints, now)
             .expect("valid");
         now += dwell;
-        cold_mgr.exit_hot_spot(now);
+        cold_mgr.exit_hot_spot(0, now);
         now += 100;
     });
-    let mut warm_mgr = RunTimeManager::builder(&library)
+    let mut warm_mgr = FabricArbiter::builder(&library)
         .containers(containers)
         .plan_cache(PlanCacheHandle::default())
         .build();
     let mut now = 0u64;
     bench("enter_with_profile (warm plan)", iters, || {
         warm_mgr
-            .enter_hot_spot_with_profile(HotSpot::MotionEstimation.id(), &hints, now)
+            .enter_hot_spot_with_profile(0, HotSpot::MotionEstimation.id(), &hints, now)
             .expect("valid");
         now += dwell;
-        warm_mgr.exit_hot_spot(now);
+        warm_mgr.exit_hot_spot(0, now);
         now += 100;
     });
     let stats = warm_mgr.plan_cache_stats();

@@ -20,10 +20,10 @@
 //!   against eviction cost (see
 //!   [`ScheduleRequest::with_foreign_pressure`]).
 //!
-//! The single-tenant [`RunTimeManager`](crate::RunTimeManager) is a thin
-//! wrapper over a 1-tenant `Shared` arbiter, so the single-owner path and
-//! the multi-tenant path are one code path by construction — K=1 `Shared`
-//! is bit-identical to the pre-arbiter manager.
+//! The arbiter is also the single-owner run-time manager of paper Section
+//! 3.1: a 1-tenant arbiter (the builder's default) driven as application
+//! `0`. The single-owner path and the multi-tenant path are therefore one
+//! code path by construction.
 
 use rispp_fabric::{ContainerState, Fabric, FabricConfig, FabricEvent, FaultModel, LoadCompleted};
 use rispp_model::{Molecule, SiId, SiLibrary};
@@ -31,14 +31,13 @@ use rispp_monitor::{ExecutionMonitor, ForecastPolicy, HotSpotId};
 
 use crate::context::UpgradeBuffers;
 use crate::explain::{DecisionExplain, ScheduleExplain, SelectionExplain};
-use crate::manager::{BurstSegment, SiExecution};
 use crate::plan_cache::{
     fnv1a_words, library_fingerprint, PlanCacheHandle, PlanCacheStats, PlannedDecision,
 };
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
 use crate::scheduler::{AtomScheduler, SchedulerKind};
 use crate::selection::{GreedySelector, SelectionRequest};
-use crate::types::{ScheduleRequest, SelectedMolecule};
+use crate::types::{BurstSegment, ScheduleRequest, SelectedMolecule, SiExecution};
 use crate::CoreError;
 
 /// How K tenants contend for the reconfigurable substrate.
@@ -76,9 +75,9 @@ impl Default for BestVariantCache {
     }
 }
 
-/// The per-application half of the run-time system: everything the
-/// single-owner `RunTimeManager` kept per run, split out so the arbiter
-/// can hold K of them over one substrate.
+/// The per-application half of the run-time system: monitor, scheduler,
+/// selection and recovery state of one application, kept apart from the
+/// substrate so the arbiter can hold K of them over one fabric.
 #[derive(Debug)]
 struct AppContext {
     monitor: ExecutionMonitor,
@@ -150,12 +149,15 @@ struct BatchMemo {
     last_used: Option<u64>,
 }
 
-/// Arbiter over the reconfigurable substrate: owns the fabric(s) and the
-/// reconfiguration port(s), and multiplexes K per-application contexts
-/// (monitor, scheduler, selection, recovery state) under a
-/// [`ContentionPolicy`]. All entry points take the application index
-/// (`app < tenants()`) first; a 1-tenant `Shared` arbiter behaves exactly
-/// like the classic single-owner `RunTimeManager`.
+/// The RISPP Run-Time Manager (paper Section 3.1) as an arbiter over the
+/// reconfigurable substrate: it controls SI execution (task I), observes
+/// and adapts to varying requirements via the monitor (task II), and
+/// determines Atom re-loading decisions through selection and scheduling
+/// (task III). It owns the fabric(s) and the reconfiguration port(s), and
+/// multiplexes K per-application contexts (monitor, scheduler, selection,
+/// recovery state) under a [`ContentionPolicy`]. All entry points take the
+/// application index (`app < tenants()`) first; a single-owner run is a
+/// 1-tenant arbiter driven as application `0`.
 #[derive(Debug)]
 pub struct FabricArbiter<'a> {
     library: &'a SiLibrary,
@@ -219,6 +221,12 @@ impl<'a> FabricArbiter<'a> {
     #[must_use]
     pub fn policy(&self) -> ContentionPolicy {
         self.policy
+    }
+
+    /// The scheduling strategy every context runs.
+    #[must_use]
+    pub fn scheduler(&self) -> SchedulerKind {
+        self.scheduler_kind
     }
 
     /// Index of the fabric application `app` runs on: the one shared
@@ -760,7 +768,9 @@ impl<'a> FabricArbiter<'a> {
 
     /// Executes one SI of application `app` at cycle `now`: forwards it to
     /// the fastest available Molecule or traps to the base instruction
-    /// set, and records the execution for `app`'s monitor.
+    /// set, and records the execution for `app`'s monitor. Fabric events
+    /// due at or before `now` (completed loads, faults) are processed
+    /// first.
     ///
     /// # Panics
     ///
@@ -791,10 +801,18 @@ impl<'a> FabricArbiter<'a> {
         execution
     }
 
-    /// Allocation-free burst execution for application `app`: clears
-    /// `segments` and writes the burst's homogeneous-latency segments into
-    /// it. See `RunTimeManager::execute_burst_into` for the semantics —
-    /// this is that code path, parameterised by tenant.
+    /// Executes a *burst* of `count` back-to-back executions of `si` for
+    /// application `app`, starting at cycle `start`, each followed by
+    /// `overhead` cycles of base-processor work (loop control, address
+    /// generation). Clears `segments` and writes the burst's
+    /// homogeneous-latency segments into it, so a caller looping over many
+    /// bursts reuses one buffer instead of allocating per burst (the single
+    /// hottest line of a trace replay).
+    ///
+    /// Equivalent to calling [`FabricArbiter::execute_si`] `count` times at
+    /// the appropriate cycles, but runs in `O(reconfiguration events)`
+    /// instead of `O(count)`: the burst is split into segments at the
+    /// cycles where a completed Atom load upgrades the SI's latency.
     ///
     /// # Panics
     ///
@@ -860,11 +878,29 @@ impl<'a> FabricArbiter<'a> {
         }
     }
 
-    /// Batched burst execution for application `app`: consumes a prefix of
-    /// `bursts` that provably completes before the next internal fabric
-    /// event, pushing one unsplit segment per non-empty consumed burst.
-    /// See `RunTimeManager::execute_bursts_batched` for the full contract
-    /// — this is that code path, parameterised by tenant.
+    /// Batched variant of [`FabricArbiter::execute_burst_into`] for
+    /// application `app`: consumes a prefix of `bursts` — `(si, count,
+    /// overhead)` triples starting at cycle `start` — that provably
+    /// completes **before the next internal fabric event**, pushes exactly
+    /// one unsplit segment per non-empty consumed burst onto `segments`
+    /// (which is cleared first), and returns how many bursts were
+    /// consumed. Zero-count bursts are consumed as no-ops (no segment, no
+    /// monitor record), matching the trace replayer, which skips them
+    /// entirely.
+    ///
+    /// Bit-identical to calling `execute_burst_into` once per consumed
+    /// burst: the event horizon is checked per burst, so every consumed
+    /// burst is a single segment with the same start, latency, variant and
+    /// usage timestamps, the monitor receives the same per-burst counts in
+    /// the same order, and the clock lands on the start of the last
+    /// consumed burst exactly as the per-burst path leaves it. The horizon
+    /// is stable across the loop: no events are processed, and a pending
+    /// deferred load start keeps its `not_before` time while the clock
+    /// stays below it.
+    ///
+    /// Returns 0 (consuming nothing) when a fabric event is already due at
+    /// or before `start`; the caller then falls back to the per-burst path,
+    /// which processes it.
     ///
     /// # Panics
     ///
@@ -1017,8 +1053,12 @@ impl<'a> FabricArbiter<'a> {
         self.sync_fabric(fi, now)
     }
 
-    /// Enables (or disables) decision capture for application `app` (see
-    /// `RunTimeManager::set_explain_enabled`).
+    /// Enables (or disables) decision capture for application `app`: while
+    /// on, every Molecule selection + Atom schedule computed for `app`
+    /// (including replays of memoised plans) is recorded as a
+    /// [`DecisionExplain`], drained via [`FabricArbiter::take_decisions`].
+    /// Off by default — the hot path then performs no extra work.
+    /// Disabling drops any decisions not yet drained.
     pub fn set_explain_enabled(&mut self, app: u16, enabled: bool) {
         let ctx = &mut self.contexts[usize::from(app)];
         ctx.explain_enabled = enabled;
@@ -1158,7 +1198,8 @@ pub struct FabricArbiterBuilder<'a> {
 
 impl<'a> FabricArbiterBuilder<'a> {
     /// Sets the total number of Atom Containers of a [`Shared`] substrate
-    /// (ignored under [`Partitioned`], which sizes per app).
+    /// (default 10, the paper sweeps 5–24; ignored under [`Partitioned`],
+    /// which sizes per app).
     ///
     /// [`Shared`]: ContentionPolicy::Shared
     /// [`Partitioned`]: ContentionPolicy::Partitioned
@@ -1196,23 +1237,29 @@ impl<'a> FabricArbiterBuilder<'a> {
         self
     }
 
-    /// Overrides the reconfiguration-port bandwidth in bytes per second.
+    /// Overrides the reconfiguration-port bandwidth in bytes per second
+    /// (default: the prototype's SelectMAP/ICAP port).
     #[must_use]
     pub fn port_bandwidth(mut self, bytes_per_sec: u64) -> Self {
         self.port_bandwidth = Some(bytes_per_sec);
         self
     }
 
-    /// Attaches a seeded [`FaultModel`] to every fabric (each partition
-    /// draws from its own identically seeded stream, so a partitioned
-    /// tenant's fault history matches a solo run of the same size).
+    /// Attaches a seeded [`FaultModel`] to every fabric: the fabric injects
+    /// CRC aborts, SEU corruption and permanent tile failures, and the
+    /// arbiter heals them per its [`RecoveryPolicy`]. Each partition draws
+    /// from its own identically seeded stream, so a partitioned tenant's
+    /// fault history matches a solo run of the same size. A
+    /// [null](FaultModel::is_null) model leaves behaviour bit-identical to
+    /// not attaching one.
     #[must_use]
     pub fn fault_model(mut self, model: FaultModel) -> Self {
         self.fault = Some(model);
         self
     }
 
-    /// Sets the fault-recovery policy shared by all contexts.
+    /// Sets the fault-recovery policy shared by all contexts (default: 3
+    /// retries, 1024-cycle base backoff, scrub on SEU).
     #[must_use]
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
@@ -1324,6 +1371,166 @@ impl<'a> FabricArbiterBuilder<'a> {
             plan_namespace,
             epochs,
             plan_stats: PlanCacheStats::default(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rispp_model::{AtomTypeInfo, AtomUniverse, SiLibraryBuilder};
+
+    fn library() -> SiLibrary {
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
+        let mut b = SiLibraryBuilder::new(universe);
+        b.special_instruction("FAST", 1000)
+            .unwrap()
+            .molecule(Molecule::from_counts([1, 0]), 100)
+            .unwrap()
+            .molecule(Molecule::from_counts([2, 1]), 30)
+            .unwrap();
+        b.special_instruction("OTHER", 600)
+            .unwrap()
+            .molecule(Molecule::from_counts([0, 1]), 80)
+            .unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn si_executes_in_software_until_atoms_arrive() {
+        let lib = library();
+        let mut arb = FabricArbiter::builder(&lib).containers(4).build();
+        arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
+            .unwrap();
+        let e0 = arb.execute_si(0, SiId(0), 0);
+        assert_eq!(e0.latency, 1000);
+        assert!(!e0.is_hardware());
+        // After plenty of time all scheduled atoms are loaded.
+        let e1 = arb.execute_si(0, SiId(0), 10_000_000);
+        assert_eq!(e1.latency, 30);
+        assert!(e1.is_hardware());
+    }
+
+    #[test]
+    fn gradual_upgrade_is_visible_between_loads() {
+        let lib = library();
+        let mut arb = FabricArbiter::builder(&lib).containers(4).build();
+        arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
+            .unwrap();
+        // One atom (~88K cycles for the 60,488-byte default bitstream)
+        // upgrades the SI to the 1-atom molecule.
+        let e = arb.execute_si(0, SiId(0), 90_000);
+        assert_eq!(e.latency, 100);
+        assert_eq!(e.variant_index, Some(0));
+    }
+
+    #[test]
+    fn monitor_learns_profile_across_iterations() {
+        let lib = library();
+        let mut arb = FabricArbiter::builder(&lib).containers(4).build();
+        // First visit: hint says SI0 dominates, but actually SI1 executes.
+        arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 1000), (SiId(1), 1)], 0)
+            .unwrap();
+        for i in 0..50 {
+            arb.execute_si(0, SiId(1), i * 10);
+        }
+        arb.exit_hot_spot(0, 1_000);
+        assert_eq!(arb.monitor(0).expected(HotSpotId(0), SiId(1)), 50);
+        // Second visit uses monitored values: SI1 must now be selected.
+        arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 1000), (SiId(1), 1)], 2_000)
+            .unwrap();
+        assert!(arb.selected(0).iter().any(|s| s.si == SiId(1)));
+        assert!(arb.selected(0).iter().all(|s| s.si != SiId(0)));
+    }
+
+    #[test]
+    fn hot_spot_switch_replaces_pending_schedule() {
+        let lib = library();
+        let mut arb = FabricArbiter::builder(&lib).containers(2).build();
+        arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
+            .unwrap();
+        arb.exit_hot_spot(0, 10);
+        arb.enter_hot_spot(0, HotSpotId(1), &[(SiId(1), 100)], 20)
+            .unwrap();
+        // The new selection only contains OTHER; its single molecule needs
+        // atom type A2, so after the switch everything queued or streaming
+        // beyond the unabortable in-flight load targets A2.
+        assert!(arb.selected(0).iter().all(|s| s.si == SiId(1)));
+        let e = arb.execute_si(0, SiId(1), 10_000_000);
+        assert_eq!(e.latency, 80);
+        assert_eq!(arb.available_atoms(0).count(1), 1);
+    }
+
+    #[test]
+    fn current_latency_tracks_available_atoms() {
+        let lib = library();
+        let mut arb = FabricArbiter::builder(&lib).containers(4).build();
+        assert_eq!(arb.current_latency(0, SiId(0)), 1000);
+        arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 10)], 0)
+            .unwrap();
+        arb.advance_to(0, 50_000_000);
+        assert_eq!(arb.current_latency(0, SiId(0)), 30);
+    }
+
+    #[test]
+    fn burst_execution_matches_single_stepping() {
+        let lib = library();
+        // Run the same workload through execute_si and execute_burst_into
+        // and compare the final cycle and per-latency execution counts.
+        let mut single = FabricArbiter::builder(&lib).containers(4).build();
+        single
+            .enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
+            .unwrap();
+        let overhead = 25u32;
+        let mut t_single = 0u64;
+        let mut lat_counts_single: std::collections::BTreeMap<u32, u64> = Default::default();
+        for _ in 0..400 {
+            let e = single.execute_si(0, SiId(0), t_single);
+            *lat_counts_single.entry(e.latency).or_default() += 1;
+            t_single += u64::from(e.latency) + u64::from(overhead);
+        }
+
+        let mut burst = FabricArbiter::builder(&lib).containers(4).build();
+        burst
+            .enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
+            .unwrap();
+        let mut segments = Vec::new();
+        burst.execute_burst_into(0, SiId(0), 400, overhead, 0, &mut segments);
+        let mut lat_counts_burst: std::collections::BTreeMap<u32, u64> = Default::default();
+        let mut t_burst = 0u64;
+        for s in &segments {
+            *lat_counts_burst.entry(s.latency).or_default() += s.count;
+            t_burst = s.start + s.count * (u64::from(s.latency) + u64::from(overhead));
+        }
+        assert_eq!(lat_counts_single, lat_counts_burst);
+        assert_eq!(t_single, t_burst);
+        // Latencies must be monotone decreasing across segments.
+        for w in segments.windows(2) {
+            assert!(w[1].latency <= w[0].latency);
+        }
+    }
+
+    #[test]
+    fn burst_records_monitor_counts() {
+        let lib = library();
+        let mut arb = FabricArbiter::builder(&lib).containers(4).build();
+        arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 10)], 0)
+            .unwrap();
+        arb.execute_burst_into(0, SiId(0), 123, 0, 0, &mut Vec::new());
+        assert_eq!(arb.monitor(0).live_count(HotSpotId(0), SiId(0)), 123);
+    }
+
+    #[test]
+    fn builder_configures_scheduler_kind() {
+        let lib = library();
+        for kind in SchedulerKind::ALL {
+            let arb = FabricArbiter::builder(&lib)
+                .containers(6)
+                .scheduler(kind)
+                .forecast(ForecastPolicy::LastValue)
+                .build();
+            assert_eq!(arb.fabric_for(0).container_count(), 6);
         }
     }
 }

@@ -22,7 +22,7 @@ pub struct Candidate {
 /// Scheduling runs on every hot-spot entry; without buffer reuse each run
 /// allocates a candidate list, a best-latency array and a step list. A
 /// caller that schedules repeatedly (e.g.
-/// [`RunTimeManager`](crate::RunTimeManager)) keeps one `UpgradeBuffers`
+/// [`FabricArbiter`](crate::FabricArbiter)) keeps one `UpgradeBuffers`
 /// alive, passes it to
 /// [`AtomScheduler::schedule_with`](crate::AtomScheduler::schedule_with) and
 /// [`reclaim`](UpgradeBuffers::reclaim)s the spent schedule, so the steady

@@ -23,9 +23,10 @@
 //!   executions and relativise by the additionally required Atoms.
 //!
 //! The crate also implements the Molecule **selection** step
-//! ([`GreedySelector`]) that precedes scheduling and the
-//! [`RunTimeManager`] which ties monitor, selection, scheduler and the
-//! reconfigurable [`rispp_fabric::Fabric`] together.
+//! ([`GreedySelector`]) that precedes scheduling and the run-time manager
+//! of paper Section 3.1, [`FabricArbiter`], which ties monitor, selection,
+//! scheduler and the reconfigurable [`rispp_fabric::Fabric`] together for
+//! one application (K=1) or K contending ones.
 //!
 //! # Examples
 //!
@@ -64,7 +65,6 @@ mod error;
 mod explain;
 mod fsfr;
 mod hef;
-mod manager;
 mod plan_cache;
 mod recovery;
 mod scheduler;
@@ -82,7 +82,6 @@ pub use explain::{
 };
 pub use fsfr::FsfrScheduler;
 pub use hef::HefScheduler;
-pub use manager::{BurstSegment, RunTimeManager, RunTimeManagerBuilder, SiExecution};
 pub use plan_cache::{
     fnv1a_words, library_fingerprint, PlanCache, PlanCacheHandle, PlanCacheStats, PlanKey,
     PlannedDecision,
@@ -91,4 +90,6 @@ pub use recovery::{RecoveryPolicy, RecoveryStats};
 pub use scheduler::{AtomScheduler, SchedulerKind};
 pub use selection::{ExhaustiveSelector, GreedySelector, SelectionRequest};
 pub use sjf::SjfScheduler;
-pub use types::{Schedule, ScheduleRequest, ScheduleStep, SelectedMolecule};
+pub use types::{
+    BurstSegment, Schedule, ScheduleRequest, ScheduleStep, SelectedMolecule, SiExecution,
+};

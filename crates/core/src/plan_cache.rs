@@ -153,7 +153,7 @@ impl PlannedDecision {
 }
 
 /// Deterministic per-run plan-cache counters, surfaced through
-/// `RunTimeManager::plan_cache_stats` / `FabricArbiter::plan_cache_stats`
+/// [`FabricArbiter::plan_cache_stats`](crate::FabricArbiter::plan_cache_stats)
 /// and fed to the telemetry layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {

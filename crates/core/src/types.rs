@@ -21,6 +21,74 @@ impl SelectedMolecule {
     }
 }
 
+/// Result of executing one Special Instruction through the run-time
+/// system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiExecution {
+    /// Cycles the execution took.
+    pub latency: u32,
+    /// The Molecule variant used, or `None` when the SI trapped to the
+    /// base instruction set (software path).
+    pub variant_index: Option<usize>,
+}
+
+impl SiExecution {
+    /// Whether the SI executed on accelerating hardware.
+    #[must_use]
+    pub fn is_hardware(&self) -> bool {
+        self.variant_index.is_some()
+    }
+}
+
+/// One homogeneous stretch of a burst execution: `count` executions at the
+/// same latency, starting at cycle `start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BurstSegment {
+    /// Cycle at which the first execution of this segment starts.
+    pub start: u64,
+    /// Number of executions in this segment.
+    pub count: u64,
+    /// Per-execution SI latency during this segment.
+    pub latency: u32,
+    /// Molecule variant used, or `None` for the software (trap) path.
+    pub variant_index: Option<usize>,
+}
+
+impl BurstSegment {
+    /// A software (trap) segment: `count` executions at the SI's software
+    /// latency, starting at `start`. The single construction point for
+    /// every execution system's trap path — the RISPP arbiter, the
+    /// Molen/OneChip baselines and the software-only backend all emit
+    /// exactly this shape.
+    #[must_use]
+    pub fn software(start: u64, count: u64, latency: u32) -> Self {
+        BurstSegment {
+            start,
+            count,
+            latency,
+            variant_index: None,
+        }
+    }
+
+    /// A hardware segment: `count` executions on Molecule variant
+    /// `variant_index` at `latency` cycles each, starting at `start`.
+    #[must_use]
+    pub fn hardware(start: u64, count: u64, latency: u32, variant_index: usize) -> Self {
+        BurstSegment {
+            start,
+            count,
+            latency,
+            variant_index: Some(variant_index),
+        }
+    }
+
+    /// Whether this segment executed on accelerating hardware.
+    #[must_use]
+    pub fn is_hardware(&self) -> bool {
+        self.variant_index.is_some()
+    }
+}
+
 /// Validated input to an [`AtomScheduler`](crate::AtomScheduler): the set
 /// `M` of selected Molecules, the currently available Atoms `a⃗` and the
 /// expected SI execution counts from online monitoring.
@@ -162,7 +230,8 @@ impl<'a> ScheduleRequest<'a> {
     }
 
     /// Consumes the request, returning the expected-executions storage so a
-    /// repeat caller (e.g. `RunTimeManager`) can reuse the allocation.
+    /// repeat caller (e.g. [`FabricArbiter`](crate::FabricArbiter)) can
+    /// reuse the allocation.
     #[must_use]
     pub fn into_expected(self) -> Vec<u64> {
         self.expected

@@ -1,11 +1,11 @@
 //! Property test for the generation-keyed best-variant cache of
-//! [`RunTimeManager`]: under arbitrary interleavings of hot-spot entries,
+//! [`FabricArbiter`]: under arbitrary interleavings of hot-spot entries,
 //! SI executions and time advances (which complete loads and evict atoms),
 //! the memoised answer must equal a fresh `min_by_key` scan over the
 //! variants available right now.
 
 use proptest::prelude::*;
-use rispp_core::RunTimeManager;
+use rispp_core::FabricArbiter;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 
@@ -67,7 +67,7 @@ proptest! {
         containers in 1u16..7,
     ) {
         let lib = library();
-        let mut mgr = RunTimeManager::builder(&lib).containers(containers).build();
+        let mut mgr = FabricArbiter::builder(&lib).containers(containers).build();
         let mut now = 0u64;
         for (op, si_idx, dt, weight) in ops {
             now += dt;
@@ -82,22 +82,22 @@ proptest! {
                         (SiId(1), 1_000 - weight.min(999)),
                         (SiId(2), weight / 2),
                     ];
-                    mgr.enter_hot_spot(hot_spot, &hints, now).expect("valid library");
+                    mgr.enter_hot_spot(0, hot_spot, &hints, now).expect("valid library");
                 }
                 // SI execution: reads the cache on the hot path.
                 1 => {
-                    mgr.execute_si(si, now);
+                    mgr.execute_si(0, si, now);
                 }
                 // Plain time advance: loads complete, atoms appear.
                 _ => {
-                    mgr.advance_to(now);
+                    mgr.advance_to(0, now);
                 }
             }
             for idx in 0..lib.len() {
                 let probe = SiId(idx as u16);
-                let expected = fresh_best(&lib, mgr.available_atoms(), probe);
+                let expected = fresh_best(&lib, mgr.available_atoms(0), probe);
                 prop_assert_eq!(
-                    mgr.best_available_variant(probe),
+                    mgr.best_available_variant(0, probe),
                     expected,
                     "cache diverged for SI {} after op {} at cycle {}",
                     idx,

@@ -434,8 +434,8 @@ impl Fabric {
     /// [`available`](Self::available) changes (a load completing, an atom
     /// being evicted, or a fault removing one). Callers caching anything
     /// derived from the available set — e.g. the best Molecule variant per
-    /// SI in `RunTimeManager::execute_burst` — only need to recompute when
-    /// this value changes.
+    /// SI in `FabricArbiter::best_available_variant` — only need to
+    /// recompute when this value changes.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation

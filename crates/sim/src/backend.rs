@@ -4,9 +4,10 @@
 //!
 //! Built-in backends:
 //!
-//! * [`RisppBackend`] — the full RISPP run-time system
-//!   ([`rispp_core::RunTimeManager`]) behind a thin adapter, optionally in
-//!   oracle (perfect-future-knowledge) mode;
+//! * [`RisppBackend`] — one application of the full RISPP run-time system
+//!   ([`rispp_core::FabricArbiter`]) behind a thin adapter, optionally in
+//!   oracle (perfect-future-knowledge) mode; solo and multi-tenant runs
+//!   both drive the arbiter through it;
 //! * [`MolenSystem`] — the Molen/OneChip-like baselines;
 //! * [`SoftwareBackend`] — pure base-processor execution (every SI traps).
 //!
@@ -14,9 +15,9 @@
 //! a `&mut dyn ExecutionSystem` to `simulate_with` — no engine changes
 //! required (see `examples/custom_backend.rs` in the repository root).
 
-use std::borrow::Cow;
+use std::borrow::{BorrowMut, Cow};
 
-use rispp_core::{BurstSegment, RunTimeManager, SchedulerKind};
+use rispp_core::{BurstSegment, FabricArbiter};
 use rispp_model::{SiId, SiLibrary};
 
 use crate::baseline::MolenSystem;
@@ -172,23 +173,31 @@ pub trait ExecutionSystem {
 }
 
 /// The RISPP run-time system as an [`ExecutionSystem`]: a thin adapter
-/// around [`RunTimeManager`] that maps the trace's hot-spot lifecycle onto
-/// the manager's forecast/select/schedule pipeline.
+/// that drives application `app` of a [`FabricArbiter`] and maps the
+/// trace's hot-spot lifecycle onto its forecast/select/schedule pipeline.
+///
+/// `A` is how the adapter holds the arbiter. A solo run owns it
+/// (`RisppBackend<FabricArbiter>`, as [`SimConfig::build_system`] builds
+/// it); a multi-tenant run keeps one arbiter and lends it to each tenant's
+/// adapter for one slice (`RisppBackend<&mut FabricArbiter>`). Both are
+/// this one implementation, so a 1-tenant multi run and a solo run take
+/// the same code path.
+///
+/// [`SimConfig::build_system`]: crate::SimConfig::build_system
 #[derive(Debug)]
-pub struct RisppBackend<'a> {
-    manager: RunTimeManager<'a>,
-    label: &'static str,
+pub struct RisppBackend<A> {
+    arbiter: A,
+    app: u16,
     oracle: bool,
 }
 
-impl<'a> RisppBackend<'a> {
-    /// Wraps a fully built manager. `scheduler` is only used for the
-    /// report label.
+impl<A> RisppBackend<A> {
+    /// Drives application `app` of `arbiter` (`0` for a solo run).
     #[must_use]
-    pub fn new(manager: RunTimeManager<'a>, scheduler: SchedulerKind) -> Self {
+    pub fn new(arbiter: A, app: u16) -> Self {
         RisppBackend {
-            manager,
-            label: scheduler.abbreviation(),
+            arbiter,
+            app,
             oracle: false,
         }
     }
@@ -202,34 +211,32 @@ impl<'a> RisppBackend<'a> {
         self.oracle = oracle;
         self
     }
-
-    /// The wrapped run-time manager.
-    #[must_use]
-    pub fn manager(&self) -> &RunTimeManager<'a> {
-        &self.manager
-    }
-
-    /// Consumes the backend, returning the manager.
-    #[must_use]
-    pub fn into_manager(self) -> RunTimeManager<'a> {
-        self.manager
-    }
 }
 
-impl ExecutionSystem for RisppBackend<'_> {
+impl<'a, A: BorrowMut<FabricArbiter<'a>>> ExecutionSystem for RisppBackend<A> {
     fn label(&self) -> Cow<'static, str> {
-        Cow::Borrowed(self.label)
+        // The scheduler abbreviation, suffixed with `[tN]` only when the
+        // arbiter holds more than one tenant, so a 1-tenant run reports
+        // exactly what a solo run does.
+        let arbiter = self.arbiter.borrow();
+        let base = arbiter.scheduler().abbreviation();
+        if arbiter.tenants() == 1 {
+            Cow::Borrowed(base)
+        } else {
+            Cow::Owned(format!("{base}[t{}]", self.app))
+        }
     }
 
     fn enter_hot_spot(&mut self, invocation: &Invocation, now: u64) {
+        let arbiter = self.arbiter.borrow_mut();
         if self.oracle {
             let profile = invocation.execution_profile();
-            self.manager
-                .enter_hot_spot_with_profile(invocation.hot_spot, &profile, now)
+            arbiter
+                .enter_hot_spot_with_profile(self.app, invocation.hot_spot, &profile, now)
                 .expect("trace and library are consistent");
         } else {
-            self.manager
-                .enter_hot_spot(invocation.hot_spot, &invocation.hints, now)
+            arbiter
+                .enter_hot_spot(self.app, invocation.hot_spot, &invocation.hints, now)
                 .expect("trace and library are consistent");
         }
     }
@@ -241,7 +248,9 @@ impl ExecutionSystem for RisppBackend<'_> {
         overhead: u32,
         start: u64,
     ) -> Vec<BurstSegment> {
-        self.manager.execute_burst(si, count, overhead, start)
+        let mut out = Vec::new();
+        self.execute_burst_into(si, count, overhead, start, &mut out);
+        out
     }
 
     fn execute_burst_into(
@@ -252,7 +261,9 @@ impl ExecutionSystem for RisppBackend<'_> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) {
-        self.manager.execute_burst_into(si, count, overhead, start, out);
+        self.arbiter
+            .borrow_mut()
+            .execute_burst_into(self.app, si, count, overhead, start, out);
     }
 
     fn execute_bursts_batched(
@@ -261,7 +272,8 @@ impl ExecutionSystem for RisppBackend<'_> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) -> usize {
-        self.manager.execute_bursts_batched(
+        self.arbiter.borrow_mut().execute_bursts_batched(
+            self.app,
             bursts.iter().map(|b| (b.si, b.count, b.overhead)),
             start,
             out,
@@ -269,42 +281,54 @@ impl ExecutionSystem for RisppBackend<'_> {
     }
 
     fn exit_hot_spot(&mut self, now: u64) {
-        self.manager.exit_hot_spot(now);
+        self.arbiter.borrow_mut().exit_hot_spot(self.app, now);
     }
 
     fn reconfiguration_stats(&self) -> (u64, u64) {
-        let s = self.manager.fabric().stats();
-        (s.loads_completed, s.port_busy_cycles)
+        // Per-application port accounting: with one tenant every load is
+        // tagged 0, making this identical to the fabric-global counters.
+        self.arbiter.borrow().app_port_stats(self.app)
     }
 
     fn recovery_stats(&self) -> rispp_core::RecoveryStats {
-        self.manager.recovery_stats()
+        self.arbiter.borrow().recovery_stats(self.app)
     }
 
     fn plan_cache_stats(&self) -> rispp_core::PlanCacheStats {
-        self.manager.plan_cache_stats()
+        self.arbiter.borrow().plan_cache_stats()
     }
 
     fn has_pending_activity(&self) -> bool {
         // Covers port completions, backoff-delayed starts, SEU upsets and
         // scheduled tile failures alike: any future internal fabric event.
-        self.manager.fabric().next_event_at().is_some()
+        self.arbiter
+            .borrow()
+            .fabric_for(self.app)
+            .next_event_at()
+            .is_some()
     }
 
     fn recovery_active(&self) -> bool {
-        self.manager.fabric().fault_model().is_some()
+        self.arbiter
+            .borrow()
+            .fabric_for(self.app)
+            .fault_model()
+            .is_some()
     }
 
     fn telemetry_active(&self) -> bool {
-        self.manager.explain_enabled() || self.manager.fabric().journal_enabled()
+        let arbiter = self.arbiter.borrow();
+        arbiter.explain_enabled(self.app) || arbiter.fabric_for(self.app).journal_enabled()
     }
 
     fn drain_decisions(&mut self, out: &mut Vec<rispp_core::DecisionExplain>) {
-        self.manager.take_decisions(out);
+        self.arbiter.borrow_mut().take_decisions(self.app, out);
     }
 
     fn drain_fabric_journal(&mut self, out: &mut Vec<rispp_fabric::FabricJournalEntry>) {
-        self.manager.drain_fabric_journal(out);
+        self.arbiter
+            .borrow_mut()
+            .drain_fabric_journal(self.app, out);
     }
 }
 

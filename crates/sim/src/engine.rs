@@ -1,6 +1,6 @@
 use rispp_core::{
-    BurstSegment, DecisionExplain, PlanCacheHandle, PlanCacheStats, RecoveryPolicy, RecoveryStats,
-    RunTimeManager, SchedulerKind,
+    BurstSegment, ContentionPolicy, DecisionExplain, FabricArbiter, PlanCacheHandle,
+    PlanCacheStats, RecoveryPolicy, RecoveryStats, SchedulerKind,
 };
 use rispp_fabric::{FabricJournalEntry, FaultModel};
 use rispp_model::SiLibrary;
@@ -10,7 +10,7 @@ use crate::backend::{ExecutionSystem, RisppBackend, SoftwareBackend};
 use crate::baseline::MolenSystem;
 use crate::cancel::{CancelToken, CancellableRun};
 use crate::context::TraceContext;
-use crate::multi::TenancyConfig;
+use crate::multi::{partition_size, TenancyConfig, TenantPolicy};
 use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
 use crate::stats::{RunStats, DEFAULT_BUCKET_CYCLES};
 use crate::trace::{Invocation, Trace};
@@ -114,10 +114,9 @@ pub struct SimConfig {
     /// Memoise planning decisions in a [`rispp_core::PlanCache`] (RISPP
     /// only). Results are bit-identical either way — a verified hit
     /// replays exactly the decision the planner would have produced — so
-    /// this is purely a speed/memory trade. Defaults to on unless the
-    /// `RISPP_PLAN_CACHE` environment variable is `0` at configuration
-    /// time (the cache-off escape hatch for A/B comparisons); when off,
-    /// shared caches handed to the engine are ignored too.
+    /// this is purely a speed/memory trade. On by default; turning it off
+    /// (the reference side of the cache's bit-identity tests) also makes
+    /// the engine ignore shared caches handed to it.
     pub plan_cache: bool,
     /// Causal trace context of this run (see [`TraceContext`]). Identity
     /// only: the engine hands it to every attached observer before replay
@@ -125,12 +124,6 @@ pub struct SimConfig {
     /// simulation behaviour — results are bit-identical with or without
     /// it. `None` (the default) stamps nothing.
     pub trace: Option<TraceContext>,
-}
-
-/// Constructor-time default of [`SimConfig::plan_cache`]: on, unless
-/// `RISPP_PLAN_CACHE=0`.
-fn plan_cache_default() -> bool {
-    std::env::var("RISPP_PLAN_CACHE").map_or(true, |v| v != "0")
 }
 
 impl SimConfig {
@@ -149,7 +142,7 @@ impl SimConfig {
             explain: false,
             journal: false,
             tenants: TenancyConfig::default(),
-            plan_cache: plan_cache_default(),
+            plan_cache: true,
             trace: None,
         }
     }
@@ -169,7 +162,7 @@ impl SimConfig {
             explain: false,
             journal: false,
             tenants: TenancyConfig::default(),
-            plan_cache: plan_cache_default(),
+            plan_cache: true,
             trace: None,
         }
     }
@@ -189,7 +182,7 @@ impl SimConfig {
             explain: false,
             journal: false,
             tenants: TenancyConfig::default(),
-            plan_cache: plan_cache_default(),
+            plan_cache: true,
             trace: None,
         }
     }
@@ -258,8 +251,7 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables plan-decision memoisation (builder style),
-    /// overriding the `RISPP_PLAN_CACHE` constructor default. See
+    /// Enables or disables plan-decision memoisation (builder style). See
     /// [`SimConfig::plan_cache`].
     #[must_use]
     pub fn with_plan_cache(mut self, plan_cache: bool) -> Self {
@@ -299,36 +291,71 @@ impl SimConfig {
         shared: Option<&PlanCacheHandle>,
     ) -> Box<dyn ExecutionSystem + 'a> {
         match self.system {
-            SystemKind::Rispp(kind) => {
-                let mut builder = RunTimeManager::builder(library)
-                    .containers(self.containers)
-                    .scheduler(kind)
-                    .forecast(self.forecast);
-                if self.plan_cache {
-                    builder = builder.plan_cache(
-                        shared.cloned().unwrap_or_else(PlanCacheHandle::private),
-                    );
-                }
-                if let Some(bw) = self.port_bandwidth {
-                    builder = builder.port_bandwidth(bw);
-                }
-                if let Some(fc) = self.fault {
-                    builder = builder
-                        .fault_model(FaultModel::uniform_ppm(fc.rate_ppm, fc.seed))
-                        .recovery(RecoveryPolicy {
-                            max_retries: fc.max_retries,
-                            ..RecoveryPolicy::default()
-                        });
-                }
-                let mut manager = builder.explain(self.explain).build();
-                if self.journal {
-                    manager.set_journal_enabled(true);
-                }
-                Box::new(RisppBackend::new(manager, kind).with_oracle(self.oracle))
-            }
+            SystemKind::Rispp(kind) => Box::new(
+                RisppBackend::new(self.build_arbiter(library, kind, 1, shared), 0)
+                    .with_oracle(self.oracle),
+            ),
             SystemKind::Molen => Box::new(MolenSystem::new(library, self.containers)),
             SystemKind::OneChip => Box::new(MolenSystem::one_chip(library, self.containers)),
             SystemKind::SoftwareOnly => Box::new(SoftwareBackend::new(library)),
+        }
+    }
+
+    /// The one mapping from a configuration to the RISPP run-time system:
+    /// a [`FabricArbiter`] running `scheduler` for `tenants` applications,
+    /// behind both the solo path (`tenants == 1`) and
+    /// [`crate::simulate_multi`]. The tenancy policy maps onto the
+    /// arbiter's [`ContentionPolicy`]; at one tenant both policies build
+    /// the same single fabric. When [`SimConfig::plan_cache`] is on the
+    /// arbiter memoises into `shared`, or into a private per-run cache.
+    pub(crate) fn build_arbiter<'a>(
+        &self,
+        library: &'a SiLibrary,
+        scheduler: SchedulerKind,
+        tenants: u16,
+        shared: Option<&PlanCacheHandle>,
+    ) -> FabricArbiter<'a> {
+        let policy = match self.tenants.policy {
+            TenantPolicy::Shared => ContentionPolicy::Shared,
+            TenantPolicy::Partitioned => ContentionPolicy::Partitioned {
+                containers_per_app: partition_size(self.containers, usize::from(tenants)),
+            },
+        };
+        let mut builder = FabricArbiter::builder(library)
+            .containers(self.containers)
+            .tenants(tenants)
+            .policy(policy)
+            .scheduler(scheduler)
+            .forecast(self.forecast)
+            .explain(self.explain);
+        if self.plan_cache {
+            builder = builder.plan_cache(shared.cloned().unwrap_or_else(PlanCacheHandle::private));
+        }
+        if let Some(bw) = self.port_bandwidth {
+            builder = builder.port_bandwidth(bw);
+        }
+        if let Some(fc) = self.fault {
+            builder = builder
+                .fault_model(FaultModel::uniform_ppm(fc.rate_ppm, fc.seed))
+                .recovery(RecoveryPolicy {
+                    max_retries: fc.max_retries,
+                    ..RecoveryPolicy::default()
+                });
+        }
+        let mut arbiter = builder.build();
+        if self.journal {
+            arbiter.set_journal_enabled(true);
+        }
+        arbiter
+    }
+}
+
+/// Hands the configured [`TraceContext`], if any, to every observer before
+/// replay — the solo and the multi-tenant path alike.
+pub(crate) fn set_trace_context(observers: &mut [&mut (dyn SimObserver + '_)], config: &SimConfig) {
+    if let Some(ctx) = config.trace {
+        for obs in observers.iter_mut() {
+            obs.set_trace_context(ctx);
         }
     }
 }
@@ -858,11 +885,7 @@ fn simulate_builtin(
         for obs in extra.iter_mut() {
             observers.push(&mut **obs);
         }
-        if let Some(ctx) = config.trace {
-            for obs in observers.iter_mut() {
-                obs.set_trace_context(ctx);
-            }
-        }
+        set_trace_context(&mut observers, config);
         replay(system.as_mut(), trace, &mut observers, token)
     };
     let plan = system.plan_cache_stats();

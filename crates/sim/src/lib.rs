@@ -6,7 +6,7 @@
 //! built-in backends are:
 //!
 //! * [`RisppBackend`] ([`SystemKind::Rispp`]) — the full RISPP run-time
-//!   system ([`rispp_core::RunTimeManager`]) with one of the four
+//!   system ([`rispp_core::FabricArbiter`]) with one of the four
 //!   schedulers, gradual Molecule upgrades and cross-SI Atom sharing.
 //! * [`MolenSystem`] ([`SystemKind::Molen`] / [`SystemKind::OneChip`]) — a
 //!   Molen/OneChip-like state-of-the-art reconfigurable system (paper
@@ -79,7 +79,7 @@ pub use engine::{
 };
 pub use multi::{
     simulate_multi, simulate_multi_observed, MultiRunStats, TenancyConfig, TenantArbitration,
-    TenantHandle, TenantPolicy,
+    TenantPolicy,
 };
 pub use observer::{
     HotSpotOrigin, ProgressObserver, SimEvent, SimObserver, TraceLogObserver,

@@ -16,29 +16,29 @@
 //!   to a solo run on a fabric of its partition's size.
 //!
 //! A 1-tenant run (any policy) is bit-identical to [`crate::simulate`]:
-//! the tenant handle drives the same arbiter code path the single-owner
-//! `RunTimeManager` wraps, through the same replay loop.
+//! the arbiter is built by the same function and driven through the same
+//! [`RisppBackend`] adapter and the same replay loop; only the adapter
+//! borrows the arbiter for one invocation slice at a time instead of
+//! owning it.
 //!
 //! The non-RISPP [`SystemKind`]s have no shared substrate to arbitrate:
 //! each tenant simply gets its own independent baseline system
 //! (`containers / K` slots under `Partitioned`, the full pool — an
 //! idealized duplicated substrate — under `Shared`) and replays solo.
+//!
+//! [`FabricArbiter`]: rispp_core::FabricArbiter
 
-use std::borrow::Cow;
-use std::cell::RefCell;
-use std::rc::Rc;
+use rispp_core::{ContentionPolicy, SchedulerKind};
+use rispp_model::SiLibrary;
 
-use rispp_core::{BurstSegment, ContentionPolicy, FabricArbiter, RecoveryPolicy, RecoveryStats};
-use rispp_fabric::FaultModel;
-use rispp_model::{SiId, SiLibrary};
-
-use crate::backend::ExecutionSystem;
+use crate::backend::{ExecutionSystem, RisppBackend};
 use crate::engine::{
-    emit, finish_replay, replay_invocation, simulate_observed, ReplayState, SimConfig, SystemKind,
+    emit, finish_replay, replay_invocation, set_trace_context, simulate_observed, ReplayState,
+    SimConfig, SystemKind,
 };
 use crate::observer::{SimEvent, SimObserver};
 use crate::stats::RunStats;
-use crate::trace::{Burst, Invocation, Trace};
+use crate::trace::Trace;
 
 /// How the substrate is shared between the applications of a
 /// multi-tenant run (the simulation-level mirror of [`ContentionPolicy`],
@@ -113,123 +113,8 @@ pub struct MultiRunStats {
     pub evictions_contested: u64,
 }
 
-/// One application's view of a shared [`FabricArbiter`], as an
-/// [`ExecutionSystem`]: the multi-tenant counterpart of
-/// [`RisppBackend`](crate::RisppBackend), forwarding every call with its
-/// tenant index. With one tenant its behaviour (and label) is exactly the
-/// single-owner backend's.
-pub struct TenantHandle<'a> {
-    arbiter: Rc<RefCell<FabricArbiter<'a>>>,
-    app: u16,
-    label: Cow<'static, str>,
-    oracle: bool,
-}
-
-impl ExecutionSystem for TenantHandle<'_> {
-    fn label(&self) -> Cow<'static, str> {
-        self.label.clone()
-    }
-
-    fn enter_hot_spot(&mut self, invocation: &Invocation, now: u64) {
-        let mut arbiter = self.arbiter.borrow_mut();
-        if self.oracle {
-            let profile = invocation.execution_profile();
-            arbiter
-                .enter_hot_spot_with_profile(self.app, invocation.hot_spot, &profile, now)
-                .expect("trace and library are consistent");
-        } else {
-            arbiter
-                .enter_hot_spot(self.app, invocation.hot_spot, &invocation.hints, now)
-                .expect("trace and library are consistent");
-        }
-    }
-
-    fn execute_burst(
-        &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
-        start: u64,
-    ) -> Vec<BurstSegment> {
-        let mut out = Vec::new();
-        self.execute_burst_into(si, count, overhead, start, &mut out);
-        out
-    }
-
-    fn execute_burst_into(
-        &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
-        start: u64,
-        out: &mut Vec<BurstSegment>,
-    ) {
-        self.arbiter
-            .borrow_mut()
-            .execute_burst_into(self.app, si, count, overhead, start, out);
-    }
-
-    fn execute_bursts_batched(
-        &mut self,
-        bursts: &[Burst],
-        start: u64,
-        out: &mut Vec<BurstSegment>,
-    ) -> usize {
-        self.arbiter.borrow_mut().execute_bursts_batched(
-            self.app,
-            bursts.iter().map(|b| (b.si, b.count, b.overhead)),
-            start,
-            out,
-        )
-    }
-
-    fn exit_hot_spot(&mut self, now: u64) {
-        self.arbiter.borrow_mut().exit_hot_spot(self.app, now);
-    }
-
-    fn reconfiguration_stats(&self) -> (u64, u64) {
-        // Per-application port accounting: with one tenant every load is
-        // tagged 0, making this identical to the fabric-global counters
-        // the single-owner backend reports.
-        self.arbiter.borrow().app_port_stats(self.app)
-    }
-
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.arbiter.borrow().recovery_stats(self.app)
-    }
-
-    fn has_pending_activity(&self) -> bool {
-        self.arbiter
-            .borrow()
-            .fabric_for(self.app)
-            .next_event_at()
-            .is_some()
-    }
-
-    fn recovery_active(&self) -> bool {
-        self.arbiter
-            .borrow()
-            .fabric_for(self.app)
-            .fault_model()
-            .is_some()
-    }
-
-    fn telemetry_active(&self) -> bool {
-        let arbiter = self.arbiter.borrow();
-        arbiter.explain_enabled(self.app) || arbiter.fabric_for(self.app).journal_enabled()
-    }
-
-    fn drain_decisions(&mut self, out: &mut Vec<rispp_core::DecisionExplain>) {
-        self.arbiter.borrow_mut().take_decisions(self.app, out);
-    }
-
-    fn drain_fabric_journal(&mut self, out: &mut Vec<rispp_fabric::FabricJournalEntry>) {
-        self.arbiter.borrow_mut().drain_fabric_journal(self.app, out);
-    }
-}
-
 /// Containers each tenant gets under a partitioned split of `total`.
-fn partition_size(total: u16, tenants: usize) -> u16 {
+pub(crate) fn partition_size(total: u16, tenants: usize) -> u16 {
     let k = u16::try_from(tenants.max(1)).expect("tenant count fits u16");
     total / k
 }
@@ -302,93 +187,63 @@ pub fn simulate_multi_observed(
         };
     }
     match config.system {
-        SystemKind::Rispp(_) => simulate_multi_rispp(library, traces, config, extra),
+        SystemKind::Rispp(kind) => simulate_multi_rispp(library, traces, config, kind, extra),
         _ => simulate_multi_independent(library, traces, config, extra),
     }
 }
 
-/// The arbitrated RISPP path: one [`FabricArbiter`], K tenant handles,
-/// invocation-sliced interleaving.
+/// Tenant `i`'s observer set: its [`RunStats`] collector, then its extra
+/// observer if one was given.
+fn tenant_observers<'o, 'd>(
+    stats: &'o mut RunStats,
+    extra: &'o mut [&mut (dyn SimObserver + 'd)],
+    i: usize,
+) -> Vec<&'o mut (dyn SimObserver + 'd)> {
+    let mut obs: Vec<&'o mut (dyn SimObserver + 'd)> = Vec::with_capacity(2);
+    obs.push(stats);
+    if let Some(o) = extra.get_mut(i) {
+        obs.push(&mut **o);
+    }
+    obs
+}
+
+/// The arbitrated RISPP path: one
+/// [`FabricArbiter`](rispp_core::FabricArbiter), lent to one tenant's
+/// [`RisppBackend`] per invocation slice.
 fn simulate_multi_rispp(
     library: &SiLibrary,
     traces: &[Trace],
     config: &SimConfig,
+    kind: SchedulerKind,
     extra: &mut [&mut (dyn SimObserver + '_)],
 ) -> MultiRunStats {
-    let SystemKind::Rispp(kind) = config.system else {
-        unreachable!("caller dispatches on the system kind");
-    };
     let k = traces.len();
-    let policy = match config.tenants.policy {
-        TenantPolicy::Shared => ContentionPolicy::Shared,
-        TenantPolicy::Partitioned => ContentionPolicy::Partitioned {
-            containers_per_app: partition_size(config.containers, k),
-        },
-    };
-    let mut builder = FabricArbiter::builder(library)
-        .containers(config.containers)
-        .tenants(u16::try_from(k).expect("tenant count fits u16"))
-        .policy(policy)
-        .scheduler(kind)
-        .forecast(config.forecast)
-        .explain(config.explain);
-    if config.plan_cache {
-        // One private cache per multi-tenant run: the application index
-        // and tenant count are plan-key words, so K tenants share the
-        // cache without ever sharing a decision across apps.
-        builder = builder.plan_cache(rispp_core::PlanCacheHandle::private());
-    }
-    if let Some(bw) = config.port_bandwidth {
-        builder = builder.port_bandwidth(bw);
-    }
-    if let Some(fc) = config.fault {
-        builder = builder
-            .fault_model(FaultModel::uniform_ppm(fc.rate_ppm, fc.seed))
-            .recovery(RecoveryPolicy {
-                max_retries: fc.max_retries,
-                ..RecoveryPolicy::default()
-            });
-    }
-    let mut arbiter = builder.build();
-    if config.journal {
-        arbiter.set_journal_enabled(true);
-    }
-    let arbiter = Rc::new(RefCell::new(arbiter));
+    let tenants = u16::try_from(k).expect("tenant count fits u16");
+    // One private plan cache per multi-tenant run: the application index
+    // and tenant count are plan-key words, so K tenants share the cache
+    // without ever sharing a decision across apps.
+    let mut arbiter = config.build_arbiter(library, kind, tenants, None);
+    let oracle = config.oracle;
 
-    let base = kind.abbreviation();
-    let mut handles: Vec<TenantHandle<'_>> = (0..k)
-        .map(|i| TenantHandle {
-            arbiter: Rc::clone(&arbiter),
-            app: u16::try_from(i).expect("tenant index fits u16"),
-            // With one tenant the label is the plain scheduler
-            // abbreviation, keeping RunStats comparable (and equal) to a
-            // single-tenant run.
-            label: if k == 1 {
-                Cow::Borrowed(base)
-            } else {
-                Cow::Owned(format!("{base}[t{i}]"))
-            },
-            oracle: config.oracle,
+    let mut stats: Vec<RunStats> = (0..tenants)
+        .map(|app| {
+            let label = RisppBackend::new(&mut arbiter, app).label();
+            RunStats::new(label, library.len(), config.bucket_cycles, config.detail)
         })
         .collect();
-    let mut stats: Vec<RunStats> = handles
-        .iter()
-        .map(|h| RunStats::new(h.label.clone(), library.len(), config.bucket_cycles, config.detail))
-        .collect();
     let mut states: Vec<ReplayState> = Vec::with_capacity(k);
-    for i in 0..k {
-        let mut obs: Vec<&mut (dyn SimObserver + '_)> = Vec::with_capacity(2);
-        obs.push(&mut stats[i]);
-        if !extra.is_empty() {
-            obs.push(&mut *extra[i]);
-        }
-        states.push(ReplayState::new(&handles[i], &obs));
+    for app in 0..tenants {
+        let i = usize::from(app);
+        let mut obs = tenant_observers(&mut stats[i], extra, i);
+        set_trace_context(&mut obs, config);
+        let system = RisppBackend::new(&mut arbiter, app).with_oracle(oracle);
+        states.push(ReplayState::new(&system, &obs));
     }
 
     // Shared tenants serialize on one global clock; partitioned tenants
     // each run their private fabric's clock from 0, so their results are
     // independent of the interleaving order.
-    let shared_clock = matches!(policy, ContentionPolicy::Shared);
+    let shared_clock = matches!(arbiter.policy(), ContentionPolicy::Shared);
     let mut global_now = 0u64;
     let mut clocks = vec![0u64; k];
     let mut consumed = vec![0u64; k];
@@ -403,26 +258,24 @@ fn simulate_multi_rispp(
     let mut contested_totals = vec![0u64; k];
 
     while let Some(i) = pick_next(config.tenants.arbitration, prev, &next_inv, traces, &consumed) {
+        let app = u16::try_from(i).expect("tenant index fits u16");
         let inv = &traces[i].invocations()[next_inv[i]];
         let start = if shared_clock { global_now } else { clocks[i] };
         let end;
         {
-            let mut obs: Vec<&mut (dyn SimObserver + '_)> = Vec::with_capacity(2);
-            obs.push(&mut stats[i]);
-            if !extra.is_empty() {
-                obs.push(&mut *extra[i]);
-            }
+            let mut obs = tenant_observers(&mut stats[i], extra, i);
             if k > 1 && prev != Some(i) {
                 emit(
                     &mut obs,
                     SimEvent::TenantSwitched {
-                        tenant: handles[i].app,
+                        tenant: app,
                         now: start,
                     },
                 );
             }
-            end = replay_invocation(&mut handles[i], inv, start, &mut states[i], &mut obs);
-            let contested = arbiter.borrow().contested_evictions();
+            let mut system = RisppBackend::new(&mut arbiter, app).with_oracle(oracle);
+            end = replay_invocation(&mut system, inv, start, &mut states[i], &mut obs);
+            let contested = arbiter.contested_evictions();
             if contested > contested_seen {
                 let delta = contested - contested_seen;
                 contested_seen = contested;
@@ -430,7 +283,7 @@ fn simulate_multi_rispp(
                 emit(
                     &mut obs,
                     SimEvent::EvictionContested {
-                        tenant: handles[i].app,
+                        tenant: app,
                         count: delta,
                         total: contested_totals[i],
                         now: end,
@@ -447,18 +300,15 @@ fn simulate_multi_rispp(
         // Cross-app reuse can advance for *any* tenant during this slice
         // (a fault-triggered re-plan replans co-tenants too), so poll all
         // of them.
-        for j in 0..k {
-            let cur = arbiter.borrow().atoms_shared(handles[j].app);
+        for other in 0..tenants {
+            let j = usize::from(other);
+            let cur = arbiter.atoms_shared(other);
             if cur > shared_seen[j] {
-                let mut obs: Vec<&mut (dyn SimObserver + '_)> = Vec::with_capacity(2);
-                obs.push(&mut stats[j]);
-                if !extra.is_empty() {
-                    obs.push(&mut *extra[j]);
-                }
+                let mut obs = tenant_observers(&mut stats[j], extra, j);
                 emit(
                     &mut obs,
                     SimEvent::AtomShared {
-                        tenant: handles[j].app,
+                        tenant: other,
                         count: cur - shared_seen[j],
                         total: cur,
                         now: if shared_clock { global_now } else { clocks[j] },
@@ -471,14 +321,12 @@ fn simulate_multi_rispp(
         prev = Some(i);
     }
 
-    for i in 0..k {
+    for app in 0..tenants {
+        let i = usize::from(app);
         let now = if shared_clock { global_now } else { clocks[i] };
-        let mut obs: Vec<&mut (dyn SimObserver + '_)> = Vec::with_capacity(2);
-        obs.push(&mut stats[i]);
-        if !extra.is_empty() {
-            obs.push(&mut *extra[i]);
-        }
-        finish_replay(&mut handles[i], now, consumed[i], &mut states[i], &mut obs);
+        let mut obs = tenant_observers(&mut stats[i], extra, i);
+        let mut system = RisppBackend::new(&mut arbiter, app).with_oracle(oracle);
+        finish_replay(&mut system, now, consumed[i], &mut states[i], &mut obs);
     }
 
     MultiRunStats {

@@ -10,10 +10,11 @@ use rispp_model::{
 };
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
-    simulate, simulate_observed_planned, simulate_with, Burst, ExecutionSystem, FaultConfig,
-    Invocation, RunStats, SimConfig, simulate_multi, simulate_multi_observed, SimEvent,
-    SimObserver, SoftwareBackend, SweepJob, SweepRunner, SystemKind, TenancyConfig,
-    TenantArbitration, TenantPolicy, Trace, TraceLogObserver, DEFAULT_BUCKET_CYCLES,
+    simulate, simulate_multi, simulate_multi_observed, simulate_observed,
+    simulate_observed_planned, simulate_with, Burst, ExecutionSystem, FaultConfig, Invocation,
+    RunStats, SimConfig, SimEvent, SimObserver, SoftwareBackend, SweepJob, SweepRunner, SystemKind,
+    TenancyConfig, TenantArbitration, TenantPolicy, Trace, TraceContext, TraceLogObserver,
+    DEFAULT_BUCKET_CYCLES,
 };
 
 fn library() -> SiLibrary {
@@ -460,12 +461,17 @@ fn single_tenant_arbiter_stats_are_bit_identical_to_solo_path() {
 fn single_tenant_arbiter_event_stream_is_bit_identical_to_solo_path() {
     let lib = library();
     let t = trace(4);
-    for config in equivalence_configs() {
+    // A traced run as well: both paths must hand the configured context
+    // to every observer, so the stamped exports match too.
+    let mut configs = equivalence_configs();
+    configs.push(
+        SimConfig::rispp(4, SchedulerKind::Hef).with_trace(TraceContext::new(42).with_attempt(1)),
+    );
+    for config in configs {
         let mut solo_log = TraceLogObserver::new();
         {
-            let mut system = config.build_system(&lib);
             let mut observers: [&mut dyn SimObserver; 1] = [&mut solo_log];
-            simulate_with(system.as_mut(), &t, &mut observers);
+            let _ = simulate_observed(&lib, &t, &config, &mut observers);
         }
         for policy in [TenantPolicy::Shared, TenantPolicy::Partitioned] {
             let cfg = config.with_tenants(TenancyConfig {
@@ -487,6 +493,12 @@ fn single_tenant_arbiter_event_stream_is_bit_identical_to_solo_path() {
                 solo_log.events(),
                 multi_log.events(),
                 "{} {policy:?}: K=1 event stream diverged",
+                config.system.label()
+            );
+            assert_eq!(
+                solo_log.to_jsonl(),
+                multi_log.to_jsonl(),
+                "{} {policy:?}: K=1 JSONL export diverged",
                 config.system.label()
             );
         }
@@ -632,28 +644,4 @@ fn plan_cache_shared_sweep_is_bit_identical_at_any_thread_count() {
             "{threads}-thread shared-cache sweep diverged from sequential cache-off"
         );
     }
-}
-
-#[test]
-fn plan_cache_env_escape_disables_the_default() {
-    // `RISPP_PLAN_CACHE=0` must flip the constructor default off (an
-    // operational escape hatch); any other value, or unset, leaves it on.
-    // An explicit `with_plan_cache` always wins over the environment.
-    let lib = library();
-    let t = trace(4);
-    std::env::set_var("RISPP_PLAN_CACHE", "0");
-    let off_default = SimConfig::rispp(4, SchedulerKind::Hef);
-    assert!(!off_default.plan_cache, "RISPP_PLAN_CACHE=0 must disable");
-    let escaped = simulate(&lib, &t, &off_default);
-    std::env::set_var("RISPP_PLAN_CACHE", "1");
-    assert!(SimConfig::rispp(4, SchedulerKind::Hef).plan_cache);
-    std::env::remove_var("RISPP_PLAN_CACHE");
-    assert!(SimConfig::rispp(4, SchedulerKind::Hef).plan_cache);
-    // And of course: the escape hatch does not change results either.
-    let cached = simulate(
-        &lib,
-        &t,
-        &SimConfig::rispp(4, SchedulerKind::Hef).with_plan_cache(true),
-    );
-    assert_eq!(escaped, cached, "cache-off escape must be bit-identical");
 }

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rispp_core::{PlanCacheHandle, RunTimeManager, SchedulerKind};
+use rispp_core::{FabricArbiter, PlanCacheHandle, SchedulerKind};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 
@@ -79,7 +79,7 @@ fn steady_state_plan_cache_hits_allocate_nothing() {
     let lib = library();
     let demands = [(SiId(0), 400u64), (SiId(1), 150u64)];
     let handle = PlanCacheHandle::private();
-    let mut mgr = RunTimeManager::builder(&lib)
+    let mut mgr = FabricArbiter::builder(&lib)
         .containers(4)
         .scheduler(SchedulerKind::Hef)
         .plan_cache(handle.clone())
@@ -91,14 +91,14 @@ fn steady_state_plan_cache_hits_allocate_nothing() {
     // supremum the memoised schedule is empty.
     let mut now = 0u64;
     for _ in 0..6 {
-        mgr.enter_hot_spot_with_profile(HotSpotId(0), &demands, now)
+        mgr.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, now)
             .unwrap();
         now += 1_000;
         for _ in 0..50 {
-            black_box(mgr.execute_si(SiId(0), now));
+            black_box(mgr.execute_si(0, SiId(0), now));
             now += 150;
         }
-        mgr.exit_hot_spot(now);
+        mgr.exit_hot_spot(0, now);
         now += 500;
     }
     let warm = mgr.plan_cache_stats();
@@ -109,10 +109,10 @@ fn steady_state_plan_cache_hits_allocate_nothing() {
     // harness threads out of the measurement.
     let mut hit_allocs = usize::MAX;
     for _ in 0..5 {
-        mgr.exit_hot_spot(now);
+        mgr.exit_hot_spot(0, now);
         now += 500;
         let a = allocations(|| {
-            mgr.enter_hot_spot_with_profile(HotSpotId(0), &demands, now)
+            mgr.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, now)
                 .unwrap();
         });
         now += 1_000;

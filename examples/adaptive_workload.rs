@@ -5,13 +5,13 @@
 //!
 //! Run with: `cargo run --release --example adaptive_workload`
 
-use rispp::core::{RunTimeManager, SchedulerKind};
+use rispp::core::{FabricArbiter, SchedulerKind};
 use rispp::h264::{h264_si_library, SiKind};
 use rispp::monitor::HotSpotId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = h264_si_library();
-    let mut mgr = RunTimeManager::builder(&library)
+    let mut mgr = FabricArbiter::builder(&library)
         .containers(12)
         .scheduler(SchedulerKind::Hef)
         .build();
@@ -27,10 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     let mut now = 0u64;
+    let mut segments = Vec::new();
     for iteration in 0..8u32 {
-        mgr.enter_hot_spot(hs, &hints, now)?;
+        mgr.enter_hot_spot(0, hs, &hints, now)?;
         let selected: Vec<String> = mgr
-            .selected()
+            .selected(0)
             .iter()
             .map(|s| {
                 let si = library.si(s.si).expect("selected SI exists");
@@ -41,21 +42,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Phase change after iteration 3: MBs switch from inter to intra.
         let (mc_count, ipred_count) = if iteration < 4 { (380, 10) } else { (20, 370) };
-        for _ in 0..380 {
-            for seg in mgr.execute_burst(SiKind::Dct.id(), 24, 10, now) {
+        let bursts = std::iter::repeat_n((SiKind::Dct.id(), 24), 380).chain([
+            (SiKind::Mc.id(), mc_count),
+            (SiKind::IPredVdc.id(), ipred_count),
+        ]);
+        for (si, count) in bursts {
+            mgr.execute_burst_into(0, si, count, 10, now, &mut segments);
+            for seg in &segments {
                 now = seg.start + seg.count * (u64::from(seg.latency) + 10);
             }
         }
-        for seg in mgr.execute_burst(SiKind::Mc.id(), mc_count, 10, now) {
-            now = seg.start + seg.count * (u64::from(seg.latency) + 10);
-        }
-        for seg in mgr.execute_burst(SiKind::IPredVdc.id(), ipred_count, 10, now) {
-            now = seg.start + seg.count * (u64::from(seg.latency) + 10);
-        }
-        mgr.exit_hot_spot(now);
+        mgr.exit_hot_spot(0, now);
 
-        let mc = mgr.monitor().expected(hs, SiKind::Mc.id());
-        let ipred = mgr.monitor().expected(hs, SiKind::IPredVdc.id());
+        let mc = mgr.monitor(0).expected(hs, SiKind::Mc.id());
+        let ipred = mgr.monitor(0).expected(hs, SiKind::IPredVdc.id());
         println!(
             "             monitor now expects MC {mc}, IPred VDC {ipred} executions"
         );

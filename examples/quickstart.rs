@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use rispp::core::{AtomScheduler, HefScheduler, RunTimeManager, ScheduleRequest, SelectedMolecule};
+use rispp::core::{AtomScheduler, FabricArbiter, HefScheduler, ScheduleRequest, SelectedMolecule};
 use rispp::model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibraryBuilder};
 use rispp::monitor::HotSpotId;
 
@@ -46,14 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 4. Drive the full run-time system: the SI starts on the trap path
-    //    and gets faster as reconfigurations complete (~874 µs per Atom).
-    let mut manager = RunTimeManager::builder(&library).containers(6).build();
-    manager.enter_hot_spot(HotSpotId(0), &[(SiId(0), 5_000)], 0)?;
+    // 4. Drive the full run-time system as its only application (app 0):
+    //    the SI starts on the trap path and gets faster as
+    //    reconfigurations complete (~874 µs per Atom).
+    let mut manager = FabricArbiter::builder(&library).containers(6).build();
+    manager.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 5_000)], 0)?;
     println!("\nexecuting while the fabric reconfigures:");
     let mut now = 0u64;
     for _ in 0..12 {
-        let execution = manager.execute_si(SiId(0), now);
+        let execution = manager.execute_si(0, SiId(0), now);
         println!(
             "  cycle {:>9}: latency {:>5} cycles ({})",
             now,
@@ -66,9 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         now += u64::from(execution.latency) + 50_000; // other work between calls
     }
-    manager.exit_hot_spot(now);
+    manager.exit_hot_spot(0, now);
 
-    let final_latency = si.best_latency(manager.available_atoms());
+    let final_latency = si.best_latency(manager.available_atoms(0));
     println!(
         "\nfinal latency {final_latency} cycles — {:.0}x faster than the trap path",
         f64::from(si.software_latency()) / f64::from(final_latency)

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example scheduler_shootout`
 
-use rispp::core::{RunTimeManager, SchedulerKind};
+use rispp::core::{FabricArbiter, SchedulerKind};
 use rispp::model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp::monitor::HotSpotId;
 
@@ -33,30 +33,31 @@ fn build_library() -> Result<SiLibrary, Box<dyn std::error::Error>> {
 }
 
 fn run(library: &SiLibrary, kind: SchedulerKind) -> u64 {
-    let mut mgr = RunTimeManager::builder(library)
+    let mut mgr = FabricArbiter::builder(library)
         .containers(8)
         .scheduler(kind)
         .build();
     // Expected profile: TRANSFORM dominates, FILTER is hot, PREDICT rare.
     let hints = [(SiId(0), 6_000), (SiId(1), 1_200), (SiId(2), 30)];
-    mgr.enter_hot_spot(HotSpotId(0), &hints, 0)
+    mgr.enter_hot_spot(0, HotSpotId(0), &hints, 0)
         .expect("library and hints are consistent");
     let mut now = 0u64;
+    let mut segments = Vec::new();
     // Interleaved execution mirroring a per-block pipeline.
     for block in 0..1_500u32 {
-        for seg in mgr.execute_burst(SiId(0), 4, 10, now) {
-            now = seg.start + seg.count * (u64::from(seg.latency) + 10);
-        }
-        for seg in mgr.execute_burst(SiId(1), 1, 10, now) {
-            now = seg.start + seg.count * (u64::from(seg.latency) + 10);
-        }
-        if block % 50 == 0 {
-            for seg in mgr.execute_burst(SiId(2), 1, 10, now) {
+        let bursts: &[(SiId, u32)] = if block % 50 == 0 {
+            &[(SiId(0), 4), (SiId(1), 1), (SiId(2), 1)]
+        } else {
+            &[(SiId(0), 4), (SiId(1), 1)]
+        };
+        for &(si, count) in bursts {
+            mgr.execute_burst_into(0, si, count, 10, now, &mut segments);
+            for seg in &segments {
                 now = seg.start + seg.count * (u64::from(seg.latency) + 10);
             }
         }
     }
-    mgr.exit_hot_spot(now);
+    mgr.exit_hot_spot(0, now);
     now
 }
 

@@ -4,7 +4,10 @@
 
 use rispp::core::SchedulerKind;
 use rispp::h264::{h264_si_library, EncoderConfig, EncoderWorkload, HotSpot, SiKind};
-use rispp::sim::{simulate, SimConfig};
+use rispp::sim::{
+    simulate, simulate_multi, simulate_observed_planned, SimConfig, TenancyConfig,
+    TenantArbitration, TenantPolicy, Trace,
+};
 
 fn small_workload() -> EncoderWorkload {
     let mut config = EncoderConfig::paper_cif();
@@ -204,6 +207,104 @@ fn faster_reconfiguration_port_reduces_execution_time() {
     )
     .total_cycles;
     assert!(fast < slow);
+}
+
+#[test]
+fn plan_cache_is_bit_identical_to_planning_from_scratch() {
+    // The plan cache is pure memoisation: every scheduler must produce the
+    // same statistics with it on (the default) as with it off. On the
+    // 6-frame trace the online forecast never repeats a demand vector, so
+    // that run only checks that recording plans changes nothing; the
+    // periodic trace (one inter frame's hot spots six times, last-value
+    // forecast) repeats its plans, so there the cached run replays them.
+    use rispp::monitor::ForecastPolicy;
+
+    let library = h264_si_library();
+    let workload = small_workload();
+    let frame = &workload.trace().invocations()[3..6];
+    let periodic: Trace = frame
+        .iter()
+        .cycle()
+        .take(6 * frame.len())
+        .cloned()
+        .collect();
+    for kind in SchedulerKind::ALL {
+        let config = SimConfig::rispp(8, kind);
+        let cached = simulate(&library, workload.trace(), &config);
+        let planned = simulate(&library, workload.trace(), &config.with_plan_cache(false));
+        assert_eq!(cached, planned, "{kind}: the plan cache changed the result");
+
+        let config = config.with_forecast(ForecastPolicy::LastValue);
+        let (cached, plan) = simulate_observed_planned(&library, &periodic, &config, None, &mut []);
+        let planned = simulate(&library, &periodic, &config.with_plan_cache(false));
+        assert_eq!(
+            cached, planned,
+            "{kind}: the plan cache changed the periodic result"
+        );
+        assert!(
+            plan.hits > 0,
+            "{kind}: the periodic run never hit: {plan:?}"
+        );
+    }
+}
+
+#[test]
+fn two_tenant_results_are_pinned() {
+    // Exact results of the arbitrated multi-tenant path: the 6-frame trace
+    // against a copy rotated by half its invocations, HEF at 8 ACs.
+    let library = h264_si_library();
+    let workload = small_workload();
+    let inv = workload.trace().invocations();
+    let half = inv.len() / 2;
+    let rotated: Trace = inv[half..].iter().chain(&inv[..half]).cloned().collect();
+    let traces = [workload.trace().clone(), rotated];
+    // (policy, arbitration, aggregate, atoms shared, contested, per tenant)
+    let pins = [
+        (
+            TenantPolicy::Shared,
+            TenantArbitration::RoundRobin,
+            110_339_290,
+            132,
+            28,
+            [60_577_198, 49_762_092],
+        ),
+        (
+            TenantPolicy::Shared,
+            TenantArbitration::CycleInterleaved,
+            114_477_178,
+            102,
+            81,
+            [57_852_168, 56_625_010],
+        ),
+        (
+            TenantPolicy::Partitioned,
+            TenantArbitration::RoundRobin,
+            189_554_000,
+            0,
+            0,
+            [94_777_000, 94_777_000],
+        ),
+    ];
+    for (policy, arbitration, aggregate, shared, contested, per_tenant) in pins {
+        let tenancy = TenancyConfig {
+            count: 2,
+            policy,
+            arbitration,
+        };
+        let config = SimConfig::rispp(8, SchedulerKind::Hef).with_tenants(tenancy);
+        let run = simulate_multi(&library, &traces, &config);
+        let cycles: Vec<u64> = run.per_tenant.iter().map(|s| s.total_cycles).collect();
+        assert_eq!(
+            run.aggregate_cycles, aggregate,
+            "{policy:?}/{arbitration:?}"
+        );
+        assert_eq!(run.atoms_shared, shared, "{policy:?}/{arbitration:?}");
+        assert_eq!(
+            run.evictions_contested, contested,
+            "{policy:?}/{arbitration:?}"
+        );
+        assert_eq!(cycles, per_tenant, "{policy:?}/{arbitration:?}");
+    }
 }
 
 #[test]
