@@ -411,6 +411,62 @@ fn request_line_split_across_a_read_timeout_is_served_whole() {
     daemon.join().expect("daemon thread").expect("daemon result");
 }
 
+/// A request line nested 10 000 levels deep (10 KB of `[`) must not
+/// overflow the connection thread's stack, which aborts the whole daemon:
+/// it gets an error line, and the same connection keeps serving.
+#[test]
+fn deeply_nested_request_line_is_refused_and_the_connection_keeps_serving() {
+    let server = Server::start(
+        library(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let stop = AtomicBool::new(false);
+    let daemon = std::thread::spawn({
+        let server = server.clone();
+        move || run_daemon(&server, listener, &stop).map_err(|e| e.to_string())
+    });
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut read_json = |context: &str| -> JsonValue {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect(context);
+        JsonValue::parse(line.trim()).unwrap_or_else(|e| panic!("{context}: {e}: {line}"))
+    };
+
+    writeln!(writer, "{}", "[".repeat(10_000)).unwrap();
+    let refused = read_json("deep line");
+    assert_eq!(refused.get("ok").and_then(JsonValue::as_bool), Some(false));
+    assert_eq!(
+        refused.get("status").and_then(JsonValue::as_str),
+        Some("error")
+    );
+    let error = refused.get("error").and_then(JsonValue::as_str);
+    assert!(
+        error.is_some_and(|e| e.contains("nested too deeply")),
+        "{refused:?}"
+    );
+
+    writeln!(writer, r#"{{"op":"health"}}"#).unwrap();
+    let health = read_json("health after the deep line");
+    assert_eq!(health.get("ok").and_then(JsonValue::as_bool), Some(true));
+
+    writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+    let ack = read_json("shutdown ack");
+    assert_eq!(ack.get("ok").and_then(JsonValue::as_bool), Some(true));
+    drop(writer);
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon result");
+}
+
 #[test]
 fn deadline_timeout_is_reported_as_timeout() {
     let server = Server::start(

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use rispp_fabric::FabricJournalEntry;
 use rispp_model::SiId;
 use rispp_monitor::{HotSpotDetector, HotSpotId};
-use rispp_telemetry::{MetricsRegistry, MetricsSnapshot, TraceBuilder};
+use rispp_telemetry::{push_u64, MetricsRegistry, MetricsSnapshot, TraceBuilder};
 
 use crate::context::TraceContext;
 use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
@@ -36,7 +36,7 @@ use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
 /// or `--trace-out` is requested. It opts out of the per-segment stream
 /// and its `on_event` body is empty, so the replay hot path stays
 /// allocation-free and effectively telemetry-free (verified by the
-/// alloc-counter test in `crates/sim/tests/alloc_free.rs`).
+/// alloc-counter test in `crates/sim/tests/telemetry_alloc_free.rs`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 
@@ -80,6 +80,53 @@ impl ContainerPhase {
     }
 }
 
+/// Distinct latencies a [`SiTally`] holds before it is folded early, so a
+/// trace with many per-burst overheads keeps each segment's scan short.
+const TALLY_LATENCIES: usize = 16;
+
+/// One SI's executions since the tallies were last folded into the
+/// registry.
+#[derive(Debug, Default)]
+struct SiTally {
+    executions: u64,
+    /// `None` until the SI runs in hardware: the hardware counter exists
+    /// only for an SI that did.
+    hardware: Option<u64>,
+    /// Distinct `(latency, count)` observations; empty means the SI has
+    /// not executed since the last fold.
+    latencies: Vec<(u64, u64)>,
+}
+
+impl SiTally {
+    /// Writes the tally under SI `si`'s metric names, formatted in `name`,
+    /// with the registry's current base labels.
+    fn fold_into(&self, si: usize, registry: &mut MetricsRegistry, name: &mut String) {
+        if self.latencies.is_empty() {
+            return;
+        }
+        name.clear();
+        let _ = write!(name, "rispp_si_executions_total{{si=\"{si}\"}}");
+        registry.counter_add(name, self.executions);
+        if let Some(hardware) = self.hardware {
+            name.clear();
+            let _ = write!(name, "rispp_si_hardware_executions_total{{si=\"{si}\"}}");
+            registry.counter_add(name, hardware);
+        }
+        name.clear();
+        let _ = write!(name, "rispp_si_latency_cycles{{si=\"{si}\"}}");
+        for &(latency, count) in &self.latencies {
+            registry.observe_n(name, latency, count);
+        }
+    }
+
+    /// Empties the tally, keeping its allocation.
+    fn clear(&mut self) {
+        self.executions = 0;
+        self.hardware = None;
+        self.latencies.clear();
+    }
+}
+
 /// Folds the event stream into a deterministic [`MetricsRegistry`].
 ///
 /// Container time accounting is derived from the fabric journal
@@ -88,9 +135,17 @@ impl ContainerPhase {
 /// the journal those families simply stay absent. Open container phases
 /// are flushed at [`SimEvent::RunFinished`], so a snapshot taken after the
 /// run accounts for every simulated cycle.
+///
+/// Burst segments, by far the most frequent event, only add to typed
+/// per-SI tallies. The tallies are folded into the registry at
+/// [`SimEvent::RunFinished`], before the trace context changes the base
+/// labels, and on every snapshot, under the same names and with the same
+/// values as writing each segment to the registry would give.
 #[derive(Debug, Default)]
 pub struct MetricsObserver {
     registry: MetricsRegistry,
+    /// Per-SI tallies indexed by [`SiId`], grown on first sighting.
+    si: Vec<SiTally>,
     /// Per-container `(phase, phase-start-cycle)`, grown on first sighting.
     containers: Vec<(ContainerPhase, u64)>,
     /// Latest cumulative port cycles lost to faulted loads (flushed as a
@@ -110,13 +165,27 @@ impl MetricsObserver {
     /// Freezes the current state into a mergeable snapshot.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        let mut registry = self.registry.clone();
+        let mut name = String::new();
+        for (si, tally) in self.si.iter().enumerate() {
+            tally.fold_into(si, &mut registry, &mut name);
+        }
+        registry.into_snapshot()
     }
 
     /// Consumes the observer into a snapshot without cloning.
     #[must_use]
-    pub fn into_snapshot(self) -> MetricsSnapshot {
+    pub fn into_snapshot(mut self) -> MetricsSnapshot {
+        self.fold_tallies();
         self.registry.into_snapshot()
+    }
+
+    /// Folds every per-SI tally into the registry and empties it.
+    fn fold_tallies(&mut self) {
+        for (si, tally) in self.si.iter_mut().enumerate() {
+            tally.fold_into(si, &mut self.registry, &mut self.name);
+            tally.clear();
+        }
     }
 
     fn container_entry(&mut self, container: u16) -> &mut (ContainerPhase, u64) {
@@ -192,22 +261,30 @@ impl SimObserver for MetricsObserver {
                 segment,
                 overhead,
             } => {
-                let id = u64::from(si.0);
-                self.labelled_counter_add("rispp_si_executions_total", "si", id, segment.count);
-                if segment.is_hardware() {
-                    self.labelled_counter_add(
-                        "rispp_si_hardware_executions_total",
-                        "si",
-                        id,
-                        segment.count,
-                    );
+                let i = usize::from(si.0);
+                if self.si.len() <= i {
+                    self.si.resize_with(i + 1, SiTally::default);
                 }
                 let per = u64::from(segment.latency) + u64::from(*overhead);
-                self.name.clear();
-                let _ = write!(self.name, "rispp_si_latency_cycles{{si=\"{id}\"}}");
-                let name = std::mem::take(&mut self.name);
-                self.registry.observe_n(&name, per, segment.count);
-                self.name = name;
+                let tally = &mut self.si[i];
+                match tally
+                    .latencies
+                    .iter_mut()
+                    .find(|(latency, _)| *latency == per)
+                {
+                    Some((_, count)) => *count += segment.count,
+                    None => {
+                        if tally.latencies.len() == TALLY_LATENCIES {
+                            tally.fold_into(i, &mut self.registry, &mut self.name);
+                            tally.clear();
+                        }
+                        tally.latencies.push((per, segment.count));
+                    }
+                }
+                tally.executions += segment.count;
+                if segment.is_hardware() {
+                    *tally.hardware.get_or_insert(0) += segment.count;
+                }
             }
             SimEvent::LoadCompleted { completed, .. } => {
                 self.registry
@@ -306,6 +383,7 @@ impl SimObserver for MetricsObserver {
                 reconfigurations,
                 reconfiguration_cycles,
             } => {
+                self.fold_tallies();
                 self.registry.counter_add("rispp_runs_total", 1);
                 self.registry
                     .counter_add("rispp_simulated_cycles_total", *total_cycles);
@@ -331,6 +409,8 @@ impl SimObserver for MetricsObserver {
     }
 
     fn set_trace_context(&mut self, context: TraceContext) {
+        // Tallies taken under the old labels keep them.
+        self.fold_tallies();
         self.name.clear();
         let _ = write!(
             self.name,
@@ -555,33 +635,36 @@ impl SimObserver for PerfettoTraceObserver {
             } => {
                 self.ensure_si(*si);
                 let per = u64::from(segment.latency) + u64::from(*overhead);
+                // One span per burst segment: written with `push_u64`, not
+                // `core::fmt`.
                 self.name.clear();
                 match segment.variant_index {
                     Some(v) => {
-                        let _ = write!(self.name, "v{v} ×{}", segment.count);
+                        self.name.push('v');
+                        push_u64(&mut self.name, v as u64);
+                        self.name.push_str(" ×");
                     }
-                    None => {
-                        let _ = write!(self.name, "software ×{}", segment.count);
-                    }
+                    None => self.name.push_str("software ×"),
                 }
+                push_u64(&mut self.name, segment.count);
                 self.args.clear();
-                let _ = write!(
-                    self.args,
-                    "{{\"count\":{},\"latency\":{},\"hardware\":{}}}",
-                    segment.count,
-                    segment.latency,
-                    segment.is_hardware()
-                );
-                let name = std::mem::take(&mut self.name);
+                self.args.push_str("{\"count\":");
+                push_u64(&mut self.args, segment.count);
+                self.args.push_str(",\"latency\":");
+                push_u64(&mut self.args, u64::from(segment.latency));
+                self.args.push_str(if segment.is_hardware() {
+                    ",\"hardware\":true}"
+                } else {
+                    ",\"hardware\":false}"
+                });
                 self.trace.complete_with_args(
                     PID_SIS,
                     u64::from(si.0),
-                    &name,
+                    &self.name,
                     segment.start,
                     segment.count.saturating_mul(per),
                     Some(&self.args),
                 );
-                self.name = name;
             }
             SimEvent::FaultInjected { count, now, .. } if *count > 0 => {
                 self.args.clear();

@@ -2,7 +2,9 @@
 //! [`NullRecorder`] to a simulation must add **zero** heap allocations
 //! over the bare run. The recorder is the default sink when no telemetry
 //! output was requested, so any allocation here would tax every
-//! simulation — including the fig7 throughput gate.
+//! simulation — including the fig7 throughput gate. A warm
+//! `FlightRecorder` or `MetricsObserver` reused for another run must not
+//! allocate either.
 //!
 //! The engine's own allocations are deterministic (same trace, same
 //! config, same arena growth), so the test runs the bare simulation and
@@ -19,8 +21,8 @@ use rispp_core::SchedulerKind;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
-    simulate, simulate_observed, Burst, FlightRecorder, Invocation, NullRecorder, SimConfig,
-    SimObserver, Trace,
+    simulate, simulate_observed, Burst, FlightRecorder, Invocation, MetricsObserver, NullRecorder,
+    SimConfig, SimObserver, Trace,
 };
 
 /// Forwards to the system allocator, counting every allocation path
@@ -152,6 +154,34 @@ fn null_recorder_adds_zero_allocations() {
     assert!(
         !recorder.events().is_empty(),
         "the recorder retained nothing — the steady-state claim is vacuous"
+    );
+
+    // A MetricsObserver reused for a second run adds to per-SI tallies
+    // that kept their capacity and folds them into series that already
+    // exist: that run allocates nothing the bare run does not.
+    let mut metrics = MetricsObserver::new();
+    {
+        let mut extra: [&mut dyn SimObserver; 1] = [&mut metrics];
+        black_box(simulate_observed(&lib, &t, &config, &mut extra));
+    }
+    let metered = allocations(|| {
+        let mut extra: [&mut dyn SimObserver; 1] = [&mut metrics];
+        black_box(simulate_observed(&lib, &t, &config, &mut extra));
+    });
+    assert_eq!(
+        metered, bare,
+        "a warm MetricsObserver must not allocate in a second run"
+    );
+    assert_eq!(
+        metrics
+            .snapshot()
+            .counter("rispp_si_executions_total{si=\"0\"}"),
+        2 * t
+            .invocations()
+            .iter()
+            .map(|inv| u64::from(inv.bursts[0].count))
+            .sum::<u64>(),
+        "both runs were metered"
     );
 
     // Sanity check that the counter observes heap traffic at all.

@@ -1,19 +1,21 @@
 //! Telemetry must be a pure observer: attaching recorders, enabling
 //! decision capture (`explain`) or the fabric journal must never perturb
 //! the simulated timeline. These tests pin that guarantee — plus the
-//! determinism of the merged metrics snapshot across sweep thread counts
-//! and the validity of the exported Perfetto trace on a real run.
+//! determinism of the merged metrics snapshot across sweep thread counts,
+//! the validity of the exported Perfetto trace on a real run, and that the
+//! cheap paths behind the exports write what the plain ones did.
 
 use proptest::prelude::*;
 
-use rispp_core::SchedulerKind;
+use rispp_core::{BurstSegment, SchedulerKind};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
     simulate, simulate_observed, Burst, FaultConfig, Invocation, MetricsObserver, NullRecorder,
-    PerfettoTraceObserver, SimConfig, SimObserver, SweepJob, SweepRunner, Trace,
+    PerfettoTraceObserver, SimConfig, SimEvent, SimObserver, SweepJob, SweepRunner, Trace,
+    TraceContext,
 };
-use rispp_telemetry::JsonValue;
+use rispp_telemetry::{push_u64, JsonValue, Metric, MetricsRegistry, MetricsSnapshot};
 
 fn library() -> SiLibrary {
     let universe = AtomUniverse::from_types([
@@ -96,6 +98,154 @@ proptest! {
         let bare = simulate(&lib, &t, &config);
         let instrumented = run_with_telemetry(&lib, &t, &config);
         prop_assert_eq!(bare, instrumented);
+    }
+}
+
+/// Writes every burst segment to a registry as it arrives — name
+/// formatted, counters added, latency observed — the way
+/// [`MetricsObserver`] did before it kept per-SI tallies: the reference
+/// its `rispp_si_*` series must equal.
+#[derive(Default)]
+struct PerSegmentMetrics {
+    registry: MetricsRegistry,
+}
+
+impl SimObserver for PerSegmentMetrics {
+    fn on_event(&mut self, event: &SimEvent) {
+        if let SimEvent::SegmentExecuted {
+            si,
+            segment,
+            overhead,
+        } = event
+        {
+            let id = si.0;
+            self.registry.counter_add(
+                &format!("rispp_si_executions_total{{si=\"{id}\"}}"),
+                segment.count,
+            );
+            if segment.is_hardware() {
+                self.registry.counter_add(
+                    &format!("rispp_si_hardware_executions_total{{si=\"{id}\"}}"),
+                    segment.count,
+                );
+            }
+            let per = u64::from(segment.latency) + u64::from(*overhead);
+            self.registry.observe_n(
+                &format!("rispp_si_latency_cycles{{si=\"{id}\"}}"),
+                per,
+                segment.count,
+            );
+        }
+    }
+
+    fn set_trace_context(&mut self, context: TraceContext) {
+        self.registry.set_base_labels(&format!(
+            "trace_id=\"{}\",tenant=\"{}\",attempt=\"{}\"",
+            context.trace_id, context.tenant, context.attempt
+        ));
+    }
+}
+
+/// The `rispp_si_*` series of a snapshot, in name order.
+fn si_series(snapshot: &MetricsSnapshot) -> Vec<(String, Metric)> {
+    snapshot
+        .iter()
+        .filter(|(name, _)| name.starts_with("rispp_si_"))
+        .map(|(name, metric)| (name.to_owned(), metric.clone()))
+        .collect()
+}
+
+/// One step of a generated observer input.
+#[derive(Debug)]
+enum Step {
+    Event(SimEvent),
+    Context(TraceContext),
+    Snapshot,
+}
+
+/// A random step: mostly burst segments — half of them on SI 0 so its
+/// distinct latencies pile up, some with counts near 2^40 or latencies
+/// near `u32::MAX` so histogram sums saturate — with trace-context
+/// changes, snapshots and run ends mixed in.
+fn step() -> impl Strategy<Value = Step> {
+    (
+        (0u8..24, 0u16..24, 0u64..1_000),
+        (0u8..8, 0u32..300, 0u8..5, 0u32..40),
+    )
+        .prop_map(
+            |((kind, si, count), (big, latency, variant, overhead))| match kind {
+                0 => Step::Event(SimEvent::RunFinished {
+                    total_cycles: count,
+                    reconfigurations: 0,
+                    reconfiguration_cycles: 0,
+                }),
+                1 => Step::Context(
+                    TraceContext::new(count)
+                        .with_tenant(si)
+                        .with_attempt(latency),
+                ),
+                2 => Step::Snapshot,
+                _ => Step::Event(SimEvent::SegmentExecuted {
+                    si: SiId(if si < 12 { si } else { 0 }),
+                    segment: BurstSegment {
+                        start: 0,
+                        count: if big == 0 { count << 30 } else { count },
+                        latency: if big == 1 {
+                            u32::MAX - latency
+                        } else {
+                            latency
+                        },
+                        variant_index: (variant < 4).then_some(usize::from(variant)),
+                    },
+                    overhead,
+                }),
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `MetricsObserver` folds per-SI tallies into its registry at run
+    /// end, on a trace-context change and on every snapshot; each of its
+    /// `rispp_si_*` series must equal what writing every segment to the
+    /// registry as it arrived gives, at every snapshot and at the end.
+    #[test]
+    fn folded_si_metrics_equal_per_segment_writes(
+        steps in prop::collection::vec(step(), 1..300),
+    ) {
+        let mut observer = MetricsObserver::new();
+        let mut reference = PerSegmentMetrics::default();
+        for step in &steps {
+            match step {
+                Step::Event(event) => {
+                    observer.on_event(event);
+                    reference.on_event(event);
+                }
+                Step::Context(context) => {
+                    observer.set_trace_context(*context);
+                    reference.set_trace_context(*context);
+                }
+                Step::Snapshot => prop_assert_eq!(
+                    si_series(&observer.snapshot()),
+                    si_series(&reference.registry.snapshot())
+                ),
+            }
+        }
+        prop_assert_eq!(
+            si_series(&observer.into_snapshot()),
+            si_series(&reference.registry.snapshot())
+        );
+    }
+
+    /// `push_u64` appends exactly the text `to_string` gives, at every
+    /// digit count.
+    #[test]
+    fn push_u64_writes_what_to_string_does(value in any::<u64>(), shift in 0u32..64) {
+        let value = value >> shift;
+        let mut out = String::from("x");
+        push_u64(&mut out, value);
+        prop_assert_eq!(out, format!("x{value}"));
     }
 }
 

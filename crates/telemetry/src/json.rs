@@ -4,7 +4,15 @@
 //! the telemetry acceptance tests and the CLI trace validator need to
 //! *read back* the JSON the crate writes. This parser accepts standard
 //! JSON (RFC 8259) with no extensions; it is built for correctness on
-//! small documents, not throughput.
+//! small documents, not throughput. Arrays and objects may nest at most
+//! 128 levels deep, so no input can overflow the stack.
+
+/// Deepest nesting of arrays and objects the parser accepts. The deepest
+/// document the workspace writes is a serve submit line with an inline
+/// trace, at 6 levels (line, trace, invocations, invocation, bursts,
+/// burst); the parser recurses once per level, so an unbounded line could
+/// overflow the stack of the thread parsing it.
+const MAX_DEPTH: usize = 128;
 
 /// Parse error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +54,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -127,6 +136,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -167,8 +178,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -176,6 +187,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deeply"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -373,6 +399,25 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
         assert!(JsonValue::parse("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(JsonValue::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+                let err = JsonValue::parse(&nested(open, close, depth)).unwrap_err();
+                assert_eq!(err.message, "arrays and objects nested too deeply");
+                assert_eq!(err.at, MAX_DEPTH * open.len());
+            }
+        }
+        // Unterminated openers are refused at the same point.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
+        assert!(JsonValue::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub mod perfetto;
 pub use bundle::{Bundle, BundleMeta, BUNDLE_FORMAT_VERSION};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Histogram, Metric, MetricsRegistry, MetricsSnapshot};
-pub use perfetto::{escape_json_into, TraceBuilder};
+pub use perfetto::{escape_json_into, push_u64, TraceBuilder};

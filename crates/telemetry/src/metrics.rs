@@ -437,24 +437,34 @@ impl MetricsSnapshot {
                     let _ = writeln!(out, "{name} {v}");
                 }
                 Metric::Histogram(h) => {
-                    // Histogram names never carry labels in this crate, so
-                    // `{le=…}` can be appended directly.
+                    // `family{labels}` renders as `family_bucket{labels,le=…}`,
+                    // `family_sum{labels}` and `family_count{labels}`.
+                    let labels = &name[family.len()..];
+                    let inner = labels
+                        .strip_prefix('{')
+                        .and_then(|l| l.strip_suffix('}'))
+                        .unwrap_or("");
+                    let comma = if inner.is_empty() { "" } else { "," };
                     let mut cumulative = 0u64;
                     for (j, &c) in h.counts().iter().enumerate() {
                         cumulative += c;
                         match h.bounds().get(j) {
                             Some(b) => {
-                                let _ =
-                                    writeln!(out, "{name}_bucket{{le=\"{b}\"}} {cumulative}");
+                                let _ = writeln!(
+                                    out,
+                                    "{family}_bucket{{{inner}{comma}le=\"{b}\"}} {cumulative}"
+                                );
                             }
                             None => {
-                                let _ =
-                                    writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+                                let _ = writeln!(
+                                    out,
+                                    "{family}_bucket{{{inner}{comma}le=\"+Inf\"}} {cumulative}"
+                                );
                             }
                         }
                     }
-                    let _ = writeln!(out, "{name}_sum {}", h.sum());
-                    let _ = writeln!(out, "{name}_count {}", h.count());
+                    let _ = writeln!(out, "{family}_sum{labels} {}", h.sum());
+                    let _ = writeln!(out, "{family}_count{labels} {}", h.count());
                 }
             }
         }
@@ -529,6 +539,90 @@ mod tests {
         assert!(text.contains("lat_sum 55"));
         assert!(text.contains("lat_count 2"));
         assert!(text.contains("# TYPE runs_total counter"));
+    }
+
+    /// Whether `line` is a sample line of the text exposition format:
+    /// `name{label="value",...} integer`, the label set optional.
+    fn is_sample_line(line: &str) -> bool {
+        fn name_len(s: &str, colons: bool) -> usize {
+            s.char_indices()
+                .find(|&(i, c)| {
+                    !(c == '_'
+                        || (colons && c == ':')
+                        || c.is_ascii_alphabetic()
+                        || (i > 0 && c.is_ascii_digit()))
+                })
+                .map_or(s.len(), |(i, _)| i)
+        }
+        let Some((series, value)) = line.rsplit_once(' ') else {
+            return false;
+        };
+        let digits = value.strip_prefix('-').unwrap_or(value);
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return false;
+        }
+        let name = name_len(series, true);
+        if name == 0 {
+            return false;
+        }
+        if name == series.len() {
+            return true;
+        }
+        let Some(mut labels) = series[name..]
+            .strip_prefix('{')
+            .and_then(|l| l.strip_suffix('}'))
+        else {
+            return false;
+        };
+        loop {
+            let key = name_len(labels, false);
+            let Some(quoted) = labels[key..].strip_prefix("=\"").filter(|_| key > 0) else {
+                return false;
+            };
+            let Some(close) = quoted.find('"') else {
+                return false;
+            };
+            labels = &quoted[close + 1..];
+            match labels.strip_prefix(',') {
+                Some(next) => labels = next,
+                None => return labels.is_empty(),
+            }
+        }
+    }
+
+    #[test]
+    fn labelled_histograms_render_valid_exposition_lines() {
+        let mut r = MetricsRegistry::new();
+        r.observe_with_bounds("lat{si=\"3\"}", 5, &[10, 100]);
+        r.observe_with_bounds("lat{si=\"3\"}", 50, &[10, 100]);
+        r.set_base_labels("trace_id=\"9\",tenant=\"0\",attempt=\"1\"");
+        r.observe_with_bounds("lat{si=\"4\"}", 7, &[10, 100]);
+        r.observe_with_bounds("wait", 7, &[10, 100]);
+        let text = r.snapshot().to_prometheus_text();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            assert!(is_sample_line(line), "not an exposition line: {line}");
+        }
+        assert_eq!(text.matches("# TYPE lat histogram").count(), 1);
+        assert!(text.contains("lat_bucket{si=\"3\",le=\"10\"} 1\n"));
+        assert!(text.contains("lat_bucket{si=\"3\",le=\"+Inf\"} 2\n"));
+        assert!(text.contains("lat_sum{si=\"3\"} 55\n"));
+        assert!(text.contains("lat_count{si=\"3\"} 2\n"));
+        let base = "trace_id=\"9\",tenant=\"0\",attempt=\"1\"";
+        assert!(text.contains(&format!("lat_bucket{{si=\"4\",{base},le=\"10\"}} 1\n")));
+        assert!(text.contains(&format!("lat_count{{si=\"4\",{base}}} 1\n")));
+        assert!(text.contains(&format!("wait_bucket{{{base},le=\"100\"}} 1\n")));
+        assert!(text.contains(&format!("wait_sum{{{base}}} 7\n")));
+        // The grammar check itself refuses the shapes it must.
+        for bad in [
+            "lat{si=\"3\"}_bucket{le=\"10\"} 1",
+            "lat{si=\"3\"}_sum 55",
+            "lat_bucket{le=\"10\",} 1",
+            "lat_bucket{=\"10\"} 1",
+            "9lat 1",
+            "lat 1.5",
+        ] {
+            assert!(!is_sample_line(bad), "accepted: {bad}");
+        }
     }
 
     #[test]

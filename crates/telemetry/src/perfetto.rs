@@ -15,6 +15,12 @@ use std::fmt::Write as _;
 /// Escapes `s` for inclusion inside a JSON string literal, appending to
 /// `out` (no surrounding quotes).
 pub fn escape_json_into(s: &str, out: &mut String) {
+    // Every byte of a multi-byte UTF-8 scalar is >= 0x80, so a string
+    // with no quote, backslash or control byte needs no escaping at all.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -28,6 +34,24 @@ pub fn escape_json_into(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+}
+
+/// Appends the decimal digits of `value` to `out`: the same text as
+/// `value.to_string()`, without going through `core::fmt`.
+pub fn push_u64(out: &mut String, mut value: u64) {
+    // Track ids and Molecule variant indices are mostly one digit.
+    if value < 10 {
+        out.push(char::from(b'0' + value as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    while value > 0 {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// Builds a Chrome trace-event JSON document incrementally.
@@ -120,12 +144,22 @@ impl TraceBuilder {
         dur: u64,
         args_json: Option<&str>,
     ) {
+        // The hot span writer (one call per burst segment): integers go
+        // through `push_u64`, not `core::fmt`.
         self.sep();
         self.out.push_str("{\"ph\":\"X\",\"name\":\"");
         escape_json_into(name, &mut self.out);
-        let _ = write!(self.out, "\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur}");
+        self.out.push_str("\",\"pid\":");
+        push_u64(&mut self.out, pid);
+        self.out.push_str(",\"tid\":");
+        push_u64(&mut self.out, tid);
+        self.out.push_str(",\"ts\":");
+        push_u64(&mut self.out, ts);
+        self.out.push_str(",\"dur\":");
+        push_u64(&mut self.out, dur);
         if let Some(args) = args_json {
-            let _ = write!(self.out, ",\"args\":{args}");
+            self.out.push_str(",\"args\":");
+            self.out.push_str(args);
         }
         self.out.push('}');
     }
@@ -214,6 +248,57 @@ mod tests {
         let mut s = String::new();
         escape_json_into("a\"b\\c\nd\u{1}", &mut s);
         assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+    }
+
+    /// Escapes one char at a time, with no fast path.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_fast_path_matches_per_char_escaping() {
+        for s in [
+            "",
+            "AC3",
+            "v2 ×1024",
+            "software ×7",
+            "é ü 😀 \u{7f}\u{80}",
+            "quote \" inside",
+            "back\\slash",
+            "tab\tnew\nline\rreturn",
+            "\u{0}\u{1}\u{1f}",
+            "v1 ×3\"\\\n😀",
+        ] {
+            let mut out = String::from("prefix");
+            escape_json_into(s, &mut out);
+            assert_eq!(out, format!("prefix{}", escape_per_char(s)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn push_u64_writes_decimal_digits() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for k in 1..=19 {
+            let power = 10u64.pow(k);
+            values.extend([power - 1, power, power + 1]);
+        }
+        for value in values {
+            let mut out = String::from("x");
+            push_u64(&mut out, value);
+            assert_eq!(out, format!("x{value}"));
+        }
     }
 
     #[test]

@@ -65,6 +65,19 @@ grep -q '"rispp_simulated_cycles_total"' target/ci_metrics.json || {
   echo "ci: telemetry smoke failed — metrics snapshot missing rispp_simulated_cycles_total" >&2
   exit 1
 }
+# The Prometheus text must follow the exposition grammar on every sample
+# line, labelled histogram buckets (`family_bucket{si="N",le="…"}`)
+# included.
+./target/release/rispp-cli simulate --frames 2 --acs 8 \
+  --metrics-out target/ci_metrics.prom >/dev/null
+bad_prom=$(grep -v '^#' target/ci_metrics.prom \
+  | grep -Ev '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9]+$' \
+  || true)
+if [ -n "$bad_prom" ]; then
+  echo "ci: telemetry smoke failed — Prometheus lines outside the exposition grammar:" >&2
+  echo "$bad_prom" | head -5 >&2
+  exit 1
+fi
 
 echo "==> serve smoke (daemon boot, NDJSON batch, SIGTERM drain)"
 # Boot the job-server daemon on an ephemeral port, push a fig7-shaped

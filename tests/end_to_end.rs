@@ -5,14 +5,25 @@
 use rispp::core::SchedulerKind;
 use rispp::h264::{h264_si_library, EncoderConfig, EncoderWorkload, HotSpot, SiKind};
 use rispp::sim::{
-    simulate, simulate_multi, simulate_observed_planned, SimConfig, TenancyConfig,
-    TenantArbitration, TenantPolicy, Trace,
+    simulate, simulate_multi, simulate_observed_planned, FlightRecorder, MetricsObserver,
+    PerfettoTraceObserver, SimConfig, TenancyConfig, TenantArbitration, TenantPolicy, Trace,
+    TraceContext,
 };
 
 fn small_workload() -> EncoderWorkload {
     let mut config = EncoderConfig::paper_cif();
     config.frames = 6;
     EncoderWorkload::generate(&config)
+}
+
+/// FNV-1a's offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the FNV-1a digest `digest` over `bytes`.
+fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(digest, |digest, &byte| {
+        (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
@@ -40,19 +51,13 @@ fn small_workload_trace_is_pinned() {
     assert_eq!(workload.trace().total_si_executions(), 183_205);
     assert_eq!(summary.mean_psnr_y.to_bits(), 0x4044_0a0c_ede8_5b79);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut hash = |bytes: &[u8]| {
-        for &byte in bytes {
-            digest ^= u64::from(byte);
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut digest = FNV_OFFSET;
     for inv in workload.trace().invocations() {
         for burst in &inv.bursts {
             let si = u16::try_from(burst.si.index()).expect("nine SIs");
-            hash(&inv.hot_spot.0.to_le_bytes());
-            hash(&si.to_le_bytes());
-            hash(&burst.count.to_le_bytes());
+            digest = fnv1a(digest, &inv.hot_spot.0.to_le_bytes());
+            digest = fnv1a(digest, &si.to_le_bytes());
+            digest = fnv1a(digest, &burst.count.to_le_bytes());
         }
     }
     assert_eq!(digest, 0x5209_d1fa_c14c_04e6);
@@ -304,6 +309,56 @@ fn two_tenant_results_are_pinned() {
             "{policy:?}/{arbitration:?}"
         );
         assert_eq!(cycles, per_tenant, "{policy:?}/{arbitration:?}");
+    }
+}
+
+#[test]
+fn telemetry_exports_are_pinned() {
+    // Every byte the exporters write for one traced 6-frame run, HEF at 8
+    // ACs with explain and journal on: the metrics snapshot as JSON and as
+    // Prometheus text, the Perfetto trace and a flight bundle, each pinned
+    // by length and FNV-1a digest. Making telemetry cheaper must not move
+    // any of them. (The Prometheus pin is that of labelled histograms
+    // rendered as `family_bucket{si="N",...,le="..."}`.)
+    let library = h264_si_library();
+    let workload = small_workload();
+    let config = SimConfig::rispp(8, SchedulerKind::Hef)
+        .with_explain(true)
+        .with_journal(true)
+        .with_trace(TraceContext::new(7));
+    let mut metrics = MetricsObserver::new();
+    let mut perfetto = PerfettoTraceObserver::new();
+    let mut recorder = FlightRecorder::new();
+    let (_, plan) = simulate_observed_planned(
+        &library,
+        workload.trace(),
+        &config,
+        None,
+        &mut [&mut metrics, &mut perfetto, &mut recorder],
+    );
+    metrics.record_plan_cache(&plan);
+    let snapshot = metrics.into_snapshot();
+    let exports = [
+        ("metrics JSON", snapshot.to_json()),
+        ("Prometheus text", snapshot.to_prometheus_text()),
+        ("Perfetto JSON", perfetto.into_json()),
+        (
+            "flight bundle",
+            recorder.dump("pinned", "job-7", 7, plan.hits, plan.misses),
+        ),
+    ];
+    let pins = [
+        (10_380, 0x8e9e_a2d9_fe08_d332),
+        (16_598, 0x5bd6_a712_3d1b_65e0),
+        (1_928_286, 0x648c_5ffb_459e_8013),
+        (55_341, 0xa090_9c26_03e4_3d46),
+    ];
+    for ((what, text), pin) in exports.iter().zip(pins) {
+        assert_eq!(
+            (text.len(), fnv1a(FNV_OFFSET, text.as_bytes())),
+            pin,
+            "{what}"
+        );
     }
 }
 
