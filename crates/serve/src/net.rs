@@ -12,7 +12,7 @@
 //! `accept(2)`. On drain it stops accepting, lets every handler flush
 //! its pending responses, and returns — zero admitted jobs are lost.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering;
@@ -24,6 +24,11 @@ use crate::server::{Server, SubmitResult};
 
 /// How often the accept loop and idle readers re-check the drain flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Longest request line accepted, newline excluded. The 140-frame paper
+/// trace encodes inline to ~3.6 MB, so this refuses no legitimate
+/// request while bounding what one connection can make the reader hold.
+const MAX_LINE_BYTES: usize = 16 << 20;
 
 enum Pending {
     Ready(String),
@@ -97,7 +102,10 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
     // is cleared only once the whole line has been handled.
     let mut line = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
+        // At most one byte past the cap, so an over-long line is seen
+        // without reading (or holding) the rest of it.
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) if line.is_empty() => break, // EOF
             Ok(_) => {}
             Err(e)
@@ -110,6 +118,14 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
                 continue;
             }
             Err(_) => break,
+        }
+        if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            // One error line, then close: the rest of the line cannot be
+            // skipped without reading it. Earlier answers still drain.
+            let _ = pending_tx.send(Pending::Ready(error_line(&format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes"
+            ))));
+            break;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
             break; // invalid UTF-8 closes the connection

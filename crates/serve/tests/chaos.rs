@@ -467,6 +467,82 @@ fn deeply_nested_request_line_is_refused_and_the_connection_keeps_serving() {
         .expect("daemon result");
 }
 
+/// A client that never sends a newline must not grow its connection's
+/// buffer without limit: 20 MB with no newline is past the 16 MiB line
+/// cap, so it gets one error line after the answers to its earlier
+/// requests, and the connection closes. New connections are still served.
+#[test]
+fn over_long_request_line_is_refused_and_the_connection_closes() {
+    let server = Server::start(
+        library(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let stop = AtomicBool::new(false);
+    let daemon = std::thread::spawn({
+        let server = server.clone();
+        move || run_daemon(&server, listener, &stop).map_err(|e| e.to_string())
+    });
+
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        // A daemon that waits for the newline forever fails the test
+        // instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let writer = stream.try_clone().expect("clone");
+        (writer, BufReader::new(stream))
+    };
+    let read_json = |reader: &mut BufReader<TcpStream>, context: &str| -> JsonValue {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect(context);
+        JsonValue::parse(line.trim()).unwrap_or_else(|e| panic!("{context}: {e}: {line}"))
+    };
+
+    let (mut writer, mut reader) = connect();
+    writeln!(writer, r#"{{"op":"health"}}"#).unwrap();
+    // The daemon stops reading at the cap and closes, so the rest of the
+    // payload may fail to send; only the answers matter.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 20_000_000]);
+    });
+    let health = read_json(&mut reader, "health before the long line");
+    assert_eq!(health.get("ok").and_then(JsonValue::as_bool), Some(true));
+    let refused = read_json(&mut reader, "long line");
+    assert_eq!(refused.get("ok").and_then(JsonValue::as_bool), Some(false));
+    assert_eq!(
+        refused.get("status").and_then(JsonValue::as_str),
+        Some("error")
+    );
+    let error = refused.get("error").and_then(JsonValue::as_str);
+    assert!(error.is_some_and(|e| e.contains("exceeds")), "{refused:?}");
+    let mut rest = String::new();
+    assert!(
+        !matches!(reader.read_line(&mut rest), Ok(n) if n > 0),
+        "connection still open after the error line: {rest}"
+    );
+    flood.join().expect("flood thread");
+
+    let (mut writer, mut reader) = connect();
+    writeln!(writer, r#"{{"op":"health"}}"#).unwrap();
+    let health = read_json(&mut reader, "health on a new connection");
+    assert_eq!(health.get("ok").and_then(JsonValue::as_bool), Some(true));
+
+    writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+    let ack = read_json(&mut reader, "shutdown ack");
+    assert_eq!(ack.get("ok").and_then(JsonValue::as_bool), Some(true));
+    drop(writer);
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon result");
+}
+
 #[test]
 fn deadline_timeout_is_reported_as_timeout() {
     let server = Server::start(

@@ -527,7 +527,8 @@ pub(crate) struct ReplayState {
     decisions: Vec<DecisionExplain>,
     journal: Vec<FabricJournalEntry>,
     // Observers interested in the per-segment stream, resolved once —
-    // the segment dispatch runs millions of times per replay.
+    // the segment dispatch runs once per batch and per fallback segment,
+    // the most frequent dispatch of a replay.
     seg_observers: Vec<usize>,
     // Poll gates, resolved once per replay: a backend that can never
     // produce recovery events (no fault model) or telemetry (capture off)
@@ -647,39 +648,19 @@ pub(crate) fn replay_invocation(
         // no-ops, and each non-empty one yields exactly one segment.
         let consumed = system.execute_bursts_batched(&bursts[bi..], now, &mut state.segments);
         if consumed > 0 {
-            // With no segment observers only the clock matters, and each
-            // consumed segment advances it independently of the previous
-            // one (`seg.start` comes from the backend) — so land directly
-            // on the end of the last consumed non-empty burst.
-            if state.seg_observers.is_empty() {
-                if let Some(seg) = state.segments.last() {
-                    let b = bursts[bi..bi + consumed]
-                        .iter()
-                        .rfind(|b| b.count != 0)
-                        .expect("a segment implies a non-empty consumed burst");
-                    let per = u64::from(seg.latency) + u64::from(b.overhead);
-                    now = seg.start + seg.count * per;
-                }
-                bi += consumed;
-                continue;
+            let batch = &bursts[bi..bi + consumed];
+            for &i in &state.seg_observers {
+                observers[i].on_batch(batch, &state.segments);
             }
-            let mut segs = state.segments.iter();
-            for b in &bursts[bi..bi + consumed] {
-                if b.count == 0 {
-                    continue;
-                }
-                let seg = segs
-                    .next()
-                    .expect("one segment per non-empty consumed burst");
+            // Each consumed segment's start comes from the backend, not
+            // from the previous segment, so the clock lands directly on
+            // the end of the last consumed non-empty burst.
+            if let Some(seg) = state.segments.last() {
+                let b = batch
+                    .iter()
+                    .rfind(|b| b.count != 0)
+                    .expect("a segment implies a non-empty consumed burst");
                 let per = u64::from(seg.latency) + u64::from(b.overhead);
-                let event = SimEvent::SegmentExecuted {
-                    si: b.si,
-                    segment: *seg,
-                    overhead: b.overhead,
-                };
-                for &i in &state.seg_observers {
-                    observers[i].on_event(&event);
-                }
                 now = seg.start + seg.count * per;
             }
             bi += consumed;

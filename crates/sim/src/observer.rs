@@ -19,6 +19,7 @@ use rispp_monitor::HotSpotId;
 
 use crate::context::TraceContext;
 use crate::stats::RunStats;
+use crate::trace::Burst;
 
 /// How a [`SimEvent::HotSpotEntered`] transition became known.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,9 +166,53 @@ pub enum SimEvent {
 /// Observers are driven synchronously from the replay loop in
 /// registration order; they must not assume anything about the backend
 /// beyond what the events carry.
+///
+/// # Delivery contract
+///
+/// Each observer sees the same events in the same order whichever way
+/// the engine replays a burst. Bursts stepped one by one arrive as
+/// [`SimEvent::SegmentExecuted`] events through
+/// [`on_event`](SimObserver::on_event); a run of bursts the backend
+/// advanced in one batched step arrives as one
+/// [`on_batch`](SimObserver::on_batch) call, whose default replays the
+/// same `SegmentExecuted` events one by one. Only the interleaving
+/// across observers changes: an event still reaches every observer
+/// before the next one is emitted, but a batch goes whole to the first
+/// segment observer before the second sees any of it, so observers no
+/// longer alternate segment by segment inside a batch. A wrapper that
+/// inspects segments (like [`DetectorObserver`](crate::DetectorObserver))
+/// keeps the default `on_batch`, so each segment passes through its
+/// `on_event`.
 pub trait SimObserver {
     /// Handles one event.
     fn on_event(&mut self, event: &SimEvent);
+
+    /// Handles one batched run of bursts: `segments` holds exactly one
+    /// unsplit segment per non-empty burst of `bursts`, in order, and
+    /// zero-count bursts have none (the contract of
+    /// [`ExecutionSystem::execute_bursts_batched`](crate::ExecutionSystem::execute_bursts_batched)).
+    /// Only observers that [want segments](SimObserver::wants_segments)
+    /// get this call.
+    ///
+    /// The default hands each pair to [`on_event`](SimObserver::on_event)
+    /// as a [`SimEvent::SegmentExecuted`], exactly the events per-burst
+    /// replay would emit. Override it only when the batch can be folded
+    /// with the same result; [`RunStats`] does, adding the counts in one
+    /// loop.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if `segments` holds fewer segments than
+    /// `bursts` has non-empty bursts.
+    fn on_batch(&mut self, bursts: &[Burst], segments: &[BurstSegment]) {
+        for (b, segment) in batch_pairs(bursts, segments) {
+            self.on_event(&SimEvent::SegmentExecuted {
+                si: b.si,
+                segment: *segment,
+                overhead: b.overhead,
+            });
+        }
+    }
 
     /// Receives the run's causal [`TraceContext`] before the first event,
     /// when the driving [`SimConfig`](crate::SimConfig) carries one.
@@ -179,8 +224,9 @@ pub trait SimObserver {
     }
 
     /// Whether this observer wants the per-segment stream
-    /// ([`SimEvent::SegmentExecuted`]) — by far the highest-frequency
-    /// event of a replay (one per burst segment, millions per run).
+    /// ([`SimEvent::SegmentExecuted`] and [`on_batch`](SimObserver::on_batch))
+    /// — by far the highest-frequency event of a replay (one per burst
+    /// segment, millions per run).
     /// Observers that only react to coarse events (e.g. progress
     /// reporting on [`SimEvent::RunFinished`]) override this to `false`
     /// and the replay loop skips the dispatch entirely; every other
@@ -190,9 +236,26 @@ pub trait SimObserver {
     }
 }
 
+/// Pairs each non-empty burst of a batch with its segment, in order (the
+/// [`SimObserver::on_batch`] contract).
+fn batch_pairs<'a>(
+    bursts: &'a [Burst],
+    segments: &'a [BurstSegment],
+) -> impl Iterator<Item = (&'a Burst, &'a BurstSegment)> {
+    let mut segs = segments.iter();
+    bursts
+        .iter()
+        .filter(|b| b.count != 0)
+        .map(move |b| (b, segs.next().expect("one segment per non-empty burst")))
+}
+
 impl<O: SimObserver + ?Sized> SimObserver for &mut O {
     fn on_event(&mut self, event: &SimEvent) {
         (**self).on_event(event);
+    }
+
+    fn on_batch(&mut self, bursts: &[Burst], segments: &[BurstSegment]) {
+        (**self).on_batch(bursts, segments);
     }
 
     fn set_trace_context(&mut self, context: TraceContext) {
@@ -257,6 +320,31 @@ impl SimObserver for RunStats {
             | SimEvent::TenantSwitched { .. }
             | SimEvent::Decision(_)
             | SimEvent::ContainerTransition(_) => {}
+        }
+    }
+
+    fn on_batch(&mut self, bursts: &[Burst], segments: &[BurstSegment]) {
+        let pairs = batch_pairs(bursts, segments);
+        if self.has_detail() {
+            for (b, seg) in pairs {
+                let per = u64::from(seg.latency) + u64::from(b.overhead);
+                self.record_segment(
+                    b.si,
+                    seg.start,
+                    seg.count,
+                    per,
+                    seg.latency,
+                    seg.is_hardware(),
+                );
+            }
+            return;
+        }
+        for (b, seg) in pairs {
+            let i = b.si.index();
+            self.si_executions[i] += seg.count;
+            if seg.is_hardware() {
+                self.hardware_executions[i] += seg.count;
+            }
         }
     }
 }
