@@ -1,11 +1,10 @@
 //! Regenerates Figure 7: execution time vs. #Atom Containers per scheduler.
 //!
 //! Usage: `fig7 [frames] [--json [PATH]]` (default 140 frames, the paper's
-//! setting). With `--json` a machine-readable benchmark record of the sweep
-//! — wall-clock, worker threads, simulated cycles and throughput — is
-//! written to `PATH` (default `BENCH_sweep.json`).
-
-use std::time::Instant;
+//! setting). With `--json` the sweep's cycle pin — frame count, job count
+//! and total simulated cycles — is written to `PATH` (default
+//! `BENCH_sweep.json`). Throughput is measured by the standalone
+//! benchmark's `fig7` workload, not here.
 
 use rispp_bench::experiments::{quick_workload, scheduler_sweep_observed, AC_SWEEP};
 use rispp_bench::report::fig7_table;
@@ -54,14 +53,12 @@ fn main() {
         "sweeping {AC_SWEEP:?} ACs x 4 schedulers + Molen ({jobs} simulations) on {} thread(s)...",
         runner.threads()
     );
-    let started = Instant::now();
     let sweep = scheduler_sweep_observed(&runner, workload.trace(), AC_SWEEP, |done, total| {
         eprint!("\r  {done}/{total} simulations");
         if done == total {
             eprintln!();
         }
     });
-    let wall = started.elapsed();
     println!("{}", fig7_table(&sweep));
     println!("{}", rispp_bench::report::table2(&sweep));
 
@@ -72,12 +69,8 @@ fn main() {
                 .iter()
                 .map(|p| p.cycles.iter().sum::<u64>() + p.molen_cycles)
                 .sum::<u64>();
-        let wall_s = wall.as_secs_f64();
         let json = format!(
-            "{{\n  \"benchmark\": \"fig7_scheduler_sweep\",\n  \"frames\": {frames},\n  \"threads\": {},\n  \"jobs\": {jobs},\n  \"wall_clock_s\": {wall_s:.6},\n  \"simulated_cycles\": {simulated_cycles},\n  \"simulated_cycles_per_s\": {:.0},\n  \"jobs_per_s\": {:.3}\n}}\n",
-            runner.threads(),
-            simulated_cycles as f64 / wall_s.max(1e-9),
-            jobs as f64 / wall_s.max(1e-9),
+            "{{\n  \"benchmark\": \"fig7_scheduler_sweep\",\n  \"frames\": {frames},\n  \"jobs\": {jobs},\n  \"simulated_cycles\": {simulated_cycles}\n}}\n"
         );
         match std::fs::write(&path, json) {
             Ok(()) => eprintln!("wrote {path}"),

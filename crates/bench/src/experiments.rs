@@ -60,13 +60,6 @@ impl SchedulerSweep {
     }
 }
 
-/// Generates the paper's 140-frame CIF workload (about a second in a
-/// release build; cache it).
-#[must_use]
-pub fn paper_workload() -> EncoderWorkload {
-    EncoderWorkload::paper_cif()
-}
-
 /// A reduced workload for quick experiments and CI.
 #[must_use]
 pub fn quick_workload(frames: u32) -> EncoderWorkload {
@@ -82,24 +75,14 @@ pub fn quick_workload(frames: u32) -> EncoderWorkload {
 /// worker count.
 #[must_use]
 pub fn scheduler_sweep<I: IntoIterator<Item = u16>>(trace: &Trace, containers: I) -> SchedulerSweep {
-    scheduler_sweep_on(&SweepRunner::from_env(), trace, containers)
+    scheduler_sweep_observed(&SweepRunner::from_env(), trace, containers, |_, _| {})
 }
 
-/// [`scheduler_sweep`] on an explicit runner (thread-scaling benchmarks and
-/// determinism tests).
-#[must_use]
-pub fn scheduler_sweep_on<I: IntoIterator<Item = u16>>(
-    runner: &SweepRunner,
-    trace: &Trace,
-    containers: I,
-) -> SchedulerSweep {
-    scheduler_sweep_observed(runner, trace, containers, |_, _| {})
-}
-
-/// [`scheduler_sweep_on`] with live progress: `report(finished, total)` is
-/// invoked after every completed run, from whichever worker finished it
-/// (a [`ProgressObserver`] per job over one shared counter). The returned
-/// statistics are bit-identical to the unobserved sweep.
+/// [`scheduler_sweep`] on an explicit runner with live progress:
+/// `report(finished, total)` is invoked after every completed run, from
+/// whichever worker finished it (a [`ProgressObserver`] per job over one
+/// shared counter). The returned statistics are bit-identical to the
+/// unobserved sweep.
 #[must_use]
 pub fn scheduler_sweep_observed<I, R>(
     runner: &SweepRunner,

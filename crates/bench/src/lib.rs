@@ -1,10 +1,11 @@
-//! Benchmark harness regenerating every table and figure of the paper.
+//! Binaries regenerating every table and figure of the paper.
 //!
 //! Each experiment of the evaluation section has one function in
 //! [`experiments`] returning structured results, a printing helper in
-//! [`report`], a standalone binary (`cargo run --release -p rispp-bench
-//! --bin fig7` etc.) and a Criterion bench. The per-experiment index lives
-//! in the repository's `DESIGN.md`.
+//! [`report`] and a standalone binary (`cargo run --release -p rispp-bench
+//! --bin fig7` etc.). The per-experiment index lives in the repository's
+//! `DESIGN.md`. Host throughput is measured by the standalone `benchmark/`
+//! package, which calls the library crates directly and never this one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,6 +14,7 @@
 
 use std::fmt::Write as _;
 
+use rispp_model::{SiId, SiLibrary};
 use rispp_sim::{
     Burst, FaultConfig, Invocation, LatencyEvent, RunStats, SimConfig, SystemKind, Trace,
 };
@@ -496,7 +497,6 @@ pub fn materialise_trace(payload: &str) -> Result<Trace, String> {
 }
 
 fn decode_trace(value: &JsonValue) -> Result<Trace, String> {
-    use rispp_model::SiId;
     use rispp_monitor::HotSpotId;
 
     let invocations = value
@@ -567,6 +567,49 @@ fn decode_trace(value: &JsonValue) -> Result<Trace, String> {
         });
     }
     Ok(Trace::from_invocations(decoded))
+}
+
+/// Checks that `trace` can be replayed against `library`: every burst and
+/// hint names an SI of the library, and the worst-case cycle total fits
+/// the engine's `u64` clock. The worst case prices every execution at its
+/// SI's software latency plus the burst's overhead, since no backend runs
+/// an SI slower than its software trap (Molen clamps its accelerators to
+/// it, RISPP picks hardware only when it is faster).
+///
+/// # Errors
+///
+/// Returns a message naming the first out-of-library SI, or the
+/// worst-case total when it exceeds `u64::MAX`.
+pub(crate) fn check_replayable(trace: &Trace, library: &SiLibrary) -> Result<(), String> {
+    let outside = |i: usize, what: &str, si: SiId| {
+        format!(
+            "invocation {i}: {what} names SI {} outside the {}-SI library",
+            si.0,
+            library.len()
+        )
+    };
+    let mut worst = 0u128;
+    for (i, inv) in trace.invocations().iter().enumerate() {
+        if let Some(&(si, _)) = inv.hints.iter().find(|(si, _)| library.si(*si).is_none()) {
+            return Err(outside(i, "a hint", si));
+        }
+        worst += u128::from(inv.prologue_cycles);
+        for b in &inv.bursts {
+            let def = library
+                .si(b.si)
+                .ok_or_else(|| outside(i, "a burst", b.si))?;
+            worst +=
+                u128::from(b.count) * (u128::from(def.software_latency()) + u128::from(b.overhead));
+        }
+    }
+    // `worst` cannot wrap: each term is below 2^66, and a trace that fits
+    // in memory has far fewer than 2^62 of them.
+    if worst > u128::from(u64::MAX) {
+        return Err(format!(
+            "worst-case total of {worst} cycles overflows the 64-bit cycle clock"
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -673,7 +716,6 @@ mod tests {
     use rispp_core::SchedulerKind;
 
     fn tiny_trace() -> Trace {
-        use rispp_model::SiId;
         use rispp_monitor::HotSpotId;
         Trace::from_invocations(vec![Invocation {
             hot_spot: HotSpotId(1),

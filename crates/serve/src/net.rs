@@ -203,6 +203,12 @@ pub fn run_daemon(
             }
             Err(e) => return Err(e),
         }
+        // Join the handlers of closed connections now: an exited
+        // thread's stack stays mapped until it is joined, so a
+        // long-lived daemon would otherwise run out of memory maps.
+        for finished in handlers.extract_if(.., |h| h.is_finished()) {
+            let _ = finished.join();
+        }
     }
     // Stop admitting, finish the backlog, then let handlers flush their
     // final responses and close.

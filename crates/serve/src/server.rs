@@ -32,7 +32,7 @@ use rispp_sim::{
 use rispp_telemetry::{MetricsRegistry, MetricsSnapshot};
 
 use crate::cache::LruCache;
-use crate::job::{materialise_trace, JobOutcome, JobSpec, JobStatus};
+use crate::job::{check_replayable, materialise_trace, JobOutcome, JobSpec, JobStatus};
 use crate::poison::PoisonList;
 use crate::queue::{AdmissionQueue, PushError};
 use crate::watchdog::DeadlineWatchdog;
@@ -512,10 +512,14 @@ fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
         return outcome(JobStatus::Timeout, None, 0);
     }
 
-    let trace = match inner
-        .cache
-        .get_or_try_insert(&spec.trace_payload, || materialise_trace(&spec.trace_payload))
-    {
+    // A trace the engine cannot replay is refused here, before the cache
+    // and the retry loop: its panic would count against the config hash
+    // and poison that config for every client.
+    let trace = match inner.cache.get_or_try_insert(&spec.trace_payload, || {
+        let trace = materialise_trace(&spec.trace_payload)?;
+        check_replayable(&trace, &inner.library)?;
+        Ok(trace)
+    }) {
         Ok(trace) => trace,
         Err(e) => return outcome(JobStatus::Error(e), None, 0),
     };

@@ -8,7 +8,9 @@
 //! 2. rejected jobs are inert: a queue-full refusal never executes,
 //!    never touches the warm trace cache and never counts an attempt;
 //! 3. cancellation is clean: a job cancelled mid-run neither poisons
-//!    its config nor corrupts the cached trace it was using.
+//!    its config nor corrupts the cached trace it was using;
+//! 4. a trace the engine cannot replay is refused with an error before
+//!    any attempt: it never poisons its config or enters the cache.
 
 use std::sync::mpsc::TryRecvError;
 use std::time::{Duration, Instant};
@@ -18,7 +20,7 @@ use rispp_core::SchedulerKind;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_serve::{
-    encode_trace, JobSpec, JobStatus, Server, ServerConfig, SubmitResult,
+    encode_trace, JobOutcome, JobSpec, JobStatus, Server, ServerConfig, SubmitResult,
 };
 use rispp_sim::{Burst, Invocation, SimConfig, Trace};
 
@@ -51,6 +53,16 @@ fn payload(invocations: usize, count: u32) -> String {
             .collect(),
     );
     encode_trace(&trace)
+}
+
+/// A one-invocation inline-trace payload with the given bursts and hints.
+fn inline(bursts: Vec<Burst>, hints: Vec<(SiId, u64)>) -> String {
+    encode_trace(&Trace::from_invocations(vec![Invocation {
+        hot_spot: HotSpotId(0),
+        prologue_cycles: 10,
+        bursts,
+        hints,
+    }]))
 }
 
 fn spec(id: &str, containers: u16, trace_payload: String) -> JobSpec {
@@ -220,4 +232,61 @@ proptest! {
         assert_eq!(srv.poisoned_configs(), 0);
         srv.await_drained();
     }
+}
+
+#[test]
+fn unreplayable_traces_are_refused_without_an_attempt() {
+    let srv = server(8);
+    let run = |id: &str, trace_payload: String| -> JobOutcome {
+        match srv.submit(spec(id, 2, trace_payload)) {
+            SubmitResult::Enqueued(t) => t.outcome.recv().expect("outcome"),
+            SubmitResult::Refused(o) => panic!("{id} refused at admission: {:?}", o.status),
+        }
+    };
+    let burst = |si: u16, count: u32, overhead: u32| Burst {
+        si: SiId(si),
+        count,
+        overhead,
+    };
+    let refused = |outcome: &JobOutcome| {
+        assert!(
+            matches!(outcome.status, JobStatus::Error(_)),
+            "{}: {:?}",
+            outcome.id,
+            outcome.status
+        );
+        assert_eq!(outcome.attempts, 0, "{}", outcome.id);
+        assert!(outcome.stats.is_none(), "{}", outcome.id);
+    };
+
+    // The library has one SI: SI 99 is outside it. Resubmitting the same
+    // payload misses the cache again, so it was never inserted.
+    for i in 0..3 {
+        refused(&run(
+            &format!("outside-{i}"),
+            inline(vec![burst(99, 5, 2)], vec![]),
+        ));
+    }
+    assert_eq!(srv.cache_stats(), (0, 3));
+    // Replaying count × (software latency + overhead) for this burst
+    // would take more than 2^64 cycles.
+    refused(&run(
+        "overflow",
+        inline(vec![burst(0, u32::MAX, u32::MAX)], vec![]),
+    ));
+    refused(&run(
+        "hint",
+        inline(vec![burst(0, 5, 2)], vec![(SiId(7), 5)]),
+    ));
+
+    // The same config still serves a replayable trace.
+    let ok = run("valid", payload(2, 30));
+    assert_eq!(ok.status, JobStatus::Completed);
+    assert_eq!(ok.attempts, 1);
+    assert_eq!(srv.poisoned_configs(), 0);
+    assert_eq!(
+        srv.metrics_snapshot().counter("rispp_serve_panics_total"),
+        0
+    );
+    srv.await_drained();
 }
