@@ -11,8 +11,10 @@ pub struct Options {
 
 impl Options {
     /// Parses `--key value` pairs and bare `--flag`s (a `--key` followed by
-    /// another option or nothing is treated as a flag).
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// another option or nothing is treated as a flag). Every name must be
+    /// one of `known`, the options the subcommand takes, so a misspelt
+    /// option fails instead of being ignored.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Self, String> {
         let mut options = Options::default();
         let mut i = 0;
         while i < args.len() {
@@ -20,6 +22,13 @@ impl Options {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{arg}`"));
             };
+            if !known.contains(&name) {
+                return Err(if known.is_empty() {
+                    format!("unknown option `{arg}`: this command takes no options")
+                } else {
+                    format!("unknown option `{arg}`: expected --{}", known.join(", --"))
+                });
+            }
             match args.get(i + 1) {
                 Some(value) if !value.starts_with("--") => {
                     options.values.insert(name.to_string(), value.clone());
@@ -59,9 +68,11 @@ impl Options {
 mod tests {
     use super::*;
 
+    const KNOWN: &[&str] = &["acs", "csv", "frames", "oracle"];
+
     fn parse(args: &[&str]) -> Options {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Options::parse(&owned).expect("valid args")
+        Options::parse(&owned, KNOWN).expect("valid args")
     }
 
     #[test]
@@ -82,7 +93,16 @@ mod tests {
     #[test]
     fn rejects_positional_arguments() {
         let owned = vec!["positional".to_string()];
-        assert!(Options::parse(&owned).is_err());
+        assert!(Options::parse(&owned, KNOWN).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_options() {
+        let owned = vec!["--acs".to_string(), "4".to_string(), "--ac".to_string()];
+        let err = Options::parse(&owned, KNOWN).unwrap_err();
+        assert!(err.contains("`--ac`") && err.contains("--frames"), "{err}");
+        let err = Options::parse(&owned[..2], &[]).unwrap_err();
+        assert!(err.contains("no options"), "{err}");
     }
 
     #[test]

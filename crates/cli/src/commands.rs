@@ -4,18 +4,17 @@ use std::process::ExitCode;
 
 use rispp_core::{GreedySelector, ScheduleRequest, SchedulerKind, SelectionRequest};
 use rispp_fabric::ReconfigPortConfig;
-use rispp_h264::{h264_si_library, EncoderConfig, EncoderWorkload, SiKind};
+use rispp_h264::{h264_si_library, SiKind};
 use rispp_model::Molecule;
 use rispp_sim::{
     simulate as run_simulation, simulate_multi, simulate_observed_planned, FaultConfig,
-    MetricsObserver,
-    PerfettoTraceObserver, ProgressObserver, SimConfig, SimEvent, SimObserver, SweepJob,
-    SweepRunner, SystemKind, TenancyConfig, TenantArbitration, TenantPolicy, Trace,
-    TraceLogObserver,
+    MetricsObserver, PerfettoTraceObserver, SimConfig, SimEvent, SimObserver, SystemKind,
+    TenancyConfig, TenantArbitration, TenantPolicy, Trace, TraceLogObserver,
 };
 use rispp_telemetry::{Bundle, JsonValue};
 
 use crate::args::Options;
+use crate::experiments::quick_workload;
 
 pub(crate) fn fail(message: &str) -> ExitCode {
     eprintln!("error: {message}");
@@ -54,8 +53,8 @@ pub(crate) fn write_metrics(path: &str, snapshot: &rispp_telemetry::MetricsSnaps
 /// [`rispp_fabric::fault::FaultModel`]; anything above 1 would silently
 /// saturate at [`rispp_fabric::fault::PPM`] (1,000,000 ppm = certainty)
 /// deep in the model, so the CLI rejects it up front with the ceiling
-/// spelled out. Shared by every fault-injecting subcommand (`simulate`,
-/// `resilience`, `serve` job specs) so they all fail identically.
+/// spelled out. Shared by every fault-injecting subcommand (`simulate`
+/// and `submit`'s job specs) so they all fail identically.
 fn parse_fault_rate(raw: &str) -> Result<f64, String> {
     let rate: f64 = raw
         .parse()
@@ -85,7 +84,7 @@ pub(crate) fn fault_options(options: &Options) -> Result<Option<FaultConfig>, St
     Ok(Some(fault))
 }
 
-fn scheduler_kind(name: &str) -> Option<SchedulerKind> {
+pub(crate) fn scheduler_kind(name: &str) -> Option<SchedulerKind> {
     match name.to_ascii_lowercase().as_str() {
         "hef" => Some(SchedulerKind::Hef),
         "asf" => Some(SchedulerKind::Asf),
@@ -106,7 +105,7 @@ fn system_kind(name: &str) -> Option<SystemKind> {
 
 /// `rispp-cli inventory [--molecules]`.
 pub fn inventory(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let options = match Options::parse(args, &["molecules"]) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -144,7 +143,7 @@ pub fn inventory(args: &[String]) -> ExitCode {
 
 /// `rispp-cli schedule [--acs N] [--scheduler KIND]`.
 pub fn schedule(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let options = match Options::parse(args, &["acs", "scheduler"]) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -222,7 +221,22 @@ pub fn schedule(args: &[String]) -> ExitCode {
 /// [--csv] [--log-events PATH] [--metrics-out PATH] [--trace-out PATH]
 /// [--explain]`.
 pub fn simulate(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let known = [
+        "frames",
+        "acs",
+        "system",
+        "oracle",
+        "bandwidth",
+        "fault-rate",
+        "fault-seed",
+        "max-retries",
+        "csv",
+        "log-events",
+        "metrics-out",
+        "trace-out",
+        "explain",
+    ];
+    let options = match Options::parse(args, &known) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -281,9 +295,7 @@ pub fn simulate(args: &[String]) -> ExitCode {
     }
 
     eprintln!("encoding {frames} CIF frames...");
-    let mut encoder_config = EncoderConfig::paper_cif();
-    encoder_config.frames = frames;
-    let workload = EncoderWorkload::generate(&encoder_config);
+    let workload = quick_workload(frames);
     let library = h264_si_library();
 
     let mut metrics = metrics_out.as_ref().map(|_| MetricsObserver::new());
@@ -302,8 +314,7 @@ pub fn simulate(args: &[String]) -> ExitCode {
         },
     };
 
-    let mut plan_stats = None;
-    let stats = {
+    let (stats, plan) = {
         let mut extra: Vec<&mut dyn SimObserver> = Vec::new();
         if let Some(m) = metrics.as_mut() {
             extra.push(m);
@@ -317,17 +328,10 @@ pub fn simulate(args: &[String]) -> ExitCode {
         if let Some((_, l)) = log.as_mut() {
             extra.push(l);
         }
-        if extra.is_empty() {
-            run_simulation(&library, workload.trace(), &config)
-        } else {
-            let (stats, plan) =
-                simulate_observed_planned(&library, workload.trace(), &config, None, &mut extra);
-            plan_stats = Some(plan);
-            stats
-        }
+        simulate_observed_planned(&library, workload.trace(), &config, None, &mut extra)
     };
-    if let (Some(m), Some(plan)) = (metrics.as_mut(), plan_stats.as_ref()) {
-        m.record_plan_cache(plan);
+    if let Some(m) = metrics.as_mut() {
+        m.record_plan_cache(&plan);
     }
 
     if let Some((path, mut l)) = log {
@@ -389,175 +393,6 @@ pub fn simulate(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `rispp-cli sweep [--frames N] [--from N] [--to N]`.
-pub fn sweep(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let frames: u32 = match options.number("frames", 20) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let from: u16 = match options.number("from", 5) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let to: u16 = match options.number("to", 24) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    if from > to {
-        return fail("--from must not exceed --to");
-    }
-    let runner = SweepRunner::from_env();
-    eprintln!(
-        "encoding {frames} CIF frames and sweeping {from}..={to} ACs on {} thread(s)...",
-        runner.threads()
-    );
-    let mut encoder_config = EncoderConfig::paper_cif();
-    encoder_config.frames = frames;
-    let workload = EncoderWorkload::generate(&encoder_config);
-    let library = h264_si_library();
-
-    // One row per AC count: the four schedulers, then Molen — all
-    // independent, so the whole grid fans out over the runner's workers.
-    let trace = workload.trace();
-    let mut jobs: Vec<SweepJob<'_>> = Vec::new();
-    for acs in from..=to {
-        for kind in SchedulerKind::ALL {
-            jobs.push(SweepJob::new(SimConfig::rispp(acs, kind), trace));
-        }
-        jobs.push(SweepJob::new(SimConfig::molen(acs), trace));
-    }
-    // Live progress on stderr: each job carries a ProgressObserver sharing
-    // one counter, so the count is global across the parallel workers.
-    let finished = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let total = jobs.len();
-    let results = runner.run_observed(&library, &jobs, |_| {
-        let finished = std::sync::Arc::clone(&finished);
-        vec![Box::new(ProgressObserver::new(total, finished, |done, total| {
-            eprint!("\r  {done}/{total} runs");
-            if done == total {
-                eprintln!();
-            }
-        })) as Box<dyn SimObserver>]
-    });
-
-    let per_row = SchedulerKind::ALL.len() + 1;
-    println!("  #ACs       ASF      FSFR       SJF       HEF     Molen");
-    for (row, acs) in (from..=to).enumerate() {
-        print!("  {acs:>4}");
-        for stats in &results[row * per_row..(row + 1) * per_row] {
-            print!("{:>10.1}", stats.total_cycles as f64 / 1e6);
-        }
-        println!();
-    }
-    ExitCode::SUCCESS
-}
-
-/// `rispp-cli resilience [--frames N] [--acs N] [--fault-rate R]
-/// [--fault-seed S] [--max-retries N] [--csv]`.
-///
-/// Sweeps the fault rate (or runs the single `--fault-rate`) on the HEF
-/// scheduler and reports how gracefully the self-healing run-time system
-/// degrades towards the cISA software floor.
-pub fn resilience(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let frames: u32 = match options.number("frames", 10) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let acs: u16 = match options.number("acs", 15) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let rates: Vec<f64> = match options.value("fault-rate") {
-        None => vec![0.0, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25],
-        Some(raw) => match parse_fault_rate(raw) {
-            Ok(r) => vec![r],
-            Err(e) => return fail(&e),
-        },
-    };
-    let seed: u64 = match options.number("fault-seed", FaultConfig::DEFAULT_SEED) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let max_retries: u32 = match options.number("max-retries", FaultConfig::uniform(0.0).max_retries)
-    {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-
-    let runner = SweepRunner::from_env();
-    eprintln!(
-        "encoding {frames} CIF frames and sweeping {} fault rate(s) on {} thread(s)...",
-        rates.len(),
-        runner.threads()
-    );
-    let mut encoder_config = EncoderConfig::paper_cif();
-    encoder_config.frames = frames;
-    let workload = EncoderWorkload::generate(&encoder_config);
-    let library = h264_si_library();
-    let trace = workload.trace();
-
-    // The cISA floor every degraded run is measured against.
-    let software = run_simulation(&library, trace, &SimConfig::software_only());
-
-    let configs: Vec<SimConfig> = rates
-        .iter()
-        .map(|&rate| {
-            let mut fault = FaultConfig::uniform(rate);
-            fault.seed = seed;
-            fault.max_retries = max_retries;
-            SimConfig::rispp(acs, SchedulerKind::Hef).with_fault(fault)
-        })
-        .collect();
-    let jobs: Vec<SweepJob<'_>> = configs.iter().map(|c| SweepJob::new(*c, trace)).collect();
-    let results = runner.run(&library, &jobs);
-
-    if options.flag("csv") {
-        println!(
-            "fault_rate,total_cycles,speedup_vs_software,faults_injected,load_retries,\
-             containers_quarantined,degraded_to_software,fault_cycles_lost"
-        );
-        for (rate, stats) in rates.iter().zip(&results) {
-            println!(
-                "{rate},{},{:.4},{},{},{},{},{}",
-                stats.total_cycles,
-                software.total_cycles as f64 / stats.total_cycles.max(1) as f64,
-                stats.faults_injected,
-                stats.load_retries,
-                stats.containers_quarantined,
-                stats.degraded_to_software,
-                stats.fault_cycles_lost
-            );
-        }
-    } else {
-        println!("HEF on {acs} ACs, seed {seed:#x}, max retries {max_retries}:");
-        println!("  fault rate   speedup    faults   retries  quarantined  degraded");
-        for (rate, stats) in rates.iter().zip(&results) {
-            println!(
-                "  {rate:>10.4}{:>10.2}x{:>10}{:>10}{:>13}{:>10}",
-                software.total_cycles as f64 / stats.total_cycles.max(1) as f64,
-                stats.faults_injected,
-                stats.load_retries,
-                stats.containers_quarantined,
-                stats.degraded_to_software
-            );
-        }
-        println!(
-            "  software floor: {} cycles ({:.1} M); every row must stay >= 1.00x",
-            software.total_cycles,
-            software.total_cycles as f64 / 1e6
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 /// `rispp-cli profile [--frames N] [--acs N] [--system KIND]
 /// [--metrics-out PATH] [--trace-out PATH]`.
 ///
@@ -565,7 +400,8 @@ pub fn resilience(args: &[String]) -> ExitCode {
 /// profile: where the simulated cycles went per SI, how each Atom
 /// Container spent the run, and what the run-time system decided.
 pub fn profile(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let known = ["frames", "acs", "system", "metrics-out", "trace-out"];
+    let options = match Options::parse(args, &known) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -593,9 +429,7 @@ pub fn profile(args: &[String]) -> ExitCode {
     .with_journal(true);
 
     eprintln!("encoding {frames} CIF frames...");
-    let mut encoder_config = EncoderConfig::paper_cif();
-    encoder_config.frames = frames;
-    let workload = EncoderWorkload::generate(&encoder_config);
+    let workload = quick_workload(frames);
     let library = h264_si_library();
 
     let mut metrics = MetricsObserver::new();
@@ -699,7 +533,7 @@ pub fn profile(args: &[String]) -> ExitCode {
 /// trace-event JSON with at least one Atom Container track and at least
 /// one scheduler decision event. Used by the CI telemetry smoke test.
 pub fn check_trace(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let options = match Options::parse(args, &["file"]) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -757,7 +591,7 @@ pub fn check_trace(args: &[String]) -> ExitCode {
 /// fabric journal tail and the event tail. Exits 0 iff the bundle
 /// parses; a truncated-but-readable bundle is rendered with a warning.
 pub fn forensics(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let options = match Options::parse(args, &["file"]) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -877,30 +711,6 @@ pub fn forensics(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `rispp-cli hw`.
-pub fn hw(args: &[String]) -> ExitCode {
-    if let Err(e) = Options::parse(args) {
-        return fail(&e);
-    }
-    let paper = rispp_hw::AreaReport::paper_hef();
-    let estimate = rispp_hw::area_estimate(&rispp_hw::AreaParameters::default());
-    let atom = rispp_hw::AreaReport::paper_average_atom();
-    println!("HEF scheduler hardware (paper Table 3 vs parametric model):");
-    println!("  characteristic      paper HEF   model HEF   avg atom");
-    println!("  # slices            {:>9}   {:>9}   {:>8}", paper.slices, estimate.slices, atom.slices);
-    println!("  # LUTs              {:>9}   {:>9}   {:>8}", paper.luts, estimate.luts, atom.luts);
-    println!("  # FFs               {:>9}   {:>9}   {:>8}", paper.ffs, estimate.ffs, atom.ffs);
-    println!("  # MULT18X18         {:>9}   {:>9}   {:>8}", paper.mult18x18, estimate.mult18x18, atom.mult18x18);
-    println!("  gate equivalents    {:>9}   {:>9}   {:>8}", paper.gate_equivalents, estimate.gate_equivalents, atom.gate_equivalents);
-    println!("  clock delay [ns]    {:>9.3}   {:>9.3}   {:>8.3}", paper.clock_delay_ns, estimate.clock_delay_ns, atom.clock_delay_ns);
-    println!(
-        "  utilisation {:.2}% of the xc2v3000; fits one Atom Container: {}",
-        paper.device_utilisation_percent(),
-        paper.fits_one_atom_container()
-    );
-    ExitCode::SUCCESS
-}
-
 /// The encoder workload rotated by `offset` invocations, so phase-shifted
 /// tenant instances are never in the same hot spot at the same time.
 fn phase_shift(trace: &Trace, offset: usize) -> Trace {
@@ -924,7 +734,17 @@ fn phase_shift(trace: &Trace, offset: usize) -> Trace {
 /// cross-app Atom reuse, contention-aware eviction) and `partitioned`
 /// (hard `containers / K` quota per app).
 pub fn contend(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let known = [
+        "frames",
+        "apps",
+        "from",
+        "to",
+        "scheduler",
+        "arbitration",
+        "csv",
+        "json",
+    ];
+    let options = match Options::parse(args, &known) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -974,9 +794,7 @@ pub fn contend(args: &[String]) -> ExitCode {
     eprintln!(
         "encoding {frames} CIF frames and contending {apps} app(s) over {from}..={to} ACs..."
     );
-    let mut encoder_config = EncoderConfig::paper_cif();
-    encoder_config.frames = frames;
-    let workload = EncoderWorkload::generate(&encoder_config);
+    let workload = quick_workload(frames);
     let library = h264_si_library();
     let traces: Vec<Trace> = (0..usize::from(apps))
         .map(|i| phase_shift(workload.trace(), i))
@@ -1199,7 +1017,7 @@ mod tests {
     fn fault_options_is_shared_and_validates() {
         let parse = |args: &[&str]| {
             let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            Options::parse(&owned).unwrap()
+            Options::parse(&owned, &["fault-rate", "fault-seed"]).unwrap()
         };
         assert!(fault_options(&parse(&[])).unwrap().is_none());
         let f = fault_options(&parse(&["--fault-rate", "0.25", "--fault-seed", "7"]))

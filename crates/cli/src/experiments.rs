@@ -35,32 +35,7 @@ pub struct SchedulerSweep {
     pub points: Vec<SweepPoint>,
 }
 
-impl SchedulerSweep {
-    /// Cycles of `kind` at `containers`.
-    #[must_use]
-    pub fn cycles(&self, containers: u16, kind: SchedulerKind) -> Option<u64> {
-        let idx = SchedulerKind::ALL.iter().position(|&k| k == kind)?;
-        self.points
-            .iter()
-            .find(|p| p.containers == containers)
-            .map(|p| p.cycles[idx])
-    }
-
-    /// Speedup of HEF over Molen at each point (paper Table 2 bottom row).
-    #[must_use]
-    pub fn hef_vs_molen(&self) -> Vec<(u16, f64)> {
-        let hef = SchedulerKind::ALL
-            .iter()
-            .position(|&k| k == SchedulerKind::Hef)
-            .expect("HEF is in ALL");
-        self.points
-            .iter()
-            .map(|p| (p.containers, p.molen_cycles as f64 / p.cycles[hef] as f64))
-            .collect()
-    }
-}
-
-/// A reduced workload for quick experiments and CI.
+/// The paper's synthetic CIF workload, encoded for `frames` frames.
 #[must_use]
 pub fn quick_workload(frames: u32) -> EncoderWorkload {
     let mut config = EncoderConfig::paper_cif();
@@ -70,19 +45,10 @@ pub fn quick_workload(frames: u32) -> EncoderWorkload {
 
 /// Runs the Figure 7 / Table 2 sweep over `containers` for the given trace,
 /// fanning the independent `(AC count, system)` simulations across the
-/// [`SweepRunner`]'s worker threads (thread count from `RISPP_THREADS` or
-/// the machine's parallelism). Results are deterministic regardless of the
-/// worker count.
-#[must_use]
-pub fn scheduler_sweep<I: IntoIterator<Item = u16>>(trace: &Trace, containers: I) -> SchedulerSweep {
-    scheduler_sweep_observed(&SweepRunner::from_env(), trace, containers, |_, _| {})
-}
-
-/// [`scheduler_sweep`] on an explicit runner with live progress:
-/// `report(finished, total)` is invoked after every completed run, from
-/// whichever worker finished it (a [`ProgressObserver`] per job over one
-/// shared counter). The returned statistics are bit-identical to the
-/// unobserved sweep.
+/// `runner`'s worker threads. Results are deterministic regardless of the
+/// worker count. `report(finished, total)` is invoked after every
+/// completed run, from whichever worker finished it (a
+/// [`ProgressObserver`] per job over one shared counter).
 #[must_use]
 pub fn scheduler_sweep_observed<I, R>(
     runner: &SweepRunner,

@@ -1,13 +1,16 @@
 //! `rispp-cli` — command-line interface to the RISPP run-time system.
 //!
-//! Subcommands: `inventory`, `schedule`, `simulate`, `sweep`, `resilience`,
-//! `profile`, `contend`, `check-trace`, `forensics`, `hw`, `serve`,
-//! `submit`. Run `rispp-cli help` for details.
+//! Subcommands: `inventory`, `schedule`, `simulate`, `reproduce`,
+//! `profile`, `contend`, `check-trace`, `forensics`, `serve`, `submit`.
+//! Run `rispp-cli help` for details.
 
 #![forbid(unsafe_code)]
 
 mod args;
 mod commands;
+mod experiments;
+mod report;
+mod reproduce;
 mod serving;
 
 use std::process::ExitCode;
@@ -18,13 +21,11 @@ fn main() -> ExitCode {
         Some("inventory") => commands::inventory(&argv[1..]),
         Some("schedule") => commands::schedule(&argv[1..]),
         Some("simulate") => commands::simulate(&argv[1..]),
-        Some("sweep") => commands::sweep(&argv[1..]),
-        Some("resilience") => commands::resilience(&argv[1..]),
+        Some("reproduce") => reproduce::reproduce(&argv[1..]),
         Some("profile") => commands::profile(&argv[1..]),
         Some("contend") => commands::contend(&argv[1..]),
         Some("check-trace") => commands::check_trace(&argv[1..]),
         Some("forensics") => commands::forensics(&argv[1..]),
-        Some("hw") => commands::hw(&argv[1..]),
         Some("serve") => serving::serve(&argv[1..]),
         Some("submit") => serving::submit(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
@@ -69,16 +70,23 @@ SUBCOMMANDS:
         trace-event JSON timeline for https://ui.perfetto.dev; --explain
         prints every run-time decision with all scored candidates.
 
-    sweep [--frames N] [--from N] [--to N]
-        The Figure 7 sweep: all four schedulers plus Molen across an
-        Atom Container range (default 5..=24).
-
-    resilience [--frames N] [--acs N] [--fault-rate R] [--fault-seed S]
-               [--max-retries N] [--csv]
-        Sweep the fault rate on the HEF scheduler (default ladder
-        0..=0.25, or a single --fault-rate) and report speedup plus the
-        self-healing counters: faults injected, load retries, quarantined
-        containers and cISA software degradations.
+    reproduce EXPERIMENT [--frames N] [--json PATH]
+        Regenerate one table or figure of the paper's evaluation:
+          fig2 [--frames N]     ME with vs. without stepwise upgrade (4)
+          fig4, fig5            the toy schedules and upgrade paths
+          fig7 [--frames N] [--json PATH]
+                                Figure 7 and Table 2: the scheduler sweep
+                                over 5..=24 ACs (140); --json writes its
+                                simulated-cycle pin
+          fig8                  HEF detail at 10 ACs
+          table1, table3        SI inventory; HEF hardware and FSM timing
+          ablations [--frames N]
+                                forecast policy and port bandwidth (30)
+          resilience [--frames N] [--json PATH]
+                                HEF speedup vs. fault rate with the
+                                self-healing counters (20); exits 1 unless
+                                the curve degrades gracefully
+        Defaults in parentheses are frame counts.
 
     profile [--frames N] [--acs N] [--system KIND] [--metrics-out PATH]
             [--trace-out PATH]
@@ -104,9 +112,6 @@ SUBCOMMANDS:
         the failure: admission identity, plan-cache state, retained
         scheduler decisions, fabric journal and event-tail statistics.
 
-    hw
-        The HEF scheduler hardware report (paper Table 3) and FSM timing.
-
     serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
           [--deadline-ms MS] [--poison-threshold N] [--max-attempts N]
           [--cache-capacity N] [--metrics-out PATH] [--flight-dir DIR]
@@ -124,8 +129,8 @@ SUBCOMMANDS:
 
     submit --addr HOST:PORT [--frames N] [--acs N | --from N --to N]
            [--scheduler KIND] [--repeat K] [--fault-rate R]
-           [--fault-seed S] [--deadline-ms MS] [--chaos-panics N]
-           [--compare-local] [--shutdown] [--health]
+           [--fault-seed S] [--max-retries N] [--deadline-ms MS]
+           [--chaos-panics N] [--compare-local] [--shutdown] [--health]
         Submit a fig7-shaped batch (one job per container count) to a
         running daemon and print each outcome. --compare-local re-runs
         every completed job through the batch path and verifies the
@@ -137,5 +142,5 @@ SUBCOMMANDS:
 
 ENVIRONMENT:
     RISPP_THREADS=N
-        Worker threads for sweep-style commands (default: all cores).
+        Worker threads for `reproduce`'s sweeps (default: all cores).
 ";

@@ -1,4 +1,4 @@
-//! Table/series formatting for the experiment binaries and benches.
+//! Table/series formatting for `rispp-cli reproduce`.
 
 use rispp_core::SchedulerKind;
 use rispp_model::SiId;

@@ -12,14 +12,26 @@ use rispp_sim::{simulate as run_simulation, SimConfig};
 use rispp_telemetry::JsonValue;
 
 use crate::args::Options;
-use crate::commands::{fail, fault_options, write_metrics};
+use crate::commands::{fail, fault_options, scheduler_kind, write_metrics};
 
 /// `rispp-cli serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
 /// [--deadline-ms MS] [--poison-threshold N] [--max-attempts N]
 /// [--cache-capacity N] [--metrics-out PATH] [--flight-dir DIR]
 /// [--flight-events N]`.
 pub fn serve(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let known = [
+        "addr",
+        "workers",
+        "queue-capacity",
+        "deadline-ms",
+        "poison-threshold",
+        "max-attempts",
+        "cache-capacity",
+        "metrics-out",
+        "flight-dir",
+        "flight-events",
+    ];
+    let options = match Options::parse(args, &known) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -85,22 +97,29 @@ pub fn serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn scheduler_from(name: &str) -> Option<SchedulerKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "hef" => Some(SchedulerKind::Hef),
-        "asf" => Some(SchedulerKind::Asf),
-        "fsfr" => Some(SchedulerKind::Fsfr),
-        "sjf" => Some(SchedulerKind::Sjf),
-        _ => None,
-    }
-}
-
 /// `rispp-cli submit --addr HOST:PORT [--frames N] [--acs N | --from N --to N]
 /// [--scheduler KIND] [--repeat K] [--fault-rate R] [--fault-seed S]
 /// [--max-retries N] [--deadline-ms MS] [--chaos-panics N]
 /// [--compare-local] [--shutdown] [--health]`.
 pub fn submit(args: &[String]) -> ExitCode {
-    let options = match Options::parse(args) {
+    let known = [
+        "addr",
+        "frames",
+        "acs",
+        "from",
+        "to",
+        "scheduler",
+        "repeat",
+        "fault-rate",
+        "fault-seed",
+        "max-retries",
+        "deadline-ms",
+        "chaos-panics",
+        "compare-local",
+        "shutdown",
+        "health",
+    ];
+    let options = match Options::parse(args, &known) {
         Ok(o) => o,
         Err(e) => return fail(&e),
     };
@@ -160,7 +179,7 @@ pub fn submit(args: &[String]) -> ExitCode {
         let scheduler = match options.value("scheduler") {
             None => SchedulerKind::Hef,
             Some(name) => {
-                scheduler_from(name).ok_or_else(|| format!("unknown scheduler `{name}`"))?
+                scheduler_kind(name).ok_or_else(|| format!("unknown scheduler `{name}`"))?
             }
         };
         let fault = fault_options(&options)?;

@@ -483,8 +483,7 @@ impl SimObserver for TraceLogObserver {
 ///
 /// One observer instance is attached per job (they are cheap); the shared
 /// [`AtomicUsize`] makes the count global across worker threads. Used by
-/// the CLI `sweep` command and the `fig7` benchmark binary to print live
-/// progress.
+/// `rispp-cli reproduce fig7` to print live progress.
 #[derive(Debug)]
 pub struct ProgressObserver<F: FnMut(usize, usize)> {
     total: usize,

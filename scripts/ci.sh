@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Local CI gate: release build, tier-1 tests, workspace tests, the
 # standalone benchmark package's tests, smokes, strict clippy, strict
-# rustdoc, then the fig7 cycle pin and the benchmark's fig7 throughput
-# gate (last, so a slow host cannot stop the lint gates from running).
+# rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`) and the
+# benchmark's fig7 throughput gate (last, so a slow host cannot stop the
+# lint gates from running).
 # Everything runs offline against the vendored dev-dependencies in
 # vendor/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace"
-# --workspace: the root package does not depend on the CLI/bench bins,
-# and the smokes below run ./target/release/{rispp-cli,fig7} directly.
+# --workspace: the root package does not depend on the CLI, and the
+# smokes and the cycle pin below run ./target/release/rispp-cli directly.
 cargo build --release --workspace
 
 echo "==> cargo test -q (tier-1: root package)"
@@ -24,17 +25,18 @@ echo "==> cargo test -q (benchmark package)"
 # (its own lock file and target directory), so --workspace skips it.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> fault-sweep smoke (rispp-cli resilience)"
-# Seeded so the run provably exercises the whole recovery path: the CSV row
-# must show injected faults AND quarantined containers, and the run must
-# still complete (exit 0 = forward progress via the cISA fallback).
-smoke=$(./target/release/rispp-cli resilience --frames 2 --fault-rate 0.05 \
-        --fault-seed 1 --csv | tail -1)
-echo "    $smoke"
-faults=$(echo "$smoke" | cut -d, -f4)
-quarantined=$(echo "$smoke" | cut -d, -f6)
+echo "==> fault smoke (rispp-cli simulate --fault-rate)"
+# Seeded so the run provably exercises the whole recovery path: the
+# summary must show injected faults AND quarantined containers, and the
+# run must still complete (exit 0 = forward progress via the cISA
+# fallback).
+smoke=$(./target/release/rispp-cli simulate --frames 2 --fault-rate 0.05 \
+        --fault-seed 1)
+echo "$smoke" | awk '/^(faults injected|ACs quarantined):/{print "    " $0}'
+faults=$(echo "$smoke" | awk '/^faults injected:/{print $3}')
+quarantined=$(echo "$smoke" | awk '/^ACs quarantined:/{print $3}')
 if [ "${faults:-0}" -eq 0 ] || [ "${quarantined:-0}" -eq 0 ]; then
-  echo "ci: resilience smoke failed — expected nonzero faults and quarantines, got $smoke" >&2
+  echo "ci: fault smoke failed — expected nonzero faults and quarantines, got faults=${faults:-none} quarantined=${quarantined:-none}" >&2
   exit 1
 fi
 
@@ -160,14 +162,14 @@ echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> fig7 simulated-cycle pin vs committed BENCH_sweep.json"
-# Correctness gate, independent of host speed: the full sweep over the
-# committed frame count must reproduce the committed simulated cycles
-# exactly, so any drift in the encoder, the trace or the replay fails
-# here. The encode takes about a second.
+# Correctness gate, independent of host speed: `reproduce fig7`, the full
+# sweep over the committed frame count, must reproduce the committed
+# simulated cycles exactly, so any drift in the encoder, the trace or the
+# replay fails here. The encode takes about a second.
 frames=$(grep -o '"frames": [0-9]*' BENCH_sweep.json | awk '{print $2}')
 pinned=$(grep -o '"simulated_cycles": [0-9]*' BENCH_sweep.json | awk '{print $2}')
-RISPP_THREADS=1 ./target/release/fig7 "$frames" --json target/ci_sweep.json \
-  >/dev/null 2>&1
+RISPP_THREADS=1 ./target/release/rispp-cli reproduce fig7 --frames "$frames" \
+  --json target/ci_sweep.json >/dev/null 2>&1
 cycles=$(grep -o '"simulated_cycles": [0-9]*' target/ci_sweep.json | awk '{print $2}')
 echo "    committed ${pinned} simulated cycles, measured ${cycles}"
 if [ "$cycles" != "$pinned" ]; then

@@ -34,8 +34,9 @@
 //! assert!(hef.total_cycles < software.total_cycles);
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `crates/bench`
-//! for the harness regenerating every table and figure of the paper.
+//! See `examples/` for runnable end-to-end scenarios and
+//! `rispp-cli reproduce` (`crates/cli`) for the command regenerating every
+//! table and figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

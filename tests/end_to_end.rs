@@ -254,6 +254,50 @@ fn plan_cache_is_bit_identical_to_planning_from_scratch() {
 }
 
 #[test]
+fn plan_cache_hits_in_the_steady_state() {
+    // One pinned-profile hot spot (the oracle path, so no evolving forecast
+    // perturbs the plan key) re-entered with a dwell long enough for every
+    // scheduled Atom load to complete: after the first entries the fabric
+    // state cycles exactly, so each further entry must replay the memoised
+    // plan. 441 entries hit 439 times; the floor is 70%.
+    use rispp::core::{FabricArbiter, PlanCacheHandle};
+
+    let library = h264_si_library();
+    let mb = 396u64; // CIF macroblocks per frame
+    let demands = [
+        (SiKind::Sad.id(), 45 * mb),
+        (SiKind::Satd.id(), 25 * mb),
+        (SiKind::Dct.id(), 24 * mb),
+        (SiKind::Ht2x2.id(), 2 * mb),
+        (SiKind::Ht4x4.id(), mb / 4),
+        (SiKind::Mc.id(), mb),
+        (SiKind::IPredHdc.id(), mb / 8),
+        (SiKind::IPredVdc.id(), mb / 8),
+        (SiKind::LfBs4.id(), 6 * mb),
+    ];
+    let mut arbiter = FabricArbiter::builder(&library)
+        .containers(20)
+        .plan_cache(PlanCacheHandle::default())
+        .build();
+    let hot_spot = HotSpot::MotionEstimation.id();
+    let mut now = 0u64;
+    for _ in 0..441 {
+        arbiter
+            .enter_hot_spot_with_profile(0, hot_spot, &demands, now)
+            .expect("valid profile");
+        now += 10_000_000;
+        arbiter.exit_hot_spot(0, now);
+        now += 100;
+    }
+    let stats = arbiter.plan_cache_stats();
+    let lookups = stats.hits + stats.misses;
+    assert!(
+        lookups > 0 && stats.hits * 10 >= lookups * 7,
+        "steady-state hit rate below 70%: {stats:?}"
+    );
+}
+
+#[test]
 fn two_tenant_results_are_pinned() {
     // Exact results of the arbitrated multi-tenant path: the 6-frame trace
     // against a copy rotated by half its invocations, HEF at 8 ACs.
