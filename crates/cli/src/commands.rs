@@ -196,7 +196,7 @@ pub fn schedule(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e.to_string()),
     };
     for kind in kinds {
-        let schedule = kind.create().schedule(&request);
+        let schedule = kind.schedule(&request);
         println!("\n{kind} schedule ({} atom loads):", schedule.len());
         for (i, step) in schedule.steps().iter().enumerate() {
             let name = library

@@ -160,7 +160,7 @@ pub struct Fig4Row {
 /// paper's table.
 #[must_use]
 pub fn fig4_schedules() -> (Vec<Fig4Row>, Vec<Fig4Row>) {
-    use rispp_core::{AtomScheduler, HefScheduler, ScheduleRequest, SelectedMolecule};
+    use rispp_core::{ScheduleRequest, SelectedMolecule};
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibraryBuilder};
 
     let universe = AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")])
@@ -215,7 +215,7 @@ pub fn fig4_schedules() -> (Vec<Fig4Row>, Vec<Fig4Row>) {
         rows
     };
 
-    let good_schedule = HefScheduler.schedule(&request);
+    let good_schedule = SchedulerKind::Hef.schedule(&request);
     let good_order: Vec<usize> = good_schedule.atoms().map(|a| a.index()).collect();
     // The bad schedule of Figure 4: all A1 atoms first, then all A2.
     let bad_order = vec![0, 0, 0, 0, 1, 1];
@@ -263,7 +263,7 @@ pub fn fig5_paths() -> Vec<(SchedulerKind, Vec<(u16, usize)>)> {
     SchedulerKind::ALL
         .iter()
         .map(|&kind| {
-            let schedule = kind.create().schedule(&request);
+            let schedule = kind.schedule(&request);
             let path = schedule
                 .upgrades()
                 .into_iter()

@@ -3,8 +3,9 @@
 //! The paper's run-time system assumes a single application owns the whole
 //! reconfigurable fabric. The [`FabricArbiter`] generalises it to K
 //! concurrent applications, each with its own [`AppContext`] (execution
-//! monitor, scheduler, Molecule selection and best-variant cache), all
-//! multiplexed over the fabric under a [`ContentionPolicy`]:
+//! monitor, Molecule selection and best-variant cache), all planned by one
+//! [`SchedulerKind`] and multiplexed over the fabric under a
+//! [`ContentionPolicy`]:
 //!
 //! * [`ContentionPolicy::Partitioned`] statically splits the substrate —
 //!   each tenant gets its own private fabric of `containers_per_app` Atom
@@ -25,6 +26,8 @@
 //! `0`. The single-owner path and the multi-tenant path are therefore one
 //! code path by construction.
 
+use std::sync::Arc;
+
 use rispp_fabric::{ContainerState, Fabric, FabricConfig, FabricEvent, FaultModel, LoadCompleted};
 use rispp_model::{Molecule, SiId, SiLibrary};
 use rispp_monitor::{ExecutionMonitor, ForecastPolicy, HotSpotId};
@@ -35,7 +38,7 @@ use crate::plan_cache::{
     fnv1a_words, library_fingerprint, PlanCacheHandle, PlanCacheStats, PlannedDecision,
 };
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
-use crate::scheduler::{AtomScheduler, SchedulerKind};
+use crate::scheduler::SchedulerKind;
 use crate::selection::{GreedySelector, SelectionRequest};
 use crate::types::{BurstSegment, ScheduleRequest, SelectedMolecule, SiExecution};
 use crate::CoreError;
@@ -75,13 +78,12 @@ impl Default for BestVariantCache {
     }
 }
 
-/// The per-application half of the run-time system: monitor, scheduler,
-/// selection and recovery state of one application, kept apart from the
-/// substrate so the arbiter can hold K of them over one fabric.
+/// The per-application half of the run-time system: monitor, selection and
+/// recovery state of one application, kept apart from the substrate so the
+/// arbiter can hold K of them over one fabric.
 #[derive(Debug)]
 struct AppContext {
     monitor: ExecutionMonitor,
-    scheduler: Box<dyn AtomScheduler>,
     current_hot_spot: Option<HotSpotId>,
     selected: Vec<SelectedMolecule>,
     best_cache: Vec<BestVariantCache>,
@@ -154,8 +156,8 @@ struct BatchMemo {
 /// and adapts to varying requirements via the monitor (task II), and
 /// determines Atom re-loading decisions through selection and scheduling
 /// (task III). It owns the fabric(s) and the reconfiguration port(s), and
-/// multiplexes K per-application contexts (monitor, scheduler, selection,
-/// recovery state) under a [`ContentionPolicy`]. All entry points take the
+/// multiplexes K per-application contexts (monitor, selection, recovery
+/// state) under a [`ContentionPolicy`]. All entry points take the
 /// application index (`app < tenants()`) first; a single-owner run is a
 /// 1-tenant arbiter driven as application `0`.
 #[derive(Debug)]
@@ -328,76 +330,109 @@ impl<'a> FabricArbiter<'a> {
         result
     }
 
-    /// Selects Molecules and (re)programs `app`'s share of the
-    /// reconfiguration queue for `demands` against the *usable*
-    /// (non-quarantined) containers of its fabric. Shared by hot-spot
-    /// entry and post-quarantine re-planning.
+    /// Plans `demands` for `app` against the *usable* (non-quarantined)
+    /// containers of its fabric and (re)programs `app`'s share of the
+    /// reconfiguration queue. Shared by hot-spot entry and post-quarantine
+    /// re-planning. A verified plan-cache hit takes the memoised decision
+    /// and a miss [decides](Self::decide) afresh; either way
+    /// [`apply_decision`](Self::apply_decision) performs the side effects.
     fn plan_app(&mut self, app: usize, demands: &[(SiId, u64)]) -> Result<(), CoreError> {
         let fi = self.fabric_index(app);
-        let usable = self.fabrics[fi].usable_container_count();
-        let total = self.fabrics[fi].container_count();
-        let plan_now = self.fabrics[fi].now();
-        let selection_request = SelectionRequest::new(self.library, demands, usable);
-        let shared_multi =
-            matches!(self.policy, ContentionPolicy::Shared) && self.contexts.len() > 1;
-
-        // Contention pressure: how many *other* demanding tenants claim
-        // each atom type. Only a shared multi-tenant fabric produces a
-        // non-empty vector, so every single-owner run keeps the
-        // schedulers' arithmetic untouched.
         let mut pressure = std::mem::take(&mut self.scratch.pressure_buf);
-        pressure.clear();
-        if shared_multi {
-            pressure.resize(self.library.arity(), 0);
-            let mut any = false;
-            for (other, ctx) in self.contexts.iter().enumerate() {
-                if other == app
-                    || ctx.current_hot_spot.is_none()
-                    || ctx.last_demands.iter().all(|&(_, e)| e == 0)
-                {
-                    continue;
-                }
-                for (i, &count) in ctx.supremum.counts().iter().enumerate() {
-                    if count > 0 {
-                        pressure[i] += 1;
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                pressure.clear();
-            }
-        }
+        self.contention_pressure(app, &mut pressure);
 
-        // Content-addressed plan lookup: the decision below is a pure
-        // function of the key words, so a verified hit replays it without
-        // running selection or scheduling at all (see `crate::PlanCache`).
+        // Content-addressed plan lookup: the decision is a pure function of
+        // the key words, so a verified hit skips selection and scheduling
+        // (see `crate::PlanCache`).
         let mut key = std::mem::take(&mut self.scratch.key_buf);
         key.clear();
         let mut plan_hash = 0u64;
-        if self.plan_cache.is_some() {
+        let mut cached = None;
+        if let Some(handle) = &self.plan_cache {
             self.build_plan_key(app, fi, demands, &pressure, &mut key);
             plan_hash = fnv1a_words(&key);
-            let handle = self.plan_cache.as_ref().expect("checked above");
-            if let Some(entry) = handle.cache().lookup(&key, plan_hash) {
+            cached = handle.cache().lookup(&key, plan_hash);
+            if cached.is_some() {
                 self.plan_stats.hits += 1;
-                self.replay_decision(app, plan_now, demands, &entry);
-                self.scratch.key_buf = key;
-                self.scratch.pressure_buf = pressure;
-                return Ok(());
+            } else {
+                self.plan_stats.misses += 1;
             }
-            self.plan_stats.misses += 1;
         }
+        let decision = match cached {
+            Some(decision) => {
+                self.scratch.pressure_buf = pressure;
+                decision
+            }
+            None => {
+                let decision = Arc::new(self.decide(app, fi, demands, pressure, &key)?);
+                if let Some(handle) = &self.plan_cache {
+                    let memo = Arc::clone(&decision);
+                    self.plan_stats.evictions += handle.cache().insert(plan_hash, memo);
+                    self.plan_stats.insertions += 1;
+                }
+                decision
+            }
+        };
+        self.scratch.key_buf = key;
+        self.apply_decision(app, demands, &decision);
+        Ok(())
+    }
 
-        let ctx = &mut self.contexts[app];
-        let mut sel_explain = ctx.explain_enabled.then(SelectionExplain::default);
-        ctx.selected = GreedySelector.select_explained(&selection_request, sel_explain.as_mut());
-        if !demands.is_empty() && ctx.selected.is_empty() && usable < total {
-            // Quarantines shrank the fabric below what any Molecule needs:
-            // the hot spot continues purely on the cISA software path.
-            ctx.degraded_to_software += 1;
+    /// Whether the tenants share one fabric with co-tenants
+    /// ([`ContentionPolicy::Shared`] with more than one application).
+    fn shared_multi(&self) -> bool {
+        matches!(self.policy, ContentionPolicy::Shared) && self.contexts.len() > 1
+    }
+
+    /// Fills `pressure` with the contention pressure on `app`'s plan: how
+    /// many *other* demanding tenants claim each atom type. Only a shared
+    /// multi-tenant fabric leaves it non-empty, so every single-owner run
+    /// keeps the schedulers' arithmetic untouched.
+    fn contention_pressure(&self, app: usize, pressure: &mut Vec<u64>) {
+        pressure.clear();
+        if !self.shared_multi() {
+            return;
         }
+        pressure.resize(self.library.arity(), 0);
+        let mut any = false;
+        for (other, ctx) in self.contexts.iter().enumerate() {
+            if other == app
+                || ctx.current_hot_spot.is_none()
+                || ctx.last_demands.iter().all(|&(_, e)| e == 0)
+            {
+                continue;
+            }
+            for (i, &count) in ctx.supremum.counts().iter().enumerate() {
+                if count > 0 {
+                    pressure[i] += 1;
+                    any = true;
+                }
+            }
+        }
+        if !any {
+            pressure.clear();
+        }
+    }
 
+    /// Decides a fresh plan for `app` on fabric `fi`: Molecule selection
+    /// within the usable containers, then the Atom schedule, plus both
+    /// explain records when capture is on. Reads only plan-key material
+    /// (`key`, empty without a cache), so the decision may be memoised.
+    fn decide(
+        &mut self,
+        app: usize,
+        fi: usize,
+        demands: &[(SiId, u64)],
+        pressure: Vec<u64>,
+        key: &[u64],
+    ) -> Result<PlannedDecision, CoreError> {
+        let fabric = &self.fabrics[fi];
+        let explain = self.contexts[app].explain_enabled;
+        let mut selection_explain = explain.then(SelectionExplain::default);
+        let selected = GreedySelector.select_explained(
+            &SelectionRequest::new(self.library, demands, fabric.usable_container_count()),
+            selection_explain.as_mut(),
+        );
         let mut expected = std::mem::take(&mut self.scratch.expected_buf);
         expected.clear();
         expected.resize(self.library.len(), 0);
@@ -406,59 +441,80 @@ impl<'a> FabricArbiter<'a> {
         }
         let request = ScheduleRequest::new(
             self.library,
-            self.contexts[app].selected.clone(),
-            self.fabrics[fi].available().clone(),
+            selected.clone(),
+            fabric.available().clone(),
             expected,
         )?
         .with_foreign_pressure(pressure);
-        let ctx = &mut self.contexts[app];
-        let mut sched_explain = ctx
-            .explain_enabled
-            .then(|| ScheduleExplain::new(ctx.scheduler.name()));
-        let schedule = ctx.scheduler.schedule_explained(
+        let mut schedule_explain =
+            explain.then(|| ScheduleExplain::new(self.scheduler_kind.abbreviation()));
+        let schedule = self.scheduler_kind.schedule_with(
             &request,
             &mut self.scratch.sched_buffers,
-            sched_explain.as_mut(),
+            schedule_explain.as_mut(),
         );
         debug_assert!(schedule.validate(&request).is_ok());
-        let explain_payload = match (sel_explain, sched_explain) {
-            (Some(selection), Some(schedule_ex)) => {
-                // Explain records are pure functions of the plan key, so
-                // they are memoised with the decision and replayed on hits.
-                let payload = self
-                    .plan_cache
-                    .is_some()
-                    .then(|| Box::new((selection.clone(), schedule_ex.clone())));
-                ctx.decisions.push(DecisionExplain {
-                    now: plan_now,
-                    hot_spot: ctx.current_hot_spot,
-                    containers: usable,
-                    selection,
-                    schedule: schedule_ex,
-                });
-                payload
-            }
-            _ => None,
+        let decision = PlannedDecision {
+            key: key.into(),
+            selected,
+            atoms: schedule.atoms().collect(),
+            supremum: request.supremum(),
+            explain: selection_explain.zip(schedule_explain).map(Box::new),
         };
+        // Hand the allocations back for the next decision.
+        self.scratch.sched_buffers.reclaim(schedule);
+        (self.scratch.expected_buf, self.scratch.pressure_buf) = request.into_scratch();
+        Ok(decision)
+    }
 
-        let sup = request.supremum();
-        if shared_multi {
-            // Cross-app atom reuse: atoms this plan wants that a co-tenant
-            // already has loaded arrive for free.
-            let fabric = &self.fabrics[fi];
-            let mut reused = 0u64;
+    /// Applies a planning decision for `app`, fresh or memoised — the one
+    /// place its side effects happen: installs the selection, counts a
+    /// degradation to software, captures the explain records, counts
+    /// cross-app atom reuse, claims the supremum, re-protects the union of
+    /// every co-tenant's claim and enqueues the Atom loading sequence.
+    fn apply_decision(&mut self, app: usize, demands: &[(SiId, u64)], decision: &PlannedDecision) {
+        let fi = self.fabric_index(app);
+        let fabric = &self.fabrics[fi];
+        let usable = fabric.usable_container_count();
+        // Quarantines shrank the fabric below what any Molecule needs: the
+        // hot spot continues purely on the cISA software path.
+        let degraded = !demands.is_empty()
+            && decision.selected.is_empty()
+            && usable < fabric.container_count();
+        // Cross-app atom reuse: atoms this plan wants that a co-tenant
+        // already has loaded arrive for free.
+        let mut reused = 0u64;
+        if self.shared_multi() {
             for c in fabric.containers() {
                 if let (Some(atom), Some(owner)) = (c.loaded_atom(), fabric.owner_of(c.id())) {
-                    if usize::from(owner) != app && sup.count(atom.index()) > 0 {
+                    if usize::from(owner) != app && decision.supremum.count(atom.index()) > 0 {
                         reused += 1;
                     }
                 }
             }
-            self.contexts[app].atoms_shared += reused;
         }
-        self.contexts[app].supremum = sup;
-
-        self.fabrics[fi].clear_pending_app(app_tag(app));
+        let now = fabric.now();
+        let ctx = &mut self.contexts[app];
+        ctx.selected.clone_from(&decision.selected);
+        ctx.degraded_to_software += u64::from(degraded);
+        if ctx.explain_enabled {
+            // The explain flag is a key word, so a cached decision carries
+            // its records whenever capture is on.
+            let (selection, schedule) = decision
+                .explain
+                .as_deref()
+                .cloned()
+                .expect("explained decisions carry their records");
+            ctx.decisions.push(DecisionExplain {
+                now,
+                hot_spot: ctx.current_hot_spot,
+                containers: usable,
+                selection,
+                schedule,
+            });
+        }
+        ctx.atoms_shared += reused;
+        ctx.supremum.clone_from(&decision.supremum);
         // The fabric protects the union of every co-tenant's claim, so one
         // tenant's plan can never unprotect what another still needs.
         let protect = Molecule::supremum(
@@ -469,26 +525,10 @@ impl<'a> FabricArbiter<'a> {
                 .map(|(_, c)| &c.supremum),
         )
         .unwrap_or_else(|| Molecule::zero(self.library.arity()));
-        self.fabrics[fi].set_protected(protect);
-        self.fabrics[fi].enqueue_schedule_app(app_tag(app), schedule.atoms());
-        if let Some(handle) = &self.plan_cache {
-            let decision = PlannedDecision {
-                key: key.as_slice().into(),
-                selected: self.contexts[app].selected.clone(),
-                atoms: schedule.atoms().collect(),
-                supremum: self.contexts[app].supremum.clone(),
-                explain: explain_payload,
-            };
-            self.plan_stats.insertions += 1;
-            self.plan_stats.evictions += handle.cache().insert(plan_hash, decision);
-        }
-        // Hand the allocations back for the next hot-spot entry.
-        self.scratch.sched_buffers.reclaim(schedule);
-        let (expected, pressure) = request.into_scratch();
-        self.scratch.expected_buf = expected;
-        self.scratch.pressure_buf = pressure;
-        self.scratch.key_buf = key;
-        Ok(())
+        let fabric = &mut self.fabrics[fi];
+        fabric.clear_pending_app(app_tag(app));
+        fabric.set_protected(protect);
+        fabric.enqueue_schedule_app(app_tag(app), decision.atoms.iter().copied());
     }
 
     /// Writes the canonical plan-key words for planning `demands` of `app`
@@ -543,67 +583,15 @@ impl<'a> FabricArbiter<'a> {
         }
     }
 
-    /// Replays a memoised [`PlannedDecision`] for `app`: restores the
-    /// selection, re-applies the side effects `plan_app` would have
-    /// produced (degradation accounting, explain capture, cross-app reuse
-    /// counting, supremum claim, protected set, reconfiguration queue) and
-    /// enqueues the cached Atom loading sequence verbatim.
-    fn replay_decision(
-        &mut self,
-        app: usize,
-        plan_now: u64,
-        demands: &[(SiId, u64)],
-        entry: &PlannedDecision,
-    ) {
-        let fi = self.fabric_index(app);
-        let usable = self.fabrics[fi].usable_container_count();
-        let total = self.fabrics[fi].container_count();
-        let ctx = &mut self.contexts[app];
-        ctx.selected.clear();
-        ctx.selected.extend_from_slice(&entry.selected);
-        if !demands.is_empty() && ctx.selected.is_empty() && usable < total {
-            ctx.degraded_to_software += 1;
-        }
-        if ctx.explain_enabled {
-            let (selection, schedule) = entry
-                .explain
-                .as_deref()
-                .cloned()
-                .expect("explain flag is a key word, so explain entries carry explains");
-            ctx.decisions.push(DecisionExplain {
-                now: plan_now,
-                hot_spot: ctx.current_hot_spot,
-                containers: usable,
-                selection,
-                schedule,
-            });
-        }
-        let shared_multi =
-            matches!(self.policy, ContentionPolicy::Shared) && self.contexts.len() > 1;
-        if shared_multi {
-            let fabric = &self.fabrics[fi];
-            let mut reused = 0u64;
-            for c in fabric.containers() {
-                if let (Some(atom), Some(owner)) = (c.loaded_atom(), fabric.owner_of(c.id())) {
-                    if usize::from(owner) != app && entry.supremum.count(atom.index()) > 0 {
-                        reused += 1;
-                    }
-                }
-            }
-            self.contexts[app].atoms_shared += reused;
-        }
-        self.contexts[app].supremum.clone_from(&entry.supremum);
-        self.fabrics[fi].clear_pending_app(app_tag(app));
-        let protect = Molecule::supremum(
-            self.contexts
-                .iter()
-                .enumerate()
-                .filter(|&(a, _)| self.fabric_index(a) == fi)
-                .map(|(_, c)| &c.supremum),
-        )
-        .unwrap_or_else(|| Molecule::zero(self.library.arity()));
-        self.fabrics[fi].set_protected(protect);
-        self.fabrics[fi].enqueue_schedule_app(app_tag(app), entry.atoms.iter().copied());
+    /// [`FabricArbiter::sync_fabric_into`] for callers that discard the
+    /// completions: both the event window and the completion list live in
+    /// reused scratch buffers, so the event-processing hot path (burst
+    /// execution crossing a load completion) allocates nothing.
+    fn sync_fabric_discard(&mut self, fi: usize, now: u64) {
+        let mut completions = std::mem::take(&mut self.scratch.completion_buf);
+        completions.clear();
+        self.sync_fabric_into(fi, now, &mut completions);
+        self.scratch.completion_buf = completions;
     }
 
     /// Advances fabric `fi` to `now` and applies the [`RecoveryPolicy`] to
@@ -613,27 +601,8 @@ impl<'a> FabricArbiter<'a> {
     /// retries, and a re-plan of every affected tenant whenever the set of
     /// usable containers shrinks. Steps the fabric event time by event
     /// time so a retry issued in response to an abort plays out its whole
-    /// cascade inside one sync. Returns the successful completions.
-    fn sync_fabric(&mut self, fi: usize, now: u64) -> Vec<LoadCompleted> {
-        let mut completions = Vec::new();
-        self.sync_fabric_into(fi, now, &mut completions);
-        completions
-    }
-
-    /// [`FabricArbiter::sync_fabric`] for callers that discard the
-    /// completions: same recovery cascade, but both the event window and
-    /// the completion list live in reused scratch buffers, so the
-    /// event-processing hot path (burst execution crossing a load
-    /// completion) allocates nothing.
-    fn sync_fabric_discard(&mut self, fi: usize, now: u64) {
-        let mut completions = std::mem::take(&mut self.scratch.completion_buf);
-        completions.clear();
-        self.sync_fabric_into(fi, now, &mut completions);
-        self.scratch.completion_buf = completions;
-    }
-
-    /// Core of [`FabricArbiter::sync_fabric`]: appends the successful
-    /// completions to `completions`.
+    /// cascade inside one sync. Appends the successful completions to
+    /// `completions`.
     fn sync_fabric_into(&mut self, fi: usize, now: u64, completions: &mut Vec<LoadCompleted>) {
         let mut events = std::mem::take(&mut self.scratch.event_buf);
         loop {
@@ -1050,7 +1019,9 @@ impl<'a> FabricArbiter<'a> {
     /// any fault events on the way), returning the atoms that completed.
     pub fn advance_to(&mut self, app: u16, now: u64) -> Vec<LoadCompleted> {
         let fi = self.fabric_index(usize::from(app));
-        self.sync_fabric(fi, now)
+        let mut completions = Vec::new();
+        self.sync_fabric_into(fi, now, &mut completions);
+        completions
     }
 
     /// Enables (or disables) decision capture for application `app`: while
@@ -1318,7 +1289,6 @@ impl<'a> FabricArbiterBuilder<'a> {
         let contexts: Vec<AppContext> = (0..k)
             .map(|_| AppContext {
                 monitor: ExecutionMonitor::new(self.forecast),
-                scheduler: self.scheduler.create(),
                 current_hot_spot: None,
                 selected: Vec::new(),
                 best_cache: vec![BestVariantCache::default(); self.library.len()],

@@ -1,118 +1,63 @@
-use crate::context::{UpgradeBuffers, UpgradeContext};
-use crate::explain::{CandidateScore, ScheduleExplain};
+use crate::context::UpgradeContext;
+use crate::explain::ScheduleExplain;
 use crate::fsfr::{importance_order, upgrade_si_to_selected};
-use crate::scheduler::AtomScheduler;
-use crate::types::{Schedule, ScheduleRequest};
 
-/// *Avoid Software First*: first loads one (small) accelerating Molecule
-/// for **every** SI — so that no SI keeps trapping to the base instruction
-/// set longer than necessary — and then continues like
-/// [`FsfrScheduler`](crate::FsfrScheduler).
+/// [*Avoid Software First*](crate::SchedulerKind::Asf): first loads one
+/// (small) accelerating Molecule for **every** SI — so that no SI keeps
+/// trapping to the base instruction set longer than necessary — and then
+/// continues like FSFR.
 ///
 /// The paper notes the drawback: ASF initially spends reconfiguration
 /// bandwidth even on SIs that are executed far less often than others,
 /// which is why FSFR overtakes it from ~17 Atom Containers on (Figure 7).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsfScheduler;
-
-impl AtomScheduler for AsfScheduler {
-    fn name(&self) -> &'static str {
-        "ASF"
-    }
-
-    fn schedule_with(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-    ) -> Schedule {
-        self.schedule_explained(request, buffers, None)
-    }
-
-    fn schedule_explained(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-        mut explain: Option<&mut ScheduleExplain>,
-    ) -> Schedule {
-        let mut ctx = UpgradeContext::from_buffers(request, buffers);
-
-        // Phase 1: one accelerating molecule per SI. The paper specifies no
-        // ordering here ("first loading an accelerating Molecule for all
-        // SIs"), so ASF walks the SIs in id order — which is exactly why it
-        // "initially spends some time to accelerate all SIs, even though
-        // some of them are significantly less often executed".
-        let mut phase1: Vec<_> = request.selected().to_vec();
-        phase1.sort_by_key(|sel| sel.si);
-        for sel in &phase1 {
-            ctx.clean();
-            let software = request
-                .library()
-                .si(sel.si)
-                .expect("validated")
-                .software_latency();
-            if ctx.best_latency(sel.si) < software {
-                // Already accelerated by initially available atoms or an
-                // overlap with a previously scheduled molecule.
-                continue;
-            }
-            let smallest = ctx
-                .candidates()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.si == sel.si)
-                .min_by_key(|&(i, c)| (ctx.add_atoms(i), c.latency))
-                .map(|(i, _)| i);
-            if let Some(i) = smallest {
-                if let Some(ex) = explain.as_deref_mut() {
-                    record_starter(ex, &ctx, sel.si, i);
-                }
-                ctx.commit(i);
-            }
-        }
-
-        // Phase 2: follow the FSFR path (importance order).
-        for sel in importance_order(&ctx, request) {
-            upgrade_si_to_selected(&mut ctx, request, sel, explain.as_deref_mut());
-        }
-        ctx.finish();
-        ctx.into_schedule(buffers)
+pub(crate) fn schedule(
+    ctx: &mut UpgradeContext<'_, '_>,
+    mut explain: Option<&mut ScheduleExplain>,
+) {
+    load_starters(ctx, explain.as_deref_mut());
+    // Then follow the FSFR path (importance order).
+    for sel in importance_order(ctx) {
+        upgrade_si_to_selected(ctx, sel, explain.as_deref_mut());
     }
 }
 
-/// Records an ASF/SJF phase-1 "starter" commit: the chosen candidate plus
-/// every candidate of the same SI that was in the running.
-pub(crate) fn record_starter(
-    ex: &mut ScheduleExplain,
-    ctx: &UpgradeContext<'_, '_>,
-    si: rispp_model::SiId,
-    chosen_index: usize,
+/// The starter round of ASF and SJF: one accelerating Molecule per SI, the
+/// candidate needing the fewest additional atoms, recorded as a
+/// `"starter"` round. The paper specifies no ordering here ("first loading
+/// an accelerating Molecule for all SIs"), so the SIs are walked in id
+/// order — which is exactly why ASF "initially spends some time to
+/// accelerate all SIs, even though some of them are significantly less
+/// often executed".
+pub(crate) fn load_starters(
+    ctx: &mut UpgradeContext<'_, '_>,
+    mut explain: Option<&mut ScheduleExplain>,
 ) {
-    let scored: Vec<CandidateScore> = ctx
-        .candidates()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.si == si)
-        .map(|(j, c)| CandidateScore {
-            si: c.si,
-            variant_index: c.variant_index,
-            gain: u64::from(ctx.improvement(j)),
-            cost: u64::from(ctx.add_atoms(j)),
-        })
-        .collect();
-    let c = &ctx.candidates()[chosen_index];
-    let chosen = CandidateScore {
-        si: c.si,
-        variant_index: c.variant_index,
-        gain: u64::from(ctx.improvement(chosen_index)),
-        cost: u64::from(ctx.add_atoms(chosen_index)),
-    };
-    ex.record("starter", scored, Some(chosen));
+    let request = ctx.request();
+    let mut starters = request.selected().to_vec();
+    starters.sort_by_key(|sel| sel.si);
+    for sel in starters {
+        ctx.clean();
+        let software = request
+            .library()
+            .si(sel.si)
+            .expect("validated")
+            .software_latency();
+        if ctx.best_latency(sel.si) < software {
+            // Already accelerated by initially available atoms or an
+            // overlap with a previously scheduled molecule.
+            continue;
+        }
+        if let Some(i) = ctx.cheapest_candidate(sel.si) {
+            ctx.explain_round(explain.as_deref_mut(), "starter", Some(sel.si), i);
+            ctx.commit(i);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::types::SelectedMolecule;
+    use crate::types::{ScheduleRequest, SelectedMolecule};
+    use crate::SchedulerKind;
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
     fn two_si_library() -> SiLibrary {
@@ -158,7 +103,7 @@ mod tests {
     fn asf_accelerates_every_si_before_finishing_any() {
         let lib = two_si_library();
         let req = request(&lib, [1000, 10]);
-        let schedule = AsfScheduler.schedule(&req);
+        let schedule = SchedulerKind::Asf.schedule(&req);
         schedule.validate(&req).unwrap();
         let upgrades = schedule.upgrades();
         // Both SIs get their first molecule before any SI reaches its
@@ -176,8 +121,8 @@ mod tests {
     fn asf_differs_from_fsfr_when_one_si_dominates() {
         let lib = two_si_library();
         let req = request(&lib, [1000, 10]);
-        let asf = AsfScheduler.schedule(&req);
-        let fsfr = crate::FsfrScheduler.schedule(&req);
+        let asf = SchedulerKind::Asf.schedule(&req);
+        let fsfr = SchedulerKind::Fsfr.schedule(&req);
         assert_ne!(asf.upgrades(), fsfr.upgrades());
     }
 
@@ -195,7 +140,7 @@ mod tests {
             vec![100, 100],
         )
         .unwrap();
-        let schedule = AsfScheduler.schedule(&req);
+        let schedule = SchedulerKind::Asf.schedule(&req);
         schedule.validate(&req).unwrap();
         // First upgrade must belong to SI1 (SI2 is already accelerated).
         assert_eq!(schedule.upgrades()[0].0, SiId(0));

@@ -1,5 +1,6 @@
 use rispp_model::{AtomTypeId, Molecule, SiId};
 
+use crate::explain::{CandidateScore, ScheduleExplain};
 use crate::types::{Schedule, ScheduleRequest, ScheduleStep, SelectedMolecule};
 
 /// One Molecule-upgrade candidate from the set `M′` of eq. (3): a Molecule
@@ -24,7 +25,7 @@ pub struct Candidate {
 /// caller that schedules repeatedly (e.g.
 /// [`FabricArbiter`](crate::FabricArbiter)) keeps one `UpgradeBuffers`
 /// alive, passes it to
-/// [`AtomScheduler::schedule_with`](crate::AtomScheduler::schedule_with) and
+/// [`SchedulerKind::schedule_with`](crate::SchedulerKind::schedule_with) and
 /// [`reclaim`](UpgradeBuffers::reclaim)s the spent schedule, so the steady
 /// state performs no hot-path allocations.
 #[derive(Debug, Default)]
@@ -165,9 +166,10 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
         }
     }
 
-    /// The request being scheduled.
+    /// The request being scheduled (borrowed for as long as the context's
+    /// request, so it stays readable while the context is mutated).
     #[must_use]
-    pub fn request(&self) -> &ScheduleRequest<'lib> {
+    pub fn request(&self) -> &'a ScheduleRequest<'lib> {
         self.request
     }
 
@@ -261,6 +263,51 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
     #[must_use]
     pub fn improvement(&self, index: usize) -> u32 {
         self.improvement[index]
+    }
+
+    /// Index of the candidate of `si` needing the fewest additional atoms
+    /// (ties: lower latency) — the next step of FSFR's stepwise upgrade and
+    /// of the ASF/SJF starter round.
+    pub(crate) fn cheapest_candidate(&self, si: SiId) -> Option<usize> {
+        self.candidates
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.si == si)
+            .min_by_key(|&(i, c)| (self.add_atoms[i], c.latency))
+            .map(|(i, _)| i)
+    }
+
+    /// The candidate at `index` scored the way FSFR, ASF and SJF rank:
+    /// cached improvement as the gain, additional atoms as the cost.
+    fn score(&self, index: usize) -> CandidateScore {
+        let c = &self.candidates[index];
+        CandidateScore {
+            si: c.si,
+            variant_index: c.variant_index,
+            gain: u64::from(self.improvement[index]),
+            cost: u64::from(self.add_atoms[index]),
+        }
+    }
+
+    /// Records an FSFR/ASF/SJF decision round into `explain` when one is
+    /// supplied: the candidates in the running (those of `si`, or all of
+    /// them for `None`), each [scored](Self::score), with the candidate at
+    /// `chosen` as the winner.
+    pub(crate) fn explain_round(
+        &self,
+        explain: Option<&mut ScheduleExplain>,
+        phase: &'static str,
+        si: Option<SiId>,
+        chosen: usize,
+    ) {
+        let Some(explain) = explain else {
+            return;
+        };
+        let scored = (0..self.candidates.len())
+            .filter(|&j| si.is_none_or(|si| self.candidates[j].si == si))
+            .map(|j| self.score(j))
+            .collect();
+        explain.record(phase, scored, Some(self.score(chosen)));
     }
 
     /// The candidate list without cleaning (test/diagnostic use).
@@ -383,8 +430,8 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
 
     /// Guarantees condition (2): commits every still-missing *selected*
     /// Molecule (cheapest residual first) so that the final atom set equals
-    /// `available ∪ sup(M)`. Called by every scheduler after its candidate
-    /// loop terminates.
+    /// `available ∪ sup(M)`. Runs after every scheduler's candidate loop
+    /// (see [`SchedulerKind::schedule_with`](crate::SchedulerKind::schedule_with)).
     pub fn finish(&mut self) {
         // `request` outlives `&mut self`, so borrowing the molecule out of
         // the library needs no clone while `commit_molecule` mutates `self`.

@@ -1,13 +1,14 @@
 //! Decision traces: structured records of *why* the selector and the
 //! schedulers chose what they chose.
 //!
-//! Explaining is strictly opt-in and side-channel: the explained entry
-//! points ([`GreedySelector::select_explained`](crate::GreedySelector::select_explained),
-//! [`AtomScheduler::schedule_explained`](crate::AtomScheduler::schedule_explained))
-//! run the *same* loop as their unexplained counterparts and only
-//! additionally append to the record when one is supplied, so an explained
-//! run is bit-identical to a plain run. With `None` no candidate list is
-//! built and the hot path stays allocation-free.
+//! Explaining is strictly opt-in and side-channel: the selector
+//! ([`GreedySelector::select_explained`](crate::GreedySelector::select_explained))
+//! and the schedulers
+//! ([`SchedulerKind::schedule_with`](crate::SchedulerKind::schedule_with))
+//! each have one loop that takes the record as an `Option` and only
+//! appends to it when one is supplied, so an explained run is
+//! bit-identical to a plain run. With `None` no candidate list is built
+//! and the hot path stays allocation-free.
 
 use std::fmt;
 

@@ -1,28 +1,29 @@
-
-
-use crate::context::{UpgradeBuffers, UpgradeContext};
+use crate::context::UpgradeContext;
 use crate::explain::{CandidateScore, ScheduleExplain};
-use crate::scheduler::AtomScheduler;
-use crate::types::{Schedule, ScheduleRequest, SelectedMolecule};
+use crate::types::SelectedMolecule;
 
-/// *First Select First Reconfigure*: concentrates on first upgrading the
-/// most important SI (expected executions × potential improvement of its
-/// selected Molecule) through its intermediate Molecules until the selected
-/// Molecule is composed, before starting the second SI, and so on.
+/// [*First Select First Reconfigure*](crate::SchedulerKind::Fsfr): upgrades
+/// the most important SI (expected executions × potential improvement of
+/// its selected Molecule) through its intermediate Molecules until the
+/// selected Molecule is composed, before starting the second SI, and so on.
 ///
 /// The paper shows (Figure 7) that FSFR degrades with a moderate number of
 /// Atom Containers because less important SIs run in software for a long
 /// time, while from ~17 ACs on it overtakes ASF.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FsfrScheduler;
+pub(crate) fn schedule(
+    ctx: &mut UpgradeContext<'_, '_>,
+    mut explain: Option<&mut ScheduleExplain>,
+) {
+    for sel in importance_order(ctx) {
+        upgrade_si_to_selected(ctx, sel, explain.as_deref_mut());
+    }
+}
 
 /// Orders the selected Molecules by descending importance (ties broken by
 /// SI id for determinism).
-pub(crate) fn importance_order(
-    ctx: &UpgradeContext<'_, '_>,
-    request: &ScheduleRequest<'_>,
-) -> Vec<SelectedMolecule> {
-    let mut order: Vec<(u64, SelectedMolecule)> = request
+pub(crate) fn importance_order(ctx: &UpgradeContext<'_, '_>) -> Vec<SelectedMolecule> {
+    let mut order: Vec<(u64, SelectedMolecule)> = ctx
+        .request()
         .selected()
         .iter()
         .map(|&sel| (ctx.importance(sel), sel))
@@ -38,106 +39,43 @@ pub(crate) fn importance_order(
 /// `"direct-load"`) round with the SI's scored candidates.
 pub(crate) fn upgrade_si_to_selected(
     ctx: &mut UpgradeContext<'_, '_>,
-    request: &ScheduleRequest<'_>,
     sel: SelectedMolecule,
     mut explain: Option<&mut ScheduleExplain>,
 ) {
-    loop {
-        if request.molecule(sel).is_subset(ctx.scheduled_atoms()) {
-            return;
-        }
+    let request = ctx.request();
+    while !request.molecule(sel).is_subset(ctx.scheduled_atoms()) {
         ctx.clean();
-        let next = ctx
-            .candidates()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.si == sel.si)
-            .min_by_key(|&(i, c)| (ctx.add_atoms(i), c.latency))
-            .map(|(i, _)| i);
-        match next {
-            Some(i) => {
-                if let Some(ex) = explain.as_deref_mut() {
-                    let scored: Vec<CandidateScore> = ctx
-                        .candidates()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.si == sel.si)
-                        .map(|(j, c)| CandidateScore {
-                            si: c.si,
-                            variant_index: c.variant_index,
-                            gain: u64::from(ctx.improvement(j)),
-                            cost: u64::from(ctx.add_atoms(j)),
-                        })
-                        .collect();
-                    let c = &ctx.candidates()[i];
-                    let chosen = CandidateScore {
-                        si: c.si,
-                        variant_index: c.variant_index,
-                        gain: u64::from(ctx.improvement(i)),
-                        cost: u64::from(ctx.add_atoms(i)),
-                    };
-                    ex.record("importance", scored, Some(chosen));
-                }
-                ctx.commit(i);
-            }
-            None => {
-                // All candidates of this SI were cleaned away (e.g. zero
-                // improvement); load the selected molecule directly. The
-                // molecule borrows from `request`, which outlives `ctx`, so
-                // no clone is needed.
-                let atoms = request.molecule(sel);
-                let latency = request.library().si(sel.si).expect("validated").variants()
-                    [sel.variant_index]
-                    .latency;
-                if let Some(ex) = explain.as_deref_mut() {
-                    let chosen = CandidateScore {
-                        si: sel.si,
-                        variant_index: sel.variant_index,
-                        gain: u64::from(
-                            ctx.best_latency(sel.si).saturating_sub(latency),
-                        ),
-                        cost: u64::from(ctx.scheduled_atoms().residual_atoms(atoms)),
-                    };
-                    ex.record("direct-load", Vec::new(), Some(chosen));
-                }
-                ctx.commit_external(sel.si, sel.variant_index, atoms, latency);
-                return;
-            }
+        if let Some(i) = ctx.cheapest_candidate(sel.si) {
+            ctx.explain_round(explain.as_deref_mut(), "importance", Some(sel.si), i);
+            ctx.commit(i);
+            continue;
         }
-    }
-}
-
-impl AtomScheduler for FsfrScheduler {
-    fn name(&self) -> &'static str {
-        "FSFR"
-    }
-
-    fn schedule_with(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-    ) -> Schedule {
-        self.schedule_explained(request, buffers, None)
-    }
-
-    fn schedule_explained(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-        mut explain: Option<&mut ScheduleExplain>,
-    ) -> Schedule {
-        let mut ctx = UpgradeContext::from_buffers(request, buffers);
-        for sel in importance_order(&ctx, request) {
-            upgrade_si_to_selected(&mut ctx, request, sel, explain.as_deref_mut());
+        // All candidates of this SI were cleaned away (e.g. zero
+        // improvement); load the selected molecule directly. The molecule
+        // borrows from `request`, which outlives `ctx`, so no clone is
+        // needed.
+        let atoms = request.molecule(sel);
+        let latency =
+            request.library().si(sel.si).expect("validated").variants()[sel.variant_index].latency;
+        if let Some(ex) = explain {
+            let chosen = CandidateScore {
+                si: sel.si,
+                variant_index: sel.variant_index,
+                gain: u64::from(ctx.best_latency(sel.si).saturating_sub(latency)),
+                cost: u64::from(ctx.scheduled_atoms().residual_atoms(atoms)),
+            };
+            ex.record("direct-load", Vec::new(), Some(chosen));
         }
-        ctx.finish();
-        ctx.into_schedule(buffers)
+        ctx.commit_external(sel.si, sel.variant_index, atoms, latency);
+        return;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ScheduleRequest;
+    use crate::SchedulerKind;
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
     fn two_si_library() -> SiLibrary {
@@ -184,7 +122,7 @@ mod tests {
         let lib = two_si_library();
         // SI1 more important.
         let req = request(&lib, [1000, 10]);
-        let schedule = FsfrScheduler.schedule(&req);
+        let schedule = SchedulerKind::Fsfr.schedule(&req);
         schedule.validate(&req).unwrap();
         let upgrades = schedule.upgrades();
         let si0_final = upgrades.iter().position(|&u| u == (SiId(0), 2)).unwrap();
@@ -199,7 +137,7 @@ mod tests {
     fn fsfr_steps_through_intermediate_molecules() {
         let lib = two_si_library();
         let req = request(&lib, [1000, 10]);
-        let schedule = FsfrScheduler.schedule(&req);
+        let schedule = SchedulerKind::Fsfr.schedule(&req);
         let upgrades = schedule.upgrades();
         // SI1's path must include intermediate variants 0 and 1 before 2.
         let si0_path: Vec<usize> = upgrades
@@ -214,7 +152,7 @@ mod tests {
     fn fsfr_importance_ordering_reacts_to_expectations() {
         let lib = two_si_library();
         let req = request(&lib, [10, 1000]);
-        let schedule = FsfrScheduler.schedule(&req);
+        let schedule = SchedulerKind::Fsfr.schedule(&req);
         schedule.validate(&req).unwrap();
         let upgrades = schedule.upgrades();
         let si1_final = upgrades.iter().position(|&u| u == (SiId(1), 2)).unwrap();
@@ -235,7 +173,7 @@ mod tests {
             vec![5, 5],
         )
         .unwrap();
-        let schedule = FsfrScheduler.schedule(&req);
+        let schedule = SchedulerKind::Fsfr.schedule(&req);
         schedule.validate(&req).unwrap();
     }
 }

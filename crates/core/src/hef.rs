@@ -1,9 +1,8 @@
-use crate::context::{UpgradeBuffers, UpgradeContext};
+use crate::context::UpgradeContext;
 use crate::explain::{CandidateScore, ScheduleExplain};
-use crate::scheduler::AtomScheduler;
-use crate::types::{Schedule, ScheduleRequest};
 
-/// *Highest Efficiency First* — the paper's proposed scheduler (Figure 6).
+/// [*Highest Efficiency First*](crate::SchedulerKind::Hef) — the paper's
+/// proposed scheduler (Figure 6).
 ///
 /// Each round, every remaining Molecule candidate `o⃗` is scored with
 ///
@@ -20,102 +19,68 @@ use crate::types::{Schedule, ScheduleRequest};
 /// division: `(g₁/c₁) > (g₂/c₂)` is evaluated as `g₁·c₂ > g₂·c₁`, which is
 /// valid because the additional-atom counts are always positive after
 /// cleaning (eq. 4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HefScheduler;
-
-impl AtomScheduler for HefScheduler {
-    fn name(&self) -> &'static str {
-        "HEF"
-    }
-
-    fn schedule_with(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-    ) -> Schedule {
-        self.schedule_explained(request, buffers, None)
-    }
-
-    fn schedule_explained(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-        mut explain: Option<&mut ScheduleExplain>,
-    ) -> Schedule {
-        let mut ctx = UpgradeContext::from_buffers(request, buffers);
-        let mut scored: Vec<CandidateScore> = Vec::new();
-        // On a shared multi-tenant fabric, atoms other tenants forecast
-        // demand for carry a contention surcharge; empty pressure (every
-        // single-owner run) leaves the arithmetic bit-identical.
-        let pressure = request.foreign_pressure();
-        loop {
-            if ctx.clean().is_empty() {
-                break;
+pub(crate) fn schedule(
+    ctx: &mut UpgradeContext<'_, '_>,
+    mut explain: Option<&mut ScheduleExplain>,
+) {
+    let request = ctx.request();
+    let mut scored: Vec<CandidateScore> = Vec::new();
+    // On a shared multi-tenant fabric, atoms other tenants forecast
+    // demand for carry a contention surcharge; empty pressure (every
+    // single-owner run) leaves the arithmetic bit-identical.
+    let pressure = request.foreign_pressure();
+    while !ctx.clean().is_empty() {
+        // bestBenefit starts at 0 and the comparison is strict, so
+        // candidates with zero expected executions are never chosen here
+        // (finish() completes them for condition (2) afterwards).
+        let mut best: Option<(usize, u64, u64)> = None; // (index, gain, cost)
+        for (i, c) in ctx.candidates().iter().enumerate() {
+            let cost = u64::from(ctx.add_atoms(i)) + ctx.pressure_cost(i, pressure);
+            debug_assert!(cost > 0, "cleaning must remove available candidates");
+            let gain = request.expected(c.si) * u64::from(ctx.improvement(i));
+            if explain.is_some() {
+                scored.push(CandidateScore {
+                    si: c.si,
+                    variant_index: c.variant_index,
+                    gain,
+                    cost,
+                });
             }
-            // bestBenefit starts at 0 and the comparison is strict, so
-            // candidates with zero expected executions are never chosen here
-            // (finish() completes them for condition (2) afterwards).
-            let mut best: Option<(usize, u64, u64)> = None; // (index, gain, cost)
-            for (i, c) in ctx.candidates().iter().enumerate() {
-                let cost = u64::from(ctx.add_atoms(i)) + ctx.pressure_cost(i, pressure);
-                debug_assert!(cost > 0, "cleaning must remove available candidates");
-                let gain = request.expected(c.si) * u64::from(ctx.improvement(i));
-                if explain.is_some() {
-                    scored.push(CandidateScore {
-                        si: c.si,
-                        variant_index: c.variant_index,
-                        gain,
-                        cost,
-                    });
+            let better = match best {
+                None => gain > 0,
+                // (gain/cost) > (best_gain/best_cost) without division;
+                // the cross products of two u64s need (and always fit)
+                // u128 — saturating u64 multiplies could collapse both
+                // sides to u64::MAX and mis-order near-overflow gains.
+                Some((_, bg, bc)) => {
+                    u128::from(gain) * u128::from(bc) > u128::from(bg) * u128::from(cost)
                 }
-                let better = match best {
-                    None => gain > 0,
-                    // (gain/cost) > (best_gain/best_cost) without division;
-                    // the cross products of two u64s need (and always fit)
-                    // u128 — saturating u64 multiplies could collapse both
-                    // sides to u64::MAX and mis-order near-overflow gains.
-                    Some((_, bg, bc)) => {
-                        u128::from(gain) * u128::from(bc) > u128::from(bg) * u128::from(cost)
-                    }
-                };
-                if better {
-                    best = Some((i, gain, cost));
-                }
+            };
+            if better {
+                best = Some((i, gain, cost));
             }
-            match best {
-                Some((i, gain, cost)) => {
-                    if let Some(ex) = explain.as_deref_mut() {
-                        let c = &ctx.candidates()[i];
-                        let chosen = CandidateScore {
-                            si: c.si,
-                            variant_index: c.variant_index,
-                            gain,
-                            cost,
-                        };
-                        ex.record("upgrade", std::mem::take(&mut scored), Some(chosen));
-                    }
-                    ctx.commit(i);
-                }
-                None => {
-                    if let Some(ex) = explain.as_deref_mut() {
-                        if !scored.is_empty() {
-                            ex.record("upgrade", std::mem::take(&mut scored), None);
-                        }
-                    }
-                    break;
-                }
-            }
-            scored.clear();
         }
-        ctx.finish();
-        ctx.into_schedule(buffers)
+        let Some((i, _, _)) = best else {
+            if let Some(ex) = explain {
+                if !scored.is_empty() {
+                    ex.record("upgrade", scored, None);
+                }
+            }
+            break;
+        };
+        if let Some(ex) = explain.as_deref_mut() {
+            // `scored` is parallel to the candidate list.
+            let chosen = scored[i];
+            ex.record("upgrade", std::mem::take(&mut scored), Some(chosen));
+        }
+        ctx.commit(i);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::types::SelectedMolecule;
+    use crate::types::{ScheduleRequest, SelectedMolecule};
+    use crate::SchedulerKind;
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
     /// Two SIs over two atom types, as in Figure 5 of the paper.
@@ -162,7 +127,7 @@ mod tests {
     fn hef_schedule_is_valid() {
         let lib = two_si_library();
         let req = request(&lib, [500, 300]);
-        let schedule = HefScheduler.schedule(&req);
+        let schedule = SchedulerKind::Hef.schedule(&req);
         schedule.validate(&req).unwrap();
         // sup = (3,2) ∪ (2,3) = (3,3) -> 6 atoms from scratch.
         assert_eq!(schedule.len(), 6);
@@ -174,7 +139,7 @@ mod tests {
         // SI2 hugely important: its 1-atom molecule (0,1)@200 has benefit
         // 10000·(800-200)/1 = 6e6, far above any SI1 candidate.
         let req = request(&lib, [10, 10_000]);
-        let schedule = HefScheduler.schedule(&req);
+        let schedule = SchedulerKind::Hef.schedule(&req);
         let first = schedule.steps()[0];
         assert_eq!(first.atom.index(), 1);
         assert_eq!(first.completes, Some((SiId(1), 0)));
@@ -184,7 +149,7 @@ mod tests {
     fn hef_interleaves_sis_by_benefit() {
         let lib = two_si_library();
         let req = request(&lib, [500, 450]);
-        let schedule = HefScheduler.schedule(&req);
+        let schedule = SchedulerKind::Hef.schedule(&req);
         let upgrades = schedule.upgrades();
         // Both SIs must receive at least one intermediate upgrade before
         // either reaches its selected molecule.
@@ -202,7 +167,7 @@ mod tests {
     fn hef_with_zero_expectations_still_satisfies_condition_two() {
         let lib = two_si_library();
         let req = request(&lib, [0, 0]);
-        let schedule = HefScheduler.schedule(&req);
+        let schedule = SchedulerKind::Hef.schedule(&req);
         schedule.validate(&req).unwrap();
     }
 
@@ -219,7 +184,7 @@ mod tests {
             vec![100, 100],
         )
         .unwrap();
-        let schedule = HefScheduler.schedule(&req);
+        let schedule = SchedulerKind::Hef.schedule(&req);
         schedule.validate(&req).unwrap();
         // sup = (3,3); available (2,2) -> only 2 atoms to load.
         assert_eq!(schedule.len(), 2);

@@ -8,30 +8,34 @@
 //!
 //! Given the Molecules selected to implement the SIs of an upcoming hot
 //! spot, the already-available Atoms and the expected SI execution counts
-//! (from the [`rispp_monitor`] crate), a [`scheduler`](AtomScheduler)
-//! produces the Atom loading sequence (the scheduling function *SF* of
-//! eq. 1/2 in the paper). Four strategies from the paper are provided:
+//! (from the [`rispp_monitor`] crate), a [`SchedulerKind`] produces the
+//! Atom loading sequence (the scheduling function *SF* of eq. 1/2 in the
+//! paper). Four strategies from the paper are provided, as four choice
+//! rules over one Molecule-upgrade loop ([`UpgradeContext`]):
 //!
-//! * [`FsfrScheduler`] — *First Select First Reconfigure*: fully upgrade
-//!   the most important SI before starting the next.
-//! * [`AsfScheduler`] — *Avoid Software First*: first give every SI a small
-//!   accelerating Molecule, then continue like FSFR.
-//! * [`SjfScheduler`] — *Smallest Job First*: always take the upgrade step
-//!   needing the fewest additional Atoms.
-//! * [`HefScheduler`] — *Highest Efficiency First* (the paper's proposal,
-//!   Figure 6): weight each candidate's latency improvement by its expected
-//!   executions and relativise by the additionally required Atoms.
+//! * [`SchedulerKind::Fsfr`] — *First Select First Reconfigure*: fully
+//!   upgrade the most important SI before starting the next.
+//! * [`SchedulerKind::Asf`] — *Avoid Software First*: first give every SI a
+//!   small accelerating Molecule, then continue like FSFR.
+//! * [`SchedulerKind::Sjf`] — *Smallest Job First*: always take the upgrade
+//!   step needing the fewest additional Atoms.
+//! * [`SchedulerKind::Hef`] — *Highest Efficiency First* (the paper's
+//!   proposal, Figure 6): weight each candidate's latency improvement by
+//!   its expected executions and relativise by the additionally required
+//!   Atoms.
 //!
 //! The crate also implements the Molecule **selection** step
 //! ([`GreedySelector`]) that precedes scheduling and the run-time manager
 //! of paper Section 3.1, [`FabricArbiter`], which ties monitor, selection,
 //! scheduler and the reconfigurable [`rispp_fabric::Fabric`] together for
-//! one application (K=1) or K contending ones.
+//! one application (K=1) or K contending ones. Its plans are memoised in a
+//! [`PlanCache`]; a fresh plan and a cached one are applied by the same
+//! code.
 //!
 //! # Examples
 //!
 //! ```
-//! use rispp_core::{HefScheduler, AtomScheduler, ScheduleRequest, SelectedMolecule};
+//! use rispp_core::{ScheduleRequest, SchedulerKind, SelectedMolecule};
 //! use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiLibraryBuilder};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,7 +52,7 @@
 //!     Molecule::zero(2),
 //!     vec![500],
 //! )?;
-//! let schedule = HefScheduler.schedule(&request);
+//! let schedule = SchedulerKind::Hef.schedule(&request);
 //! assert_eq!(schedule.len(), 4); // loads (2,2) atom by atom
 //! schedule.validate(&request)?;
 //! # Ok(())
@@ -73,23 +77,16 @@ mod sjf;
 mod types;
 
 pub use arbiter::{ContentionPolicy, FabricArbiter, FabricArbiterBuilder};
-pub use asf::AsfScheduler;
 pub use context::{Candidate, UpgradeBuffers, UpgradeContext};
 pub use error::CoreError;
 pub use explain::{
     CandidateScore, DecisionExplain, ScheduleExplain, ScheduleRound, SelectionExplain,
     SelectionRound,
 };
-pub use fsfr::FsfrScheduler;
-pub use hef::HefScheduler;
-pub use plan_cache::{
-    fnv1a_words, library_fingerprint, PlanCache, PlanCacheHandle, PlanCacheStats, PlanKey,
-    PlannedDecision,
-};
+pub use plan_cache::{PlanCache, PlanCacheHandle, PlanCacheStats};
 pub use recovery::{RecoveryPolicy, RecoveryStats};
-pub use scheduler::{AtomScheduler, SchedulerKind};
+pub use scheduler::SchedulerKind;
 pub use selection::{ExhaustiveSelector, GreedySelector, SelectionRequest};
-pub use sjf::SjfScheduler;
 pub use types::{
     BurstSegment, Schedule, ScheduleRequest, ScheduleStep, SelectedMolecule, SiExecution,
 };

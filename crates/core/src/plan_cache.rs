@@ -9,15 +9,16 @@
 //! library. Encoder traces re-enter the same hot spots with recurring
 //! fabric states frame after frame, and sweeps / the job server re-derive
 //! identical plans across thousands of near-identical jobs, so the
-//! [`PlanCache`] memoises the full decision under a canonical [`PlanKey`]:
-//! a hit replays *exactly* the plan the planner would have produced —
-//! bit-identity by construction, because the cache stores and verifies the
-//! complete key material (a 64-bit collision degrades to a miss, never to
-//! a wrong plan).
+//! [`PlanCache`] memoises the full decision under a canonical key: a hit
+//! hands back *exactly* the decision the planner would have produced, and
+//! the arbiter applies a hit and a fresh decision through one function.
+//! Bit-identity holds by construction, because the cache stores and
+//! verifies the complete key material (a 64-bit collision degrades to a
+//! miss, never to a wrong plan).
 //!
 //! # Key derivation
 //!
-//! The [`PlanKey`] is FNV-1a over little-endian `u64` words covering, in
+//! The key is FNV-1a over little-endian `u64` words covering, in
 //! order: the cache namespace (config hash XOR library fingerprint), the
 //! scheduler kind, the fabric **epoch**, the tenant count and application
 //! index, the explain flag, the usable/total container counts (the
@@ -73,10 +74,9 @@ const SHARDS: usize = 16;
 /// state while bounding memory for adversarial key churn.
 const DEFAULT_SHARD_CAPACITY: usize = 1024;
 
-/// FNV-1a over the little-endian bytes of `words` — the canonical
-/// [`PlanKey`] digest.
-#[must_use]
-pub fn fnv1a_words(words: &[u64]) -> u64 {
+/// FNV-1a over the little-endian bytes of `words` — the digest of a plan
+/// key.
+pub(crate) fn fnv1a_words(words: &[u64]) -> u64 {
     let mut hash = FNV_OFFSET;
     for word in words {
         for byte in word.to_le_bytes() {
@@ -87,41 +87,16 @@ pub fn fnv1a_words(words: &[u64]) -> u64 {
     hash
 }
 
-/// Canonical identity of one planning decision: the FNV-1a digest plus
-/// the full key material it was computed over (kept so a digest collision
-/// degrades to a cache miss instead of a wrong plan).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanKey {
-    hash: u64,
-    words: Box<[u64]>,
-}
-
-impl PlanKey {
-    /// Digests `words` into a key. The word layout is produced by the
-    /// arbiter (see the module docs); any canonical encoding works as
-    /// long as producers agree.
-    #[must_use]
-    pub fn from_words(words: &[u64]) -> Self {
-        PlanKey {
-            hash: fnv1a_words(words),
-            words: words.into(),
-        }
-    }
-
-    /// The 64-bit FNV-1a digest.
-    #[must_use]
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// A memoised planning decision: everything `plan_app` derives from its
-/// inputs — the selected Molecule variants, the Atom loading sequence the
-/// scheduler produced (FSFR/ASF/SJF/**HEF ordering** preserved verbatim)
-/// and the plan's supremum, plus the captured explain records when the
-/// inserting context had decision capture on.
+/// A planning decision: everything the arbiter derives from a plan key —
+/// the selected Molecule variants, the Atom loading sequence the scheduler
+/// produced (FSFR/ASF/SJF/**HEF ordering** preserved verbatim) and the
+/// plan's supremum, plus the explain records when the deciding context had
+/// decision capture on.
 #[derive(Debug)]
-pub struct PlannedDecision {
+pub(crate) struct PlannedDecision {
+    /// The full key material the decision was planned under (empty without
+    /// a cache), verified on lookup so a digest collision degrades to a
+    /// miss.
     pub(crate) key: Box<[u64]>,
     pub(crate) selected: Vec<SelectedMolecule>,
     pub(crate) atoms: Vec<AtomTypeId>,
@@ -130,26 +105,6 @@ pub struct PlannedDecision {
     /// themselves pure functions of the key material, so replaying them on
     /// a hit is bit-identical to recomputing them.
     pub(crate) explain: Option<Box<(SelectionExplain, ScheduleExplain)>>,
-}
-
-impl PlannedDecision {
-    /// The selected Molecule variants.
-    #[must_use]
-    pub fn selected(&self) -> &[SelectedMolecule] {
-        &self.selected
-    }
-
-    /// The Atom loading sequence, in scheduler order.
-    #[must_use]
-    pub fn atoms(&self) -> &[AtomTypeId] {
-        &self.atoms
-    }
-
-    /// `sup(M)` of the selected Molecules.
-    #[must_use]
-    pub fn supremum(&self) -> &Molecule {
-        &self.supremum
-    }
 }
 
 /// Deterministic per-run plan-cache counters, surfaced through
@@ -205,7 +160,7 @@ impl PlanCacheStats {
     }
 }
 
-/// Sharded, read-mostly, content-addressed cache of [`PlannedDecision`]s.
+/// Sharded, read-mostly, content-addressed cache of planning decisions.
 ///
 /// One instance may be private to a run (the default — deterministic
 /// counters at any thread count), shared across the jobs of a
@@ -248,10 +203,10 @@ impl PlanCache {
         &self.shards[(hash >> 60) as usize & (SHARDS - 1)]
     }
 
-    /// Looks up the decision memoised under `key`, verifying the *full*
-    /// key material so a digest collision degrades to a miss. Alloc-free.
-    #[must_use]
-    pub fn lookup(&self, key_words: &[u64], hash: u64) -> Option<Arc<PlannedDecision>> {
+    /// Looks up the decision memoised under `key_words` (digest `hash`),
+    /// verifying the *full* key material so a digest collision degrades to
+    /// a miss. Alloc-free.
+    pub(crate) fn lookup(&self, key_words: &[u64], hash: u64) -> Option<Arc<PlannedDecision>> {
         let shard = self.shard(hash).lock().unwrap_or_else(|e| e.into_inner());
         match shard.get(&hash) {
             Some(entry) if entry.key.as_ref() == key_words => {
@@ -265,17 +220,17 @@ impl PlanCache {
         }
     }
 
-    /// Memoises `decision` under `hash`, returning the number of entries
-    /// evicted to make room (a whole shard is cleared when it reaches
-    /// capacity — deterministic for a private cache).
-    pub fn insert(&self, hash: u64, decision: PlannedDecision) -> u64 {
+    /// Memoises `decision` under `hash`, the digest of its key, returning
+    /// the number of entries evicted to make room (a whole shard is cleared
+    /// when it reaches capacity — deterministic for a private cache).
+    pub(crate) fn insert(&self, hash: u64, decision: Arc<PlannedDecision>) -> u64 {
         let mut shard = self.shard(hash).lock().unwrap_or_else(|e| e.into_inner());
         let mut evicted = 0u64;
         if shard.len() >= self.shard_capacity && !shard.contains_key(&hash) {
             evicted = shard.len() as u64;
             shard.clear();
         }
-        shard.insert(hash, Arc::new(decision));
+        shard.insert(hash, decision);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
@@ -376,8 +331,7 @@ impl PlanCacheHandle {
 /// into the key namespace so two libraries with identical shapes but
 /// different latencies/atom mixes can never share plans through a shared
 /// cache.
-#[must_use]
-pub fn library_fingerprint(library: &SiLibrary) -> u64 {
+pub(crate) fn library_fingerprint(library: &SiLibrary) -> u64 {
     let mut hash = FNV_OFFSET;
     let mut mix = |word: u64| {
         for byte in word.to_le_bytes() {
@@ -407,14 +361,14 @@ pub fn library_fingerprint(library: &SiLibrary) -> u64 {
 mod tests {
     use super::*;
 
-    fn decision(key: &[u64]) -> PlannedDecision {
-        PlannedDecision {
+    fn decision(key: &[u64]) -> Arc<PlannedDecision> {
+        Arc::new(PlannedDecision {
             key: key.into(),
             selected: Vec::new(),
             atoms: vec![AtomTypeId(1), AtomTypeId(0)],
             supremum: Molecule::zero(2),
             explain: None,
-        }
+        })
     }
 
     #[test]
@@ -459,10 +413,13 @@ mod tests {
 
     #[test]
     fn namespaces_separate_keys() {
-        let a = PlanKey::from_words(&[7, 1, 2]);
-        let b = PlanKey::from_words(&[8, 1, 2]);
-        assert_ne!(a.hash(), b.hash());
-        assert_ne!(a, b);
+        // The namespace is the first key word: the same planning inputs
+        // under another namespace digest differently and never hit.
+        let cache = PlanCache::new(64);
+        let (a, b) = ([7u64, 1, 2], [8u64, 1, 2]);
+        assert_ne!(fnv1a_words(&a), fnv1a_words(&b));
+        cache.insert(fnv1a_words(&a), decision(&a));
+        assert!(cache.lookup(&b, fnv1a_words(&b)).is_none());
     }
 
     #[test]

@@ -1,63 +1,40 @@
 use std::fmt;
 
-use crate::context::UpgradeBuffers;
+use crate::context::{UpgradeBuffers, UpgradeContext};
 use crate::explain::ScheduleExplain;
 use crate::types::{Schedule, ScheduleRequest};
-use crate::{AsfScheduler, FsfrScheduler, HefScheduler, SjfScheduler};
+use crate::{asf, fsfr, hef, sjf};
 
-/// An Atom scheduler: turns a set of selected Molecules, the available
-/// Atoms and expected SI execution counts into an Atom loading sequence
-/// (the scheduling function SF of paper eq. 1/2).
+/// The four Atom-scheduling strategies evaluated in the paper: each turns
+/// a set of selected Molecules, the available Atoms and expected SI
+/// execution counts into an Atom loading sequence (the scheduling function
+/// SF of paper eq. 1/2).
 ///
-/// Every implementation must produce a schedule satisfying condition (2):
-/// the multiset of loaded Atoms equals `sup(M) ⊖ available`
-/// (see [`Schedule::validate`]).
-pub trait AtomScheduler: fmt::Debug + Send + Sync {
-    /// Human-readable name, e.g. `"HEF"`.
-    fn name(&self) -> &'static str;
-
-    /// Computes the Atom loading sequence for `request`.
-    fn schedule(&self, request: &ScheduleRequest<'_>) -> Schedule {
-        self.schedule_with(request, &mut UpgradeBuffers::new())
-    }
-
-    /// Like [`schedule`](AtomScheduler::schedule), but runs on caller-owned
-    /// [`UpgradeBuffers`] so repeat scheduling (every hot-spot entry of a
-    /// simulation) reuses its allocations. The result must be identical to
-    /// `schedule` for the same request.
-    fn schedule_with(&self, request: &ScheduleRequest<'_>, buffers: &mut UpgradeBuffers)
-        -> Schedule;
-
-    /// Like [`schedule_with`](AtomScheduler::schedule_with), but when
-    /// `explain` is supplied, additionally records each decision round
-    /// (scored candidates and the committed winner) into it.
-    ///
-    /// The returned schedule must be **bit-identical** to `schedule_with`
-    /// for the same request — explaining must only observe, never steer.
-    /// The built-in schedulers implement the real loop here and route
-    /// `schedule_with` through it; the default ignores `explain` so
-    /// third-party schedulers that predate decision traces keep working.
-    fn schedule_explained(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-        explain: Option<&mut ScheduleExplain>,
-    ) -> Schedule {
-        let _ = explain;
-        self.schedule_with(request, buffers)
-    }
-}
-
-/// The four scheduling strategies evaluated in the paper.
+/// All four are choice rules over one Molecule-upgrade loop
+/// ([`UpgradeContext`]): the candidates `M′` of eq. (3), the cleaning rule
+/// of eq. (4) and a commit. Every schedule satisfies condition (2): the
+/// multiset of loaded Atoms equals `sup(M) ⊖ available` (see
+/// [`Schedule::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// First Select First Reconfigure.
+    /// *First Select First Reconfigure*: fully upgrades the most important
+    /// SI (expected executions × potential improvement of its selected
+    /// Molecule) through its intermediate Molecules before starting the
+    /// next. Less important SIs run in software for a long time, which
+    /// costs it at moderate Atom Container counts (paper Figure 7).
     Fsfr,
-    /// Avoid Software First.
+    /// *Avoid Software First*: first gives every SI a small accelerating
+    /// Molecule, then continues like FSFR. It spends reconfiguration
+    /// bandwidth early even on rarely executed SIs.
     Asf,
-    /// Smallest Job First.
+    /// *Smallest Job First*: like ASF it first loads a small Molecule per
+    /// SI, then repeatedly commits the upgrade needing the fewest
+    /// additional Atoms (ties: bigger latency improvement), without
+    /// weighting by expected executions.
     Sjf,
-    /// Highest Efficiency First (the paper's proposal).
+    /// *Highest Efficiency First*, the paper's proposal (Figure 6): commits
+    /// the candidate with the highest latency improvement × expected
+    /// executions per additionally required Atom.
     Hef,
 }
 
@@ -70,17 +47,6 @@ impl SchedulerKind {
         SchedulerKind::Hef,
     ];
 
-    /// Instantiates the scheduler.
-    #[must_use]
-    pub fn create(self) -> Box<dyn AtomScheduler> {
-        match self {
-            SchedulerKind::Fsfr => Box::new(FsfrScheduler),
-            SchedulerKind::Asf => Box::new(AsfScheduler),
-            SchedulerKind::Sjf => Box::new(SjfScheduler),
-            SchedulerKind::Hef => Box::new(HefScheduler),
-        }
-    }
-
     /// The paper's abbreviation.
     #[must_use]
     pub fn abbreviation(self) -> &'static str {
@@ -90,6 +56,39 @@ impl SchedulerKind {
             SchedulerKind::Sjf => "SJF",
             SchedulerKind::Hef => "HEF",
         }
+    }
+
+    /// Computes the Atom loading sequence for `request` on fresh buffers
+    /// and without explaining: [`schedule_with`](Self::schedule_with) for
+    /// one-off schedules.
+    #[must_use]
+    pub fn schedule(self, request: &ScheduleRequest<'_>) -> Schedule {
+        self.schedule_with(request, &mut UpgradeBuffers::new(), None)
+    }
+
+    /// Computes the Atom loading sequence for `request` on caller-owned
+    /// [`UpgradeBuffers`], so repeat scheduling (every hot-spot entry of a
+    /// simulation) reuses its allocations.
+    ///
+    /// When `explain` is supplied, each decision round (the scored
+    /// candidates and the committed winner) is appended to it. Explaining
+    /// only observes: the schedule is bit-identical with and without it.
+    #[must_use]
+    pub fn schedule_with(
+        self,
+        request: &ScheduleRequest<'_>,
+        buffers: &mut UpgradeBuffers,
+        explain: Option<&mut ScheduleExplain>,
+    ) -> Schedule {
+        let mut ctx = UpgradeContext::from_buffers(request, buffers);
+        match self {
+            SchedulerKind::Fsfr => fsfr::schedule(&mut ctx, explain),
+            SchedulerKind::Asf => asf::schedule(&mut ctx, explain),
+            SchedulerKind::Sjf => sjf::schedule(&mut ctx, explain),
+            SchedulerKind::Hef => hef::schedule(&mut ctx, explain),
+        }
+        ctx.finish();
+        ctx.into_schedule(buffers)
     }
 }
 
@@ -102,14 +101,6 @@ impl fmt::Display for SchedulerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_create_matching_schedulers() {
-        for kind in SchedulerKind::ALL {
-            let s = kind.create();
-            assert_eq!(s.name(), kind.abbreviation());
-        }
-    }
 
     #[test]
     fn display_matches_abbreviation() {

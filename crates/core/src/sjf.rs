@@ -1,117 +1,42 @@
-use crate::asf::record_starter;
-use crate::context::{UpgradeBuffers, UpgradeContext};
-use crate::explain::{CandidateScore, ScheduleExplain};
-use crate::scheduler::AtomScheduler;
-use crate::types::{Schedule, ScheduleRequest};
+use crate::asf::load_starters;
+use crate::context::UpgradeContext;
+use crate::explain::ScheduleExplain;
 
-/// *Smallest Job First*: like ASF it first loads the smallest hardware
-/// Molecule for each SI; afterwards it repeatedly schedules the Molecule
-/// candidate requiring the **fewest additional Atoms**, breaking ties by
-/// the bigger performance improvement.
+/// [*Smallest Job First*](crate::SchedulerKind::Sjf): like ASF it first
+/// loads the smallest hardware Molecule for each SI; afterwards it
+/// repeatedly schedules the Molecule candidate requiring the **fewest
+/// additional Atoms**, breaking ties by the bigger performance improvement.
 ///
 /// SJF avoids FSFR's single-SI fixation but still decides on purely local
 /// upgrade cost without weighting by expected executions — the gap HEF
 /// closes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SjfScheduler;
-
-impl AtomScheduler for SjfScheduler {
-    fn name(&self) -> &'static str {
-        "SJF"
-    }
-
-    fn schedule_with(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-    ) -> Schedule {
-        self.schedule_explained(request, buffers, None)
-    }
-
-    fn schedule_explained(
-        &self,
-        request: &ScheduleRequest<'_>,
-        buffers: &mut UpgradeBuffers,
-        mut explain: Option<&mut ScheduleExplain>,
-    ) -> Schedule {
-        let mut ctx = UpgradeContext::from_buffers(request, buffers);
-
-        // Phase 1 (similar to ASF): smallest molecule per SI, in id order.
-        let mut phase1: Vec<_> = request.selected().to_vec();
-        phase1.sort_by_key(|sel| sel.si);
-        for sel in phase1 {
-            ctx.clean();
-            let software = request
-                .library()
-                .si(sel.si)
-                .expect("validated")
-                .software_latency();
-            if ctx.best_latency(sel.si) < software {
-                continue;
-            }
-            let smallest = ctx
-                .candidates()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.si == sel.si)
-                .min_by_key(|&(i, c)| (ctx.add_atoms(i), c.latency))
-                .map(|(i, _)| i);
-            if let Some(i) = smallest {
-                if let Some(ex) = explain.as_deref_mut() {
-                    record_starter(ex, &ctx, sel.si, i);
-                }
-                ctx.commit(i);
-            }
-        }
-
-        // Phase 2: globally smallest job next; ties -> bigger improvement.
-        loop {
-            if ctx.clean().is_empty() {
-                break;
-            }
-            let best = ctx
-                .candidates()
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, c)| {
-                    // Cached scores; zero improvement never survives
-                    // cleaning.
-                    (ctx.add_atoms(i), std::cmp::Reverse(ctx.improvement(i)), c.si)
-                })
-                .map(|(i, _)| i);
-            match best {
-                Some(i) => {
-                    if let Some(ex) = explain.as_deref_mut() {
-                        let scored: Vec<CandidateScore> = ctx
-                            .candidates()
-                            .iter()
-                            .enumerate()
-                            .map(|(j, c)| CandidateScore {
-                                si: c.si,
-                                variant_index: c.variant_index,
-                                gain: u64::from(ctx.improvement(j)),
-                                cost: u64::from(ctx.add_atoms(j)),
-                            })
-                            .collect();
-                        // `scored` is parallel to the candidate list, so the
-                        // winner is simply `scored[i]`.
-                        let chosen = scored[i];
-                        ex.record("smallest-job", scored, Some(chosen));
-                    }
-                    ctx.commit(i);
-                }
-                None => break,
-            }
-        }
-        ctx.finish();
-        ctx.into_schedule(buffers)
+pub(crate) fn schedule(
+    ctx: &mut UpgradeContext<'_, '_>,
+    mut explain: Option<&mut ScheduleExplain>,
+) {
+    load_starters(ctx, explain.as_deref_mut());
+    // Then the globally smallest job next; ties -> bigger improvement.
+    while !ctx.clean().is_empty() {
+        let best = (0..ctx.candidates().len())
+            .min_by_key(|&i| {
+                // Cached scores; zero improvement never survives cleaning.
+                let c = &ctx.candidates()[i];
+                (
+                    ctx.add_atoms(i),
+                    std::cmp::Reverse(ctx.improvement(i)),
+                    c.si,
+                )
+            })
+            .expect("cleaned candidate list is non-empty");
+        ctx.explain_round(explain.as_deref_mut(), "smallest-job", None, best);
+        ctx.commit(best);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::types::SelectedMolecule;
+    use crate::types::{ScheduleRequest, SelectedMolecule};
+    use crate::SchedulerKind;
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
     fn two_si_library() -> SiLibrary {
@@ -157,7 +82,7 @@ mod tests {
     fn sjf_schedule_is_valid_and_complete() {
         let lib = two_si_library();
         let req = request(&lib, [500, 300]);
-        let schedule = SjfScheduler.schedule(&req);
+        let schedule = SchedulerKind::Sjf.schedule(&req);
         schedule.validate(&req).unwrap();
         assert_eq!(schedule.len(), 6); // sup = (3,3)
     }
@@ -170,7 +95,7 @@ mod tests {
         // first phase-2 upgrade is the locally smallest job regardless of
         // extreme weights.
         let req = request(&lib, [1, 1_000_000]);
-        let schedule = SjfScheduler.schedule(&req);
+        let schedule = SchedulerKind::Sjf.schedule(&req);
         schedule.validate(&req).unwrap();
         let upgrades = schedule.upgrades();
         // Phase 1 (id order) loads SI1's starter (1,1); SI2's starter (0,1)
@@ -217,7 +142,7 @@ mod tests {
             vec![10, 10],
         )
         .unwrap();
-        let schedule = SjfScheduler.schedule(&req);
+        let schedule = SchedulerKind::Sjf.schedule(&req);
         schedule.validate(&req).unwrap();
         let upgrades = schedule.upgrades();
         let big_final = upgrades.iter().position(|&u| u == (SiId(1), 1)).unwrap();

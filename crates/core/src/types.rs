@@ -89,7 +89,7 @@ impl BurstSegment {
     }
 }
 
-/// Validated input to an [`AtomScheduler`](crate::AtomScheduler): the set
+/// Validated input to a [`SchedulerKind`](crate::SchedulerKind): the set
 /// `M` of selected Molecules, the currently available Atoms `a⃗` and the
 /// expected SI execution counts from online monitoring.
 #[derive(Debug, Clone)]
@@ -159,7 +159,7 @@ impl<'a> ScheduleRequest<'a> {
     /// Attaches contention pressure from other applications sharing the
     /// fabric: `pressure[t]` counts how many *other* apps forecast demand
     /// for atom type `t` (their protected working sets contain it). A
-    /// contention-aware scheduler ([`HefScheduler`](crate::HefScheduler))
+    /// contention-aware scheduler ([`SchedulerKind::Hef`](crate::SchedulerKind::Hef))
     /// adds this to each candidate's atom cost, so upgrades that would
     /// evict atoms other tenants still need must buy proportionally more
     /// benefit. An empty vector (the default) disables the term entirely.

@@ -3,7 +3,9 @@
 //! selections and availability states.
 
 use proptest::prelude::*;
-use rispp_core::{ScheduleRequest, SchedulerKind, SelectedMolecule};
+use rispp_core::{
+    ScheduleExplain, ScheduleRequest, SchedulerKind, SelectedMolecule, UpgradeBuffers,
+};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
 const ARITY: usize = 4;
@@ -80,8 +82,7 @@ proptest! {
             sc.expected.clone(),
         ).expect("scenario is valid");
         for kind in SchedulerKind::ALL {
-            let scheduler = kind.create();
-            let schedule = scheduler.schedule(&request);
+            let schedule = kind.schedule(&request);
             prop_assert!(
                 schedule.validate(&request).is_ok(),
                 "{kind} violated condition (2)"
@@ -98,8 +99,14 @@ proptest! {
             sc.expected.clone(),
         ).expect("scenario is valid");
         for kind in SchedulerKind::ALL {
-            let scheduler = kind.create();
-            prop_assert_eq!(scheduler.schedule(&request), scheduler.schedule(&request));
+            let plain = kind.schedule(&request);
+            prop_assert_eq!(&plain, &kind.schedule(&request));
+            // Explaining only observes: recording every decision round
+            // must not change a single step of the schedule.
+            let mut explain = ScheduleExplain::new(kind.abbreviation());
+            let explained =
+                kind.schedule_with(&request, &mut UpgradeBuffers::new(), Some(&mut explain));
+            prop_assert_eq!(&explained, &plain, "{} explained schedule differs", kind);
         }
     }
 
@@ -113,7 +120,7 @@ proptest! {
             sc.expected.clone(),
         ).expect("scenario is valid");
         for kind in SchedulerKind::ALL {
-            let schedule = kind.create().schedule(&request);
+            let schedule = kind.schedule(&request);
             let mut atoms = sc.available.clone();
             let mut best: Vec<u32> = sc.library.iter().map(|si| si.best_latency(&atoms)).collect();
             for step in schedule.steps() {

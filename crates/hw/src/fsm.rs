@@ -59,7 +59,7 @@ impl FsmState {
 #[derive(Debug, Clone)]
 pub struct FsmRun {
     /// The computed Atom loading sequence (bit-identical to the software
-    /// [`rispp_core::HefScheduler`]).
+    /// scheduler [`rispp_core::SchedulerKind::Hef`]).
     pub schedule: Schedule,
     /// Cycles the hardware spent computing it.
     pub cycles: u64,
@@ -82,7 +82,7 @@ impl FsmRun {
 /// # Examples
 ///
 /// ```
-/// use rispp_core::{AtomScheduler, HefScheduler, ScheduleRequest, SelectedMolecule};
+/// use rispp_core::{ScheduleRequest, SchedulerKind, SelectedMolecule};
 /// use rispp_hw::HefFsm;
 /// use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibraryBuilder};
 ///
@@ -100,7 +100,7 @@ impl FsmRun {
 ///     vec![300],
 /// )?;
 /// let run = HefFsm::new().run(&req);
-/// assert_eq!(run.schedule, HefScheduler.schedule(&req));
+/// assert_eq!(run.schedule, SchedulerKind::Hef.schedule(&req));
 /// assert!(run.cycles > 0);
 /// # Ok(())
 /// # }
@@ -216,7 +216,7 @@ impl HefFsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rispp_core::{AtomScheduler, HefScheduler, SelectedMolecule};
+    use rispp_core::{SchedulerKind, SelectedMolecule};
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
     fn library() -> SiLibrary {
@@ -263,7 +263,7 @@ mod tests {
         for (e0, e1) in [(100, 100), (1_000, 10), (10, 1_000), (0, 0), (7, 7)] {
             let req = request(&lib, e0, e1);
             let fsm = HefFsm::new().run(&req);
-            let sw = HefScheduler.schedule(&req);
+            let sw = SchedulerKind::Hef.schedule(&req);
             assert_eq!(fsm.schedule, sw, "expected counts ({e0},{e1})");
             fsm.schedule.validate(&req).unwrap();
         }

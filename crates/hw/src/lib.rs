@@ -8,7 +8,7 @@
 //!
 //! * [`HefFsm`] — a cycle-level model of that state machine. It computes
 //!   **exactly** the same Atom schedule as the software
-//!   [`rispp_core::HefScheduler`] (unit- and property-tested) while
+//!   [`rispp_core::SchedulerKind::Hef`] (unit- and property-tested) while
 //!   counting the cycles the hardware would spend.
 //! * [`division_free_benefit_gt`] — the comparison trick itself.
 //! * [`AreaReport`] / [`area_estimate`] — the Table 3 synthesis numbers

@@ -4,7 +4,7 @@
 //! paper's prototype relies on.
 
 use proptest::prelude::*;
-use rispp_core::{AtomScheduler, HefScheduler, ScheduleRequest, SelectedMolecule};
+use rispp_core::{ScheduleRequest, SchedulerKind, SelectedMolecule};
 use rispp_hw::{FsmState, HefFsm};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
@@ -79,7 +79,7 @@ proptest! {
             sc.expected.clone(),
         ).expect("valid scenario");
         let run = HefFsm::new().run(&request);
-        let software = HefScheduler.schedule(&request);
+        let software = SchedulerKind::Hef.schedule(&request);
         prop_assert_eq!(&run.schedule, &software);
         prop_assert!(run.schedule.validate(&request).is_ok());
         // Cycle accounting: visits sum to the total, mandatory states once.

@@ -574,13 +574,14 @@ fn decode_trace(value: &JsonValue) -> Result<Trace, String> {
 /// the engine's `u64` clock. The worst case prices every execution at its
 /// SI's software latency plus the burst's overhead, since no backend runs
 /// an SI slower than its software trap (Molen clamps its accelerators to
-/// it, RISPP picks hardware only when it is faster).
+/// it, RISPP picks hardware only when it is faster). Returns that
+/// worst-case total.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first out-of-library SI, or the
 /// worst-case total when it exceeds `u64::MAX`.
-pub(crate) fn check_replayable(trace: &Trace, library: &SiLibrary) -> Result<(), String> {
+pub(crate) fn check_replayable(trace: &Trace, library: &SiLibrary) -> Result<u64, String> {
     let outside = |i: usize, what: &str, si: SiId| {
         format!(
             "invocation {i}: {what} names SI {} outside the {}-SI library",
@@ -604,9 +605,31 @@ pub(crate) fn check_replayable(trace: &Trace, library: &SiLibrary) -> Result<(),
     }
     // `worst` cannot wrap: each term is below 2^66, and a trace that fits
     // in memory has far fewer than 2^62 of them.
-    if worst > u128::from(u64::MAX) {
+    u64::try_from(worst)
+        .map_err(|_| format!("worst-case total of {worst} cycles overflows the 64-bit cycle clock"))
+}
+
+/// Most detail buckets a served run may keep per SI: 2^20 `u32` counts,
+/// 4 MiB. The paper's 140-frame trace needs 65,246 at the default
+/// 100,000-cycle width.
+pub(crate) const MAX_DETAIL_BUCKETS: u64 = 1 << 20;
+
+/// Checks that a run of `config` over a trace whose worst-case total is
+/// `worst_cycles` (see [`check_replayable`]) keeps at most
+/// [`MAX_DETAIL_BUCKETS`] detail buckets per SI: with `detail` on,
+/// `RunStats` keeps one per `bucket_cycles` simulated cycles of each
+/// executed SI.
+///
+/// # Errors
+///
+/// Returns a message naming the bucket count and the cap.
+pub(crate) fn check_detail_buckets(worst_cycles: u64, config: &SimConfig) -> Result<(), String> {
+    let buckets = worst_cycles.div_ceil(config.bucket_cycles.max(1));
+    if config.detail && buckets > MAX_DETAIL_BUCKETS {
         return Err(format!(
-            "worst-case total of {worst} cycles overflows the 64-bit cycle clock"
+            "detail at bucket_cycles {} needs up to {buckets} buckets per SI \
+             (worst case {worst_cycles} cycles), above the cap of {MAX_DETAIL_BUCKETS}",
+            config.bucket_cycles
         ));
     }
     Ok(())
@@ -819,6 +842,25 @@ mod tests {
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"op":"launch"}"#).is_err());
         assert!(parse_request(r#"{"id":"x"}"#).is_err());
+    }
+
+    #[test]
+    fn detail_buckets_are_capped_per_si() {
+        let detail = |bucket_cycles| SimConfig {
+            bucket_cycles,
+            ..SimConfig::rispp(4, SchedulerKind::Hef).with_detail(true)
+        };
+        assert!(check_detail_buckets(MAX_DETAIL_BUCKETS, &detail(1)).is_ok());
+        assert!(check_detail_buckets(MAX_DETAIL_BUCKETS + 1, &detail(1)).is_err());
+        // A part-filled last bucket still counts.
+        assert!(check_detail_buckets(MAX_DETAIL_BUCKETS * 1000, &detail(1000)).is_ok());
+        assert!(check_detail_buckets(MAX_DETAIL_BUCKETS * 1000 + 1, &detail(1000)).is_err());
+        // Without detail no bucket is kept, whatever the width.
+        let plain = SimConfig {
+            bucket_cycles: 1,
+            ..SimConfig::rispp(4, SchedulerKind::Hef)
+        };
+        assert!(check_detail_buckets(u64::MAX, &plain).is_ok());
     }
 
     #[test]

@@ -32,7 +32,9 @@ use rispp_sim::{
 use rispp_telemetry::{MetricsRegistry, MetricsSnapshot};
 
 use crate::cache::LruCache;
-use crate::job::{check_replayable, materialise_trace, JobOutcome, JobSpec, JobStatus};
+use crate::job::{
+    check_detail_buckets, check_replayable, materialise_trace, JobOutcome, JobSpec, JobStatus,
+};
 use crate::poison::PoisonList;
 use crate::queue::{AdmissionQueue, PushError};
 use crate::watchdog::DeadlineWatchdog;
@@ -117,7 +119,8 @@ struct ServerInner {
     config: ServerConfig,
     library: SiLibrary,
     queue: AdmissionQueue<QueuedJob>,
-    cache: LruCache<Trace>,
+    /// Replayable traces with their worst-case cycle totals.
+    cache: LruCache<(Trace, u64)>,
     /// Warm cross-request plan cache, namespaced per config hash. Repeat
     /// requests for the same `(config, trace)` replay memoised planning
     /// decisions instead of re-running the selector and scheduler; results
@@ -514,15 +517,21 @@ fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
 
     // A trace the engine cannot replay is refused here, before the cache
     // and the retry loop: its panic would count against the config hash
-    // and poison that config for every client.
-    let trace = match inner.cache.get_or_try_insert(&spec.trace_payload, || {
+    // and poison that config for every client. So is a detail run whose
+    // buckets would grow without bound; that depends on the config, so it
+    // is checked on cache hits too.
+    let entry = match inner.cache.get_or_try_insert(&spec.trace_payload, || {
         let trace = materialise_trace(&spec.trace_payload)?;
-        check_replayable(&trace, &inner.library)?;
-        Ok(trace)
+        let worst_cycles = check_replayable(&trace, &inner.library)?;
+        Ok((trace, worst_cycles))
     }) {
-        Ok(trace) => trace,
+        Ok(entry) => entry,
         Err(e) => return outcome(JobStatus::Error(e), None, 0),
     };
+    let (trace, worst_cycles) = &*entry;
+    if let Err(e) = check_detail_buckets(*worst_cycles, &spec.config) {
+        return outcome(JobStatus::Error(e), None, 0);
+    }
 
     // The flight recorder lives outside the retry loop so its ring
     // allocations are paid once per job; each attempt resets and
@@ -565,7 +574,7 @@ fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
             }
             simulate_observed_cancellable_shared(
                 &inner.library,
-                &trace,
+                trace,
                 &run_config,
                 &job.token,
                 Some(&plans),

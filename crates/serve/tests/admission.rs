@@ -9,8 +9,10 @@
 //!    never touches the warm trace cache and never counts an attempt;
 //! 3. cancellation is clean: a job cancelled mid-run neither poisons
 //!    its config nor corrupts the cached trace it was using;
-//! 4. a trace the engine cannot replay is refused with an error before
-//!    any attempt: it never poisons its config or enters the cache.
+//! 4. a trace the engine cannot replay, or a detail run whose buckets
+//!    would exceed the per-SI cap, is refused with an error before any
+//!    attempt: it never poisons its config, and an unreplayable trace
+//!    never enters the cache.
 
 use std::sync::mpsc::TryRecvError;
 use std::time::{Duration, Instant};
@@ -237,12 +239,14 @@ proptest! {
 #[test]
 fn unreplayable_traces_are_refused_without_an_attempt() {
     let srv = server(8);
-    let run = |id: &str, trace_payload: String| -> JobOutcome {
-        match srv.submit(spec(id, 2, trace_payload)) {
+    let run_spec = |job: JobSpec| -> JobOutcome {
+        let id = job.id.clone();
+        match srv.submit(job) {
             SubmitResult::Enqueued(t) => t.outcome.recv().expect("outcome"),
             SubmitResult::Refused(o) => panic!("{id} refused at admission: {:?}", o.status),
         }
     };
+    let run = |id: &str, trace_payload: String| run_spec(spec(id, 2, trace_payload));
     let burst = |si: u16, count: u32, overhead: u32| Burst {
         si: SiId(si),
         count,
@@ -278,6 +282,20 @@ fn unreplayable_traces_are_refused_without_an_attempt() {
         "hint",
         inline(vec![burst(0, 5, 2)], vec![(SiId(7), 5)]),
     ));
+    // Detail keeps one bucket per `bucket_cycles` cycles per SI. This
+    // trace's worst case is 10 + 2048 × (1000 + 14) = 2,076,682 cycles:
+    // at `bucket_cycles: 1` that is twice the 2^20-bucket cap, at the
+    // default width 21 buckets.
+    let detailed = |id: &str, bucket_cycles: u64| JobSpec {
+        config: SimConfig {
+            bucket_cycles,
+            ..SimConfig::rispp(2, SchedulerKind::Hef).with_detail(true)
+        },
+        ..spec(id, 2, inline(vec![burst(0, 2048, 14)], vec![]))
+    };
+    refused(&run_spec(detailed("detail", 1)));
+    let coarse = run_spec(detailed("coarse", 100_000));
+    assert_eq!(coarse.status, JobStatus::Completed);
 
     // The same config still serves a replayable trace.
     let ok = run("valid", payload(2, 30));

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use rispp::core::{AtomScheduler, FabricArbiter, HefScheduler, ScheduleRequest, SelectedMolecule};
+use rispp::core::{FabricArbiter, ScheduleRequest, SchedulerKind, SelectedMolecule};
 use rispp::model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibraryBuilder};
 use rispp::monitor::HotSpotId;
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Molecule::zero(2),
         vec![5_000], // expected executions in the upcoming hot spot
     )?;
-    let schedule = HefScheduler.schedule(&request);
+    let schedule = SchedulerKind::Hef.schedule(&request);
     println!("HEF atom loading sequence:");
     for (i, step) in schedule.steps().iter().enumerate() {
         let name = library

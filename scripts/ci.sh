@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: release build, tier-1 tests, workspace tests, the
 # standalone benchmark package's tests, smokes, strict clippy, strict
-# rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`) and the
+# rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`), the
+# EXPERIMENTS.md output blocks against `rispp-cli reproduce`, and the
 # benchmark's fig7 throughput gate (last, so a slow host cannot stop the
 # lint gates from running).
 # Everything runs offline against the vendored dev-dependencies in
@@ -174,6 +175,58 @@ cycles=$(grep -o '"simulated_cycles": [0-9]*' target/ci_sweep.json | awk '{print
 echo "    committed ${pinned} simulated cycles, measured ${cycles}"
 if [ "$cycles" != "$pinned" ]; then
   echo "ci: fig7 cycle pin failed — ${cycles} simulated cycles, committed ${pinned}" >&2
+  exit 1
+fi
+
+echo "==> EXPERIMENTS.md output blocks vs rispp-cli reproduce"
+# Every fenced block of EXPERIMENTS.md is the verbatim stdout of the
+# `rispp-cli reproduce ...` command named last in the prose above it.
+# Rerun each and fail on any byte difference, so the document cannot
+# drift from the tree. About 2.5 s; fig7 --frames 140 is most of it.
+rm -rf target/ci_experiments
+mkdir -p target/ci_experiments
+awk -v dir=target/ci_experiments '
+  /^```/ {
+    if (inblock) { inblock = 0; close(out); next }
+    n++; inblock = 1; out = sprintf("%s/%02d.md", dir, n)
+    printf "" > out
+    printf "%s\n", cmd > sprintf("%s/%02d.cmd", dir, n)
+    cmd = ""; next
+  }
+  inblock { print > out; next }
+  {
+    line = $0
+    while (match(line, /`rispp-cli reproduce [^`]*`/)) {
+      cmd = substr(line, RSTART + 11, RLENGTH - 12)
+      line = substr(line, RSTART + RLENGTH)
+    }
+  }
+' EXPERIMENTS.md
+blocks=0
+for cmd_file in target/ci_experiments/*.cmd; do
+  [ -e "$cmd_file" ] || continue
+  block=${cmd_file%.cmd}
+  args=$(cat "$cmd_file")
+  if [ -z "$args" ]; then
+    echo "ci: EXPERIMENTS.md block $(basename "$block") names no \`rispp-cli reproduce\` command above it" >&2
+    exit 1
+  fi
+  # shellcheck disable=SC2086 # the experiment's arguments split on spaces
+  ./target/release/rispp-cli $args >"$block.out" 2>"$block.err" || {
+    echo "ci: \`rispp-cli $args\` (EXPERIMENTS.md block $(basename "$block")) failed:" >&2
+    cat "$block.err" >&2
+    exit 1
+  }
+  if ! cmp -s "$block.md" "$block.out"; then
+    echo "ci: EXPERIMENTS.md block $(basename "$block") differs from \`rispp-cli $args\` (< document, > tree):" >&2
+    diff "$block.md" "$block.out" | head -20 >&2 || true
+    exit 1
+  fi
+  echo "    rispp-cli $args: identical"
+  blocks=$((blocks + 1))
+done
+if [ "$blocks" -eq 0 ]; then
+  echo "ci: EXPERIMENTS.md has no output blocks to check" >&2
   exit 1
 fi
 
