@@ -730,7 +730,7 @@ fn phase_shift(trace: &Trace, offset: usize) -> Trace {
 /// [--json [PATH]]`.
 ///
 /// Sweeps K phase-shifted encoder instances contending for a range of
-/// fabric sizes under both contention policies: `shared` (one fabric,
+/// fabric sizes under both tenancy policies: `shared` (one fabric,
 /// cross-app Atom reuse, contention-aware eviction) and `partitioned`
 /// (hard `containers / K` quota per app).
 pub fn contend(args: &[String]) -> ExitCode {

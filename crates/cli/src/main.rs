@@ -86,6 +86,8 @@ SUBCOMMANDS:
                                 HEF speedup vs. fault rate with the
                                 self-healing counters (20); exits 1 unless
                                 the curve degrades gracefully
+          generality            the AES gateway and the audio filterbank:
+                                the run-time system beyond video
         Defaults in parentheses are frame counts.
 
     profile [--frames N] [--acs N] [--system KIND] [--metrics-out PATH]

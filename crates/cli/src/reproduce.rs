@@ -1,12 +1,16 @@
 //! `rispp-cli reproduce <experiment>`: one command per table and figure of
-//! the paper's evaluation, plus the ablations and the resilience curve.
+//! the paper's evaluation, plus the ablations, the resilience curve and the
+//! generality check beyond video.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use rispp_apps::audio::{audio_si_library, generate_filterbank_workload, FilterbankConfig};
+use rispp_apps::crypto::{crypto_si_library, generate_gateway_workload, GatewayConfig};
 use rispp_core::{PlanCacheHandle, SchedulerKind};
 use rispp_h264::SiKind;
-use rispp_sim::{FaultConfig, SweepRunner, Trace};
+use rispp_model::SiLibrary;
+use rispp_sim::{simulate, FaultConfig, SimConfig, SweepRunner, Trace};
 
 use crate::args::Options;
 use crate::commands::fail;
@@ -24,7 +28,7 @@ type Experiment = (
     fn(&Options) -> Result<(), String>,
 );
 
-const EXPERIMENTS: [Experiment; 9] = [
+const EXPERIMENTS: [Experiment; 10] = [
     ("fig2", &["frames"], fig2),
     ("fig4", &[], fig4),
     ("fig5", &[], fig5),
@@ -34,9 +38,11 @@ const EXPERIMENTS: [Experiment; 9] = [
     ("table3", &[], table3),
     ("ablations", &["frames"], ablations),
     ("resilience", &["frames", "json"], resilience),
+    ("generality", &[], generality),
 ];
 
-/// `rispp-cli reproduce <fig2|fig4|fig5|fig7|fig8|table1|table3|ablations|resilience>
+/// `rispp-cli reproduce
+/// <fig2|fig4|fig5|fig7|fig8|table1|table3|ablations|resilience|generality>
 /// [--frames N] [--json PATH]`.
 pub fn reproduce(args: &[String]) -> ExitCode {
     let names = || EXPERIMENTS.map(|(name, _, _)| name).join(" | ");
@@ -299,5 +305,81 @@ fn resilience(options: &Options) -> Result<(), String> {
         Ok(())
     } else {
         Err("the resilience curve does not degrade gracefully".into())
+    }
+}
+
+/// Beyond video, the paper's "the concept is by no means limited to"
+/// claim: the unmodified run-time system on the AES packet gateway (the
+/// default traffic mix on 8 ACs, every scheduler) and on the audio
+/// filterbank (the tiny configuration on 5 ACs, HEF), each against pure
+/// software and the Molen-like baseline. Only the SI library and the
+/// workload change.
+fn generality(_: &Options) -> Result<(), String> {
+    let library = crypto_si_library();
+    print_library("gateway", &library);
+    println!("\nencrypting and checksumming the synthetic traffic mix...");
+    let (trace, checksum) = generate_gateway_workload(&GatewayConfig::default_mix());
+    println!(
+        "  {} hot-spot invocations, {} SI executions, ciphertext checksum {checksum:08x}",
+        trace.len(),
+        trace.total_si_executions()
+    );
+    print_replays(&library, &trace, 8, &SchedulerKind::ALL);
+
+    let library = audio_si_library();
+    println!();
+    print_library("filterbank", &library);
+    println!("\nfiltering the synthesised audio...");
+    let (trace, energy) = generate_filterbank_workload(&FilterbankConfig::tiny());
+    println!(
+        "  {} hot-spot invocations, {} SI executions, output energy {energy}",
+        trace.len(),
+        trace.total_si_executions()
+    );
+    print_replays(&library, &trace, 5, &[SchedulerKind::Hef]);
+    Ok(())
+}
+
+/// Lists each SI of `library` with its software latency and Molecule
+/// count.
+fn print_library(name: &str, library: &SiLibrary) {
+    println!("{name} SI library:");
+    for si in library.iter() {
+        println!(
+            "  {:<14} sw {:>5} cycles, {} molecules",
+            si.name(),
+            si.software_latency(),
+            si.molecule_count()
+        );
+    }
+}
+
+/// Replays `trace` in pure software, on Molen and on RISPP with each of
+/// `schedulers`, all with `containers` Atom Containers.
+fn print_replays(
+    library: &SiLibrary,
+    trace: &Trace,
+    containers: u16,
+    schedulers: &[SchedulerKind],
+) {
+    let cycles = |config: SimConfig| simulate(library, trace, &config).total_cycles as f64;
+    println!("\nreplaying on {containers} Atom Containers:");
+    let software = cycles(SimConfig::software_only());
+    println!("  pure software  {:>7.1} M cycles", software / 1e6);
+    let molen = cycles(SimConfig::molen(containers));
+    println!(
+        "  Molen-like     {:>7.1} M cycles ({:.2}x)",
+        molen / 1e6,
+        software / molen
+    );
+    for &kind in schedulers {
+        let rispp = cycles(SimConfig::rispp(containers, kind));
+        println!(
+            "  RISPP {:<6}   {:>7.1} M cycles ({:.2}x vs software, {:.2}x vs Molen)",
+            kind.abbreviation(),
+            rispp / 1e6,
+            software / rispp,
+            molen / rispp
+        );
     }
 }

@@ -2,24 +2,20 @@
 //!
 //! The paper's run-time system assumes a single application owns the whole
 //! reconfigurable fabric. The [`FabricArbiter`] generalises it to K
-//! concurrent applications, each with its own [`AppContext`] (execution
-//! monitor, Molecule selection and best-variant cache), all planned by one
-//! [`SchedulerKind`] and multiplexed over the fabric under a
-//! [`ContentionPolicy`]:
+//! concurrent applications sharing that one fabric, each with its own
+//! [`AppContext`] (execution monitor, Molecule selection and best-variant
+//! cache), all planned by one [`SchedulerKind`]. Every tenant plans against
+//! the full container pool: containers carry per-application owner tags,
+//! atoms loaded by one tenant accelerate another whenever their Molecule
+//! atom types overlap (cross-app atom reuse), evictions of a co-tenant's
+//! atoms are counted as *contested*, and the HEF scheduler's division-free
+//! benefit comparison additionally weighs the other tenants' forecast
+//! demand against eviction cost (see
+//! [`ScheduleRequest::with_foreign_pressure`]).
 //!
-//! * [`ContentionPolicy::Partitioned`] statically splits the substrate —
-//!   each tenant gets its own private fabric of `containers_per_app` Atom
-//!   Containers with its own reconfiguration port and clock. Tenants are
-//!   perfectly cycle-isolated: one application's faults or demand spikes
-//!   can never perturb another's execution.
-//! * [`ContentionPolicy::Shared`] gives every tenant the full container
-//!   pool. Containers carry per-application owner tags, atoms loaded by
-//!   one tenant accelerate another whenever their Molecule atom types
-//!   overlap (cross-app atom reuse), evictions of a co-tenant's atoms are
-//!   counted as *contested*, and the HEF scheduler's division-free benefit
-//!   comparison additionally weighs the other tenants' forecast demand
-//!   against eviction cost (see
-//!   [`ScheduleRequest::with_foreign_pressure`]).
+//! A static split of the substrate arbitrates nothing, so it is not modelled
+//! here: a partitioned tenant is a solo run on its share of the containers
+//! (the simulator's `simulate_multi` replays it that way).
 //!
 //! The arbiter is also the single-owner run-time manager of paper Section
 //! 3.1: a 1-tenant arbiter (the builder's default) driven as application
@@ -28,7 +24,7 @@
 
 use std::sync::Arc;
 
-use rispp_fabric::{ContainerState, Fabric, FabricConfig, FabricEvent, FaultModel, LoadCompleted};
+use rispp_fabric::{ContainerState, Fabric, FabricConfig, FabricEvent, FaultModel};
 use rispp_model::{Molecule, SiId, SiLibrary};
 use rispp_monitor::{ExecutionMonitor, ForecastPolicy, HotSpotId};
 
@@ -42,23 +38,6 @@ use crate::scheduler::SchedulerKind;
 use crate::selection::{GreedySelector, SelectionRequest};
 use crate::types::{BurstSegment, ScheduleRequest, SelectedMolecule, SiExecution};
 use crate::CoreError;
-
-/// How K tenants contend for the reconfigurable substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ContentionPolicy {
-    /// Full sharing: every tenant plans against the whole container pool,
-    /// containers carry owner tags, atoms are reused across applications
-    /// and evictions of foreign atoms are contention-priced (and counted
-    /// as contested).
-    Shared,
-    /// Static split: each tenant owns a private fabric of
-    /// `containers_per_app` containers with its own port and clock —
-    /// perfect isolation, no reuse.
-    Partitioned {
-        /// Atom Containers dedicated to each application.
-        containers_per_app: u16,
-    },
-}
 
 /// Per-SI memo of the fastest available Molecule variant, keyed by the
 /// fabric's generation counter. `generation` starts at `u64::MAX` (the
@@ -96,7 +75,7 @@ struct AppContext {
     load_retries: u64,
     degraded_to_software: u64,
     /// Foreign atoms this tenant's plans found already loaded by
-    /// co-tenants (cross-app reuse under [`ContentionPolicy::Shared`]).
+    /// co-tenants (cross-app reuse).
     atoms_shared: u64,
     explain_enabled: bool,
     decisions: Vec<DecisionExplain>,
@@ -123,10 +102,9 @@ struct SharedScratch {
     /// calls so the steady state allocates nothing) — see
     /// [`FabricArbiter::execute_bursts_batched`].
     batch_memo: Vec<BatchMemo>,
-    /// Event window reused by [`FabricArbiter::sync_fabric_into`].
+    /// Event window reused by [`FabricArbiter::sync_fabric`], so the
+    /// event-processing hot path allocates nothing.
     event_buf: Vec<FabricEvent>,
-    /// Completion list reused by [`FabricArbiter::sync_fabric_discard`].
-    completion_buf: Vec<LoadCompleted>,
 }
 
 /// One SI's resolved execution state inside a single batched burst call.
@@ -155,33 +133,30 @@ struct BatchMemo {
 /// reconfigurable substrate: it controls SI execution (task I), observes
 /// and adapts to varying requirements via the monitor (task II), and
 /// determines Atom re-loading decisions through selection and scheduling
-/// (task III). It owns the fabric(s) and the reconfiguration port(s), and
+/// (task III). It owns the one fabric and its reconfiguration port, and
 /// multiplexes K per-application contexts (monitor, selection, recovery
-/// state) under a [`ContentionPolicy`]. All entry points take the
-/// application index (`app < tenants()`) first; a single-owner run is a
-/// 1-tenant arbiter driven as application `0`.
+/// state) over it. Per-application entry points take the application
+/// index (`app < tenants()`) first; a single-owner run is a 1-tenant
+/// arbiter driven as application `0`.
 #[derive(Debug)]
 pub struct FabricArbiter<'a> {
     library: &'a SiLibrary,
-    policy: ContentionPolicy,
-    /// One fabric under `Shared`, K private fabrics under `Partitioned`.
-    fabrics: Vec<Fabric>,
+    fabric: Fabric,
     contexts: Vec<AppContext>,
     scratch: SharedScratch,
     recovery: RecoveryPolicy,
-    /// Consecutive aborted loads per container, per fabric; reset on a
-    /// completion.
-    abort_streaks: Vec<Vec<u32>>,
+    /// Consecutive aborted loads per container; reset on a completion.
+    abort_streaks: Vec<u32>,
     scheduler_kind: SchedulerKind,
     /// Memoised planning decisions (intra-run private or shared across
     /// jobs/requests); `None` plans from scratch on every entry.
     plan_cache: Option<PlanCacheHandle>,
     /// Handle namespace XOR the library fingerprint — the first key word.
     plan_namespace: u64,
-    /// Per-fabric plan-invalidation epoch: bumped on every quarantine and
-    /// permanent tile failure, embedded in every plan key (see
-    /// [`crate::PlanCache`] module docs).
-    epochs: Vec<u64>,
+    /// Plan-invalidation epoch: bumped on every quarantine and permanent
+    /// tile failure, embedded in every plan key (see [`crate::PlanCache`]
+    /// module docs).
+    epoch: u64,
     /// Deterministic per-arbiter cache counters (the cache's own totals
     /// are racy under sharing).
     plan_stats: PlanCacheStats,
@@ -189,14 +164,13 @@ pub struct FabricArbiter<'a> {
 
 impl<'a> FabricArbiter<'a> {
     /// Starts building an arbiter over `library` (defaults: 1 tenant,
-    /// [`ContentionPolicy::Shared`], 10 containers, HEF).
+    /// 10 containers, HEF).
     #[must_use]
     pub fn builder(library: &'a SiLibrary) -> FabricArbiterBuilder<'a> {
         FabricArbiterBuilder {
             library,
             containers: 10,
             tenants: 1,
-            policy: ContentionPolicy::Shared,
             scheduler: SchedulerKind::Hef,
             forecast: ForecastPolicy::default(),
             port_bandwidth: None,
@@ -219,31 +193,16 @@ impl<'a> FabricArbiter<'a> {
         u16::try_from(self.contexts.len()).expect("tenant count fits u16")
     }
 
-    /// The active contention policy.
-    #[must_use]
-    pub fn policy(&self) -> ContentionPolicy {
-        self.policy
-    }
-
     /// The scheduling strategy every context runs.
     #[must_use]
     pub fn scheduler(&self) -> SchedulerKind {
         self.scheduler_kind
     }
 
-    /// Index of the fabric application `app` runs on: the one shared
-    /// fabric, or the app's private partition.
-    fn fabric_index(&self, app: usize) -> usize {
-        match self.policy {
-            ContentionPolicy::Shared => 0,
-            ContentionPolicy::Partitioned { .. } => app,
-        }
-    }
-
-    /// The fabric application `app` runs on (shared or its partition).
+    /// The fabric every application runs on.
     #[must_use]
-    pub fn fabric_for(&self, app: u16) -> &Fabric {
-        &self.fabrics[self.fabric_index(usize::from(app))]
+    pub fn fabric(&self) -> &Fabric {
+        &self.fabric
     }
 
     /// The execution monitor of application `app`.
@@ -317,8 +276,7 @@ impl<'a> FabricArbiter<'a> {
         now: u64,
     ) -> Result<(), CoreError> {
         let a = usize::from(app);
-        let fi = self.fabric_index(a);
-        self.sync_fabric_discard(fi, now);
+        self.sync_fabric(now);
         let ctx = &mut self.contexts[a];
         ctx.monitor.begin_hot_spot(hot_spot);
         ctx.current_hot_spot = Some(hot_spot);
@@ -331,13 +289,12 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// Plans `demands` for `app` against the *usable* (non-quarantined)
-    /// containers of its fabric and (re)programs `app`'s share of the
+    /// containers of the fabric and (re)programs `app`'s share of the
     /// reconfiguration queue. Shared by hot-spot entry and post-quarantine
     /// re-planning. A verified plan-cache hit takes the memoised decision
     /// and a miss [decides](Self::decide) afresh; either way
     /// [`apply_decision`](Self::apply_decision) performs the side effects.
     fn plan_app(&mut self, app: usize, demands: &[(SiId, u64)]) -> Result<(), CoreError> {
-        let fi = self.fabric_index(app);
         let mut pressure = std::mem::take(&mut self.scratch.pressure_buf);
         self.contention_pressure(app, &mut pressure);
 
@@ -349,7 +306,7 @@ impl<'a> FabricArbiter<'a> {
         let mut plan_hash = 0u64;
         let mut cached = None;
         if let Some(handle) = &self.plan_cache {
-            self.build_plan_key(app, fi, demands, &pressure, &mut key);
+            self.build_plan_key(app, demands, &pressure, &mut key);
             plan_hash = fnv1a_words(&key);
             cached = handle.cache().lookup(&key, plan_hash);
             if cached.is_some() {
@@ -364,7 +321,7 @@ impl<'a> FabricArbiter<'a> {
                 decision
             }
             None => {
-                let decision = Arc::new(self.decide(app, fi, demands, pressure, &key)?);
+                let decision = Arc::new(self.decide(app, demands, pressure, &key)?);
                 if let Some(handle) = &self.plan_cache {
                     let memo = Arc::clone(&decision);
                     self.plan_stats.evictions += handle.cache().insert(plan_hash, memo);
@@ -378,19 +335,13 @@ impl<'a> FabricArbiter<'a> {
         Ok(())
     }
 
-    /// Whether the tenants share one fabric with co-tenants
-    /// ([`ContentionPolicy::Shared`] with more than one application).
-    fn shared_multi(&self) -> bool {
-        matches!(self.policy, ContentionPolicy::Shared) && self.contexts.len() > 1
-    }
-
     /// Fills `pressure` with the contention pressure on `app`'s plan: how
-    /// many *other* demanding tenants claim each atom type. Only a shared
-    /// multi-tenant fabric leaves it non-empty, so every single-owner run
+    /// many *other* demanding tenants claim each atom type. Only a
+    /// multi-tenant arbiter leaves it non-empty, so every single-owner run
     /// keeps the schedulers' arithmetic untouched.
     fn contention_pressure(&self, app: usize, pressure: &mut Vec<u64>) {
         pressure.clear();
-        if !self.shared_multi() {
+        if self.contexts.len() == 1 {
             return;
         }
         pressure.resize(self.library.arity(), 0);
@@ -414,19 +365,18 @@ impl<'a> FabricArbiter<'a> {
         }
     }
 
-    /// Decides a fresh plan for `app` on fabric `fi`: Molecule selection
-    /// within the usable containers, then the Atom schedule, plus both
-    /// explain records when capture is on. Reads only plan-key material
-    /// (`key`, empty without a cache), so the decision may be memoised.
+    /// Decides a fresh plan for `app`: Molecule selection within the
+    /// usable containers, then the Atom schedule, plus both explain records
+    /// when capture is on. Reads only plan-key material (`key`, empty
+    /// without a cache), so the decision may be memoised.
     fn decide(
         &mut self,
         app: usize,
-        fi: usize,
         demands: &[(SiId, u64)],
         pressure: Vec<u64>,
         key: &[u64],
     ) -> Result<PlannedDecision, CoreError> {
-        let fabric = &self.fabrics[fi];
+        let fabric = &self.fabric;
         let explain = self.contexts[app].explain_enabled;
         let mut selection_explain = explain.then(SelectionExplain::default);
         let selected = GreedySelector.select_explained(
@@ -473,8 +423,7 @@ impl<'a> FabricArbiter<'a> {
     /// cross-app atom reuse, claims the supremum, re-protects the union of
     /// every co-tenant's claim and enqueues the Atom loading sequence.
     fn apply_decision(&mut self, app: usize, demands: &[(SiId, u64)], decision: &PlannedDecision) {
-        let fi = self.fabric_index(app);
-        let fabric = &self.fabrics[fi];
+        let fabric = &self.fabric;
         let usable = fabric.usable_container_count();
         // Quarantines shrank the fabric below what any Molecule needs: the
         // hot spot continues purely on the cISA software path.
@@ -484,7 +433,7 @@ impl<'a> FabricArbiter<'a> {
         // Cross-app atom reuse: atoms this plan wants that a co-tenant
         // already has loaded arrive for free.
         let mut reused = 0u64;
-        if self.shared_multi() {
+        if self.contexts.len() > 1 {
             for c in fabric.containers() {
                 if let (Some(atom), Some(owner)) = (c.loaded_atom(), fabric.owner_of(c.id())) {
                     if usize::from(owner) != app && decision.supremum.count(atom.index()) > 0 {
@@ -517,37 +466,30 @@ impl<'a> FabricArbiter<'a> {
         ctx.supremum.clone_from(&decision.supremum);
         // The fabric protects the union of every co-tenant's claim, so one
         // tenant's plan can never unprotect what another still needs.
-        let protect = Molecule::supremum(
-            self.contexts
-                .iter()
-                .enumerate()
-                .filter(|&(a, _)| self.fabric_index(a) == fi)
-                .map(|(_, c)| &c.supremum),
-        )
-        .unwrap_or_else(|| Molecule::zero(self.library.arity()));
-        let fabric = &mut self.fabrics[fi];
+        let protect = Molecule::supremum(self.contexts.iter().map(|c| &c.supremum))
+            .unwrap_or_else(|| Molecule::zero(self.library.arity()));
+        let fabric = &mut self.fabric;
         fabric.clear_pending_app(app_tag(app));
         fabric.set_protected(protect);
         fabric.enqueue_schedule_app(app_tag(app), decision.atoms.iter().copied());
     }
 
     /// Writes the canonical plan-key words for planning `demands` of `app`
-    /// on fabric `fi` into `key` (see the `crate::PlanCache` module docs
+    /// into `key` (see the `crate::PlanCache` module docs
     /// for the layout). Every input the selection/scheduling pipeline and
     /// the replay side effects read is either a key word or recomputed
     /// live on a hit.
     fn build_plan_key(
         &self,
         app: usize,
-        fi: usize,
         demands: &[(SiId, u64)],
         pressure: &[u64],
         key: &mut Vec<u64>,
     ) {
-        let fabric = &self.fabrics[fi];
+        let fabric = &self.fabric;
         key.push(self.plan_namespace);
         key.push(self.scheduler_kind as u64);
-        key.push(self.epochs[fi]);
+        key.push(self.epoch);
         key.push(self.contexts.len() as u64);
         key.push(app as u64);
         key.push(u64::from(self.contexts[app].explain_enabled));
@@ -583,79 +525,63 @@ impl<'a> FabricArbiter<'a> {
         }
     }
 
-    /// [`FabricArbiter::sync_fabric_into`] for callers that discard the
-    /// completions: both the event window and the completion list live in
-    /// reused scratch buffers, so the event-processing hot path (burst
-    /// execution crossing a load completion) allocates nothing.
-    fn sync_fabric_discard(&mut self, fi: usize, now: u64) {
-        let mut completions = std::mem::take(&mut self.scratch.completion_buf);
-        completions.clear();
-        self.sync_fabric_into(fi, now, &mut completions);
-        self.scratch.completion_buf = completions;
-    }
-
-    /// Advances fabric `fi` to `now` and applies the [`RecoveryPolicy`] to
+    /// Advances the fabric to `now` and applies the [`RecoveryPolicy`] to
     /// every fault event, attributing retries to the owning application:
     /// bounded-backoff retries for aborted loads, scrub reloads for
     /// SEU-corrupted Atoms, quarantine of containers that exhaust their
     /// retries, and a re-plan of every affected tenant whenever the set of
     /// usable containers shrinks. Steps the fabric event time by event
     /// time so a retry issued in response to an abort plays out its whole
-    /// cascade inside one sync. Appends the successful completions to
-    /// `completions`.
-    fn sync_fabric_into(&mut self, fi: usize, now: u64, completions: &mut Vec<LoadCompleted>) {
+    /// cascade inside one sync.
+    fn sync_fabric(&mut self, now: u64) {
         let mut events = std::mem::take(&mut self.scratch.event_buf);
         loop {
-            let Some(t) = self.fabrics[fi].next_event_at().filter(|&t| t <= now) else {
+            let Some(t) = self.fabric.next_event_at().filter(|&t| t <= now) else {
                 // Nothing left inside the window: land the fabric clock on
                 // `now` and stop (`advance_clock` debug-asserts exactly
                 // what the filter above established — no event is due).
-                self.fabrics[fi].advance_clock(now);
+                self.fabric.advance_clock(now);
                 break;
             };
-            self.fabrics[fi].advance_events_into(t, &mut events);
+            self.fabric.advance_events_into(t, &mut events);
             let mut needs_replan = false;
             for event in events.drain(..) {
                 match event {
                     FabricEvent::Completed(done) => {
-                        self.abort_streaks[fi][done.container.index()] = 0;
-                        completions.push(done);
+                        self.abort_streaks[done.container.index()] = 0;
                     }
                     FabricEvent::LoadAborted { atom, container, at } => {
-                        let owner = self.fabrics[fi].owner_of(container).unwrap_or(0);
-                        let streak = &mut self.abort_streaks[fi][container.index()];
+                        let owner = self.fabric.owner_of(container).unwrap_or(0);
+                        let streak = &mut self.abort_streaks[container.index()];
                         *streak += 1;
                         let exhausted = *streak > self.recovery.max_retries;
                         if exhausted
-                            && !self.fabrics[fi].containers()[container.index()].is_quarantined()
+                            && !self.fabric.containers()[container.index()].is_quarantined()
                         {
                             // A tile that rejects bitstream after bitstream
                             // is broken: take it out of service and re-plan
                             // on the shrunken fabric. The schedulers re-issue
                             // whatever the new plans still need.
-                            self.abort_streaks[fi][container.index()] = 0;
-                            self.fabrics[fi]
+                            self.abort_streaks[container.index()] = 0;
+                            self.fabric
                                 .quarantine(container)
                                 .expect("fabric event names one of its own containers");
                             // Structural change: invalidate every plan
                             // memoised against the old fabric shape.
-                            self.epochs[fi] = self.epochs[fi].wrapping_add(1);
+                            self.epoch = self.epoch.wrapping_add(1);
                             self.plan_stats.epoch_bumps += 1;
                             needs_replan = true;
                         } else {
-                            let attempt = self.abort_streaks[fi][container.index()];
-                            // Salted by (fabric, container) so simultaneous
-                            // aborts on different tiles de-correlate instead
-                            // of retrying as a convoy; with the default
-                            // zero jitter seed this is exactly the classic
+                            let attempt = self.abort_streaks[container.index()];
+                            // Salted by container so simultaneous aborts on
+                            // different tiles de-correlate instead of
+                            // retrying as a convoy; with the default zero
+                            // jitter seed this is exactly the classic
                             // jitterless schedule.
-                            let salt = ((fi as u64) << 32) | container.index() as u64;
+                            let salt = container.index() as u64;
                             let delay = self.recovery.backoff_cycles_salted(attempt, salt);
-                            self.fabrics[fi].enqueue_load_app(
-                                owner,
-                                atom,
-                                at.saturating_add(delay),
-                            );
+                            self.fabric
+                                .enqueue_load_app(owner, atom, at.saturating_add(delay));
                             self.contexts[usize::from(owner)].load_retries += 1;
                         }
                     }
@@ -665,35 +591,32 @@ impl<'a> FabricArbiter<'a> {
                             // the atom: the faulty container is a preferred
                             // load target, so this physically rewrites the
                             // corrupted region.
-                            let owner = self.fabrics[fi].owner_of(container).unwrap_or(0);
-                            self.fabrics[fi].enqueue_load_app(owner, atom, at);
+                            let owner = self.fabric.owner_of(container).unwrap_or(0);
+                            self.fabric.enqueue_load_app(owner, atom, at);
                             self.contexts[usize::from(owner)].load_retries += 1;
                         }
                     }
                     FabricEvent::ContainerFailed { .. } => {
                         // Permanent tile failure: same invalidation rule
                         // as a quarantine.
-                        self.epochs[fi] = self.epochs[fi].wrapping_add(1);
+                        self.epoch = self.epoch.wrapping_add(1);
                         self.plan_stats.epoch_bumps += 1;
                         needs_replan = true;
                     }
                 }
             }
             if needs_replan {
-                self.replan_fabric(fi);
+                self.replan();
             }
         }
         self.scratch.event_buf = events;
     }
 
-    /// Re-plans every application on fabric `fi` with an active hot spot
-    /// after the usable-container set shrank (app order, so the outcome is
+    /// Re-plans every application with an active hot spot after the
+    /// usable-container set shrank (app order, so the outcome is
     /// deterministic). A 1-tenant arbiter re-plans exactly itself.
-    fn replan_fabric(&mut self, fi: usize) {
+    fn replan(&mut self) {
         for app in 0..self.contexts.len() {
-            if self.fabric_index(app) != fi {
-                continue;
-            }
             if self.contexts[app].current_hot_spot.is_none()
                 || self.contexts[app].last_demands.is_empty()
             {
@@ -715,11 +638,10 @@ impl<'a> FabricArbiter<'a> {
     ///
     /// Panics if `si` is outside the library.
     pub fn best_available_variant(&mut self, app: u16, si: SiId) -> Option<(usize, u32)> {
-        let a = usize::from(app);
-        let fabric = &self.fabrics[self.fabric_index(a)];
+        let fabric = &self.fabric;
         let generation = fabric.generation();
         let lib = self.library;
-        let cache = &mut self.contexts[a].best_cache[si.index()];
+        let cache = &mut self.contexts[usize::from(app)].best_cache[si.index()];
         if cache.generation != generation {
             let def = lib.si(si).expect("si within library");
             let available = fabric.available();
@@ -745,14 +667,12 @@ impl<'a> FabricArbiter<'a> {
     ///
     /// Panics if `si` is outside the library.
     pub fn execute_si(&mut self, app: u16, si: SiId, now: u64) -> SiExecution {
-        let a = usize::from(app);
-        let fi = self.fabric_index(a);
-        self.sync_fabric_discard(fi, now);
+        self.sync_fabric(now);
         let lib = self.library;
         let def = lib.si(si).expect("si within library");
         let execution = match self.best_available_variant(app, si) {
             Some((idx, latency)) if latency < def.software_latency() => {
-                self.fabrics[fi].mark_used(&def.variants()[idx].atoms, now);
+                self.fabric.mark_used(&def.variants()[idx].atoms, now);
                 SiExecution {
                     latency,
                     variant_index: Some(idx),
@@ -763,7 +683,7 @@ impl<'a> FabricArbiter<'a> {
                 variant_index: None,
             },
         };
-        let ctx = &mut self.contexts[a];
+        let ctx = &mut self.contexts[usize::from(app)];
         if let Some(hs) = ctx.current_hot_spot {
             ctx.monitor.record_execution(hs, si);
         }
@@ -796,8 +716,6 @@ impl<'a> FabricArbiter<'a> {
         segments: &mut Vec<BurstSegment>,
     ) {
         segments.clear();
-        let a = usize::from(app);
-        let fi = self.fabric_index(a);
         let lib = self.library;
         let def = lib.si(si).expect("si within library");
         let mut t = start;
@@ -806,13 +724,13 @@ impl<'a> FabricArbiter<'a> {
             // One event scan per segment: process due events (rare), or
             // just land the clock on `t` and reuse the scan's result as
             // the segment-splitting horizon.
-            let next_event = match self.fabrics[fi].next_event_at() {
+            let next_event = match self.fabric.next_event_at() {
                 Some(event) if event <= t => {
-                    self.sync_fabric_discard(fi, t);
-                    self.fabrics[fi].next_event_at()
+                    self.sync_fabric(t);
+                    self.fabric.next_event_at()
                 }
                 other => {
-                    self.fabrics[fi].advance_clock(t);
+                    self.fabric.advance_clock(t);
                     other
                 }
             };
@@ -822,8 +740,8 @@ impl<'a> FabricArbiter<'a> {
             };
             if let Some(idx) = variant_index {
                 match self.scratch.used_masks.get(si.index()).and_then(|m| m.get(idx)) {
-                    Some(&mask) => self.fabrics[fi].mark_used_types(mask, t),
-                    None => self.fabrics[fi].mark_used(&def.variants()[idx].atoms, t),
+                    Some(&mask) => self.fabric.mark_used_types(mask, t),
+                    None => self.fabric.mark_used(&def.variants()[idx].atoms, t),
                 }
             }
             let per = u64::from(latency) + u64::from(overhead);
@@ -841,7 +759,7 @@ impl<'a> FabricArbiter<'a> {
             t += n * per;
             remaining -= n;
         }
-        let ctx = &mut self.contexts[a];
+        let ctx = &mut self.contexts[usize::from(app)];
         if let Some(hs) = ctx.current_hot_spot {
             ctx.monitor.record_executions(hs, si, u64::from(count));
         }
@@ -885,9 +803,7 @@ impl<'a> FabricArbiter<'a> {
         I: IntoIterator<Item = (SiId, u32, u32)>,
     {
         segments.clear();
-        let a = usize::from(app);
-        let fi = self.fabric_index(a);
-        let horizon = match self.fabrics[fi].next_event_at() {
+        let horizon = match self.fabric.next_event_at() {
             Some(event) if event <= start => return 0,
             other => other,
         };
@@ -956,10 +872,10 @@ impl<'a> FabricArbiter<'a> {
                 // flush below lands every `type_used` stamp on exactly
                 // the cycle the per-burst sequence would leave.
                 (Some(_), Some(_)) if defer_marks => m.last_used = Some(t),
-                (Some(_), Some(mask)) => self.fabrics[fi].mark_used_types(mask, t),
+                (Some(_), Some(mask)) => self.fabric.mark_used_types(mask, t),
                 (Some(idx), None) => {
                     let def = lib.si(si).expect("si within library");
-                    self.fabrics[fi].mark_used(&def.variants()[idx].atoms, t);
+                    self.fabric.mark_used(&def.variants()[idx].atoms, t);
                 }
                 (None, _) => {}
             }
@@ -985,12 +901,12 @@ impl<'a> FabricArbiter<'a> {
         let marks = &mut marks[..n_marks];
         marks.sort_unstable_by_key(|&(at, _)| at);
         for &(at, mask) in marks.iter() {
-            self.fabrics[fi].mark_used_types(mask, at);
+            self.fabric.mark_used_types(mask, at);
         }
         if let Some(at) = last_started {
-            self.fabrics[fi].advance_clock(at);
+            self.fabric.advance_clock(at);
         }
-        let ctx = &mut self.contexts[a];
+        let ctx = &mut self.contexts[usize::from(app)];
         if let Some(hs) = ctx.current_hot_spot {
             for (i, m) in memo.iter().enumerate() {
                 if m.executed > 0 {
@@ -1006,22 +922,17 @@ impl<'a> FabricArbiter<'a> {
     /// Leaves application `app`'s current hot spot, folding measured
     /// execution counts into its monitor's expectations.
     pub fn exit_hot_spot(&mut self, app: u16, now: u64) {
-        let a = usize::from(app);
-        let fi = self.fabric_index(a);
-        self.sync_fabric_discard(fi, now);
-        let ctx = &mut self.contexts[a];
+        self.sync_fabric(now);
+        let ctx = &mut self.contexts[usize::from(app)];
         if let Some(hs) = ctx.current_hot_spot.take() {
             ctx.monitor.end_hot_spot(hs);
         }
     }
 
-    /// Advances `app`'s fabric to `now` (applying the recovery policy to
-    /// any fault events on the way), returning the atoms that completed.
-    pub fn advance_to(&mut self, app: u16, now: u64) -> Vec<LoadCompleted> {
-        let fi = self.fabric_index(usize::from(app));
-        let mut completions = Vec::new();
-        self.sync_fabric_into(fi, now, &mut completions);
-        completions
+    /// Advances the fabric to `now`, applying the recovery policy to any
+    /// fault events on the way.
+    pub fn advance_to(&mut self, now: u64) {
+        self.sync_fabric(now);
     }
 
     /// Enables (or disables) decision capture for application `app`: while
@@ -1049,24 +960,17 @@ impl<'a> FabricArbiter<'a> {
         out.append(&mut self.contexts[usize::from(app)].decisions);
     }
 
-    /// Enables (or disables) the container-transition journal on every
-    /// fabric (see [`rispp_fabric::Fabric::set_journal_enabled`]).
+    /// Enables (or disables) the fabric's container-transition journal
+    /// (see [`rispp_fabric::Fabric::set_journal_enabled`]).
     pub fn set_journal_enabled(&mut self, enabled: bool) {
-        for fabric in &mut self.fabrics {
-            fabric.set_journal_enabled(enabled);
-        }
+        self.fabric.set_journal_enabled(enabled);
     }
 
-    /// Moves buffered journal entries of `app`'s fabric into `out`. Under
-    /// [`ContentionPolicy::Shared`] the journal is substrate-wide, so
-    /// entries go to whichever tenant drains first.
-    pub fn drain_fabric_journal(
-        &mut self,
-        app: u16,
-        out: &mut Vec<rispp_fabric::FabricJournalEntry>,
-    ) {
-        let fi = self.fabric_index(usize::from(app));
-        self.fabrics[fi].drain_journal(out);
+    /// Moves the fabric's buffered journal entries into `out`. The journal
+    /// is substrate-wide, so with several tenants the entries go to
+    /// whichever tenant drains first.
+    pub fn drain_fabric_journal(&mut self, out: &mut Vec<rispp_fabric::FabricJournalEntry>) {
+        self.fabric.drain_journal(out);
     }
 
     /// The active fault-recovery policy (shared by all contexts).
@@ -1076,13 +980,12 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// Self-healing counters as seen by application `app`. Fault counts
-    /// are per fabric: exact per-tenant under `Partitioned`,
-    /// substrate-wide under `Shared` (faults on a shared substrate hit
-    /// everyone); retries and software degradations are always per tenant.
+    /// are substrate-wide (faults on a shared substrate hit everyone);
+    /// retries and software degradations are per tenant.
     #[must_use]
     pub fn recovery_stats(&self, app: u16) -> RecoveryStats {
         let a = usize::from(app);
-        let fs = self.fabrics[self.fabric_index(a)].stats();
+        let fs = self.fabric.stats();
         RecoveryStats {
             faults_injected: fs.loads_aborted + fs.seu_corruptions + fs.permanent_failures,
             load_retries: self.contexts[a].load_retries,
@@ -1093,41 +996,39 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// Reconfiguration `(loads_completed, port_busy_cycles)` attributable
-    /// to application `app` on its fabric.
+    /// to application `app`.
     #[must_use]
     pub fn app_port_stats(&self, app: u16) -> (u64, u64) {
-        self.fabric_for(app).app_port_stats(app)
+        self.fabric.app_port_stats(app)
     }
 
     /// Foreign atoms `app`'s plans found already loaded by co-tenants
-    /// (cross-app reuse; zero outside `Shared` multi-tenancy).
+    /// (cross-app reuse; zero with one tenant).
     #[must_use]
     pub fn atoms_shared(&self, app: u16) -> u64 {
         self.contexts[usize::from(app)].atoms_shared
     }
 
     /// Total contested evictions across the substrate: loads that evicted
-    /// an atom owned by a different application (zero with one tenant or
-    /// under `Partitioned`).
+    /// an atom owned by a different application (zero with one tenant).
     #[must_use]
     pub fn contested_evictions(&self) -> u64 {
-        self.fabrics.iter().map(|f| f.stats().evictions_contested).sum()
+        self.fabric.stats().evictions_contested
     }
 
-    /// Effective latency of `si` for application `app` with the atoms
-    /// available right now.
+    /// Effective latency of `si` with the atoms available right now.
     #[must_use]
-    pub fn current_latency(&self, app: u16, si: SiId) -> u32 {
+    pub fn current_latency(&self, si: SiId) -> u32 {
         self.library
             .si(si)
-            .map(|def| def.best_latency(self.fabric_for(app).available()))
+            .map(|def| def.best_latency(self.fabric.available()))
             .unwrap_or(0)
     }
 
-    /// Atoms currently available on `app`'s fabric.
+    /// Atoms currently available on the fabric.
     #[must_use]
-    pub fn available_atoms(&self, app: u16) -> &Molecule {
-        self.fabric_for(app).available()
+    pub fn available_atoms(&self) -> &Molecule {
+        self.fabric.available()
     }
 
     /// Deterministic plan-cache counters of this arbiter (all zero when no
@@ -1137,12 +1038,12 @@ impl<'a> FabricArbiter<'a> {
         self.plan_stats
     }
 
-    /// Current plan-invalidation epoch of `app`'s fabric: bumped on every
+    /// Current plan-invalidation epoch of the fabric: bumped on every
     /// container quarantine and permanent tile failure, and embedded in
     /// every plan key derived afterwards.
     #[must_use]
-    pub fn fabric_epoch(&self, app: u16) -> u64 {
-        self.epochs[self.fabric_index(usize::from(app))]
+    pub fn fabric_epoch(&self) -> u64 {
+        self.epoch
     }
 }
 
@@ -1157,7 +1058,6 @@ pub struct FabricArbiterBuilder<'a> {
     library: &'a SiLibrary,
     containers: u16,
     tenants: u16,
-    policy: ContentionPolicy,
     scheduler: SchedulerKind,
     forecast: ForecastPolicy,
     port_bandwidth: Option<u64>,
@@ -1168,12 +1068,8 @@ pub struct FabricArbiterBuilder<'a> {
 }
 
 impl<'a> FabricArbiterBuilder<'a> {
-    /// Sets the total number of Atom Containers of a [`Shared`] substrate
-    /// (default 10, the paper sweeps 5–24; ignored under [`Partitioned`],
-    /// which sizes per app).
-    ///
-    /// [`Shared`]: ContentionPolicy::Shared
-    /// [`Partitioned`]: ContentionPolicy::Partitioned
+    /// Sets the number of Atom Containers of the substrate (default 10,
+    /// the paper sweeps 5–24).
     #[must_use]
     pub fn containers(mut self, containers: u16) -> Self {
         self.containers = containers;
@@ -1184,13 +1080,6 @@ impl<'a> FabricArbiterBuilder<'a> {
     #[must_use]
     pub fn tenants(mut self, tenants: u16) -> Self {
         self.tenants = tenants.max(1);
-        self
-    }
-
-    /// Sets the contention policy (default [`ContentionPolicy::Shared`]).
-    #[must_use]
-    pub fn policy(mut self, policy: ContentionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -1216,11 +1105,9 @@ impl<'a> FabricArbiterBuilder<'a> {
         self
     }
 
-    /// Attaches a seeded [`FaultModel`] to every fabric: the fabric injects
+    /// Attaches a seeded [`FaultModel`] to the fabric: the fabric injects
     /// CRC aborts, SEU corruption and permanent tile failures, and the
-    /// arbiter heals them per its [`RecoveryPolicy`]. Each partition draws
-    /// from its own identically seeded stream, so a partitioned tenant's
-    /// fault history matches a solo run of the same size. A
+    /// arbiter heals them per its [`RecoveryPolicy`]. A
     /// [null](FaultModel::is_null) model leaves behaviour bit-identical to
     /// not attaching one.
     #[must_use]
@@ -1254,7 +1141,7 @@ impl<'a> FabricArbiterBuilder<'a> {
         self
     }
 
-    /// Finalises the arbiter with empty fabric(s) at cycle 0.
+    /// Finalises the arbiter with an empty fabric at cycle 0.
     ///
     /// # Panics
     ///
@@ -1263,30 +1150,16 @@ impl<'a> FabricArbiterBuilder<'a> {
     /// building.
     #[must_use]
     pub fn build(self) -> FabricArbiter<'a> {
-        let k = usize::from(self.tenants);
-        let per_fabric: Vec<u16> = match self.policy {
-            ContentionPolicy::Shared => vec![self.containers],
-            ContentionPolicy::Partitioned { containers_per_app } => {
-                vec![containers_per_app; k]
-            }
+        let mut config = FabricConfig::prototype(self.containers);
+        if let Some(bw) = self.port_bandwidth {
+            config.port = rispp_fabric::ReconfigPortConfig::with_bandwidth(bw);
+        }
+        let fabric = match self.fault {
+            Some(model) => Fabric::with_fault_model(config, self.library.universe(), model),
+            None => Fabric::new(config, self.library.universe()),
         };
-        let fabrics: Vec<Fabric> = per_fabric
-            .iter()
-            .map(|&n| {
-                let mut config = FabricConfig::prototype(n);
-                if let Some(bw) = self.port_bandwidth {
-                    config.port = rispp_fabric::ReconfigPortConfig::with_bandwidth(bw);
-                }
-                match self.fault {
-                    Some(model) => {
-                        Fabric::with_fault_model(config, self.library.universe(), model)
-                    }
-                    None => Fabric::new(config, self.library.universe()),
-                }
-            })
-            .collect();
         let arity = self.library.arity();
-        let contexts: Vec<AppContext> = (0..k)
+        let contexts: Vec<AppContext> = (0..self.tenants)
             .map(|_| AppContext {
                 monitor: ExecutionMonitor::new(self.forecast),
                 current_hot_spot: None,
@@ -1301,10 +1174,7 @@ impl<'a> FabricArbiterBuilder<'a> {
                 decisions: Vec::new(),
             })
             .collect();
-        let abort_streaks = fabrics
-            .iter()
-            .map(|f| vec![0u32; usize::from(f.container_count())])
-            .collect();
+        let abort_streaks = vec![0u32; usize::from(fabric.container_count())];
         let used_masks = if arity <= 64 {
             (0..self.library.len())
                 .map(|i| {
@@ -1324,11 +1194,9 @@ impl<'a> FabricArbiterBuilder<'a> {
             .plan_cache
             .as_ref()
             .map_or(0, |h| h.namespace() ^ library_fingerprint(self.library));
-        let epochs = vec![0u64; fabrics.len()];
         FabricArbiter {
             library: self.library,
-            policy: self.policy,
-            fabrics,
+            fabric,
             contexts,
             scratch: SharedScratch {
                 used_masks,
@@ -1339,7 +1207,7 @@ impl<'a> FabricArbiterBuilder<'a> {
             scheduler_kind: self.scheduler,
             plan_cache: self.plan_cache,
             plan_namespace,
-            epochs,
+            epoch: 0,
             plan_stats: PlanCacheStats::default(),
         }
     }
@@ -1429,18 +1297,18 @@ mod tests {
         assert!(arb.selected(0).iter().all(|s| s.si == SiId(1)));
         let e = arb.execute_si(0, SiId(1), 10_000_000);
         assert_eq!(e.latency, 80);
-        assert_eq!(arb.available_atoms(0).count(1), 1);
+        assert_eq!(arb.available_atoms().count(1), 1);
     }
 
     #[test]
     fn current_latency_tracks_available_atoms() {
         let lib = library();
         let mut arb = FabricArbiter::builder(&lib).containers(4).build();
-        assert_eq!(arb.current_latency(0, SiId(0)), 1000);
+        assert_eq!(arb.current_latency(SiId(0)), 1000);
         arb.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 10)], 0)
             .unwrap();
-        arb.advance_to(0, 50_000_000);
-        assert_eq!(arb.current_latency(0, SiId(0)), 30);
+        arb.advance_to(50_000_000);
+        assert_eq!(arb.current_latency(SiId(0)), 30);
     }
 
     #[test]
@@ -1500,7 +1368,7 @@ mod tests {
                 .scheduler(kind)
                 .forecast(ForecastPolicy::LastValue)
                 .build();
-            assert_eq!(arb.fabric_for(0).container_count(), 6);
+            assert_eq!(arb.fabric().container_count(), 6);
         }
     }
 }

@@ -27,10 +27,10 @@
 //! The crate also implements the Molecule **selection** step
 //! ([`GreedySelector`]) that precedes scheduling and the run-time manager
 //! of paper Section 3.1, [`FabricArbiter`], which ties monitor, selection,
-//! scheduler and the reconfigurable [`rispp_fabric::Fabric`] together for
-//! one application (K=1) or K contending ones. Its plans are memoised in a
-//! [`PlanCache`]; a fresh plan and a cached one are applied by the same
-//! code.
+//! scheduler and one reconfigurable [`rispp_fabric::Fabric`] together for
+//! one application (K=1) or K applications contending for that fabric. Its
+//! plans are memoised in a [`PlanCache`]; a fresh plan and a cached one are
+//! applied by the same code.
 //!
 //! # Examples
 //!
@@ -76,7 +76,7 @@ mod selection;
 mod sjf;
 mod types;
 
-pub use arbiter::{ContentionPolicy, FabricArbiter, FabricArbiterBuilder};
+pub use arbiter::{FabricArbiter, FabricArbiterBuilder};
 pub use context::{Candidate, UpgradeBuffers, UpgradeContext};
 pub use error::CoreError;
 pub use explain::{

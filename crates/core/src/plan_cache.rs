@@ -34,9 +34,9 @@
 //! Structural fabric changes — a container quarantine, a permanent tile
 //! failure — bump the fabric's epoch counter, which is embedded in every
 //! key derived afterwards, so a plan computed before the change can never
-//! be replayed after it. (Tenant count and per-container owner tags are
-//! key words too, so tenant join/leave and repartitioning separate keys by
-//! construction even without an explicit bump.) Epochs only need to be
+//! be replayed after it. (Tenant count, container counts and per-container
+//! owner tags are key words too, so tenant join/leave and a resized fabric
+//! separate keys by construction even without an explicit bump.) Epochs only need to be
 //! monotonic per arbiter; they are compared for key equality, never
 //! ordered.
 //!

@@ -90,12 +90,12 @@ proptest! {
                 }
                 // Plain time advance: loads complete, atoms appear.
                 _ => {
-                    mgr.advance_to(0, now);
+                    mgr.advance_to(now);
                 }
             }
             for idx in 0..lib.len() {
                 let probe = SiId(idx as u16);
-                let expected = fresh_best(&lib, mgr.available_atoms(0), probe);
+                let expected = fresh_best(&lib, mgr.available_atoms(), probe);
                 prop_assert_eq!(
                     mgr.best_available_variant(0, probe),
                     expected,

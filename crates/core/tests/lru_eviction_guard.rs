@@ -27,11 +27,11 @@ fn library() -> SiLibrary {
 /// Effective last-used stamp of every container holding the executed
 /// variant's atoms.
 fn used_stamps(mgr: &FabricArbiter<'_>, atom_index: usize) -> Vec<u64> {
-    mgr.fabric_for(0)
+    mgr.fabric()
         .containers()
         .iter()
         .filter(|c| c.loaded_atom().map(rispp_model::AtomTypeId::index) == Some(atom_index))
-        .map(|c| mgr.fabric_for(0).effective_last_used(c))
+        .map(|c| mgr.fabric().effective_last_used(c))
         .collect()
 }
 
@@ -41,7 +41,7 @@ fn hardware_execute_si_refreshes_last_used() {
     let mut mgr = FabricArbiter::builder(&lib).containers(4).build();
     mgr.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
         .unwrap();
-    mgr.advance_to(0, 10_000_000);
+    mgr.advance_to(10_000_000);
 
     let e = mgr.execute_si(0, SiId(0), 10_000_123);
     assert!(e.is_hardware());
@@ -63,10 +63,10 @@ fn software_trap_does_not_touch_last_used_but_counts_executions() {
     let e = mgr.execute_si(0, SiId(0), 50);
     assert!(!e.is_hardware());
     assert!(
-        mgr.fabric_for(0)
+        mgr.fabric()
             .containers()
             .iter()
-            .all(|c| mgr.fabric_for(0).effective_last_used(c) == 0),
+            .all(|c| mgr.fabric().effective_last_used(c) == 0),
         "a trapped execution touches no hardware"
     );
     // The monitor still sees the execution (task II must not lose traps).
@@ -107,16 +107,16 @@ fn recently_used_atom_is_not_the_eviction_victim() {
     let mut mgr = FabricArbiter::builder(&lib).containers(2).build();
     mgr.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
         .unwrap();
-    mgr.advance_to(0, 5_000_000);
+    mgr.advance_to(5_000_000);
     let e = mgr.execute_si(0, SiId(0), 5_000_000);
     assert!(e.is_hardware());
 
     mgr.exit_hot_spot(0, 5_000_001);
     mgr.enter_hot_spot(0, HotSpotId(1), &[(SiId(1), 100)], 5_000_002)
         .unwrap();
-    mgr.advance_to(0, 20_000_000);
+    mgr.advance_to(20_000_000);
     // Both SIs must now be in hardware: A1 survived on its tile while A2
     // went to the empty one.
-    assert_eq!(mgr.available_atoms(0).counts(), &[1, 1]);
-    assert_eq!(mgr.fabric_for(0).stats().evictions, 0);
+    assert_eq!(mgr.available_atoms().counts(), &[1, 1]);
+    assert_eq!(mgr.fabric().stats().evictions, 0);
 }

@@ -58,7 +58,7 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
         })
         .build();
 
-    assert_eq!(mgr.fabric_epoch(0), 0, "fresh fabric starts at epoch zero");
+    assert_eq!(mgr.fabric_epoch(), 0, "fresh fabric starts at epoch zero");
     let demands = [(SiId(0), 400u64)];
     mgr.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 0)
         .unwrap();
@@ -76,10 +76,10 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
     mgr.exit_hot_spot(0, 200_000_000);
     mgr.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 200_000_001)
         .unwrap();
-    mgr.advance_to(0, 400_000_000);
-    assert_eq!(mgr.fabric_for(0).usable_container_count(), 0);
+    mgr.advance_to(400_000_000);
+    assert_eq!(mgr.fabric().usable_container_count(), 0);
 
-    let epoch = mgr.fabric_epoch(0);
+    let epoch = mgr.fabric_epoch();
     assert_eq!(epoch, 3, "each of the 3 quarantined tiles bumps the epoch");
     let baseline = mgr.plan_cache_stats();
     assert_eq!(baseline.epoch_bumps, 3, "bumps are counted: {baseline:?}");
@@ -113,7 +113,7 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
         "replayed plan is the degraded one"
     );
     assert_eq!(
-        mgr.fabric_epoch(0),
+        mgr.fabric_epoch(),
         epoch,
         "no further faults, no further bumps"
     );
@@ -145,8 +145,8 @@ fn shared_cache_matches_epochs_and_never_changes_decisions() {
     a.exit_hot_spot(0, 200_000_000);
     a.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 200_000_001)
         .unwrap();
-    a.advance_to(0, 400_000_000);
-    assert!(a.fabric_epoch(0) > 0);
+    a.advance_to(400_000_000);
+    assert!(a.fabric_epoch() > 0);
     assert!(a.selected(0).is_empty(), "A ends degraded on a dead fabric");
 
     // Manager B shares the cache, is fault-free and sits at epoch 0 on a
@@ -161,7 +161,7 @@ fn shared_cache_matches_epochs_and_never_changes_decisions() {
         .unwrap();
     let stats = b.plan_cache_stats();
     assert_eq!(stats.hits, 1, "B replays A's epoch-0 plan: {stats:?}");
-    assert_eq!(b.fabric_epoch(0), 0);
+    assert_eq!(b.fabric_epoch(), 0);
     assert!(
         !b.selected(0).is_empty(),
         "B got the healthy hardware plan, not A's degraded epoch-3 plan"
@@ -233,13 +233,13 @@ proptest! {
             ends[slot] = now;
         }
         prop_assert_eq!(ends[0], ends[1], "cache must not change timing");
-        prop_assert_eq!(cached.fabric_for(0).stats(), plain.fabric_for(0).stats());
+        prop_assert_eq!(cached.fabric().stats(), plain.fabric().stats());
         prop_assert_eq!(cached.recovery_stats(0), plain.recovery_stats(0));
         // Both managers saw the same faults, so the same bumps.
-        prop_assert_eq!(cached.fabric_epoch(0), plain.fabric_epoch(0));
+        prop_assert_eq!(cached.fabric_epoch(), plain.fabric_epoch());
         prop_assert_eq!(
-            cached.fabric_for(0).stats().containers_quarantined,
-            cached.fabric_epoch(0),
+            cached.fabric().stats().containers_quarantined,
+            cached.fabric_epoch(),
             "exactly one bump per quarantined tile"
         );
     }

@@ -42,7 +42,7 @@ fn null_fault_model_is_bit_identical_to_no_model() {
     let mut b = Vec::new();
     nulled.execute_burst_into(0, SiId(0), 400, 25, 0, &mut b);
     assert_eq!(a, b, "a null model must not perturb execution");
-    assert_eq!(plain.fabric_for(0).stats(), nulled.fabric_for(0).stats());
+    assert_eq!(plain.fabric().stats(), nulled.fabric().stats());
     assert_eq!(
         nulled.recovery_stats(0),
         rispp_core::RecoveryStats::default(),
@@ -90,7 +90,7 @@ fn certain_crc_aborts_exhaust_retries_quarantine_and_degrade() {
     mgr.exit_hot_spot(0, 200_000_000);
     mgr.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 400)], 200_000_001)
         .unwrap();
-    mgr.advance_to(0, 400_000_000);
+    mgr.advance_to(400_000_000);
     let stats = mgr.recovery_stats(0);
     assert_eq!(
         stats.containers_quarantined, 3,
@@ -100,7 +100,7 @@ fn certain_crc_aborts_exhaust_retries_quarantine_and_degrade() {
         stats.degraded_to_software > 0,
         "re-planning on a dead fabric must record the cISA degradation: {stats:?}"
     );
-    assert_eq!(mgr.fabric_for(0).usable_container_count(), 0);
+    assert_eq!(mgr.fabric().usable_container_count(), 0);
     // Still executing fine, purely in software.
     let e = mgr.execute_si(0, SiId(0), 400_000_001);
     assert_eq!(e.latency, 1_000);
@@ -158,7 +158,7 @@ fn scrub_can_be_disabled() {
         .build();
     mgr.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
         .unwrap();
-    mgr.advance_to(0, 50_000_000);
+    mgr.advance_to(50_000_000);
     let stats = mgr.recovery_stats(0);
     assert!(stats.faults_injected > 0);
     assert_eq!(
@@ -193,7 +193,7 @@ fn permanent_failures_replan_on_the_shrunken_fabric() {
         stats.containers_quarantined > 0,
         "the seeded schedule must kill at least one tile: {stats:?}"
     );
-    assert!(mgr.fabric_for(0).usable_container_count() < 6);
+    assert!(mgr.fabric().usable_container_count() < 6);
     // The re-plan happened against the shrunken fabric; the supremum of
     // the current selection must fit in what is left.
     let total: u32 = mgr
@@ -201,7 +201,7 @@ fn permanent_failures_replan_on_the_shrunken_fabric() {
         .iter()
         .map(|s| lib.si(s.si).unwrap().variants()[s.variant_index].atoms.total_atoms())
         .sum();
-    assert!(total <= u32::from(mgr.fabric_for(0).usable_container_count()));
+    assert!(total <= u32::from(mgr.fabric().usable_container_count()));
 }
 
 #[test]
@@ -259,8 +259,8 @@ fn forward_progress_under_heavy_faults_for_every_scheduler() {
         assert_eq!(now, now2, "{kind}: fault runs must be reproducible");
         assert_eq!(mgr.recovery_stats(0), again.recovery_stats(0), "{kind}");
         assert_eq!(
-            mgr.fabric_for(0).stats(),
-            again.fabric_for(0).stats(),
+            mgr.fabric().stats(),
+            again.fabric().stats(),
             "{kind}"
         );
     }
@@ -298,7 +298,7 @@ fn jittered_backoff_is_deterministic_across_identical_runs() {
     let mut sb = Vec::new();
     b.execute_burst_into(0, SiId(0), 500, 25, 0, &mut sb);
     assert_eq!(sa, sb, "same jitter seed must give the same schedule");
-    assert_eq!(a.fabric_for(0).stats(), b.fabric_for(0).stats());
+    assert_eq!(a.fabric().stats(), b.fabric().stats());
     assert_eq!(a.recovery_stats(0), b.recovery_stats(0));
     assert!(
         a.recovery_stats(0).load_retries > 0,

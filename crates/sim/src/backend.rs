@@ -178,10 +178,10 @@ pub trait ExecutionSystem {
 ///
 /// `A` is how the adapter holds the arbiter. A solo run owns it
 /// (`RisppBackend<FabricArbiter>`, as [`SimConfig::build_system`] builds
-/// it); a multi-tenant run keeps one arbiter and lends it to each tenant's
-/// adapter for one slice (`RisppBackend<&mut FabricArbiter>`). Both are
-/// this one implementation, so a 1-tenant multi run and a solo run take
-/// the same code path.
+/// it); a shared multi-tenant run keeps one arbiter and lends it to each
+/// tenant's adapter for one slice (`RisppBackend<&mut FabricArbiter>`).
+/// Both are this one implementation, so a 1-tenant shared run and a solo
+/// run take the same code path.
 ///
 /// [`SimConfig::build_system`]: crate::SimConfig::build_system
 #[derive(Debug)]
@@ -301,24 +301,16 @@ impl<'a, A: BorrowMut<FabricArbiter<'a>>> ExecutionSystem for RisppBackend<A> {
     fn has_pending_activity(&self) -> bool {
         // Covers port completions, backoff-delayed starts, SEU upsets and
         // scheduled tile failures alike: any future internal fabric event.
-        self.arbiter
-            .borrow()
-            .fabric_for(self.app)
-            .next_event_at()
-            .is_some()
+        self.arbiter.borrow().fabric().next_event_at().is_some()
     }
 
     fn recovery_active(&self) -> bool {
-        self.arbiter
-            .borrow()
-            .fabric_for(self.app)
-            .fault_model()
-            .is_some()
+        self.arbiter.borrow().fabric().fault_model().is_some()
     }
 
     fn telemetry_active(&self) -> bool {
         let arbiter = self.arbiter.borrow();
-        arbiter.explain_enabled(self.app) || arbiter.fabric_for(self.app).journal_enabled()
+        arbiter.explain_enabled(self.app) || arbiter.fabric().journal_enabled()
     }
 
     fn drain_decisions(&mut self, out: &mut Vec<rispp_core::DecisionExplain>) {
@@ -326,9 +318,7 @@ impl<'a, A: BorrowMut<FabricArbiter<'a>>> ExecutionSystem for RisppBackend<A> {
     }
 
     fn drain_fabric_journal(&mut self, out: &mut Vec<rispp_fabric::FabricJournalEntry>) {
-        self.arbiter
-            .borrow_mut()
-            .drain_fabric_journal(self.app, out);
+        self.arbiter.borrow_mut().drain_fabric_journal(out);
     }
 }
 

@@ -1,6 +1,6 @@
 use rispp_core::{
-    BurstSegment, ContentionPolicy, DecisionExplain, FabricArbiter, PlanCacheHandle,
-    PlanCacheStats, RecoveryPolicy, RecoveryStats, SchedulerKind,
+    BurstSegment, DecisionExplain, FabricArbiter, PlanCacheHandle, PlanCacheStats,
+    RecoveryPolicy, RecoveryStats, SchedulerKind,
 };
 use rispp_fabric::{FabricJournalEntry, FaultModel};
 use rispp_model::SiLibrary;
@@ -10,7 +10,7 @@ use crate::backend::{ExecutionSystem, RisppBackend, SoftwareBackend};
 use crate::baseline::MolenSystem;
 use crate::cancel::{CancelToken, CancellableRun};
 use crate::context::TraceContext;
-use crate::multi::{partition_size, TenancyConfig, TenantPolicy};
+use crate::multi::TenancyConfig;
 use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
 use crate::stats::{RunStats, DEFAULT_BUCKET_CYCLES};
 use crate::trace::{Invocation, Trace};
@@ -151,19 +151,8 @@ impl SimConfig {
     #[must_use]
     pub fn molen(containers: u16) -> Self {
         SimConfig {
-            containers,
             system: SystemKind::Molen,
-            forecast: ForecastPolicy::default(),
-            detail: false,
-            bucket_cycles: DEFAULT_BUCKET_CYCLES,
-            oracle: false,
-            port_bandwidth: None,
-            fault: None,
-            explain: false,
-            journal: false,
-            tenants: TenancyConfig::default(),
-            plan_cache: true,
-            trace: None,
+            ..SimConfig::rispp(containers, SchedulerKind::Hef)
         }
     }
 
@@ -171,19 +160,8 @@ impl SimConfig {
     #[must_use]
     pub fn software_only() -> Self {
         SimConfig {
-            containers: 0,
             system: SystemKind::SoftwareOnly,
-            forecast: ForecastPolicy::default(),
-            detail: false,
-            bucket_cycles: DEFAULT_BUCKET_CYCLES,
-            oracle: false,
-            port_bandwidth: None,
-            fault: None,
-            explain: false,
-            journal: false,
-            tenants: TenancyConfig::default(),
-            plan_cache: true,
-            trace: None,
+            ..SimConfig::rispp(0, SchedulerKind::Hef)
         }
     }
 
@@ -243,7 +221,7 @@ impl SimConfig {
     }
 
     /// Configures multi-application tenancy (builder style): tenant count,
-    /// contention policy and burst arbitration for
+    /// tenancy policy and burst arbitration for
     /// [`crate::simulate_multi`].
     #[must_use]
     pub fn with_tenants(mut self, tenants: TenancyConfig) -> Self {
@@ -302,11 +280,10 @@ impl SimConfig {
     }
 
     /// The one mapping from a configuration to the RISPP run-time system:
-    /// a [`FabricArbiter`] running `scheduler` for `tenants` applications,
-    /// behind both the solo path (`tenants == 1`) and
-    /// [`crate::simulate_multi`]. The tenancy policy maps onto the
-    /// arbiter's [`ContentionPolicy`]; at one tenant both policies build
-    /// the same single fabric. When [`SimConfig::plan_cache`] is on the
+    /// a [`FabricArbiter`] over `containers` Atom Containers running
+    /// `scheduler` for `tenants` applications, behind both the solo path
+    /// (`tenants == 1`) and the shared-fabric path of
+    /// [`crate::simulate_multi`]. When [`SimConfig::plan_cache`] is on the
     /// arbiter memoises into `shared`, or into a private per-run cache.
     pub(crate) fn build_arbiter<'a>(
         &self,
@@ -315,16 +292,9 @@ impl SimConfig {
         tenants: u16,
         shared: Option<&PlanCacheHandle>,
     ) -> FabricArbiter<'a> {
-        let policy = match self.tenants.policy {
-            TenantPolicy::Shared => ContentionPolicy::Shared,
-            TenantPolicy::Partitioned => ContentionPolicy::Partitioned {
-                containers_per_app: partition_size(self.containers, usize::from(tenants)),
-            },
-        };
         let mut builder = FabricArbiter::builder(library)
             .containers(self.containers)
             .tenants(tenants)
-            .policy(policy)
             .scheduler(scheduler)
             .forecast(self.forecast)
             .explain(self.explain);

@@ -1,34 +1,32 @@
-//! Multi-application simulation: K traces contending for one
-//! reconfigurable substrate through the [`FabricArbiter`].
+//! Multi-application simulation: K traces, one per tenant.
 //!
-//! [`simulate_multi`] replays one trace per tenant, interleaving
-//! invocations under a [`TenantArbitration`] and mapping the
-//! [`TenancyConfig`] policy onto the arbiter's
-//! [`ContentionPolicy`]:
+//! [`simulate_multi`] replays one trace per tenant under the config's
+//! [`TenancyConfig`]:
 //!
-//! * [`TenantPolicy::Shared`] — one fabric, one serialized clock. Tenants
-//!   alternate on the substrate; atoms loaded by one accelerate another
-//!   ([`SimEvent::AtomShared`]) and evictions of a co-tenant's atoms are
-//!   counted as contested ([`SimEvent::EvictionContested`]).
-//! * [`TenantPolicy::Partitioned`] — each tenant gets a private fabric of
-//!   `containers / K` containers with its own clock starting at 0. Tenants
-//!   are perfectly cycle-isolated: each one's [`RunStats`] is bit-identical
-//!   to a solo run on a fabric of its partition's size.
+//! * RISPP under [`TenantPolicy::Shared`] — one [`FabricArbiter`], one
+//!   serialized clock. Tenants alternate on the substrate at invocation
+//!   granularity under a [`TenantArbitration`]; atoms loaded by one
+//!   accelerate another ([`SimEvent::AtomShared`]) and evictions of a
+//!   co-tenant's atoms are counted as contested
+//!   ([`SimEvent::EvictionContested`]). Each tenant reports the scheduler
+//!   label suffixed with `[tN]` and receives a [`SimEvent::TenantSwitched`]
+//!   at the start of each of its slices.
+//! * Everything else replays each tenant solo with [`crate::simulate`]'s
+//!   machinery: under [`TenantPolicy::Partitioned`] on `containers / K`
+//!   containers (a static split arbitrates nothing, so each tenant *is* a
+//!   solo run on its partition), and for the non-RISPP [`SystemKind`]s
+//!   under `Shared` on the full pool (an idealized duplicated substrate).
+//!   Solo tenants report the solo label and no tenant events.
 //!
-//! A 1-tenant run (any policy) is bit-identical to [`crate::simulate`]:
-//! the arbiter is built by the same function and driven through the same
+//! A 1-tenant shared run is bit-identical to [`crate::simulate`]: the
+//! arbiter is built by the same function and driven through the same
 //! [`RisppBackend`] adapter and the same replay loop; only the adapter
 //! borrows the arbiter for one invocation slice at a time instead of
 //! owning it.
 //!
-//! The non-RISPP [`SystemKind`]s have no shared substrate to arbitrate:
-//! each tenant simply gets its own independent baseline system
-//! (`containers / K` slots under `Partitioned`, the full pool — an
-//! idealized duplicated substrate — under `Shared`) and replays solo.
-//!
 //! [`FabricArbiter`]: rispp_core::FabricArbiter
 
-use rispp_core::{ContentionPolicy, SchedulerKind};
+use rispp_core::SchedulerKind;
 use rispp_model::SiLibrary;
 
 use crate::backend::{ExecutionSystem, RisppBackend};
@@ -41,21 +39,21 @@ use crate::stats::RunStats;
 use crate::trace::Trace;
 
 /// How the substrate is shared between the applications of a
-/// multi-tenant run (the simulation-level mirror of [`ContentionPolicy`],
-/// which needs the tenant count to be materialised).
+/// multi-tenant run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TenantPolicy {
     /// Full sharing with owner tags, cross-app atom reuse and
     /// contention-aware scheduling.
     #[default]
     Shared,
-    /// Static split: `containers / K` private containers per tenant,
-    /// perfect cycle isolation.
+    /// Static split: each tenant replays solo on `containers / K`
+    /// containers, perfectly cycle-isolated.
     Partitioned,
 }
 
 /// How the multi-tenant engine picks the next tenant to run an
-/// invocation.
+/// invocation. Only shared RISPP runs interleave tenants; every other run
+/// replays each tenant solo, so the arbitration cannot change its results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TenantArbitration {
     /// Strict rotation over the tenants that still have invocations left.
@@ -98,23 +96,23 @@ pub struct MultiRunStats {
     /// Per-tenant statistics, indexed by tenant.
     pub per_tenant: Vec<RunStats>,
     /// Total cycles *consumed* across tenants (Σ of each tenant's share of
-    /// the serialized clock under `Shared`; Σ of the private clocks under
-    /// `Partitioned`). The throughput metric: lower is better for a fixed
-    /// workload.
+    /// the serialized clock on a shared RISPP fabric; Σ of the solo runs'
+    /// cycles otherwise). The throughput metric: lower is better for a
+    /// fixed workload.
     pub aggregate_cycles: u64,
-    /// Wall-clock span of the run: the final serialized clock under
-    /// `Shared`, the slowest tenant's clock under `Partitioned`.
+    /// Wall-clock span of the run: the final serialized clock on a shared
+    /// RISPP fabric, the slowest solo run otherwise.
     pub makespan_cycles: u64,
     /// Foreign atoms found already loaded by co-tenants across all plans
-    /// (cross-app reuse; zero outside `Shared` multi-tenancy).
+    /// (cross-app reuse; zero outside shared RISPP multi-tenancy).
     pub atoms_shared: u64,
     /// Loads that evicted an atom owned by a different application (zero
-    /// outside `Shared` multi-tenancy).
+    /// outside shared RISPP multi-tenancy).
     pub evictions_contested: u64,
 }
 
 /// Containers each tenant gets under a partitioned split of `total`.
-pub(crate) fn partition_size(total: u16, tenants: usize) -> u16 {
+fn partition_size(total: u16, tenants: usize) -> u16 {
     let k = u16::try_from(tenants.max(1)).expect("tenant count fits u16");
     total / k
 }
@@ -157,9 +155,11 @@ pub fn simulate_multi(library: &SiLibrary, traces: &[Trace], config: &SimConfig)
 /// holds exactly one observer per trace, attached to that tenant's event
 /// stream alongside its [`RunStats`] collector.
 ///
-/// Tenant event streams are interleaved at invocation granularity; the
-/// switched-to tenant receives a [`SimEvent::TenantSwitched`] at the start
-/// of each of its slices (only when more than one tenant runs).
+/// On a shared RISPP fabric, tenant event streams are interleaved at
+/// invocation granularity and the switched-to tenant receives a
+/// [`SimEvent::TenantSwitched`] at the start of each of its slices (only
+/// when more than one tenant runs). Every other tenant's stream is that of
+/// its solo run.
 ///
 /// # Panics
 ///
@@ -186,8 +186,10 @@ pub fn simulate_multi_observed(
             evictions_contested: 0,
         };
     }
-    match config.system {
-        SystemKind::Rispp(kind) => simulate_multi_rispp(library, traces, config, kind, extra),
+    match (config.system, config.tenants.policy) {
+        (SystemKind::Rispp(kind), TenantPolicy::Shared) => {
+            simulate_multi_shared(library, traces, config, kind, extra)
+        }
         _ => simulate_multi_independent(library, traces, config, extra),
     }
 }
@@ -208,9 +210,9 @@ fn tenant_observers<'o, 'd>(
 }
 
 /// The arbitrated RISPP path: one
-/// [`FabricArbiter`](rispp_core::FabricArbiter), lent to one tenant's
-/// [`RisppBackend`] per invocation slice.
-fn simulate_multi_rispp(
+/// [`FabricArbiter`](rispp_core::FabricArbiter) on one serialized clock,
+/// lent to one tenant's [`RisppBackend`] per invocation slice.
+fn simulate_multi_shared(
     library: &SiLibrary,
     traces: &[Trace],
     config: &SimConfig,
@@ -240,12 +242,7 @@ fn simulate_multi_rispp(
         states.push(ReplayState::new(&system, &obs));
     }
 
-    // Shared tenants serialize on one global clock; partitioned tenants
-    // each run their private fabric's clock from 0, so their results are
-    // independent of the interleaving order.
-    let shared_clock = matches!(arbiter.policy(), ContentionPolicy::Shared);
-    let mut global_now = 0u64;
-    let mut clocks = vec![0u64; k];
+    let mut now = 0u64;
     let mut consumed = vec![0u64; k];
     let mut next_inv = vec![0usize; k];
     let mut prev: Option<usize> = None;
@@ -260,8 +257,7 @@ fn simulate_multi_rispp(
     while let Some(i) = pick_next(config.tenants.arbitration, prev, &next_inv, traces, &consumed) {
         let app = u16::try_from(i).expect("tenant index fits u16");
         let inv = &traces[i].invocations()[next_inv[i]];
-        let start = if shared_clock { global_now } else { clocks[i] };
-        let end;
+        let start = now;
         {
             let mut obs = tenant_observers(&mut stats[i], extra, i);
             if k > 1 && prev != Some(i) {
@@ -274,7 +270,7 @@ fn simulate_multi_rispp(
                 );
             }
             let mut system = RisppBackend::new(&mut arbiter, app).with_oracle(oracle);
-            end = replay_invocation(&mut system, inv, start, &mut states[i], &mut obs);
+            now = replay_invocation(&mut system, inv, start, &mut states[i], &mut obs);
             let contested = arbiter.contested_evictions();
             if contested > contested_seen {
                 let delta = contested - contested_seen;
@@ -286,17 +282,12 @@ fn simulate_multi_rispp(
                         tenant: app,
                         count: delta,
                         total: contested_totals[i],
-                        now: end,
+                        now,
                     },
                 );
             }
         }
-        consumed[i] += end - start;
-        if shared_clock {
-            global_now = end;
-        } else {
-            clocks[i] = end;
-        }
+        consumed[i] += now - start;
         // Cross-app reuse can advance for *any* tenant during this slice
         // (a fault-triggered re-plan replans co-tenants too), so poll all
         // of them.
@@ -311,7 +302,7 @@ fn simulate_multi_rispp(
                         tenant: other,
                         count: cur - shared_seen[j],
                         total: cur,
-                        now: if shared_clock { global_now } else { clocks[j] },
+                        now,
                     },
                 );
                 shared_seen[j] = cur;
@@ -323,7 +314,6 @@ fn simulate_multi_rispp(
 
     for app in 0..tenants {
         let i = usize::from(app);
-        let now = if shared_clock { global_now } else { clocks[i] };
         let mut obs = tenant_observers(&mut stats[i], extra, i);
         let mut system = RisppBackend::new(&mut arbiter, app).with_oracle(oracle);
         finish_replay(&mut system, now, consumed[i], &mut states[i], &mut obs);
@@ -331,20 +321,16 @@ fn simulate_multi_rispp(
 
     MultiRunStats {
         aggregate_cycles: consumed.iter().sum(),
-        makespan_cycles: if shared_clock {
-            global_now
-        } else {
-            clocks.iter().copied().max().unwrap_or(0)
-        },
+        makespan_cycles: now,
         atoms_shared: shared_seen.iter().sum(),
         evictions_contested: contested_seen,
         per_tenant: stats,
     }
 }
 
-/// The baseline path: no shared substrate, so every tenant replays solo on
-/// its own system (its partition's size under `Partitioned`, the full —
-/// idealized, duplicated — pool under `Shared`).
+/// The unarbitrated path: every tenant replays solo on its own system (its
+/// partition's size under `Partitioned`; the full — idealized, duplicated
+/// — pool for a baseline under `Shared`).
 fn simulate_multi_independent(
     library: &SiLibrary,
     traces: &[Trace],

@@ -412,9 +412,12 @@ impl SimObserver for MetricsObserver {
         // Tallies taken under the old labels keep them.
         self.fold_tallies();
         self.name.clear();
+        // `trace_tenant`, as in the JSONL export: the per-tenant families
+        // already carry a payload `tenant` label, and a sample may not
+        // repeat a label name.
         let _ = write!(
             self.name,
-            "trace_id=\"{}\",tenant=\"{}\",attempt=\"{}\"",
+            "trace_id=\"{}\",trace_tenant=\"{}\",attempt=\"{}\"",
             context.trace_id, context.tenant, context.attempt
         );
         self.registry.set_base_labels(&self.name);

@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rispp_core::{ContentionPolicy, FabricArbiter, SchedulerKind};
+use rispp_core::{FabricArbiter, SchedulerKind};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 
@@ -88,7 +88,6 @@ fn build(library: &SiLibrary, tenants: u16) -> FabricArbiter<'_> {
     FabricArbiter::builder(library)
         .containers(6)
         .tenants(tenants)
-        .policy(ContentionPolicy::Shared)
         .scheduler(SchedulerKind::Hef)
         .build()
 }

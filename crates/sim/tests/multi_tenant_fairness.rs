@@ -4,18 +4,20 @@
 //!   every tenant makes forward progress — it completes its whole trace
 //!   and never runs slower than its cISA software floor (the trap-based
 //!   baseline the run-time system guarantees per Special Instruction).
-//! * Under [`TenantPolicy::Partitioned`], tenants are cycle-isolated:
-//!   each tenant's `RunStats` is bit-identical to a solo run on its
-//!   private `containers / K` partition with the same fault seed, so one
-//!   app's demand (or faults) can never change another app's results.
+//! * Under [`TenantPolicy::Partitioned`], tenants are solo runs: each
+//!   tenant's `RunStats`, label included, and its event stream are
+//!   bit-identical to a solo run on its `containers / K` partition with the
+//!   same fault seed, so one app's demand (or faults) can never change
+//!   another app's results.
 
 use proptest::prelude::*;
 use rispp_core::SchedulerKind;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
-    simulate, simulate_multi, Burst, FaultConfig, Invocation, SimConfig, TenancyConfig,
-    TenantArbitration, TenantPolicy, Trace,
+    simulate, simulate_multi, simulate_multi_observed, simulate_observed, Burst, FaultConfig,
+    Invocation, SimConfig, SimObserver, TenancyConfig, TenantArbitration, TenantPolicy, Trace,
+    TraceLogObserver,
 };
 
 fn library() -> SiLibrary {
@@ -131,11 +133,12 @@ proptest! {
         }
     }
 
-    /// Partitioned fabric: every tenant's stats — including under fault
-    /// injection — are bit-identical to a solo run on `containers / K`
-    /// containers with the same fault seed. Co-tenant demand and
-    /// co-tenant faults are invisible, and no cross-app sharing or
-    /// contested evictions can occur.
+    /// Partitioned fabric: every tenant's stats and event stream —
+    /// including under fault injection — are bit-identical to a solo run
+    /// on `containers / K` containers with the same fault seed, label
+    /// included and with no tenant events. Co-tenant demand and co-tenant
+    /// faults are invisible, and no cross-app sharing or contested
+    /// evictions can occur.
     #[test]
     fn partitioned_tenants_are_cycle_isolated(
         scales in proptest::collection::vec(1u32..=8, 2..4),
@@ -156,17 +159,27 @@ proptest! {
                 policy: TenantPolicy::Partitioned,
                 arbitration: TenantArbitration::RoundRobin,
             });
-        let multi = simulate_multi(&lib, &traces, &config);
+        let mut logs: Vec<TraceLogObserver> =
+            traces.iter().map(|_| TraceLogObserver::new()).collect();
+        let multi = {
+            let mut extra: Vec<&mut dyn SimObserver> =
+                logs.iter_mut().map(|log| log as &mut dyn SimObserver).collect();
+            simulate_multi_observed(&lib, &traces, &config, &mut extra)
+        };
         let solo_cfg = SimConfig::rispp(containers / k as u16, scheduler).with_fault(fault);
         for (i, t) in traces.iter().enumerate() {
-            let solo = simulate(&lib, t, &solo_cfg);
-            // Only the label differs at K>1 ("HEF[t1]" vs "HEF").
-            let mut expected = solo.clone();
-            expected.system = multi.per_tenant[i].system.clone();
+            let mut solo_log = TraceLogObserver::new();
+            let solo = simulate_observed(&lib, t, &solo_cfg, &mut [&mut solo_log]);
             prop_assert_eq!(
                 &multi.per_tenant[i],
-                &expected,
+                &solo,
                 "tenant {} is not isolated from its co-tenants",
+                i
+            );
+            prop_assert_eq!(
+                logs[i].events(),
+                solo_log.events(),
+                "tenant {}'s event stream is not its solo run's",
                 i
             );
         }

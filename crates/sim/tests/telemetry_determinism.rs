@@ -11,9 +11,9 @@ use rispp_core::{BurstSegment, SchedulerKind};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
-    simulate, simulate_observed, Burst, FaultConfig, Invocation, MetricsObserver, NullRecorder,
-    PerfettoTraceObserver, SimConfig, SimEvent, SimObserver, SweepJob, SweepRunner, Trace,
-    TraceContext,
+    simulate, simulate_multi_observed, simulate_observed, Burst, FaultConfig, Invocation,
+    MetricsObserver, NullRecorder, PerfettoTraceObserver, SimConfig, SimEvent, SimObserver,
+    SweepJob, SweepRunner, TenancyConfig, TenantArbitration, TenantPolicy, Trace, TraceContext,
 };
 use rispp_telemetry::{push_u64, JsonValue, Metric, MetricsRegistry, MetricsSnapshot};
 
@@ -140,7 +140,7 @@ impl SimObserver for PerSegmentMetrics {
 
     fn set_trace_context(&mut self, context: TraceContext) {
         self.registry.set_base_labels(&format!(
-            "trace_id=\"{}\",tenant=\"{}\",attempt=\"{}\"",
+            "trace_id=\"{}\",trace_tenant=\"{}\",attempt=\"{}\"",
             context.trace_id, context.tenant, context.attempt
         ));
     }
@@ -358,4 +358,55 @@ fn exported_perfetto_trace_is_valid_and_complete() {
             .any(|e| e.get("name").and_then(JsonValue::as_str) == Some("decision")),
         "no decision events"
     );
+}
+
+/// The label names of one exposition sample line, in order.
+fn label_names(sample: &str) -> Vec<&str> {
+    let Some((_, rest)) = sample.split_once('{') else {
+        return Vec::new();
+    };
+    let mut labels = rest.rsplit_once('}').map_or("", |(labels, _)| labels);
+    let mut names = Vec::new();
+    while let Some((name, value)) = labels.split_once("=\"") {
+        names.push(name);
+        let close = value.find('"').expect("quoted label value");
+        labels = value[close + 1..].strip_prefix(',').unwrap_or("");
+    }
+    names
+}
+
+/// A traced two-tenant shared run stamps the trace context onto every
+/// tenant's metrics. The per-tenant families carry their own `tenant`
+/// label, so the context's tenant goes in as `trace_tenant` and no sample
+/// repeats a label name (OpenMetrics requires them unique).
+#[test]
+fn traced_multi_tenant_samples_repeat_no_label_name() {
+    let lib = library();
+    let traces = [trace(4), trace(4)];
+    let config = SimConfig::rispp(4, SchedulerKind::Hef)
+        .with_tenants(TenancyConfig {
+            count: 2,
+            policy: TenantPolicy::Shared,
+            arbitration: TenantArbitration::RoundRobin,
+        })
+        .with_trace(TraceContext::new(7));
+    let mut metrics = [MetricsObserver::new(), MetricsObserver::new()];
+    let [first, second] = &mut metrics;
+    let multi = simulate_multi_observed(&lib, &traces, &config, &mut [first, second]);
+    assert!(multi.atoms_shared > 0, "the run must share atoms");
+    for (tenant, observer) in metrics.iter().enumerate() {
+        let text = observer.snapshot().to_prometheus_text();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let names = label_names(line);
+            for (i, name) in names.iter().enumerate() {
+                assert!(
+                    !names[..i].contains(name),
+                    "tenant {tenant}: `{line}` repeats label `{name}`"
+                );
+            }
+        }
+        let base = r#"trace_id="7",trace_tenant="0",attempt="0""#;
+        let switches = format!(r#"rispp_tenant_switches_total{{tenant="{tenant}",{base}}}"#);
+        assert!(text.contains(&switches), "tenant {tenant}: no {switches}");
+    }
 }

@@ -160,7 +160,7 @@ impl Metric {
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, Metric>,
     /// Labels stitched into every written metric name (e.g.
-    /// `trace_id="7",tenant="0",attempt="1"`); empty means names pass
+    /// `trace_id="7",trace_tenant="0",attempt="1"`); empty means names pass
     /// through untouched, byte-identical to a registry without the
     /// feature.
     base_labels: String,
@@ -542,7 +542,8 @@ mod tests {
     }
 
     /// Whether `line` is a sample line of the text exposition format:
-    /// `name{label="value",...} integer`, the label set optional.
+    /// `name{label="value",...} integer`, the label set optional and no
+    /// label name repeated.
     fn is_sample_line(line: &str) -> bool {
         fn name_len(s: &str, colons: bool) -> usize {
             s.char_indices()
@@ -574,11 +575,16 @@ mod tests {
         else {
             return false;
         };
+        let mut names = Vec::new();
         loop {
             let key = name_len(labels, false);
             let Some(quoted) = labels[key..].strip_prefix("=\"").filter(|_| key > 0) else {
                 return false;
             };
+            if names.contains(&&labels[..key]) {
+                return false;
+            }
+            names.push(&labels[..key]);
             let Some(close) = quoted.find('"') else {
                 return false;
             };
@@ -595,7 +601,7 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.observe_with_bounds("lat{si=\"3\"}", 5, &[10, 100]);
         r.observe_with_bounds("lat{si=\"3\"}", 50, &[10, 100]);
-        r.set_base_labels("trace_id=\"9\",tenant=\"0\",attempt=\"1\"");
+        r.set_base_labels("trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"");
         r.observe_with_bounds("lat{si=\"4\"}", 7, &[10, 100]);
         r.observe_with_bounds("wait", 7, &[10, 100]);
         let text = r.snapshot().to_prometheus_text();
@@ -607,7 +613,7 @@ mod tests {
         assert!(text.contains("lat_bucket{si=\"3\",le=\"+Inf\"} 2\n"));
         assert!(text.contains("lat_sum{si=\"3\"} 55\n"));
         assert!(text.contains("lat_count{si=\"3\"} 2\n"));
-        let base = "trace_id=\"9\",tenant=\"0\",attempt=\"1\"";
+        let base = "trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"";
         assert!(text.contains(&format!("lat_bucket{{si=\"4\",{base},le=\"10\"}} 1\n")));
         assert!(text.contains(&format!("lat_count{{si=\"4\",{base}}} 1\n")));
         assert!(text.contains(&format!("wait_bucket{{{base},le=\"100\"}} 1\n")));
@@ -620,6 +626,7 @@ mod tests {
             "lat_bucket{=\"10\"} 1",
             "9lat 1",
             "lat 1.5",
+            "x_total{tenant=\"1\",trace_id=\"7\",tenant=\"0\"} 9",
         ] {
             assert!(!is_sample_line(bad), "accepted: {bad}");
         }
@@ -741,8 +748,8 @@ mod tests {
     fn base_labels_decorate_bare_and_labelled_names() {
         let mut r = MetricsRegistry::new();
         r.counter_add("before_total", 1);
-        r.set_base_labels("trace_id=\"9\",tenant=\"0\",attempt=\"1\"");
-        assert_eq!(r.base_labels(), "trace_id=\"9\",tenant=\"0\",attempt=\"1\"");
+        r.set_base_labels("trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"");
+        assert_eq!(r.base_labels(), "trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"");
         r.counter_add("plain_total", 2);
         r.counter_add("labelled_total{si=\"3\"}", 4);
         r.gauge_set("depth", 5);
@@ -751,16 +758,16 @@ mod tests {
         // Metrics written before decoration keep their names.
         assert_eq!(s.counter("before_total"), 1);
         assert_eq!(
-            s.counter("plain_total{trace_id=\"9\",tenant=\"0\",attempt=\"1\"}"),
+            s.counter("plain_total{trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}"),
             2
         );
         assert_eq!(
-            s.counter("labelled_total{si=\"3\",trace_id=\"9\",tenant=\"0\",attempt=\"1\"}"),
+            s.counter("labelled_total{si=\"3\",trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}"),
             4
         );
-        assert_eq!(s.gauge("depth{trace_id=\"9\",tenant=\"0\",attempt=\"1\"}"), 5);
+        assert_eq!(s.gauge("depth{trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}"), 5);
         assert!(s
-            .get("lat{trace_id=\"9\",tenant=\"0\",attempt=\"1\"}")
+            .get("lat{trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}")
             .is_some());
         // Clearing the labels restores pass-through names.
         r.set_base_labels("");

@@ -17,8 +17,8 @@ const CONTAINERS: u16 = 10;
 
 /// A packet-gateway-shaped workload on the shared SI library: many short
 /// invocations (one per packet batch) hammering the streaming kernels —
-/// the traffic shape of the AES gateway from `examples/crypto_gateway`,
-/// mapped onto this library's deblocking/transform SIs.
+/// the traffic shape of the AES gateway of `rispp-cli reproduce
+/// generality`, mapped onto this library's deblocking/transform SIs.
 fn gateway_trace(batches: usize) -> Trace {
     (0..batches)
         .map(|b| Invocation {

@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     manager.exit_hot_spot(0, now);
 
-    let final_latency = si.best_latency(manager.available_atoms(0));
+    let final_latency = si.best_latency(manager.available_atoms());
     println!(
         "\nfinal latency {final_latency} cycles — {:.0}x faster than the trap path",
         f64::from(si.software_latency()) / f64::from(final_latency)

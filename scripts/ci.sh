@@ -2,6 +2,7 @@
 # Local CI gate: release build, tier-1 tests, workspace tests, the
 # standalone benchmark package's tests, smokes, strict clippy, strict
 # rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`), the
+# committed cycle records against fresh runs of their commands, the
 # EXPERIMENTS.md output blocks against `rispp-cli reproduce`, and the
 # benchmark's fig7 throughput gate (last, so a slow host cannot stop the
 # lint gates from running).
@@ -177,6 +178,36 @@ if [ "$cycles" != "$pinned" ]; then
   echo "ci: fig7 cycle pin failed — ${cycles} simulated cycles, committed ${pinned}" >&2
   exit 1
 fi
+
+echo "==> committed BENCH_sweep/contention/resilience.json vs fresh runs"
+# Each cycle record must equal, byte for byte, what its command in
+# README's records table writes on this tree: the whole fig7 record the
+# cycle pin above just wrote, the two-tenant contention sweep and the
+# fault-rate ladder (about 0.5 s together). The benchmark reads the last
+# two as well, but RISPP_CI_SKIP_PERF=1 skips it.
+check_record() { # committed record, freshly written file
+  if ! cmp -s "$1" "$2"; then
+    echo "ci: $1 differs from a fresh run of its command (< committed, > tree):" >&2
+    diff "$1" "$2" | head -20 >&2 || true
+    exit 1
+  fi
+  echo "    $1: identical"
+}
+check_record BENCH_sweep.json target/ci_sweep.json
+./target/release/rispp-cli contend --apps 2 --json target/ci_contention.json \
+  >/dev/null 2>target/ci_contention.err || {
+  echo "ci: \`rispp-cli contend --apps 2 --json\` failed:" >&2
+  cat target/ci_contention.err >&2
+  exit 1
+}
+check_record BENCH_contention.json target/ci_contention.json
+RISPP_THREADS=1 ./target/release/rispp-cli reproduce resilience --frames 20 \
+  --json target/ci_resilience.json >/dev/null 2>target/ci_resilience.err || {
+  echo "ci: \`rispp-cli reproduce resilience --frames 20 --json\` failed:" >&2
+  cat target/ci_resilience.err >&2
+  exit 1
+}
+check_record BENCH_resilience.json target/ci_resilience.json
 
 echo "==> EXPERIMENTS.md output blocks vs rispp-cli reproduce"
 # Every fenced block of EXPERIMENTS.md is the verbatim stdout of the

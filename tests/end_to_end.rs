@@ -364,7 +364,8 @@ fn telemetry_exports_are_pinned() {
     // Prometheus text, the Perfetto trace and a flight bundle, each pinned
     // by length and FNV-1a digest. Making telemetry cheaper must not move
     // any of them. (The Prometheus pin is that of labelled histograms
-    // rendered as `family_bucket{si="N",...,le="..."}`.)
+    // rendered as `family_bucket{si="N",...,le="..."}`, and both metrics
+    // pins carry the trace context's tenant as `trace_tenant`.)
     let library = h264_si_library();
     let workload = small_workload();
     let config = SimConfig::rispp(8, SchedulerKind::Hef)
@@ -393,8 +394,8 @@ fn telemetry_exports_are_pinned() {
         ),
     ];
     let pins = [
-        (10_380, 0x8e9e_a2d9_fe08_d332),
-        (16_598, 0x5bd6_a712_3d1b_65e0),
+        (10_770, 0x93fb_08c7_d505_4f54),
+        (17_690, 0x0294_6a1b_40a0_4d90),
         (1_928_286, 0x648c_5ffb_459e_8013),
         (55_341, 0xa090_9c26_03e4_3d46),
     ];
