@@ -24,14 +24,14 @@
 
 use std::sync::Arc;
 
-use rispp_fabric::{ContainerState, Fabric, FabricConfig, FabricEvent, FaultModel};
+use rispp_fabric::{Fabric, FabricConfig, FabricEvent, FaultModel};
 use rispp_model::{Molecule, SiId, SiLibrary};
 use rispp_monitor::{ExecutionMonitor, ForecastPolicy, HotSpotId};
 
 use crate::context::UpgradeBuffers;
 use crate::explain::{DecisionExplain, ScheduleExplain, SelectionExplain};
 use crate::plan_cache::{
-    fnv1a_words, library_fingerprint, PlanCacheHandle, PlanCacheStats, PlannedDecision,
+    digest_words, library_fingerprint, PlanCacheHandle, PlanCacheStats, PlannedDecision,
 };
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
 use crate::scheduler::SchedulerKind;
@@ -307,7 +307,7 @@ impl<'a> FabricArbiter<'a> {
         let mut cached = None;
         if let Some(handle) = &self.plan_cache {
             self.build_plan_key(app, demands, &pressure, &mut key);
-            plan_hash = fnv1a_words(&key);
+            plan_hash = digest_words(&key);
             cached = handle.cache().lookup(&key, plan_hash);
             if cached.is_some() {
                 self.plan_stats.hits += 1;
@@ -475,10 +475,11 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// Writes the canonical plan-key words for planning `demands` of `app`
-    /// into `key` (see the `crate::PlanCache` module docs
-    /// for the layout). Every input the selection/scheduling pipeline and
-    /// the replay side effects read is either a key word or recomputed
-    /// live on a hit.
+    /// into `key` (see the `crate::PlanCache` module docs for the layout):
+    /// every input [`decide`](Self::decide) reads and nothing else. Where
+    /// the Atoms sit and who owns them is read only by
+    /// [`apply_decision`](Self::apply_decision), live on a hit as on a
+    /// miss.
     fn build_plan_key(
         &self,
         app: usize,
@@ -507,22 +508,6 @@ impl<'a> FabricArbiter<'a> {
         }
         key.push(pressure.len() as u64);
         key.extend_from_slice(pressure);
-        // Fabric-state fingerprint: one word per container packing the
-        // state tag, the loaded/loading/faulty atom (+1 so "no atom" is
-        // distinct from atom 0) and the owner tag (+1 likewise).
-        for container in fabric.containers() {
-            let (tag, atom) = match container.state() {
-                ContainerState::Empty => (0u64, 0u64),
-                ContainerState::Loading { atom, .. } => (1, u64::from(atom.0) + 1),
-                ContainerState::Loaded { atom } => (2, u64::from(atom.0) + 1),
-                ContainerState::Faulty { atom } => (3, u64::from(atom.0) + 1),
-                ContainerState::Quarantined => (4, 0),
-            };
-            let owner = fabric
-                .owner_of(container.id())
-                .map_or(0u64, |o| u64::from(o) + 1);
-            key.push(tag | (atom << 3) | (owner << 24));
-        }
     }
 
     /// Advances the fabric to `now` and applies the [`RecoveryPolicy`] to
@@ -1357,6 +1342,55 @@ mod tests {
             .unwrap();
         arb.execute_burst_into(0, SiId(0), 123, 0, 0, &mut Vec::new());
         assert_eq!(arb.monitor(0).live_count(HotSpotId(0), SiId(0)), 123);
+    }
+
+    #[test]
+    fn same_atoms_in_other_containers_share_one_plan() {
+        // A loads A2 then A1, B loads A1 then A2: both end with one of
+        // each, in swapped containers. The plan key holds the multiset,
+        // not the placement, so B's next plan replays A's entry.
+        let lib = library();
+        let handle = PlanCacheHandle::private();
+        let build = || {
+            FabricArbiter::builder(&lib)
+                .containers(2)
+                .plan_cache(handle.clone())
+                .build()
+        };
+        let (fast, other) = ([(SiId(0), 100u64)], [(SiId(1), 100u64)]);
+        let both = [(SiId(0), 100u64), (SiId(1), 100u64)];
+        let mut arbiters = [build(), build()];
+        for (arb, order) in arbiters.iter_mut().zip([[other, fast], [fast, other]]) {
+            let mut now = 0;
+            for (hot_spot, demands) in (0u16..).zip(order) {
+                arb.enter_hot_spot_with_profile(0, HotSpotId(hot_spot), &demands, now)
+                    .unwrap();
+                now += 10_000_000;
+                arb.exit_hot_spot(0, now);
+            }
+        }
+        let [a, b] = &mut arbiters;
+        let placement = |arb: &FabricArbiter<'_>| -> Vec<_> {
+            arb.fabric()
+                .containers()
+                .iter()
+                .map(|c| c.loaded_atom())
+                .collect()
+        };
+        assert_eq!(a.available_atoms(), b.available_atoms());
+        assert_eq!(a.available_atoms().counts(), &[1, 1]);
+        assert_ne!(placement(a), placement(b), "the atoms must sit apart");
+
+        a.enter_hot_spot_with_profile(0, HotSpotId(2), &both, 20_000_000)
+            .unwrap();
+        let entries = handle.cache().len();
+        let before = b.plan_cache_stats();
+        b.enter_hot_spot_with_profile(0, HotSpotId(2), &both, 20_000_000)
+            .unwrap();
+        let after = b.plan_cache_stats();
+        assert_eq!(after.hits, before.hits + 1, "B must replay A's plan");
+        assert_eq!(handle.cache().len(), entries, "one entry serves both");
+        assert_eq!(a.selected(0), b.selected(0));
     }
 
     #[test]

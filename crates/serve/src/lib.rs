@@ -31,7 +31,8 @@
 //!   duplicated jobs.
 //! * **Observability** ([`Server::metrics_snapshot`]) — queue depth,
 //!   in-flight, rejects, timeouts, cancellations, panics, retries,
-//!   poisonings, cache hits and a job-latency histogram (p50/p99 via
+//!   poisonings, trace- and plan-cache counters, plan-cache occupancy
+//!   and a job-latency histogram (p50/p99 via
 //!   [`rispp_telemetry::Histogram::quantile`]), in JSON and Prometheus
 //!   text over the `metrics` op.
 

@@ -396,6 +396,12 @@ impl Server {
             "rispp_serve_plan_cache_evictions",
             i64::try_from(plans.evictions).unwrap_or(i64::MAX),
         );
+        // A cache sitting at its bound while evictions climb is a working
+        // set that has outgrown it.
+        registry.gauge_set(
+            "rispp_serve_plan_cache_entries",
+            i64::try_from(self.inner.plan_cache.len()).unwrap_or(i64::MAX),
+        );
         let (armed, fired, disarmed) = self.inner.watchdog.counts();
         registry.gauge_set(
             "rispp_serve_deadlines_armed",

@@ -67,12 +67,12 @@ pub enum TenantArbitration {
 
 /// Multi-application tenancy parameters of a [`SimConfig`].
 ///
-/// `count` is advisory — [`simulate_multi`] derives the tenant count from
-/// the number of traces it is given; the field exists so sweeps can carry
-/// the intended K in the `Copy` config.
+/// [`simulate_multi`] runs one tenant per trace it is given and refuses a
+/// non-empty trace list whose length differs from `count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenancyConfig {
-    /// Intended number of tenants (1 = classic single-owner simulation).
+    /// Number of tenants (1 = classic single-owner simulation); must
+    /// equal the number of traces handed to [`simulate_multi`].
     pub count: u16,
     /// How the substrate is shared.
     pub policy: TenantPolicy,
@@ -145,7 +145,9 @@ fn pick_next(
 ///
 /// # Panics
 ///
-/// Panics if a trace references SIs outside `library`.
+/// Panics if `traces` is non-empty with a length different from the
+/// config's [`TenancyConfig::count`], or if a trace references SIs outside
+/// `library`.
 #[must_use]
 pub fn simulate_multi(library: &SiLibrary, traces: &[Trace], config: &SimConfig) -> MultiRunStats {
     simulate_multi_observed(library, traces, config, &mut [])
@@ -163,8 +165,10 @@ pub fn simulate_multi(library: &SiLibrary, traces: &[Trace], config: &SimConfig)
 ///
 /// # Panics
 ///
-/// Panics if `extra` is non-empty with a length different from `traces`,
-/// or if a trace references SIs outside `library`.
+/// Panics if `traces` is non-empty with a length different from the
+/// config's [`TenancyConfig::count`], if `extra` is non-empty with a length
+/// different from `traces`, or if a trace references SIs outside
+/// `library`.
 #[must_use]
 pub fn simulate_multi_observed(
     library: &SiLibrary,
@@ -172,11 +176,16 @@ pub fn simulate_multi_observed(
     config: &SimConfig,
     extra: &mut [&mut (dyn SimObserver + '_)],
 ) -> MultiRunStats {
+    let k = traces.len();
     assert!(
-        extra.is_empty() || extra.len() == traces.len(),
+        k == 0 || k == usize::from(config.tenants.count),
+        "{k} traces for a config of {} tenants",
+        config.tenants.count
+    );
+    assert!(
+        extra.is_empty() || extra.len() == k,
         "extra observers must be empty or one per trace"
     );
-    let k = traces.len();
     if k == 0 {
         return MultiRunStats {
             per_tenant: Vec::new(),
@@ -191,6 +200,19 @@ pub fn simulate_multi_observed(
             simulate_multi_shared(library, traces, config, kind, extra)
         }
         _ => simulate_multi_independent(library, traces, config, extra),
+    }
+}
+
+/// `config` with its trace context, if any, attributed to tenant `i` of
+/// `k`, so each tenant's exports carry its own `trace_tenant`. A 1-tenant
+/// run keeps the context as given, as [`crate::simulate`] does.
+fn tenant_config(config: &SimConfig, i: usize, k: usize) -> SimConfig {
+    let tenant = u16::try_from(i).expect("tenant index fits u16");
+    SimConfig {
+        trace: config
+            .trace
+            .map(|ctx| if k > 1 { ctx.with_tenant(tenant) } else { ctx }),
+        ..*config
     }
 }
 
@@ -237,7 +259,7 @@ fn simulate_multi_shared(
     for app in 0..tenants {
         let i = usize::from(app);
         let mut obs = tenant_observers(&mut stats[i], extra, i);
-        set_trace_context(&mut obs, config);
+        set_trace_context(&mut obs, &tenant_config(config, i, k));
         let system = RisppBackend::new(&mut arbiter, app).with_oracle(oracle);
         states.push(ReplayState::new(&system, &obs));
     }
@@ -349,6 +371,7 @@ fn simulate_multi_independent(
     };
     let mut per_tenant = Vec::with_capacity(k);
     for (i, trace) in traces.iter().enumerate() {
+        let solo = tenant_config(&solo, i, k);
         let stats = if extra.is_empty() {
             simulate_observed(library, trace, &solo, &mut [])
         } else {

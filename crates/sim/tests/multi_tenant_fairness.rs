@@ -187,3 +187,18 @@ proptest! {
         prop_assert_eq!(multi.evictions_contested, 0);
     }
 }
+
+/// The tenancy config's `count` is the tenant count: a trace list of
+/// another length is refused, naming both, instead of silently running
+/// as many tenants as there are traces.
+#[test]
+#[should_panic(expected = "2 traces for a config of 3 tenants")]
+fn a_trace_count_other_than_the_tenant_count_is_refused() {
+    let traces = [tenant_trace(1, 1), tenant_trace(1, 2)];
+    let config = SimConfig::rispp(6, SchedulerKind::Hef).with_tenants(TenancyConfig {
+        count: 3,
+        policy: TenantPolicy::Shared,
+        arbitration: TenantArbitration::RoundRobin,
+    });
+    let _ = simulate_multi(&library(), &traces, &config);
+}

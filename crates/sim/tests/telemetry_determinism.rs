@@ -376,9 +376,11 @@ fn label_names(sample: &str) -> Vec<&str> {
 }
 
 /// A traced two-tenant shared run stamps the trace context onto every
-/// tenant's metrics. The per-tenant families carry their own `tenant`
-/// label, so the context's tenant goes in as `trace_tenant` and no sample
-/// repeats a label name (OpenMetrics requires them unique).
+/// tenant's metrics, attributed to that tenant. The per-tenant families
+/// carry their own `tenant` label, so the context's tenant goes in as
+/// `trace_tenant` and no sample repeats a label name (OpenMetrics requires
+/// them unique); the families without a `tenant` label, such as the SI
+/// series, tell the tenants apart by `trace_tenant`.
 #[test]
 fn traced_multi_tenant_samples_repeat_no_label_name() {
     let lib = library();
@@ -405,8 +407,10 @@ fn traced_multi_tenant_samples_repeat_no_label_name() {
                 );
             }
         }
-        let base = r#"trace_id="7",trace_tenant="0",attempt="0""#;
+        let base = format!(r#"trace_id="7",trace_tenant="{tenant}",attempt="0""#);
         let switches = format!(r#"rispp_tenant_switches_total{{tenant="{tenant}",{base}}}"#);
         assert!(text.contains(&switches), "tenant {tenant}: no {switches}");
+        let executions = format!(r#"rispp_si_executions_total{{si="0",{base}}}"#);
+        assert!(text.contains(&executions), "tenant {tenant}: no {executions}");
     }
 }

@@ -299,6 +299,55 @@ fn plan_cache_hits_in_the_steady_state() {
 }
 
 #[test]
+fn a_shared_cache_smaller_than_its_working_set_keeps_hitting() {
+    // The 6-frame trace under all four schedulers at 5..=20 ACs, run
+    // twice in order through one shared cache bounded at 70 % of the
+    // W = 1,152 distinct plans the job list needs (counted with an
+    // unbounded cache). Pass 2 re-derives pass 1's keys in the same order:
+    // a cyclic working set 1.43 times the bound. Evicting one entry per
+    // new key keeps 601 of pass 2's 1,152 lookups hitting (52 %; the floor
+    // is 40 %). Every run equals planning from scratch.
+    use rispp::core::{PlanCache, PlanCacheHandle, PlanCacheStats};
+    use std::sync::Arc;
+
+    let library = h264_si_library();
+    let workload = small_workload();
+    let jobs: Vec<SimConfig> = SchedulerKind::ALL
+        .into_iter()
+        .flat_map(|kind| (5u16..=20).map(move |acs| SimConfig::rispp(acs, kind)))
+        .collect();
+    let planned: Vec<_> = jobs
+        .iter()
+        .map(|job| simulate(&library, workload.trace(), &job.with_plan_cache(false)))
+        .collect();
+    let run_jobs = |cache: &Arc<PlanCache>| {
+        let handle = PlanCacheHandle::new(Arc::clone(cache));
+        let mut total = PlanCacheStats::default();
+        for (job, planned) in jobs.iter().zip(&planned) {
+            let (stats, plan) =
+                simulate_observed_planned(&library, workload.trace(), job, Some(&handle), &mut []);
+            assert_eq!(&stats, planned, "{job:?}: the shared cache changed the result");
+            total.merge(&plan);
+        }
+        total
+    };
+
+    let unbounded = Arc::new(PlanCache::new(usize::MAX));
+    run_jobs(&unbounded);
+    let working_set = unbounded.len();
+    let capacity = working_set * 7 / 10;
+    let bounded = Arc::new(PlanCache::new(capacity));
+    let first = run_jobs(&bounded);
+    let second = run_jobs(&bounded);
+    assert_eq!(first.lookups(), second.lookups());
+    assert!(bounded.len() <= bounded.capacity());
+    assert!(
+        second.hits * 10 >= second.lookups() * 4,
+        "pass 2 below a 40 % hit rate: {second:?} (W = {working_set}, bound {capacity})"
+    );
+}
+
+#[test]
 fn two_tenant_results_are_pinned() {
     // Exact results of the arbitrated multi-tenant path: the 6-frame trace
     // against a copy rotated by half its invocations, HEF at 8 ACs.
