@@ -122,10 +122,18 @@ impl AudioHotSpot {
 #[must_use]
 pub fn audio_si_library() -> SiLibrary {
     let universe = AtomUniverse::from_types([
-        AtomTypeInfo::new("MacUnit").with_bitstream_bytes(56_000).with_slices(380),
-        AtomTypeInfo::new("DelayLine").with_bitstream_bytes(48_000).with_slices(260),
-        AtomTypeInfo::new("CoeffBank").with_bitstream_bytes(52_000).with_slices(300),
-        AtomTypeInfo::new("Repacker").with_bitstream_bytes(42_000).with_slices(230),
+        AtomTypeInfo::new("MacUnit")
+            .with_bitstream_bytes(56_000)
+            .with_slices(380),
+        AtomTypeInfo::new("DelayLine")
+            .with_bitstream_bytes(48_000)
+            .with_slices(260),
+        AtomTypeInfo::new("CoeffBank")
+            .with_bitstream_bytes(52_000)
+            .with_slices(300),
+        AtomTypeInfo::new("Repacker")
+            .with_bitstream_bytes(42_000)
+            .with_slices(230),
     ])
     .expect("unique names");
     let mut b = SiLibraryBuilder::new(universe);
@@ -276,7 +284,9 @@ mod tests {
     #[test]
     fn fir_attenuates_nyquist() {
         // Alternating ±A is the highest frequency; a low-pass must crush it.
-        let input: Vec<i16> = (0..64).map(|i| if i % 2 == 0 { 8_000 } else { -8_000 }).collect();
+        let input: Vec<i16> = (0..64)
+            .map(|i| if i % 2 == 0 { 8_000 } else { -8_000 })
+            .collect();
         let out = fir_filter(&input);
         assert!(out[32].unsigned_abs() < 800, "nyquist leak: {}", out[32]);
     }

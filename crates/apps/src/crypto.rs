@@ -15,9 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rispp_model::{
-    AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder,
-};
+use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{Burst, Invocation, Trace};
 
@@ -83,12 +81,24 @@ impl CryptoHotSpot {
 #[must_use]
 pub fn crypto_si_library() -> SiLibrary {
     let universe = AtomUniverse::from_types([
-        AtomTypeInfo::new("SubBytes").with_bitstream_bytes(62_000).with_slices(430),
-        AtomTypeInfo::new("MixColumns").with_bitstream_bytes(70_000).with_slices(520),
-        AtomTypeInfo::new("XorKey").with_bitstream_bytes(44_000).with_slices(250),
-        AtomTypeInfo::new("SboxMul").with_bitstream_bytes(58_000).with_slices(400),
-        AtomTypeInfo::new("CrcUnit").with_bitstream_bytes(52_000).with_slices(330),
-        AtomTypeInfo::new("FieldExtract").with_bitstream_bytes(40_000).with_slices(220),
+        AtomTypeInfo::new("SubBytes")
+            .with_bitstream_bytes(62_000)
+            .with_slices(430),
+        AtomTypeInfo::new("MixColumns")
+            .with_bitstream_bytes(70_000)
+            .with_slices(520),
+        AtomTypeInfo::new("XorKey")
+            .with_bitstream_bytes(44_000)
+            .with_slices(250),
+        AtomTypeInfo::new("SboxMul")
+            .with_bitstream_bytes(58_000)
+            .with_slices(400),
+        AtomTypeInfo::new("CrcUnit")
+            .with_bitstream_bytes(52_000)
+            .with_slices(330),
+        AtomTypeInfo::new("FieldExtract")
+            .with_bitstream_bytes(40_000)
+            .with_slices(220),
     ])
     .expect("unique names");
     let mut b = SiLibraryBuilder::new(universe);
@@ -192,11 +202,20 @@ pub fn generate_gateway_workload(config: &GatewayConfig) -> (Trace, u32) {
     let hs_hints = |hs: CryptoHotSpot, cfg: &GatewayConfig| -> Vec<(SiId, u64)> {
         match hs {
             CryptoHotSpot::Handshake => vec![
-                (CryptoSi::KeyExpand.id(), u64::from(cfg.sessions_per_epoch) * 40),
-                (CryptoSi::ParseHeader.id(), u64::from(cfg.sessions_per_epoch)),
+                (
+                    CryptoSi::KeyExpand.id(),
+                    u64::from(cfg.sessions_per_epoch) * 40,
+                ),
+                (
+                    CryptoSi::ParseHeader.id(),
+                    u64::from(cfg.sessions_per_epoch),
+                ),
             ],
             CryptoHotSpot::Bulk => vec![
-                (CryptoSi::AesRound.id(), u64::from(cfg.packets_per_epoch) * 300),
+                (
+                    CryptoSi::AesRound.id(),
+                    u64::from(cfg.packets_per_epoch) * 300,
+                ),
                 (CryptoSi::ParseHeader.id(), u64::from(cfg.packets_per_epoch)),
             ],
             CryptoHotSpot::Integrity => vec![
@@ -332,7 +351,10 @@ mod tests {
         let hef = simulate(&lib, &trace, &SimConfig::rispp(6, SchedulerKind::Hef)).total_cycles;
         for kind in SchedulerKind::ALL {
             let other = simulate(&lib, &trace, &SimConfig::rispp(6, kind)).total_cycles;
-            assert!(hef as f64 <= other as f64 * 1.01, "{kind}: {hef} vs {other}");
+            assert!(
+                hef as f64 <= other as f64 * 1.01,
+                "{kind}: {hef} vs {other}"
+            );
         }
     }
 

@@ -39,7 +39,10 @@ impl SimObserver for DecisionLog {
 
 /// Writes `contents` to `path`, treating `.prom`/`.txt` suffixes on a
 /// metrics path as a request for the Prometheus text format.
-pub(crate) fn write_metrics(path: &str, snapshot: &rispp_telemetry::MetricsSnapshot) -> Result<(), String> {
+pub(crate) fn write_metrics(
+    path: &str,
+    snapshot: &rispp_telemetry::MetricsSnapshot,
+) -> Result<(), String> {
     let text = if path.ends_with(".prom") || path.ends_with(".txt") {
         snapshot.to_prometheus_text()
     } else {
@@ -110,7 +113,11 @@ pub fn inventory(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e),
     };
     let library = h264_si_library();
-    println!("H.264 SI library ({} SIs over {} atom types):", library.len(), library.arity());
+    println!(
+        "H.264 SI library ({} SIs over {} atom types):",
+        library.len(),
+        library.arity()
+    );
     for si in library.iter() {
         println!(
             "  {:<12} sw {:>6} cycles, {:>2} molecules over {} atom types",
@@ -367,9 +374,16 @@ pub fn simulate(args: &[String]) -> ExitCode {
         println!("{}", rispp_sim::export::summary_csv_row(&stats));
     } else {
         println!("system:            {}", stats.system);
-        println!("total cycles:      {} ({:.1} M)", stats.total_cycles, stats.total_cycles as f64 / 1e6);
+        println!(
+            "total cycles:      {} ({:.1} M)",
+            stats.total_cycles,
+            stats.total_cycles as f64 / 1e6
+        );
         println!("SI executions:     {}", stats.total_executions());
-        println!("hardware fraction: {:.1}%", stats.hardware_fraction() * 100.0);
+        println!(
+            "hardware fraction: {:.1}%",
+            stats.hardware_fraction() * 100.0
+        );
         println!("reconfigurations:  {}", stats.reconfigurations);
         println!(
             "port busy:         {:.1}% of execution time",
@@ -433,7 +447,9 @@ pub fn profile(args: &[String]) -> ExitCode {
     let library = h264_si_library();
 
     let mut metrics = MetricsObserver::new();
-    let mut perfetto = options.value("trace-out").map(|_| PerfettoTraceObserver::new());
+    let mut perfetto = options
+        .value("trace-out")
+        .map(|_| PerfettoTraceObserver::new());
     let (stats, plan) = {
         let mut extra: Vec<&mut dyn SimObserver> = vec![&mut metrics];
         if let Some(p) = perfetto.as_mut() {
@@ -478,7 +494,9 @@ pub fn profile(args: &[String]) -> ExitCode {
         if execs == 0 {
             continue;
         }
-        let hw = snapshot.counter(&format!("rispp_si_hardware_executions_total{{si=\"{id}\"}}"));
+        let hw = snapshot.counter(&format!(
+            "rispp_si_hardware_executions_total{{si=\"{id}\"}}"
+        ));
         let (sum, count) = match snapshot.get(&format!("rispp_si_latency_cycles{{si=\"{id}\"}}")) {
             Some(rispp_telemetry::Metric::Histogram(h)) => (h.sum(), h.count()),
             _ => (0, 0),
@@ -507,9 +525,7 @@ pub fn profile(args: &[String]) -> ExitCode {
         if load + ready + idle + quarantined == 0.0 {
             continue;
         }
-        println!(
-            "  {c:>3} {load:>8.1}% {ready:>8.1}% {idle:>8.1}% {quarantined:>11.1}%"
-        );
+        println!("  {c:>3} {load:>8.1}% {ready:>8.1}% {idle:>8.1}% {quarantined:>11.1}%");
     }
 
     if let Some(path) = options.value("metrics-out") {
@@ -1003,14 +1019,18 @@ mod tests {
     fn fault_rate_rejects_saturating_and_garbage_values() {
         // Everything above 1.0 would silently clamp to PPM inside the
         // fault model; the error must name the ceiling instead.
-        for raw in ["1.0001", "2", "1000000", "2000000", "inf", "NaN", "-0.1", "-inf"] {
+        for raw in [
+            "1.0001", "2", "1000000", "2000000", "inf", "NaN", "-0.1", "-inf",
+        ] {
             let err = parse_fault_rate(raw).unwrap_err();
             assert!(
                 err.contains("1000000") && err.contains("[0, 1]"),
                 "{raw}: error must cite the ppm ceiling, got: {err}"
             );
         }
-        assert!(parse_fault_rate("half").unwrap_err().contains("invalid value"));
+        assert!(parse_fault_rate("half")
+            .unwrap_err()
+            .contains("invalid value"));
     }
 
     #[test]

@@ -77,11 +77,13 @@ where
     let report = &report;
     let results = runner.run_observed(&library, &jobs, |_| {
         let finished = Arc::clone(&finished);
-        vec![
-            Box::new(ProgressObserver::new(total, finished, move |done, total| {
+        vec![Box::new(ProgressObserver::new(
+            total,
+            finished,
+            move |done, total| {
                 report(done, total);
-            })) as Box<dyn SimObserver + '_>,
-        ]
+            },
+        )) as Box<dyn SimObserver + '_>]
     });
 
     let software_cycles = results[0].total_cycles;
@@ -279,7 +281,13 @@ pub fn fig5_paths() -> Vec<(SchedulerKind, Vec<(u16, usize)>)> {
 pub fn table1_inventory() -> Vec<(String, usize, usize)> {
     rispp_h264::h264_si_library()
         .iter()
-        .map(|si| (si.name().to_string(), si.atom_type_count(), si.molecule_count()))
+        .map(|si| {
+            (
+                si.name().to_string(),
+                si.atom_type_count(),
+                si.molecule_count(),
+            )
+        })
         .collect()
 }
 
@@ -305,8 +313,13 @@ pub fn table3_hardware() -> (rispp_hw::AreaReport, rispp_hw::AreaReport, rispp_h
     for (si, e) in demands {
         expected[si.index()] = e;
     }
-    let request = ScheduleRequest::new(&library, selection, Molecule::zero(library.arity()), expected)
-        .expect("valid request");
+    let request = ScheduleRequest::new(
+        &library,
+        selection,
+        Molecule::zero(library.arity()),
+        expected,
+    )
+    .expect("valid request");
     let run = rispp_hw::HefFsm::new().run(&request);
     (
         rispp_hw::AreaReport::paper_hef(),

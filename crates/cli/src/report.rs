@@ -127,7 +127,11 @@ pub fn fig5_table(paths: &[(SchedulerKind, Vec<(u16, usize)>)]) -> String {
             .iter()
             .map(|&(si, v)| format!("SI{}·m{}", si + 1, v + 1))
             .collect();
-        out.push_str(&format!("  {:>4}: {}\n", kind.abbreviation(), steps.join(" -> ")));
+        out.push_str(&format!(
+            "  {:>4}: {}\n",
+            kind.abbreviation(),
+            steps.join(" -> ")
+        ));
     }
     out
 }

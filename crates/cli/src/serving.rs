@@ -156,7 +156,9 @@ pub fn submit(args: &[String]) -> ExitCode {
                 println!(
                     "status={} queue_depth={} inflight={}",
                     v.get("status").and_then(JsonValue::as_str).unwrap_or("?"),
-                    v.get("queue_depth").and_then(JsonValue::as_u64).unwrap_or(0),
+                    v.get("queue_depth")
+                        .and_then(JsonValue::as_u64)
+                        .unwrap_or(0),
                     v.get("inflight").and_then(JsonValue::as_u64).unwrap_or(0),
                 );
                 ExitCode::SUCCESS
@@ -229,7 +231,10 @@ pub fn submit(args: &[String]) -> ExitCode {
             Ok(v) => v,
             Err(e) => return fail(&e),
         };
-        let id = response.get("id").and_then(JsonValue::as_str).unwrap_or("?");
+        let id = response
+            .get("id")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("?");
         let status = response
             .get("status")
             .and_then(JsonValue::as_str)
@@ -255,8 +260,8 @@ pub fn submit(args: &[String]) -> ExitCode {
                         Err(e) => return fail(&e),
                     };
                     let local = run_simulation(library, &trace, &spec.config);
-                    let local_json = JsonValue::parse(&encode_stats(&local))
-                        .expect("local stats encode");
+                    let local_json =
+                        JsonValue::parse(&encode_stats(&local)).expect("local stats encode");
                     if response.get("stats") == Some(&local_json) {
                         verdict = " stats=bit-identical".into();
                     } else {

@@ -31,7 +31,8 @@ fn an_unknown_experiment_fails_and_lists_the_valid_ones() {
     let out = rispp_cli(&["reproduce", "nope"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     let err = stderr(&out);
-    for name in "fig2 fig4 fig5 fig7 fig8 table1 table3 ablations resilience generality".split(' ') {
+    for name in "fig2 fig4 fig5 fig7 fig8 table1 table3 ablations resilience generality".split(' ')
+    {
         assert!(err.contains(name), "`{name}` missing from: {err}");
     }
 }

@@ -33,7 +33,7 @@ use crate::explain::{DecisionExplain, ScheduleExplain, SelectionExplain};
 use crate::plan_cache::{
     digest_words, library_fingerprint, PlanCacheHandle, PlanCacheStats, PlannedDecision,
 };
-use crate::recovery::{RecoveryPolicy, RecoveryStats};
+use crate::recovery::{backoff_cycles, RecoveryStats, DEFAULT_MAX_RETRIES};
 use crate::scheduler::SchedulerKind;
 use crate::selection::{GreedySelector, SelectionRequest};
 use crate::types::{BurstSegment, ScheduleRequest, SelectedMolecule, SiExecution};
@@ -77,7 +77,6 @@ struct AppContext {
     /// Foreign atoms this tenant's plans found already loaded by
     /// co-tenants (cross-app reuse).
     atoms_shared: u64,
-    explain_enabled: bool,
     decisions: Vec<DecisionExplain>,
 }
 
@@ -144,7 +143,11 @@ pub struct FabricArbiter<'a> {
     fabric: Fabric,
     contexts: Vec<AppContext>,
     scratch: SharedScratch,
-    recovery: RecoveryPolicy,
+    /// Consecutive aborted loads tolerated per container before the tile
+    /// is quarantined.
+    max_retries: u32,
+    /// Decision capture for every context, fixed at build time.
+    explain: bool,
     /// Consecutive aborted loads per container; reset on a completion.
     abort_streaks: Vec<u32>,
     scheduler_kind: SchedulerKind,
@@ -175,7 +178,7 @@ impl<'a> FabricArbiter<'a> {
             forecast: ForecastPolicy::default(),
             port_bandwidth: None,
             fault: None,
-            recovery: RecoveryPolicy::default(),
+            max_retries: DEFAULT_MAX_RETRIES,
             explain: false,
             plan_cache: None,
         }
@@ -321,7 +324,7 @@ impl<'a> FabricArbiter<'a> {
                 decision
             }
             None => {
-                let decision = Arc::new(self.decide(app, demands, pressure, &key)?);
+                let decision = Arc::new(self.decide(demands, pressure, &key)?);
                 if let Some(handle) = &self.plan_cache {
                     let memo = Arc::clone(&decision);
                     self.plan_stats.evictions += handle.cache().insert(plan_hash, memo);
@@ -365,19 +368,18 @@ impl<'a> FabricArbiter<'a> {
         }
     }
 
-    /// Decides a fresh plan for `app`: Molecule selection within the
+    /// Decides a fresh plan for `demands`: Molecule selection within the
     /// usable containers, then the Atom schedule, plus both explain records
     /// when capture is on. Reads only plan-key material (`key`, empty
     /// without a cache), so the decision may be memoised.
     fn decide(
         &mut self,
-        app: usize,
         demands: &[(SiId, u64)],
         pressure: Vec<u64>,
         key: &[u64],
     ) -> Result<PlannedDecision, CoreError> {
         let fabric = &self.fabric;
-        let explain = self.contexts[app].explain_enabled;
+        let explain = self.explain;
         let mut selection_explain = explain.then(SelectionExplain::default);
         let selected = GreedySelector.select_explained(
             &SelectionRequest::new(self.library, demands, fabric.usable_container_count()),
@@ -446,7 +448,7 @@ impl<'a> FabricArbiter<'a> {
         let ctx = &mut self.contexts[app];
         ctx.selected.clone_from(&decision.selected);
         ctx.degraded_to_software += u64::from(degraded);
-        if ctx.explain_enabled {
+        if self.explain {
             // The explain flag is a key word, so a cached decision carries
             // its records whenever capture is on.
             let (selection, schedule) = decision
@@ -493,7 +495,7 @@ impl<'a> FabricArbiter<'a> {
         key.push(self.epoch);
         key.push(self.contexts.len() as u64);
         key.push(app as u64);
-        key.push(u64::from(self.contexts[app].explain_enabled));
+        key.push(u64::from(self.explain));
         key.push(u64::from(fabric.usable_container_count()));
         key.push(u64::from(fabric.container_count()));
         key.push(demands.len() as u64);
@@ -510,8 +512,8 @@ impl<'a> FabricArbiter<'a> {
         key.extend_from_slice(pressure);
     }
 
-    /// Advances the fabric to `now` and applies the [`RecoveryPolicy`] to
-    /// every fault event, attributing retries to the owning application:
+    /// Advances the fabric to `now` and heals every fault event (see
+    /// [`crate::recovery`]), attributing retries to the owning application:
     /// bounded-backoff retries for aborted loads, scrub reloads for
     /// SEU-corrupted Atoms, quarantine of containers that exhaust their
     /// retries, and a re-plan of every affected tenant whenever the set of
@@ -535,11 +537,15 @@ impl<'a> FabricArbiter<'a> {
                     FabricEvent::Completed(done) => {
                         self.abort_streaks[done.container.index()] = 0;
                     }
-                    FabricEvent::LoadAborted { atom, container, at } => {
+                    FabricEvent::LoadAborted {
+                        atom,
+                        container,
+                        at,
+                    } => {
                         let owner = self.fabric.owner_of(container).unwrap_or(0);
                         let streak = &mut self.abort_streaks[container.index()];
                         *streak += 1;
-                        let exhausted = *streak > self.recovery.max_retries;
+                        let exhausted = *streak > self.max_retries;
                         if exhausted
                             && !self.fabric.containers()[container.index()].is_quarantined()
                         {
@@ -557,29 +563,24 @@ impl<'a> FabricArbiter<'a> {
                             self.plan_stats.epoch_bumps += 1;
                             needs_replan = true;
                         } else {
-                            let attempt = self.abort_streaks[container.index()];
-                            // Salted by container so simultaneous aborts on
-                            // different tiles de-correlate instead of
-                            // retrying as a convoy; with the default zero
-                            // jitter seed this is exactly the classic
-                            // jitterless schedule.
-                            let salt = container.index() as u64;
-                            let delay = self.recovery.backoff_cycles_salted(attempt, salt);
+                            let delay = backoff_cycles(self.abort_streaks[container.index()]);
                             self.fabric
                                 .enqueue_load_app(owner, atom, at.saturating_add(delay));
                             self.contexts[usize::from(owner)].load_retries += 1;
                         }
                     }
-                    FabricEvent::AtomCorrupted { atom, container, at } => {
-                        if self.recovery.scrub_on_seu {
-                            // Scrub-and-reload on behalf of whoever loaded
-                            // the atom: the faulty container is a preferred
-                            // load target, so this physically rewrites the
-                            // corrupted region.
-                            let owner = self.fabric.owner_of(container).unwrap_or(0);
-                            self.fabric.enqueue_load_app(owner, atom, at);
-                            self.contexts[usize::from(owner)].load_retries += 1;
-                        }
+                    FabricEvent::AtomCorrupted {
+                        atom,
+                        container,
+                        at,
+                    } => {
+                        // Scrub-and-reload on behalf of whoever loaded the
+                        // atom: the faulty container is a preferred load
+                        // target, so this physically rewrites the corrupted
+                        // region.
+                        let owner = self.fabric.owner_of(container).unwrap_or(0);
+                        self.fabric.enqueue_load_app(owner, atom, at);
+                        self.contexts[usize::from(owner)].load_retries += 1;
                     }
                     FabricEvent::ContainerFailed { .. } => {
                         // Permanent tile failure: same invalidation rule
@@ -724,7 +725,12 @@ impl<'a> FabricArbiter<'a> {
                 _ => (def.software_latency(), None),
             };
             if let Some(idx) = variant_index {
-                match self.scratch.used_masks.get(si.index()).and_then(|m| m.get(idx)) {
+                match self
+                    .scratch
+                    .used_masks
+                    .get(si.index())
+                    .and_then(|m| m.get(idx))
+                {
                     Some(&mask) => self.fabric.mark_used_types(mask, t),
                     None => self.fabric.mark_used(&def.variants()[idx].atoms, t),
                 }
@@ -825,7 +831,11 @@ impl<'a> FabricArbiter<'a> {
                     _ => (def.software_latency(), None),
                 };
                 let mask = variant.and_then(|idx| {
-                    self.scratch.used_masks.get(mi).and_then(|m| m.get(idx)).copied()
+                    self.scratch
+                        .used_masks
+                        .get(mi)
+                        .and_then(|m| m.get(idx))
+                        .copied()
                 });
                 memo[mi] = BatchMemo {
                     resolved: true,
@@ -844,8 +854,7 @@ impl<'a> FabricArbiter<'a> {
             // extreme `count × per` products cannot wrap) to keep the
             // 64-bit division off the per-burst path.
             if let Some(event) = horizon {
-                if event <= t
-                    || u128::from(event - t) <= (u128::from(count) - 1) * u128::from(per)
+                if event <= t || u128::from(event - t) <= (u128::from(count) - 1) * u128::from(per)
                 {
                     break;
                 }
@@ -914,30 +923,16 @@ impl<'a> FabricArbiter<'a> {
         }
     }
 
-    /// Advances the fabric to `now`, applying the recovery policy to any
-    /// fault events on the way.
+    /// Advances the fabric to `now`, healing any fault events on the way.
     pub fn advance_to(&mut self, now: u64) {
         self.sync_fabric(now);
     }
 
-    /// Enables (or disables) decision capture for application `app`: while
-    /// on, every Molecule selection + Atom schedule computed for `app`
-    /// (including replays of memoised plans) is recorded as a
-    /// [`DecisionExplain`], drained via [`FabricArbiter::take_decisions`].
-    /// Off by default — the hot path then performs no extra work.
-    /// Disabling drops any decisions not yet drained.
-    pub fn set_explain_enabled(&mut self, app: u16, enabled: bool) {
-        let ctx = &mut self.contexts[usize::from(app)];
-        ctx.explain_enabled = enabled;
-        if !enabled {
-            ctx.decisions.clear();
-        }
-    }
-
-    /// Whether decision capture is on for application `app`.
+    /// Whether decision capture is on (set at build time by
+    /// [`FabricArbiterBuilder::explain`]).
     #[must_use]
-    pub fn explain_enabled(&self, app: u16) -> bool {
-        self.contexts[usize::from(app)].explain_enabled
+    pub fn explain_enabled(&self) -> bool {
+        self.explain
     }
 
     /// Moves `app`'s captured decisions (chronological order) into `out`.
@@ -956,12 +951,6 @@ impl<'a> FabricArbiter<'a> {
     /// whichever tenant drains first.
     pub fn drain_fabric_journal(&mut self, out: &mut Vec<rispp_fabric::FabricJournalEntry>) {
         self.fabric.drain_journal(out);
-    }
-
-    /// The active fault-recovery policy (shared by all contexts).
-    #[must_use]
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// Self-healing counters as seen by application `app`. Fault counts
@@ -1047,7 +1036,7 @@ pub struct FabricArbiterBuilder<'a> {
     forecast: ForecastPolicy,
     port_bandwidth: Option<u64>,
     fault: Option<FaultModel>,
-    recovery: RecoveryPolicy,
+    max_retries: u32,
     explain: bool,
     plan_cache: Option<PlanCacheHandle>,
 }
@@ -1092,7 +1081,10 @@ impl<'a> FabricArbiterBuilder<'a> {
 
     /// Attaches a seeded [`FaultModel`] to the fabric: the fabric injects
     /// CRC aborts, SEU corruption and permanent tile failures, and the
-    /// arbiter heals them per its [`RecoveryPolicy`]. A
+    /// arbiter heals them: aborted loads retry after a backoff doubling
+    /// from [`BACKOFF_BASE_CYCLES`](crate::BACKOFF_BASE_CYCLES), corrupted
+    /// Atoms are scrubbed by reloading them, and a container exceeding
+    /// [`max_retries`](Self::max_retries) is quarantined. A
     /// [null](FaultModel::is_null) model leaves behaviour bit-identical to
     /// not attaching one.
     #[must_use]
@@ -1101,15 +1093,19 @@ impl<'a> FabricArbiterBuilder<'a> {
         self
     }
 
-    /// Sets the fault-recovery policy shared by all contexts (default: 3
-    /// retries, 1024-cycle base backoff, scrub on SEU).
+    /// Sets how many consecutive aborted loads a container tolerates
+    /// before it is quarantined (default [`DEFAULT_MAX_RETRIES`]).
     #[must_use]
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
+    pub fn max_retries(mut self, retries: u32) -> Self {
+        self.max_retries = retries;
         self
     }
 
-    /// Enables decision capture from the start for every context.
+    /// Enables decision capture for every context: each Molecule selection
+    /// and Atom schedule (including replays of memoised plans) is recorded
+    /// as a [`DecisionExplain`], drained via
+    /// [`FabricArbiter::take_decisions`]. Off by default; the hot path then
+    /// does no extra work.
     #[must_use]
     pub fn explain(mut self, enabled: bool) -> Self {
         self.explain = enabled;
@@ -1155,7 +1151,6 @@ impl<'a> FabricArbiterBuilder<'a> {
                 load_retries: 0,
                 degraded_to_software: 0,
                 atoms_shared: 0,
-                explain_enabled: self.explain,
                 decisions: Vec::new(),
             })
             .collect();
@@ -1187,7 +1182,8 @@ impl<'a> FabricArbiterBuilder<'a> {
                 used_masks,
                 ..SharedScratch::default()
             },
-            recovery: self.recovery,
+            max_retries: self.max_retries,
+            explain: self.explain,
             abort_streaks,
             scheduler_kind: self.scheduler,
             plan_cache: self.plan_cache,

@@ -61,11 +61,8 @@ mod tests {
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
     fn two_si_library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("SI1", 1000)
             .unwrap()
@@ -114,7 +111,10 @@ mod tests {
             .iter()
             .position(|&u| u == (SiId(0), 2) || u == (SiId(1), 2))
             .unwrap();
-        assert!(si0_first < any_final && si1_first < any_final, "{upgrades:?}");
+        assert!(
+            si0_first < any_final && si1_first < any_final,
+            "{upgrades:?}"
+        );
     }
 
     #[test]

@@ -361,7 +361,12 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
         let candidate = self.candidates.remove(index);
         self.add_atoms.remove(index);
         self.improvement.remove(index);
-        self.commit_molecule(candidate.si, candidate.variant_index, &candidate.atoms, candidate.latency);
+        self.commit_molecule(
+            candidate.si,
+            candidate.variant_index,
+            &candidate.atoms,
+            candidate.latency,
+        );
     }
 
     fn commit_molecule(&mut self, si: SiId, variant_index: usize, atoms: &Molecule, latency: u32) {
@@ -404,8 +409,7 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
                 let need = c.atoms.count(i);
                 // The component grew old → new, so the candidate's missing
                 // count at it shrinks by (need−old)⁺ − (need−new)⁺.
-                shrink +=
-                    u32::from(need.saturating_sub(old)) - u32::from(need.saturating_sub(new));
+                shrink += u32::from(need.saturating_sub(old)) - u32::from(need.saturating_sub(new));
             }
             self.add_atoms[idx] -= shrink;
             if best_changed && c.si == si {
@@ -502,8 +506,12 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
     /// best latency.
     #[must_use]
     pub fn importance(&self, sel: SelectedMolecule) -> u64 {
-        let selected_latency = self.request.library().si(sel.si).expect("validated").variants()
-            [sel.variant_index]
+        let selected_latency = self
+            .request
+            .library()
+            .si(sel.si)
+            .expect("validated")
+            .variants()[sel.variant_index]
             .latency;
         let best = self.best_latency[sel.si.index()];
         let improvement = u64::from(best.saturating_sub(selected_latency));
@@ -520,11 +528,8 @@ mod tests {
     /// Library mirroring Figure 4: one SI with molecules
     /// m1=(2,1)@60, m2=(2,2)@40, m3=(4,2)@20 and the wrong-mix m4=(1,3)@55.
     fn fig4_library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("FIG4", 1000)
             .unwrap()

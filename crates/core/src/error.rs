@@ -56,7 +56,10 @@ impl fmt::Display for CoreError {
                 "expected-executions vector has length {got}, library has {want} SIs"
             ),
             CoreError::ArityMismatch { got, want } => {
-                write!(f, "available atoms arity {got} does not match universe {want}")
+                write!(
+                    f,
+                    "available atoms arity {got} does not match universe {want}"
+                )
             }
             CoreError::InvalidSchedule { reason } => write!(f, "invalid schedule: {reason}"),
         }

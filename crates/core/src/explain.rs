@@ -74,7 +74,11 @@ pub struct SelectionExplain {
 
 impl fmt::Display for SelectionExplain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "selection (budget {} containers): demands", self.containers)?;
+        write!(
+            f,
+            "selection (budget {} containers): demands",
+            self.containers
+        )?;
         for &(si, e) in &self.demands {
             write!(f, " SI{}×{e}", si.0)?;
         }
@@ -168,7 +172,12 @@ impl ScheduleExplain {
 
 impl fmt::Display for ScheduleExplain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "schedule [{}]: {} rounds", self.scheduler, self.rounds.len())?;
+        writeln!(
+            f,
+            "schedule [{}]: {} rounds",
+            self.scheduler,
+            self.rounds.len()
+        )?;
         for (i, round) in self.rounds.iter().enumerate() {
             match &round.chosen {
                 Some(c) => writeln!(

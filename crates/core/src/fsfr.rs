@@ -79,11 +79,8 @@ mod tests {
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 
     fn two_si_library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("SI1", 1000)
             .unwrap()

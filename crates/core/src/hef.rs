@@ -85,11 +85,8 @@ mod tests {
 
     /// Two SIs over two atom types, as in Figure 5 of the paper.
     fn two_si_library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("SI1", 1000)
             .unwrap()
@@ -223,17 +220,25 @@ mod tests {
         let (g2, c2) = (u64::MAX / 2 + 1, 1);
         assert!(g1.saturating_mul(c2) == g2.saturating_mul(c1)); // old: tie
         assert!(!cross(g1, c1, g2, c2) && cross(g2, c2, g1, c1)); // exact
-        // Boundary grid around the extremes stays consistent with the
-        // rational order g/c evaluated independently by long division:
-        // compare integer quotients first, then the remainders (again as
-        // exact fractions r/c, recursing once suffices since r < c).
+                                                                  // Boundary grid around the extremes stays consistent with the
+                                                                  // rational order g/c evaluated independently by long division:
+                                                                  // compare integer quotients first, then the remainders (again as
+                                                                  // exact fractions r/c, recursing once suffices since r < c).
         let rational_gt = |g1: u64, c1: u64, g2: u64, c2: u64| {
             let (q1, r1) = (g1 / c1, g1 % c1);
             let (q2, r2) = (g2 / c2, g2 % c2);
             q1 > q2
                 || (q1 == q2 && u128::from(r1) * u128::from(c2) > u128::from(r2) * u128::from(c1))
         };
-        let interesting = [1u64, 2, 3, u64::MAX / 2, u64::MAX / 2 + 1, u64::MAX - 1, u64::MAX];
+        let interesting = [
+            1u64,
+            2,
+            3,
+            u64::MAX / 2,
+            u64::MAX / 2 + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
         for &g1 in &interesting {
             for &c1 in &[1u64, 2, 3, u64::MAX] {
                 for &g2 in &interesting {

@@ -84,7 +84,7 @@ pub use explain::{
     SelectionRound,
 };
 pub use plan_cache::{PlanCache, PlanCacheHandle, PlanCacheStats};
-pub use recovery::{RecoveryPolicy, RecoveryStats};
+pub use recovery::{RecoveryStats, BACKOFF_BASE_CYCLES, DEFAULT_MAX_RETRIES};
 pub use scheduler::SchedulerKind;
 pub use selection::{ExhaustiveSelector, GreedySelector, SelectionRequest};
 pub use types::{

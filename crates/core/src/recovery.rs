@@ -5,9 +5,9 @@
 //! manager does about them*:
 //!
 //! * **CRC abort** → re-enqueue the load with bounded exponential backoff
-//!   on the reconfiguration port; after [`RecoveryPolicy::max_retries`]
-//!   consecutive aborts on the same container the tile is treated as broken
-//!   and quarantined.
+//!   on the reconfiguration port (from [`BACKOFF_BASE_CYCLES`]); after
+//!   `max_retries` consecutive aborts on the same container (default
+//!   [`DEFAULT_MAX_RETRIES`]) the tile is treated as broken and quarantined.
 //! * **SEU corruption** → scrub-and-reload: the corrupted Atom is
 //!   re-enqueued immediately (the faulty container is a preferred load
 //!   target, so the reload physically scrubs the upset region).
@@ -19,80 +19,24 @@
 //! Fig. 3), so even a fully quarantined fabric only degrades performance,
 //! never correctness.
 
-/// Tunable parameters of the manager's fault recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RecoveryPolicy {
-    /// Consecutive aborted loads tolerated per container before the tile
-    /// is quarantined as permanently broken.
-    pub max_retries: u32,
-    /// Base backoff before re-issuing an aborted load; doubles with every
-    /// consecutive abort on the same container (exponential backoff on the
-    /// reconfiguration port).
-    pub backoff_base_cycles: u64,
-    /// Whether SEU-corrupted Atoms are scrubbed by re-loading them
-    /// (disable to model a system without configuration scrubbing).
-    pub scrub_on_seu: bool,
-    /// Seed of the deterministic backoff jitter. Zero (the default)
-    /// disables jitter entirely, keeping retry schedules bit-identical to
-    /// policies that predate jitter. Nonzero seeds add a per-(container,
-    /// attempt) offset of up to half the exponential delay, so several
-    /// containers whose loads abort on the same cycle retry on *different*
-    /// cycles instead of re-colliding on the reconfiguration port as a
-    /// convoy. The same seed always yields the same schedule.
-    pub backoff_jitter_seed: u64,
-}
+/// Consecutive aborted loads tolerated per container before the tile is
+/// quarantined, unless [`FabricArbiterBuilder::max_retries`] sets another
+/// budget.
+///
+/// [`FabricArbiterBuilder::max_retries`]: crate::FabricArbiterBuilder::max_retries
+pub const DEFAULT_MAX_RETRIES: u32 = 3;
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff_base_cycles: 1_024,
-            scrub_on_seu: true,
-            backoff_jitter_seed: 0,
-        }
-    }
-}
+/// Backoff before re-issuing an aborted load; doubles with every
+/// consecutive abort on the same container (exponential backoff on the
+/// reconfiguration port).
+pub const BACKOFF_BASE_CYCLES: u64 = 1_024;
 
-impl RecoveryPolicy {
-    /// Backoff delay before retry number `attempt` (1-based): the base
-    /// doubled per previous consecutive abort, always at least one cycle.
-    /// Jitter-free regardless of [`RecoveryPolicy::backoff_jitter_seed`] —
-    /// the salted variant is [`RecoveryPolicy::backoff_cycles_salted`].
-    #[must_use]
-    pub fn backoff_cycles(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(63);
-        let cycles = u128::from(self.backoff_base_cycles.max(1)) << shift;
-        u64::try_from(cycles).unwrap_or(u64::MAX)
-    }
-
-    /// [`RecoveryPolicy::backoff_cycles`] plus deterministic seeded jitter,
-    /// salted by the retrying container's identity. With a zero
-    /// [`RecoveryPolicy::backoff_jitter_seed`] this *is*
-    /// [`RecoveryPolicy::backoff_cycles`] (bit-identical, no draw at all);
-    /// with a nonzero seed the delay gains a hash-derived offset in
-    /// `[0, delay / 2]`, a pure function of `(seed, salt, attempt)` — no
-    /// hidden RNG state, so identical runs schedule identical retries no
-    /// matter how many containers abort simultaneously.
-    #[must_use]
-    pub fn backoff_cycles_salted(&self, attempt: u32, salt: u64) -> u64 {
-        let base = self.backoff_cycles(attempt);
-        if self.backoff_jitter_seed == 0 {
-            return base;
-        }
-        // SplitMix64-style finalizer over the (seed, salt, attempt) tuple:
-        // cheap, stateless and well-distributed even for adjacent salts.
-        let mut x = self
-            .backoff_jitter_seed
-            .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        let spread = (base / 2).max(1);
-        base.saturating_add(x % spread)
-    }
+/// Backoff delay before retry number `attempt` (1-based): the base doubled
+/// per previous consecutive abort, saturating at `u64::MAX`.
+pub(crate) fn backoff_cycles(attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1).min(63);
+    let cycles = u128::from(BACKOFF_BASE_CYCLES) << shift;
+    u64::try_from(cycles).unwrap_or(u64::MAX)
 }
 
 /// Counters describing how much self-healing a run needed. All zero in a
@@ -102,8 +46,8 @@ pub struct RecoveryStats {
     /// Fault events injected by the fabric (aborted loads, SEU upsets,
     /// permanent tile failures).
     pub faults_injected: u64,
-    /// Loads re-enqueued by the recovery policy (abort retries and SEU
-    /// scrub reloads).
+    /// Loads re-enqueued by recovery (abort retries and SEU scrub
+    /// reloads).
     pub load_retries: u64,
     /// Containers taken out of service (scheduled tile deaths plus
     /// retry-exhausted quarantines).
@@ -122,89 +66,16 @@ mod tests {
 
     #[test]
     fn default_policy_is_bounded() {
-        let p = RecoveryPolicy::default();
-        assert!(p.max_retries > 0);
-        assert!(p.scrub_on_seu);
-        assert_eq!(p.backoff_cycles(1), 1_024);
-        assert_eq!(p.backoff_cycles(2), 2_048);
-        assert_eq!(p.backoff_cycles(3), 4_096);
+        const { assert!(DEFAULT_MAX_RETRIES > 0) };
+        assert_eq!(backoff_cycles(1), 1_024);
+        assert_eq!(backoff_cycles(2), 2_048);
+        assert_eq!(backoff_cycles(3), 4_096);
     }
 
     #[test]
-    fn zero_jitter_seed_is_bit_identical_to_jitterless_backoff() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.backoff_jitter_seed, 0);
-        for attempt in 1..=16 {
-            for salt in [0u64, 1, 7, u64::MAX] {
-                assert_eq!(
-                    p.backoff_cycles_salted(attempt, salt),
-                    p.backoff_cycles(attempt),
-                    "attempt {attempt} salt {salt}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let p = RecoveryPolicy {
-            backoff_jitter_seed: 0x00C0_FFEE,
-            ..RecoveryPolicy::default()
-        };
-        let q = p; // same seed → same schedule
-        for attempt in 1..=12 {
-            for salt in 0..8u64 {
-                let d = p.backoff_cycles_salted(attempt, salt);
-                assert_eq!(d, q.backoff_cycles_salted(attempt, salt));
-                let base = p.backoff_cycles(attempt);
-                assert!(d >= base, "jitter must only delay, never hasten");
-                assert!(d <= base + base / 2 + 1, "jitter bounded by half the delay");
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_decollides_simultaneous_containers() {
-        // Eight containers abort on the same cycle at the same attempt
-        // number: jitterless they all retry together; jittered their
-        // delays must not all coincide (that is the convoy the seed
-        // exists to break).
-        let p = RecoveryPolicy {
-            backoff_jitter_seed: 42,
-            ..RecoveryPolicy::default()
-        };
-        let delays: Vec<u64> = (0..8).map(|c| p.backoff_cycles_salted(1, c)).collect();
-        let distinct: std::collections::BTreeSet<u64> = delays.iter().copied().collect();
-        assert!(
-            distinct.len() > 1,
-            "all eight containers retried on the same cycle: {delays:?}"
-        );
-        // And different seeds give different schedules.
-        let other = RecoveryPolicy {
-            backoff_jitter_seed: 43,
-            ..RecoveryPolicy::default()
-        };
-        assert_ne!(
-            delays,
-            (0..8).map(|c| other.backoff_cycles_salted(1, c)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn backoff_never_zero_and_never_overflows() {
-        let p = RecoveryPolicy {
-            backoff_base_cycles: 0,
-            ..RecoveryPolicy::default()
-        };
-        assert_eq!(p.backoff_cycles(1), 1);
-        assert_eq!(p.backoff_cycles(2), 2);
+    fn backoff_never_overflows() {
         // The shift is clamped and the result saturates instead of
         // wrapping at absurd attempt counts.
-        assert_eq!(p.backoff_cycles(200), 1u64 << 63);
-        let wide = RecoveryPolicy {
-            backoff_base_cycles: 1_024,
-            ..RecoveryPolicy::default()
-        };
-        assert_eq!(wide.backoff_cycles(200), u64::MAX);
+        assert_eq!(backoff_cycles(200), u64::MAX);
     }
 }

@@ -295,15 +295,7 @@ impl ExhaustiveSelector {
         let arity = library.arity();
         let mut best: (u64, Vec<SelectedMolecule>) = (0, Vec::new());
         let mut current: Vec<SelectedMolecule> = Vec::new();
-        self.recurse(
-            library,
-            &demands,
-            budget,
-            arity,
-            0,
-            &mut current,
-            &mut best,
-        );
+        self.recurse(library, &demands, budget, arity, 0, &mut current, &mut best);
         let mut selection = best.1;
         selection.sort_by_key(|s| s.si);
         selection
@@ -321,10 +313,11 @@ impl ExhaustiveSelector {
         best: &mut (u64, Vec<SelectedMolecule>),
     ) {
         if index == demands.len() {
-            let sup = Molecule::supremum(current.iter().map(|s| {
-                &library.si(s.si).expect("selected").variants()[s.variant_index].atoms
-            }))
-            .unwrap_or_else(|| Molecule::zero(arity));
+            let sup =
+                Molecule::supremum(current.iter().map(|s| {
+                    &library.si(s.si).expect("selected").variants()[s.variant_index].atoms
+                }))
+                .unwrap_or_else(|| Molecule::zero(arity));
             if sup.total_atoms() > budget {
                 return;
             }
@@ -466,22 +459,14 @@ mod tests {
     #[test]
     fn selection_is_deterministic() {
         let lib = library();
-        let req = SelectionRequest::new(
-            &lib,
-            &[(SiId(0), 100), (SiId(1), 100), (SiId(2), 100)],
-            6,
-        );
+        let req = SelectionRequest::new(&lib, &[(SiId(0), 100), (SiId(1), 100), (SiId(2), 100)], 6);
         assert_eq!(GreedySelector.select(&req), GreedySelector.select(&req));
     }
 
     #[test]
     fn tiny_budget_selects_subset() {
         let lib = library();
-        let req = SelectionRequest::new(
-            &lib,
-            &[(SiId(0), 100), (SiId(1), 90), (SiId(2), 80)],
-            1,
-        );
+        let req = SelectionRequest::new(&lib, &[(SiId(0), 100), (SiId(1), 90), (SiId(2), 80)], 1);
         let sel = GreedySelector.select(&req);
         assert_eq!(sel.len(), 1);
         assert!(sup_of(&lib, &sel).total_atoms() <= 1);
@@ -541,11 +526,8 @@ mod tests {
     fn shared_atoms_are_not_double_counted() {
         // Two SIs sharing atom type A1: budget 2 should fit both smallest
         // molecules (1×A1 shared + …) when their union needs only 2 atoms.
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("X", 100)
             .unwrap()

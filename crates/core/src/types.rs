@@ -350,11 +350,8 @@ mod tests {
     use rispp_model::{AtomTypeInfo, AtomUniverse, SiLibraryBuilder};
 
     fn library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("S0", 100)
             .unwrap()
@@ -467,8 +464,7 @@ mod tests {
     #[test]
     fn empty_selection_is_trivially_valid() {
         let lib = library();
-        let req =
-            ScheduleRequest::new(&lib, vec![], Molecule::zero(2), vec![0, 0]).unwrap();
+        let req = ScheduleRequest::new(&lib, vec![], Molecule::zero(2), vec![0, 0]).unwrap();
         assert_eq!(req.required_containers(), 0);
         Schedule::default().validate(&req).unwrap();
     }
@@ -487,7 +483,10 @@ mod tests {
         ]);
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
-        assert_eq!(s.atoms().collect::<Vec<_>>(), vec![AtomTypeId(0), AtomTypeId(1)]);
+        assert_eq!(
+            s.atoms().collect::<Vec<_>>(),
+            vec![AtomTypeId(0), AtomTypeId(1)]
+        );
         assert_eq!(s.upgrades(), vec![(SiId(0), 0)]);
     }
 }

@@ -6,7 +6,7 @@
 //! cascade — plus structural pins on the epoch counter itself.
 
 use proptest::prelude::*;
-use rispp_core::{FabricArbiter, PlanCacheHandle, RecoveryPolicy, SchedulerKind};
+use rispp_core::{FabricArbiter, PlanCacheHandle, SchedulerKind};
 use rispp_fabric::fault::PPM;
 use rispp_fabric::FaultModel;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
@@ -51,11 +51,7 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
             crc_abort_ppm: PPM,
             ..FaultModel::default()
         })
-        .recovery(RecoveryPolicy {
-            max_retries: 2,
-            backoff_base_cycles: 256,
-            ..RecoveryPolicy::default()
-        })
+        .max_retries(2)
         .build();
 
     assert_eq!(mgr.fabric_epoch(), 0, "fresh fabric starts at epoch zero");
@@ -63,7 +59,10 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
     mgr.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 0)
         .unwrap();
     let first = mgr.plan_cache_stats();
-    assert!(first.misses >= 1, "first plan must be a cold miss: {first:?}");
+    assert!(
+        first.misses >= 1,
+        "first plan must be a cold miss: {first:?}"
+    );
     assert_eq!(first.hits, 0);
     assert!(
         !mgr.selected(0).is_empty(),

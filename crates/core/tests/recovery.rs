@@ -2,7 +2,7 @@
 //! bounded retry with backoff, scrub-and-reload, quarantine + re-planning,
 //! and the hard forward-progress guarantee via the cISA software trap.
 
-use rispp_core::{FabricArbiter, RecoveryPolicy, SchedulerKind};
+use rispp_core::{FabricArbiter, SchedulerKind};
 use rispp_fabric::fault::PPM;
 use rispp_fabric::FaultModel;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
@@ -63,11 +63,7 @@ fn certain_crc_aborts_exhaust_retries_quarantine_and_degrade() {
     let mut mgr = FabricArbiter::builder(&lib)
         .containers(3)
         .fault_model(model)
-        .recovery(RecoveryPolicy {
-            max_retries: 2,
-            backoff_base_cycles: 256,
-            ..RecoveryPolicy::default()
-        })
+        .max_retries(2)
         .build();
     mgr.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 400)], 0)
         .unwrap();
@@ -84,7 +80,10 @@ fn certain_crc_aborts_exhaust_retries_quarantine_and_degrade() {
 
     let stats = mgr.recovery_stats(0);
     assert!(stats.faults_injected > 0);
-    assert!(stats.load_retries > 0, "aborts must be retried before giving up");
+    assert!(
+        stats.load_retries > 0,
+        "aborts must be retried before giving up"
+    );
     assert!(stats.fault_cycles_lost > 0);
     // Let the retry/quarantine cascade play out fully.
     mgr.exit_hot_spot(0, 200_000_000);
@@ -141,33 +140,6 @@ fn seu_corruption_is_scrubbed_and_hardware_returns() {
 }
 
 #[test]
-fn scrub_can_be_disabled() {
-    let lib = library();
-    let model = FaultModel {
-        seed: 6,
-        seu_per_gcycle: 20_000,
-        ..FaultModel::default()
-    };
-    let mut mgr = FabricArbiter::builder(&lib)
-        .containers(4)
-        .fault_model(model)
-        .recovery(RecoveryPolicy {
-            scrub_on_seu: false,
-            ..RecoveryPolicy::default()
-        })
-        .build();
-    mgr.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 100)], 0)
-        .unwrap();
-    mgr.advance_to(50_000_000);
-    let stats = mgr.recovery_stats(0);
-    assert!(stats.faults_injected > 0);
-    assert_eq!(
-        stats.load_retries, 0,
-        "without scrubbing no recovery reloads are issued"
-    );
-}
-
-#[test]
 fn permanent_failures_replan_on_the_shrunken_fabric() {
     let lib = library();
     // Half the tiles die early (seeded): the manager must re-select
@@ -199,7 +171,11 @@ fn permanent_failures_replan_on_the_shrunken_fabric() {
     let total: u32 = mgr
         .selected(0)
         .iter()
-        .map(|s| lib.si(s.si).unwrap().variants()[s.variant_index].atoms.total_atoms())
+        .map(|s| {
+            lib.si(s.si).unwrap().variants()[s.variant_index]
+                .atoms
+                .total_atoms()
+        })
         .sum();
     assert!(total <= u32::from(mgr.fabric().usable_container_count()));
 }
@@ -258,50 +234,6 @@ fn forward_progress_under_heavy_faults_for_every_scheduler() {
         }
         assert_eq!(now, now2, "{kind}: fault runs must be reproducible");
         assert_eq!(mgr.recovery_stats(0), again.recovery_stats(0), "{kind}");
-        assert_eq!(
-            mgr.fabric().stats(),
-            again.fabric().stats(),
-            "{kind}"
-        );
+        assert_eq!(mgr.fabric().stats(), again.fabric().stats(), "{kind}");
     }
-}
-
-#[test]
-fn jittered_backoff_is_deterministic_across_identical_runs() {
-    let lib = library();
-    // Half the loads abort: the recovery path issues many backoff retries,
-    // now with seeded jitter. Two identical managers must heal identically
-    // — same segments, same fabric stats, same recovery counters.
-    let build = || {
-        FabricArbiter::builder(&lib)
-            .containers(3)
-            .scheduler(SchedulerKind::Hef)
-            .fault_model(FaultModel {
-                seed: 9,
-                crc_abort_ppm: PPM,
-                ..FaultModel::default()
-            })
-            .recovery(RecoveryPolicy {
-                backoff_jitter_seed: 0xDECAF,
-                ..RecoveryPolicy::default()
-            })
-            .build()
-    };
-    let mut a = build();
-    let mut b = build();
-    for mgr in [&mut a, &mut b] {
-        mgr.enter_hot_spot(0, HotSpotId(0), &[(SiId(0), 500)], 0)
-            .unwrap();
-    }
-    let mut sa = Vec::new();
-    a.execute_burst_into(0, SiId(0), 500, 25, 0, &mut sa);
-    let mut sb = Vec::new();
-    b.execute_burst_into(0, SiId(0), 500, 25, 0, &mut sb);
-    assert_eq!(sa, sb, "same jitter seed must give the same schedule");
-    assert_eq!(a.fabric().stats(), b.fabric().stats());
-    assert_eq!(a.recovery_stats(0), b.recovery_stats(0));
-    assert!(
-        a.recovery_stats(0).load_retries > 0,
-        "run must actually retry"
-    );
 }

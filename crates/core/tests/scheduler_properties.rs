@@ -38,10 +38,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             (variants, expected, available, variant_pick)
         })
         .prop_map(|(variants, expected, available, picks)| {
-            let universe = AtomUniverse::from_types(
-                (0..ARITY).map(|i| AtomTypeInfo::new(format!("T{i}"))),
-            )
-            .expect("unique names");
+            let universe =
+                AtomUniverse::from_types((0..ARITY).map(|i| AtomTypeInfo::new(format!("T{i}"))))
+                    .expect("unique names");
             let mut builder = SiLibraryBuilder::new(universe);
             for (i, vs) in variants.iter().enumerate() {
                 let mut si = builder

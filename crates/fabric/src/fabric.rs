@@ -188,68 +188,47 @@ const PRIO_FAIL: u8 = 0;
 /// completions/starts at the same cycle).
 const PRIO_CORRUPT: u8 = 1;
 
-/// Runtime state of the fault model: the RNG stream plus the per-container
-/// corruption/failure schedule.
+/// Runtime state of the fault model: the RNG stream plus every pending
+/// fault event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FaultState {
     model: FaultModel,
     rng: XorShift64,
-    /// Cycle at which the currently loaded atom gets corrupted (drawn at
-    /// load completion, cleared on overwrite/quarantine).
-    corrupt_at: Vec<Option<u64>>,
-    /// Scheduled permanent-failure cycle per container (drawn once at
-    /// construction).
-    fail_at: Vec<Option<u64>>,
-    /// Every pending fault event, flattened into one ascending-sorted list
-    /// of `(cycle, priority, container)` keys and maintained in lock-step
-    /// with `corrupt_at`/`fail_at` through [`FaultState::set_corrupt_at`] &
-    /// co. `next_internal_event` reads `schedule[0]` in O(1) instead of
-    /// scanning every container; the sort key reproduces the scan's
-    /// ordering exactly (earliest cycle, Fail < Corrupt on ties, lowest
-    /// container index last). A sorted `Vec` rather than a heap keeps the
-    /// front readable through `&self` and mutations are rare (one per
-    /// fault-schedule change, not per burst).
+    /// Every pending fault event as one ascending-sorted list of
+    /// `(cycle, priority, container)` keys, at most two per container: its
+    /// permanent failure (drawn once at construction) and the corruption of
+    /// its loaded atom (drawn at load completion, cleared on overwrite or
+    /// quarantine). `next_internal_event` reads `schedule[0]` in O(1); the
+    /// sort key orders events by earliest cycle, Fail before Corrupt on
+    /// ties, lowest container index last. A sorted `Vec` rather than a heap
+    /// keeps the front readable through `&self`, and mutations are rare
+    /// (one per fault-schedule change, not per burst).
     schedule: Vec<(u64, u8, u16)>,
 }
 
 impl FaultState {
-    fn insert(&mut self, key: (u64, u8, u16)) {
+    /// Schedules an SEU corruption of container `i` at cycle `t`.
+    fn set_corrupt_at(&mut self, i: usize, t: u64) {
+        let key = (t, PRIO_CORRUPT, container_key(i));
         let pos = self.schedule.partition_point(|&e| e < key);
         self.schedule.insert(pos, key);
     }
 
-    fn remove(&mut self, key: (u64, u8, u16)) {
-        let pos = self
+    /// Cancels container `i`'s pending event of priority `prio`, if any.
+    fn clear(&mut self, prio: u8, i: usize) {
+        let container = container_key(i);
+        if let Some(pos) = self
             .schedule
-            .binary_search(&key)
-            .expect("flattened schedule out of sync with per-container state");
-        self.schedule.remove(pos);
-    }
-
-    fn container_key(i: usize) -> u16 {
-        u16::try_from(i).expect("container index fits u16")
-    }
-
-    /// Schedules an SEU corruption of container `i` at cycle `t`.
-    fn set_corrupt_at(&mut self, i: usize, t: u64) {
-        debug_assert!(self.corrupt_at[i].is_none(), "corruption already scheduled");
-        self.corrupt_at[i] = Some(t);
-        self.insert((t, PRIO_CORRUPT, Self::container_key(i)));
-    }
-
-    /// Cancels a scheduled corruption of container `i`, if any.
-    fn clear_corrupt_at(&mut self, i: usize) {
-        if let Some(t) = self.corrupt_at[i].take() {
-            self.remove((t, PRIO_CORRUPT, Self::container_key(i)));
+            .iter()
+            .position(|&(_, p, c)| (p, c) == (prio, container))
+        {
+            self.schedule.remove(pos);
         }
     }
+}
 
-    /// Cancels the scheduled permanent failure of container `i`, if any.
-    fn clear_fail_at(&mut self, i: usize) {
-        if let Some(t) = self.fail_at[i].take() {
-            self.remove((t, PRIO_FAIL, Self::container_key(i)));
-        }
-    }
+fn container_key(i: usize) -> u16 {
+    u16::try_from(i).expect("container index fits u16")
 }
 
 /// Internal event kinds, ordered by processing priority at equal cycles:
@@ -363,26 +342,16 @@ impl Fabric {
         let mut fabric = Fabric::new(config, universe);
         let mut rng = XorShift64::new(model.seed);
         let horizon = model.failure_horizon().max(1);
-        let fail_at: Vec<Option<u64>> = (0..config.containers)
-            .map(|_| {
-                if rng.chance_ppm(model.permanent_failure_ppm) {
-                    Some(1 + rng.next_u64() % horizon)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut schedule: Vec<(u64, u8, u16)> = fail_at
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (t, PRIO_FAIL, FaultState::container_key(i))))
-            .collect();
+        let mut schedule = Vec::new();
+        for i in 0..config.containers {
+            if rng.chance_ppm(model.permanent_failure_ppm) {
+                schedule.push((1 + rng.next_u64() % horizon, PRIO_FAIL, i));
+            }
+        }
         schedule.sort_unstable();
         fabric.fault = Some(FaultState {
             model,
             rng,
-            corrupt_at: vec![None; usize::from(config.containers)],
-            fail_at,
             schedule,
         });
         fabric
@@ -457,8 +426,7 @@ impl Fabric {
     /// `(atom, container, finish)`.
     #[must_use]
     pub fn in_flight(&self) -> Option<(AtomTypeId, ContainerId, u64)> {
-        self.in_flight
-            .map(|fl| (fl.atom, fl.container, fl.finish))
+        self.in_flight.map(|fl| (fl.atom, fl.container, fl.finish))
     }
 
     /// Number of queued (not yet started) loads.
@@ -561,11 +529,7 @@ impl Fabric {
     }
 
     /// Appends a full schedule on behalf of application `app`.
-    pub fn enqueue_schedule_app<I: IntoIterator<Item = AtomTypeId>>(
-        &mut self,
-        app: u16,
-        atoms: I,
-    ) {
+    pub fn enqueue_schedule_app<I: IntoIterator<Item = AtomTypeId>>(&mut self, app: u16, atoms: I) {
         for atom in atoms {
             self.enqueue_load_app(app, atom, 0);
         }
@@ -759,11 +723,11 @@ impl Fabric {
     /// [`EventKind`] priority (failures before upsets before completions
     /// before starts), then by container index.
     ///
-    /// Fault events come from the flattened `FaultState::schedule` in O(1);
+    /// Fault events come from the sorted `FaultState::schedule` in O(1);
     /// its `(cycle, priority, container)` sort key encodes exactly this
-    /// ordering, and its maintenance invariants (`fail_at` entries only for
-    /// non-quarantined containers, `corrupt_at` only for loaded ones) make
-    /// the per-container eligibility checks of the old scan redundant.
+    /// ordering, and it holds failures only for non-quarantined containers
+    /// and corruptions only for loaded ones, so no per-container
+    /// eligibility check is needed.
     fn next_internal_event(&self) -> Option<(u64, EventKind)> {
         let mut best: Option<(u64, u8, EventKind)> = None;
         let consider = |t: u64, prio: u8, kind: EventKind, best: &mut Option<_>| {
@@ -814,13 +778,17 @@ impl Fabric {
             }
             EventKind::Corrupt(i) => {
                 if let Some(f) = &mut self.fault {
-                    f.clear_corrupt_at(i);
+                    f.clear(PRIO_CORRUPT, i);
                 }
                 if let Some(atom) = self.containers[i].corrupt() {
                     self.remove_available(atom);
                     self.stats.seu_corruptions += 1;
                     let container = self.containers[i].id();
-                    self.record(FabricJournalEntry::AtomCorrupted { container, atom, at: t });
+                    self.record(FabricJournalEntry::AtomCorrupted {
+                        container,
+                        atom,
+                        at: t,
+                    });
                     events.push(FabricEvent::AtomCorrupted {
                         atom,
                         container,
@@ -829,7 +797,10 @@ impl Fabric {
                 }
             }
             EventKind::Finish => {
-                let fl = self.in_flight.take().expect("finish event implies in-flight load");
+                let fl = self
+                    .in_flight
+                    .take()
+                    .expect("finish event implies in-flight load");
                 let i = fl.container.index();
                 if fl.abort {
                     self.containers[i].abort_load();
@@ -890,8 +861,8 @@ impl Fabric {
         }
         self.containers[i].quarantine();
         if let Some(f) = &mut self.fault {
-            f.clear_corrupt_at(i);
-            f.clear_fail_at(i);
+            f.clear(PRIO_CORRUPT, i);
+            f.clear(PRIO_FAIL, i);
         }
         if let Some(fl) = self.in_flight.filter(|fl| fl.container.index() == i) {
             self.in_flight = None;
@@ -965,7 +936,7 @@ impl Fabric {
             if let Some(f) = &mut self.fault {
                 // Whatever corruption was scheduled for the overwritten
                 // atom no longer applies.
-                f.clear_corrupt_at(victim.index());
+                f.clear(PRIO_CORRUPT, victim.index());
             }
             self.containers[victim.index()].begin_load(atom, finish);
             self.owners[victim.index()] = Some(app);

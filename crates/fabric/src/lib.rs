@@ -34,14 +34,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
 mod container;
 mod error;
 mod fabric;
 pub mod fault;
 mod port;
 
-pub use clock::ClockDomain;
 pub use container::{AtomContainer, ContainerId, ContainerState};
 pub use error::FabricError;
 pub use fabric::{

@@ -1,5 +1,9 @@
 use crate::error::FabricError;
-use crate::ClockDomain;
+
+/// The prototype's processor clock in Hz: the base processor and the Atom
+/// Containers run at 100 MHz, and all simulator timing is expressed in
+/// cycles of this clock.
+const CLOCK_HZ: u64 = 100_000_000;
 
 /// Configuration of the single reconfiguration port (SelectMAP/ICAP).
 ///
@@ -13,10 +17,6 @@ use crate::ClockDomain;
 pub struct ReconfigPortConfig {
     /// Sustained bitstream bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: u64,
-    /// Fixed per-load overhead in cycles (port arbitration, frame sync).
-    pub setup_overhead_cycles: u64,
-    /// Clock domain used to convert transfer time to cycles.
-    pub clock: ClockDomain,
 }
 
 impl ReconfigPortConfig {
@@ -24,11 +24,7 @@ impl ReconfigPortConfig {
     /// bitstream (60,488 B) loads in the paper's average 874 µs.
     #[must_use]
     pub fn prototype() -> Self {
-        ReconfigPortConfig {
-            bandwidth_bytes_per_sec: 69_206_000,
-            setup_overhead_cycles: 0,
-            clock: ClockDomain::PROTOTYPE,
-        }
+        ReconfigPortConfig::with_bandwidth(69_206_000)
     }
 
     /// A port with the given nominal bandwidth on the prototype clock.
@@ -36,8 +32,6 @@ impl ReconfigPortConfig {
     pub fn with_bandwidth(bandwidth_bytes_per_sec: u64) -> Self {
         ReconfigPortConfig {
             bandwidth_bytes_per_sec,
-            setup_overhead_cycles: 0,
-            clock: ClockDomain::PROTOTYPE,
         }
     }
 
@@ -65,7 +59,9 @@ impl ReconfigPortConfig {
         self.validate()?;
         #[allow(clippy::cast_precision_loss)]
         let seconds = f64::from(bytes) / self.bandwidth_bytes_per_sec as f64;
-        Ok(self.setup_overhead_cycles + self.clock.cycles_for_us(seconds * 1e6))
+        let us = seconds * 1e6;
+        // Rounded up to whole cycles of the 100 MHz clock.
+        Ok((us * CLOCK_HZ as f64 / 1e6).ceil() as u64)
     }
 }
 
@@ -83,7 +79,8 @@ mod tests {
     fn prototype_reproduces_874us_per_average_atom() {
         let port = ReconfigPortConfig::prototype();
         let cycles = port.load_cycles(60_488).unwrap();
-        let us = port.clock.us_for_cycles(cycles);
+        // 100 cycles per µs at the prototype's 100 MHz.
+        let us = cycles as f64 / 100.0;
         assert!(
             (us - 874.03).abs() < 1.0,
             "average atom should load in ~874 µs, got {us:.2}"
@@ -95,13 +92,6 @@ mod tests {
         let port = ReconfigPortConfig::prototype();
         assert!(port.load_cycles(120_000).unwrap() > 2 * port.load_cycles(59_000).unwrap());
         assert_eq!(port.load_cycles(0).unwrap(), 0);
-    }
-
-    #[test]
-    fn setup_overhead_is_added_once() {
-        let mut port = ReconfigPortConfig::with_bandwidth(66_000_000);
-        port.setup_overhead_cycles = 100;
-        assert_eq!(port.load_cycles(0).unwrap(), 100);
     }
 
     #[test]

@@ -22,7 +22,11 @@ fn per_atom() -> u64 {
 fn null_model_is_bit_identical_to_no_model() {
     let u = universe(3);
     let mut plain = Fabric::new(FabricConfig::prototype(2), &u);
-    let mut nulled = Fabric::with_fault_model(FabricConfig::prototype(2), &u, FaultModel::uniform(0.0, 0xDEAD));
+    let mut nulled = Fabric::with_fault_model(
+        FabricConfig::prototype(2),
+        &u,
+        FaultModel::uniform(0.0, 0xDEAD),
+    );
     assert!(FaultModel::uniform(0.0, 0xDEAD).is_null());
     let script = [0u16, 1, 2, 0, 2, 1, 0];
     for (i, &a) in script.iter().enumerate() {
@@ -35,7 +39,10 @@ fn null_model_is_bit_identical_to_no_model() {
         assert_eq!(plain.in_flight(), nulled.in_flight());
         assert_eq!(plain.next_event_at(), nulled.next_event_at());
     }
-    assert_eq!(plain.advance_events(10_000_000), nulled.advance_events(10_000_000));
+    assert_eq!(
+        plain.advance_events(10_000_000),
+        nulled.advance_events(10_000_000)
+    );
     assert_eq!(plain.stats(), nulled.stats());
 }
 
@@ -79,13 +86,23 @@ fn seu_corrupts_then_scrub_reload_recovers() {
     let events = f.advance_events(10_000_000);
     assert_eq!(events.len(), 2, "completion then corruption: {events:?}");
     assert!(matches!(events[0], FabricEvent::Completed(done) if done.atom == AtomTypeId(0)));
-    let FabricEvent::AtomCorrupted { atom, container, at } = events[1] else {
+    let FabricEvent::AtomCorrupted {
+        atom,
+        container,
+        at,
+    } = events[1]
+    else {
         panic!("expected corruption, got {:?}", events[1]);
     };
     assert_eq!(atom, AtomTypeId(0));
     assert_eq!(container, ContainerId(0));
     assert!(at > per_atom(), "corruption strictly after completion");
-    assert_eq!(f.containers()[0].state(), ContainerState::Faulty { atom: AtomTypeId(0) });
+    assert_eq!(
+        f.containers()[0].state(),
+        ContainerState::Faulty {
+            atom: AtomTypeId(0)
+        }
+    );
     assert_eq!(f.available().total_atoms(), 0);
     assert_eq!(f.stats().seu_corruptions, 1);
 
@@ -114,11 +131,17 @@ fn scheduled_tile_failures_quarantine_containers() {
         .iter()
         .filter(|e| matches!(e, FabricEvent::ContainerFailed { .. }))
         .count();
-    assert_eq!(failed, 3, "all tiles must fail inside the horizon: {events:?}");
+    assert_eq!(
+        failed, 3,
+        "all tiles must fail inside the horizon: {events:?}"
+    );
     assert_eq!(f.usable_container_count(), 0);
     assert_eq!(f.stats().permanent_failures, 3);
     assert_eq!(f.stats().containers_quarantined, 3);
-    assert!(f.containers().iter().all(rispp_fabric::AtomContainer::is_quarantined));
+    assert!(f
+        .containers()
+        .iter()
+        .all(rispp_fabric::AtomContainer::is_quarantined));
 
     // Loads on a dead fabric are dropped, not wedged: forward progress.
     f.enqueue_load(AtomTypeId(0));
@@ -171,7 +194,10 @@ fn manual_quarantine_removes_loaded_atoms() {
     );
     f.quarantine(ContainerId(0)).unwrap();
     assert_eq!(f.available().counts(), &[0, 0]);
-    assert!(f.generation() > gen, "removing an atom must invalidate caches");
+    assert!(
+        f.generation() > gen,
+        "removing an atom must invalidate caches"
+    );
     assert_eq!(f.usable_container_count(), 1);
     assert_eq!(f.stats().containers_quarantined, 1);
     // Idempotent.

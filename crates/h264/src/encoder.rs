@@ -8,10 +8,8 @@
 
 use crate::frame::{Frame, MB_SIZE};
 use crate::kernels::dct::{forward_quantised, reconstruct_residual};
+use crate::kernels::deblock::{filter_horizontal_edge_bs4, filter_vertical_edge_bs4, Thresholds};
 use crate::kernels::entropy::estimate_block_bits;
-use crate::kernels::deblock::{
-    filter_horizontal_edge_bs4, filter_vertical_edge_bs4, Thresholds,
-};
 use crate::kernels::hadamard::{forward_ht2x2, forward_ht4x4, inverse_ht2x2, inverse_ht4x4};
 use crate::kernels::intra::{predict_dc_16x16, predict_h_16x16, predict_v_16x16, Neighbours};
 use crate::kernels::mc::InterpolatedRef;
@@ -271,8 +269,7 @@ impl Encoder {
                         for r in 0..4 {
                             for c in 0..4 {
                                 let i = (4 * by + r) * 16 + (4 * bx + c);
-                                residual[4 * r + c] =
-                                    i32::from(src_block[i]) - i32::from(pred[i]);
+                                residual[4 * r + c] = i32::from(src_block[i]) - i32::from(pred[i]);
                             }
                         }
                         luma_dc[4 * by + bx] = residual.iter().sum::<i32>() / 16;
@@ -427,8 +424,16 @@ mod tests {
         low.qp = 20;
         let mut high = EncoderConfig::tiny(2);
         high.qp = 40;
-        let bits_low: u64 = Encoder::new(low).encode_sequence().iter().map(|r| r.estimated_bits).sum();
-        let bits_high: u64 = Encoder::new(high).encode_sequence().iter().map(|r| r.estimated_bits).sum();
+        let bits_low: u64 = Encoder::new(low)
+            .encode_sequence()
+            .iter()
+            .map(|r| r.estimated_bits)
+            .sum();
+        let bits_high: u64 = Encoder::new(high)
+            .encode_sequence()
+            .iter()
+            .map(|r| r.estimated_bits)
+            .sum();
         assert!(bits_high < bits_low, "{bits_high} !< {bits_low}");
     }
 
@@ -450,7 +455,10 @@ mod tests {
     #[test]
     fn me_executions_are_content_dependent() {
         let reports = Encoder::new(EncoderConfig::tiny(6)).encode_sequence();
-        let counts: Vec<u64> = reports[1..].iter().map(FrameReport::me_executions).collect();
+        let counts: Vec<u64> = reports[1..]
+            .iter()
+            .map(FrameReport::me_executions)
+            .collect();
         // Not all frames issue identical ME work.
         assert!(counts.windows(2).any(|w| w[0] != w[1]), "{counts:?}");
     }

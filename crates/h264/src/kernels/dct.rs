@@ -208,7 +208,10 @@ mod tests {
         let residual: [i32; 16] = core::array::from_fn(|i| (i as i32 * 7 % 31) - 15);
         for qp in [0u8, 16, 28, 40, 51] {
             let q = forward_quantised(&residual, qp);
-            assert_eq!(reconstruct_residual(&q, qp), transform_roundtrip(&residual, qp));
+            assert_eq!(
+                reconstruct_residual(&q, qp),
+                transform_roundtrip(&residual, qp)
+            );
         }
     }
 

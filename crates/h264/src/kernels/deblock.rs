@@ -148,10 +148,7 @@ pub fn filter_horizontal_edge_bs4(plane: &mut Plane, x: usize, y: usize, t: Thre
 mod tests {
     use super::*;
 
-    const T: Thresholds = Thresholds {
-        alpha: 40,
-        beta: 8,
-    };
+    const T: Thresholds = Thresholds { alpha: 40, beta: 8 };
 
     #[test]
     fn flat_edge_stays_flat() {

@@ -39,13 +39,7 @@ pub fn predict_dc_16x16(recon: &Plane, x: usize, y: usize, n: Neighbours) -> u8 
 
 /// Horizontal prediction: each row is filled with the left neighbour
 /// sample. Falls back to DC when the left column is unavailable.
-pub fn predict_h_16x16(
-    recon: &Plane,
-    x: usize,
-    y: usize,
-    n: Neighbours,
-    out: &mut [u8; 256],
-) {
+pub fn predict_h_16x16(recon: &Plane, x: usize, y: usize, n: Neighbours, out: &mut [u8; 256]) {
     if !(n.left && x > 0) {
         out.fill(predict_dc_16x16(recon, x, y, n));
         return;
@@ -58,13 +52,7 @@ pub fn predict_h_16x16(
 
 /// Vertical prediction: each column is filled with the sample above.
 /// Falls back to DC when the row above is unavailable.
-pub fn predict_v_16x16(
-    recon: &Plane,
-    x: usize,
-    y: usize,
-    n: Neighbours,
-    out: &mut [u8; 256],
-) {
+pub fn predict_v_16x16(recon: &Plane, x: usize, y: usize, n: Neighbours, out: &mut [u8; 256]) {
     if !(n.above && y > 0) {
         out.fill(predict_dc_16x16(recon, x, y, n));
         return;

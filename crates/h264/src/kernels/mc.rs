@@ -484,7 +484,10 @@ mod tests {
         let s2 = sample_quarter_pel(&p, 42, 8);
         let s3 = sample_quarter_pel(&p, 43, 8);
         let s4 = sample_quarter_pel(&p, 44, 8);
-        assert!(s0 <= s1 && s1 <= s2 && s2 <= s3 && s3 <= s4, "{s0} {s1} {s2} {s3} {s4}");
+        assert!(
+            s0 <= s1 && s1 <= s2 && s2 <= s3 && s3 <= s4,
+            "{s0} {s1} {s2} {s3} {s4}"
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! pixels rather than fabricated counts.
 
 pub mod dct;
-pub mod entropy;
 pub mod deblock;
+pub mod entropy;
 pub mod hadamard;
 pub mod intra;
 pub mod mc;

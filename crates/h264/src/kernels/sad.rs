@@ -21,7 +21,14 @@ pub fn sad_block(a: &[u8], b: &[u8], n: usize) -> u32 {
 /// SAD of the 16×16 block at `(x, y)` in `cur` against the block at
 /// `(x + mvx, y + mvy)` in `reference` (border-clamped).
 #[must_use]
-pub fn sad_16x16(cur: &Plane, reference: &Plane, x: usize, y: usize, mvx: isize, mvy: isize) -> u32 {
+pub fn sad_16x16(
+    cur: &Plane,
+    reference: &Plane,
+    x: usize,
+    y: usize,
+    mvx: isize,
+    mvy: isize,
+) -> u32 {
     let mut acc = 0u32;
     for row in 0..16 {
         for col in 0..16 {

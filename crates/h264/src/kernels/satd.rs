@@ -22,7 +22,12 @@ fn hadamard4(a: &mut [i32; 4]) {
 /// 2-D 4×4 Hadamard transform of a residual block (row-major, in place).
 pub fn hadamard_4x4(block: &mut [i32; 16]) {
     for r in 0..4 {
-        let mut row = [block[4 * r], block[4 * r + 1], block[4 * r + 2], block[4 * r + 3]];
+        let mut row = [
+            block[4 * r],
+            block[4 * r + 1],
+            block[4 * r + 2],
+            block[4 * r + 3],
+        ];
         hadamard4(&mut row);
         block[4 * r..4 * r + 4].copy_from_slice(&row);
     }

@@ -192,7 +192,9 @@ mod tests {
         let w = 96;
         let h = 96;
         let tex = |x: f64, y: f64| -> u8 {
-            let v = 128.0 + 60.0 * (x * 0.35).sin() + 40.0 * (y * 0.28).cos()
+            let v = 128.0
+                + 60.0 * (x * 0.35).sin()
+                + 40.0 * (y * 0.28).cos()
                 + 20.0 * ((x + y) * 0.11).sin();
             v.clamp(0.0, 255.0) as u8
         };

@@ -372,11 +372,7 @@ pub fn h264_si_library() -> SiLibrary {
     b.build().expect("library tables are valid")
 }
 
-fn add_si(
-    b: &mut SiLibraryBuilder,
-    kind: SiKind,
-    table: &[(&[(AtomKind, u16)], u32)],
-) {
+fn add_si(b: &mut SiLibraryBuilder, kind: SiKind, table: &[(&[(AtomKind, u16)], u32)]) {
     let mut si = b
         .special_instruction(kind.name(), kind.software_latency())
         .expect("unique name");
@@ -462,9 +458,8 @@ mod tests {
         let si = lib.si(SiKind::Satd.id()).expect("satd");
         let vs = si.variants();
         let exists = vs.iter().any(|a| {
-            vs.iter().any(|b| {
-                a.atoms.total_atoms() > b.atoms.total_atoms() && a.latency > b.latency
-            })
+            vs.iter()
+                .any(|b| a.atoms.total_atoms() > b.atoms.total_atoms() && a.latency > b.latency)
         });
         assert!(exists, "expected at least one unbalanced SATD molecule");
     }
@@ -488,7 +483,11 @@ mod tests {
         let lib = h264_si_library();
         let sup = |kind: SiKind| {
             Molecule::supremum(
-                lib.si(kind.id()).unwrap().variants().iter().map(|v| &v.atoms),
+                lib.si(kind.id())
+                    .unwrap()
+                    .variants()
+                    .iter()
+                    .map(|v| &v.atoms),
             )
             .unwrap()
         };

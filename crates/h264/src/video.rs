@@ -119,7 +119,10 @@ impl SyntheticVideo {
                 for dx in 0..obj.w as isize {
                     let px = ox + dx;
                     let py = oy + dy;
-                    if px >= 0 && py >= 0 && (px as usize) < self.width && (py as usize) < self.height
+                    if px >= 0
+                        && py >= 0
+                        && (px as usize) < self.width
+                        && (py as usize) < self.height
                     {
                         // Simple shading for internal texture.
                         let shade = ((dx * 5 + dy * 3) % 32) as u8;

@@ -101,10 +101,7 @@ impl EncoderWorkload {
     pub fn from_reports(config: &EncoderConfig, reports: &[FrameReport]) -> Self {
         let mb = ((config.width / 16) * (config.height / 16)) as u64;
         // Design-time hints: static per-MB estimates scaled by MB count.
-        let me_hints = vec![
-            (SiKind::Sad.id(), 45 * mb),
-            (SiKind::Satd.id(), 25 * mb),
-        ];
+        let me_hints = vec![(SiKind::Sad.id(), 45 * mb), (SiKind::Satd.id(), 25 * mb)];
         let ee_hints = vec![
             (SiKind::Dct.id(), 24 * mb),
             (SiKind::Ht2x2.id(), 2 * mb),

@@ -130,9 +130,24 @@ mod tests {
             let (a, b) = (f64::from(a), f64::from(b));
             (a - b).abs() / b < 0.10
         };
-        assert!(close(est.luts, paper.luts), "luts {} vs {}", est.luts, paper.luts);
-        assert!(close(est.ffs, paper.ffs), "ffs {} vs {}", est.ffs, paper.ffs);
-        assert!(close(est.slices, paper.slices), "slices {} vs {}", est.slices, paper.slices);
+        assert!(
+            close(est.luts, paper.luts),
+            "luts {} vs {}",
+            est.luts,
+            paper.luts
+        );
+        assert!(
+            close(est.ffs, paper.ffs),
+            "ffs {} vs {}",
+            est.ffs,
+            paper.ffs
+        );
+        assert!(
+            close(est.slices, paper.slices),
+            "slices {} vs {}",
+            est.slices,
+            paper.slices
+        );
         assert!(
             close(est.gate_equivalents, paper.gate_equivalents),
             "ge {} vs {}",

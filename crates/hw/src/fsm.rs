@@ -272,13 +272,15 @@ mod tests {
     #[test]
     fn cycle_count_scales_with_candidates() {
         let lib = library();
-        let small = HefFsm::new().run(&ScheduleRequest::new(
-            &lib,
-            vec![SelectedMolecule::new(SiId(1), 0)],
-            Molecule::zero(3),
-            vec![0, 100],
-        )
-        .unwrap());
+        let small = HefFsm::new().run(
+            &ScheduleRequest::new(
+                &lib,
+                vec![SelectedMolecule::new(SiId(1), 0)],
+                Molecule::zero(3),
+                vec![0, 100],
+            )
+            .unwrap(),
+        );
         let big = HefFsm::new().run(&request(&lib, 500, 500));
         assert!(big.cycles > small.cycles);
         assert!(big.rounds >= small.rounds);

@@ -154,7 +154,11 @@ impl AtomUniverse {
         if self.types.is_empty() {
             return 0;
         }
-        let sum: u64 = self.types.iter().map(|t| u64::from(t.bitstream_bytes)).sum();
+        let sum: u64 = self
+            .types
+            .iter()
+            .map(|t| u64::from(t.bitstream_bytes))
+            .sum();
         (sum / self.types.len() as u64) as u32
     }
 }

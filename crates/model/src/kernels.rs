@@ -26,13 +26,19 @@ pub fn intersect(a: &[u16], b: &[u16]) -> Vec<u16> {
 /// Component-wise saturating `o − a` (the residual `a ⊖ o`).
 #[must_use]
 pub fn residual(a: &[u16], o: &[u16]) -> Vec<u16> {
-    a.iter().zip(o).map(|(&x, &y)| y.saturating_sub(x)).collect()
+    a.iter()
+        .zip(o)
+        .map(|(&x, &y)| y.saturating_sub(x))
+        .collect()
 }
 
 /// Component-wise saturating addition.
 #[must_use]
 pub fn saturating_add(a: &[u16], b: &[u16]) -> Vec<u16> {
-    a.iter().zip(b).map(|(&x, &y)| x.saturating_add(y)).collect()
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| x.saturating_add(y))
+        .collect()
 }
 
 /// Component-wise maximum into `out`.

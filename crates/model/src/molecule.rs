@@ -415,7 +415,11 @@ impl Molecule {
         let mut out = Molecule::zero(self.arity());
         match &mut out.repr {
             Repr::Inline { len, lanes } => {
-                kernel(self.counts(), other.counts(), &mut lanes[..usize::from(*len)]);
+                kernel(
+                    self.counts(),
+                    other.counts(),
+                    &mut lanes[..usize::from(*len)],
+                );
             }
             Repr::Spill(v) => kernel(self.counts(), other.counts(), v),
         }
@@ -671,14 +675,8 @@ mod tests {
             a.union(&b).counts(),
             &[u16::MAX, u16::MAX, 0x8000, 0x8000, 0x8000, 0x8001]
         );
-        assert_eq!(
-            a.intersect(&b).counts(),
-            &[0, 0, 0x7FFF, 0x7FFF, 1, 0x8001]
-        );
-        assert_eq!(
-            a.residual(&b).counts(),
-            &[u16::MAX, 0, 0, 1, 0x7FFF, 0]
-        );
+        assert_eq!(a.intersect(&b).counts(), &[0, 0, 0x7FFF, 0x7FFF, 1, 0x8001]);
+        assert_eq!(a.residual(&b).counts(), &[u16::MAX, 0, 0, 1, 0x7FFF, 0]);
         assert_eq!(a.partial_cmp(&b), None);
         assert_eq!(a.residual_atoms(&b), 0xFFFF + 1 + 0x7FFF);
     }

@@ -374,11 +374,8 @@ mod tests {
     use crate::AtomTypeInfo;
 
     fn two_type_library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         {
             let mut si = b.special_instruction("DEMO", 1000).unwrap();
@@ -423,7 +420,11 @@ mod tests {
     fn variants_sorted_by_size() {
         let lib = two_type_library();
         let si = lib.by_name("DEMO").unwrap();
-        let sizes: Vec<u32> = si.variants().iter().map(|v| v.atoms.total_atoms()).collect();
+        let sizes: Vec<u32> = si
+            .variants()
+            .iter()
+            .map(|v| v.atoms.total_atoms())
+            .collect();
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         assert_eq!(sizes, sorted);

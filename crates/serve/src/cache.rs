@@ -120,7 +120,9 @@ mod tests {
         let cache: LruCache<u32> = LruCache::new(4);
         let a = cache.get_or_try_insert::<()>("a", || Ok(1)).unwrap();
         assert_eq!(*a, 1);
-        let a2 = cache.get_or_try_insert::<()>("a", || panic!("must hit")).unwrap();
+        let a2 = cache
+            .get_or_try_insert::<()>("a", || panic!("must hit"))
+            .unwrap();
         assert_eq!(*a2, 1);
         assert_eq!(cache.stats(), (1, 1));
     }
@@ -131,11 +133,15 @@ mod tests {
         cache.get_or_try_insert::<()>("a", || Ok(1)).unwrap();
         cache.get_or_try_insert::<()>("b", || Ok(2)).unwrap();
         // Touch `a` so `b` is now the LRU entry.
-        cache.get_or_try_insert::<()>("a", || panic!("must hit")).unwrap();
+        cache
+            .get_or_try_insert::<()>("a", || panic!("must hit"))
+            .unwrap();
         cache.get_or_try_insert::<()>("c", || Ok(3)).unwrap();
         assert_eq!(cache.len(), 2);
         // `a` survived, `b` was evicted.
-        cache.get_or_try_insert::<()>("a", || panic!("must hit")).unwrap();
+        cache
+            .get_or_try_insert::<()>("a", || panic!("must hit"))
+            .unwrap();
         let rebuilt = cache.get_or_try_insert::<()>("b", || Ok(22)).unwrap();
         assert_eq!(*rebuilt, 22);
     }

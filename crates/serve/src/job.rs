@@ -232,17 +232,20 @@ fn parse_submit(value: &JsonValue) -> Result<JobSpec, String> {
         .ok_or("submit requires a string `id`")?
         .to_owned();
     let config = decode_config(value.get("config").ok_or("submit requires a `config`")?)?;
-    let trace_payload = canonical_trace_payload(
-        value.get("trace").ok_or("submit requires a `trace`")?,
-    )?;
+    let trace_payload =
+        canonical_trace_payload(value.get("trace").ok_or("submit requires a `trace`")?)?;
     let deadline_ms = match value.get("deadline_ms") {
         None | Some(JsonValue::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or("`deadline_ms` must be a non-negative integer")?),
+        Some(v) => Some(
+            v.as_u64()
+                .ok_or("`deadline_ms` must be a non-negative integer")?,
+        ),
     };
     let chaos_panics = match value.get("chaos_panics") {
         None => 0,
         Some(v) => u32::try_from(
-            v.as_u64().ok_or("`chaos_panics` must be a non-negative integer")?,
+            v.as_u64()
+                .ok_or("`chaos_panics` must be a non-negative integer")?,
         )
         .map_err(|_| "`chaos_panics` out of range")?,
     };
@@ -357,8 +360,13 @@ pub fn decode_config(value: &JsonValue) -> Result<SimConfig, String> {
     match value.get("port_bandwidth") {
         None | Some(JsonValue::Null) => {}
         Some(v) => {
-            config.port_bandwidth =
-                Some(v.as_u64().ok_or("`port_bandwidth` must be an integer")?);
+            let bandwidth = v.as_u64().ok_or("`port_bandwidth` must be an integer")?;
+            // A zero-bandwidth port would panic every attempt at fabric
+            // construction and poison the config.
+            rispp_fabric::ReconfigPortConfig::with_bandwidth(bandwidth)
+                .validate()
+                .map_err(|e| format!("`port_bandwidth` {bandwidth}: {e}"))?;
+            config.port_bandwidth = Some(bandwidth);
         }
     }
     match value.get("fault") {
@@ -465,7 +473,9 @@ fn parse_workload_name(name: &str) -> Result<(&str, u32), String> {
         None => (name, 20),
     };
     if base != "fig7" {
-        return Err(format!("unknown workload `{base}` (supported: fig7[:FRAMES])"));
+        return Err(format!(
+            "unknown workload `{base}` (supported: fig7[:FRAMES])"
+        ));
     }
     let max = rispp_h264::EncoderConfig::paper_cif().frames;
     if frames == 0 || frames > max {
@@ -493,7 +503,9 @@ pub fn materialise_trace(payload: &str) -> Result<Trace, String> {
     let (_, frames) = parse_workload_name(payload)?;
     let mut config = rispp_h264::EncoderConfig::paper_cif();
     config.frames = frames;
-    Ok(rispp_h264::EncoderWorkload::generate(&config).trace().clone())
+    Ok(rispp_h264::EncoderWorkload::generate(&config)
+        .trace()
+        .clone())
 }
 
 fn decode_trace(value: &JsonValue) -> Result<Trace, String> {
@@ -744,8 +756,16 @@ mod tests {
             hot_spot: HotSpotId(1),
             prologue_cycles: 50,
             bursts: vec![
-                Burst { si: SiId(0), count: 10, overhead: 3 },
-                Burst { si: SiId(2), count: 7, overhead: 1 },
+                Burst {
+                    si: SiId(0),
+                    count: 10,
+                    overhead: 3,
+                },
+                Burst {
+                    si: SiId(2),
+                    count: 7,
+                    overhead: 1,
+                },
             ],
             hints: vec![(SiId(0), 10), (SiId(2), 7)],
         }])
@@ -774,6 +794,7 @@ mod tests {
             r#"{"containers":-1}"#,
             r#"{"containers":70000}"#,
             r#"{"bucket_cycles":0}"#,
+            r#"{"port_bandwidth":0}"#,
             r#"{"fault":{"rate_ppm":1000001}}"#,
             r#"{"fault":{"seed":1}}"#,
         ] {
@@ -786,8 +807,7 @@ mod tests {
     fn trace_round_trips_and_normalises() {
         let trace = tiny_trace();
         let encoded = encode_trace(&trace);
-        let payload =
-            canonical_trace_payload(&JsonValue::parse(&encoded).unwrap()).unwrap();
+        let payload = canonical_trace_payload(&JsonValue::parse(&encoded).unwrap()).unwrap();
         assert_eq!(payload, encoded);
         let back = materialise_trace(&payload).unwrap();
         assert_eq!(back.invocations(), trace.invocations());
@@ -832,9 +852,18 @@ mod tests {
 
     #[test]
     fn request_parser_covers_every_op() {
-        assert!(matches!(parse_request(r#"{"op":"health"}"#), Ok(Request::Health)));
-        assert!(matches!(parse_request(r#"{"op":"metrics"}"#), Ok(Request::Metrics)));
-        assert!(matches!(parse_request(r#"{"op":"shutdown"}"#), Ok(Request::Shutdown)));
+        assert!(matches!(
+            parse_request(r#"{"op":"health"}"#),
+            Ok(Request::Health)
+        ));
+        assert!(matches!(
+            parse_request(r#"{"op":"metrics"}"#),
+            Ok(Request::Metrics)
+        ));
+        assert!(matches!(
+            parse_request(r#"{"op":"shutdown"}"#),
+            Ok(Request::Shutdown)
+        ));
         assert!(matches!(
             parse_request(r#"{"op":"cancel","id":"j"}"#),
             Ok(Request::Cancel { .. })
@@ -865,10 +894,7 @@ mod tests {
 
     #[test]
     fn outcome_lines_carry_status_specific_fields() {
-        let rejected = JobOutcome::refused(
-            "a",
-            JobStatus::Rejected { queue_depth: 8 },
-        );
+        let rejected = JobOutcome::refused("a", JobStatus::Rejected { queue_depth: 8 });
         let line = rejected.to_line();
         assert!(line.contains(r#""ok":false"#) && line.contains(r#""queue_depth":8"#));
         let err = JobOutcome::refused("b", JobStatus::Error("bad \"quote\"".into()));

@@ -36,7 +36,11 @@ enum Pending {
 }
 
 fn health_line(server: &Server) -> String {
-    let status = if server.is_draining() { "draining" } else { "ready" };
+    let status = if server.is_draining() {
+        "draining"
+    } else {
+        "ready"
+    };
     format!(
         r#"{{"ok":true,"status":"{status}","queue_depth":{},"queue_capacity":{},"inflight":{},"bundles_written":{}}}"#,
         server.queue_depth(),

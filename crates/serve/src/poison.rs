@@ -62,7 +62,10 @@ impl PoisonList {
     /// lucky success after the threshold does not resurrect the config).
     pub fn record_success(&self, config_hash: u64) {
         let mut counts = self.counts.lock().expect("poison list poisoned");
-        if counts.get(&config_hash).is_some_and(|&n| n < self.threshold) {
+        if counts
+            .get(&config_hash)
+            .is_some_and(|&n| n < self.threshold)
+        {
             counts.remove(&config_hash);
         }
     }

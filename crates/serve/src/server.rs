@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 use rispp_core::{PlanCache, PlanCacheHandle};
 use rispp_model::SiLibrary;
 use rispp_sim::{
-    simulate_observed_cancellable_shared, CancelCause, CancelToken, FlightRecorder,
-    FlightRecorderConfig, SimObserver, SweepRunner, Trace, TraceContext,
+    simulate_observed_cancellable_shared, CancelCause, CancelToken, FlightRecorder, SimObserver,
+    SweepRunner, Trace, TraceContext,
 };
 use rispp_telemetry::{MetricsRegistry, MetricsSnapshot};
 
@@ -39,10 +39,11 @@ use crate::poison::PoisonList;
 use crate::queue::{AdmissionQueue, PushError};
 use crate::watchdog::DeadlineWatchdog;
 
+/// Base retry backoff in milliseconds; doubles per attempt, capped at 2 s.
+const RETRY_BACKOFF_MS: u64 = 10;
+
 /// Latency-histogram bucket bounds in milliseconds.
-const LATENCY_BOUNDS_MS: [u64; 12] = [
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000,
-];
+const LATENCY_BOUNDS_MS: [u64; 12] = [1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000];
 
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
@@ -58,8 +59,6 @@ pub struct ServerConfig {
     pub poison_threshold: u32,
     /// Execution attempts per job (1 = no retry).
     pub max_attempts: u32,
-    /// Base retry backoff in milliseconds; doubles per attempt.
-    pub retry_backoff_ms: u64,
     /// Warm-trace-cache capacity in entries.
     pub trace_cache_capacity: usize,
     /// Flight-recorder spill directory. `Some` attaches a bounded
@@ -80,7 +79,6 @@ impl Default for ServerConfig {
             default_deadline_ms: None,
             poison_threshold: 3,
             max_attempts: 3,
-            retry_backoff_ms: 10,
             trace_cache_capacity: 32,
             flight_dir: None,
             flight_events: 256,
@@ -292,7 +290,9 @@ impl Server {
         self.drain();
         let handles = std::mem::take(&mut *self.inner.workers.lock().expect("workers poisoned"));
         for handle in handles {
-            handle.join().expect("worker panicked outside job isolation");
+            handle
+                .join()
+                .expect("worker panicked outside job isolation");
         }
         self.inner.watchdog.shutdown();
         if let Some(handle) = self
@@ -439,13 +439,10 @@ impl ServerInner {
     }
 
     fn set_queue_gauge(&self) {
-        self.metrics
-            .lock()
-            .expect("metrics poisoned")
-            .gauge_set(
-                "rispp_serve_queue_depth",
-                i64::try_from(self.queue.depth()).unwrap_or(i64::MAX),
-            );
+        self.metrics.lock().expect("metrics poisoned").gauge_set(
+            "rispp_serve_queue_depth",
+            i64::try_from(self.queue.depth()).unwrap_or(i64::MAX),
+        );
     }
 
     fn retire_active(&self, id: &str, token: &CancelToken) {
@@ -490,9 +487,7 @@ fn worker_loop(inner: &Arc<ServerInner>) {
 
 fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
     let spec = &job.spec;
-    let latency = |start: Instant| {
-        u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
-    };
+    let latency = |start: Instant| u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
     let outcome = |status: JobStatus, stats, attempts| JobOutcome {
         id: spec.id.clone(),
         status,
@@ -542,12 +537,11 @@ fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
     // The flight recorder lives outside the retry loop so its ring
     // allocations are paid once per job; each attempt resets and
     // re-stamps it, and only the final (failing) attempt is dumped.
-    let mut recorder = inner.config.flight_dir.is_some().then(|| {
-        FlightRecorder::with_config(FlightRecorderConfig {
-            event_capacity: inner.config.flight_events,
-            ..FlightRecorderConfig::default()
-        })
-    });
+    let mut recorder = inner
+        .config
+        .flight_dir
+        .is_some()
+        .then(|| FlightRecorder::with_capacity(inner.config.flight_events));
     // With forensics on, force explain + journal so bundles carry the
     // decision and fabric context. Neither influences simulated stats,
     // so completed results stay bit-identical to a recorder-less run.
@@ -625,10 +619,7 @@ fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
                     return outcome(JobStatus::Cancelled, None, attempts);
                 }
                 inner.counter("rispp_serve_retries_total", 1);
-                let backoff = inner
-                    .config
-                    .retry_backoff_ms
-                    .saturating_mul(1 << (attempts - 1).min(10));
+                let backoff = RETRY_BACKOFF_MS.saturating_mul(1 << (attempts - 1).min(10));
                 std::thread::sleep(Duration::from_millis(backoff.min(2_000)));
             }
         }

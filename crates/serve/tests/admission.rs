@@ -12,9 +12,14 @@
 //! 4. a trace the engine cannot replay, or a detail run whose buckets
 //!    would exceed the per-SI cap, is refused with an error before any
 //!    attempt: it never poisons its config, and an unreplayable trace
-//!    never enters the cache.
+//!    never enters the cache;
+//! 5. a wire config with a zero port bandwidth is refused the same way.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::TryRecvError;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -22,7 +27,8 @@ use rispp_core::SchedulerKind;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_serve::{
-    encode_trace, JobOutcome, JobSpec, JobStatus, Server, ServerConfig, SubmitResult,
+    encode_submit, encode_trace, run_daemon, JobOutcome, JobSpec, JobStatus, Server, ServerConfig,
+    SubmitResult,
 };
 use rispp_sim::{Burst, Invocation, SimConfig, Trace};
 
@@ -91,13 +97,15 @@ fn server(queue_capacity: usize) -> Server {
 /// Submits a blocker job (long run, cancelled by the caller when done
 /// blocking) and waits until the single worker has actually started it.
 fn submit_blocker(srv: &Server) -> rispp_serve::JobTicket {
-    let SubmitResult::Enqueued(ticket) = srv.submit(spec("blocker", 2, payload(20_000, 40)))
-    else {
+    let SubmitResult::Enqueued(ticket) = srv.submit(spec("blocker", 2, payload(20_000, 40))) else {
         panic!("blocker refused");
     };
     let deadline = Instant::now() + Duration::from_secs(30);
     while srv.inflight() == 0 {
-        assert!(Instant::now() < deadline, "worker never picked up the blocker");
+        assert!(
+            Instant::now() < deadline,
+            "worker never picked up the blocker"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
     ticket
@@ -307,4 +315,43 @@ fn unreplayable_traces_are_refused_without_an_attempt() {
         0
     );
     srv.await_drained();
+}
+
+#[test]
+fn a_zero_port_bandwidth_is_refused_on_the_wire() {
+    let srv = server(4);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let daemon = std::thread::spawn({
+        let (srv, stop) = (srv.clone(), Arc::clone(&stop));
+        move || run_daemon(&srv, listener, &stop)
+    });
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut answers = BufReader::new(stream.try_clone().expect("clone stream")).lines();
+    let mut ask = |bandwidth: u64| -> String {
+        let mut job = spec("port", 2, payload(2, 30));
+        job.config = job.config.with_port_bandwidth(bandwidth);
+        writeln!(&stream, "{}", encode_submit(&job)).expect("send");
+        answers.next().expect("answer").expect("read answer")
+    };
+
+    // More refusals than the poison threshold: none of them ran.
+    for _ in 0..=ServerConfig::default().poison_threshold {
+        let answer = ask(0);
+        assert!(answer.contains(r#""status":"error""#), "{answer}");
+        assert!(answer.contains(r#""attempts":0"#), "{answer}");
+        assert!(answer.contains("`port_bandwidth` 0"), "{answer}");
+    }
+    let ok = ask(66_000_000);
+    assert!(ok.contains(r#""status":"completed""#), "{ok}");
+    assert!(ok.contains(r#""attempts":1"#), "{ok}");
+    assert_eq!(srv.poisoned_configs(), 0);
+    assert_eq!(
+        srv.metrics_snapshot().counter("rispp_serve_panics_total"),
+        0
+    );
+
+    stop.store(true, Ordering::Release);
+    daemon.join().expect("daemon thread").expect("daemon");
 }

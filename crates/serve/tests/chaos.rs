@@ -101,7 +101,6 @@ fn chaos_storm_loses_nothing_and_stays_bit_identical() {
             queue_capacity: 64,
             poison_threshold: 3,
             max_attempts: 2,
-            retry_backoff_ms: 1,
             ..ServerConfig::default()
         },
     );
@@ -110,20 +109,48 @@ fn chaos_storm_loses_nothing_and_stays_bit_identical() {
     // recover on retry, a config that panics until quarantined, and
     // long-running jobs cancelled mid-run.
     let healthy: Vec<JobSpec> = (2..=6)
-        .map(|c| spec(&format!("healthy-{c}"), faulty_config(c), payload(40, 50), 0))
+        .map(|c| {
+            spec(
+                &format!("healthy-{c}"),
+                faulty_config(c),
+                payload(40, 50),
+                0,
+            )
+        })
         .collect();
     // Distinct configs: one recovered panic each stays well below the
     // poison threshold and is wiped by the retry's success.
     let flaky: Vec<JobSpec> = (0..3)
-        .map(|i| spec(&format!("flaky-{i}"), faulty_config(20 + i), payload(30, 40), 1))
+        .map(|i| {
+            spec(
+                &format!("flaky-{i}"),
+                faulty_config(20 + i),
+                payload(30, 40),
+                1,
+            )
+        })
         .collect();
     // chaos_panics > max_attempts * jobs: panics on every attempt, so
     // three jobs x (up to) 2 attempts crosses poison_threshold = 3.
     let cursed: Vec<JobSpec> = (0..3)
-        .map(|i| spec(&format!("cursed-{i}"), faulty_config(8), payload(10, 30), u32::MAX))
+        .map(|i| {
+            spec(
+                &format!("cursed-{i}"),
+                faulty_config(8),
+                payload(10, 30),
+                u32::MAX,
+            )
+        })
         .collect();
     let doomed: Vec<JobSpec> = (0..2)
-        .map(|i| spec(&format!("doomed-{i}"), faulty_config(9), payload(20_000, 40), 0))
+        .map(|i| {
+            spec(
+                &format!("doomed-{i}"),
+                faulty_config(9),
+                payload(20_000, 40),
+                0,
+            )
+        })
         .collect();
 
     let mut tickets = Vec::new();
@@ -157,7 +184,10 @@ fn chaos_storm_loses_nothing_and_stays_bit_identical() {
             .unwrap_or_else(|e| panic!("{} lost: {e}", job.id));
         // ... and never a duplicate.
         assert!(
-            matches!(t.outcome.try_recv(), Err(TryRecvError::Empty | TryRecvError::Disconnected)),
+            matches!(
+                t.outcome.try_recv(),
+                Err(TryRecvError::Empty | TryRecvError::Disconnected)
+            ),
             "{} delivered a duplicate outcome",
             job.id
         );
@@ -190,7 +220,11 @@ fn chaos_storm_loses_nothing_and_stays_bit_identical() {
     // threshold, every cursed outcome is Panicked or Poisoned, and a
     // fresh submission of the same config is refused by the poison list
     // without executing.
-    assert_eq!(server.poisoned_configs(), 1, "cursed config not quarantined");
+    assert_eq!(
+        server.poisoned_configs(),
+        1,
+        "cursed config not quarantined"
+    );
     for (job, outcome) in &outcomes {
         if job.id.starts_with("cursed") {
             assert!(
@@ -257,7 +291,6 @@ fn tcp_daemon_round_trip_with_drain_handshake() {
             queue_capacity: 16,
             poison_threshold: 2,
             max_attempts: 1,
-            retry_backoff_ms: 1,
             ..ServerConfig::default()
         },
     );
@@ -355,7 +388,10 @@ fn tcp_daemon_round_trip_with_drain_handshake() {
     );
     drop(writer);
 
-    daemon.join().expect("daemon thread").expect("daemon result");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon result");
     assert!(server.is_drained());
 
     // Zero lost jobs across the wire: submitted = resolved.
@@ -408,7 +444,10 @@ fn request_line_split_across_a_read_timeout_is_served_whole() {
     let ack = read_json("shutdown ack");
     assert_eq!(ack.get("ok").and_then(JsonValue::as_bool), Some(true));
     drop(writer);
-    daemon.join().expect("daemon thread").expect("daemon result");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon result");
 }
 
 /// A request line nested 10 000 levels deep (10 KB of `[`) must not
@@ -558,7 +597,10 @@ fn deadline_timeout_is_reported_as_timeout() {
     let SubmitResult::Enqueued(t) = server.submit(job) else {
         panic!("refused");
     };
-    let outcome = t.outcome.recv_timeout(Duration::from_secs(60)).expect("outcome");
+    let outcome = t
+        .outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("outcome");
     assert_eq!(outcome.status, JobStatus::Timeout);
     assert!(outcome.latency_ms >= 50, "deadline fired early");
     assert!(outcome.stats.is_none());
@@ -572,8 +614,16 @@ fn deadline_timeout_is_reported_as_timeout() {
         panic!("refused");
     };
     let started = Instant::now();
-    let outcome = t.outcome.recv_timeout(Duration::from_secs(60)).expect("outcome");
-    assert_eq!(outcome.status, JobStatus::Completed, "after {:?}", started.elapsed());
+    let outcome = t
+        .outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("outcome");
+    assert_eq!(
+        outcome.status,
+        JobStatus::Completed,
+        "after {:?}",
+        started.elapsed()
+    );
     server.await_drained();
 }
 
@@ -615,7 +665,6 @@ fn retry_exhaustion_dumps_exactly_one_parseable_bundle() {
             // before its config would be poison-listed.
             poison_threshold: 100,
             max_attempts: 2,
-            retry_backoff_ms: 1,
             flight_dir: Some(dir.clone()),
             ..ServerConfig::default()
         },
@@ -624,7 +673,10 @@ fn retry_exhaustion_dumps_exactly_one_parseable_bundle() {
     let SubmitResult::Enqueued(t) = server.submit(job) else {
         panic!("refused");
     };
-    let outcome = t.outcome.recv_timeout(Duration::from_secs(60)).expect("outcome");
+    let outcome = t
+        .outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("outcome");
     assert_eq!(outcome.status, JobStatus::Panicked);
     assert_eq!(outcome.attempts, 2);
 
@@ -632,7 +684,10 @@ fn retry_exhaustion_dumps_exactly_one_parseable_bundle() {
     let bundle = parse_only_bundle(&dir);
     assert_eq!(bundle.meta.reason, "panicked");
     assert_eq!(bundle.meta.job_id, "always-panics");
-    assert_eq!(bundle.meta.attempt, 2, "bundle must capture the last attempt");
+    assert_eq!(
+        bundle.meta.attempt, 2,
+        "bundle must capture the last attempt"
+    );
     assert!(bundle.meta.trace_id > 0, "trace ids are minted from 1");
     assert_eq!(server.bundles_written(), 1);
     let snapshot = server.metrics_snapshot();
@@ -662,7 +717,10 @@ fn forced_timeout_increments_exactly_one_and_dumps_one_bundle() {
     let SubmitResult::Enqueued(t) = server.submit(slow) else {
         panic!("refused");
     };
-    let outcome = t.outcome.recv_timeout(Duration::from_secs(60)).expect("outcome");
+    let outcome = t
+        .outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("outcome");
     assert_eq!(outcome.status, JobStatus::Timeout);
 
     // A companion job that finishes comfortably must not disturb either
@@ -672,7 +730,10 @@ fn forced_timeout_increments_exactly_one_and_dumps_one_bundle() {
     let SubmitResult::Enqueued(t) = server.submit(quick) else {
         panic!("refused");
     };
-    let outcome = t.outcome.recv_timeout(Duration::from_secs(60)).expect("outcome");
+    let outcome = t
+        .outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("outcome");
     assert_eq!(outcome.status, JobStatus::Completed);
 
     // The forced timeout increments the Timeout counter exactly once —
@@ -688,7 +749,10 @@ fn forced_timeout_increments_exactly_one_and_dumps_one_bundle() {
     assert_eq!(bundle.meta.reason, "timeout");
     assert_eq!(bundle.meta.job_id, "slow");
     // The run was cut mid-replay: the ring retained real engine events.
-    assert!(!bundle.events.is_empty(), "timeout bundle has no event tail");
+    assert!(
+        !bundle.events.is_empty(),
+        "timeout bundle has no event tail"
+    );
     server.await_drained();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -715,7 +779,10 @@ fn client_cancel_disarms_the_deadline_and_writes_no_bundle() {
     // Let it start executing so the guard is armed, then give up.
     std::thread::sleep(Duration::from_millis(100));
     t.cancel.cancel();
-    let outcome = t.outcome.recv_timeout(Duration::from_secs(60)).expect("outcome");
+    let outcome = t
+        .outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("outcome");
     assert_eq!(outcome.status, JobStatus::Cancelled, "cancel misreported");
 
     // The guard was disarmed (not fired) and no bundle was dumped: a
@@ -724,7 +791,10 @@ fn client_cancel_disarms_the_deadline_and_writes_no_bundle() {
     assert_eq!(snapshot.gauge("rispp_serve_deadlines_fired"), 0);
     assert_eq!(snapshot.gauge("rispp_serve_deadlines_disarmed"), 1);
     assert_eq!(server.bundles_written(), 0);
-    assert!(bundles_in(&dir).is_empty(), "client cancel must not dump a bundle");
+    assert!(
+        bundles_in(&dir).is_empty(),
+        "client cancel must not dump a bundle"
+    );
     server.await_drained();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -740,7 +810,6 @@ fn poison_listing_dumps_one_bundle_with_the_quarantine_reason() {
             queue_capacity: 4,
             poison_threshold: 1,
             max_attempts: 3,
-            retry_backoff_ms: 1,
             flight_dir: Some(dir.clone()),
             ..ServerConfig::default()
         },
@@ -749,7 +818,10 @@ fn poison_listing_dumps_one_bundle_with_the_quarantine_reason() {
     let SubmitResult::Enqueued(t) = server.submit(job) else {
         panic!("refused");
     };
-    let outcome = t.outcome.recv_timeout(Duration::from_secs(60)).expect("outcome");
+    let outcome = t
+        .outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("outcome");
     assert_eq!(outcome.status, JobStatus::Poisoned);
     assert_eq!(server.poisoned_configs(), 1);
 

@@ -53,8 +53,13 @@ pub trait ExecutionSystem {
     /// Executes a burst of `count` executions of `si` starting at `start`,
     /// each followed by `overhead` base-processor cycles. Returns the
     /// homogeneous-latency segments of the burst in time order.
-    fn execute_burst(&mut self, si: SiId, count: u32, overhead: u32, start: u64)
-        -> Vec<BurstSegment>;
+    fn execute_burst(
+        &mut self,
+        si: SiId,
+        count: u32,
+        overhead: u32,
+        start: u64,
+    ) -> Vec<BurstSegment>;
 
     /// Buffer-reusing variant of
     /// [`execute_burst`](ExecutionSystem::execute_burst): clears `out` and
@@ -310,7 +315,7 @@ impl<'a, A: BorrowMut<FabricArbiter<'a>>> ExecutionSystem for RisppBackend<A> {
 
     fn telemetry_active(&self) -> bool {
         let arbiter = self.arbiter.borrow();
-        arbiter.explain_enabled(self.app) || arbiter.fabric().journal_enabled()
+        arbiter.explain_enabled() || arbiter.fabric().journal_enabled()
     }
 
     fn drain_decisions(&mut self, out: &mut Vec<rispp_core::DecisionExplain>) {

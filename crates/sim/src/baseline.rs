@@ -44,13 +44,20 @@ pub struct MolenSystem<'a> {
 impl<'a> MolenSystem<'a> {
     /// Creates a baseline system with `containers` reconfigurable slots
     /// (one slot holds one Atom-sized hardware unit, so a Molecule with
-    /// `k` Atoms occupies `k` slots).
+    /// `k` Atoms occupies `k` slots), reconfigured through `port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is invalid (zero bandwidth), as
+    /// [`rispp_fabric::Fabric::new`] does.
     #[must_use]
-    pub fn new(library: &'a SiLibrary, containers: u16) -> Self {
+    pub fn new(library: &'a SiLibrary, containers: u16, port: ReconfigPortConfig) -> Self {
+        port.validate()
+            .expect("baseline port configuration must be valid");
         MolenSystem {
             library,
             containers,
-            port: ReconfigPortConfig::prototype(),
+            port,
             design: HashMap::new(),
             resident: vec![None; library.len()],
             port_busy_until: 0,
@@ -64,11 +71,15 @@ impl<'a> MolenSystem<'a> {
     /// functional unit is flushed on every hot-spot switch (single
     /// configuration context), so accelerators never survive across hot
     /// spots even when they would fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is invalid, as [`MolenSystem::new`] does.
     #[must_use]
-    pub fn one_chip(library: &'a SiLibrary, containers: u16) -> Self {
+    pub fn one_chip(library: &'a SiLibrary, containers: u16, port: ReconfigPortConfig) -> Self {
         MolenSystem {
             retain_across_hot_spots: false,
-            ..MolenSystem::new(library, containers)
+            ..MolenSystem::new(library, containers, port)
         }
     }
 
@@ -94,7 +105,8 @@ impl<'a> MolenSystem<'a> {
     }
 
     fn accelerator_load_cycles(&self, sel: SelectedMolecule) -> u64 {
-        let atoms = &self.library.si(sel.si).expect("validated").variants()[sel.variant_index].atoms;
+        let atoms =
+            &self.library.si(sel.si).expect("validated").variants()[sel.variant_index].atoms;
         let universe = self.library.universe();
         let mut cycles = 0u64;
         for (idx, &count) in atoms.counts().iter().enumerate() {
@@ -105,7 +117,7 @@ impl<'a> MolenSystem<'a> {
             let per_load = self
                 .port
                 .load_cycles(bytes)
-                .expect("prototype port bandwidth is positive");
+                .expect("port validated at construction");
             cycles += u64::from(count) * per_load;
         }
         cycles
@@ -165,9 +177,7 @@ impl<'a> MolenSystem<'a> {
                     .resident
                     .iter()
                     .enumerate()
-                    .filter(|(i, r)| {
-                        r.is_some() && !needed.contains(&SiId(*i as u16))
-                    })
+                    .filter(|(i, r)| r.is_some() && !needed.contains(&SiId(*i as u16)))
                     .min_by_key(|(_, r)| r.map(|r| r.last_used).unwrap_or(0))
                     .map(|(i, _)| i);
                 match victim {
@@ -359,7 +369,10 @@ pub fn molen_select(
                 if v.latency >= cur.latency {
                     continue;
                 }
-                let extra = v.atoms.total_atoms().saturating_sub(cur.atoms.total_atoms());
+                let extra = v
+                    .atoms
+                    .total_atoms()
+                    .saturating_sub(cur.atoms.total_atoms());
                 if used + extra > budget {
                     continue;
                 }
@@ -397,11 +410,8 @@ mod tests {
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiLibraryBuilder};
 
     fn library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("X", 1000)
             .unwrap()
@@ -434,7 +444,7 @@ mod tests {
     #[test]
     fn si_runs_software_until_accelerator_complete() {
         let lib = library();
-        let mut molen = MolenSystem::new(&lib, 6);
+        let mut molen = MolenSystem::new(&lib, 6, ReconfigPortConfig::prototype());
         molen.enter_hot_spot(HotSpotId(0), &[(SiId(0), 1000)], 0);
         // Accelerator is (2,1): 3 atoms ≈ 3·87.6K ≈ 263K cycles; 500
         // software executions would take 505K cycles, so the accelerator
@@ -455,7 +465,7 @@ mod tests {
     #[test]
     fn resident_accelerator_survives_hot_spot_switch_when_space_allows() {
         let lib = library();
-        let mut molen = MolenSystem::new(&lib, 6);
+        let mut molen = MolenSystem::new(&lib, 6, ReconfigPortConfig::prototype());
         molen.enter_hot_spot(HotSpotId(0), &[(SiId(0), 1000)], 0);
         let _ = molen.execute_burst(SiId(0), 100, 10, 0);
         let (loads_after_first, _) = molen.reconfiguration_stats();
@@ -470,7 +480,7 @@ mod tests {
     #[test]
     fn thrashing_when_accelerators_do_not_fit_together() {
         let lib = library();
-        let mut molen = MolenSystem::new(&lib, 3);
+        let mut molen = MolenSystem::new(&lib, 3, ReconfigPortConfig::prototype());
         molen.enter_hot_spot(HotSpotId(0), &[(SiId(0), 1000)], 0);
         molen.enter_hot_spot(HotSpotId(1), &[(SiId(1), 1000)], 1_000_000);
         molen.enter_hot_spot(HotSpotId(0), &[(SiId(0), 1000)], 2_000_000);
@@ -482,7 +492,7 @@ mod tests {
     #[test]
     fn one_chip_flushes_on_every_switch() {
         let lib = library();
-        let mut oc = MolenSystem::one_chip(&lib, 6);
+        let mut oc = MolenSystem::one_chip(&lib, 6, ReconfigPortConfig::prototype());
         oc.enter_hot_spot(HotSpotId(0), &[(SiId(0), 1000)], 0);
         oc.enter_hot_spot(HotSpotId(1), &[(SiId(1), 1000)], 1_000_000);
         oc.enter_hot_spot(HotSpotId(0), &[(SiId(0), 1000)], 2_000_000);
@@ -494,7 +504,7 @@ mod tests {
     #[test]
     fn zero_budget_runs_everything_in_software() {
         let lib = library();
-        let mut molen = MolenSystem::new(&lib, 0);
+        let mut molen = MolenSystem::new(&lib, 0, ReconfigPortConfig::prototype());
         molen.enter_hot_spot(HotSpotId(0), &[(SiId(0), 10)], 0);
         let segs = molen.execute_burst(SiId(0), 10, 0, 0);
         assert_eq!(segs.len(), 1);

@@ -1,8 +1,8 @@
 use rispp_core::{
-    BurstSegment, DecisionExplain, FabricArbiter, PlanCacheHandle, PlanCacheStats,
-    RecoveryPolicy, RecoveryStats, SchedulerKind,
+    BurstSegment, DecisionExplain, FabricArbiter, PlanCacheHandle, PlanCacheStats, RecoveryStats,
+    SchedulerKind, DEFAULT_MAX_RETRIES,
 };
-use rispp_fabric::{FabricJournalEntry, FaultModel};
+use rispp_fabric::{FabricJournalEntry, FaultModel, ReconfigPortConfig};
 use rispp_model::SiLibrary;
 use rispp_monitor::ForecastPolicy;
 
@@ -71,7 +71,7 @@ impl FaultConfig {
         FaultConfig {
             rate_ppm: FaultModel::uniform(rate, Self::DEFAULT_SEED).crc_abort_ppm,
             seed: Self::DEFAULT_SEED,
-            max_retries: RecoveryPolicy::default().max_retries,
+            max_retries: DEFAULT_MAX_RETRIES,
         }
     }
 }
@@ -93,8 +93,9 @@ pub struct SimConfig {
     /// run-time system instead of the online forecast (perfect future
     /// knowledge — the upper bound of paper Section 4.2).
     pub oracle: bool,
-    /// Reconfiguration-port bandwidth override in bytes per second
-    /// (`None`: the prototype's SelectMAP/ICAP port).
+    /// Reconfiguration-port bandwidth override in bytes per second, for
+    /// RISPP and the Molen/OneChip baselines alike (`None`: the
+    /// prototype's SelectMAP/ICAP port).
     pub port_bandwidth: Option<u64>,
     /// Seeded fault injection (RISPP only; the baselines model ideal
     /// hardware). `None` disables injection entirely.
@@ -273,10 +274,20 @@ impl SimConfig {
                 RisppBackend::new(self.build_arbiter(library, kind, 1, shared), 0)
                     .with_oracle(self.oracle),
             ),
-            SystemKind::Molen => Box::new(MolenSystem::new(library, self.containers)),
-            SystemKind::OneChip => Box::new(MolenSystem::one_chip(library, self.containers)),
+            SystemKind::Molen => Box::new(MolenSystem::new(library, self.containers, self.port())),
+            SystemKind::OneChip => {
+                Box::new(MolenSystem::one_chip(library, self.containers, self.port()))
+            }
             SystemKind::SoftwareOnly => Box::new(SoftwareBackend::new(library)),
         }
+    }
+
+    /// The configured reconfiguration port of the baselines.
+    fn port(&self) -> ReconfigPortConfig {
+        self.port_bandwidth.map_or_else(
+            ReconfigPortConfig::prototype,
+            ReconfigPortConfig::with_bandwidth,
+        )
     }
 
     /// The one mapping from a configuration to the RISPP run-time system:
@@ -307,10 +318,7 @@ impl SimConfig {
         if let Some(fc) = self.fault {
             builder = builder
                 .fault_model(FaultModel::uniform_ppm(fc.rate_ppm, fc.seed))
-                .recovery(RecoveryPolicy {
-                    max_retries: fc.max_retries,
-                    ..RecoveryPolicy::default()
-                });
+                .max_retries(fc.max_retries);
         }
         let mut arbiter = builder.build();
         if self.journal {
@@ -851,11 +859,8 @@ mod tests {
     use rispp_monitor::HotSpotId;
 
     fn library() -> SiLibrary {
-        let universe = AtomUniverse::from_types([
-            AtomTypeInfo::new("A1"),
-            AtomTypeInfo::new("A2"),
-        ])
-        .unwrap();
+        let universe =
+            AtomUniverse::from_types([AtomTypeInfo::new("A1"), AtomTypeInfo::new("A2")]).unwrap();
         let mut b = SiLibraryBuilder::new(universe);
         b.special_instruction("X", 1_000)
             .unwrap()
@@ -1030,7 +1035,8 @@ mod tests {
         ] {
             let stats = simulate(&lib, &t, &config);
             assert_eq!(
-                stats.total_cycles, 1_000,
+                stats.total_cycles,
+                1_000,
                 "{}: prologue must advance time without bursts",
                 config.system.label()
             );

@@ -135,7 +135,11 @@ pub fn event_log_jsonl_traced(events: &[SimEvent], context: Option<&TraceContext
 /// by the streaming event log and the flight recorder, which is what
 /// makes a flight-recorder bundle tail bit-identical to the suffix of a
 /// `--log-events` file recorded with the same context.
-pub fn write_event_jsonl_traced(out: &mut String, event: &SimEvent, context: Option<&TraceContext>) {
+pub fn write_event_jsonl_traced(
+    out: &mut String,
+    event: &SimEvent,
+    context: Option<&TraceContext>,
+) {
     let Some(ctx) = context else {
         write_event_jsonl(out, event);
         return;
@@ -291,54 +295,64 @@ pub fn write_event_jsonl(out: &mut String, event: &SimEvent) {
                 }
             }
         }
-        SimEvent::ContainerTransition(entry) => {
-            match entry {
-                FabricJournalEntry::LoadStarted {
-                    container,
-                    atom,
-                    at,
-                    finish,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        r#"{{"event":"container_transition","kind":"load_started","container":{},"atom":{},"at":{at},"finish":{finish}}}"#,
-                        container.index(),
-                        atom.index()
-                    );
-                }
-                FabricJournalEntry::LoadFinished { container, atom, at } => {
-                    let _ = writeln!(
-                        out,
-                        r#"{{"event":"container_transition","kind":"load_finished","container":{},"atom":{},"at":{at}}}"#,
-                        container.index(),
-                        atom.index()
-                    );
-                }
-                FabricJournalEntry::LoadAborted { container, atom, at } => {
-                    let _ = writeln!(
-                        out,
-                        r#"{{"event":"container_transition","kind":"load_aborted","container":{},"atom":{},"at":{at}}}"#,
-                        container.index(),
-                        atom.index()
-                    );
-                }
-                FabricJournalEntry::AtomCorrupted { container, atom, at } => {
-                    let _ = writeln!(
-                        out,
-                        r#"{{"event":"container_transition","kind":"atom_corrupted","container":{},"atom":{},"at":{at}}}"#,
-                        container.index(),
-                        atom.index()
-                    );
-                }
-                FabricJournalEntry::ContainerQuarantined { container, at } => {
-                    let _ = writeln!(
-                        out,
-                        r#"{{"event":"container_transition","kind":"container_quarantined","container":{},"at":{at}}}"#,
-                        container.index()
-                    );
-                }
+        SimEvent::ContainerTransition(entry) => match entry {
+            FabricJournalEntry::LoadStarted {
+                container,
+                atom,
+                at,
+                finish,
+            } => {
+                let _ = writeln!(
+                    out,
+                    r#"{{"event":"container_transition","kind":"load_started","container":{},"atom":{},"at":{at},"finish":{finish}}}"#,
+                    container.index(),
+                    atom.index()
+                );
             }
-        }
+            FabricJournalEntry::LoadFinished {
+                container,
+                atom,
+                at,
+            } => {
+                let _ = writeln!(
+                    out,
+                    r#"{{"event":"container_transition","kind":"load_finished","container":{},"atom":{},"at":{at}}}"#,
+                    container.index(),
+                    atom.index()
+                );
+            }
+            FabricJournalEntry::LoadAborted {
+                container,
+                atom,
+                at,
+            } => {
+                let _ = writeln!(
+                    out,
+                    r#"{{"event":"container_transition","kind":"load_aborted","container":{},"atom":{},"at":{at}}}"#,
+                    container.index(),
+                    atom.index()
+                );
+            }
+            FabricJournalEntry::AtomCorrupted {
+                container,
+                atom,
+                at,
+            } => {
+                let _ = writeln!(
+                    out,
+                    r#"{{"event":"container_transition","kind":"atom_corrupted","container":{},"atom":{},"at":{at}}}"#,
+                    container.index(),
+                    atom.index()
+                );
+            }
+            FabricJournalEntry::ContainerQuarantined { container, at } => {
+                let _ = writeln!(
+                    out,
+                    r#"{{"event":"container_transition","kind":"container_quarantined","container":{},"at":{at}}}"#,
+                    container.index()
+                );
+            }
+        },
         SimEvent::RunFinished {
             total_cycles,
             reconfigurations,
@@ -394,7 +408,10 @@ mod tests {
     fn summary_row_has_all_fields() {
         let stats = run(false);
         let row = summary_csv_row(&stats);
-        assert_eq!(row.split(',').count(), summary_csv_header().split(',').count());
+        assert_eq!(
+            row.split(',').count(),
+            summary_csv_header().split(',').count()
+        );
         assert!(row.starts_with("HEF,"));
     }
 
@@ -418,8 +435,12 @@ mod tests {
         let csv = latency_timeline_csv(&stats, &lib);
         // First segment starts after the 100-cycle prologue at software
         // latency; a later one records the upgraded 50-cycle molecule.
-        assert!(csv.lines().any(|l| l.starts_with("X,") && l.ends_with(",1000")));
-        assert!(csv.lines().any(|l| l.starts_with("X,") && l.ends_with(",50")));
+        assert!(csv
+            .lines()
+            .any(|l| l.starts_with("X,") && l.ends_with(",1000")));
+        assert!(csv
+            .lines()
+            .any(|l| l.starts_with("X,") && l.ends_with(",50")));
     }
 
     #[test]
@@ -462,8 +483,16 @@ mod tests {
         assert!(jsonl.starts_with(&format!(
             r#"{{"event":"schema","schema_version":{EVENT_LOG_SCHEMA_VERSION}}}"#
         )));
-        assert!(jsonl.lines().nth(1).unwrap().starts_with(r#"{"event":"hot_spot_entered""#));
-        assert!(jsonl.lines().last().unwrap().starts_with(r#"{"event":"run_finished""#));
+        assert!(jsonl
+            .lines()
+            .nth(1)
+            .unwrap()
+            .starts_with(r#"{"event":"hot_spot_entered""#));
+        assert!(jsonl
+            .lines()
+            .last()
+            .unwrap()
+            .starts_with(r#"{"event":"run_finished""#));
         for line in jsonl.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             // Crude JSON sanity: balanced braces and quoted keys.
@@ -662,7 +691,10 @@ mod tests {
         assert_eq!(lines.len(), cases.len() + 1);
 
         let header = JsonValue::parse(lines[0]).expect("schema header parses");
-        assert_eq!(header.get("event").and_then(JsonValue::as_str), Some("schema"));
+        assert_eq!(
+            header.get("event").and_then(JsonValue::as_str),
+            Some("schema")
+        );
         assert_eq!(
             header.get("schema_version").and_then(JsonValue::as_u64),
             Some(u64::from(EVENT_LOG_SCHEMA_VERSION))
@@ -693,7 +725,9 @@ mod tests {
         // The same stream rendered with a trace context must carry the
         // schema-v4 trace fields on *every* variant, with the exact
         // values handed in.
-        let ctx = crate::TraceContext::new(9_001).with_tenant(2).with_attempt(3);
+        let ctx = crate::TraceContext::new(9_001)
+            .with_tenant(2)
+            .with_attempt(3);
         let traced = event_log_jsonl_traced(&events, Some(&ctx));
         let traced_lines: Vec<&str> = traced.lines().collect();
         assert_eq!(traced_lines.len(), cases.len() + 1);

@@ -35,30 +35,13 @@ use crate::context::TraceContext;
 use crate::export;
 use crate::observer::{SimEvent, SimObserver};
 
-/// Ring capacities of a [`FlightRecorder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightRecorderConfig {
-    /// Events retained in the main ring (default 256). A capacity of 0
-    /// retains nothing and counts every event as dropped.
-    pub event_capacity: usize,
-    /// Scheduler decisions retained (default 16; only populated when the
-    /// run emits [`SimEvent::Decision`], i.e. explain is on).
-    pub decision_capacity: usize,
-    /// Fabric-journal entries retained (default 64; only populated when
-    /// the run emits [`SimEvent::ContainerTransition`], i.e. the journal
-    /// is on).
-    pub journal_capacity: usize,
-}
+/// Scheduler decisions retained (only populated when the run emits
+/// [`SimEvent::Decision`], i.e. explain is on).
+const DECISION_CAPACITY: usize = 16;
 
-impl Default for FlightRecorderConfig {
-    fn default() -> Self {
-        FlightRecorderConfig {
-            event_capacity: 256,
-            decision_capacity: 16,
-            journal_capacity: 64,
-        }
-    }
-}
+/// Fabric-journal entries retained (only populated when the run emits
+/// [`SimEvent::ContainerTransition`], i.e. the journal is on).
+const JOURNAL_CAPACITY: usize = 64;
 
 /// One fixed-capacity overwrite-oldest ring. Slots are allocated up
 /// front; a push beyond capacity overwrites the oldest slot in place and
@@ -149,20 +132,22 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a recorder with the default ring capacities.
+    /// Creates a recorder retaining the last 256 events.
     #[must_use]
     pub fn new() -> Self {
-        FlightRecorder::with_config(FlightRecorderConfig::default())
+        FlightRecorder::with_capacity(256)
     }
 
-    /// Creates a recorder with explicit ring capacities. All ring memory
-    /// is allocated here; recording never grows it.
+    /// Creates a recorder retaining the last `events` events, plus the
+    /// last 16 scheduler decisions and 64 fabric-journal entries. A
+    /// capacity of 0 retains no event and counts every one as dropped.
+    /// All ring memory is allocated here; recording never grows it.
     #[must_use]
-    pub fn with_config(config: FlightRecorderConfig) -> Self {
+    pub fn with_capacity(events: usize) -> Self {
         FlightRecorder {
-            events: Ring::new(config.event_capacity),
-            decisions: Ring::new(config.decision_capacity),
-            journal: Ring::new(config.journal_capacity),
+            events: Ring::new(events),
+            decisions: Ring::new(DECISION_CAPACITY),
+            journal: Ring::new(JOURNAL_CAPACITY),
             context: None,
         }
     }
@@ -352,9 +337,7 @@ mod tests {
 
     use super::*;
     use crate::observer::HotSpotOrigin;
-    use crate::{
-        simulate_observed_planned, Burst, Invocation, SimConfig, Trace, TraceLogObserver,
-    };
+    use crate::{simulate_observed_planned, Burst, Invocation, SimConfig, Trace, TraceLogObserver};
 
     fn tiny_run() -> (rispp_model::SiLibrary, Trace) {
         let universe = AtomUniverse::from_types([AtomTypeInfo::new("SAV")]).unwrap();
@@ -405,11 +388,7 @@ mod tests {
             .with_trace(ctx);
 
         let mut log = TraceLogObserver::new();
-        let mut recorder = FlightRecorder::with_config(FlightRecorderConfig {
-            event_capacity: 8,
-            decision_capacity: 4,
-            journal_capacity: 8,
-        });
+        let mut recorder = FlightRecorder::with_capacity(8);
         {
             let mut extra: Vec<&mut (dyn SimObserver + '_)> = vec![&mut log, &mut recorder];
             let _ = simulate_observed_planned(&library, &trace, &config, None, &mut extra);
@@ -425,11 +404,17 @@ mod tests {
         assert_eq!(bundle.meta.trace_id, 31);
         assert_eq!(bundle.meta.tenant, 1);
         assert_eq!(bundle.meta.attempt, 2);
-        assert_eq!(bundle.meta.event_schema_version, export::EVENT_LOG_SCHEMA_VERSION);
+        assert_eq!(
+            bundle.meta.event_schema_version,
+            export::EVENT_LOG_SCHEMA_VERSION
+        );
         assert_eq!(bundle.meta.config_hash, 0xABCD);
         assert_eq!(bundle.meta.events_dropped, recorder.events_dropped());
         assert!(!bundle.explains.is_empty(), "explain run retains decisions");
-        assert!(!bundle.journal.is_empty(), "journal run retains transitions");
+        assert!(
+            !bundle.journal.is_empty(),
+            "journal run retains transitions"
+        );
         assert!(bundle.perfetto.is_some());
 
         // The core guarantee: the bundle's event rows are the last N lines

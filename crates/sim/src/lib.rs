@@ -72,18 +72,16 @@ pub use backend::{ExecutionSystem, RisppBackend, SoftwareBackend};
 pub use baseline::{molen_select, MolenSystem};
 pub use cancel::{CancelCause, CancelToken, CancellableRun};
 pub use context::TraceContext;
-pub use flight::{FlightRecorder, FlightRecorderConfig};
 pub use engine::{
     simulate, simulate_cancellable_shared, simulate_observed, simulate_observed_cancellable_shared,
     simulate_observed_planned, simulate_with, FaultConfig, SimConfig, SystemKind,
 };
+pub use flight::FlightRecorder;
 pub use multi::{
     simulate_multi, simulate_multi_observed, MultiRunStats, TenancyConfig, TenantArbitration,
     TenantPolicy,
 };
-pub use observer::{
-    HotSpotOrigin, ProgressObserver, SimEvent, SimObserver, TraceLogObserver,
-};
+pub use observer::{HotSpotOrigin, ProgressObserver, SimEvent, SimObserver, TraceLogObserver};
 pub use stats::{LatencyEvent, RunStats, DEFAULT_BUCKET_CYCLES};
 pub use sweep::{SweepJob, SweepRunner, THREADS_ENV};
 pub use telemetry::{DetectorObserver, MetricsObserver, NullRecorder, PerfettoTraceObserver};

@@ -133,9 +133,9 @@ fn pick_next(
             let first = prev.map_or(0, |p| (p + 1) % k);
             (0..k).map(|off| (first + off) % k).find(|&i| remaining(i))
         }
-        TenantArbitration::CycleInterleaved => {
-            (0..k).filter(|&i| remaining(i)).min_by_key(|&i| (consumed[i], i))
-        }
+        TenantArbitration::CycleInterleaved => (0..k)
+            .filter(|&i| remaining(i))
+            .min_by_key(|&i| (consumed[i], i)),
     }
 }
 
@@ -276,7 +276,13 @@ fn simulate_multi_shared(
     let mut contested_seen = 0u64;
     let mut contested_totals = vec![0u64; k];
 
-    while let Some(i) = pick_next(config.tenants.arbitration, prev, &next_inv, traces, &consumed) {
+    while let Some(i) = pick_next(
+        config.tenants.arbitration,
+        prev,
+        &next_inv,
+        traces,
+        &consumed,
+    ) {
         let app = u16::try_from(i).expect("tenant index fits u16");
         let inv = &traces[i].invocations()[next_inv[i]];
         let start = now;

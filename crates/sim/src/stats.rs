@@ -236,11 +236,19 @@ mod tests {
 
     #[test]
     fn bucket_sum_equals_count_for_many_shapes() {
-        for (start, count, per) in [(0u64, 1u64, 1u64), (99, 7, 100), (12_345, 1_000, 37), (0, 5, 100_000)] {
+        for (start, count, per) in [
+            (0u64, 1u64, 1u64),
+            (99, 7, 100),
+            (12_345, 1_000, 37),
+            (0, 5, 100_000),
+        ] {
             let mut s = RunStats::new("x", 1, 100_000, true);
             s.record_segment(SiId(0), start, count, per, 10, false);
             assert_eq!(
-                s.execution_buckets[0].iter().map(|&c| u64::from(c)).sum::<u64>(),
+                s.execution_buckets[0]
+                    .iter()
+                    .map(|&c| u64::from(c))
+                    .sum::<u64>(),
                 count,
                 "start={start} count={count} per={per}"
             );

@@ -6,8 +6,9 @@
 //! trace produce bit-identical telemetry regardless of host load or sweep
 //! thread count.
 //!
-//! * [`NullRecorder`] — the default: consumes nothing, allocates nothing,
-//!   opts out of the per-segment stream. Attaching it is free.
+//! * [`NullRecorder`] — consumes nothing, allocates nothing, opts out of
+//!   the per-segment stream. Attaching it is free, which the alloc-free
+//!   test proves with it.
 //! * [`MetricsObserver`] — folds the stream into a
 //!   [`rispp_telemetry::MetricsRegistry`]: per-SI execution counts and
 //!   latency histograms, per-container load/ready/idle/quarantined cycle
@@ -32,11 +33,11 @@ use rispp_telemetry::{push_u64, MetricsRegistry, MetricsSnapshot, TraceBuilder};
 use crate::context::TraceContext;
 use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
 
-/// The no-op recorder: the default telemetry sink when no `--metrics-out`
-/// or `--trace-out` is requested. It opts out of the per-segment stream
-/// and its `on_event` body is empty, so the replay hot path stays
-/// allocation-free and effectively telemetry-free (verified by the
-/// alloc-counter test in `crates/sim/tests/telemetry_alloc_free.rs`).
+/// The no-op recorder. It opts out of the per-segment stream and its
+/// `on_event` body is empty, so attaching it keeps the replay hot path
+/// allocation-free (verified by the alloc-counter test in
+/// `crates/sim/tests/telemetry_alloc_free.rs`). Nothing attaches it by
+/// default.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 
@@ -250,9 +251,7 @@ impl SimObserver for MetricsObserver {
                     HotSpotOrigin::Annotated => {
                         "rispp_hot_spots_entered_total{origin=\"annotated\"}"
                     }
-                    HotSpotOrigin::Detected => {
-                        "rispp_hot_spots_entered_total{origin=\"detected\"}"
-                    }
+                    HotSpotOrigin::Detected => "rispp_hot_spots_entered_total{origin=\"detected\"}",
                 };
                 self.registry.counter_add(name, 1);
             }
@@ -293,11 +292,13 @@ impl SimObserver for MetricsObserver {
             SimEvent::FaultInjected {
                 count, cycles_lost, ..
             } => {
-                self.registry.counter_add("rispp_faults_injected_total", *count);
+                self.registry
+                    .counter_add("rispp_faults_injected_total", *count);
                 self.fault_cycles_lost = *cycles_lost;
             }
             SimEvent::LoadRetried { count, .. } => {
-                self.registry.counter_add("rispp_load_retries_total", *count);
+                self.registry
+                    .counter_add("rispp_load_retries_total", *count);
             }
             SimEvent::ContainerQuarantined { count, .. } => {
                 self.registry
@@ -672,8 +673,13 @@ impl SimObserver for PerfettoTraceObserver {
             SimEvent::FaultInjected { count, now, .. } if *count > 0 => {
                 self.args.clear();
                 let _ = write!(self.args, "{{\"count\":{count}}}");
-                self.trace
-                    .instant_with_args(PID_DECISIONS, 0, "fault injected", *now, Some(&self.args));
+                self.trace.instant_with_args(
+                    PID_DECISIONS,
+                    0,
+                    "fault injected",
+                    *now,
+                    Some(&self.args),
+                );
             }
             SimEvent::DegradedToSoftware { count, now, .. } if *count > 0 => {
                 self.args.clear();
@@ -712,7 +718,10 @@ impl SimObserver for PerfettoTraceObserver {
             }
             SimEvent::ContainerTransition(entry) => match *entry {
                 FabricJournalEntry::LoadStarted {
-                    container, atom, at, ..
+                    container,
+                    atom,
+                    at,
+                    ..
                 } => {
                     self.ensure_container(container.0);
                     self.close_span(container.0, at);
@@ -724,7 +733,11 @@ impl SimObserver for PerfettoTraceObserver {
                         },
                     );
                 }
-                FabricJournalEntry::LoadFinished { container, atom, at } => {
+                FabricJournalEntry::LoadFinished {
+                    container,
+                    atom,
+                    at,
+                } => {
                     self.ensure_container(container.0);
                     self.close_span(container.0, at);
                     self.open_span(
@@ -735,7 +748,11 @@ impl SimObserver for PerfettoTraceObserver {
                         },
                     );
                 }
-                FabricJournalEntry::LoadAborted { container, atom, at } => {
+                FabricJournalEntry::LoadAborted {
+                    container,
+                    atom,
+                    at,
+                } => {
                     self.ensure_container(container.0);
                     self.close_span(container.0, at);
                     self.name.clear();
@@ -745,7 +762,11 @@ impl SimObserver for PerfettoTraceObserver {
                         .instant(PID_CONTAINERS, u64::from(container.0), &name, at);
                     self.name = name;
                 }
-                FabricJournalEntry::AtomCorrupted { container, atom, at } => {
+                FabricJournalEntry::AtomCorrupted {
+                    container,
+                    atom,
+                    at,
+                } => {
                     self.ensure_container(container.0);
                     self.close_span(container.0, at);
                     self.name.clear();
@@ -768,7 +789,9 @@ impl SimObserver for PerfettoTraceObserver {
                 self.close_tenant_span(*now);
                 self.tenant_span = Some((*tenant, *now));
             }
-            SimEvent::AtomShared { tenant, count, now, .. } if *count > 0 => {
+            SimEvent::AtomShared {
+                tenant, count, now, ..
+            } if *count > 0 => {
                 self.ensure_tenant(*tenant);
                 self.args.clear();
                 let _ = write!(self.args, "{{\"count\":{count}}}");
@@ -780,7 +803,9 @@ impl SimObserver for PerfettoTraceObserver {
                     Some(&self.args),
                 );
             }
-            SimEvent::EvictionContested { tenant, count, now, .. } if *count > 0 => {
+            SimEvent::EvictionContested {
+                tenant, count, now, ..
+            } if *count > 0 => {
                 self.ensure_tenant(*tenant);
                 self.args.clear();
                 let _ = write!(self.args, "{{\"count\":{count}}}");
@@ -880,7 +905,8 @@ impl<O: SimObserver> SimObserver for DetectorObserver<O> {
             self.detector.observe(*si, segment.start);
             if self.detector.last_signature() != self.signature.as_slice() {
                 self.signature.clear();
-                self.signature.extend_from_slice(self.detector.last_signature());
+                self.signature
+                    .extend_from_slice(self.detector.last_signature());
                 self.inner.on_event(&SimEvent::HotSpotEntered {
                     hot_spot: self.last_hot_spot,
                     now: segment.start,
@@ -942,11 +968,23 @@ mod tests {
             reconfiguration_cycles: 300,
         });
         let s = m.into_snapshot();
-        assert_eq!(s.counter("rispp_container_idle_cycles_total{container=\"2\"}"), 100);
-        assert_eq!(s.counter("rispp_container_load_cycles_total{container=\"2\"}"), 300);
-        assert_eq!(s.counter("rispp_container_ready_cycles_total{container=\"2\"}"), 600);
+        assert_eq!(
+            s.counter("rispp_container_idle_cycles_total{container=\"2\"}"),
+            100
+        );
+        assert_eq!(
+            s.counter("rispp_container_load_cycles_total{container=\"2\"}"),
+            300
+        );
+        assert_eq!(
+            s.counter("rispp_container_ready_cycles_total{container=\"2\"}"),
+            600
+        );
         assert_eq!(s.counter("rispp_si_executions_total{si=\"3\"}"), 10);
-        assert_eq!(s.counter("rispp_si_hardware_executions_total{si=\"3\"}"), 10);
+        assert_eq!(
+            s.counter("rispp_si_hardware_executions_total{si=\"3\"}"),
+            10
+        );
         assert_eq!(s.counter("rispp_reconfigurations_total"), 1);
         assert_eq!(s.counter("rispp_port_busy_cycles_total"), 300);
         assert_eq!(s.counter("rispp_runs_total"), 1);
@@ -1004,7 +1042,10 @@ mod tests {
         });
         let json = p.into_json();
         let doc = JsonValue::parse(&json).expect("trace parses");
-        let events = doc.get("traceEvents").and_then(JsonValue::as_array).unwrap();
+        let events = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .unwrap();
         // Load span: AC0, ts 0, dur 500.
         let load = events
             .iter()

@@ -5,9 +5,7 @@
 use std::borrow::Cow;
 
 use rispp_core::{BurstSegment, PlanCacheHandle, SchedulerKind};
-use rispp_model::{
-    AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder,
-};
+use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
     simulate, simulate_multi, simulate_multi_observed, simulate_observed,
@@ -104,7 +102,11 @@ fn check_contract(system: &mut dyn ExecutionSystem, trace: &Trace) -> (u64, u64)
                 continue;
             }
             let segments = system.execute_burst(b.si, b.count, b.overhead, now);
-            assert!(!segments.is_empty(), "{}: empty segment list", system.label());
+            assert!(
+                !segments.is_empty(),
+                "{}: empty segment list",
+                system.label()
+            );
             assert_eq!(
                 segments[0].start,
                 now,
@@ -169,6 +171,33 @@ fn software_backend_is_exact_and_never_reconfigures() {
         3 * (500 + 300 * 1_215 + 120 * 915),
         "software-only time must be exact"
     );
+}
+
+#[test]
+fn baselines_reconfigure_through_the_configured_port() {
+    // Molen and OneChip load accelerators through the same port as RISPP:
+    // a slower port leaves SIs trapping to software for longer.
+    let lib = library();
+    let t = trace(6);
+    for system in [SystemKind::Molen, SystemKind::OneChip] {
+        let cycles = |port_bandwidth: Option<u64>| {
+            let config = SimConfig {
+                system,
+                port_bandwidth,
+                ..SimConfig::molen(4)
+            };
+            simulate(&lib, &t, &config).total_cycles
+        };
+        let (slow, prototype, fast) = (
+            cycles(Some(33_000_000)),
+            cycles(None),
+            cycles(Some(800_000_000)),
+        );
+        assert!(
+            slow > prototype && prototype > fast,
+            "{system:?}: 33 MB/s {slow}, prototype {prototype}, 800 MB/s {fast} cycles"
+        );
+    }
 }
 
 #[test]
@@ -260,7 +289,12 @@ fn emitted_event_stream_is_well_ordered() {
                 _ => {}
             }
         }
-        assert_eq!(executed, t.total_si_executions(), "{}", config.system.label());
+        assert_eq!(
+            executed,
+            t.total_si_executions(),
+            "{}",
+            config.system.label()
+        );
     }
 }
 
@@ -288,7 +322,8 @@ fn zero_count_and_empty_invocations_cost_only_their_prologues() {
     for config in all_configs() {
         let stats = simulate(&lib, &t, &config);
         assert_eq!(
-            stats.total_cycles, 1_000,
+            stats.total_cycles,
+            1_000,
             "{}: zero-count bursts must still cost the prologue",
             config.system.label()
         );
@@ -316,7 +351,8 @@ fn zero_fault_rate_is_bit_identical_for_every_backend() {
         assert_eq!(faulted.faults_injected, 0, "{}", config.system.label());
         assert_eq!(faulted.load_retries, 0, "{}", config.system.label());
         assert_eq!(
-            faulted.containers_quarantined, 0,
+            faulted.containers_quarantined,
+            0,
             "{}",
             config.system.label()
         );
@@ -382,12 +418,7 @@ fn injected_custom_backend_runs_through_the_engine() {
     let mut backend = FlatBackend {
         label: String::from("flat-100"),
     };
-    let mut stats = RunStats::new(
-        backend.label(),
-        lib.len(),
-        DEFAULT_BUCKET_CYCLES,
-        false,
-    );
+    let mut stats = RunStats::new(backend.label(), lib.len(), DEFAULT_BUCKET_CYCLES, false);
     {
         let mut observers: [&mut dyn SimObserver; 1] = [&mut stats];
         simulate_with(&mut backend, &t, &mut observers);
@@ -407,11 +438,13 @@ fn injected_custom_backend_runs_through_the_engine() {
 /// `all_configs` matrix plus faulted and explain/journal RISPP runs.
 fn equivalence_configs() -> Vec<SimConfig> {
     let mut configs = all_configs();
-    configs.push(SimConfig::rispp(4, SchedulerKind::Hef).with_fault(FaultConfig {
-        rate_ppm: 60_000,
-        seed: 0x5EED_CAFE,
-        max_retries: 2,
-    }));
+    configs.push(
+        SimConfig::rispp(4, SchedulerKind::Hef).with_fault(FaultConfig {
+            rate_ppm: 60_000,
+            seed: 0x5EED_CAFE,
+            max_retries: 2,
+        }),
+    );
     configs.push(
         SimConfig::rispp(4, SchedulerKind::Asf)
             .with_explain(true)
@@ -482,12 +515,8 @@ fn single_tenant_arbiter_event_stream_is_bit_identical_to_solo_path() {
             let mut multi_log = TraceLogObserver::new();
             {
                 let mut observers: [&mut dyn SimObserver; 1] = [&mut multi_log];
-                let _ = simulate_multi_observed(
-                    &lib,
-                    std::slice::from_ref(&t),
-                    &cfg,
-                    &mut observers,
-                );
+                let _ =
+                    simulate_multi_observed(&lib, std::slice::from_ref(&t), &cfg, &mut observers);
             }
             assert_eq!(
                 solo_log.events(),
@@ -577,15 +606,20 @@ fn plan_cache_is_bit_identical_for_multi_tenant_runs() {
                 });
                 let on = simulate_multi(&lib, slice, &base.with_plan_cache(true));
                 let off = simulate_multi(&lib, slice, &base.with_plan_cache(false));
-                assert_eq!(on, off, "{kind} K={count} {policy:?}: multi-tenant diverged");
+                assert_eq!(
+                    on, off,
+                    "{kind} K={count} {policy:?}: multi-tenant diverged"
+                );
 
                 // Per-tenant event streams must match too (one observer
                 // per trace, as the multi API requires).
                 let mut on_logs: Vec<TraceLogObserver> =
                     (0..count).map(|_| TraceLogObserver::new()).collect();
                 {
-                    let mut observers: Vec<&mut dyn SimObserver> =
-                        on_logs.iter_mut().map(|l| l as &mut dyn SimObserver).collect();
+                    let mut observers: Vec<&mut dyn SimObserver> = on_logs
+                        .iter_mut()
+                        .map(|l| l as &mut dyn SimObserver)
+                        .collect();
                     let _ = simulate_multi_observed(
                         &lib,
                         slice,
@@ -596,8 +630,10 @@ fn plan_cache_is_bit_identical_for_multi_tenant_runs() {
                 let mut off_logs: Vec<TraceLogObserver> =
                     (0..count).map(|_| TraceLogObserver::new()).collect();
                 {
-                    let mut observers: Vec<&mut dyn SimObserver> =
-                        off_logs.iter_mut().map(|l| l as &mut dyn SimObserver).collect();
+                    let mut observers: Vec<&mut dyn SimObserver> = off_logs
+                        .iter_mut()
+                        .map(|l| l as &mut dyn SimObserver)
+                        .collect();
                     let _ = simulate_multi_observed(
                         &lib,
                         slice,
@@ -605,9 +641,7 @@ fn plan_cache_is_bit_identical_for_multi_tenant_runs() {
                         &mut observers,
                     );
                 }
-                for (tenant, (on_log, off_log)) in
-                    on_logs.iter().zip(off_logs.iter()).enumerate()
-                {
+                for (tenant, (on_log, off_log)) in on_logs.iter().zip(off_logs.iter()).enumerate() {
                     assert_eq!(
                         on_log.events(),
                         off_log.events(),
@@ -636,8 +670,7 @@ fn plan_cache_shared_sweep_is_bit_identical_at_any_thread_count() {
         .map(|j| simulate(&lib, j.trace, &j.config.with_plan_cache(false)))
         .collect();
     for threads in [1usize, 2, 4, 8] {
-        let runner =
-            SweepRunner::with_threads(threads).with_plan_cache(PlanCacheHandle::default());
+        let runner = SweepRunner::with_threads(threads).with_plan_cache(PlanCacheHandle::default());
         let results = runner.run(&lib, &jobs);
         assert_eq!(
             results, baseline,

@@ -181,8 +181,15 @@ fn run(
 }
 
 fn all_systems() -> Vec<SystemKind> {
-    let mut kinds: Vec<SystemKind> = SchedulerKind::ALL.into_iter().map(SystemKind::Rispp).collect();
-    kinds.extend([SystemKind::Molen, SystemKind::OneChip, SystemKind::SoftwareOnly]);
+    let mut kinds: Vec<SystemKind> = SchedulerKind::ALL
+        .into_iter()
+        .map(SystemKind::Rispp)
+        .collect();
+    kinds.extend([
+        SystemKind::Molen,
+        SystemKind::OneChip,
+        SystemKind::SoftwareOnly,
+    ]);
     kinds
 }
 

@@ -115,9 +115,9 @@ fn parallel_sweep_is_bit_identical_to_sequential() {
 
 #[test]
 fn observed_sweep_is_bit_identical_and_counts_every_run() {
+    use rispp_sim::{ProgressObserver, SimObserver};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-    use rispp_sim::{ProgressObserver, SimObserver};
 
     let lib = library();
     let small = trace(3);
@@ -133,10 +133,12 @@ fn observed_sweep_is_bit_identical_and_counts_every_run() {
         let runner = SweepRunner::with_threads(threads);
         let finished = Arc::new(AtomicUsize::new(0));
         let total = jobs.len();
-        let observed = runner.run_observed(&lib, &jobs, |_| {
-            let finished = Arc::clone(&finished);
-            vec![Box::new(ProgressObserver::new(total, finished, |_, _| {})) as Box<dyn SimObserver>]
-        });
+        let observed =
+            runner.run_observed(&lib, &jobs, |_| {
+                let finished = Arc::clone(&finished);
+                vec![Box::new(ProgressObserver::new(total, finished, |_, _| {}))
+                    as Box<dyn SimObserver>]
+            });
         assert_eq!(
             observed, sequential,
             "observed sweep diverged at {threads} thread(s)"

@@ -258,7 +258,9 @@ fn merged_metrics_snapshot_is_identical_across_thread_counts() {
     for t in [&small, &large] {
         for kind in SchedulerKind::ALL {
             jobs.push(SweepJob::new(
-                SimConfig::rispp(3, kind).with_explain(true).with_journal(true),
+                SimConfig::rispp(3, kind)
+                    .with_explain(true)
+                    .with_journal(true),
                 t,
             ));
         }
@@ -277,10 +279,7 @@ fn merged_metrics_snapshot_is_identical_across_thread_counts() {
 
     let (base_stats, base_snapshot) = SweepRunner::with_threads(1).run_metered(&lib, &jobs);
     assert!(!base_snapshot.is_empty());
-    assert_eq!(
-        base_snapshot.counter("rispp_runs_total"),
-        jobs.len() as u64
-    );
+    assert_eq!(base_snapshot.counter("rispp_runs_total"), jobs.len() as u64);
     let total: u64 = base_stats.iter().map(|s| s.total_cycles).sum();
     assert_eq!(base_snapshot.counter("rispp_simulated_cycles_total"), total);
 
@@ -411,6 +410,9 @@ fn traced_multi_tenant_samples_repeat_no_label_name() {
         let switches = format!(r#"rispp_tenant_switches_total{{tenant="{tenant}",{base}}}"#);
         assert!(text.contains(&switches), "tenant {tenant}: no {switches}");
         let executions = format!(r#"rispp_si_executions_total{{si="0",{base}}}"#);
-        assert!(text.contains(&executions), "tenant {tenant}: no {executions}");
+        assert!(
+            text.contains(&executions),
+            "tenant {tenant}: no {executions}"
+        );
     }
 }

@@ -95,7 +95,10 @@ pub fn write_bundle_header(out: &mut String, meta: &BundleMeta) {
 /// Appends one retained-decision line: the decision's cycle and a
 /// compact one-line summary.
 pub fn write_explain_line(out: &mut String, now: u64, summary: &str) {
-    let _ = write!(out, "{{\"bundle_section\":\"explain\",\"now\":{now},\"summary\":\"");
+    let _ = write!(
+        out,
+        "{{\"bundle_section\":\"explain\",\"now\":{now},\"summary\":\""
+    );
     escape_json_into(summary, out);
     out.push_str("\"}\n");
 }
@@ -116,7 +119,12 @@ pub fn write_journal_line(out: &mut String, row: &str) {
 /// object per line.
 pub fn write_perfetto_line(out: &mut String, trace_json: &str) {
     out.push_str("{\"bundle_section\":\"perfetto\",\"trace\":");
-    out.extend(trace_json.trim_end().chars().filter(|&c| c != '\n' && c != '\r'));
+    out.extend(
+        trace_json
+            .trim_end()
+            .chars()
+            .filter(|&c| c != '\n' && c != '\r'),
+    );
     out.push_str("}\n");
 }
 
@@ -162,10 +170,12 @@ impl Bundle {
     pub fn parse(text: &str) -> Result<Bundle, String> {
         let mut lines = text.lines();
         let header_line = lines.next().ok_or("empty bundle")?;
-        let header = JsonValue::parse(header_line)
-            .map_err(|e| format!("bundle header is not JSON: {e}"))?;
+        let header =
+            JsonValue::parse(header_line).map_err(|e| format!("bundle header is not JSON: {e}"))?;
         if header.get("bundle").and_then(JsonValue::as_str) != Some("rispp-flight") {
-            return Err("not a rispp-flight bundle (missing `\"bundle\":\"rispp-flight\"` header)".into());
+            return Err(
+                "not a rispp-flight bundle (missing `\"bundle\":\"rispp-flight\"` header)".into(),
+            );
         }
         let version = field_u64(&header, "bundle_version")?;
         if version != u64::from(BUNDLE_FORMAT_VERSION) {
@@ -217,7 +227,10 @@ impl Bundle {
             match value.get("bundle_section").and_then(JsonValue::as_str) {
                 None => {
                     if value.get("event").and_then(JsonValue::as_str).is_none() {
-                        return Err(format!("bundle line {}: neither event nor section", seen + 1));
+                        return Err(format!(
+                            "bundle line {}: neither event nor section",
+                            seen + 1
+                        ));
                     }
                     bundle.event_lines.push(line.to_owned());
                     bundle.events.push(value);
@@ -255,7 +268,10 @@ impl Bundle {
                     return Ok(bundle);
                 }
                 Some(other) => {
-                    return Err(format!("bundle line {}: unknown section `{other}`", seen + 1));
+                    return Err(format!(
+                        "bundle line {}: unknown section `{other}`",
+                        seen + 1
+                    ));
                 }
             }
         }

@@ -69,9 +69,7 @@ impl JsonValue {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -322,7 +320,10 @@ impl Parser<'_> {
                     let end = (self.pos + len).min(self.bytes.len());
                     let rest = &self.bytes[self.pos..end];
                     let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    let c = s
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -382,13 +383,23 @@ mod tests {
 
     #[test]
     fn parses_nested_document() {
-        let doc = JsonValue::parse(
-            "{\"a\":[1,2.5,-3],\"b\":{\"c\":null,\"d\":true},\"e\":\"x\\ny\"}",
-        )
-        .unwrap();
-        assert_eq!(doc.get("a").and_then(JsonValue::as_array).map(<[_]>::len), Some(3));
-        assert_eq!(doc.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(2.5));
-        assert_eq!(doc.get("b").and_then(|b| b.get("d")).and_then(JsonValue::as_bool), Some(true));
+        let doc =
+            JsonValue::parse("{\"a\":[1,2.5,-3],\"b\":{\"c\":null,\"d\":true},\"e\":\"x\\ny\"}")
+                .unwrap();
+        assert_eq!(
+            doc.get("a").and_then(JsonValue::as_array).map(<[_]>::len),
+            Some(3)
+        );
+        assert_eq!(
+            doc.get("a").unwrap().as_array().unwrap()[1].as_f64(),
+            Some(2.5)
+        );
+        assert_eq!(
+            doc.get("b")
+                .and_then(|b| b.get("d"))
+                .and_then(JsonValue::as_bool),
+            Some(true)
+        );
         assert_eq!(doc.get("e").and_then(JsonValue::as_str), Some("x\ny"));
     }
 

@@ -650,7 +650,9 @@ mod tests {
         r.counter_add("a", 1);
         let s = r.snapshot();
         assert_eq!(s.to_json(), s.to_json());
-        assert!(s.to_json().starts_with("{\"schema_version\":1,\"metrics\":{\"a\""));
+        assert!(s
+            .to_json()
+            .starts_with("{\"schema_version\":1,\"metrics\":{\"a\""));
     }
     #[test]
     fn quantile_walks_cumulative_buckets() {
@@ -749,7 +751,10 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.counter_add("before_total", 1);
         r.set_base_labels("trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"");
-        assert_eq!(r.base_labels(), "trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"");
+        assert_eq!(
+            r.base_labels(),
+            "trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\""
+        );
         r.counter_add("plain_total", 2);
         r.counter_add("labelled_total{si=\"3\"}", 4);
         r.gauge_set("depth", 5);
@@ -765,7 +770,10 @@ mod tests {
             s.counter("labelled_total{si=\"3\",trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}"),
             4
         );
-        assert_eq!(s.gauge("depth{trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}"), 5);
+        assert_eq!(
+            s.gauge("depth{trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}"),
+            5
+        );
         assert!(s
             .get("lat{trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"}")
             .is_some());

@@ -113,7 +113,8 @@ impl TraceBuilder {
     /// Names the process (track group) `pid`.
     pub fn process_name(&mut self, pid: u64, name: &str) {
         self.sep();
-        self.out.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
+        self.out
+            .push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
         let _ = write!(self.out, "{pid},\"tid\":0,\"args\":{{\"name\":\"");
         escape_json_into(name, &mut self.out);
         self.out.push_str("\"}}");
@@ -122,7 +123,8 @@ impl TraceBuilder {
     /// Names the thread (track) `(pid, tid)`.
     pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
         self.sep();
-        self.out.push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
+        self.out
+            .push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
         let _ = write!(self.out, "{pid},\"tid\":{tid},\"args\":{{\"name\":\"");
         escape_json_into(name, &mut self.out);
         self.out.push_str("\"}}");
@@ -195,7 +197,10 @@ impl TraceBuilder {
         self.sep();
         self.out.push_str("{\"ph\":\"C\",\"name\":\"");
         escape_json_into(name, &mut self.out);
-        let _ = write!(self.out, "\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"args\":{{");
+        let _ = write!(
+            self.out,
+            "\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"args\":{{"
+        );
         for (i, (k, v)) in series.iter().enumerate() {
             if i > 0 {
                 self.out.push(',');
@@ -230,15 +235,18 @@ mod tests {
         t.counter(1, "port busy", 0, &[("busy", 1)]);
         assert_eq!(t.len(), 5);
         let doc = JsonValue::parse(&t.finish()).expect("trace must parse");
-        let events = doc.get("traceEvents").and_then(JsonValue::as_array).unwrap();
+        let events = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .unwrap();
         assert_eq!(events.len(), 5);
         assert_eq!(events[0].get("ph").and_then(JsonValue::as_str), Some("M"));
+        assert_eq!(events[2].get("dur").and_then(JsonValue::as_u64), Some(400));
         assert_eq!(
-            events[2].get("dur").and_then(JsonValue::as_u64),
-            Some(400)
-        );
-        assert_eq!(
-            events[2].get("args").and_then(|a| a.get("atom")).and_then(JsonValue::as_u64),
+            events[2]
+                .get("args")
+                .and_then(|a| a.get("atom"))
+                .and_then(JsonValue::as_u64),
             Some(3)
         );
     }
@@ -304,7 +312,10 @@ mod tests {
     #[test]
     fn empty_trace_still_parses() {
         let doc = JsonValue::parse(&TraceBuilder::new().finish()).unwrap();
-        let events = doc.get("traceEvents").and_then(JsonValue::as_array).unwrap();
+        let events = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .unwrap();
         assert!(events.is_empty());
     }
 }

@@ -56,9 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let mc = mgr.monitor(0).expected(hs, SiKind::Mc.id());
         let ipred = mgr.monitor(0).expected(hs, SiKind::IPredVdc.id());
-        println!(
-            "             monitor now expects MC {mc}, IPred VDC {ipred} executions"
-        );
+        println!("             monitor now expects MC {mc}, IPred VDC {ipred} executions");
         now += 200_000; // other hot spots in between
     }
 

@@ -60,7 +60,10 @@ fn main() {
     let mut config = EncoderConfig::paper_cif();
     config.frames = 6;
 
-    println!("encoding {} CIF frames for the two encoder tenants...", config.frames);
+    println!(
+        "encoding {} CIF frames for the two encoder tenants...",
+        config.frames
+    );
     let workload = EncoderWorkload::generate(&config);
     let encoder_a = workload.trace().clone();
     let encoder_b = phase_shift(&encoder_a, 1);

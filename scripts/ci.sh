@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: release build, tier-1 tests, workspace tests, the
-# standalone benchmark package's tests, smokes, strict clippy, strict
-# rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`), the
+# standalone benchmark package's tests, smokes, rustfmt, strict clippy,
+# strict rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`), the
 # committed cycle records against fresh runs of their commands, the
 # EXPERIMENTS.md output blocks against `rispp-cli reproduce`, and the
 # benchmark's fig7 throughput gate (last, so a slow host cannot stop the
@@ -157,6 +157,9 @@ if [ "$bundle_count" -ne 1 ]; then
 fi
 ./target/release/rispp-cli forensics \
   --file "$(ls target/ci_flight/bundle-*.jsonl)" | sed 's/^/    /'
+
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

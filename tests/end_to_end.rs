@@ -122,8 +122,8 @@ fn hef_beats_the_molen_baseline_everywhere() {
             &SimConfig::rispp(containers, SchedulerKind::Hef),
         )
         .total_cycles;
-        let molen = simulate(&library, workload.trace(), &SimConfig::molen(containers))
-            .total_cycles;
+        let molen =
+            simulate(&library, workload.trace(), &SimConfig::molen(containers)).total_cycles;
         assert!(
             hef < molen,
             "HEF ({hef}) not faster than Molen ({molen}) at {containers} ACs"
@@ -213,6 +213,73 @@ fn faster_reconfiguration_port_reduces_execution_time() {
     )
     .total_cycles;
     assert!(fast < slow);
+}
+
+#[test]
+fn atom_load_cycles_are_pinned() {
+    // Cycles to load each Atom of the three universes at the prototype
+    // port and at the E10 ICAP bandwidths (33, 66, 132, 264, 800 MB/s):
+    // the transfer time in cycles of the 100 MHz clock, rounded up. The
+    // f64 rounding of each step shows: scaling seconds by 1e8 in one step
+    // instead of via microseconds loads CollapseAdd at 800 MB/s in 8,001.
+    use rispp::apps::audio::audio_si_library;
+    use rispp::apps::crypto::crypto_si_library;
+    use rispp::fabric::ReconfigPortConfig;
+
+    /// Atom name, bitstream bytes, and cycles at each port below.
+    type Pin = (&'static str, u32, [u64; 6]);
+    #[rustfmt::skip]
+    const PINNED: [(&str, &[Pin]); 3] = [
+        ("h264", &[
+            ("SAV", 58_000, [83_808, 175_758, 87_879, 43_940, 21_970, 7_250]),
+            ("QSub", 52_000, [75_138, 157_576, 78_788, 39_394, 19_697, 6_500]),
+            ("HTrans", 66_000, [95_368, 200_000, 100_000, 50_000, 25_000, 8_250]),
+            ("Repack", 48_000, [69_359, 145_455, 72_728, 36_364, 18_182, 6_000]),
+            ("ITrans", 70_000, [101_148, 212_122, 106_061, 53_031, 26_516, 8_750]),
+            ("QuantRescale", 54_000, [78_028, 163_637, 81_819, 40_910, 20_455, 6_750]),
+            ("PointFilter", 82_000, [118_487, 248_485, 124_243, 62_122, 31_061, 10_250]),
+            ("BytePack", 56_000, [80_918, 169_697, 84_849, 42_425, 21_213, 7_000]),
+            ("Clip3", 46_000, [66_469, 139_394, 69_697, 34_849, 17_425, 5_750]),
+            ("CollapseAdd", 64_000, [92_478, 193_940, 96_970, 48_485, 24_243, 8_000]),
+            ("CondSub", 69_368, [100_235, 210_207, 105_104, 52_552, 26_276, 8_671]),
+        ]),
+        ("aes", &[
+            ("SubBytes", 62_000, [89_588, 187_879, 93_940, 46_970, 23_485, 7_750]),
+            ("MixColumns", 70_000, [101_148, 212_122, 106_061, 53_031, 26_516, 8_750]),
+            ("XorKey", 44_000, [63_579, 133_334, 66_667, 33_334, 16_667, 5_500]),
+            ("SboxMul", 58_000, [83_808, 175_758, 87_879, 43_940, 21_970, 7_250]),
+            ("CrcUnit", 52_000, [75_138, 157_576, 78_788, 39_394, 19_697, 6_500]),
+            ("FieldExtract", 40_000, [57_799, 121_213, 60_607, 30_304, 15_152, 5_000]),
+        ]),
+        ("filterbank", &[
+            ("MacUnit", 56_000, [80_918, 169_697, 84_849, 42_425, 21_213, 7_000]),
+            ("DelayLine", 48_000, [69_359, 145_455, 72_728, 36_364, 18_182, 6_000]),
+            ("CoeffBank", 52_000, [75_138, 157_576, 78_788, 39_394, 19_697, 6_500]),
+            ("Repacker", 42_000, [60_689, 127_273, 63_637, 31_819, 15_910, 5_250]),
+        ]),
+    ];
+    let ports = [
+        ReconfigPortConfig::prototype(),
+        ReconfigPortConfig::with_bandwidth(33_000_000),
+        ReconfigPortConfig::with_bandwidth(66_000_000),
+        ReconfigPortConfig::with_bandwidth(132_000_000),
+        ReconfigPortConfig::with_bandwidth(264_000_000),
+        ReconfigPortConfig::with_bandwidth(800_000_000),
+    ];
+    let libraries = [h264_si_library(), crypto_si_library(), audio_si_library()];
+    for ((name, pinned), library) in PINNED.iter().zip(&libraries) {
+        let atoms: Vec<_> = library.universe().iter().map(|(_, info)| info).collect();
+        assert_eq!(atoms.len(), pinned.len(), "{name}: atom count");
+        for (info, &(atom, bytes, cycles)) in atoms.iter().zip(pinned.iter()) {
+            assert_eq!(
+                (info.name.as_str(), info.bitstream_bytes),
+                (atom, bytes),
+                "{name}"
+            );
+            let measured = ports.map(|port| port.load_cycles(bytes).expect("positive bandwidth"));
+            assert_eq!(measured, cycles, "{name} {atom}");
+        }
+    }
 }
 
 #[test]
@@ -326,7 +393,10 @@ fn a_shared_cache_smaller_than_its_working_set_keeps_hitting() {
         for (job, planned) in jobs.iter().zip(&planned) {
             let (stats, plan) =
                 simulate_observed_planned(&library, workload.trace(), job, Some(&handle), &mut []);
-            assert_eq!(&stats, planned, "{job:?}: the shared cache changed the result");
+            assert_eq!(
+                &stats, planned,
+                "{job:?}: the shared cache changed the result"
+            );
             total.merge(&plan);
         }
         total
