@@ -28,6 +28,7 @@ use rispp_fabric::{Fabric, FabricConfig, FabricEvent, FaultModel};
 use rispp_model::{Molecule, SiId, SiLibrary};
 use rispp_monitor::{ExecutionMonitor, ForecastPolicy, HotSpotId};
 
+use crate::burst::{Burst, BurstBlocks, BurstRun, SiTotals, Stretch, BLOCK_BURSTS};
 use crate::context::UpgradeBuffers;
 use crate::explain::{DecisionExplain, ScheduleExplain, SelectionExplain};
 use crate::plan_cache::{
@@ -101,6 +102,9 @@ struct SharedScratch {
     /// calls so the steady state allocates nothing) — see
     /// [`FabricArbiter::execute_bursts_batched`].
     batch_memo: Vec<BatchMemo>,
+    /// Deferred LRU marks `(stamp, atom mask)` of one batched call, at
+    /// most one per SI, flushed oldest-first.
+    marks: Vec<(u64, u64)>,
     /// Event window reused by [`FabricArbiter::sync_fabric`], so the
     /// event-processing hot path allocates nothing.
     event_buf: Vec<FabricEvent>,
@@ -122,10 +126,33 @@ struct BatchMemo {
     mask: Option<u64>,
     /// Executions accumulated for the monitor, flushed once per call.
     executed: u64,
-    /// Start cycle of this SI's last burst in the call — its deferred
-    /// LRU stamp (later bursts overwrite earlier ones, as the per-burst
+    /// Where this SI's last burst in the call started — its deferred LRU
+    /// stamp (later bursts overwrite earlier ones, as the per-burst
     /// marking sequence would).
-    last_used: Option<u64>,
+    last_use: LastUse,
+}
+
+/// Where an SI's last burst of a batched call sits.
+#[derive(Debug, Clone, Copy, Default)]
+enum LastUse {
+    /// No burst of the SI ran on hardware in this call.
+    #[default]
+    None,
+    /// A burst stepped one by one, started at this cycle.
+    At(u64),
+    /// Somewhere in the skipped block whose first burst is `first` and
+    /// which started at cycle `start`; one scan of that block at the end
+    /// of the call recovers the burst's start.
+    InBlock { first: usize, start: u64 },
+}
+
+/// Where the stretch walker reports what it consumed.
+enum StretchOut<'s> {
+    /// One unsplit segment per non-empty burst; no block is skipped.
+    Segments(&'s mut Vec<BurstSegment>),
+    /// Per-SI totals once the stretch ends; whole blocks of the index are
+    /// consumed where they fit.
+    Totals(BurstBlocks<'s>, &'s mut dyn FnMut(SiTotals)),
 }
 
 /// The RISPP Run-Time Manager (paper Section 3.1) as an arbiter over the
@@ -757,14 +784,13 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// Batched variant of [`FabricArbiter::execute_burst_into`] for
-    /// application `app`: consumes a prefix of `bursts` — `(si, count,
-    /// overhead)` triples starting at cycle `start` — that provably
-    /// completes **before the next internal fabric event**, pushes exactly
-    /// one unsplit segment per non-empty consumed burst onto `segments`
-    /// (which is cleared first), and returns how many bursts were
-    /// consumed. Zero-count bursts are consumed as no-ops (no segment, no
-    /// monitor record), matching the trace replayer, which skips them
-    /// entirely.
+    /// application `app`: consumes a prefix of `bursts`, laid back to back
+    /// from cycle `start`, that provably completes **before the next
+    /// internal fabric event**, pushes exactly one unsplit segment per
+    /// non-empty consumed burst onto `segments` (which is cleared first),
+    /// and returns how many bursts were consumed. Zero-count bursts are
+    /// consumed as no-ops (no segment, no monitor record), matching the
+    /// trace replayer, which skips them entirely.
     ///
     /// Bit-identical to calling `execute_burst_into` once per consumed
     /// burst: the event horizon is checked per burst, so every consumed
@@ -783,19 +809,67 @@ impl<'a> FabricArbiter<'a> {
     /// # Panics
     ///
     /// Panics if a consumed burst's `si` is outside the library.
-    pub fn execute_bursts_batched<I>(
+    pub fn execute_bursts_batched(
         &mut self,
         app: u16,
-        bursts: I,
+        bursts: &[Burst],
         start: u64,
         segments: &mut Vec<BurstSegment>,
-    ) -> usize
-    where
-        I: IntoIterator<Item = (SiId, u32, u32)>,
-    {
-        segments.clear();
+    ) -> usize {
+        self.walk_stretch(app, bursts, 0, start, StretchOut::Segments(segments))
+            .consumed
+    }
+
+    /// Totals-only variant of
+    /// [`execute_bursts_batched`](Self::execute_bursts_batched): consumes
+    /// the same prefix of `run` and leaves the arbiter in the same state,
+    /// but reports each SI's executions once through `totals` instead of
+    /// one segment per burst, and returns the consumed count with the
+    /// cycle the last consumed non-empty burst ends at.
+    ///
+    /// Where the run reaches a block of its [`BurstBlocks`] index, the
+    /// whole block is consumed from the index's sums when its last
+    /// execution starts before the next fabric event: the last starts of
+    /// successive non-empty bursts never decrease, so that one test covers
+    /// every burst of the block. A partial block, and the block holding
+    /// the event, go through the per-burst body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a consumed burst's `si` is outside the library.
+    pub fn execute_bursts_totals(
+        &mut self,
+        app: u16,
+        run: BurstRun<'_>,
+        start: u64,
+        totals: &mut dyn FnMut(SiTotals),
+    ) -> Stretch {
+        self.walk_stretch(
+            app,
+            run.bursts,
+            run.from,
+            start,
+            StretchOut::Totals(run.blocks, totals),
+        )
+    }
+
+    /// The one stretch walker behind both batched entry points: consumes
+    /// `bursts[from..]` from cycle `start` up to the first burst that
+    /// would run into the next fabric event. Segment mode is the same
+    /// walk with block skipping off.
+    fn walk_stretch(
+        &mut self,
+        app: u16,
+        bursts: &[Burst],
+        from: usize,
+        start: u64,
+        mut out: StretchOut<'_>,
+    ) -> Stretch {
+        if let StretchOut::Segments(segments) = &mut out {
+            segments.clear();
+        }
         let horizon = match self.fabric.next_event_at() {
-            Some(event) if event <= start => return 0,
+            Some(event) if event <= start => return Stretch::default(),
             other => other,
         };
         let lib = self.library;
@@ -809,45 +883,62 @@ impl<'a> FabricArbiter<'a> {
         let mut memo = std::mem::take(&mut self.scratch.batch_memo);
         memo.clear();
         memo.resize(lib.len(), BatchMemo::default());
-        // Deferred LRU flush buffers one mark per SI on the stack; a
-        // library too large for it (never the paper's) marks inline.
-        let mut marks: [(u64, u64); 64] = [(0, 0); 64];
-        let defer_marks = memo.len() <= marks.len();
+        // A skipped block marks through the deferred atom masks only.
+        let blocks = match &out {
+            StretchOut::Totals(blocks, _) if !self.scratch.used_masks.is_empty() => Some(*blocks),
+            _ => None,
+        };
         let mut t = start;
-        let mut consumed = 0;
+        let mut i = from;
         let mut last_started = None;
-        for (si, count, overhead) in bursts {
+        while i < bursts.len() {
+            if let Some(block) = blocks
+                .filter(|_| i.is_multiple_of(BLOCK_BURSTS))
+                .and_then(|b| b.block(i / BLOCK_BURSTS))
+            {
+                // The block's cycles: Σ latency × executions per SI plus
+                // its Σ count × overhead, in u128 so no sum can wrap.
+                let mut cycles = u128::from(block.overhead);
+                for (&si, &n) in block.sis.iter().zip(block.counts) {
+                    if n > 0 {
+                        let latency = self.resolve(app, &mut memo, si);
+                        cycles += u128::from(latency) * u128::from(n);
+                    }
+                }
+                let last = bursts[i + block.last];
+                let per = u64::from(memo[last.si.index()].latency) + u64::from(last.overhead);
+                // Its final execution starts `per` before its end; the
+                // block fits iff that start precedes the horizon, exactly
+                // the per-burst test applied to its last non-empty burst.
+                let end = u64::try_from(u128::from(t) + cycles)
+                    .ok()
+                    .filter(|&end| horizon.is_none_or(|event| event > end - per));
+                if let Some(end) = end {
+                    for (&si, &n) in block.sis.iter().zip(block.counts) {
+                        if n > 0 {
+                            let m = &mut memo[si.index()];
+                            m.executed += u64::from(n);
+                            if m.variant.is_some() {
+                                m.last_use = LastUse::InBlock { first: i, start: t };
+                            }
+                        }
+                    }
+                    last_started = Some(end - u64::from(last.count) * per);
+                    t = end;
+                    i += BLOCK_BURSTS;
+                    continue;
+                }
+            }
+            let Burst {
+                si,
+                count,
+                overhead,
+            } = bursts[i];
             if count == 0 {
-                consumed += 1;
+                i += 1;
                 continue;
             }
-            let mi = si.index();
-            if !memo[mi].resolved {
-                let def = lib.si(si).expect("si within library");
-                let (latency, variant) = match self.best_available_variant(app, si) {
-                    Some((idx, latency)) if latency < def.software_latency() => {
-                        (latency, Some(idx))
-                    }
-                    _ => (def.software_latency(), None),
-                };
-                let mask = variant.and_then(|idx| {
-                    self.scratch
-                        .used_masks
-                        .get(mi)
-                        .and_then(|m| m.get(idx))
-                        .copied()
-                });
-                memo[mi] = BatchMemo {
-                    resolved: true,
-                    latency,
-                    variant,
-                    mask,
-                    executed: 0,
-                    last_used: None,
-                };
-            }
-            let m = &mut memo[mi];
-            let per = u64::from(m.latency) + u64::from(overhead);
+            let per = u64::from(self.resolve(app, &mut memo, si)) + u64::from(overhead);
             // Unsplit iff the whole burst fits strictly before the horizon
             // — `div_ceil(event − t, per) ≥ count` exactly as in
             // `execute_burst_into`, restated multiplicatively (in u128, so
@@ -859,40 +950,63 @@ impl<'a> FabricArbiter<'a> {
                     break;
                 }
             }
+            let m = &mut memo[si.index()];
             match (m.variant, m.mask) {
                 // LRU marking is deferred: only the *last* use of each
                 // type inside the batch survives (assignments of a
-                // monotone clock), so `last_used` per SI plus an ordered
+                // monotone clock), so `last_use` per SI plus an ordered
                 // flush below lands every `type_used` stamp on exactly
                 // the cycle the per-burst sequence would leave.
-                (Some(_), Some(_)) if defer_marks => m.last_used = Some(t),
-                (Some(_), Some(mask)) => self.fabric.mark_used_types(mask, t),
+                (Some(_), Some(_)) => m.last_use = LastUse::At(t),
                 (Some(idx), None) => {
                     let def = lib.si(si).expect("si within library");
                     self.fabric.mark_used(&def.variants()[idx].atoms, t);
                 }
                 (None, _) => {}
             }
-            segments.push(match m.variant {
-                Some(v) => BurstSegment::hardware(t, u64::from(count), m.latency, v),
-                None => BurstSegment::software(t, u64::from(count), m.latency),
-            });
+            if let StretchOut::Segments(segments) = &mut out {
+                segments.push(match m.variant {
+                    Some(v) => BurstSegment::hardware(t, u64::from(count), m.latency, v),
+                    None => BurstSegment::software(t, u64::from(count), m.latency),
+                });
+            }
             m.executed += u64::from(count);
             last_started = Some(t);
             t += u64::from(count) * per;
-            consumed += 1;
+            i += 1;
         }
         // Flush deferred LRU marks oldest-first: a later (larger) stamp
         // must win on types shared between SIs, exactly as the per-burst
         // assignment order would have it.
-        let mut n_marks = 0;
-        for m in &memo {
-            if let (Some(at), Some(mask)) = (m.last_used, m.mask) {
-                marks[n_marks] = (at, mask);
-                n_marks += 1;
-            }
+        let marks = &mut self.scratch.marks;
+        marks.clear();
+        // Burst start cycles of the last skipped block scanned: a block
+        // that holds the last burst of several SIs is scanned once.
+        let mut scanned: Option<(usize, [u64; BLOCK_BURSTS])> = None;
+        for (si, m) in memo.iter().enumerate() {
+            let Some(mask) = m.mask else { continue };
+            let at = match m.last_use {
+                LastUse::None => continue,
+                LastUse::At(at) => at,
+                LastUse::InBlock { first, start } => {
+                    let block = &bursts[first..first + BLOCK_BURSTS];
+                    let starts = match scanned {
+                        Some((f, starts)) if f == first => starts,
+                        _ => {
+                            let starts = burst_starts(&memo, block, start);
+                            scanned = Some((first, starts));
+                            starts
+                        }
+                    };
+                    let last = block
+                        .iter()
+                        .rposition(|b| b.count > 0 && b.si.index() == si)
+                        .expect("the SI ran in its block");
+                    starts[last]
+                }
+            };
+            marks.push((at, mask));
         }
-        let marks = &mut marks[..n_marks];
         marks.sort_unstable_by_key(|&(at, _)| at);
         for &(at, mask) in marks.iter() {
             self.fabric.mark_used_types(mask, at);
@@ -901,16 +1015,56 @@ impl<'a> FabricArbiter<'a> {
             self.fabric.advance_clock(at);
         }
         let ctx = &mut self.contexts[usize::from(app)];
-        if let Some(hs) = ctx.current_hot_spot {
-            for (i, m) in memo.iter().enumerate() {
-                if m.executed > 0 {
-                    let si = SiId(u16::try_from(i).expect("library index fits u16"));
-                    ctx.monitor.record_executions(hs, si, m.executed);
-                }
+        for (i, m) in memo.iter().enumerate() {
+            if m.executed == 0 {
+                continue;
+            }
+            let si = SiId(u16::try_from(i).expect("library index fits u16"));
+            if let Some(hs) = ctx.current_hot_spot {
+                ctx.monitor.record_executions(hs, si, m.executed);
+            }
+            if let StretchOut::Totals(_, totals) = &mut out {
+                totals(SiTotals {
+                    si,
+                    executions: m.executed,
+                    hardware_executions: if m.variant.is_some() { m.executed } else { 0 },
+                });
             }
         }
         self.scratch.batch_memo = memo;
-        consumed
+        Stretch {
+            consumed: i - from,
+            end: last_started.map(|_| t),
+        }
+    }
+
+    /// Resolves `si`'s latency, variant and atom mask into `memo` on its
+    /// first use in a batched call, and returns its latency.
+    fn resolve(&mut self, app: u16, memo: &mut [BatchMemo], si: SiId) -> u32 {
+        let mi = si.index();
+        if !memo[mi].resolved {
+            let def = self.library.si(si).expect("si within library");
+            let (latency, variant) = match self.best_available_variant(app, si) {
+                Some((idx, latency)) if latency < def.software_latency() => (latency, Some(idx)),
+                _ => (def.software_latency(), None),
+            };
+            let mask = variant.and_then(|idx| {
+                self.scratch
+                    .used_masks
+                    .get(mi)
+                    .and_then(|m| m.get(idx))
+                    .copied()
+            });
+            memo[mi] = BatchMemo {
+                resolved: true,
+                latency,
+                variant,
+                mask,
+                executed: 0,
+                last_use: LastUse::None,
+            };
+        }
+        memo[mi].latency
     }
 
     /// Leaves application `app`'s current hot spot, folding measured
@@ -1024,6 +1178,22 @@ impl<'a> FabricArbiter<'a> {
 /// The `u16` application tag used on the fabric queue/owner records.
 fn app_tag(app: usize) -> u16 {
     u16::try_from(app).expect("application index fits u16")
+}
+
+/// The start cycle of every burst of `block`, a skipped block that
+/// started at cycle `start` (the SI of each of its non-empty bursts is
+/// resolved in `memo`).
+fn burst_starts(memo: &[BatchMemo], block: &[Burst], start: u64) -> [u64; BLOCK_BURSTS] {
+    let mut starts = [0; BLOCK_BURSTS];
+    let mut t = start;
+    for (slot, b) in starts.iter_mut().zip(block) {
+        *slot = t;
+        if b.count > 0 {
+            t += u64::from(b.count)
+                * (u64::from(memo[b.si.index()].latency) + u64::from(b.overhead));
+        }
+    }
+    starts
 }
 
 /// Builder for [`FabricArbiter`].

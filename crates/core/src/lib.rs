@@ -64,6 +64,7 @@
 
 mod arbiter;
 mod asf;
+mod burst;
 mod context;
 mod error;
 mod explain;
@@ -77,6 +78,7 @@ mod sjf;
 mod types;
 
 pub use arbiter::{FabricArbiter, FabricArbiterBuilder};
+pub use burst::{Burst, BurstBlocks, BurstIndex, BurstRun, SiTotals, Stretch, BLOCK_BURSTS};
 pub use context::{Candidate, UpgradeBuffers, UpgradeContext};
 pub use error::CoreError;
 pub use explain::{

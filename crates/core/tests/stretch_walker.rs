@@ -1,0 +1,353 @@
+//! The stretch walker's totals mode against the per-burst path: replaying
+//! an invocation with `execute_bursts_totals` over its `BurstIndex` blocks
+//! (whole blocks consumed from their sums where they fit, the per-burst
+//! fallback where an event intervenes) must leave the arbiter exactly as
+//! stepping every burst through `execute_burst_into` does — the same
+//! consumed counts, end cycle, per-SI totals, monitor state, fabric clock
+//! and LRU stamps.
+
+use proptest::prelude::*;
+use rispp_core::{
+    Burst, BurstIndex, BurstRun, FabricArbiter, SchedulerKind, SiTotals, BLOCK_BURSTS,
+};
+use rispp_fabric::FaultModel;
+use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
+use rispp_monitor::HotSpotId;
+
+const SIS: u16 = 3;
+const HOT_SPOT: HotSpotId = HotSpotId(0);
+
+/// SI0 and SI1 share atom types A and B, SI1 and SI2 share C, so one SI's
+/// deferred stamp can be overwritten by another's.
+fn library() -> SiLibrary {
+    let universe = AtomUniverse::from_types([
+        AtomTypeInfo::new("A"),
+        AtomTypeInfo::new("B"),
+        AtomTypeInfo::new("C"),
+    ])
+    .unwrap();
+    let mut b = SiLibraryBuilder::new(universe);
+    b.special_instruction("S0", 900)
+        .unwrap()
+        .molecule(Molecule::from_counts([1, 0, 0]), 120)
+        .unwrap()
+        .molecule(Molecule::from_counts([1, 1, 0]), 50)
+        .unwrap();
+    b.special_instruction("S1", 700)
+        .unwrap()
+        .molecule(Molecule::from_counts([0, 1, 0]), 90)
+        .unwrap()
+        .molecule(Molecule::from_counts([1, 1, 1]), 30)
+        .unwrap();
+    b.special_instruction("S2", 600)
+        .unwrap()
+        .molecule(Molecule::from_counts([0, 0, 1]), 70)
+        .unwrap();
+    b.build().unwrap()
+}
+
+/// Case shape bits: which of the generator's special shapes apply.
+const ZERO_OVERHEAD: u32 = 1;
+const PHASES: u32 = 2;
+const HUGE_COUNTS: u32 = 4;
+const EMPTY_BLOCK: u32 = 8;
+const EMPTY_TAIL: u32 = 16;
+const SHORT_BURSTS: u32 = 32;
+
+/// Builds an invocation from raw `(si, zero, count, overhead)` draws and
+/// the shape bits: empty bursts inside blocks (`zero == 0`), optionally
+/// zero overheads, a phase split that retires SI0 halfway (so SI0 and
+/// SI1 end in different blocks), counts near `u32::MAX`, a whole empty
+/// block, an empty tail, and bursts short enough that a whole block runs
+/// in less than one Atom load.
+fn invocation(raw: &[(u16, u32, u32, u32)], shape: u32) -> Vec<Burst> {
+    let len = raw.len();
+    let mut bursts: Vec<Burst> = raw
+        .iter()
+        .enumerate()
+        .map(|(k, &(si, zero, count, overhead))| {
+            let si = if shape & PHASES == 0 {
+                si
+            } else if k < len / 2 {
+                si % 2
+            } else {
+                1 + si % 2
+            };
+            let count = match zero {
+                0 => 0,
+                1 if shape & HUGE_COUNTS != 0 => u32::MAX - count % 16,
+                _ if shape & SHORT_BURSTS != 0 => 1 + count % 4,
+                _ => count,
+            };
+            Burst {
+                si: SiId(si),
+                count,
+                overhead: if shape & ZERO_OVERHEAD == 0 {
+                    overhead
+                } else {
+                    0
+                },
+            }
+        })
+        .collect();
+    if shape & EMPTY_BLOCK != 0 && len >= 2 * BLOCK_BURSTS {
+        for b in &mut bursts[BLOCK_BURSTS..2 * BLOCK_BURSTS] {
+            b.count = 0;
+        }
+    }
+    if shape & EMPTY_TAIL != 0 {
+        for b in bursts.iter_mut().rev().take(5) {
+            b.count = 0;
+        }
+    }
+    bursts
+}
+
+fn arbiter(lib: &SiLibrary, containers: u16, fault: Option<(u32, u64)>) -> FabricArbiter<'_> {
+    let mut builder = FabricArbiter::builder(lib)
+        .containers(containers)
+        .scheduler(SchedulerKind::Hef);
+    if let Some((ppm, seed)) = fault {
+        builder = builder
+            .fault_model(FaultModel::uniform_ppm(ppm, seed))
+            .max_retries(2);
+    }
+    builder.build()
+}
+
+/// Everything the comparison reads after one replay.
+#[derive(Debug, PartialEq, Eq)]
+struct Outcome {
+    end: u64,
+    totals: Vec<(u64, u64)>,
+    clock: u64,
+    live: Vec<u64>,
+    last_used: Vec<u64>,
+    loaded: Vec<Option<rispp_model::AtomTypeId>>,
+    expected: Vec<u64>,
+}
+
+fn add(totals: &mut [(u64, u64)], si: SiId, count: u64, hardware: bool) {
+    totals[si.index()].0 += count;
+    if hardware {
+        totals[si.index()].1 += count;
+    }
+}
+
+/// Reads the outcome, then leaves the hot spot at `end`.
+fn finish(arb: &mut FabricArbiter<'_>, end: u64, totals: Vec<(u64, u64)>) -> Outcome {
+    let fabric = arb.fabric();
+    let clock = fabric.now();
+    let last_used = fabric
+        .containers()
+        .iter()
+        .map(|c| fabric.effective_last_used(c))
+        .collect();
+    let loaded = fabric
+        .containers()
+        .iter()
+        .map(|c| c.loaded_atom())
+        .collect();
+    let live = (0..SIS)
+        .map(|si| arb.monitor(0).live_count(HOT_SPOT, SiId(si)))
+        .collect();
+    arb.exit_hot_spot(0, end);
+    let expected = (0..SIS)
+        .map(|si| arb.monitor(0).expected(HOT_SPOT, SiId(si)))
+        .collect();
+    Outcome {
+        end,
+        totals,
+        clock,
+        live,
+        last_used,
+        loaded,
+        expected,
+    }
+}
+
+/// Steps every non-empty burst of `bursts[from..]` through
+/// `execute_burst_into`. Also returns, per burst, whether a batched walk
+/// may consume it: empty, or one segment whose last execution starts
+/// before the event horizon seen going in.
+fn per_burst(
+    arb: &mut FabricArbiter<'_>,
+    bursts: &[Burst],
+    from: usize,
+    start: u64,
+) -> (Outcome, Vec<bool>) {
+    let mut now = start;
+    let mut totals = vec![(0, 0); usize::from(SIS)];
+    let mut fits = vec![true; bursts.len()];
+    let mut segments = Vec::new();
+    for (k, b) in bursts.iter().enumerate().skip(from) {
+        if b.count == 0 {
+            continue;
+        }
+        let horizon = arb.fabric().next_event_at();
+        arb.execute_burst_into(0, b.si, b.count, b.overhead, now, &mut segments);
+        let first = segments[0];
+        let per = u64::from(first.latency) + u64::from(b.overhead);
+        fits[k] = segments.len() == 1
+            && horizon.is_none_or(|event| event > first.start + (first.count - 1) * per);
+        for seg in &segments {
+            add(&mut totals, b.si, seg.count, seg.is_hardware());
+            now = seg.start + seg.count * (u64::from(seg.latency) + u64::from(b.overhead));
+        }
+    }
+    (finish(arb, now, totals), fits)
+}
+
+/// Replays `bursts[from..]` as the engine does on its totals path:
+/// `execute_bursts_totals` from each position, the per-burst fallback for
+/// a burst it cannot consume. Returns each call's `(position, consumed)`.
+fn blocked(
+    arb: &mut FabricArbiter<'_>,
+    bursts: &[Burst],
+    from: usize,
+    start: u64,
+) -> (Outcome, Vec<(usize, usize)>) {
+    let index = BurstIndex::new([bursts]);
+    let mut now = start;
+    let mut totals = vec![(0, 0); usize::from(SIS)];
+    let mut calls = Vec::new();
+    let mut segments = Vec::new();
+    let mut bi = from;
+    while bi < bursts.len() {
+        if bursts[bi].count == 0 {
+            bi += 1;
+            continue;
+        }
+        let stretch = arb.execute_bursts_totals(
+            0,
+            BurstRun::new(bursts, bi, index.invocation(0)),
+            now,
+            &mut |t: SiTotals| {
+                totals[t.si.index()].0 += t.executions;
+                totals[t.si.index()].1 += t.hardware_executions;
+            },
+        );
+        calls.push((bi, stretch.consumed));
+        if stretch.consumed > 0 {
+            now = stretch.end.unwrap_or(now);
+            bi += stretch.consumed;
+            continue;
+        }
+        let b = bursts[bi];
+        arb.execute_burst_into(0, b.si, b.count, b.overhead, now, &mut segments);
+        for seg in &segments {
+            add(&mut totals, b.si, seg.count, seg.is_hardware());
+            now = seg.start + seg.count * (u64::from(seg.latency) + u64::from(b.overhead));
+        }
+        bi += 1;
+    }
+    (finish(arb, now, totals), calls)
+}
+
+/// A start cycle that puts the last execution of the first full block
+/// after `from` within `offset` cycles of the first fabric event (before
+/// it for a negative offset, on it for zero), priced at software latency
+/// as on a cold fabric; `None` when there is no such block or event.
+fn straddling_start(
+    lib: &SiLibrary,
+    arb: &FabricArbiter<'_>,
+    bursts: &[Burst],
+    from: usize,
+    offset: i64,
+) -> Option<u64> {
+    let event = arb.fabric().next_event_at()?;
+    let first = from.div_ceil(BLOCK_BURSTS) * BLOCK_BURSTS;
+    let block = bursts.get(first..first + BLOCK_BURSTS)?;
+    let per =
+        |b: &Burst| u64::from(lib.si(b.si).unwrap().software_latency()) + u64::from(b.overhead);
+    let mut t = 0u64;
+    for b in &bursts[from..first] {
+        t = t.checked_add(u64::from(b.count).checked_mul(per(b))?)?;
+    }
+    let mut last_start = None;
+    for b in block.iter().filter(|b| b.count > 0) {
+        last_start = Some(t + (u64::from(b.count) - 1) * per(b));
+        t = t.checked_add(u64::from(b.count).checked_mul(per(b))?)?;
+    }
+    let target = i128::from(event) + i128::from(offset) - i128::from(last_start?);
+    u64::try_from(target).ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn blocked_totals_walk_equals_per_burst_stepping(
+        raw in prop::collection::vec((0..SIS, 0u32..10, 1u32..400, 0u32..40), 1..200),
+        shape in 0u32..64,
+        from_draw in 0usize..200,
+        containers in 2u16..6,
+        fault in (0u32..4, 0u32..200_000, any::<u64>()),
+        start_draw in (0u32..3, 0u64..2_000_000, -2i64..3),
+    ) {
+        let lib = library();
+        let bursts = invocation(&raw, shape);
+        let from = if from_draw % 3 == 0 { 0 } else { from_draw % bursts.len() };
+        let fault = (fault.0 == 0).then_some((fault.1, fault.2));
+        let hints: Vec<(SiId, u64)> = (0..SIS).map(|si| (SiId(si), 100)).collect();
+        let mut reference = arbiter(&lib, containers, fault);
+        let mut walked = arbiter(&lib, containers, fault);
+        // Two visits: the second plans from the monitor's forecast.
+        let mut now = 0;
+        for visit in 0..2 {
+            reference.enter_hot_spot(0, HOT_SPOT, &hints, now).unwrap();
+            walked.enter_hot_spot(0, HOT_SPOT, &hints, now).unwrap();
+            let (kind, prologue, offset) = start_draw;
+            let start = match kind {
+                0 => straddling_start(&lib, &reference, &bursts, from, offset)
+                    .filter(|&s| s >= now)
+                    .unwrap_or(now),
+                _ => now + prologue,
+            };
+            let (expect, fits) = per_burst(&mut reference, &bursts, from, start);
+            let (got, calls) = blocked(&mut walked, &bursts, from, start);
+            prop_assert_eq!(&got, &expect, "visit {}: outcomes diverged", visit);
+            for &(bi, consumed) in &calls {
+                let want = (bi..bursts.len())
+                    .find(|&k| !fits[k])
+                    .unwrap_or(bursts.len())
+                    - bi;
+                prop_assert_eq!(consumed, want, "visit {}: stretch from burst {}", visit, bi);
+            }
+            now = expect.end + 1_000;
+        }
+    }
+}
+
+/// The block that holds the horizon goes burst by burst: with its last
+/// execution starting exactly on the next fabric event the walker stops
+/// one burst short of the block's end, and one cycle earlier it takes the
+/// whole block.
+#[test]
+fn a_block_whose_last_execution_meets_the_event_is_not_skipped() {
+    let lib = library();
+    let bursts = vec![
+        Burst {
+            si: SiId(2),
+            count: 3,
+            overhead: 7,
+        };
+        2 * BLOCK_BURSTS
+    ];
+    let index = BurstIndex::new([bursts.as_slice()]);
+    for (offset, want) in [(0i64, BLOCK_BURSTS - 1), (-1, BLOCK_BURSTS)] {
+        let mut arb = arbiter(&lib, 3, None);
+        arb.enter_hot_spot(0, HOT_SPOT, &[(SiId(2), 1_000)], 0)
+            .unwrap();
+        let event = arb.fabric().next_event_at().expect("a load is streaming");
+        let start = straddling_start(&lib, &arb, &bursts, 0, offset).expect("block before event");
+        let stretch = arb.execute_bursts_totals(
+            0,
+            BurstRun::new(&bursts, 0, index.invocation(0)),
+            start,
+            &mut |_| {},
+        );
+        assert!(start < event);
+        assert_eq!(stretch.consumed, want, "last start {offset} from the event");
+    }
+}

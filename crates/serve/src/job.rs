@@ -350,9 +350,6 @@ pub fn decode_config(value: &JsonValue) -> Result<SimConfig, String> {
     }
     if let Some(v) = value.get("bucket_cycles") {
         config.bucket_cycles = v.as_u64().ok_or("`bucket_cycles` must be an integer")?;
-        if config.bucket_cycles == 0 {
-            return Err("`bucket_cycles` must be positive".into());
-        }
     }
     if let Some(v) = value.get("oracle") {
         config.oracle = v.as_bool().ok_or("`oracle` must be a boolean")?;
@@ -360,13 +357,7 @@ pub fn decode_config(value: &JsonValue) -> Result<SimConfig, String> {
     match value.get("port_bandwidth") {
         None | Some(JsonValue::Null) => {}
         Some(v) => {
-            let bandwidth = v.as_u64().ok_or("`port_bandwidth` must be an integer")?;
-            // A zero-bandwidth port would panic every attempt at fabric
-            // construction and poison the config.
-            rispp_fabric::ReconfigPortConfig::with_bandwidth(bandwidth)
-                .validate()
-                .map_err(|e| format!("`port_bandwidth` {bandwidth}: {e}"))?;
-            config.port_bandwidth = Some(bandwidth);
+            config.port_bandwidth = Some(v.as_u64().ok_or("`port_bandwidth` must be an integer")?);
         }
     }
     match value.get("fault") {
@@ -400,7 +391,28 @@ pub fn decode_config(value: &JsonValue) -> Result<SimConfig, String> {
             config.fault = Some(fault);
         }
     }
+    validate_config(&config)?;
     Ok(config)
+}
+
+/// Refuses a configuration the engine would panic on at run time: a zero
+/// statistics bucket width, or a reconfiguration port with zero
+/// bandwidth. Every attempt of such a job would panic and poison its
+/// config, so both the wire decoder and the job runner check it first.
+///
+/// # Errors
+///
+/// Names the offending field.
+pub fn validate_config(config: &SimConfig) -> Result<(), String> {
+    if config.bucket_cycles == 0 {
+        return Err("`bucket_cycles` must be positive".into());
+    }
+    if let Some(bandwidth) = config.port_bandwidth {
+        rispp_fabric::ReconfigPortConfig::with_bandwidth(bandwidth)
+            .validate()
+            .map_err(|e| format!("`port_bandwidth` {bandwidth}: {e}"))?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

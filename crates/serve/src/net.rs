@@ -19,6 +19,8 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::Duration;
 
+use rispp_telemetry::JsonValue;
+
 use crate::job::{json_escape, parse_request, JobOutcome, JobStatus, Request};
 use crate::server::{Server, SubmitResult};
 
@@ -61,8 +63,18 @@ fn metrics_line(server: &Server) -> String {
     )
 }
 
-fn error_line(message: &str) -> String {
-    JobOutcome::refused("", JobStatus::Error(message.to_owned())).to_line()
+/// An error answer for the request `id` (`""` when none could be read).
+fn error_line(id: &str, message: &str) -> String {
+    JobOutcome::refused(id, JobStatus::Error(message.to_owned())).to_line()
+}
+
+/// The string `id` of a request line that is a JSON object, if it has
+/// one, so a refused request is answered under its own id.
+fn request_id(line: &str) -> String {
+    JsonValue::parse(line)
+        .ok()
+        .and_then(|v| v.get("id").and_then(JsonValue::as_str).map(str::to_owned))
+        .unwrap_or_default()
 }
 
 /// Serves one established connection until the peer hangs up or the
@@ -90,7 +102,7 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
                     // admitted job, even during drain.
                     Pending::Outcome(rx) => match rx.recv() {
                         Ok(outcome) => outcome.to_line(),
-                        Err(_) => error_line("job outcome lost"),
+                        Err(_) => error_line("", "job outcome lost"),
                     },
                 };
                 if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
@@ -126,9 +138,10 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
         if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
             // One error line, then close: the rest of the line cannot be
             // skipped without reading it. Earlier answers still drain.
-            let _ = pending_tx.send(Pending::Ready(error_line(&format!(
-                "request line exceeds {MAX_LINE_BYTES} bytes"
-            ))));
+            let _ = pending_tx.send(Pending::Ready(error_line(
+                "",
+                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            )));
             break;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
@@ -140,7 +153,7 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
             continue;
         }
         let pending = match parse_request(trimmed) {
-            Err(message) => Pending::Ready(error_line(&message)),
+            Err(message) => Pending::Ready(error_line(&request_id(trimmed), &message)),
             Ok(Request::Health) => Pending::Ready(health_line(server)),
             Ok(Request::Metrics) => Pending::Ready(metrics_line(server)),
             Ok(Request::Cancel { id }) => {

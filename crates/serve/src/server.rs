@@ -33,7 +33,8 @@ use rispp_telemetry::{MetricsRegistry, MetricsSnapshot};
 
 use crate::cache::LruCache;
 use crate::job::{
-    check_detail_buckets, check_replayable, materialise_trace, JobOutcome, JobSpec, JobStatus,
+    check_detail_buckets, check_replayable, materialise_trace, validate_config, JobOutcome,
+    JobSpec, JobStatus,
 };
 use crate::poison::PoisonList;
 use crate::queue::{AdmissionQueue, PushError};
@@ -500,6 +501,13 @@ fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
     // the warm cache or the poison list.
     if job.token.is_cancelled() {
         return outcome(JobStatus::Cancelled, None, 0);
+    }
+    // A config the engine cannot run is refused before the poison list,
+    // the cache and the retry loop: every attempt would panic and poison
+    // it. The wire decoder applies the same check; this one covers
+    // in-process submitters.
+    if let Err(e) = validate_config(&spec.config) {
+        return outcome(JobStatus::Error(e), None, 0);
     }
     let config_hash = spec.config_hash();
     if inner.poison.is_poisoned(config_hash) {

@@ -13,7 +13,8 @@
 //!    would exceed the per-SI cap, is refused with an error before any
 //!    attempt: it never poisons its config, and an unreplayable trace
 //!    never enters the cache;
-//! 5. a wire config with a zero port bandwidth is refused the same way.
+//! 5. a config with a zero port bandwidth is refused the same way, on
+//!    the wire and in process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -314,6 +315,37 @@ fn unreplayable_traces_are_refused_without_an_attempt() {
         srv.metrics_snapshot().counter("rispp_serve_panics_total"),
         0
     );
+    srv.await_drained();
+}
+
+#[test]
+fn a_zero_port_bandwidth_is_refused_in_process() {
+    let srv = server(4);
+    let run = |job: JobSpec| -> JobOutcome {
+        match srv.submit(job) {
+            SubmitResult::Enqueued(t) => t.outcome.recv().expect("outcome"),
+            SubmitResult::Refused(o) => panic!("refused at admission: {:?}", o.status),
+        }
+    };
+    let mut job = spec("port", 2, payload(2, 30));
+    job.config = job.config.with_port_bandwidth(0);
+    let refused = run(job);
+    assert!(
+        matches!(&refused.status, JobStatus::Error(e) if e.contains("`port_bandwidth` 0")),
+        "{:?}",
+        refused.status
+    );
+    assert_eq!(refused.attempts, 0);
+    assert!(refused.stats.is_none());
+    assert_eq!(srv.poisoned_configs(), 0);
+    assert_eq!(
+        srv.metrics_snapshot().counter("rispp_serve_panics_total"),
+        0
+    );
+
+    let ok = run(spec("valid", 2, payload(2, 30)));
+    assert_eq!(ok.status, JobStatus::Completed);
+    assert_eq!(ok.attempts, 1);
     srv.await_drained();
 }
 

@@ -506,6 +506,70 @@ fn deeply_nested_request_line_is_refused_and_the_connection_keeps_serving() {
         .expect("daemon result");
 }
 
+#[test]
+fn a_refused_pipelined_submit_is_answered_under_its_own_id() {
+    let server = Server::start(
+        library(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let stop = AtomicBool::new(false);
+    let daemon = std::thread::spawn({
+        let server = server.clone();
+        move || run_daemon(&server, listener, &stop).map_err(|e| e.to_string())
+    });
+
+    // Both submits go out before either answer is read: the wire refuses
+    // the first (zero port bandwidth) and runs the second.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let refused = spec(
+        "job-a",
+        SimConfig::rispp(2, SchedulerKind::Hef).with_port_bandwidth(0),
+        payload(2, 30),
+        0,
+    );
+    let valid = spec(
+        "job-b",
+        SimConfig::rispp(2, SchedulerKind::Hef),
+        payload(2, 30),
+        0,
+    );
+    writeln!(writer, "{}", encode_submit(&refused)).unwrap();
+    writeln!(writer, "{}", encode_submit(&valid)).unwrap();
+    let mut read_json = |context: &str| -> JsonValue {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect(context);
+        JsonValue::parse(line.trim()).unwrap_or_else(|e| panic!("{context}: {e}: {line}"))
+    };
+    let first = read_json("answer to job-a");
+    assert_eq!(first.get("id").and_then(JsonValue::as_str), Some("job-a"));
+    assert_eq!(
+        first.get("status").and_then(JsonValue::as_str),
+        Some("error")
+    );
+    let second = read_json("answer to job-b");
+    assert_eq!(second.get("id").and_then(JsonValue::as_str), Some("job-b"));
+    assert_eq!(
+        second.get("status").and_then(JsonValue::as_str),
+        Some("completed")
+    );
+
+    writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+    let ack = read_json("shutdown ack");
+    assert_eq!(ack.get("ok").and_then(JsonValue::as_bool), Some(true));
+    drop(writer);
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon result");
+}
+
 /// A client that never sends a newline must not grow its connection's
 /// buffer without limit: 20 MB with no newline is past the 16 MiB line
 /// cap, so it gets one error line after the answers to its earlier

@@ -17,10 +17,11 @@
 
 use std::borrow::{BorrowMut, Cow};
 
-use rispp_core::{BurstSegment, FabricArbiter};
+use rispp_core::{BurstRun, BurstSegment, FabricArbiter, SiTotals, Stretch};
 use rispp_model::{SiId, SiLibrary};
 
 use crate::baseline::MolenSystem;
+use crate::observer::batch_pairs;
 use crate::trace::{Burst, Invocation};
 
 /// An execution system that the engine can replay a trace against.
@@ -103,6 +104,39 @@ pub trait ExecutionSystem {
     ) -> usize {
         let _ = (bursts, start, out);
         0
+    }
+
+    /// Totals-only variant of
+    /// [`execute_bursts_batched`](ExecutionSystem::execute_bursts_batched),
+    /// taken when no attached observer reads segments: consumes a prefix
+    /// of `run`'s [remaining](BurstRun::remaining) bursts under the same
+    /// contract, reports each SI's executions through `totals` instead of
+    /// one segment per burst, and returns how many bursts it consumed and
+    /// the cycle the last consumed non-empty burst ends at. `run` carries
+    /// the invocation's block index, so a backend may consume whole blocks
+    /// from their sums.
+    ///
+    /// The default runs `execute_bursts_batched` into `segments` (scratch
+    /// the engine reuses) and folds the segments into totals, so a backend
+    /// that only implements the segment path stays exact; the built-in
+    /// backends override it to build no segment at all.
+    fn execute_bursts_totals(
+        &mut self,
+        run: BurstRun<'_>,
+        start: u64,
+        segments: &mut Vec<BurstSegment>,
+        totals: &mut dyn FnMut(SiTotals),
+    ) -> Stretch {
+        let bursts = run.remaining();
+        let consumed = self.execute_bursts_batched(bursts, start, segments);
+        let mut fold = Fold::new(totals);
+        let mut end = None;
+        for (b, seg) in batch_pairs(&bursts[..consumed], segments) {
+            fold.add(b.si, seg);
+            end = Some(seg.start + seg.count * (u64::from(seg.latency) + u64::from(b.overhead)));
+        }
+        fold.finish();
+        Stretch { consumed, end }
     }
 
     /// Leaves the current hot spot at cycle `now`.
@@ -277,12 +311,21 @@ impl<'a, A: BorrowMut<FabricArbiter<'a>>> ExecutionSystem for RisppBackend<A> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) -> usize {
-        self.arbiter.borrow_mut().execute_bursts_batched(
-            self.app,
-            bursts.iter().map(|b| (b.si, b.count, b.overhead)),
-            start,
-            out,
-        )
+        self.arbiter
+            .borrow_mut()
+            .execute_bursts_batched(self.app, bursts, start, out)
+    }
+
+    fn execute_bursts_totals(
+        &mut self,
+        run: BurstRun<'_>,
+        start: u64,
+        _segments: &mut Vec<BurstSegment>,
+        totals: &mut dyn FnMut(SiTotals),
+    ) -> Stretch {
+        self.arbiter
+            .borrow_mut()
+            .execute_bursts_totals(self.app, run, start, totals)
     }
 
     fn exit_hot_spot(&mut self, now: u64) {
@@ -364,23 +407,31 @@ impl ExecutionSystem for MolenSystem<'_> {
         out: &mut Vec<BurstSegment>,
     ) -> usize {
         out.clear();
-        let mut t = start;
-        let mut consumed = 0;
-        for b in bursts {
-            if b.count == 0 {
-                consumed += 1;
-                continue;
-            }
-            match MolenSystem::execute_burst_unsplit(self, b.si, b.count, b.overhead, t) {
-                Some(seg) => {
-                    t = seg.start + seg.count * (u64::from(seg.latency) + u64::from(b.overhead));
-                    out.push(seg);
-                    consumed += 1;
-                }
-                None => break,
-            }
-        }
-        consumed
+        step_bursts(
+            bursts,
+            start,
+            |b, t| MolenSystem::execute_burst_unsplit(self, b.si, b.count, b.overhead, t),
+            |_, seg| out.push(seg),
+        )
+        .consumed
+    }
+
+    fn execute_bursts_totals(
+        &mut self,
+        run: BurstRun<'_>,
+        start: u64,
+        _segments: &mut Vec<BurstSegment>,
+        totals: &mut dyn FnMut(SiTotals),
+    ) -> Stretch {
+        let mut fold = Fold::new(totals);
+        let stretch = step_bursts(
+            run.remaining(),
+            start,
+            |b, t| MolenSystem::execute_burst_unsplit(self, b.si, b.count, b.overhead, t),
+            |b, seg| fold.add(b.si, &seg),
+        );
+        fold.finish();
+        stretch
     }
 
     fn exit_hot_spot(&mut self, now: u64) {
@@ -407,6 +458,82 @@ impl ExecutionSystem for MolenSystem<'_> {
     }
 }
 
+/// Lays `bursts` back to back from `start`: asks `step` for each non-empty
+/// burst's unsplit segment at its start cycle and hands it to `each`,
+/// until `step` declines. Empty bursts are consumed as no-ops. Returns the
+/// consumed count and the end of the last consumed non-empty burst.
+fn step_bursts(
+    bursts: &[Burst],
+    start: u64,
+    mut step: impl FnMut(&Burst, u64) -> Option<BurstSegment>,
+    mut each: impl FnMut(&Burst, BurstSegment),
+) -> Stretch {
+    let mut t = start;
+    let mut stretch = Stretch::default();
+    for b in bursts {
+        if b.count > 0 {
+            let Some(seg) = step(b, t) else { break };
+            t = seg.start + seg.count * (u64::from(seg.latency) + u64::from(b.overhead));
+            stretch.end = Some(t);
+            each(b, seg);
+        }
+        stretch.consumed += 1;
+    }
+    stretch
+}
+
+/// SIs whose executions [`Fold`] sums on the stack; the paper's libraries
+/// have at most nine.
+const FOLD_SIS: usize = 16;
+
+/// Folds one batch's segments into per-SI totals without touching the
+/// heap: SIs below [`FOLD_SIS`] are summed and reported once each, in SI
+/// order, when the batch ends; any other SI is reported as it comes.
+struct Fold<'t> {
+    sums: [(u64, u64); FOLD_SIS],
+    totals: &'t mut dyn FnMut(SiTotals),
+}
+
+impl<'t> Fold<'t> {
+    fn new(totals: &'t mut dyn FnMut(SiTotals)) -> Self {
+        Fold {
+            sums: [(0, 0); FOLD_SIS],
+            totals,
+        }
+    }
+
+    fn add(&mut self, si: SiId, segment: &BurstSegment) {
+        let hardware = if segment.is_hardware() {
+            segment.count
+        } else {
+            0
+        };
+        match self.sums.get_mut(si.index()) {
+            Some((executions, hardware_executions)) => {
+                *executions += segment.count;
+                *hardware_executions += hardware;
+            }
+            None => (self.totals)(SiTotals {
+                si,
+                executions: segment.count,
+                hardware_executions: hardware,
+            }),
+        }
+    }
+
+    fn finish(self) {
+        for (si, &(executions, hardware_executions)) in (0u16..).zip(&self.sums) {
+            if executions > 0 {
+                (self.totals)(SiTotals {
+                    si: SiId(si),
+                    executions,
+                    hardware_executions,
+                });
+            }
+        }
+    }
+}
+
 /// Pure base-processor execution: every SI traps to its software latency,
 /// nothing is ever reconfigured. The paper's 0-AC reference point.
 #[derive(Debug, Clone, Copy)]
@@ -419,6 +546,16 @@ impl<'a> SoftwareBackend<'a> {
     #[must_use]
     pub fn new(library: &'a SiLibrary) -> Self {
         SoftwareBackend { library }
+    }
+
+    /// The trap segment of `count` executions of `si` from `start`.
+    fn segment(&self, si: SiId, count: u32, start: u64) -> BurstSegment {
+        let latency = self
+            .library
+            .si(si)
+            .expect("si within library")
+            .software_latency();
+        BurstSegment::software(start, u64::from(count), latency)
     }
 }
 
@@ -436,12 +573,7 @@ impl ExecutionSystem for SoftwareBackend<'_> {
         _overhead: u32,
         start: u64,
     ) -> Vec<BurstSegment> {
-        let latency = self
-            .library
-            .si(si)
-            .expect("si within library")
-            .software_latency();
-        vec![BurstSegment::software(start, u64::from(count), latency)]
+        vec![self.segment(si, count, start)]
     }
 
     fn execute_burst_into(
@@ -452,13 +584,8 @@ impl ExecutionSystem for SoftwareBackend<'_> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) {
-        let latency = self
-            .library
-            .si(si)
-            .expect("si within library")
-            .software_latency();
         out.clear();
-        out.push(BurstSegment::software(start, u64::from(count), latency));
+        out.push(self.segment(si, count, start));
     }
 
     fn execute_bursts_batched(
@@ -470,21 +597,31 @@ impl ExecutionSystem for SoftwareBackend<'_> {
         // Software latencies never change: every burst is one segment, so
         // the whole run is always consumable.
         out.clear();
-        let mut t = start;
-        for b in bursts {
-            if b.count == 0 {
-                continue;
-            }
-            let latency = self
-                .library
-                .si(b.si)
-                .expect("si within library")
-                .software_latency();
-            let per = u64::from(latency) + u64::from(b.overhead);
-            out.push(BurstSegment::software(t, u64::from(b.count), latency));
-            t += u64::from(b.count) * per;
-        }
-        bursts.len()
+        step_bursts(
+            bursts,
+            start,
+            |b, t| Some(self.segment(b.si, b.count, t)),
+            |_, seg| out.push(seg),
+        )
+        .consumed
+    }
+
+    fn execute_bursts_totals(
+        &mut self,
+        run: BurstRun<'_>,
+        start: u64,
+        _segments: &mut Vec<BurstSegment>,
+        totals: &mut dyn FnMut(SiTotals),
+    ) -> Stretch {
+        let mut fold = Fold::new(totals);
+        let stretch = step_bursts(
+            run.remaining(),
+            start,
+            |b, t| Some(self.segment(b.si, b.count, t)),
+            |b, seg| fold.add(b.si, &seg),
+        );
+        fold.finish();
+        stretch
     }
 
     fn exit_hot_spot(&mut self, _now: u64) {}
@@ -503,5 +640,31 @@ impl ExecutionSystem for SoftwareBackend<'_> {
 
     fn telemetry_active(&self) -> bool {
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fold_sums_small_sis_once_and_passes_the_rest_through() {
+        let mut seen = Vec::new();
+        let mut sink = |t: SiTotals| seen.push(t);
+        let mut fold = Fold::new(&mut sink);
+        fold.add(SiId(3), &BurstSegment::hardware(0, 5, 10, 0));
+        fold.add(SiId(40), &BurstSegment::software(50, 2, 99));
+        fold.add(SiId(3), &BurstSegment::software(250, 7, 30));
+        fold.add(SiId(1), &BurstSegment::software(500, 1, 30));
+        fold.finish();
+        let totals = |si, executions, hardware_executions| SiTotals {
+            si: SiId(si),
+            executions,
+            hardware_executions,
+        };
+        assert_eq!(
+            seen,
+            vec![totals(40, 2, 0), totals(1, 1, 0), totals(3, 12, 5)]
+        );
     }
 }

@@ -1,6 +1,6 @@
 use rispp_core::{
-    BurstSegment, DecisionExplain, FabricArbiter, PlanCacheHandle, PlanCacheStats, RecoveryStats,
-    SchedulerKind, DEFAULT_MAX_RETRIES,
+    BurstBlocks, BurstRun, BurstSegment, DecisionExplain, FabricArbiter, PlanCacheHandle,
+    PlanCacheStats, RecoveryStats, SchedulerKind, DEFAULT_MAX_RETRIES,
 };
 use rispp_fabric::{FabricJournalEntry, FaultModel, ReconfigPortConfig};
 use rispp_model::SiLibrary;
@@ -13,7 +13,7 @@ use crate::context::TraceContext;
 use crate::multi::TenancyConfig;
 use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
 use crate::stats::{RunStats, DEFAULT_BUCKET_CYCLES};
-use crate::trace::{Invocation, Trace};
+use crate::trace::Trace;
 
 /// Which execution system replays the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -478,8 +478,8 @@ fn replay(
     let mut state = ReplayState::new(system, observers);
     state.cancel = token.cloned();
     let mut now = 0u64;
-    for inv in trace.invocations() {
-        now = replay_invocation(system, inv, now, &mut state, observers);
+    for i in 0..trace.len() {
+        now = replay_invocation(system, trace, i, now, &mut state, observers);
         if state.cancelled {
             break;
         }
@@ -490,10 +490,10 @@ fn replay(
 
 /// Mutable bookkeeping of one trace replay, shared by [`simulate_with`]
 /// and the multi-tenant engine ([`crate::simulate_multi`]): counter
-/// snapshots, reusable buffers, the pre-resolved segment-observer set and
-/// the once-per-replay poll gates. One instance per (system, observer set)
-/// pair; carrying it across [`replay_invocation`] calls is what keeps the
-/// single- and multi-tenant paths the same code.
+/// snapshots, reusable buffers, the pre-resolved segment-observer set, the
+/// batch path and the once-per-replay poll gates. One instance per
+/// (system, observer set) pair; carrying it across [`replay_invocation`]
+/// calls is what keeps the single- and multi-tenant paths the same code.
 pub(crate) struct ReplayState {
     loads_seen: u64,
     recovery_seen: RecoveryStats,
@@ -508,6 +508,10 @@ pub(crate) struct ReplayState {
     // the segment dispatch runs once per batch and per fallback segment,
     // the most frequent dispatch of a replay.
     seg_observers: Vec<usize>,
+    // Batched runs go to the segment observers as per-SI totals, not as
+    // segments: every one of them accepts totals. Follows from the
+    // attached observers alone, resolved once.
+    totals: bool,
     // Poll gates, resolved once per replay: a backend that can never
     // produce recovery events (no fault model) or telemetry (capture off)
     // lets the loop skip those polls entirely — each skipped poll is
@@ -528,18 +532,20 @@ impl ReplayState {
         system: &dyn ExecutionSystem,
         observers: &[&mut (dyn SimObserver + '_)],
     ) -> Self {
+        let seg_observers: Vec<usize> = observers
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| o.wants_segments())
+            .map(|(i, _)| i)
+            .collect();
         ReplayState {
             loads_seen: 0,
             recovery_seen: RecoveryStats::default(),
             segments: Vec::new(),
             decisions: Vec::new(),
             journal: Vec::new(),
-            seg_observers: observers
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.wants_segments())
-                .map(|(i, _)| i)
-                .collect(),
+            totals: seg_observers.iter().all(|&i| observers[i].accepts_totals()),
+            seg_observers,
             recovery_active: system.recovery_active(),
             telemetry_active: system.telemetry_active(),
             cancel: None,
@@ -558,16 +564,25 @@ impl ReplayState {
     }
 }
 
-/// Replays one invocation starting at cycle `now` and returns the cycle it
-/// finished at. Exactly one loop iteration of the classic [`simulate_with`]
-/// body — the multi-tenant engine interleaves calls to this across tenants.
+/// Replays invocation `index` of `trace` starting at cycle `start` and
+/// returns the cycle it finished at. Exactly one loop iteration of the
+/// classic [`simulate_with`] body — the multi-tenant engine interleaves
+/// calls to this across tenants.
 pub(crate) fn replay_invocation(
     system: &mut dyn ExecutionSystem,
-    inv: &Invocation,
+    trace: &Trace,
+    index: usize,
     start: u64,
     state: &mut ReplayState,
     observers: &mut [&mut (dyn SimObserver + '_)],
 ) -> u64 {
+    let inv = &trace.invocations()[index];
+    // Only the totals path reads the block index, so only it builds it.
+    let blocks = if state.totals {
+        trace.block_index().invocation(index)
+    } else {
+        BurstBlocks::EMPTY
+    };
     let mut now = start;
     // Hot-spot-entry cancellation point: a job cancelled between
     // invocations stops before planning (and paying for) the next hot
@@ -623,26 +638,48 @@ pub(crate) fn replay_invocation(
         // Fast path: let the backend advance a whole run of bursts in
         // one step. Consumed bursts process no events, so the polls
         // they would have made per-burst are skipped as provable
-        // no-ops, and each non-empty one yields exactly one segment.
-        let consumed = system.execute_bursts_batched(&bursts[bi..], now, &mut state.segments);
-        if consumed > 0 {
-            let batch = &bursts[bi..bi + consumed];
-            for &i in &state.seg_observers {
-                observers[i].on_batch(batch, &state.segments);
+        // no-ops. With totals, the run comes back as per-SI counts and
+        // its end cycle; otherwise each non-empty burst yields exactly
+        // one segment.
+        if state.totals {
+            let seg_observers = &state.seg_observers;
+            let stretch = system.execute_bursts_totals(
+                BurstRun::new(bursts, bi, blocks),
+                now,
+                &mut state.segments,
+                &mut |totals| {
+                    for &i in seg_observers {
+                        observers[i].on_totals(totals);
+                    }
+                },
+            );
+            if stretch.consumed > 0 {
+                now = stretch.end.unwrap_or(now);
+                bi += stretch.consumed;
+                continue;
             }
-            // Each consumed segment's start comes from the backend, not
-            // from the previous segment, so the clock lands directly on
-            // the end of the last consumed non-empty burst.
-            if let Some(seg) = state.segments.last() {
-                let b = batch
-                    .iter()
-                    .rfind(|b| b.count != 0)
-                    .expect("a segment implies a non-empty consumed burst");
-                let per = u64::from(seg.latency) + u64::from(b.overhead);
-                now = seg.start + seg.count * per;
+        } else {
+            let consumed = system.execute_bursts_batched(&bursts[bi..], now, &mut state.segments);
+            if consumed > 0 {
+                let batch = &bursts[bi..bi + consumed];
+                for &i in &state.seg_observers {
+                    observers[i].on_batch(batch, &state.segments);
+                }
+                // Each consumed segment's start comes from the backend,
+                // not from the previous segment, so the clock lands
+                // directly on the end of the last consumed non-empty
+                // burst.
+                if let Some(seg) = state.segments.last() {
+                    let b = batch
+                        .iter()
+                        .rfind(|b| b.count != 0)
+                        .expect("a segment implies a non-empty consumed burst");
+                    let per = u64::from(seg.latency) + u64::from(b.overhead);
+                    now = seg.start + seg.count * per;
+                }
+                bi += consumed;
+                continue;
             }
-            bi += consumed;
-            continue;
         }
         // Per-burst fallback: an event falls inside (or before) this
         // burst, so the backend segments it and processes events.

@@ -284,7 +284,6 @@ fn simulate_multi_shared(
         &consumed,
     ) {
         let app = u16::try_from(i).expect("tenant index fits u16");
-        let inv = &traces[i].invocations()[next_inv[i]];
         let start = now;
         {
             let mut obs = tenant_observers(&mut stats[i], extra, i);
@@ -298,7 +297,14 @@ fn simulate_multi_shared(
                 );
             }
             let mut system = RisppBackend::new(&mut arbiter, app).with_oracle(oracle);
-            now = replay_invocation(&mut system, inv, start, &mut states[i], &mut obs);
+            now = replay_invocation(
+                &mut system,
+                &traces[i],
+                next_inv[i],
+                start,
+                &mut states[i],
+                &mut obs,
+            );
             let contested = arbiter.contested_evictions();
             if contested > contested_seen {
                 let delta = contested - contested_seen;

@@ -12,7 +12,7 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rispp_core::{BurstSegment, DecisionExplain};
+use rispp_core::{BurstSegment, DecisionExplain, SiTotals};
 use rispp_fabric::FabricJournalEntry;
 use rispp_model::SiId;
 use rispp_monitor::HotSpotId;
@@ -183,6 +183,12 @@ pub enum SimEvent {
 /// inspects segments (like [`DetectorObserver`](crate::DetectorObserver))
 /// keeps the default `on_batch`, so each segment passes through its
 /// `on_event`.
+///
+/// When every observer that [wants segments](SimObserver::wants_segments)
+/// also [accepts totals](SimObserver::accepts_totals), a batched run
+/// arrives instead as [`on_totals`](SimObserver::on_totals) calls, one
+/// per SI it executed, and no segment of it is built. Bursts stepped one
+/// by one still arrive as `SegmentExecuted` events.
 pub trait SimObserver {
     /// Handles one event.
     fn on_event(&mut self, event: &SimEvent);
@@ -234,11 +240,27 @@ pub trait SimObserver {
     fn wants_segments(&self) -> bool {
         true
     }
+
+    /// Whether this observer can take a batched run as per-SI totals
+    /// ([`on_totals`](SimObserver::on_totals)) instead of one segment per
+    /// burst. The default, `false`, says it needs every segment; the
+    /// engine then builds them for every observer.
+    fn accepts_totals(&self) -> bool {
+        false
+    }
+
+    /// Handles the executions of one SI in a batched run that the backend
+    /// consumed as totals. Called only when every segment observer
+    /// [accepts totals](SimObserver::accepts_totals); one run may report
+    /// an SI more than once, and the counts add. The default ignores it.
+    fn on_totals(&mut self, totals: SiTotals) {
+        let _ = totals;
+    }
 }
 
 /// Pairs each non-empty burst of a batch with its segment, in order (the
 /// [`SimObserver::on_batch`] contract).
-fn batch_pairs<'a>(
+pub(crate) fn batch_pairs<'a>(
     bursts: &'a [Burst],
     segments: &'a [BurstSegment],
 ) -> impl Iterator<Item = (&'a Burst, &'a BurstSegment)> {
@@ -264,6 +286,14 @@ impl<O: SimObserver + ?Sized> SimObserver for &mut O {
 
     fn wants_segments(&self) -> bool {
         (**self).wants_segments()
+    }
+
+    fn accepts_totals(&self) -> bool {
+        (**self).accepts_totals()
+    }
+
+    fn on_totals(&mut self, totals: SiTotals) {
+        (**self).on_totals(totals);
     }
 }
 
@@ -346,6 +376,18 @@ impl SimObserver for RunStats {
                 self.hardware_executions[i] += seg.count;
             }
         }
+    }
+
+    /// Totals carry no timing, so only a run without buckets and
+    /// timelines takes them.
+    fn accepts_totals(&self) -> bool {
+        !self.has_detail()
+    }
+
+    fn on_totals(&mut self, totals: SiTotals) {
+        let i = totals.si.index();
+        self.si_executions[i] += totals.executions;
+        self.hardware_executions[i] += totals.hardware_executions;
     }
 }
 

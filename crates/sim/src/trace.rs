@@ -1,18 +1,10 @@
+use std::fmt;
+use std::sync::OnceLock;
+
+pub use rispp_core::Burst;
+use rispp_core::BurstIndex;
 use rispp_model::SiId;
 use rispp_monitor::HotSpotId;
-
-/// A run of back-to-back executions of one SI, each followed by `overhead`
-/// cycles of base-processor work (loop control, address generation, memory
-/// traffic outside the SI itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Burst {
-    /// The Special Instruction executed.
-    pub si: SiId,
-    /// Number of executions.
-    pub count: u32,
-    /// Base-processor cycles between consecutive executions.
-    pub overhead: u32,
-}
 
 /// One execution of a hot spot: prologue cycles of plain base-processor
 /// code, then the SI bursts in program order.
@@ -50,16 +42,41 @@ impl Invocation {
 
 /// A workload trace: the hot-spot invocations of an application run, e.g.
 /// the ME → EE → LF migration of the H.264 encoder, repeated per frame.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Equality and `Debug` look at the invocations only; the block index is
+/// derived from them.
+#[derive(Clone, Default)]
 pub struct Trace {
     invocations: Vec<Invocation>,
+    /// Block index of the invocations' bursts, built on first use and
+    /// shared by every replay of this trace.
+    blocks: OnceLock<BurstIndex>,
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.invocations == other.invocations
+    }
+}
+
+impl Eq for Trace {}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("invocations", &self.invocations)
+            .finish()
+    }
 }
 
 impl Trace {
     /// Creates a trace from explicit invocations.
     #[must_use]
     pub fn from_invocations(invocations: Vec<Invocation>) -> Self {
-        Trace { invocations }
+        Trace {
+            invocations,
+            blocks: OnceLock::new(),
+        }
     }
 
     /// The hot-spot invocations in execution order.
@@ -80,9 +97,20 @@ impl Trace {
         self.invocations.is_empty()
     }
 
-    /// Appends an invocation.
+    /// Appends an invocation (and drops the block index, which is rebuilt
+    /// on next use).
     pub fn push(&mut self, invocation: Invocation) {
+        self.blocks.take();
         self.invocations.push(invocation);
+    }
+
+    /// The [`BurstIndex`] of the invocations' bursts. Built on the first
+    /// call and kept with the trace, so every job and request that replays
+    /// this trace shares one build.
+    pub(crate) fn block_index(&self) -> &BurstIndex {
+        self.blocks.get_or_init(|| {
+            BurstIndex::new(self.invocations.iter().map(|inv| inv.bursts.as_slice()))
+        })
     }
 
     /// Total SI executions across the whole trace.
@@ -94,31 +122,24 @@ impl Trace {
     /// Keeps only the first `n` invocations (for truncated experiments).
     #[must_use]
     pub fn truncated(&self, n: usize) -> Trace {
-        Trace {
-            invocations: self.invocations.iter().take(n).cloned().collect(),
-        }
+        self.invocations.iter().take(n).cloned().collect()
     }
 
     /// Keeps only invocations of the given hot spot (e.g. Figure 2 studies
     /// the ME hot spot in isolation).
     #[must_use]
     pub fn filtered(&self, hot_spot: HotSpotId) -> Trace {
-        Trace {
-            invocations: self
-                .invocations
-                .iter()
-                .filter(|inv| inv.hot_spot == hot_spot)
-                .cloned()
-                .collect(),
-        }
+        self.invocations
+            .iter()
+            .filter(|inv| inv.hot_spot == hot_spot)
+            .cloned()
+            .collect()
     }
 }
 
 impl FromIterator<Invocation> for Trace {
     fn from_iter<I: IntoIterator<Item = Invocation>>(iter: I) -> Self {
-        Trace {
-            invocations: iter.into_iter().collect(),
-        }
+        Trace::from_invocations(iter.into_iter().collect())
     }
 }
 
@@ -182,6 +203,26 @@ mod tests {
         assert_eq!(t.filtered(HotSpotId(9)).len(), 0);
         assert!(!t.is_empty());
         assert!(Trace::default().is_empty());
+    }
+
+    #[test]
+    fn the_block_index_follows_the_invocations() {
+        let mut t = sample();
+        let before = t.clone();
+        assert!(t.block_index().invocation(2).is_empty());
+        let long = Invocation {
+            bursts: vec![t.invocations()[0].bursts[0]; 40],
+            ..t.invocations()[0].clone()
+        };
+        t.push(long);
+        assert_eq!(
+            t.block_index().invocation(2).len(),
+            1,
+            "push drops the stale index"
+        );
+        assert_ne!(t, before);
+        assert_eq!(before, sample(), "equality ignores a built index");
+        assert_eq!(format!("{before:?}"), format!("{:?}", sample()));
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! `RunStats` (including detailed buckets and latency timelines) and the
 //! same typed event stream as the per-burst fallback, for every built-in
 //! backend and scheduler, on fault-free and fault-injected runs, with
-//! telemetry capture on and off.
+//! telemetry capture on and off. Without detail no attached observer
+//! reads segments, so the engine takes the totals path
+//! (`execute_bursts_totals`, whole index blocks at a time): it must give
+//! the same `RunStats` and the same coarse event stream, whether the
+//! backend overrides it or keeps the trait's default fold.
 
 use std::borrow::Cow;
 
@@ -12,18 +16,20 @@ use rispp_core::{BurstSegment, SchedulerKind};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
-    simulate_with, Burst, ExecutionSystem, FaultConfig, Invocation, RunStats, SimConfig,
+    simulate_with, Burst, ExecutionSystem, FaultConfig, Invocation, RunStats, SimConfig, SimEvent,
     SimObserver, SystemKind, Trace, TraceLogObserver,
 };
 
-/// Forces the per-burst path: keeps the trait's **default**
-/// `execute_bursts_batched` (which consumes nothing) while delegating
-/// every other method — including the poll gates — to the wrapped
-/// backend, so the only difference between the two runs under test is
-/// whether the engine takes the batched fast path.
-struct UnbatchedShim<'a>(Box<dyn ExecutionSystem + 'a>);
+/// Delegates every method — including the poll gates — to the wrapped
+/// backend, except that it keeps the trait's **default**
+/// `execute_bursts_totals` (which folds the batched segments) and, unless
+/// `BATCHED`, consumes nothing in `execute_bursts_batched`, as the
+/// trait's default does. `Shim::<false>` thus forces the per-burst path:
+/// the only difference between a run through it and one on the bare
+/// backend is whether the engine takes the batched fast path.
+struct Shim<'a, const BATCHED: bool>(Box<dyn ExecutionSystem + 'a>);
 
-impl ExecutionSystem for UnbatchedShim<'_> {
+impl<const BATCHED: bool> ExecutionSystem for Shim<'_, BATCHED> {
     fn label(&self) -> Cow<'static, str> {
         self.0.label()
     }
@@ -51,6 +57,19 @@ impl ExecutionSystem for UnbatchedShim<'_> {
         out: &mut Vec<BurstSegment>,
     ) {
         self.0.execute_burst_into(si, count, overhead, start, out);
+    }
+
+    fn execute_bursts_batched(
+        &mut self,
+        bursts: &[Burst],
+        start: u64,
+        out: &mut Vec<BurstSegment>,
+    ) -> usize {
+        if BATCHED {
+            self.0.execute_bursts_batched(bursts, start, out)
+        } else {
+            0
+        }
     }
 
     fn exit_hot_spot(&mut self, now: u64) {
@@ -173,11 +192,91 @@ fn run(
         let mut obs: [&mut dyn SimObserver; 2] = [&mut stats, &mut log];
         simulate_with(system.as_mut(), t, &mut obs);
     } else {
-        let mut system = UnbatchedShim(config.build_system(lib));
+        let mut system = Shim::<false>(config.build_system(lib));
         let mut obs: [&mut dyn SimObserver; 2] = [&mut stats, &mut log];
         simulate_with(&mut system, t, &mut obs);
     }
     (stats, log)
+}
+
+/// Invocations long enough for the block index: `counts` laid out over
+/// the three SIs in turn (a count below 30 becomes an empty burst), with
+/// overheads 0, 5, 10 and 15 in turn.
+fn long_trace(frames: usize, counts: &[u32]) -> Trace {
+    let bursts: Vec<Burst> = counts
+        .iter()
+        .enumerate()
+        .map(|(k, &count)| Burst {
+            si: SiId((k % 3) as u16),
+            count: if count < 30 { 0 } else { count },
+            overhead: (k % 4) as u32 * 5,
+        })
+        .collect();
+    (0..frames)
+        .map(|f| Invocation {
+            hot_spot: HotSpotId((f % 2) as u16),
+            prologue_cycles: 500,
+            hints: (0..3)
+                .map(|si| {
+                    let executed = bursts.iter().filter(|b| b.si == SiId(si));
+                    (SiId(si), executed.map(|b| u64::from(b.count)).sum())
+                })
+                .collect(),
+            bursts: bursts.clone(),
+        })
+        .collect()
+}
+
+/// Records the coarse events only: it reads no segments, so beside a
+/// detail-off `RunStats` it keeps the engine on the totals path.
+struct CoarseLog(TraceLogObserver);
+
+impl SimObserver for CoarseLog {
+    fn on_event(&mut self, event: &SimEvent) {
+        self.0.on_event(event);
+    }
+
+    fn wants_segments(&self) -> bool {
+        false
+    }
+}
+
+/// Replays `t` on `system` without detail and returns the statistics plus
+/// the coarse event log.
+fn run_totals(
+    lib: &SiLibrary,
+    t: &Trace,
+    config: &SimConfig,
+    system: &mut dyn ExecutionSystem,
+) -> (RunStats, TraceLogObserver) {
+    assert!(!config.detail, "detail reads segments");
+    let mut stats = RunStats::new("run", lib.len(), config.bucket_cycles, false);
+    let mut log = CoarseLog(TraceLogObserver::new());
+    let mut obs: [&mut dyn SimObserver; 2] = [&mut stats, &mut log];
+    simulate_with(system, t, &mut obs);
+    (stats, log.0)
+}
+
+/// The totals path — the backend's own `execute_bursts_totals` and the
+/// trait's default fold over its batched segments — against per-burst
+/// replay: the same `RunStats` and the same coarse event stream.
+fn check_totals(lib: &SiLibrary, t: &Trace, config: &SimConfig) {
+    let label = config.system.label();
+    let (stats_u, log_u) = run_totals(lib, t, config, &mut Shim::<false>(config.build_system(lib)));
+    let (stats_b, log_b) = run_totals(lib, t, config, config.build_system(lib).as_mut());
+    let (stats_f, log_f) = run_totals(lib, t, config, &mut Shim::<true>(config.build_system(lib)));
+    assert_eq!(stats_b, stats_u, "{label}: RunStats diverged");
+    assert_eq!(
+        log_b.events(),
+        log_u.events(),
+        "{label}: coarse events diverged"
+    );
+    assert_eq!(stats_f, stats_u, "{label}: default fold diverged");
+    assert_eq!(
+        log_f.events(),
+        log_u.events(),
+        "{label}: default fold events diverged"
+    );
 }
 
 fn all_systems() -> Vec<SystemKind> {
@@ -245,6 +344,46 @@ proptest! {
             let (stats_u, log_u) = run(&lib, &t, &config, false);
             prop_assert_eq!(&stats_b, &stats_u, "{}: RunStats diverged", kind);
             prop_assert_eq!(log_b.events(), log_u.events(), "{}: event streams diverged", kind);
+        }
+    }
+
+    /// Detail off, fault-free: the totals path ≡ per-burst for every
+    /// built-in system, on short invocations and on ones spanning several
+    /// index blocks.
+    #[test]
+    fn totals_replay_is_bit_identical_fault_free(
+        frames in 1usize..4,
+        counts in prop::collection::vec(0u32..400, 1..140),
+        c0 in 1u32..400,
+    ) {
+        let lib = library();
+        for t in [trace(frames, [c0, 120, 3]), long_trace(frames, &counts)] {
+            for kind in all_systems() {
+                let mut config = SimConfig::rispp(4, SchedulerKind::ALL[0]);
+                config.system = kind;
+                check_totals(&lib, &t, &config);
+            }
+        }
+    }
+
+    /// Detail off, fault-injected (the baselines ignore the fault model)
+    /// and telemetry-capturing: the totals path defers to the fallback at
+    /// every fabric event exactly as the segment path does.
+    #[test]
+    fn totals_replay_is_bit_identical_under_faults(
+        seed in 0u64..u64::MAX,
+        rate_ppm in 0u32..300_000,
+        frames in 1usize..4,
+        counts in prop::collection::vec(0u32..400, 1..140),
+    ) {
+        let lib = library();
+        for kind in all_systems() {
+            let mut config = SimConfig::rispp(4, SchedulerKind::ALL[0])
+                .with_fault(FaultConfig { rate_ppm, seed, max_retries: 2 })
+                .with_explain(true)
+                .with_journal(true);
+            config.system = kind;
+            check_totals(&lib, &long_trace(frames, &counts), &config);
         }
     }
 }

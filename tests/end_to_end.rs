@@ -5,9 +5,9 @@
 use rispp::core::SchedulerKind;
 use rispp::h264::{h264_si_library, EncoderConfig, EncoderWorkload, HotSpot, SiKind};
 use rispp::sim::{
-    simulate, simulate_multi, simulate_observed_planned, FlightRecorder, MetricsObserver,
-    PerfettoTraceObserver, SimConfig, TenancyConfig, TenantArbitration, TenantPolicy, Trace,
-    TraceContext,
+    simulate, simulate_multi, simulate_observed, simulate_observed_planned, FlightRecorder,
+    MetricsObserver, PerfettoTraceObserver, SimConfig, SimEvent, SimObserver, SystemKind,
+    TenancyConfig, TenantArbitration, TenantPolicy, Trace, TraceContext,
 };
 
 fn small_workload() -> EncoderWorkload {
@@ -564,6 +564,53 @@ fn library_is_the_paper_inventory() {
     assert_eq!(satd.molecule_count(), 20);
     assert_eq!(satd.atom_type_count(), 4);
     assert_eq!(library.universe().average_bitstream_bytes(), 60_488);
+}
+
+#[test]
+fn totals_replay_equals_segment_replay() {
+    // `simulate` attaches only a detail-off RunStats, which accepts per-SI
+    // totals, so the engine replays event-free stretches as totals, whole
+    // index blocks at a time. One more observer that reads segments puts
+    // the same run on the segment path; both must agree for every system.
+    struct ReadsSegments;
+    impl SimObserver for ReadsSegments {
+        fn on_event(&mut self, _event: &SimEvent) {}
+    }
+    let library = h264_si_library();
+    let workload = small_workload();
+    let trace = workload.trace();
+    let mut systems: Vec<SystemKind> = SchedulerKind::ALL
+        .into_iter()
+        .map(SystemKind::Rispp)
+        .collect();
+    systems.extend([
+        SystemKind::Molen,
+        SystemKind::OneChip,
+        SystemKind::SoftwareOnly,
+    ]);
+    for system in systems {
+        let config = SimConfig {
+            system,
+            ..SimConfig::rispp(10, SchedulerKind::Hef)
+        };
+        let totals = simulate(&library, trace, &config);
+        let segments = simulate_observed(&library, trace, &config, &mut [&mut ReadsSegments]);
+        assert_eq!(totals, segments, "{}", system.label());
+    }
+
+    // The block index is built on first replay and dropped by `push`: a
+    // trace replayed, extended and replayed again equals a fresh trace of
+    // the same invocations.
+    let invocations = trace.invocations();
+    let (last, first) = invocations.split_last().expect("six frames");
+    let config = SimConfig::rispp(10, SchedulerKind::Hef);
+    let mut grown = Trace::from_invocations(first.to_vec());
+    let shorter = simulate(&library, &grown, &config);
+    grown.push(last.clone());
+    let fresh = Trace::from_invocations(invocations.to_vec());
+    let replayed = simulate(&library, &grown, &config);
+    assert!(replayed.total_cycles > shorter.total_cycles);
+    assert_eq!(replayed, simulate(&library, &fresh, &config));
 }
 
 #[test]
