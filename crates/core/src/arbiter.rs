@@ -25,10 +25,10 @@
 use std::sync::Arc;
 
 use rispp_fabric::{Fabric, FabricConfig, FabricEvent, FaultModel};
-use rispp_model::{Molecule, SiId, SiLibrary};
+use rispp_model::{Molecule, SiDefinition, SiId, SiLibrary};
 use rispp_monitor::{ExecutionMonitor, ForecastPolicy, HotSpotId};
 
-use crate::burst::{Burst, BurstBlocks, BurstRun, SiTotals, Stretch, BLOCK_BURSTS};
+use crate::burst::{Burst, BurstBlocks, BurstRun, SiRate, SiTotals, Stretch, StretchWalker};
 use crate::context::UpgradeBuffers;
 use crate::explain::{DecisionExplain, ScheduleExplain, SelectionExplain};
 use crate::plan_cache::{
@@ -55,6 +55,39 @@ impl Default for BestVariantCache {
             generation: u64::MAX,
             best: None,
         }
+    }
+}
+
+impl BestVariantCache {
+    /// The fastest variant of `def` available on `fabric` as `(variant
+    /// index, latency)`, looked up again only when the fabric's generation
+    /// moved.
+    fn get(&mut self, fabric: &Fabric, def: &SiDefinition) -> Option<(usize, u32)> {
+        if self.generation != fabric.generation() {
+            self.best = def
+                .fastest_available_index(fabric.available())
+                .map(|idx| (idx, def.variants()[idx].latency));
+            self.generation = fabric.generation();
+        }
+        self.best
+    }
+}
+
+/// How `si` runs until `fabric` changes: on its fastest available
+/// Molecule (memoised in `caches`, one per SI), or trapping to software
+/// when none is faster.
+fn rate(fabric: &Fabric, library: &SiLibrary, caches: &mut [BestVariantCache], si: SiId) -> SiRate {
+    let def = library.si(si).expect("si within library");
+    let software = def.software_latency();
+    match caches[si.index()].get(fabric, def) {
+        Some((idx, latency)) if latency < software => SiRate {
+            latency,
+            variant: Some(idx),
+        },
+        _ => SiRate {
+            latency: software,
+            variant: None,
+        },
     }
 }
 
@@ -93,66 +126,23 @@ struct SharedScratch {
     /// Canonical plan-key words of the current lookup (reused so a
     /// steady-state cache hit allocates nothing).
     key_buf: Vec<u64>,
-    /// Per-SI, per-variant [`Molecule::nonzero_mask`] of the variant's
-    /// atoms (burst LRU marking from one precomputed word). Derived from
-    /// the shared library, hence identical for every context. Empty when
-    /// the universe is wider than 64 types.
-    used_masks: Vec<Vec<u64>>,
-    /// Per-SI resolution memo of one batched burst call (reused across
-    /// calls so the steady state allocates nothing) — see
+    /// The stretch walk of the batched burst calls — see
     /// [`FabricArbiter::execute_bursts_batched`].
-    batch_memo: Vec<BatchMemo>,
-    /// Deferred LRU marks `(stamp, atom mask)` of one batched call, at
+    walker: StretchWalker,
+    /// Deferred LRU marks `(stamp, SI, variant)` of one batched call, at
     /// most one per SI, flushed oldest-first.
-    marks: Vec<(u64, u64)>,
+    marks: Vec<(u64, SiId, usize)>,
     /// Event window reused by [`FabricArbiter::sync_fabric`], so the
     /// event-processing hot path allocates nothing.
     event_buf: Vec<FabricEvent>,
 }
 
-/// One SI's resolved execution state inside a single batched burst call.
-/// Valid for the whole call because a batch processes no fabric events,
-/// so the fabric generation — and with it the best available variant —
-/// cannot change between its bursts.
-#[derive(Debug, Clone, Copy, Default)]
-struct BatchMemo {
-    /// Whether this SI has been resolved in the current call.
-    resolved: bool,
-    /// Effective per-execution latency (hardware or software).
-    latency: u32,
-    /// Hardware variant index, `None` when trapping to software.
-    variant: Option<usize>,
-    /// Precomputed nonzero mask of the variant's atoms, when available.
-    mask: Option<u64>,
-    /// Executions accumulated for the monitor, flushed once per call.
-    executed: u64,
-    /// Where this SI's last burst in the call started — its deferred LRU
-    /// stamp (later bursts overwrite earlier ones, as the per-burst
-    /// marking sequence would).
-    last_use: LastUse,
-}
-
-/// Where an SI's last burst of a batched call sits.
-#[derive(Debug, Clone, Copy, Default)]
-enum LastUse {
-    /// No burst of the SI ran on hardware in this call.
-    #[default]
-    None,
-    /// A burst stepped one by one, started at this cycle.
-    At(u64),
-    /// Somewhere in the skipped block whose first burst is `first` and
-    /// which started at cycle `start`; one scan of that block at the end
-    /// of the call recovers the burst's start.
-    InBlock { first: usize, start: u64 },
-}
-
-/// Where the stretch walker reports what it consumed.
+/// Where a batched call reports what it consumed.
 enum StretchOut<'s> {
-    /// One unsplit segment per non-empty burst; no block is skipped.
+    /// One unsplit segment per non-empty burst.
     Segments(&'s mut Vec<BurstSegment>),
-    /// Per-SI totals once the stretch ends; whole blocks of the index are
-    /// consumed where they fit.
-    Totals(BurstBlocks<'s>, &'s mut dyn FnMut(SiTotals)),
+    /// Per-SI totals once the stretch ends.
+    Totals(&'s mut dyn FnMut(SiTotals)),
 }
 
 /// The RISPP Run-Time Manager (paper Section 3.1) as an arbiter over the
@@ -651,23 +641,14 @@ impl<'a> FabricArbiter<'a> {
     ///
     /// Panics if `si` is outside the library.
     pub fn best_available_variant(&mut self, app: u16, si: SiId) -> Option<(usize, u32)> {
-        let fabric = &self.fabric;
-        let generation = fabric.generation();
-        let lib = self.library;
-        let cache = &mut self.contexts[usize::from(app)].best_cache[si.index()];
-        if cache.generation != generation {
-            let def = lib.si(si).expect("si within library");
-            let available = fabric.available();
-            cache.best = def
-                .variants()
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.is_available(available))
-                .min_by_key(|(_, v)| v.latency)
-                .map(|(idx, v)| (idx, v.latency));
-            cache.generation = generation;
-        }
-        cache.best
+        let def = self.library.si(si).expect("si within library");
+        self.contexts[usize::from(app)].best_cache[si.index()].get(&self.fabric, def)
+    }
+
+    /// How `si` runs for `app` until the fabric changes (see [`rate`]).
+    fn rate(&mut self, app: u16, si: SiId) -> SiRate {
+        let caches = &mut self.contexts[usize::from(app)].best_cache;
+        rate(&self.fabric, self.library, caches, si)
     }
 
     /// Executes one SI of application `app` at cycle `now`: forwards it to
@@ -681,20 +662,13 @@ impl<'a> FabricArbiter<'a> {
     /// Panics if `si` is outside the library.
     pub fn execute_si(&mut self, app: u16, si: SiId, now: u64) -> SiExecution {
         self.sync_fabric(now);
-        let lib = self.library;
-        let def = lib.si(si).expect("si within library");
-        let execution = match self.best_available_variant(app, si) {
-            Some((idx, latency)) if latency < def.software_latency() => {
-                self.fabric.mark_used(&def.variants()[idx].atoms, now);
-                SiExecution {
-                    latency,
-                    variant_index: Some(idx),
-                }
-            }
-            _ => SiExecution {
-                latency: def.software_latency(),
-                variant_index: None,
-            },
+        let SiRate { latency, variant } = self.rate(app, si);
+        if let Some(idx) = variant {
+            mark_variant(&mut self.fabric, self.library, si, idx, now);
+        }
+        let execution = SiExecution {
+            latency,
+            variant_index: variant,
         };
         let ctx = &mut self.contexts[usize::from(app)];
         if let Some(hs) = ctx.current_hot_spot {
@@ -729,8 +703,6 @@ impl<'a> FabricArbiter<'a> {
         segments: &mut Vec<BurstSegment>,
     ) {
         segments.clear();
-        let lib = self.library;
-        let def = lib.si(si).expect("si within library");
         let mut t = start;
         let mut remaining = u64::from(count);
         while remaining > 0 {
@@ -747,20 +719,12 @@ impl<'a> FabricArbiter<'a> {
                     other
                 }
             };
-            let (latency, variant_index) = match self.best_available_variant(app, si) {
-                Some((idx, latency)) if latency < def.software_latency() => (latency, Some(idx)),
-                _ => (def.software_latency(), None),
-            };
+            let SiRate {
+                latency,
+                variant: variant_index,
+            } = self.rate(app, si);
             if let Some(idx) = variant_index {
-                match self
-                    .scratch
-                    .used_masks
-                    .get(si.index())
-                    .and_then(|m| m.get(idx))
-                {
-                    Some(&mask) => self.fabric.mark_used_types(mask, t),
-                    None => self.fabric.mark_used(&def.variants()[idx].atoms, t),
-                }
+                mark_variant(&mut self.fabric, self.library, si, idx, t);
             }
             let per = u64::from(latency) + u64::from(overhead);
             let n = match next_event {
@@ -816,7 +780,9 @@ impl<'a> FabricArbiter<'a> {
         start: u64,
         segments: &mut Vec<BurstSegment>,
     ) -> usize {
-        self.walk_stretch(app, bursts, 0, start, StretchOut::Segments(segments))
+        segments.clear();
+        let run = BurstRun::new(bursts, 0, BurstBlocks::EMPTY);
+        self.walk_stretch(app, run, start, StretchOut::Segments(segments))
             .consumed
     }
 
@@ -828,11 +794,10 @@ impl<'a> FabricArbiter<'a> {
     /// cycle the last consumed non-empty burst ends at.
     ///
     /// Where the run reaches a block of its [`BurstBlocks`] index, the
-    /// whole block is consumed from the index's sums when its last
-    /// execution starts before the next fabric event: the last starts of
-    /// successive non-empty bursts never decrease, so that one test covers
-    /// every burst of the block. A partial block, and the block holding
-    /// the event, go through the per-burst body.
+    /// [`StretchWalker`] consumes the whole block from the index's sums
+    /// when its last execution starts before the next fabric event. A
+    /// partial block, and the block holding the event, go through the
+    /// per-burst body.
     ///
     /// # Panics
     ///
@@ -844,227 +809,70 @@ impl<'a> FabricArbiter<'a> {
         start: u64,
         totals: &mut dyn FnMut(SiTotals),
     ) -> Stretch {
-        self.walk_stretch(
-            app,
-            run.bursts,
-            run.from,
-            start,
-            StretchOut::Totals(run.blocks, totals),
-        )
+        self.walk_stretch(app, run, start, StretchOut::Totals(totals))
     }
 
-    /// The one stretch walker behind both batched entry points: consumes
-    /// `bursts[from..]` from cycle `start` up to the first burst that
-    /// would run into the next fabric event. Segment mode is the same
-    /// walk with block skipping off.
+    /// Both batched entry points: walks `run` from cycle `start` up to the
+    /// next fabric event, then applies what the walk consumed. A batch
+    /// processes no fabric events, so the fabric generation, and with it
+    /// each SI's best available variant, is constant across the walk.
+    /// Monitor counts fold into one record per SI (its counters are
+    /// add-accumulate, so the folded recording is state-identical to the
+    /// per-burst sequence), and the clock lands once on the start of the
+    /// last consumed non-empty burst, the cycle the per-burst path leaves
+    /// it on.
     fn walk_stretch(
         &mut self,
         app: u16,
-        bursts: &[Burst],
-        from: usize,
+        run: BurstRun<'_>,
         start: u64,
         mut out: StretchOut<'_>,
     ) -> Stretch {
-        if let StretchOut::Segments(segments) = &mut out {
-            segments.clear();
-        }
-        let horizon = match self.fabric.next_event_at() {
-            Some(event) if event <= start => return Stretch::default(),
-            other => other,
+        let (fabric, lib) = (&self.fabric, self.library);
+        let caches = &mut self.contexts[usize::from(app)].best_cache;
+        let resolve = |si| rate(fabric, lib, caches, si);
+        let horizon = fabric.next_event_at();
+        let walker = &mut self.scratch.walker;
+        let stretch = match &mut out {
+            StretchOut::Segments(segments) => {
+                walker.walk(run, start, horizon, resolve, |segment| {
+                    segments.push(segment)
+                })
+            }
+            StretchOut::Totals(_) => walker.walk(run, start, horizon, resolve, |_| {}),
         };
-        let lib = self.library;
-        // A batch processes no fabric events, so the fabric generation is
-        // constant across the loop: each distinct SI resolves its variant
-        // once into the memo, monitor counts fold into one flush per SI
-        // (its counters are add-accumulate, so the folded recording is
-        // state-identical to the per-burst sequence), and the clock lands
-        // once on the start of the last consumed non-empty burst — the
-        // exact cycle the per-burst path leaves it on.
-        let mut memo = std::mem::take(&mut self.scratch.batch_memo);
-        memo.clear();
-        memo.resize(lib.len(), BatchMemo::default());
-        // A skipped block marks through the deferred atom masks only.
-        let blocks = match &out {
-            StretchOut::Totals(blocks, _) if !self.scratch.used_masks.is_empty() => Some(*blocks),
-            _ => None,
-        };
-        let mut t = start;
-        let mut i = from;
-        let mut last_started = None;
-        while i < bursts.len() {
-            if let Some(block) = blocks
-                .filter(|_| i.is_multiple_of(BLOCK_BURSTS))
-                .and_then(|b| b.block(i / BLOCK_BURSTS))
-            {
-                // The block's cycles: Σ latency × executions per SI plus
-                // its Σ count × overhead, in u128 so no sum can wrap.
-                let mut cycles = u128::from(block.overhead);
-                for (&si, &n) in block.sis.iter().zip(block.counts) {
-                    if n > 0 {
-                        let latency = self.resolve(app, &mut memo, si);
-                        cycles += u128::from(latency) * u128::from(n);
-                    }
-                }
-                let last = bursts[i + block.last];
-                let per = u64::from(memo[last.si.index()].latency) + u64::from(last.overhead);
-                // Its final execution starts `per` before its end; the
-                // block fits iff that start precedes the horizon, exactly
-                // the per-burst test applied to its last non-empty burst.
-                let end = u64::try_from(u128::from(t) + cycles)
-                    .ok()
-                    .filter(|&end| horizon.is_none_or(|event| event > end - per));
-                if let Some(end) = end {
-                    for (&si, &n) in block.sis.iter().zip(block.counts) {
-                        if n > 0 {
-                            let m = &mut memo[si.index()];
-                            m.executed += u64::from(n);
-                            if m.variant.is_some() {
-                                m.last_use = LastUse::InBlock { first: i, start: t };
-                            }
-                        }
-                    }
-                    last_started = Some(end - u64::from(last.count) * per);
-                    t = end;
-                    i += BLOCK_BURSTS;
-                    continue;
-                }
-            }
-            let Burst {
-                si,
-                count,
-                overhead,
-            } = bursts[i];
-            if count == 0 {
-                i += 1;
-                continue;
-            }
-            let per = u64::from(self.resolve(app, &mut memo, si)) + u64::from(overhead);
-            // Unsplit iff the whole burst fits strictly before the horizon
-            // — `div_ceil(event − t, per) ≥ count` exactly as in
-            // `execute_burst_into`, restated multiplicatively (in u128, so
-            // extreme `count × per` products cannot wrap) to keep the
-            // 64-bit division off the per-burst path.
-            if let Some(event) = horizon {
-                if event <= t || u128::from(event - t) <= (u128::from(count) - 1) * u128::from(per)
-                {
-                    break;
-                }
-            }
-            let m = &mut memo[si.index()];
-            match (m.variant, m.mask) {
-                // LRU marking is deferred: only the *last* use of each
-                // type inside the batch survives (assignments of a
-                // monotone clock), so `last_use` per SI plus an ordered
-                // flush below lands every `type_used` stamp on exactly
-                // the cycle the per-burst sequence would leave.
-                (Some(_), Some(_)) => m.last_use = LastUse::At(t),
-                (Some(idx), None) => {
-                    let def = lib.si(si).expect("si within library");
-                    self.fabric.mark_used(&def.variants()[idx].atoms, t);
-                }
-                (None, _) => {}
-            }
-            if let StretchOut::Segments(segments) = &mut out {
-                segments.push(match m.variant {
-                    Some(v) => BurstSegment::hardware(t, u64::from(count), m.latency, v),
-                    None => BurstSegment::software(t, u64::from(count), m.latency),
-                });
-            }
-            m.executed += u64::from(count);
-            last_started = Some(t);
-            t += u64::from(count) * per;
-            i += 1;
-        }
-        // Flush deferred LRU marks oldest-first: a later (larger) stamp
-        // must win on types shared between SIs, exactly as the per-burst
-        // assignment order would have it.
+        // LRU marking is deferred: only the last use of each type inside
+        // the batch survives (assignments of a monotone clock), so one
+        // stamp per hardware SI, at the start of its last burst, flushed
+        // oldest-first (a later stamp must win on types shared between
+        // SIs), lands every stamp on the cycle the per-burst sequence
+        // would leave.
         let marks = &mut self.scratch.marks;
         marks.clear();
-        // Burst start cycles of the last skipped block scanned: a block
-        // that holds the last burst of several SIs is scanned once.
-        let mut scanned: Option<(usize, [u64; BLOCK_BURSTS])> = None;
-        for (si, m) in memo.iter().enumerate() {
-            let Some(mask) = m.mask else { continue };
-            let at = match m.last_use {
-                LastUse::None => continue,
-                LastUse::At(at) => at,
-                LastUse::InBlock { first, start } => {
-                    let block = &bursts[first..first + BLOCK_BURSTS];
-                    let starts = match scanned {
-                        Some((f, starts)) if f == first => starts,
-                        _ => {
-                            let starts = burst_starts(&memo, block, start);
-                            scanned = Some((first, starts));
-                            starts
-                        }
-                    };
-                    let last = block
-                        .iter()
-                        .rposition(|b| b.count > 0 && b.si.index() == si)
-                        .expect("the SI ran in its block");
-                    starts[last]
-                }
+        for si in (0u16..).map(SiId).take(lib.len()) {
+            let Some(variant) = walker.ran(si).and_then(|rate| rate.variant) else {
+                continue;
             };
-            marks.push((at, mask));
+            let (at, _) = walker.last_burst(run, si).expect("the SI ran");
+            marks.push((at, si, variant));
         }
-        marks.sort_unstable_by_key(|&(at, _)| at);
-        for &(at, mask) in marks.iter() {
-            self.fabric.mark_used_types(mask, at);
+        marks.sort_unstable_by_key(|&(at, _, _)| at);
+        for &(at, si, variant) in marks.iter() {
+            mark_variant(&mut self.fabric, lib, si, variant, at);
         }
-        if let Some(at) = last_started {
+        if let Some(at) = walker.last_start() {
             self.fabric.advance_clock(at);
         }
         let ctx = &mut self.contexts[usize::from(app)];
-        for (i, m) in memo.iter().enumerate() {
-            if m.executed == 0 {
-                continue;
-            }
-            let si = SiId(u16::try_from(i).expect("library index fits u16"));
+        walker.report(|ran| {
             if let Some(hs) = ctx.current_hot_spot {
-                ctx.monitor.record_executions(hs, si, m.executed);
+                ctx.monitor.record_executions(hs, ran.si, ran.executions);
             }
-            if let StretchOut::Totals(_, totals) = &mut out {
-                totals(SiTotals {
-                    si,
-                    executions: m.executed,
-                    hardware_executions: if m.variant.is_some() { m.executed } else { 0 },
-                });
+            if let StretchOut::Totals(totals) = &mut out {
+                totals(ran);
             }
-        }
-        self.scratch.batch_memo = memo;
-        Stretch {
-            consumed: i - from,
-            end: last_started.map(|_| t),
-        }
-    }
-
-    /// Resolves `si`'s latency, variant and atom mask into `memo` on its
-    /// first use in a batched call, and returns its latency.
-    fn resolve(&mut self, app: u16, memo: &mut [BatchMemo], si: SiId) -> u32 {
-        let mi = si.index();
-        if !memo[mi].resolved {
-            let def = self.library.si(si).expect("si within library");
-            let (latency, variant) = match self.best_available_variant(app, si) {
-                Some((idx, latency)) if latency < def.software_latency() => (latency, Some(idx)),
-                _ => (def.software_latency(), None),
-            };
-            let mask = variant.and_then(|idx| {
-                self.scratch
-                    .used_masks
-                    .get(mi)
-                    .and_then(|m| m.get(idx))
-                    .copied()
-            });
-            memo[mi] = BatchMemo {
-                resolved: true,
-                latency,
-                variant,
-                mask,
-                executed: 0,
-                last_use: LastUse::None,
-            };
-        }
-        memo[mi].latency
+        });
+        stretch
     }
 
     /// Leaves application `app`'s current hot spot, folding measured
@@ -1180,20 +988,14 @@ fn app_tag(app: usize) -> u16 {
     u16::try_from(app).expect("application index fits u16")
 }
 
-/// The start cycle of every burst of `block`, a skipped block that
-/// started at cycle `start` (the SI of each of its non-empty bursts is
-/// resolved in `memo`).
-fn burst_starts(memo: &[BatchMemo], block: &[Burst], start: u64) -> [u64; BLOCK_BURSTS] {
-    let mut starts = [0; BLOCK_BURSTS];
-    let mut t = start;
-    for (slot, b) in starts.iter_mut().zip(block) {
-        *slot = t;
-        if b.count > 0 {
-            t += u64::from(b.count)
-                * (u64::from(memo[b.si.index()].latency) + u64::from(b.overhead));
-        }
+/// Marks the atom types of variant `variant` of `si` as used at `at`,
+/// from the variant's one-word mask where the library has one.
+fn mark_variant(fabric: &mut Fabric, library: &SiLibrary, si: SiId, variant: usize, at: u64) {
+    let def = library.si(si).expect("si within library");
+    match def.variant_masks().get(variant) {
+        Some(&mask) => fabric.mark_used_types(mask, at),
+        None => fabric.mark_used(&def.variants()[variant].atoms, at),
     }
-    starts
 }
 
 /// Builder for [`FabricArbiter`].
@@ -1325,21 +1127,6 @@ impl<'a> FabricArbiterBuilder<'a> {
             })
             .collect();
         let abort_streaks = vec![0u32; usize::from(fabric.container_count())];
-        let used_masks = if arity <= 64 {
-            (0..self.library.len())
-                .map(|i| {
-                    self.library
-                        .si(SiId(i as u16))
-                        .expect("index within library")
-                        .variants()
-                        .iter()
-                        .map(|v| v.atoms.nonzero_mask())
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let plan_namespace = self
             .plan_cache
             .as_ref()
@@ -1348,10 +1135,7 @@ impl<'a> FabricArbiterBuilder<'a> {
             library: self.library,
             fabric,
             contexts,
-            scratch: SharedScratch {
-                used_masks,
-                ..SharedScratch::default()
-            },
+            scratch: SharedScratch::default(),
             max_retries: self.max_retries,
             explain: self.explain,
             abort_streaks,

@@ -1,5 +1,5 @@
-//! Bursts of SI executions and the block index that lets the arbiter
-//! replay an event-free stretch a block at a time.
+//! Bursts of SI executions, the block index, and the one stretch walk
+//! that replays an event-free stretch a block at a time.
 //!
 //! Between two fabric events every SI runs at one fixed latency (the
 //! fastest Molecule loaded right now only changes when an Atom load
@@ -7,12 +7,16 @@
 //! Σ latency × executions + Σ count × overhead: a linear function of
 //! per-SI counts. A [`BurstIndex`] stores those counts and the overhead
 //! sum once per aligned block of [`BLOCK_BURSTS`] bursts of each
-//! invocation, and
-//! [`FabricArbiter::execute_bursts_totals`](crate::FabricArbiter::execute_bursts_totals)
-//! consumes a whole block from them whenever its last execution starts
-//! before the next fabric event.
+//! invocation, and a [`StretchWalker`] consumes a whole block from them
+//! whenever its last execution starts before the next change of any
+//! SI's latency. The same holds for every backend whose latencies change
+//! only at known cycles: the arbiter's next fabric event, a Molen
+//! accelerator's readiness, or never (software), so all of them walk
+//! their stretches through it.
 
 use rispp_model::SiId;
+
+use crate::types::BurstSegment;
 
 /// A run of back-to-back executions of one SI, each followed by `overhead`
 /// cycles of base-processor work (loop control, address generation, memory
@@ -280,6 +284,266 @@ pub struct Stretch {
     /// Cycle at which the last consumed non-empty burst ends; `None` when
     /// no non-empty burst was consumed.
     pub end: Option<u64>,
+}
+
+/// How one SI runs for the rest of a stretch: its latency and, when it
+/// runs on accelerating hardware, the variant it runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiRate {
+    /// Cycles per execution.
+    pub latency: u32,
+    /// Hardware variant index; `None` when the SI traps to software.
+    pub variant: Option<usize>,
+}
+
+/// One SI's state in a walk.
+#[derive(Debug, Clone, Copy, Default)]
+struct Walked {
+    /// `None` until the SI's first burst (or block) of the walk.
+    rate: Option<SiRate>,
+    executions: u64,
+    last: LastBurst,
+}
+
+impl Walked {
+    /// The rate it ran at, when any of its executions ran.
+    fn ran(&self) -> Option<SiRate> {
+        self.rate.filter(|_| self.executions > 0)
+    }
+}
+
+/// Where an SI's last burst of a walk sits.
+#[derive(Debug, Clone, Copy, Default)]
+enum LastBurst {
+    /// None of its bursts ran.
+    #[default]
+    None,
+    /// Stepped on its own: its first execution starts at `start`, and it
+    /// ends at `end`.
+    At { start: u64, end: u64 },
+    /// Somewhere in the skipped block whose first burst is `first` and
+    /// which started at cycle `start`; [`StretchWalker::last_burst`]
+    /// recovers it with one scan of the block.
+    InBlock { first: usize, start: u64 },
+}
+
+/// The one stretch walk every built-in backend replays through, with its
+/// scratch (reused across calls, so the steady state allocates nothing).
+///
+/// [`walk`](Self::walk) lays the bursts of a [`BurstRun`] back to back
+/// and consumes them up to the first non-empty burst whose last execution
+/// would start at or after the horizon, the next cycle at which some SI's
+/// latency may change. Until then each SI runs at the one [`SiRate`] the
+/// backend resolves for it on first use. Where the run carries a
+/// [`BurstBlocks`] index, a whole block is consumed from its sums when
+/// its last execution starts before the horizon: the last starts of
+/// successive non-empty bursts never decrease, so that one test covers
+/// every burst of the block. Without an index (the segment path), every
+/// burst is stepped on its own.
+#[derive(Debug, Clone, Default)]
+pub struct StretchWalker {
+    sis: Vec<Walked>,
+    /// Start of the last consumed non-empty burst.
+    last_start: Option<u64>,
+    /// The first burst and the burst boundaries of the skipped block
+    /// scanned last, so a block that holds the last burst of several SIs
+    /// is scanned once.
+    scanned: Option<(usize, [u64; BLOCK_BURSTS + 1])>,
+}
+
+impl StretchWalker {
+    /// Walks `run` from cycle `start` up to `horizon` (`None`: no SI's
+    /// latency ever changes). `rate` resolves an SI's rate on its first
+    /// use in the walk; `segment` receives the one unsplit segment of
+    /// each non-empty burst stepped on its own, in order. Returns how many
+    /// bursts were consumed (empty ones included) and where the last
+    /// consumed non-empty burst ends. Consumes nothing when `horizon` is
+    /// at or before `start`.
+    pub fn walk(
+        &mut self,
+        run: BurstRun<'_>,
+        start: u64,
+        horizon: Option<u64>,
+        mut rate: impl FnMut(SiId) -> SiRate,
+        mut segment: impl FnMut(BurstSegment),
+    ) -> Stretch {
+        self.sis.clear();
+        self.last_start = None;
+        self.scanned = None;
+        if horizon.is_some_and(|event| event <= start) {
+            return Stretch::default();
+        }
+        let BurstRun {
+            bursts,
+            from,
+            blocks,
+        } = run;
+        let mut t = start;
+        let mut i = from;
+        while i < bursts.len() {
+            let skipped = if i.is_multiple_of(BLOCK_BURSTS) {
+                self.skip_block(bursts, blocks, i, t, horizon, &mut rate)
+            } else {
+                None
+            };
+            if let Some(end) = skipped {
+                t = end;
+                i += BLOCK_BURSTS;
+                continue;
+            }
+            let Burst {
+                si,
+                count,
+                overhead,
+            } = bursts[i];
+            if count == 0 {
+                i += 1;
+                continue;
+            }
+            let r = self.resolve(si, &mut rate);
+            let per = u64::from(r.latency) + u64::from(overhead);
+            // The burst is one segment iff its last execution starts
+            // strictly before the horizon: `div_ceil(event − t, per) ≥
+            // count`, restated multiplicatively (in u128, so extreme
+            // `count × per` products cannot wrap) to keep the division
+            // off the per-burst path.
+            if let Some(event) = horizon {
+                if event <= t || u128::from(event - t) <= (u128::from(count) - 1) * u128::from(per)
+                {
+                    break;
+                }
+            }
+            let end = t + u64::from(count) * per;
+            segment(match r.variant {
+                Some(v) => BurstSegment::hardware(t, u64::from(count), r.latency, v),
+                None => BurstSegment::software(t, u64::from(count), r.latency),
+            });
+            let w = &mut self.sis[si.index()];
+            w.executions += u64::from(count);
+            w.last = LastBurst::At { start: t, end };
+            self.last_start = Some(t);
+            t = end;
+            i += 1;
+        }
+        Stretch {
+            consumed: i - from,
+            end: self.last_start.map(|_| t),
+        }
+    }
+
+    /// Consumes the indexed block whose first burst is `bursts[i]`, which
+    /// starts at cycle `t`, from its sums, and returns where it ends, when
+    /// its last execution starts before `horizon`: exactly the per-burst
+    /// test applied to its last non-empty burst. The block's cycles are
+    /// Σ latency × executions per SI plus its Σ count × overhead, in u128
+    /// so no sum can wrap.
+    fn skip_block(
+        &mut self,
+        bursts: &[Burst],
+        blocks: BurstBlocks<'_>,
+        i: usize,
+        t: u64,
+        horizon: Option<u64>,
+        rate: &mut impl FnMut(SiId) -> SiRate,
+    ) -> Option<u64> {
+        let block = blocks.block(i / BLOCK_BURSTS)?;
+        let mut cycles = u128::from(block.overhead);
+        for (&si, &n) in block.sis.iter().zip(block.counts) {
+            if n > 0 {
+                cycles += u128::from(self.resolve(si, rate).latency) * u128::from(n);
+            }
+        }
+        let last = bursts[i + block.last];
+        let per = u64::from(self.latency(last.si)) + u64::from(last.overhead);
+        let end = u64::try_from(u128::from(t) + cycles).ok()?;
+        // Its final execution starts `per` before its end.
+        if horizon.is_some_and(|event| event <= end - per) {
+            return None;
+        }
+        for (&si, &n) in block.sis.iter().zip(block.counts) {
+            if n > 0 {
+                let w = &mut self.sis[si.index()];
+                w.executions += u64::from(n);
+                w.last = LastBurst::InBlock { first: i, start: t };
+            }
+        }
+        self.last_start = Some(end - u64::from(last.count) * per);
+        Some(end)
+    }
+
+    /// `si`'s rate, resolved through `rate` on its first use in the walk.
+    fn resolve(&mut self, si: SiId, rate: &mut impl FnMut(SiId) -> SiRate) -> SiRate {
+        let k = si.index();
+        if k >= self.sis.len() {
+            self.sis.resize(k + 1, Walked::default());
+        }
+        *self.sis[k].rate.get_or_insert_with(|| rate(si))
+    }
+
+    /// The latency of an SI already resolved in this walk.
+    fn latency(&self, si: SiId) -> u32 {
+        self.sis[si.index()]
+            .rate
+            .expect("resolved in this walk")
+            .latency
+    }
+
+    /// The rate `si` ran at in the last walk, or `None` when none of its
+    /// executions ran.
+    pub(crate) fn ran(&self, si: SiId) -> Option<SiRate> {
+        self.sis.get(si.index()).and_then(Walked::ran)
+    }
+
+    /// Hands the totals of every SI the last walk ran to `totals`, in SI
+    /// order.
+    pub fn report(&self, mut totals: impl FnMut(SiTotals)) {
+        for (si, w) in (0u16..).map(SiId).zip(&self.sis) {
+            if let Some(rate) = w.ran() {
+                totals(SiTotals {
+                    si,
+                    executions: w.executions,
+                    hardware_executions: rate.variant.map_or(0, |_| w.executions),
+                });
+            }
+        }
+    }
+
+    /// Where the last walk's last consumed non-empty burst starts.
+    pub(crate) fn last_start(&self) -> Option<u64> {
+        self.last_start
+    }
+
+    /// Where `si`'s last burst of the last walk, over `run`, starts and
+    /// ends, or `None` when none of its executions ran. A burst inside a
+    /// skipped block is found by one scan of the block.
+    pub fn last_burst(&mut self, run: BurstRun<'_>, si: SiId) -> Option<(u64, u64)> {
+        let (first, start) = match self.sis.get(si.index())?.last {
+            LastBurst::None => return None,
+            LastBurst::At { start, end } => return Some((start, end)),
+            LastBurst::InBlock { first, start } => (first, start),
+        };
+        let block = &run.bursts[first..first + BLOCK_BURSTS];
+        let bounds = match self.scanned {
+            Some((scanned, bounds)) if scanned == first => bounds,
+            _ => {
+                let mut bounds = [start; BLOCK_BURSTS + 1];
+                for (k, b) in block.iter().enumerate() {
+                    bounds[k + 1] = bounds[k];
+                    if b.count > 0 {
+                        bounds[k + 1] += u64::from(b.count)
+                            * (u64::from(self.latency(b.si)) + u64::from(b.overhead));
+                    }
+                }
+                self.scanned = Some((first, bounds));
+                bounds
+            }
+        };
+        let k = block
+            .iter()
+            .rposition(|b| b.count > 0 && b.si == si)
+            .expect("the SI ran in its block");
+        Some((bounds[k], bounds[k + 1]))
+    }
 }
 
 #[cfg(test)]

@@ -78,7 +78,10 @@ mod sjf;
 mod types;
 
 pub use arbiter::{FabricArbiter, FabricArbiterBuilder};
-pub use burst::{Burst, BurstBlocks, BurstIndex, BurstRun, SiTotals, Stretch, BLOCK_BURSTS};
+pub use burst::{
+    Burst, BurstBlocks, BurstIndex, BurstRun, SiRate, SiTotals, Stretch, StretchWalker,
+    BLOCK_BURSTS,
+};
 pub use context::{Candidate, UpgradeBuffers, UpgradeContext};
 pub use error::CoreError;
 pub use explain::{

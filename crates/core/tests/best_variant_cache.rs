@@ -2,14 +2,15 @@
 //! [`FabricArbiter`]: under arbitrary interleavings of hot-spot entries,
 //! SI executions and time advances (which complete loads and evict atoms),
 //! the memoised answer must equal a fresh `min_by_key` scan over the
-//! variants available right now.
+//! variants available right now, on a library without tied latencies and
+//! on one where a smaller and a larger variant of an SI tie.
 
 use proptest::prelude::*;
 use rispp_core::FabricArbiter;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 
-fn library() -> SiLibrary {
+fn distinct_latencies() -> SiLibrary {
     let universe = AtomUniverse::from_types([
         AtomTypeInfo::new("A1"),
         AtomTypeInfo::new("A2"),
@@ -40,6 +41,44 @@ fn library() -> SiLibrary {
     b.build().unwrap()
 }
 
+/// Each SI has a smaller and a larger variant of equal latency: X's
+/// (1,0,0) and (1,1,0), Y's (0,1,0) and (0,2,1), Z's (0,1,1) and
+/// (0,2,2); with both available, the first minimum is the smaller one.
+fn tied_latencies() -> SiLibrary {
+    let universe = AtomUniverse::from_types([
+        AtomTypeInfo::new("A1"),
+        AtomTypeInfo::new("A2"),
+        AtomTypeInfo::new("A3"),
+    ])
+    .unwrap();
+    let mut b = SiLibraryBuilder::new(universe);
+    b.special_instruction("X", 1_000)
+        .unwrap()
+        .molecule(Molecule::from_counts([1, 1, 0]), 60)
+        .unwrap()
+        .molecule(Molecule::from_counts([1, 0, 0]), 60)
+        .unwrap()
+        .molecule(Molecule::from_counts([2, 1, 0]), 30)
+        .unwrap();
+    b.special_instruction("Y", 800)
+        .unwrap()
+        .molecule(Molecule::from_counts([0, 2, 1]), 45)
+        .unwrap()
+        .molecule(Molecule::from_counts([0, 1, 0]), 45)
+        .unwrap()
+        .molecule(Molecule::from_counts([1, 2, 0]), 45)
+        .unwrap();
+    b.special_instruction("Z", 600)
+        .unwrap()
+        .molecule(Molecule::from_counts([0, 0, 1]), 70)
+        .unwrap()
+        .molecule(Molecule::from_counts([0, 2, 2]), 25)
+        .unwrap()
+        .molecule(Molecule::from_counts([0, 1, 1]), 25)
+        .unwrap();
+    b.build().unwrap()
+}
+
 /// The ground truth the cache must reproduce: a fresh scan over the
 /// variants available at this instant, with `min_by_key`'s first-minimum
 /// tie-breaking.
@@ -65,8 +104,9 @@ proptest! {
             1..40,
         ),
         containers in 1u16..7,
+        tied in 0u8..2,
     ) {
-        let lib = library();
+        let lib = if tied == 1 { tied_latencies() } else { distinct_latencies() };
         let mut mgr = FabricArbiter::builder(&lib).containers(containers).build();
         let mut now = 0u64;
         for (op, si_idx, dt, weight) in ops {

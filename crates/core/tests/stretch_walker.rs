@@ -4,7 +4,9 @@
 //! fallback where an event intervenes) must leave the arbiter exactly as
 //! stepping every burst through `execute_burst_into` does — the same
 //! consumed counts, end cycle, per-SI totals, monitor state, fabric clock
-//! and LRU stamps.
+//! and LRU stamps. It holds in a universe of more than 64 atom types too,
+//! where variants carry no type mask and the deferred marks go through
+//! the atom counts.
 
 use proptest::prelude::*;
 use rispp_core::{
@@ -17,31 +19,38 @@ use rispp_monitor::HotSpotId;
 const SIS: u16 = 3;
 const HOT_SPOT: HotSpotId = HotSpotId(0);
 
+/// Unused atom types that pad a wide universe past 64 types.
+const PADDING: usize = 62;
+
 /// SI0 and SI1 share atom types A and B, SI1 and SI2 share C, so one SI's
-/// deferred stamp can be overwritten by another's.
-fn library() -> SiLibrary {
-    let universe = AtomUniverse::from_types([
-        AtomTypeInfo::new("A"),
-        AtomTypeInfo::new("B"),
-        AtomTypeInfo::new("C"),
-    ])
-    .unwrap();
+/// deferred stamp can be overwritten by another's. `wide` pads the
+/// universe with [`PADDING`] unused types, so no variant has a type mask.
+fn library(wide: bool) -> SiLibrary {
+    let padding = if wide { PADDING } else { 0 };
+    let types = ["A", "B", "C"]
+        .into_iter()
+        .map(str::to_owned)
+        .chain((0..padding).map(|i| format!("P{i}")));
+    let universe = AtomUniverse::from_types(types.map(AtomTypeInfo::new)).unwrap();
+    let molecule = |counts: [u16; 3]| {
+        Molecule::from_counts(counts.into_iter().chain(std::iter::repeat_n(0, padding)))
+    };
     let mut b = SiLibraryBuilder::new(universe);
     b.special_instruction("S0", 900)
         .unwrap()
-        .molecule(Molecule::from_counts([1, 0, 0]), 120)
+        .molecule(molecule([1, 0, 0]), 120)
         .unwrap()
-        .molecule(Molecule::from_counts([1, 1, 0]), 50)
+        .molecule(molecule([1, 1, 0]), 50)
         .unwrap();
     b.special_instruction("S1", 700)
         .unwrap()
-        .molecule(Molecule::from_counts([0, 1, 0]), 90)
+        .molecule(molecule([0, 1, 0]), 90)
         .unwrap()
-        .molecule(Molecule::from_counts([1, 1, 1]), 30)
+        .molecule(molecule([1, 1, 1]), 30)
         .unwrap();
     b.special_instruction("S2", 600)
         .unwrap()
-        .molecule(Molecule::from_counts([0, 0, 1]), 70)
+        .molecule(molecule([0, 0, 1]), 70)
         .unwrap();
     b.build().unwrap()
 }
@@ -281,11 +290,12 @@ proptest! {
         raw in prop::collection::vec((0..SIS, 0u32..10, 1u32..400, 0u32..40), 1..200),
         shape in 0u32..64,
         from_draw in 0usize..200,
-        containers in 2u16..6,
+        (containers, wide) in (2u16..6, 0u8..2),
         fault in (0u32..4, 0u32..200_000, any::<u64>()),
         start_draw in (0u32..3, 0u64..2_000_000, -2i64..3),
     ) {
-        let lib = library();
+        let lib = library(wide == 1);
+        prop_assert_eq!(lib.iter().all(|si| si.variant_masks().is_empty()), wide == 1);
         let bursts = invocation(&raw, shape);
         let from = if from_draw % 3 == 0 { 0 } else { from_draw % bursts.len() };
         let fault = (fault.0 == 0).then_some((fault.1, fault.2));
@@ -325,7 +335,7 @@ proptest! {
 /// whole block.
 #[test]
 fn a_block_whose_last_execution_meets_the_event_is_not_skipped() {
-    let lib = library();
+    let lib = library(false);
     let bursts = vec![
         Burst {
             si: SiId(2),

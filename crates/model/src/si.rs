@@ -46,9 +46,13 @@ impl MoleculeVariant {
     /// Whether this Molecule can execute given the available atoms.
     #[must_use]
     pub fn is_available(&self, available: &Molecule) -> bool {
-        self.atoms <= *available
+        self.atoms.is_subset(available)
     }
 }
+
+/// Widest universe whose variants carry an atom-type mask
+/// ([`Molecule::nonzero_mask`]).
+const MASK_TYPES: usize = 64;
 
 /// A Special Instruction: its software (trap) fallback latency and all of
 /// its Molecule implementations.
@@ -65,6 +69,12 @@ pub struct SiDefinition {
     /// `|atoms|` per variant, aligned with `variants`; filled by
     /// [`SiLibraryBuilder::build`] after the variant sort.
     variant_totals: Vec<u32>,
+    /// Variant indices in ascending (latency, index) order; filled by
+    /// [`SiLibraryBuilder::build`].
+    by_latency: Vec<u16>,
+    /// [`Molecule::nonzero_mask`] per variant, aligned with `variants`;
+    /// empty when the universe has more than 64 atom types.
+    masks: Vec<u64>,
 }
 
 impl SiDefinition {
@@ -116,17 +126,47 @@ impl SiDefinition {
             .unwrap_or(0)
     }
 
-    /// The fastest Molecule executable with the `available` atoms, i.e. the
-    /// `getFastestAvailableMolecule` operation of the paper's pseudo code.
+    /// [`Molecule::nonzero_mask`] of every variant, aligned with
+    /// [`variants`](Self::variants): which atom types each one uses, for
+    /// LRU marking from one word. Empty when the universe has more than
+    /// 64 atom types.
+    #[must_use]
+    pub fn variant_masks(&self) -> &[u64] {
+        &self.masks
+    }
+
+    /// Index of the fastest Molecule executable with the `available`
+    /// atoms, i.e. the `getFastestAvailableMolecule` operation of the
+    /// paper's pseudo code; among equally fast ones, the lowest index.
+    ///
+    /// Walks the variants in ascending (latency, index) order, so the
+    /// first one that fits is the answer. A variant fits when its atom
+    /// types lie inside the types present in `available` (one word, when
+    /// the universe has at most 64 types) and its counts do
+    /// ([`Molecule::is_subset`]). Returns `None` when no hardware Molecule
+    /// is available (the SI then traps to the base instruction set).
+    #[must_use]
+    pub fn fastest_available_index(&self, available: &Molecule) -> Option<usize> {
+        let types = if self.masks.is_empty() || available.arity() > MASK_TYPES {
+            u64::MAX
+        } else {
+            available.nonzero_mask()
+        };
+        self.by_latency.iter().map(|&i| usize::from(i)).find(|&i| {
+            self.masks.get(i).is_none_or(|&mask| mask & !types == 0)
+                && self.variants[i].atoms.is_subset(available)
+        })
+    }
+
+    /// The fastest Molecule executable with the `available` atoms (see
+    /// [`fastest_available_index`](Self::fastest_available_index)).
     ///
     /// Returns `None` when no hardware Molecule is available (the SI then
     /// traps to the base instruction set).
     #[must_use]
     pub fn fastest_available(&self, available: &Molecule) -> Option<&MoleculeVariant> {
-        self.variants
-            .iter()
-            .filter(|v| v.is_available(available))
-            .min_by_key(|v| v.latency)
+        self.fastest_available_index(available)
+            .map(|i| &self.variants[i])
     }
 
     /// Effective single-execution latency given the available atoms: the
@@ -282,6 +322,8 @@ impl SiLibraryBuilder {
             software_latency,
             variants: Vec::new(),
             variant_totals: Vec::new(),
+            by_latency: Vec::new(),
+            masks: Vec::new(),
         });
         Ok(SiBuilder {
             arity: self.universe.arity(),
@@ -293,9 +335,10 @@ impl SiLibraryBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidSi`] when an SI has no Molecules or a
-    /// Molecule with zero atoms.
+    /// Returns [`ModelError::InvalidSi`] when an SI has no Molecules or
+    /// more than 65,536 of them.
     pub fn build(mut self) -> Result<SiLibrary, ModelError> {
+        let masked = self.universe.arity() <= MASK_TYPES;
         for si in &mut self.sis {
             if si.variants.is_empty() {
                 return Err(ModelError::InvalidSi {
@@ -303,6 +346,15 @@ impl SiLibraryBuilder {
                     reason: "no hardware molecules defined".into(),
                 });
             }
+            let Ok(by_latency) = (0..si.variants.len())
+                .map(u16::try_from)
+                .collect::<Result<Vec<u16>, _>>()
+            else {
+                return Err(ModelError::InvalidSi {
+                    si: si.name.clone(),
+                    reason: "more than 65,536 hardware molecules".into(),
+                });
+            };
             si.variants.sort_by(|a, b| {
                 a.atoms
                     .total_atoms()
@@ -310,6 +362,15 @@ impl SiLibraryBuilder {
                     .then(a.latency.cmp(&b.latency))
             });
             si.variant_totals = si.variants.iter().map(|v| v.atoms.total_atoms()).collect();
+            si.by_latency = by_latency;
+            let variants = &si.variants;
+            si.by_latency
+                .sort_by_key(|&i| (variants[usize::from(i)].latency, i));
+            si.masks = if masked {
+                si.variants.iter().map(|v| v.atoms.nonzero_mask()).collect()
+            } else {
+                Vec::new()
+            };
         }
         Ok(SiLibrary {
             universe: self.universe,

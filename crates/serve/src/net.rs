@@ -12,20 +12,24 @@
 //! `accept(2)`. On drain it stops accepting, lets every handler flush
 //! its pending responses, and returns — zero admitted jobs are lost.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rispp_telemetry::JsonValue;
 
 use crate::job::{json_escape, parse_request, JobOutcome, JobStatus, Request};
 use crate::server::{Server, SubmitResult};
 
-/// How often the accept loop and idle readers re-check the drain flag.
+/// How often the accept loop re-checks the drain flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long a reader waits for bytes before it re-checks the drain
+/// state, and how long a line still arriving after the drain may take.
+const READ_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Longest request line accepted, newline excluded. The 140-frame paper
 /// trace encodes inline to ~3.6 MB, so this refuses no legitimate
@@ -87,7 +91,7 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
     };
     // Readers wake periodically so a connection idling after drain
     // completion can close instead of parking in read(2) forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let (pending_tx, pending_rx) = mpsc::channel::<Pending>();
 
     let writer = std::thread::Builder::new()
@@ -113,17 +117,33 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
         .expect("spawn connection writer");
 
     let mut reader = BufReader::new(stream);
-    // One request line, accumulated across read timeouts: a timeout can
-    // fire mid-line, and the bytes read before it belong to the line. It
-    // is cleared only once the whole line has been handled.
+    // One request line, accumulated across reads and read timeouts: the
+    // bytes read before a timeout belong to the line. It is cleared only
+    // once the whole line has been handled.
     let mut line = Vec::new();
+    // When a read mid-line first found the server drained.
+    let mut drained_at = None;
     loop {
-        // At most one byte past the cap, so an over-long line is seen
-        // without reading (or holding) the rest of it.
-        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
-        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
-            Ok(0) if line.is_empty() => break, // EOF
-            Ok(_) => {}
+        // One read per pass, of what has arrived: up to and including a
+        // newline, and at most one byte past the cap, so an over-long
+        // line is seen without reading (or holding) the rest of it.
+        let budget = MAX_LINE_BYTES + 1 - line.len();
+        let (used, complete) = match reader.fill_buf() {
+            // EOF: a partial line is handled as it stands.
+            Ok([]) => (0, true),
+            Ok(buf) => {
+                let buf = &buf[..buf.len().min(budget)];
+                match buf.iter().position(|&b| b == b'\n') {
+                    Some(end) => {
+                        line.extend_from_slice(&buf[..=end]);
+                        (end + 1, true)
+                    }
+                    None => {
+                        line.extend_from_slice(buf);
+                        (buf.len(), false)
+                    }
+                }
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -134,15 +154,32 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
                 continue;
             }
             Err(_) => break,
+        };
+        reader.consume(used);
+        if used == 0 && line.is_empty() {
+            break; // EOF
         }
-        if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
-            // One error line, then close: the rest of the line cannot be
-            // skipped without reading it. Earlier answers still drain.
-            let _ = pending_tx.send(Pending::Ready(error_line(
-                "",
-                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            )));
-            break;
+        if !complete {
+            if line.len() > MAX_LINE_BYTES {
+                // One error line, then close: the rest of the line cannot
+                // be skipped without reading it. Earlier answers still
+                // drain.
+                let _ = pending_tx.send(Pending::Ready(error_line(
+                    "",
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                )));
+                break;
+            }
+            // Between reads as on timeouts: once the server has drained,
+            // a line still arriving gets one read timeout to finish, so a
+            // client that drip-feeds a line faster than the timeout
+            // cannot hold the handler, and with it the drain, open.
+            if server.is_drained()
+                && drained_at.get_or_insert_with(Instant::now).elapsed() >= READ_TIMEOUT
+            {
+                break;
+            }
+            continue;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
             break; // invalid UTF-8 closes the connection

@@ -16,8 +16,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::TryRecvError;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use rispp_core::SchedulerKind;
@@ -448,6 +449,60 @@ fn request_line_split_across_a_read_timeout_is_served_whole() {
         .join()
         .expect("daemon thread")
         .expect("daemon result");
+}
+
+/// A client that drip-feeds a request line faster than the daemon's
+/// 250 ms read timeout, one byte every 50 ms of a line that never ends,
+/// must not hold the drain open: after another connection's `shutdown`,
+/// `run_daemon` returns while the client still writes.
+#[test]
+fn a_drip_feeding_client_does_not_block_the_drain() {
+    let server = Server::start(
+        library(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let (done_tx, done_rx) = mpsc::channel();
+    let daemon = std::thread::spawn({
+        let server = server.clone();
+        move || {
+            let stop = AtomicBool::new(false);
+            let _ = done_tx.send(run_daemon(&server, listener, &stop).map_err(|e| e.to_string()));
+        }
+    });
+
+    let dripping = Arc::new(AtomicBool::new(true));
+    let mut drip = TcpStream::connect(addr).expect("connect the drip");
+    let dripper = std::thread::spawn({
+        let dripping = Arc::clone(&dripping);
+        move || {
+            while dripping.load(Ordering::Acquire) && drip.write_all(b"[").is_ok() {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    });
+    // Let the drip's handler start reading the endless line.
+    std::thread::sleep(Duration::from_millis(300));
+    let control = TcpStream::connect(addr).expect("connect");
+    let mut writer = control.try_clone().expect("clone");
+    writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+    let mut ack = String::new();
+    BufReader::new(control)
+        .read_line(&mut ack)
+        .expect("shutdown ack");
+    assert!(ack.contains(r#""status":"draining""#), "{ack}");
+
+    let returned = done_rx.recv_timeout(Duration::from_secs(2));
+    dripping.store(false, Ordering::Release);
+    dripper.join().expect("dripper");
+    returned
+        .expect("run_daemon still blocked 2 s after shutdown, held by a drip-feeding client")
+        .expect("daemon result");
+    daemon.join().expect("daemon thread");
 }
 
 /// A request line nested 10 000 levels deep (10 KB of `[`) must not

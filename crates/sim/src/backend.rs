@@ -17,7 +17,9 @@
 
 use std::borrow::{BorrowMut, Cow};
 
-use rispp_core::{BurstRun, BurstSegment, FabricArbiter, SiTotals, Stretch};
+use rispp_core::{
+    BurstBlocks, BurstRun, BurstSegment, FabricArbiter, SiRate, SiTotals, Stretch, StretchWalker,
+};
 use rispp_model::{SiId, SiLibrary};
 
 use crate::baseline::MolenSystem;
@@ -89,7 +91,12 @@ pub trait ExecutionSystem {
     /// consumed. Zero-count bursts must be consumed as no-ops (no
     /// segment). The replay loop falls back to
     /// [`execute_burst_into`](ExecutionSystem::execute_burst_into) for the
-    /// first unconsumed burst, so returning 0 is always safe.
+    /// first unconsumed burst, so returning 0 is always safe. A batch
+    /// that stops short of the run is followed by that per-burst step
+    /// directly, without a second batched call: a built-in backend stops
+    /// only at a burst that would run into its next event, where a second
+    /// call would consume nothing. The per-burst path is exact for any
+    /// burst, so stopping early for any other reason is exact too.
     ///
     /// Consumed bursts must leave the backend in a state bit-identical to
     /// per-burst execution (segments, counters, usage timestamps). The
@@ -407,13 +414,9 @@ impl ExecutionSystem for MolenSystem<'_> {
         out: &mut Vec<BurstSegment>,
     ) -> usize {
         out.clear();
-        step_bursts(
-            bursts,
-            start,
-            |b, t| MolenSystem::execute_burst_unsplit(self, b.si, b.count, b.overhead, t),
-            |_, seg| out.push(seg),
-        )
-        .consumed
+        let run = BurstRun::new(bursts, 0, BurstBlocks::EMPTY);
+        self.walk_stretch(run, start, |segment| out.push(segment), |_| {})
+            .consumed
     }
 
     fn execute_bursts_totals(
@@ -423,15 +426,7 @@ impl ExecutionSystem for MolenSystem<'_> {
         _segments: &mut Vec<BurstSegment>,
         totals: &mut dyn FnMut(SiTotals),
     ) -> Stretch {
-        let mut fold = Fold::new(totals);
-        let stretch = step_bursts(
-            run.remaining(),
-            start,
-            |b, t| MolenSystem::execute_burst_unsplit(self, b.si, b.count, b.overhead, t),
-            |b, seg| fold.add(b.si, &seg),
-        );
-        fold.finish();
-        stretch
+        self.walk_stretch(run, start, |_| {}, totals)
     }
 
     fn exit_hot_spot(&mut self, now: u64) {
@@ -456,30 +451,6 @@ impl ExecutionSystem for MolenSystem<'_> {
     fn telemetry_active(&self) -> bool {
         false
     }
-}
-
-/// Lays `bursts` back to back from `start`: asks `step` for each non-empty
-/// burst's unsplit segment at its start cycle and hands it to `each`,
-/// until `step` declines. Empty bursts are consumed as no-ops. Returns the
-/// consumed count and the end of the last consumed non-empty burst.
-fn step_bursts(
-    bursts: &[Burst],
-    start: u64,
-    mut step: impl FnMut(&Burst, u64) -> Option<BurstSegment>,
-    mut each: impl FnMut(&Burst, BurstSegment),
-) -> Stretch {
-    let mut t = start;
-    let mut stretch = Stretch::default();
-    for b in bursts {
-        if b.count > 0 {
-            let Some(seg) = step(b, t) else { break };
-            t = seg.start + seg.count * (u64::from(seg.latency) + u64::from(b.overhead));
-            stretch.end = Some(t);
-            each(b, seg);
-        }
-        stretch.consumed += 1;
-    }
-    stretch
 }
 
 /// SIs whose executions [`Fold`] sums on the stack; the paper's libraries
@@ -536,26 +507,54 @@ impl<'t> Fold<'t> {
 
 /// Pure base-processor execution: every SI traps to its software latency,
 /// nothing is ever reconfigured. The paper's 0-AC reference point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SoftwareBackend<'a> {
     library: &'a SiLibrary,
+    walker: StretchWalker,
 }
 
 impl<'a> SoftwareBackend<'a> {
     /// Creates a software-only backend over `library`.
     #[must_use]
     pub fn new(library: &'a SiLibrary) -> Self {
-        SoftwareBackend { library }
+        SoftwareBackend {
+            library,
+            walker: StretchWalker::default(),
+        }
+    }
+
+    /// The trap rate of `si`.
+    fn rate(library: &SiLibrary, si: SiId) -> SiRate {
+        SiRate {
+            latency: library
+                .si(si)
+                .expect("si within library")
+                .software_latency(),
+            variant: None,
+        }
     }
 
     /// The trap segment of `count` executions of `si` from `start`.
     fn segment(&self, si: SiId, count: u32, start: u64) -> BurstSegment {
-        let latency = self
-            .library
-            .si(si)
-            .expect("si within library")
-            .software_latency();
+        let latency = Self::rate(self.library, si).latency;
         BurstSegment::software(start, u64::from(count), latency)
+    }
+
+    /// Walks all of `run`: software latencies never change, so there is
+    /// no horizon.
+    fn walk_stretch(
+        &mut self,
+        run: BurstRun<'_>,
+        start: u64,
+        segment: impl FnMut(BurstSegment),
+        totals: impl FnMut(SiTotals),
+    ) -> Stretch {
+        let library = self.library;
+        let stretch = self
+            .walker
+            .walk(run, start, None, |si| Self::rate(library, si), segment);
+        self.walker.report(totals);
+        stretch
     }
 }
 
@@ -594,16 +593,10 @@ impl ExecutionSystem for SoftwareBackend<'_> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) -> usize {
-        // Software latencies never change: every burst is one segment, so
-        // the whole run is always consumable.
         out.clear();
-        step_bursts(
-            bursts,
-            start,
-            |b, t| Some(self.segment(b.si, b.count, t)),
-            |_, seg| out.push(seg),
-        )
-        .consumed
+        let run = BurstRun::new(bursts, 0, BurstBlocks::EMPTY);
+        self.walk_stretch(run, start, |segment| out.push(segment), |_| {})
+            .consumed
     }
 
     fn execute_bursts_totals(
@@ -613,15 +606,7 @@ impl ExecutionSystem for SoftwareBackend<'_> {
         _segments: &mut Vec<BurstSegment>,
         totals: &mut dyn FnMut(SiTotals),
     ) -> Stretch {
-        let mut fold = Fold::new(totals);
-        let stretch = step_bursts(
-            run.remaining(),
-            start,
-            |b, t| Some(self.segment(b.si, b.count, t)),
-            |b, seg| fold.add(b.si, &seg),
-        );
-        fold.finish();
-        stretch
+        self.walk_stretch(run, start, |_| {}, totals)
     }
 
     fn exit_hot_spot(&mut self, _now: u64) {}

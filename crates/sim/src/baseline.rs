@@ -14,7 +14,9 @@
 
 use std::collections::HashMap;
 
-use rispp_core::{BurstSegment, SelectedMolecule};
+use rispp_core::{
+    BurstRun, BurstSegment, SelectedMolecule, SiRate, SiTotals, Stretch, StretchWalker,
+};
 use rispp_fabric::ReconfigPortConfig;
 use rispp_model::{SiId, SiLibrary};
 use rispp_monitor::HotSpotId;
@@ -39,6 +41,7 @@ pub struct MolenSystem<'a> {
     loads: u64,
     load_cycles: u64,
     retain_across_hot_spots: bool,
+    walker: StretchWalker,
 }
 
 impl<'a> MolenSystem<'a> {
@@ -64,6 +67,7 @@ impl<'a> MolenSystem<'a> {
             loads: 0,
             load_cycles: 0,
             retain_across_hot_spots: true,
+            walker: StretchWalker::default(),
         }
     }
 
@@ -232,25 +236,19 @@ impl<'a> MolenSystem<'a> {
         segments: &mut Vec<BurstSegment>,
     ) {
         segments.clear();
-        let def = self.library.si(si).expect("si within library");
-        let software = def.software_latency();
         let mut t = start;
         let mut remaining = u64::from(count);
         while remaining > 0 {
-            let (latency, variant_index, next_change) = match self.resident[si.index()] {
-                Some(r) if r.ready_at <= t => {
-                    let lat = def.variants()[r.variant_index].latency.min(software);
-                    (lat, Some(r.variant_index), None)
-                }
-                Some(r) => (software, None, Some(r.ready_at)),
-                None => (software, None, None),
-            };
+            let SiRate { latency, variant } = rate(self.library, &self.resident, si, t);
+            let next_change = self.resident[si.index()]
+                .map(|r| r.ready_at)
+                .filter(|&ready_at| ready_at > t);
             let per = u64::from(latency) + u64::from(overhead);
             let n = match next_change {
-                Some(event) if event > t => (event - t).div_ceil(per).min(remaining),
-                _ => remaining,
+                Some(event) => (event - t).div_ceil(per).min(remaining),
+                None => remaining,
             };
-            segments.push(match variant_index {
+            segments.push(match variant {
                 Some(v) => BurstSegment::hardware(t, n, latency, v),
                 None => BurstSegment::software(t, n, latency),
             });
@@ -262,51 +260,64 @@ impl<'a> MolenSystem<'a> {
         }
     }
 
-    /// Batched fast path: executes the whole burst as **one unsplit
-    /// segment** when no resident-accelerator readiness change falls
-    /// inside it, returning the segment, or `None` when the burst would
-    /// split across a `ready_at` boundary (the caller then falls back to
-    /// [`MolenSystem::execute_burst_into`]). Bit-identical to the
-    /// per-burst path for every consumed burst, including the
-    /// `last_used` LRU timestamp update.
-    pub fn execute_burst_unsplit(
+    /// The batched burst calls of the baseline: walks `run` from cycle
+    /// `start` up to the earliest pending accelerator readiness, before
+    /// which every SI runs at one latency (its accelerator is ready, or it
+    /// traps), and reports what it consumed through `segment` (one unsplit
+    /// segment per burst stepped on its own) and `totals`. Each resident
+    /// SI that ran has its `last_used` land on the end of its last
+    /// consumed burst, where per-burst stepping leaves it.
+    pub(crate) fn walk_stretch(
         &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
+        run: BurstRun<'_>,
         start: u64,
-    ) -> Option<BurstSegment> {
-        let def = self.library.si(si).expect("si within library");
-        let software = def.software_latency();
-        let (latency, variant_index, next_change) = match self.resident[si.index()] {
-            Some(r) if r.ready_at <= start => {
-                let lat = def.variants()[r.variant_index].latency.min(software);
-                (lat, Some(r.variant_index), None)
-            }
-            Some(r) => (software, None, Some(r.ready_at)),
-            None => (software, None, None),
-        };
-        let per = u64::from(latency) + u64::from(overhead);
-        if let Some(event) = next_change {
-            // Same split bound as `execute_burst_into`: unsplit iff the
-            // readiness change lands at or past the last execution's start.
-            let fits = event > start && (event - start).div_ceil(per) >= u64::from(count);
-            if !fits {
-                return None;
+        segment: impl FnMut(BurstSegment),
+        totals: impl FnMut(SiTotals),
+    ) -> Stretch {
+        let horizon = self
+            .resident
+            .iter()
+            .flatten()
+            .map(|r| r.ready_at)
+            .filter(|&ready_at| ready_at > start)
+            .min();
+        let (library, resident) = (self.library, &self.resident);
+        let stretch = self.walker.walk(
+            run,
+            start,
+            horizon,
+            |si| rate(library, resident, si, start),
+            segment,
+        );
+        for (si, slot) in (0u16..).map(SiId).zip(&mut self.resident) {
+            let Some(r) = slot else { continue };
+            if let Some((_, end)) = self.walker.last_burst(run, si) {
+                r.last_used = end;
             }
         }
-        let end = start + u64::from(count) * per;
-        if let Some(r) = &mut self.resident[si.index()] {
-            r.last_used = end;
-        }
-        Some(match variant_index {
-            Some(v) => BurstSegment::hardware(start, u64::from(count), latency, v),
-            None => BurstSegment::software(start, u64::from(count), latency),
-        })
+        self.walker.report(totals);
+        stretch
     }
 
     /// Leaves the current hot spot (no adaptation: Molen is static).
     pub fn exit_hot_spot(&mut self, _now: u64) {}
+}
+
+/// How `si` runs at cycle `t`: on its resident accelerator once that is
+/// ready (never slower than software), else trapping to software.
+fn rate(library: &SiLibrary, resident: &[Option<Resident>], si: SiId, t: u64) -> SiRate {
+    let def = library.si(si).expect("si within library");
+    let software = def.software_latency();
+    match resident[si.index()] {
+        Some(r) if r.ready_at <= t => SiRate {
+            latency: def.variants()[r.variant_index].latency.min(software),
+            variant: Some(r.variant_index),
+        },
+        _ => SiRate {
+            latency: software,
+            variant: None,
+        },
+    }
 }
 
 /// Design-time accelerator selection for the Molen baseline: greedy like

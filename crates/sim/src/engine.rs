@@ -619,6 +619,13 @@ pub(crate) fn replay_invocation(
     let mut watch = true;
     let bursts = inv.bursts.as_slice();
     let mut bi = 0;
+    // Set when a batched call stopped short of the invocation's end. A
+    // batch stops only at a burst that would run into the next event, so
+    // a second batched call there would consume nothing: the next
+    // non-empty burst goes straight to the per-burst path, which is exact
+    // for any burst (also where a custom backend stopped for its own
+    // reasons).
+    let mut stopped = false;
     while bi < bursts.len() {
         // Burst-batch cancellation point: bounded latency of one batch
         // (or one burst on the fallback path). The hot spot is still
@@ -641,7 +648,8 @@ pub(crate) fn replay_invocation(
         // no-ops. With totals, the run comes back as per-SI counts and
         // its end cycle; otherwise each non-empty burst yields exactly
         // one segment.
-        if state.totals {
+        let try_batch = !std::mem::take(&mut stopped);
+        if try_batch && state.totals {
             let seg_observers = &state.seg_observers;
             let stretch = system.execute_bursts_totals(
                 BurstRun::new(bursts, bi, blocks),
@@ -656,9 +664,10 @@ pub(crate) fn replay_invocation(
             if stretch.consumed > 0 {
                 now = stretch.end.unwrap_or(now);
                 bi += stretch.consumed;
+                stopped = true;
                 continue;
             }
-        } else {
+        } else if try_batch {
             let consumed = system.execute_bursts_batched(&bursts[bi..], now, &mut state.segments);
             if consumed > 0 {
                 let batch = &bursts[bi..bi + consumed];
@@ -678,6 +687,7 @@ pub(crate) fn replay_invocation(
                     now = seg.start + seg.count * per;
                 }
                 bi += consumed;
+                stopped = true;
                 continue;
             }
         }

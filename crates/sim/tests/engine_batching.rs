@@ -7,13 +7,18 @@
 //! reads segments, so the engine takes the totals path
 //! (`execute_bursts_totals`, whole index blocks at a time): it must give
 //! the same `RunStats` and the same coarse event stream, whether the
-//! backend overrides it or keeps the trait's default fold.
+//! backend overrides it or keeps the trait's default fold. A backend whose
+//! batched calls stop early with no event due must be exact too: the
+//! engine steps the burst a batch stopped at on the per-burst path.
 
 use std::borrow::Cow;
 
 use proptest::prelude::*;
 use rispp_core::{BurstSegment, SchedulerKind};
-use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
+use rispp_fabric::ReconfigPortConfig;
+use rispp_model::{
+    AtomTypeId, AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder,
+};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
     simulate_with, Burst, ExecutionSystem, FaultConfig, Invocation, RunStats, SimConfig, SimEvent,
@@ -22,14 +27,19 @@ use rispp_sim::{
 
 /// Delegates every method — including the poll gates — to the wrapped
 /// backend, except that it keeps the trait's **default**
-/// `execute_bursts_totals` (which folds the batched segments) and, unless
-/// `BATCHED`, consumes nothing in `execute_bursts_batched`, as the
-/// trait's default does. `Shim::<false>` thus forces the per-burst path:
-/// the only difference between a run through it and one on the bare
-/// backend is whether the engine takes the batched fast path.
-struct Shim<'a, const BATCHED: bool>(Box<dyn ExecutionSystem + 'a>);
+/// `execute_bursts_totals` (which folds the batched segments) and lets
+/// each `execute_bursts_batched` call see at most `CAP` bursts.
+/// `Shim::<0>` consumes nothing, as the trait's default does, and so
+/// forces the per-burst path: the only difference between a run through
+/// it and one on the bare backend is whether the engine takes the
+/// batched fast path. `Shim::<3>` stops every batch after three bursts
+/// with no event due.
+struct Shim<'a, const CAP: usize>(Box<dyn ExecutionSystem + 'a>);
 
-impl<const BATCHED: bool> ExecutionSystem for Shim<'_, BATCHED> {
+/// Batched calls see the whole run.
+const UNCAPPED: usize = usize::MAX;
+
+impl<const CAP: usize> ExecutionSystem for Shim<'_, CAP> {
     fn label(&self) -> Cow<'static, str> {
         self.0.label()
     }
@@ -65,10 +75,11 @@ impl<const BATCHED: bool> ExecutionSystem for Shim<'_, BATCHED> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) -> usize {
-        if BATCHED {
-            self.0.execute_bursts_batched(bursts, start, out)
-        } else {
+        if CAP == 0 {
             0
+        } else {
+            let run = &bursts[..bursts.len().min(CAP)];
+            self.0.execute_bursts_batched(run, start, out)
         }
     }
 
@@ -185,17 +196,25 @@ fn run(
     config: &SimConfig,
     batched: bool,
 ) -> (RunStats, TraceLogObserver) {
+    if batched {
+        run_on(lib, t, config, config.build_system(lib).as_mut())
+    } else {
+        run_on(lib, t, config, &mut Shim::<0>(config.build_system(lib)))
+    }
+}
+
+/// Replays `t` on `system` and returns the full statistics plus the typed
+/// event log.
+fn run_on(
+    lib: &SiLibrary,
+    t: &Trace,
+    config: &SimConfig,
+    system: &mut dyn ExecutionSystem,
+) -> (RunStats, TraceLogObserver) {
     let mut stats = RunStats::new("run", lib.len(), config.bucket_cycles, config.detail);
     let mut log = TraceLogObserver::new();
-    if batched {
-        let mut system = config.build_system(lib);
-        let mut obs: [&mut dyn SimObserver; 2] = [&mut stats, &mut log];
-        simulate_with(system.as_mut(), t, &mut obs);
-    } else {
-        let mut system = Shim::<false>(config.build_system(lib));
-        let mut obs: [&mut dyn SimObserver; 2] = [&mut stats, &mut log];
-        simulate_with(&mut system, t, &mut obs);
-    }
+    let mut obs: [&mut dyn SimObserver; 2] = [&mut stats, &mut log];
+    simulate_with(system, t, &mut obs);
     (stats, log)
 }
 
@@ -262,9 +281,14 @@ fn run_totals(
 /// replay: the same `RunStats` and the same coarse event stream.
 fn check_totals(lib: &SiLibrary, t: &Trace, config: &SimConfig) {
     let label = config.system.label();
-    let (stats_u, log_u) = run_totals(lib, t, config, &mut Shim::<false>(config.build_system(lib)));
+    let (stats_u, log_u) = run_totals(lib, t, config, &mut Shim::<0>(config.build_system(lib)));
     let (stats_b, log_b) = run_totals(lib, t, config, config.build_system(lib).as_mut());
-    let (stats_f, log_f) = run_totals(lib, t, config, &mut Shim::<true>(config.build_system(lib)));
+    let (stats_f, log_f) = run_totals(
+        lib,
+        t,
+        config,
+        &mut Shim::<UNCAPPED>(config.build_system(lib)),
+    );
     assert_eq!(stats_b, stats_u, "{label}: RunStats diverged");
     assert_eq!(
         log_b.events(),
@@ -384,6 +408,167 @@ proptest! {
                 .with_journal(true);
             config.system = kind;
             check_totals(&lib, &long_trace(frames, &counts), &config);
+        }
+    }
+}
+
+/// Three one-Atom SIs for the baselines' directed cases: A and B share a
+/// hot spot, C has one of its own, and two Atom slots hold only two of
+/// the three accelerators.
+fn molen_library() -> SiLibrary {
+    let universe = AtomUniverse::from_types([
+        AtomTypeInfo::new("TA"),
+        AtomTypeInfo::new("TB"),
+        AtomTypeInfo::new("TC"),
+    ])
+    .unwrap();
+    let mut b = SiLibraryBuilder::new(universe);
+    for (name, software, atoms) in [
+        ("A", 1_000, [1, 0, 0]),
+        ("B", 900, [0, 1, 0]),
+        ("C", 800, [0, 0, 1]),
+    ] {
+        b.special_instruction(name, software)
+            .unwrap()
+            .molecule(Molecule::from_counts(atoms), 40)
+            .unwrap();
+    }
+    b.build().unwrap()
+}
+
+fn burst(si: u16, count: u32, overhead: u32) -> Burst {
+    Burst {
+        si: SiId(si),
+        count,
+        overhead,
+    }
+}
+
+/// Readiness inside index blocks, and an LRU victim that only the last
+/// bursts inside a skipped block decide. On two slots:
+///
+/// 1. Hot spot 0 loads A, ready at cycle `L`, then B. Its first block
+///    (A in software, 1,000 cycles per execution) is laid out so that its
+///    last execution starts exactly at `L`: the block must not be
+///    skipped, and that execution runs on hardware. B's readiness falls
+///    inside the second block. In the third block, skipped whole, A and B
+///    alternate, and B's last burst is the block's last but one.
+/// 2. Hot spot 1 needs C, so the least recently used of A and B goes: B,
+///    whose last burst ended first. Stamps taken from the block's start
+///    or end would tie, and the tie would evict A.
+/// 3. Hot spot 0 again: A runs at once only if B was the victim.
+fn molen_lru_trace(lib: &SiLibrary) -> Trace {
+    let bytes = lib.universe().info(AtomTypeId(0)).unwrap().bitstream_bytes;
+    let ready = ReconfigPortConfig::prototype().load_cycles(bytes).unwrap();
+    let prologue = ready % 1_000;
+    let executions = u32::try_from((ready - prologue) / 1_000 + 1).unwrap();
+    let mut first = vec![burst(0, 2, 0); 31];
+    first.push(burst(0, executions - 62, 0));
+    first.extend([burst(1, 10, 0); 32]);
+    first.extend((0..32).map(|k| burst(if k % 2 == 0 { 1 } else { 0 }, 5, 10)));
+    vec![
+        Invocation {
+            hot_spot: HotSpotId(0),
+            prologue_cycles: prologue,
+            bursts: first,
+            hints: vec![(SiId(0), 1_000), (SiId(1), 1_000)],
+        },
+        Invocation {
+            hot_spot: HotSpotId(1),
+            prologue_cycles: 500,
+            bursts: vec![burst(2, 20, 10); 3],
+            hints: vec![(SiId(2), 1_000)],
+        },
+        Invocation {
+            hot_spot: HotSpotId(0),
+            prologue_cycles: 500,
+            bursts: vec![burst(0, 30, 10), burst(1, 30, 10), burst(0, 30, 10)],
+            hints: vec![(SiId(0), 1_000), (SiId(1), 1_000)],
+        },
+    ]
+    .into_iter()
+    .collect()
+}
+
+/// Molen and OneChip on [`molen_lru_trace`]: the totals path (block walk),
+/// the segment path and the trait's default fold all equal per-burst
+/// replay, `RunStats` and events alike.
+#[test]
+fn baseline_block_walk_keeps_readiness_and_lru_stamps() {
+    let lib = molen_library();
+    let t = molen_lru_trace(&lib);
+    for kind in [SystemKind::Molen, SystemKind::OneChip] {
+        let mut config = SimConfig::rispp(2, SchedulerKind::ALL[0]);
+        config.system = kind;
+        check_totals(&lib, &t, &config);
+        let detailed = config.with_detail(true);
+        let (stats_b, log_b) = run(&lib, &t, &detailed, true);
+        let (stats_u, log_u) = run(&lib, &t, &detailed, false);
+        assert_eq!(stats_b, stats_u, "{}: RunStats diverged", kind.label());
+        assert_eq!(log_b.events(), log_u.events(), "{}", kind.label());
+    }
+}
+
+/// Batches that stop after three bursts with no event due, on the totals
+/// path and on the segment path: the engine steps the next burst on the
+/// per-burst path, so every built-in system replays exactly as per-burst.
+fn check_capped(lib: &SiLibrary, t: &Trace, config: &SimConfig) {
+    let label = config.system.label();
+    let (stats_u, log_u) = run_totals(lib, t, config, &mut Shim::<0>(config.build_system(lib)));
+    let (stats_c, log_c) = run_totals(lib, t, config, &mut Shim::<3>(config.build_system(lib)));
+    assert_eq!(stats_c, stats_u, "{label}: capped totals diverged");
+    assert_eq!(
+        log_c.events(),
+        log_u.events(),
+        "{label}: capped totals events"
+    );
+    let detailed = (*config).with_detail(true);
+    let (stats_u, log_u) = run(lib, t, &detailed, false);
+    let (stats_c, log_c) = run_on(
+        lib,
+        t,
+        &detailed,
+        &mut Shim::<3>(detailed.build_system(lib)),
+    );
+    assert_eq!(stats_c, stats_u, "{label}: capped segments diverged");
+    assert_eq!(
+        log_c.events(),
+        log_u.events(),
+        "{label}: capped segment events"
+    );
+}
+
+#[test]
+fn batches_stopping_early_are_exact_on_the_directed_traces() {
+    let lib = molen_library();
+    let t = molen_lru_trace(&lib);
+    for kind in all_systems() {
+        let mut config = SimConfig::rispp(2, SchedulerKind::ALL[0]);
+        config.system = kind;
+        check_capped(&lib, &t, &config);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Batches capped at three bursts, fault-free and under faults, on
+    /// short and multi-block invocations, for every built-in system.
+    #[test]
+    fn batches_stopping_early_are_exact(
+        seed in 0u64..u64::MAX,
+        rate_ppm in 0u32..200_000,
+        frames in 1usize..4,
+        counts in prop::collection::vec(0u32..400, 1..140),
+    ) {
+        let lib = library();
+        for t in [trace(frames, [counts[0].max(1), 120, 3]), long_trace(frames, &counts)] {
+            for kind in all_systems() {
+                let mut config = SimConfig::rispp(4, SchedulerKind::ALL[0])
+                    .with_fault(FaultConfig { rate_ppm, seed, max_retries: 2 });
+                config.system = kind;
+                check_capped(&lib, &t, &config);
+            }
         }
     }
 }
