@@ -9,16 +9,20 @@
 //! warm-trace-cache key, so resubmitting the same trace — in either
 //! spelling — hits the cache.
 //!
-//! The codec is hand-rolled over [`rispp_telemetry::JsonValue`]; the
-//! workspace is offline and carries no serde.
+//! The codec is hand-rolled; the workspace is offline and carries no
+//! serde. Encoders write strings directly, and [`parse_request`] decodes
+//! a line in one pass of a [`rispp_telemetry::json::Reader`], so wire
+//! integers are exact up to `u64::MAX`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use rispp_model::{SiId, SiLibrary};
 use rispp_sim::{
     Burst, FaultConfig, Invocation, LatencyEvent, RunStats, SimConfig, SystemKind, Trace,
 };
-use rispp_telemetry::JsonValue;
+use rispp_telemetry::json::{JsonError, Number, Reader, Token};
+use rispp_telemetry::push_u64;
 
 /// 64-bit FNV-1a over a byte string — the stable, dependency-free hash
 /// behind config-poisoning keys.
@@ -53,7 +57,7 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// One admitted simulation job, fully decoded from a submit line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Client-chosen identifier, echoed verbatim in the response.
     pub id: String,
@@ -180,7 +184,7 @@ impl JobOutcome {
 }
 
 /// Parsed request line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Submit a job.
     Submit(Box<JobSpec>),
@@ -199,63 +203,196 @@ pub enum Request {
 
 /// Parses one request line.
 ///
+/// The line is decoded in one pass of a [`Reader`], with no JSON tree:
+/// the config goes straight into a [`SimConfig`] and an inline trace
+/// straight into its canonical payload. As with [`JsonValue::get`], the
+/// first occurrence of a member wins, later ones and unknown members are
+/// only syntax-checked, and members may come in any order. A syntax
+/// error anywhere refuses the line; a bad `config` or `trace` refuses
+/// only a submit.
+///
+/// [`JsonValue::get`]: rispp_telemetry::JsonValue::get
+///
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, unknown ops or
 /// invalid submit payloads.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = JsonValue::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let op = value
-        .get("op")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing `op` field")?;
-    match op {
-        "submit" => Ok(Request::Submit(Box::new(parse_submit(&value)?))),
-        "cancel" => {
-            let id = value
-                .get("id")
-                .and_then(JsonValue::as_str)
-                .ok_or("cancel requires an `id`")?;
-            Ok(Request::Cancel { id: id.to_owned() })
+    decode_request(line).map_err(|(_, message)| message)
+}
+
+/// [`parse_request`], with the id to answer a refusal under: the line's
+/// `id` when the line is valid JSON whose first `id` member is a string,
+/// `""` otherwise.
+pub(crate) fn decode_request(line: &str) -> Result<Request, (String, String)> {
+    let mut members = read_request(line).map_err(|e| (String::new(), format!("bad JSON: {e}")))?;
+    members.request().map_err(|message| {
+        let id = members
+            .id
+            .as_ref()
+            .and_then(Leaf::as_str)
+            .unwrap_or_default();
+        (id.to_owned(), message)
+    })
+}
+
+/// A member's value as far as the decoder reads it: a scalar whole, an
+/// array or object only syntax-checked.
+enum Leaf<'a> {
+    Null,
+    Bool(bool),
+    Number(Number<'a>),
+    Str(Cow<'a, str>),
+    Nested,
+}
+
+impl Leaf<'_> {
+    fn as_u64(&self) -> Option<u64> {
+        match self {
+            Leaf::Number(n) => n.as_u64(),
+            _ => None,
         }
-        "health" => Ok(Request::Health),
-        "metrics" => Ok(Request::Metrics),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!("unknown op `{other}`")),
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Leaf::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn as_bool(&self) -> Option<bool> {
+        match self {
+            Leaf::Bool(b) => Some(*b),
+            _ => None,
+        }
     }
 }
 
-fn parse_submit(value: &JsonValue) -> Result<JobSpec, String> {
-    let id = value
-        .get("id")
-        .and_then(JsonValue::as_str)
-        .ok_or("submit requires a string `id`")?
-        .to_owned();
-    let config = decode_config(value.get("config").ok_or("submit requires a `config`")?)?;
-    let trace_payload =
-        canonical_trace_payload(value.get("trace").ok_or("submit requires a `trace`")?)?;
-    let deadline_ms = match value.get("deadline_ms") {
-        None | Some(JsonValue::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or("`deadline_ms` must be a non-negative integer")?,
-        ),
-    };
-    let chaos_panics = match value.get("chaos_panics") {
-        None => 0,
-        Some(v) => u32::try_from(
-            v.as_u64()
-                .ok_or("`chaos_panics` must be a non-negative integer")?,
-        )
-        .map_err(|_| "`chaos_panics` out of range")?,
-    };
-    Ok(JobSpec {
-        id,
-        config,
-        trace_payload,
-        deadline_ms,
-        chaos_panics,
+/// The value that `first` begins, as a [`Leaf`].
+fn leaf<'a>(r: &mut Reader<'a>, first: Token<'a>) -> Result<Leaf<'a>, JsonError> {
+    Ok(match first {
+        Token::Null => Leaf::Null,
+        Token::Bool(b) => Leaf::Bool(b),
+        Token::Number(n) => Leaf::Number(n),
+        Token::String(s) => Leaf::Str(s),
+        nested => {
+            r.skip(&nested)?;
+            Leaf::Nested
+        }
     })
+}
+
+/// Reads the value after a key with `read` into `slot` if the key is new;
+/// a repeated key's value is only syntax-checked, so the first occurrence
+/// wins.
+fn first_occurrence<'a, T>(
+    slot: &mut Option<T>,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>, Token<'a>) -> Result<T, JsonError>,
+) -> Result<(), JsonError> {
+    let first = r.value()?;
+    if slot.is_some() {
+        return r.skip(&first);
+    }
+    *slot = Some(read(r, first)?);
+    Ok(())
+}
+
+/// The members of a request line that the ops read. `config` and `trace`
+/// are decoded as they are read; their errors wait for the op to need
+/// them.
+#[derive(Default)]
+struct RequestMembers<'a> {
+    op: Option<Leaf<'a>>,
+    id: Option<Leaf<'a>>,
+    config: Option<Result<SimConfig, String>>,
+    trace: Option<Result<String, String>>,
+    deadline_ms: Option<Leaf<'a>>,
+    chaos_panics: Option<Leaf<'a>>,
+}
+
+/// Reads a whole request line. A line that is not an object has no
+/// members, but must still be valid JSON.
+fn read_request(line: &str) -> Result<RequestMembers<'_>, JsonError> {
+    let mut r = Reader::new(line);
+    let mut m = RequestMembers::default();
+    let first = r.value()?;
+    if matches!(first, Token::ObjectStart) {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "op" => first_occurrence(&mut m.op, &mut r, leaf)?,
+                "id" => first_occurrence(&mut m.id, &mut r, leaf)?,
+                "config" => first_occurrence(&mut m.config, &mut r, read_config)?,
+                "trace" => first_occurrence(&mut m.trace, &mut r, read_trace)?,
+                "deadline_ms" => first_occurrence(&mut m.deadline_ms, &mut r, leaf)?,
+                "chaos_panics" => first_occurrence(&mut m.chaos_panics, &mut r, leaf)?,
+                _ => r.skip_value()?,
+            }
+        }
+    } else {
+        r.skip(&first)?;
+    }
+    r.finish()?;
+    Ok(m)
+}
+
+impl RequestMembers<'_> {
+    fn request(&mut self) -> Result<Request, String> {
+        let op = self
+            .op
+            .as_ref()
+            .and_then(Leaf::as_str)
+            .ok_or("missing `op` field")?;
+        match op {
+            "submit" => Ok(Request::Submit(Box::new(self.submit()?))),
+            "cancel" => {
+                let id = self
+                    .id
+                    .as_ref()
+                    .and_then(Leaf::as_str)
+                    .ok_or("cancel requires an `id`")?;
+                Ok(Request::Cancel { id: id.to_owned() })
+            }
+            "health" => Ok(Request::Health),
+            "metrics" => Ok(Request::Metrics),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(format!("unknown op `{other}`")),
+        }
+    }
+
+    fn submit(&mut self) -> Result<JobSpec, String> {
+        let id = self
+            .id
+            .as_ref()
+            .and_then(Leaf::as_str)
+            .ok_or("submit requires a string `id`")?
+            .to_owned();
+        let config = self.config.take().ok_or("submit requires a `config`")??;
+        let trace_payload = self.trace.take().ok_or("submit requires a `trace`")??;
+        let deadline_ms = match &self.deadline_ms {
+            None | Some(Leaf::Null) => None,
+            Some(v) => Some(
+                v.as_u64()
+                    .ok_or("`deadline_ms` must be a non-negative integer")?,
+            ),
+        };
+        let chaos_panics = match &self.chaos_panics {
+            None => 0,
+            Some(v) => u32::try_from(
+                v.as_u64()
+                    .ok_or("`chaos_panics` must be a non-negative integer")?,
+            )
+            .map_err(|_| "`chaos_panics` out of range")?,
+        };
+        Ok(JobSpec {
+            id,
+            config,
+            trace_payload,
+            deadline_ms,
+            chaos_panics,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -323,76 +460,143 @@ pub fn encode_config(config: &SimConfig) -> String {
     out
 }
 
-/// Decodes a submit-line `config` object. Unknown systems, non-integer
-/// numerics and malformed fault blocks are rejected; `explain`/`journal`
-/// and tenancy are server-side concerns and not accepted over the wire.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming the offending field.
-pub fn decode_config(value: &JsonValue) -> Result<SimConfig, String> {
-    let containers = match value.get("containers") {
-        None => 15,
-        Some(v) => u16::try_from(v.as_u64().ok_or("`containers` must be an integer")?)
-            .map_err(|_| "`containers` out of range")?,
-    };
-    let system = match value.get("system") {
-        None => system_from_name("hef")?,
-        Some(v) => system_from_name(v.as_str().ok_or("`system` must be a string")?)?,
-    };
-    let mut config = SimConfig {
-        containers,
-        system,
-        ..SimConfig::rispp(containers, rispp_core::SchedulerKind::Hef)
-    };
-    if let Some(v) = value.get("detail") {
-        config.detail = v.as_bool().ok_or("`detail` must be a boolean")?;
-    }
-    if let Some(v) = value.get("bucket_cycles") {
-        config.bucket_cycles = v.as_u64().ok_or("`bucket_cycles` must be an integer")?;
-    }
-    if let Some(v) = value.get("oracle") {
-        config.oracle = v.as_bool().ok_or("`oracle` must be a boolean")?;
-    }
-    match value.get("port_bandwidth") {
-        None | Some(JsonValue::Null) => {}
-        Some(v) => {
-            config.port_bandwidth = Some(v.as_u64().ok_or("`port_bandwidth` must be an integer")?);
+/// The members of a submit line's `config` that the decoder reads. A
+/// `config` that is not an object has none, so it decodes to the
+/// defaults.
+#[derive(Default)]
+struct ConfigMembers<'a> {
+    containers: Option<Leaf<'a>>,
+    system: Option<Leaf<'a>>,
+    detail: Option<Leaf<'a>>,
+    bucket_cycles: Option<Leaf<'a>>,
+    oracle: Option<Leaf<'a>>,
+    port_bandwidth: Option<Leaf<'a>>,
+    /// `Some(None)` for `"fault": null`.
+    fault: Option<Option<FaultMembers<'a>>>,
+}
+
+/// The members of a `fault` block; one that is not an object has none.
+#[derive(Default)]
+struct FaultMembers<'a> {
+    rate_ppm: Option<Leaf<'a>>,
+    seed: Option<Leaf<'a>>,
+    max_retries: Option<Leaf<'a>>,
+}
+
+/// Reads a submit line's `config` and decodes it. Unknown systems,
+/// non-integer numerics and malformed fault blocks are refused;
+/// `explain`/`journal` and tenancy are server-side concerns and not
+/// accepted over the wire.
+fn read_config<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+) -> Result<Result<SimConfig, String>, JsonError> {
+    let mut m = ConfigMembers::default();
+    if matches!(first, Token::ObjectStart) {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "containers" => first_occurrence(&mut m.containers, r, leaf)?,
+                "system" => first_occurrence(&mut m.system, r, leaf)?,
+                "detail" => first_occurrence(&mut m.detail, r, leaf)?,
+                "bucket_cycles" => first_occurrence(&mut m.bucket_cycles, r, leaf)?,
+                "oracle" => first_occurrence(&mut m.oracle, r, leaf)?,
+                "port_bandwidth" => first_occurrence(&mut m.port_bandwidth, r, leaf)?,
+                "fault" => first_occurrence(&mut m.fault, r, read_fault)?,
+                _ => r.skip_value()?,
+            }
         }
+    } else {
+        r.skip(&first)?;
     }
-    match value.get("fault") {
-        None | Some(JsonValue::Null) => {}
-        Some(v) => {
-            let rate_ppm = match v.get("rate_ppm") {
-                Some(p) => {
-                    let ppm = p.as_u64().ok_or("`fault.rate_ppm` must be an integer")?;
-                    u32::try_from(ppm)
-                        .ok()
-                        .filter(|p| *p <= rispp_fabric::fault::PPM)
-                        .ok_or_else(|| {
-                            format!(
-                                "`fault.rate_ppm` must be at most {} (= certainty)",
-                                rispp_fabric::fault::PPM
-                            )
-                        })?
+    Ok(m.decode())
+}
+
+fn read_fault<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+) -> Result<Option<FaultMembers<'a>>, JsonError> {
+    let mut m = FaultMembers::default();
+    match first {
+        Token::Null => return Ok(None),
+        Token::ObjectStart => {
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "rate_ppm" => first_occurrence(&mut m.rate_ppm, r, leaf)?,
+                    "seed" => first_occurrence(&mut m.seed, r, leaf)?,
+                    "max_retries" => first_occurrence(&mut m.max_retries, r, leaf)?,
+                    _ => r.skip_value()?,
                 }
-                None => return Err("`fault` requires `rate_ppm`".into()),
-            };
+            }
+        }
+        other => r.skip(&other)?,
+    }
+    Ok(Some(m))
+}
+
+impl ConfigMembers<'_> {
+    /// The config, its fields checked in a fixed order whatever order
+    /// they came in, so a line with two bad fields always names the same
+    /// one.
+    fn decode(self) -> Result<SimConfig, String> {
+        let containers = match self.containers {
+            None => 15,
+            Some(v) => u16::try_from(v.as_u64().ok_or("`containers` must be an integer")?)
+                .map_err(|_| "`containers` out of range")?,
+        };
+        let system = match self.system {
+            None => system_from_name("hef")?,
+            Some(v) => system_from_name(v.as_str().ok_or("`system` must be a string")?)?,
+        };
+        let mut config = SimConfig {
+            containers,
+            system,
+            ..SimConfig::rispp(containers, rispp_core::SchedulerKind::Hef)
+        };
+        if let Some(v) = self.detail {
+            config.detail = v.as_bool().ok_or("`detail` must be a boolean")?;
+        }
+        if let Some(v) = self.bucket_cycles {
+            config.bucket_cycles = v.as_u64().ok_or("`bucket_cycles` must be an integer")?;
+        }
+        if let Some(v) = self.oracle {
+            config.oracle = v.as_bool().ok_or("`oracle` must be a boolean")?;
+        }
+        match self.port_bandwidth {
+            None | Some(Leaf::Null) => {}
+            Some(v) => {
+                config.port_bandwidth =
+                    Some(v.as_u64().ok_or("`port_bandwidth` must be an integer")?);
+            }
+        }
+        if let Some(Some(f)) = self.fault {
+            let ppm = f
+                .rate_ppm
+                .ok_or("`fault` requires `rate_ppm`")?
+                .as_u64()
+                .ok_or("`fault.rate_ppm` must be an integer")?;
             let mut fault = FaultConfig::uniform(0.0);
-            fault.rate_ppm = rate_ppm;
-            if let Some(s) = v.get("seed") {
+            fault.rate_ppm = u32::try_from(ppm)
+                .ok()
+                .filter(|p| *p <= rispp_fabric::fault::PPM)
+                .ok_or_else(|| {
+                    format!(
+                        "`fault.rate_ppm` must be at most {} (= certainty)",
+                        rispp_fabric::fault::PPM
+                    )
+                })?;
+            if let Some(s) = f.seed {
                 fault.seed = s.as_u64().ok_or("`fault.seed` must be an integer")?;
             }
-            if let Some(r) = v.get("max_retries") {
+            if let Some(r) = f.max_retries {
                 fault.max_retries =
                     u32::try_from(r.as_u64().ok_or("`fault.max_retries` must be an integer")?)
                         .map_err(|_| "`fault.max_retries` out of range")?;
             }
             config.fault = Some(fault);
         }
+        validate_config(&config)?;
+        Ok(config)
     }
-    validate_config(&config)?;
-    Ok(config)
 }
 
 /// Refuses a configuration the engine would panic on at run time: a zero
@@ -420,7 +624,8 @@ pub fn validate_config(config: &SimConfig) -> Result<(), String> {
 // ---------------------------------------------------------------------
 
 /// Encodes a trace as the inline submit payload: compact arrays, one
-/// burst per `[si, count, overhead]` triple.
+/// burst per `[si, count, overhead]` triple. This is the canonical form
+/// the wire decoder normalises every inline trace to.
 #[must_use]
 pub fn encode_trace(trace: &Trace) -> String {
     let mut out = String::from(r#"{"invocations":["#);
@@ -428,49 +633,79 @@ pub fn encode_trace(trace: &Trace) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            r#"{{"hot_spot":{},"prologue_cycles":{},"bursts":["#,
-            inv.hot_spot.0, inv.prologue_cycles
-        );
-        for (j, b) in inv.bursts.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{},{}]", b.si.index(), b.count, b.overhead);
-        }
-        out.push_str(r#"],"hints":["#);
-        for (j, (si, executions)) in inv.hints.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{executions}]", si.index());
-        }
-        out.push_str("]}");
+        push_invocation(&mut out, inv);
     }
     out.push_str("]}");
     out
 }
 
-/// Normalises a submit-line `trace` payload to its canonical string
-/// form: named workloads become `name:frames`, inline traces are decoded
-/// and re-encoded via [`encode_trace`], so formatting differences never
-/// split the warm cache.
-///
-/// # Errors
-///
-/// Returns a message for unknown workload names, frame counts outside
-/// `1..=140` (the paper's clip; the encode runs before the cancellable
-/// replay, so no deadline could stop a longer one) or malformed inline
-/// traces.
-pub fn canonical_trace_payload(value: &JsonValue) -> Result<String, String> {
-    match value {
-        JsonValue::String(name) => {
-            let (base, frames) = parse_workload_name(name)?;
-            Ok(format!("{base}:{frames}"))
+/// Appends one invocation in the canonical form of [`encode_trace`].
+fn push_invocation(out: &mut String, inv: &Invocation) {
+    out.push_str(r#"{"hot_spot":"#);
+    push_u64(out, u64::from(inv.hot_spot.0));
+    out.push_str(r#","prologue_cycles":"#);
+    push_u64(out, inv.prologue_cycles);
+    out.push_str(r#","bursts":["#);
+    for (j, b) in inv.bursts.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
         }
-        JsonValue::Object(_) => Ok(encode_trace(&decode_trace(value)?)),
-        _ => Err("`trace` must be a workload name or an inline trace object".into()),
+        out.push('[');
+        push_u64(out, u64::from(b.si.0));
+        out.push(',');
+        push_u64(out, u64::from(b.count));
+        out.push(',');
+        push_u64(out, u64::from(b.overhead));
+        out.push(']');
+    }
+    out.push_str(r#"],"hints":["#);
+    for (j, (si, executions)) in inv.hints.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        push_u64(out, u64::from(si.0));
+        out.push(',');
+        push_u64(out, *executions);
+        out.push(']');
+    }
+    out.push_str("]}");
+}
+
+/// Reads a submit line's `trace` and normalises it to its canonical
+/// payload: a named workload becomes `name:frames`, an inline trace is
+/// decoded and re-encoded as [`encode_trace`] would, so formatting
+/// differences never split the warm cache.
+///
+/// The trace's error is a message for unknown workload names, frame
+/// counts outside `1..=140` (the paper's clip; the encode runs before the
+/// cancellable replay, so no deadline could stop a longer one) or
+/// malformed inline traces.
+fn read_trace<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+) -> Result<Result<String, String>, JsonError> {
+    match first {
+        Token::String(name) => {
+            Ok(parse_workload_name(&name).map(|(base, frames)| format!("{base}:{frames}")))
+        }
+        Token::ObjectStart => {
+            let mut payload = String::from(r#"{"invocations":["#);
+            let decoded = read_inline_trace(r, &mut |i, inv| {
+                if i > 0 {
+                    payload.push(',');
+                }
+                push_invocation(&mut payload, inv);
+            })?;
+            payload.push_str("]}");
+            Ok(decoded.map(|()| payload))
+        }
+        other => {
+            r.skip(&other)?;
+            Ok(Err(
+                "`trace` must be a workload name or an inline trace object".into(),
+            ))
+        }
     }
 }
 
@@ -498,19 +733,26 @@ fn parse_workload_name(name: &str) -> Result<(&str, u32), String> {
     Ok((base, frames))
 }
 
-/// Materialises a canonical trace payload (the output of
-/// [`canonical_trace_payload`]) into a [`Trace`]. Named workloads run
-/// the paper's CIF encoder — this is the expensive path the warm cache
-/// exists to amortise.
+/// Materialises a canonical trace payload (a submit's
+/// [`JobSpec::trace_payload`]) into a [`Trace`]. Named workloads run the
+/// paper's CIF encoder — this is the expensive path the warm cache
+/// exists to amortise; inline traces are decoded with the wire's reader.
 ///
 /// # Errors
 ///
 /// Returns a message for unknown names or malformed inline traces.
 pub fn materialise_trace(payload: &str) -> Result<Trace, String> {
     if payload.starts_with('{') {
-        return decode_trace(
-            &JsonValue::parse(payload).map_err(|e| format!("bad trace payload: {e}"))?,
-        );
+        let mut invocations = Vec::new();
+        let mut r = Reader::new(payload);
+        let decoded = (|| {
+            r.value()?; // the payload's `{`
+            let decoded = read_inline_trace(&mut r, &mut |_, inv| invocations.push(inv.clone()))?;
+            r.finish()?;
+            Ok::<_, JsonError>(decoded)
+        })()
+        .map_err(|e| format!("bad trace payload: {e}"))?;
+        return decoded.map(|()| Trace::from_invocations(invocations));
     }
     let (_, frames) = parse_workload_name(payload)?;
     let mut config = rispp_h264::EncoderConfig::paper_cif();
@@ -520,77 +762,215 @@ pub fn materialise_trace(payload: &str) -> Result<Trace, String> {
         .clone())
 }
 
-fn decode_trace(value: &JsonValue) -> Result<Trace, String> {
-    use rispp_monitor::HotSpotId;
-
-    let invocations = value
-        .get("invocations")
-        .and_then(JsonValue::as_array)
-        .ok_or("inline trace requires an `invocations` array")?;
-    let mut decoded = Vec::with_capacity(invocations.len());
-    for (i, inv) in invocations.iter().enumerate() {
-        let hot_spot = inv
-            .get("hot_spot")
-            .and_then(JsonValue::as_u64)
-            .and_then(|h| u16::try_from(h).ok())
-            .ok_or_else(|| format!("invocation {i}: bad `hot_spot`"))?;
-        let prologue_cycles = inv
-            .get("prologue_cycles")
-            .map_or(Some(0), JsonValue::as_u64)
-            .ok_or_else(|| format!("invocation {i}: bad `prologue_cycles`"))?;
-        let mut bursts = Vec::new();
-        for (j, b) in inv
-            .get("bursts")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("invocation {i}: missing `bursts`"))?
-            .iter()
-            .enumerate()
-        {
-            let triple = b
-                .as_array()
-                .filter(|t| t.len() == 3)
-                .ok_or_else(|| format!("invocation {i} burst {j}: expected [si,count,overhead]"))?;
-            let field = |k: usize| {
-                triple[k]
-                    .as_u64()
-                    .ok_or_else(|| format!("invocation {i} burst {j}: non-integer field"))
-            };
-            bursts.push(Burst {
-                si: SiId(
-                    u16::try_from(field(0)?)
-                        .map_err(|_| format!("invocation {i} burst {j}: si out of range"))?,
-                ),
-                count: u32::try_from(field(1)?)
-                    .map_err(|_| format!("invocation {i} burst {j}: count out of range"))?,
-                overhead: u32::try_from(field(2)?)
-                    .map_err(|_| format!("invocation {i} burst {j}: overhead out of range"))?,
-            });
+/// Reads an inline trace object, its `{` already read, and hands each
+/// decoded invocation to `emit` with its index, in order. Only the first
+/// `invocations` member is decoded. The first bad invocation is the
+/// error; what follows it is only syntax-checked.
+fn read_inline_trace<'a>(
+    r: &mut Reader<'a>,
+    emit: &mut dyn FnMut(usize, &Invocation),
+) -> Result<Result<(), String>, JsonError> {
+    let mut decoded = None;
+    while let Some(key) = r.key()? {
+        if &*key == "invocations" {
+            first_occurrence(&mut decoded, r, |r, first| read_invocations(r, first, emit))?;
+        } else {
+            r.skip_value()?;
         }
-        let mut hints = Vec::new();
-        if let Some(pairs) = inv.get("hints").and_then(JsonValue::as_array) {
-            for (j, h) in pairs.iter().enumerate() {
-                let pair = h
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("invocation {i} hint {j}: expected [si,executions]"))?;
-                let si = pair[0]
-                    .as_u64()
-                    .and_then(|s| u16::try_from(s).ok())
-                    .ok_or_else(|| format!("invocation {i} hint {j}: bad si"))?;
-                let executions = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| format!("invocation {i} hint {j}: bad executions"))?;
-                hints.push((SiId(si), executions));
+    }
+    Ok(decoded.unwrap_or_else(|| Err("inline trace requires an `invocations` array".into())))
+}
+
+fn read_invocations<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+    emit: &mut dyn FnMut(usize, &Invocation),
+) -> Result<Result<(), String>, JsonError> {
+    if !matches!(first, Token::ArrayStart) {
+        r.skip(&first)?;
+        return Ok(Err("inline trace requires an `invocations` array".into()));
+    }
+    // One invocation's buffers, reused for every invocation.
+    let mut inv = Invocation {
+        hot_spot: rispp_monitor::HotSpotId(0),
+        prologue_cycles: 0,
+        bursts: Vec::new(),
+        hints: Vec::new(),
+    };
+    let mut i = 0;
+    while let Some(first) = r.element()? {
+        if let Err(e) = read_invocation(r, first, i, &mut inv)? {
+            skip_elements(r)?;
+            return Ok(Err(e));
+        }
+        emit(i, &inv);
+        i += 1;
+    }
+    Ok(Ok(()))
+}
+
+/// Reads invocation `i` into `inv`. Its members may come in any order;
+/// they are checked in a fixed one (`hot_spot`, `prologue_cycles`,
+/// `bursts`, `hints`), so an invocation with two bad members always
+/// names the same one.
+fn read_invocation<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+    i: usize,
+    inv: &mut Invocation,
+) -> Result<Result<(), String>, JsonError> {
+    let mut hot_spot = None;
+    let mut prologue_cycles = None;
+    let mut bursts = None;
+    let mut hints = None;
+    inv.bursts.clear();
+    inv.hints.clear();
+    if matches!(first, Token::ObjectStart) {
+        while let Some(key) = r.key()? {
+            match &*key {
+                "hot_spot" => first_occurrence(&mut hot_spot, r, leaf)?,
+                "prologue_cycles" => first_occurrence(&mut prologue_cycles, r, leaf)?,
+                "bursts" => first_occurrence(&mut bursts, r, |r, first| {
+                    read_bursts(r, first, i, &mut inv.bursts)
+                })?,
+                "hints" => first_occurrence(&mut hints, r, |r, first| {
+                    read_hints(r, first, i, &mut inv.hints)
+                })?,
+                _ => r.skip_value()?,
             }
         }
-        decoded.push(Invocation {
-            hot_spot: HotSpotId(hot_spot),
-            prologue_cycles,
-            bursts,
-            hints,
-        });
+    } else {
+        r.skip(&first)?;
     }
-    Ok(Trace::from_invocations(decoded))
+    let Some(hot_spot) = hot_spot
+        .and_then(|v| v.as_u64())
+        .and_then(|h| u16::try_from(h).ok())
+    else {
+        return Ok(Err(format!("invocation {i}: bad `hot_spot`")));
+    };
+    let Some(prologue_cycles) = prologue_cycles.map_or(Some(0), |v| v.as_u64()) else {
+        return Ok(Err(format!("invocation {i}: bad `prologue_cycles`")));
+    };
+    let checked = bursts
+        .unwrap_or_else(|| Err(format!("invocation {i}: missing `bursts`")))
+        .and(hints.unwrap_or(Ok(())));
+    inv.hot_spot = rispp_monitor::HotSpotId(hot_spot);
+    inv.prologue_cycles = prologue_cycles;
+    Ok(checked)
+}
+
+/// Reads an invocation's `bursts`, each an `[si, count, overhead]`
+/// triple, into `out`.
+fn read_bursts<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+    i: usize,
+    out: &mut Vec<Burst>,
+) -> Result<Result<(), String>, JsonError> {
+    if !matches!(first, Token::ArrayStart) {
+        r.skip(&first)?;
+        return Ok(Err(format!("invocation {i}: missing `bursts`")));
+    }
+    read_list(r, i, "burst", out, |r, first| {
+        Ok(read_tuple(r, first)?
+            .ok_or("expected [si,count,overhead]")
+            .and_then(burst))
+    })
+}
+
+/// The burst of an `[si, count, overhead]` triple's integer fields.
+fn burst(fields: [Option<u64>; 3]) -> Result<Burst, &'static str> {
+    let field = |k: usize| fields[k].ok_or("non-integer field");
+    Ok(Burst {
+        si: SiId(u16::try_from(field(0)?).map_err(|_| "si out of range")?),
+        count: u32::try_from(field(1)?).map_err(|_| "count out of range")?,
+        overhead: u32::try_from(field(2)?).map_err(|_| "overhead out of range")?,
+    })
+}
+
+/// Reads an invocation's `hints`, each an `[si, executions]` pair, into
+/// `out`. `hints` that are not an array are ignored.
+fn read_hints<'a>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+    i: usize,
+    out: &mut Vec<(SiId, u64)>,
+) -> Result<Result<(), String>, JsonError> {
+    if !matches!(first, Token::ArrayStart) {
+        r.skip(&first)?;
+        return Ok(Ok(()));
+    }
+    read_list(r, i, "hint", out, |r, first| {
+        Ok(read_tuple(r, first)?
+            .ok_or("expected [si,executions]")
+            .and_then(hint))
+    })
+}
+
+/// The hint of an `[si, executions]` pair's integer fields.
+fn hint([si, executions]: [Option<u64>; 2]) -> Result<(SiId, u64), &'static str> {
+    let si = si.and_then(|s| u16::try_from(s).ok()).ok_or("bad si")?;
+    Ok((SiId(si), executions.ok_or("bad executions")?))
+}
+
+/// Reads the elements of an open array of invocation `i` with `item`
+/// into `out`. The first bad element is the error, named `what` and its
+/// index; the elements after it are only syntax-checked.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    i: usize,
+    what: &str,
+    out: &mut Vec<T>,
+    item: impl Fn(&mut Reader<'a>, Token<'a>) -> Result<Result<T, &'static str>, JsonError>,
+) -> Result<Result<(), String>, JsonError> {
+    let mut j = 0;
+    while let Some(first) = r.element()? {
+        match item(r, first)? {
+            Ok(value) => out.push(value),
+            Err(why) => {
+                skip_elements(r)?;
+                return Ok(Err(format!("invocation {i} {what} {j}: {why}")));
+            }
+        }
+        j += 1;
+    }
+    Ok(Ok(()))
+}
+
+/// Reads an array of exactly `N` elements, each as an integer if it is
+/// one; `None` for anything else.
+fn read_tuple<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    first: Token<'a>,
+) -> Result<Option<[Option<u64>; N]>, JsonError> {
+    if !matches!(first, Token::ArrayStart) {
+        r.skip(&first)?;
+        return Ok(None);
+    }
+    let mut fields = [None; N];
+    let mut len = 0;
+    while let Some(first) = r.element()? {
+        let value = match first {
+            Token::Number(n) => n.as_u64(),
+            other => {
+                r.skip(&other)?;
+                None
+            }
+        };
+        if let Some(field) = fields.get_mut(len) {
+            *field = value;
+        }
+        len += 1;
+    }
+    Ok((len == N).then_some(fields))
+}
+
+/// Reads the rest of an open array.
+fn skip_elements(r: &mut Reader<'_>) -> Result<(), JsonError> {
+    while let Some(rest) = r.element()? {
+        r.skip(&rest)?;
+    }
+    Ok(())
 }
 
 /// Checks that `trace` can be replayed against `library`: every burst and
@@ -761,6 +1141,7 @@ pub fn encode_submit(spec: &JobSpec) -> String {
 mod tests {
     use super::*;
     use rispp_core::SchedulerKind;
+    use rispp_telemetry::JsonValue;
 
     fn tiny_trace() -> Trace {
         use rispp_monitor::HotSpotId;
@@ -783,6 +1164,15 @@ mod tests {
         }])
     }
 
+    /// Parses a submit line with the given `config` and `trace` texts.
+    fn submit(config: &str, trace: &str) -> Result<JobSpec, String> {
+        let line = format!(r#"{{"op":"submit","id":"t","config":{config},"trace":{trace}}}"#);
+        match parse_request(&line)? {
+            Request::Submit(spec) => Ok(*spec),
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
     #[test]
     fn config_round_trips_through_the_codec() {
         let mut config = SimConfig::rispp(9, SchedulerKind::Fsfr).with_detail(true);
@@ -793,52 +1183,138 @@ mod tests {
             max_retries: 5,
         });
         let encoded = encode_config(&config);
-        let decoded = decode_config(&JsonValue::parse(&encoded).unwrap()).unwrap();
+        let decoded = submit(&encoded, r#""fig7""#).unwrap().config;
         assert_eq!(decoded, config);
         // Canonical: encoding the decode reproduces the bytes.
         assert_eq!(encode_config(&decoded), encoded);
+        // Every field has a default.
+        assert_eq!(
+            submit("{}", r#""fig7""#).unwrap().config,
+            SimConfig::rispp(15, SchedulerKind::Hef)
+        );
     }
 
     #[test]
     fn config_decode_rejects_bad_fields() {
-        for bad in [
-            r#"{"system":"warp9"}"#,
-            r#"{"containers":-1}"#,
-            r#"{"containers":70000}"#,
-            r#"{"bucket_cycles":0}"#,
-            r#"{"port_bandwidth":0}"#,
-            r#"{"fault":{"rate_ppm":1000001}}"#,
-            r#"{"fault":{"seed":1}}"#,
+        for (bad, message) in [
+            (r#"{"system":"warp9"}"#, "unknown system `warp9`"),
+            (r#"{"containers":-1}"#, "`containers` must be an integer"),
+            (r#"{"containers":70000}"#, "`containers` out of range"),
+            (r#"{"bucket_cycles":0}"#, "`bucket_cycles` must be positive"),
+            (
+                r#"{"fault":{"rate_ppm":1000001}}"#,
+                "`fault.rate_ppm` must be at most",
+            ),
+            (r#"{"fault":{"seed":1}}"#, "`fault` requires `rate_ppm`"),
+            (r#"{"port_bandwidth":0}"#, "`port_bandwidth` 0"),
         ] {
-            let v = JsonValue::parse(bad).unwrap();
-            assert!(decode_config(&v).is_err(), "{bad}");
+            let err = submit(bad, r#""fig7""#).unwrap_err();
+            assert!(err.starts_with(message), "{bad}: {err}");
         }
+        // Fields are checked in a fixed order, whatever order they come in.
+        let err = submit(r#"{"detail":1,"containers":"x"}"#, r#""fig7""#).unwrap_err();
+        assert_eq!(err, "`containers` must be an integer");
     }
 
     #[test]
     fn trace_round_trips_and_normalises() {
         let trace = tiny_trace();
         let encoded = encode_trace(&trace);
-        let payload = canonical_trace_payload(&JsonValue::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(payload, encoded);
-        let back = materialise_trace(&payload).unwrap();
+        assert_eq!(submit("{}", &encoded).unwrap().trace_payload, encoded);
+        let back = materialise_trace(&encoded).unwrap();
         assert_eq!(back.invocations(), trace.invocations());
+        // Whitespace, member order, defaults and unknown members
+        // normalise away.
+        let spelled = r#" { "x" : [ {} ] , "invocations" : [ { "hints" : [ [0,10] , [2,7] ],
+            "bursts":[[0,10,3],[2,7,1]], "hot_spot":1.0, "prologue_cycles":5e1, "y":null } ] } "#;
+        assert_eq!(submit("{}", spelled).unwrap().trace_payload, encoded);
+        assert_eq!(
+            submit("{}", r#"{"invocations":[{"hot_spot":1,"bursts":[]}]}"#)
+                .unwrap()
+                .trace_payload,
+            r#"{"invocations":[{"hot_spot":1,"prologue_cycles":0,"bursts":[],"hints":[]}]}"#
+        );
+    }
+
+    #[test]
+    fn inline_trace_errors_name_the_first_bad_invocation() {
+        for (trace, message) in [
+            (
+                "[]",
+                "`trace` must be a workload name or an inline trace object",
+            ),
+            ("{}", "inline trace requires an `invocations` array"),
+            (
+                r#"{"invocations":{}}"#,
+                "inline trace requires an `invocations` array",
+            ),
+            (r#"{"invocations":[7]}"#, "invocation 0: bad `hot_spot`"),
+            (
+                r#"{"invocations":[{"hot_spot":1}]}"#,
+                "invocation 0: missing `bursts`",
+            ),
+            (
+                r#"{"invocations":[{"hot_spot":1,"bursts":[]},{"bursts":[[1,2]],"hot_spot":70000}]}"#,
+                "invocation 1: bad `hot_spot`",
+            ),
+            (
+                r#"{"invocations":[{"hot_spot":1,"bursts":[[0,1,2],[0,1,-2]]}]}"#,
+                "invocation 0 burst 1: non-integer field",
+            ),
+            (
+                r#"{"invocations":[{"hot_spot":1,"bursts":[[70000,1,2]]}]}"#,
+                "invocation 0 burst 0: si out of range",
+            ),
+            (
+                r#"{"invocations":[{"hints":[[1]],"hot_spot":1,"bursts":[]}]}"#,
+                "invocation 0 hint 0: expected [si,executions]",
+            ),
+        ] {
+            let err = submit("{}", trace).unwrap_err();
+            assert_eq!(err, message, "{trace}");
+        }
+        // `hints` that are not an array are ignored, as before.
+        assert!(submit(
+            "{}",
+            r#"{"invocations":[{"hot_spot":1,"bursts":[],"hints":5}]}"#
+        )
+        .is_ok());
     }
 
     #[test]
     fn named_workloads_normalise_to_frame_counts() {
-        let v = JsonValue::String("fig7".into());
-        assert_eq!(canonical_trace_payload(&v).unwrap(), "fig7:20");
-        let v = JsonValue::String("fig7:3".into());
-        assert_eq!(canonical_trace_payload(&v).unwrap(), "fig7:3");
-        assert!(canonical_trace_payload(&JsonValue::String("fig8".into())).is_err());
-        assert!(canonical_trace_payload(&JsonValue::String("fig7:0".into())).is_err());
-        let v = JsonValue::String("fig7:140".into());
-        assert_eq!(canonical_trace_payload(&v).unwrap(), "fig7:140");
+        let payload = |name: &str| submit("{}", &format!("{name:?}")).map(|s| s.trace_payload);
+        assert_eq!(payload("fig7").unwrap(), "fig7:20");
+        assert_eq!(payload("fig7:3").unwrap(), "fig7:3");
+        assert_eq!(payload("fig7:140").unwrap(), "fig7:140");
+        assert!(payload("fig8").is_err());
+        assert!(payload("fig7:0").is_err());
         for too_long in ["fig7:141", "fig7:4294967295"] {
-            let err = canonical_trace_payload(&JsonValue::String(too_long.into())).unwrap_err();
+            let err = payload(too_long).unwrap_err();
             assert!(err.contains("between 1 and 140"), "{too_long}: {err}");
         }
+    }
+
+    #[test]
+    fn the_first_occurrence_of_a_member_wins() {
+        let spec = submit(
+            r#"{"containers":4,"containers":5,"fault":{"rate_ppm":10,"seed":3,"seed":4}}"#,
+            r#""fig7:2","trace":"fig7:3","id":"other""#,
+        )
+        .unwrap();
+        assert_eq!(spec.id, "t");
+        assert_eq!(spec.config.containers, 4);
+        assert_eq!(spec.config.fault.map(|f| f.seed), Some(3));
+        assert_eq!(spec.trace_payload, "fig7:2");
+        // `op` may come last, and a non-submit line ignores a bad config.
+        assert_eq!(
+            parse_request(r#"{"config":{"system":"warp9"},"trace":7,"op":"health"}"#),
+            Ok(Request::Health)
+        );
+        // A repeated key is still syntax-checked.
+        assert!(parse_request(r#"{"op":"health","op":[1,}"#)
+            .unwrap_err()
+            .starts_with("bad JSON"));
     }
 
     #[test]
@@ -883,6 +1359,19 @@ mod tests {
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"op":"launch"}"#).is_err());
         assert!(parse_request(r#"{"id":"x"}"#).is_err());
+    }
+
+    #[test]
+    fn a_refusal_carries_the_first_string_id_of_a_valid_line() {
+        let id = |line: &str| decode_request(line).unwrap_err().0;
+        assert_eq!(id(r#"{"op":"launch","id":"a","id":"b"}"#), "a");
+        assert_eq!(
+            id(r#"{"id":"\u0061","op":"submit","config":{"containers":-1}}"#),
+            "a"
+        );
+        assert_eq!(id(r#"{"op":"launch","id":7,"id":"b"}"#), "");
+        assert_eq!(id(r#"{"op":"launch","id":"a"} x"#), "");
+        assert_eq!(id(r#"["id","a"]"#), "");
     }
 
     #[test]

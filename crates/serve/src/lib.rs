@@ -49,9 +49,8 @@ pub mod signal;
 pub mod watchdog;
 
 pub use job::{
-    canonical_trace_payload, decode_config, encode_config, encode_stats, encode_submit,
-    encode_trace, materialise_trace, parse_request, validate_config, JobOutcome, JobSpec,
-    JobStatus, Request,
+    encode_config, encode_stats, encode_submit, encode_trace, materialise_trace, parse_request,
+    validate_config, JobOutcome, JobSpec, JobStatus, Request,
 };
 pub use net::{handle_connection, run_daemon};
 pub use queue::{AdmissionQueue, PushError};

@@ -19,9 +19,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use rispp_telemetry::JsonValue;
-
-use crate::job::{json_escape, parse_request, JobOutcome, JobStatus, Request};
+use crate::job::{decode_request, json_escape, JobOutcome, JobStatus, Request};
 use crate::server::{Server, SubmitResult};
 
 /// How often the accept loop re-checks the drain flag.
@@ -70,15 +68,6 @@ fn metrics_line(server: &Server) -> String {
 /// An error answer for the request `id` (`""` when none could be read).
 fn error_line(id: &str, message: &str) -> String {
     JobOutcome::refused(id, JobStatus::Error(message.to_owned())).to_line()
-}
-
-/// The string `id` of a request line that is a JSON object, if it has
-/// one, so a refused request is answered under its own id.
-fn request_id(line: &str) -> String {
-    JsonValue::parse(line)
-        .ok()
-        .and_then(|v| v.get("id").and_then(JsonValue::as_str).map(str::to_owned))
-        .unwrap_or_default()
 }
 
 /// Serves one established connection until the peer hangs up or the
@@ -189,8 +178,8 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
             line.clear();
             continue;
         }
-        let pending = match parse_request(trimmed) {
-            Err(message) => Pending::Ready(error_line(&request_id(trimmed), &message)),
+        let pending = match decode_request(trimmed) {
+            Err((id, message)) => Pending::Ready(error_line(&id, &message)),
             Ok(Request::Health) => Pending::Ready(health_line(server)),
             Ok(Request::Metrics) => Pending::Ready(metrics_line(server)),
             Ok(Request::Cancel { id }) => {

@@ -12,8 +12,10 @@
 //!   (duration/instant/counter/metadata events) whose output loads in
 //!   Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`. Simulated
 //!   cycles are rendered as microseconds (1 cycle = 1 µs).
-//! * [`JsonValue`] — a minimal recursive-descent JSON parser used by tests
-//!   and the CLI trace validator (the workspace has no serde).
+//! * [`json::Reader`] — a pull reader over one JSON document, and
+//!   [`JsonValue`], a tree built on it (the workspace has no serde). The
+//!   job-server daemon decodes its wire with the reader; tests and the CLI
+//!   trace validator read the tree.
 //! * [`Bundle`] / [`BundleMeta`] — the self-describing flight-recorder
 //!   diagnostic-bundle format (writer helpers + parser) consumed by
 //!   `rispp-cli forensics`.

@@ -90,9 +90,11 @@ echo "==> serve smoke (daemon boot, NDJSON batch, SIGTERM drain)"
 # batch over the socket twice (--repeat 2, so the second four jobs plan
 # from the daemon's warm plan cache) with --compare-local (the client
 # re-runs every completed job through the batch path and fails on any
-# stats divergence), then SIGTERM the daemon: it must drain gracefully —
-# exit 0 and account for every admitted job (8 completed, nothing
-# lost, duplicated, rejected or dropped).
+# stats divergence), then one faulty job whose seed is above 2^53 (the
+# wire must carry it exactly, or the daemon replays another seed and the
+# comparison fails), then SIGTERM the daemon: it must drain gracefully —
+# exit 0 and account for every admitted job (9 completed, nothing lost,
+# duplicated, rejected or dropped).
 ./target/release/rispp-cli serve --addr 127.0.0.1:0 --workers 2 \
   >target/ci_serve.log 2>&1 &
 serve_pid=$!
@@ -108,6 +110,9 @@ if [ -z "${serve_addr:-}" ]; then
 fi
 ./target/release/rispp-cli submit --addr "$serve_addr" --frames 2 \
   --from 6 --to 9 --repeat 2 --compare-local | sed 's/^/    /'
+./target/release/rispp-cli submit --addr "$serve_addr" --frames 2 --acs 8 \
+  --fault-rate 0.01 --fault-seed 11400714819323198485 --compare-local \
+  | sed 's/^/    /'
 kill -TERM "$serve_pid"
 serve_rc=0
 wait "$serve_pid" || serve_rc=$?
@@ -115,7 +120,7 @@ if [ "$serve_rc" -ne 0 ]; then
   echo "ci: serve smoke failed — daemon exited $serve_rc after SIGTERM" >&2
   exit 1
 fi
-if ! grep -q "drained: 8 completed, 0 rejected, 0 timeouts, 0 cancelled, 0 panicked, 0 poisoned" \
+if ! grep -q "drained: 9 completed, 0 rejected, 0 timeouts, 0 cancelled, 0 panicked, 0 poisoned" \
     target/ci_serve.log; then
   echo "ci: serve smoke failed — drain summary lost or duplicated jobs:" >&2
   cat target/ci_serve.log >&2
