@@ -460,9 +460,7 @@ pub fn encode_config(config: &SimConfig) -> String {
     out
 }
 
-/// The members of a submit line's `config` that the decoder reads. A
-/// `config` that is not an object has none, so it decodes to the
-/// defaults.
+/// The members of a submit line's `config` that the decoder reads.
 #[derive(Default)]
 struct ConfigMembers<'a> {
     containers: Option<Leaf<'a>>,
@@ -483,30 +481,30 @@ struct FaultMembers<'a> {
     max_retries: Option<Leaf<'a>>,
 }
 
-/// Reads a submit line's `config` and decodes it. Unknown systems,
-/// non-integer numerics and malformed fault blocks are refused;
-/// `explain`/`journal` and tenancy are server-side concerns and not
-/// accepted over the wire.
+/// Reads a submit line's `config` and decodes it. A `config` that is not
+/// an object, unknown systems, non-integer numerics and malformed fault
+/// blocks are refused; `explain`/`journal` and tenancy are server-side
+/// concerns and not accepted over the wire.
 fn read_config<'a>(
     r: &mut Reader<'a>,
     first: Token<'a>,
 ) -> Result<Result<SimConfig, String>, JsonError> {
-    let mut m = ConfigMembers::default();
-    if matches!(first, Token::ObjectStart) {
-        while let Some(key) = r.key()? {
-            match &*key {
-                "containers" => first_occurrence(&mut m.containers, r, leaf)?,
-                "system" => first_occurrence(&mut m.system, r, leaf)?,
-                "detail" => first_occurrence(&mut m.detail, r, leaf)?,
-                "bucket_cycles" => first_occurrence(&mut m.bucket_cycles, r, leaf)?,
-                "oracle" => first_occurrence(&mut m.oracle, r, leaf)?,
-                "port_bandwidth" => first_occurrence(&mut m.port_bandwidth, r, leaf)?,
-                "fault" => first_occurrence(&mut m.fault, r, read_fault)?,
-                _ => r.skip_value()?,
-            }
-        }
-    } else {
+    if !matches!(first, Token::ObjectStart) {
         r.skip(&first)?;
+        return Ok(Err("`config` must be an object".into()));
+    }
+    let mut m = ConfigMembers::default();
+    while let Some(key) = r.key()? {
+        match &*key {
+            "containers" => first_occurrence(&mut m.containers, r, leaf)?,
+            "system" => first_occurrence(&mut m.system, r, leaf)?,
+            "detail" => first_occurrence(&mut m.detail, r, leaf)?,
+            "bucket_cycles" => first_occurrence(&mut m.bucket_cycles, r, leaf)?,
+            "oracle" => first_occurrence(&mut m.oracle, r, leaf)?,
+            "port_bandwidth" => first_occurrence(&mut m.port_bandwidth, r, leaf)?,
+            "fault" => first_occurrence(&mut m.fault, r, read_fault)?,
+            _ => r.skip_value()?,
+        }
     }
     Ok(m.decode())
 }
@@ -889,7 +887,7 @@ fn burst(fields: [Option<u64>; 3]) -> Result<Burst, &'static str> {
 }
 
 /// Reads an invocation's `hints`, each an `[si, executions]` pair, into
-/// `out`. `hints` that are not an array are ignored.
+/// `out`.
 fn read_hints<'a>(
     r: &mut Reader<'a>,
     first: Token<'a>,
@@ -898,7 +896,7 @@ fn read_hints<'a>(
 ) -> Result<Result<(), String>, JsonError> {
     if !matches!(first, Token::ArrayStart) {
         r.skip(&first)?;
-        return Ok(Ok(()));
+        return Ok(Err(format!("invocation {i}: `hints` must be an array")));
     }
     read_list(r, i, "hint", out, |r, first| {
         Ok(read_tuple(r, first)?
@@ -1269,16 +1267,20 @@ mod tests {
                 r#"{"invocations":[{"hints":[[1]],"hot_spot":1,"bursts":[]}]}"#,
                 "invocation 0 hint 0: expected [si,executions]",
             ),
+            (
+                r#"{"invocations":[{"hot_spot":1,"bursts":[]},{"hot_spot":1,"bursts":[],"hints":{}}]}"#,
+                "invocation 1: `hints` must be an array",
+            ),
+            (
+                r#"{"invocations":[{"hot_spot":1,"bursts":[],"hints":5}]}"#,
+                "invocation 0: `hints` must be an array",
+            ),
         ] {
             let err = submit("{}", trace).unwrap_err();
             assert_eq!(err, message, "{trace}");
         }
-        // `hints` that are not an array are ignored, as before.
-        assert!(submit(
-            "{}",
-            r#"{"invocations":[{"hot_spot":1,"bursts":[],"hints":5}]}"#
-        )
-        .is_ok());
+        // Absent `hints` are none.
+        assert!(submit("{}", r#"{"invocations":[{"hot_spot":1,"bursts":[]}]}"#).is_ok());
     }
 
     #[test]

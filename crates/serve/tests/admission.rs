@@ -14,7 +14,9 @@
 //!    attempt: it never poisons its config, and an unreplayable trace
 //!    never enters the cache;
 //! 5. a config with a zero port bandwidth is refused the same way, on
-//!    the wire and in process.
+//!    the wire and in process, and so are malformed submit lines: a
+//!    `config` that is not an object, `hints` that are not an array and
+//!    numbers outside RFC 8259.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -28,8 +30,8 @@ use rispp_core::SchedulerKind;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_serve::{
-    encode_submit, encode_trace, run_daemon, JobOutcome, JobSpec, JobStatus, Server, ServerConfig,
-    SubmitResult,
+    encode_config, encode_submit, encode_trace, run_daemon, JobOutcome, JobSpec, JobStatus, Server,
+    ServerConfig, SubmitResult,
 };
 use rispp_sim::{Burst, Invocation, SimConfig, Trace};
 
@@ -376,6 +378,81 @@ fn a_zero_port_bandwidth_is_refused_on_the_wire() {
         assert!(answer.contains("`port_bandwidth` 0"), "{answer}");
     }
     let ok = ask(66_000_000);
+    assert!(ok.contains(r#""status":"completed""#), "{ok}");
+    assert!(ok.contains(r#""attempts":1"#), "{ok}");
+    assert_eq!(srv.poisoned_configs(), 0);
+    assert_eq!(
+        srv.metrics_snapshot().counter("rispp_serve_panics_total"),
+        0
+    );
+
+    stop.store(true, Ordering::Release);
+    daemon.join().expect("daemon thread").expect("daemon");
+}
+
+#[test]
+fn malformed_submits_are_refused_on_the_wire() {
+    let srv = server(4);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let daemon = std::thread::spawn({
+        let (srv, stop) = (srv.clone(), Arc::clone(&stop));
+        move || run_daemon(&srv, listener, &stop)
+    });
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut answers = BufReader::new(stream.try_clone().expect("clone stream")).lines();
+    let mut ask = |line: &str| -> String {
+        writeln!(&stream, "{line}").expect("send");
+        answers.next().expect("answer").expect("read answer")
+    };
+
+    let job = spec("good", 2, payload(2, 30));
+    let good = encode_submit(&job);
+    let config = |config: &str| good.replacen(&encode_config(&job.config), config, 1);
+    let hints_at = good.find(r#""hints":["#).expect("a payload with hints");
+    let bad_hints = |hints: &str| {
+        let (head, tail) = good.split_at(hints_at + r#""hints":"#.len());
+        let tail = &tail[tail.find(']').expect("hint pair") + 2..];
+        format!("{head}{hints}{tail}")
+    };
+    let refusals = [
+        (config("5"), "`config` must be an object"),
+        (
+            config(r#"[{"containers":2}]"#),
+            "`config` must be an object",
+        ),
+        (config("null"), "`config` must be an object"),
+        (bad_hints("{}"), "invocation 0: `hints` must be an array"),
+        (bad_hints("5"), "invocation 0: `hints` must be an array"),
+        (
+            good.replace(r#""containers":2"#, r#""containers":02"#),
+            "invalid number",
+        ),
+        (
+            good.replace(r#""containers":2"#, r#""containers":2."#),
+            "invalid number",
+        ),
+        (
+            good.replace(r#""containers":2"#, r#""containers":-.5"#),
+            "invalid number",
+        ),
+        (
+            good.replace(r#""containers":2"#, r#""containers":2.e0"#),
+            "invalid number",
+        ),
+    ];
+    // More refusals than the poison threshold: none of them ran.
+    for _ in 0..=ServerConfig::default().poison_threshold {
+        for (line, message) in &refusals {
+            assert_ne!(line, &good, "the line must be malformed");
+            let answer = ask(line);
+            assert!(answer.contains(r#""status":"error""#), "{line}: {answer}");
+            assert!(answer.contains(r#""attempts":0"#), "{line}: {answer}");
+            assert!(answer.contains(message), "{line}: {answer}");
+        }
+    }
+    let ok = ask(&good);
     assert!(ok.contains(r#""status":"completed""#), "{ok}");
     assert!(ok.contains(r#""attempts":1"#), "{ok}");
     assert_eq!(srv.poisoned_configs(), 0);

@@ -1,9 +1,12 @@
 //! The NDJSON wire decoder against the JSON-tree decoder it replaced.
 //!
 //! `parse_request` decodes a line in one pass of the telemetry crate's
-//! pull reader. `reference` below is the earlier decoder, kept as it was:
-//! parse the line into a `JsonValue` tree, walk the tree into a config and
-//! a trace, re-encode the trace. The tree holds numbers as `f64`, so the
+//! pull reader. `reference` below is the earlier decoder: parse the line
+//! into a `JsonValue` tree, walk the tree into a config and a trace,
+//! re-encode the trace. It is kept as it was but for three refusals both
+//! now make: numbers outside RFC 8259 (`08`, `1.`; the shared reader
+//! refuses them as syntax), a `config` that is not an object and `hints`
+//! that are not an array. The tree holds numbers as `f64`, so the
 //! two are compared where that is exact: on lines whose every number reads
 //! the same both ways (integers below 2^53). There they must return the
 //! same request or the same refusal, on generated submit lines (shuffled
@@ -105,6 +108,9 @@ mod reference {
     }
 
     fn decode_config(value: &JsonValue) -> Result<SimConfig, String> {
+        if !matches!(value, JsonValue::Object(_)) {
+            return Err("`config` must be an object".into());
+        }
         let containers = match value.get("containers") {
             None => 15,
             Some(v) => u16::try_from(v.as_u64().ok_or("`containers` must be an integer")?)
@@ -281,7 +287,10 @@ mod reference {
                 });
             }
             let mut hints = Vec::new();
-            if let Some(pairs) = inv.get("hints").and_then(JsonValue::as_array) {
+            if let Some(pairs) = inv.get("hints") {
+                let pairs = pairs
+                    .as_array()
+                    .ok_or_else(|| format!("invocation {i}: `hints` must be an array"))?;
                 for (j, h) in pairs.iter().enumerate() {
                     let pair = h.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
                         format!("invocation {i} hint {j}: expected [si,executions]")
@@ -340,17 +349,20 @@ impl Gen {
         match self.below(10) {
             0 => format!("{value}.0"),
             1 => format!("{value}e0"),
-            2 => format!("{value}0E-1"),
+            2 if value > 0 => format!("{value}0E-1"),
             3 if value == 0 => "-0".into(),
-            4 => format!("{value}00e-2"),
+            4 if value > 0 => format!("{value}00e-2"),
             _ => value.to_string(),
         }
     }
 
-    /// A value that no integer field accepts.
+    /// A value that no integer field accepts; the last four are numbers
+    /// in Rust's float grammar but not in RFC 8259's.
     fn not_an_integer(&mut self) -> String {
-        self.pick(&["-1", "1.5", "1e-1", "\"7\"", "null", "true", "[1]", "{}"])
-            .into()
+        self.pick(&[
+            "-1", "1.5", "1e-1", "\"7\"", "null", "true", "[1]", "{}", "08", "1.", "-.5", "1.e5",
+        ])
+        .into()
     }
 
     /// An integer field's value: usually `good`, sometimes not an integer.

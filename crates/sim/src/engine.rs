@@ -379,7 +379,7 @@ fn poll_telemetry(
 ) {
     system.drain_decisions(decisions);
     for d in decisions.drain(..) {
-        emit(observers, SimEvent::Decision(Box::new(d)));
+        emit(observers, SimEvent::Decision(std::sync::Arc::new(d)));
     }
     system.drain_fabric_journal(journal);
     for entry in journal.drain(..) {

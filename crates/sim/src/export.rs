@@ -590,7 +590,7 @@ mod tests {
                 &["count", "total", "now"],
             ),
             (
-                SimEvent::Decision(Box::new(decision)),
+                SimEvent::Decision(std::sync::Arc::new(decision)),
                 "decision",
                 &[
                     "now",

@@ -8,9 +8,9 @@
 //! recording performs **no allocation** for any event the engine emits in
 //! a default run — every retained variant holds only `Copy` payloads, the
 //! rings are allocated once up front and slots are overwritten in place.
-//! (Retaining a [`SimEvent::Decision`] clones its boxed payload, which
-//! allocates; decisions only flow when `--explain` is on, an explicitly
-//! non-hot path.)
+//! A [`SimEvent::Decision`] is retained by sharing its payload, never by
+//! copying the records. A batch of burst segments skips the ones the ring
+//! would overwrite before the batch ends.
 //!
 //! When a job dies — panic, deadline timeout, retry exhaustion,
 //! poison-listing — the server calls [`FlightRecorder::dump`] to render
@@ -22,18 +22,21 @@
 //! trace context — forensics and logs never disagree.
 
 use std::fmt;
+use std::sync::Arc;
 
-use rispp_core::DecisionExplain;
+use rispp_core::{BurstSegment, DecisionExplain};
 use rispp_fabric::FabricJournalEntry;
 use rispp_telemetry::bundle::{
     write_bundle_header, write_end_line, write_explain_line, write_journal_line,
     write_perfetto_line, BundleMeta,
 };
-use rispp_telemetry::TraceBuilder;
+use rispp_telemetry::{push_u64, TraceBuilder};
 
 use crate::context::TraceContext;
 use crate::export;
-use crate::observer::{SimEvent, SimObserver};
+use crate::observer::{batch_pairs, SimEvent, SimObserver};
+use crate::telemetry::context_args;
+use crate::trace::Burst;
 
 /// Scheduler decisions retained (only populated when the run emits
 /// [`SimEvent::Decision`], i.e. explain is on).
@@ -75,7 +78,10 @@ impl<T> Ring<T> {
         } else {
             self.dropped += 1;
             self.slots[self.head] = value;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
     }
 
@@ -102,13 +108,13 @@ impl<T> Ring<T> {
 /// Three fixed-capacity rings — every event, the last decision
 /// explains, the last fabric-journal entries — overwrite their oldest
 /// entry when full and count what fell off. Steady state is alloc-free
-/// (the rings are allocated once at construction); only boxed
-/// [`SimEvent::Decision`] payloads clone on capture, and those only
-/// exist when explain mode is on. [`FlightRecorder::dump`] spills the
-/// retained tail as a self-describing diagnostic bundle.
+/// (the rings are allocated once at construction); a
+/// [`SimEvent::Decision`] payload, which exists only when explain mode is
+/// on, is shared by both rings that keep it. [`FlightRecorder::dump`]
+/// spills the retained tail as a self-describing diagnostic bundle.
 pub struct FlightRecorder {
     events: Ring<SimEvent>,
-    decisions: Ring<DecisionExplain>,
+    decisions: Ring<Arc<DecisionExplain>>,
     journal: Ring<FabricJournalEntry>,
     context: Option<TraceContext>,
 }
@@ -205,27 +211,22 @@ impl FlightRecorder {
     /// Chrome trace-event fragment (instants on a single "Flight
     /// recorder" track group), loadable in Perfetto on its own.
     fn perfetto_fragment(&self) -> String {
-        use std::fmt::Write as _;
-
         let mut trace = TraceBuilder::new();
         trace.process_name(1, "Flight recorder");
         trace.thread_name(1, 0, "decisions");
         trace.thread_name(1, 1, "fabric journal");
         let mut name = String::new();
         if let Some(ctx) = self.context {
-            name.clear();
-            let _ = write!(
-                name,
-                "{{\"trace_id\":{},\"tenant\":{},\"attempt\":{}}}",
-                ctx.trace_id, ctx.tenant, ctx.attempt
-            );
+            context_args(&mut name, ctx);
             trace.instant_with_args(1, 0, "trace context", 0, Some(&name));
         }
         for decision in self.decisions.iter() {
             name.clear();
-            let _ = write!(name, "decision");
+            name.push_str("decision");
             if let Some(hs) = decision.hot_spot {
-                let _ = write!(name, " (hot spot {})", hs.0);
+                name.push_str(" (hot spot ");
+                push_u64(&mut name, u64::from(hs.0));
+                name.push(')');
             }
             trace.instant(1, 0, &name, decision.now);
         }
@@ -248,7 +249,10 @@ impl FlightRecorder {
                 }
             };
             name.clear();
-            let _ = write!(name, "AC{} {label}", container.0);
+            name.push_str("AC");
+            push_u64(&mut name, u64::from(container.0));
+            name.push(' ');
+            name.push_str(label);
             trace.instant(1, 1, &name, at);
         }
         trace.finish()
@@ -310,7 +314,7 @@ impl SimObserver for FlightRecorder {
     fn on_event(&mut self, event: &SimEvent) {
         match event {
             SimEvent::Decision(decision) => {
-                self.decisions.push(decision.as_ref().clone());
+                self.decisions.push(Arc::clone(decision));
             }
             SimEvent::ContainerTransition(entry) => {
                 self.journal.push(*entry);
@@ -321,6 +325,21 @@ impl SimObserver for FlightRecorder {
         // lands in the main ring, so the dumped tail matches the full
         // event log's suffix exactly.
         self.events.push(event.clone());
+    }
+
+    /// A batch lands in the event ring as its segment events would. Only
+    /// the last `capacity` of them can survive the batch, so the ones
+    /// before are counted as dropped without being written.
+    fn on_batch(&mut self, bursts: &[Burst], segments: &[BurstSegment]) {
+        let skipped = segments.len().saturating_sub(self.events.capacity);
+        self.events.dropped += skipped as u64;
+        for (b, segment) in batch_pairs(bursts, segments).skip(skipped) {
+            self.events.push(SimEvent::SegmentExecuted {
+                si: b.si,
+                segment: *segment,
+                overhead: b.overhead,
+            });
+        }
     }
 
     fn set_trace_context(&mut self, context: TraceContext) {

@@ -110,9 +110,11 @@ pub enum SimEvent {
     },
     /// One Molecule-selection + Atom-schedule decision of the run-time
     /// manager, with all scored candidates and the chosen winners (emitted
-    /// only when [`SimConfig::explain`](crate::SimConfig) is on). Boxed:
-    /// the payload is large and rare relative to segment events.
-    Decision(Box<DecisionExplain>),
+    /// only when [`SimConfig::explain`](crate::SimConfig) is on). Shared:
+    /// the payload is large and rare relative to segment events, and an
+    /// observer that keeps it (the flight recorder) clones the handle, not
+    /// the records.
+    Decision(Arc<DecisionExplain>),
     /// One Atom Container state transition from the fabric's journal
     /// (emitted only when [`SimConfig::journal`](crate::SimConfig) is on).
     /// Each entry carries its own exact cycle.
@@ -204,7 +206,8 @@ pub trait SimObserver {
     /// as a [`SimEvent::SegmentExecuted`], exactly the events per-burst
     /// replay would emit. Override it only when the batch can be folded
     /// with the same result; [`RunStats`] does, adding the counts in one
-    /// loop.
+    /// loop, and so do the metrics, Perfetto and flight-recorder
+    /// observers.
     ///
     /// # Panics
     ///

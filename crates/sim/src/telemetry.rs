@@ -25,13 +25,15 @@
 
 use std::fmt::Write as _;
 
+use rispp_core::BurstSegment;
 use rispp_fabric::FabricJournalEntry;
 use rispp_model::SiId;
 use rispp_monitor::{HotSpotDetector, HotSpotId};
-use rispp_telemetry::{push_u64, MetricsRegistry, MetricsSnapshot, TraceBuilder};
+use rispp_telemetry::{push_u64, MetricsRegistry, MetricsSnapshot, SegmentSpan, TraceBuilder};
 
 use crate::context::TraceContext;
-use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
+use crate::observer::{batch_pairs, HotSpotOrigin, SimEvent, SimObserver};
+use crate::trace::Burst;
 
 /// The no-op recorder. It opts out of the per-segment stream and its
 /// `on_event` body is empty, so attaching it keeps the replay hot path
@@ -220,6 +222,34 @@ impl MetricsObserver {
         self.name = name;
     }
 
+    /// Adds one burst segment to its SI's tally.
+    fn segment(&mut self, si: SiId, segment: &BurstSegment, overhead: u32) {
+        let i = usize::from(si.0);
+        if self.si.len() <= i {
+            self.si.resize_with(i + 1, SiTally::default);
+        }
+        let per = u64::from(segment.latency) + u64::from(overhead);
+        let tally = &mut self.si[i];
+        match tally
+            .latencies
+            .iter_mut()
+            .find(|(latency, _)| *latency == per)
+        {
+            Some((_, count)) => *count += segment.count,
+            None => {
+                if tally.latencies.len() == TALLY_LATENCIES {
+                    tally.fold_into(i, &mut self.registry, &mut self.name);
+                    tally.clear();
+                }
+                tally.latencies.push((per, segment.count));
+            }
+        }
+        tally.executions += segment.count;
+        if segment.is_hardware() {
+            *tally.hardware.get_or_insert(0) += segment.count;
+        }
+    }
+
     /// Folds a run's deterministic plan-cache counters into the registry
     /// (they are pulled from the backend after the run rather than carried
     /// on the event stream, which stays bit-identical cache-on vs
@@ -259,32 +289,7 @@ impl SimObserver for MetricsObserver {
                 si,
                 segment,
                 overhead,
-            } => {
-                let i = usize::from(si.0);
-                if self.si.len() <= i {
-                    self.si.resize_with(i + 1, SiTally::default);
-                }
-                let per = u64::from(segment.latency) + u64::from(*overhead);
-                let tally = &mut self.si[i];
-                match tally
-                    .latencies
-                    .iter_mut()
-                    .find(|(latency, _)| *latency == per)
-                {
-                    Some((_, count)) => *count += segment.count,
-                    None => {
-                        if tally.latencies.len() == TALLY_LATENCIES {
-                            tally.fold_into(i, &mut self.registry, &mut self.name);
-                            tally.clear();
-                        }
-                        tally.latencies.push((per, segment.count));
-                    }
-                }
-                tally.executions += segment.count;
-                if segment.is_hardware() {
-                    *tally.hardware.get_or_insert(0) += segment.count;
-                }
-            }
+            } => self.segment(*si, segment, *overhead),
             SimEvent::LoadCompleted { completed, .. } => {
                 self.registry
                     .counter_add("rispp_loads_completed_total", *completed);
@@ -409,6 +414,13 @@ impl SimObserver for MetricsObserver {
         }
     }
 
+    /// A batch adds each segment to its tally, as its events would.
+    fn on_batch(&mut self, bursts: &[Burst], segments: &[BurstSegment]) {
+        for (b, segment) in batch_pairs(bursts, segments) {
+            self.segment(b.si, segment, b.overhead);
+        }
+    }
+
     fn set_trace_context(&mut self, context: TraceContext) {
         // Tallies taken under the old labels keep them.
         self.fold_tallies();
@@ -511,8 +523,7 @@ impl PerfettoTraceObserver {
         }
         if !self.container_named[i] {
             self.container_named[i] = true;
-            self.name.clear();
-            let _ = write!(self.name, "AC{container}");
+            numbered(&mut self.name, "AC", u64::from(container));
             self.trace
                 .thread_name(PID_CONTAINERS, u64::from(container), &self.name);
         }
@@ -525,10 +536,27 @@ impl PerfettoTraceObserver {
         }
         if !self.si_named[i] {
             self.si_named[i] = true;
-            self.name.clear();
-            let _ = write!(self.name, "SI{}", si.0);
+            numbered(&mut self.name, "SI", u64::from(si.0));
             self.trace.thread_name(PID_SIS, u64::from(si.0), &self.name);
         }
+    }
+
+    /// Writes one burst segment's span on its SI's track.
+    fn segment(&mut self, si: SiId, segment: &BurstSegment, overhead: u32) {
+        self.ensure_si(si);
+        let per = u64::from(segment.latency) + u64::from(overhead);
+        self.trace.segment_span(
+            PID_SIS,
+            u64::from(si.0),
+            SegmentSpan {
+                variant: segment.variant_index,
+                count: segment.count,
+                latency: segment.latency,
+                hardware: segment.is_hardware(),
+                ts: segment.start,
+                dur: segment.count.saturating_mul(per),
+            },
+        );
     }
 
     /// Closes the container's open span (if any) at cycle `at`.
@@ -539,34 +567,8 @@ impl PerfettoTraceObserver {
         };
         let tid = u64::from(container);
         match span {
-            ContainerSpan::Load { atom, since } => {
-                self.name.clear();
-                let _ = write!(self.name, "load A{atom}");
-                self.args.clear();
-                let _ = write!(self.args, "{{\"atom\":{atom}}}");
-                self.trace.complete_with_args(
-                    PID_CONTAINERS,
-                    tid,
-                    &self.name,
-                    since,
-                    at.saturating_sub(since),
-                    Some(&self.args),
-                );
-            }
-            ContainerSpan::Ready { atom, since } => {
-                self.name.clear();
-                let _ = write!(self.name, "A{atom}");
-                self.args.clear();
-                let _ = write!(self.args, "{{\"atom\":{atom}}}");
-                self.trace.complete_with_args(
-                    PID_CONTAINERS,
-                    tid,
-                    &self.name,
-                    since,
-                    at.saturating_sub(since),
-                    Some(&self.args),
-                );
-            }
+            ContainerSpan::Load { atom, since } => self.atom_span(tid, "load A", atom, since, at),
+            ContainerSpan::Ready { atom, since } => self.atom_span(tid, "A", atom, since, at),
             ContainerSpan::Quarantined { since } => {
                 self.trace.complete(
                     PID_CONTAINERS,
@@ -577,6 +579,21 @@ impl PerfettoTraceObserver {
                 );
             }
         }
+    }
+
+    /// Writes a load or residency span of `atom` on container track `tid`,
+    /// named `prefix` and the atom's number.
+    fn atom_span(&mut self, tid: u64, prefix: &str, atom: u16, since: u64, at: u64) {
+        numbered(&mut self.name, prefix, u64::from(atom));
+        int_args(&mut self.args, &[("atom", u64::from(atom))]);
+        self.trace.complete_with_args(
+            PID_CONTAINERS,
+            tid,
+            &self.name,
+            since,
+            at.saturating_sub(since),
+            Some(&self.args),
+        );
     }
 
     fn open_span(&mut self, container: u16, span: ContainerSpan) {
@@ -590,8 +607,7 @@ impl PerfettoTraceObserver {
         }
         if !self.tenant_named[i] {
             self.tenant_named[i] = true;
-            self.name.clear();
-            let _ = write!(self.name, "T{tenant}");
+            numbered(&mut self.name, "T", u64::from(tenant));
             self.trace
                 .thread_name(PID_TENANTS, u64::from(tenant), &self.name);
         }
@@ -619,60 +635,21 @@ impl SimObserver for PerfettoTraceObserver {
                 now,
                 origin,
             } => {
-                self.name.clear();
-                let _ = write!(self.name, "hot spot {}", hot_spot.0);
-                self.args.clear();
-                let origin = match origin {
-                    HotSpotOrigin::Annotated => "annotated",
-                    HotSpotOrigin::Detected => "detected",
+                numbered(&mut self.name, "hot spot ", u64::from(hot_spot.0));
+                let args = match origin {
+                    HotSpotOrigin::Annotated => "{\"origin\":\"annotated\"}",
+                    HotSpotOrigin::Detected => "{\"origin\":\"detected\"}",
                 };
-                let _ = write!(self.args, "{{\"origin\":\"{origin}\"}}");
-                let name = std::mem::take(&mut self.name);
                 self.trace
-                    .instant_with_args(PID_DECISIONS, 0, &name, *now, Some(&self.args));
-                self.name = name;
+                    .instant_with_args(PID_DECISIONS, 0, &self.name, *now, Some(args));
             }
             SimEvent::SegmentExecuted {
                 si,
                 segment,
                 overhead,
-            } => {
-                self.ensure_si(*si);
-                let per = u64::from(segment.latency) + u64::from(*overhead);
-                // One span per burst segment: written with `push_u64`, not
-                // `core::fmt`.
-                self.name.clear();
-                match segment.variant_index {
-                    Some(v) => {
-                        self.name.push('v');
-                        push_u64(&mut self.name, v as u64);
-                        self.name.push_str(" ×");
-                    }
-                    None => self.name.push_str("software ×"),
-                }
-                push_u64(&mut self.name, segment.count);
-                self.args.clear();
-                self.args.push_str("{\"count\":");
-                push_u64(&mut self.args, segment.count);
-                self.args.push_str(",\"latency\":");
-                push_u64(&mut self.args, u64::from(segment.latency));
-                self.args.push_str(if segment.is_hardware() {
-                    ",\"hardware\":true}"
-                } else {
-                    ",\"hardware\":false}"
-                });
-                self.trace.complete_with_args(
-                    PID_SIS,
-                    u64::from(si.0),
-                    &self.name,
-                    segment.start,
-                    segment.count.saturating_mul(per),
-                    Some(&self.args),
-                );
-            }
+            } => self.segment(*si, segment, *overhead),
             SimEvent::FaultInjected { count, now, .. } if *count > 0 => {
-                self.args.clear();
-                let _ = write!(self.args, "{{\"count\":{count}}}");
+                int_args(&mut self.args, &[("count", *count)]);
                 self.trace.instant_with_args(
                     PID_DECISIONS,
                     0,
@@ -682,8 +659,7 @@ impl SimObserver for PerfettoTraceObserver {
                 );
             }
             SimEvent::DegradedToSoftware { count, now, .. } if *count > 0 => {
-                self.args.clear();
-                let _ = write!(self.args, "{{\"count\":{count}}}");
+                int_args(&mut self.args, &[("count", *count)]);
                 self.trace.instant_with_args(
                     PID_DECISIONS,
                     0,
@@ -693,21 +669,22 @@ impl SimObserver for PerfettoTraceObserver {
                 );
             }
             SimEvent::Decision(decision) => {
-                self.args.clear();
                 let upgrades = decision
                     .schedule
                     .rounds
                     .iter()
                     .filter(|r| r.chosen.is_some())
                     .count();
-                let _ = write!(
-                    self.args,
-                    "{{\"scheduler\":\"{}\",\"containers\":{},\"selected\":{},\"upgrades\":{}}}",
-                    decision.schedule.scheduler,
-                    decision.containers,
-                    decision.selection.selection.len(),
-                    upgrades
-                );
+                self.args.clear();
+                self.args.push_str("{\"scheduler\":\"");
+                self.args.push_str(decision.schedule.scheduler);
+                self.args.push_str("\",\"containers\":");
+                push_u64(&mut self.args, u64::from(decision.containers));
+                self.args.push_str(",\"selected\":");
+                push_u64(&mut self.args, decision.selection.selection.len() as u64);
+                self.args.push_str(",\"upgrades\":");
+                push_u64(&mut self.args, upgrades as u64);
+                self.args.push('}');
                 self.trace.instant_with_args(
                     PID_DECISIONS,
                     0,
@@ -755,12 +732,9 @@ impl SimObserver for PerfettoTraceObserver {
                 } => {
                     self.ensure_container(container.0);
                     self.close_span(container.0, at);
-                    self.name.clear();
-                    let _ = write!(self.name, "load aborted A{}", atom.0);
-                    let name = std::mem::take(&mut self.name);
+                    numbered(&mut self.name, "load aborted A", u64::from(atom.0));
                     self.trace
-                        .instant(PID_CONTAINERS, u64::from(container.0), &name, at);
-                    self.name = name;
+                        .instant(PID_CONTAINERS, u64::from(container.0), &self.name, at);
                 }
                 FabricJournalEntry::AtomCorrupted {
                     container,
@@ -769,12 +743,9 @@ impl SimObserver for PerfettoTraceObserver {
                 } => {
                     self.ensure_container(container.0);
                     self.close_span(container.0, at);
-                    self.name.clear();
-                    let _ = write!(self.name, "SEU corrupt A{}", atom.0);
-                    let name = std::mem::take(&mut self.name);
+                    numbered(&mut self.name, "SEU corrupt A", u64::from(atom.0));
                     self.trace
-                        .instant(PID_CONTAINERS, u64::from(container.0), &name, at);
-                    self.name = name;
+                        .instant(PID_CONTAINERS, u64::from(container.0), &self.name, at);
                 }
                 FabricJournalEntry::ContainerQuarantined { container, at } => {
                     self.ensure_container(container.0);
@@ -793,8 +764,7 @@ impl SimObserver for PerfettoTraceObserver {
                 tenant, count, now, ..
             } if *count > 0 => {
                 self.ensure_tenant(*tenant);
-                self.args.clear();
-                let _ = write!(self.args, "{{\"count\":{count}}}");
+                int_args(&mut self.args, &[("count", *count)]);
                 self.trace.instant_with_args(
                     PID_TENANTS,
                     u64::from(*tenant),
@@ -807,8 +777,7 @@ impl SimObserver for PerfettoTraceObserver {
                 tenant, count, now, ..
             } if *count > 0 => {
                 self.ensure_tenant(*tenant);
-                self.args.clear();
-                let _ = write!(self.args, "{{\"count\":{count}}}");
+                int_args(&mut self.args, &[("count", *count)]);
                 self.trace.instant_with_args(
                     PID_TENANTS,
                     u64::from(*tenant),
@@ -833,16 +802,53 @@ impl SimObserver for PerfettoTraceObserver {
         }
     }
 
+    /// A batch writes each segment's span, as its events would.
+    fn on_batch(&mut self, bursts: &[Burst], segments: &[BurstSegment]) {
+        for (b, segment) in batch_pairs(bursts, segments) {
+            self.segment(b.si, segment, b.overhead);
+        }
+    }
+
     fn set_trace_context(&mut self, context: TraceContext) {
-        self.args.clear();
-        let _ = write!(
-            self.args,
-            "{{\"trace_id\":{},\"tenant\":{},\"attempt\":{}}}",
-            context.trace_id, context.tenant, context.attempt
-        );
+        context_args(&mut self.args, context);
         self.trace
             .instant_with_args(PID_DECISIONS, 0, "trace context", 0, Some(&self.args));
     }
+}
+
+/// Sets `out` to `prefix` followed by the decimal digits of `n`.
+fn numbered(out: &mut String, prefix: &str, n: u64) {
+    out.clear();
+    out.push_str(prefix);
+    push_u64(out, n);
+}
+
+/// Sets `out` to the args object `{"key":value,...}` of integer pairs.
+fn int_args(out: &mut String, pairs: &[(&str, u64)]) {
+    out.clear();
+    out.push('{');
+    for (i, &(key, value)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        push_u64(out, value);
+    }
+    out.push('}');
+}
+
+/// Sets `out` to the args object of a trace-context instant.
+pub(crate) fn context_args(out: &mut String, context: TraceContext) {
+    int_args(
+        out,
+        &[
+            ("trace_id", context.trace_id),
+            ("tenant", u64::from(context.tenant)),
+            ("attempt", u64::from(context.attempt)),
+        ],
+    );
 }
 
 /// Feeds the SI execution stream through the windowed
@@ -1034,7 +1040,7 @@ mod tests {
             },
         ));
         p.on_event(&segment(1, 500, 100, 4));
-        p.on_event(&SimEvent::Decision(Box::default()));
+        p.on_event(&SimEvent::Decision(std::sync::Arc::default()));
         p.on_event(&SimEvent::RunFinished {
             total_cycles: 2_000,
             reconfigurations: 1,

@@ -3,17 +3,19 @@
 //! the simulated timeline. These tests pin that guarantee — plus the
 //! determinism of the merged metrics snapshot across sweep thread counts,
 //! the validity of the exported Perfetto trace on a real run, and that the
-//! cheap paths behind the exports write what the plain ones did.
+//! cheap paths behind the exports (folded tallies, whole-batch `on_batch`)
+//! write what the plain ones did.
 
 use proptest::prelude::*;
 
-use rispp_core::{BurstSegment, SchedulerKind};
+use rispp_core::{BurstSegment, PlanCacheStats, SchedulerKind};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
-    simulate, simulate_multi_observed, simulate_observed, Burst, FaultConfig, Invocation,
-    MetricsObserver, NullRecorder, PerfettoTraceObserver, SimConfig, SimEvent, SimObserver,
-    SweepJob, SweepRunner, TenancyConfig, TenantArbitration, TenantPolicy, Trace, TraceContext,
+    simulate, simulate_multi_observed, simulate_observed, simulate_observed_planned, Burst,
+    FaultConfig, FlightRecorder, Invocation, MetricsObserver, NullRecorder, PerfettoTraceObserver,
+    SimConfig, SimEvent, SimObserver, SweepJob, SweepRunner, SystemKind, TenancyConfig,
+    TenantArbitration, TenantPolicy, Trace, TraceContext,
 };
 use rispp_telemetry::{push_u64, JsonValue, Metric, MetricsRegistry, MetricsSnapshot};
 
@@ -414,5 +416,236 @@ fn traced_multi_tenant_samples_repeat_no_label_name() {
             text.contains(&executions),
             "tenant {tenant}: no {executions}"
         );
+    }
+}
+
+/// Keeps the trait's default `on_batch`, so every segment of a batched
+/// run reaches the wrapped observer through `on_event`, one at a time.
+struct OneByOne<O>(O);
+
+impl<O: SimObserver> SimObserver for OneByOne<O> {
+    fn on_event(&mut self, event: &SimEvent) {
+        self.0.on_event(event);
+    }
+
+    fn set_trace_context(&mut self, context: TraceContext) {
+        self.0.set_trace_context(context);
+    }
+
+    fn wants_segments(&self) -> bool {
+        self.0.wants_segments()
+    }
+}
+
+/// The three exporting observers a traced job attaches, as one observer
+/// (a multi-tenant run takes one observer per tenant). Batches go to each
+/// exporter's own `on_batch`.
+struct Exporters {
+    metrics: MetricsObserver,
+    perfetto: PerfettoTraceObserver,
+    recorder: FlightRecorder,
+}
+
+impl Exporters {
+    fn new(ring: usize) -> Self {
+        Exporters {
+            metrics: MetricsObserver::new(),
+            perfetto: PerfettoTraceObserver::new(),
+            recorder: FlightRecorder::with_capacity(ring),
+        }
+    }
+
+    /// Metrics JSON, Prometheus text, the Perfetto trace and a flight
+    /// bundle, as a traced job exports them.
+    fn export(mut self, plan: &PlanCacheStats) -> [String; 4] {
+        self.metrics.record_plan_cache(plan);
+        let snapshot = self.metrics.into_snapshot();
+        [
+            snapshot.to_json(),
+            snapshot.to_prometheus_text(),
+            self.perfetto.into_json(),
+            self.recorder.dump("test", "job", 1, plan.hits, plan.misses),
+        ]
+    }
+}
+
+impl SimObserver for Exporters {
+    fn on_event(&mut self, event: &SimEvent) {
+        self.metrics.on_event(event);
+        self.perfetto.on_event(event);
+        self.recorder.on_event(event);
+    }
+
+    fn on_batch(&mut self, bursts: &[Burst], segments: &[BurstSegment]) {
+        self.metrics.on_batch(bursts, segments);
+        self.perfetto.on_batch(bursts, segments);
+        self.recorder.on_batch(bursts, segments);
+    }
+
+    fn set_trace_context(&mut self, context: TraceContext) {
+        self.metrics.set_trace_context(context);
+        self.perfetto.set_trace_context(context);
+        self.recorder.set_trace_context(context);
+    }
+}
+
+/// Invocations of up to 90 bursts on both SIs, zero-count bursts included,
+/// so a batch can outgrow a small flight-recorder ring.
+fn long_bursts() -> impl Strategy<Value = Trace> {
+    prop::collection::vec(
+        (
+            0u16..3,
+            prop::collection::vec((0u16..2, 0u32..40, 0u32..30), 1..90),
+        ),
+        1..5,
+    )
+    .prop_map(|invocations| {
+        Trace::from_invocations(
+            invocations
+                .into_iter()
+                .map(|(hot_spot, bursts)| {
+                    let bursts: Vec<Burst> = bursts
+                        .into_iter()
+                        .map(|(si, count, overhead)| Burst {
+                            si: SiId(si),
+                            count,
+                            overhead,
+                        })
+                        .collect();
+                    let hints = (0..2)
+                        .map(|si| {
+                            let sum = bursts
+                                .iter()
+                                .filter(|b| b.si.0 == si)
+                                .map(|b| u64::from(b.count))
+                                .sum();
+                            (SiId(si), sum)
+                        })
+                        .collect();
+                    Invocation {
+                        hot_spot: HotSpotId(hot_spot),
+                        prologue_cycles: 400,
+                        bursts,
+                        hints,
+                    }
+                })
+                .collect(),
+        )
+    })
+}
+
+/// Every system the engine replays: RISPP under each scheduler, Molen,
+/// OneChip and software only.
+fn all_systems() -> Vec<SystemKind> {
+    let mut systems: Vec<SystemKind> = SchedulerKind::ALL
+        .into_iter()
+        .map(SystemKind::Rispp)
+        .collect();
+    systems.extend([
+        SystemKind::Molen,
+        SystemKind::OneChip,
+        SystemKind::SoftwareOnly,
+    ]);
+    systems
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The metrics, Perfetto and flight-recorder observers take a batched
+    /// run whole (`on_batch`); what they export must be byte-identical to
+    /// taking its segments one `on_event` at a time, for every system,
+    /// fault-free and faulty, and for each tenant of a shared two-tenant
+    /// run. The recorder's ring is sized from 0 to 40 events, so batches
+    /// both fit it and overrun it.
+    #[test]
+    fn exports_do_not_depend_on_batching(
+        t in long_bursts(),
+        containers in 1u16..6,
+        ring in 0usize..40,
+        fault_seed in 0u64..1_000,
+        second in long_bursts(),
+    ) {
+        let lib = library();
+        let faulty = FaultConfig {
+            rate_ppm: 120_000,
+            seed: fault_seed,
+            max_retries: 2,
+        };
+        for system in all_systems() {
+            for fault in [None, Some(faulty)] {
+                let mut config = SimConfig {
+                    system,
+                    ..SimConfig::rispp(containers, SchedulerKind::Hef)
+                }
+                .with_explain(true)
+                .with_journal(true)
+                .with_trace(TraceContext::new(fault_seed).with_attempt(1));
+                if let Some(fault) = fault {
+                    config = config.with_fault(fault);
+                }
+                let mut batched = Exporters::new(ring);
+                let (_, plan) = simulate_observed_planned(
+                    &lib,
+                    &t,
+                    &config,
+                    None,
+                    &mut [
+                        &mut batched.metrics,
+                        &mut batched.perfetto,
+                        &mut batched.recorder,
+                    ],
+                );
+                let mut single = Exporters::new(ring);
+                let (_, single_plan) = simulate_observed_planned(
+                    &lib,
+                    &t,
+                    &config,
+                    None,
+                    &mut [
+                        &mut OneByOne(&mut single.metrics),
+                        &mut OneByOne(&mut single.perfetto),
+                        &mut OneByOne(&mut single.recorder),
+                    ],
+                );
+                prop_assert_eq!(
+                    batched.export(&plan),
+                    single.export(&single_plan),
+                    "{} {:?}",
+                    system.label(),
+                    fault
+                );
+            }
+        }
+
+        let config = SimConfig::rispp(containers, SchedulerKind::Hef)
+            .with_tenants(TenancyConfig {
+                count: 2,
+                policy: TenantPolicy::Shared,
+                arbitration: TenantArbitration::RoundRobin,
+            })
+            .with_explain(true)
+            .with_journal(true)
+            .with_trace(TraceContext::new(fault_seed));
+        let traces = [t, second];
+        let mut batched = [Exporters::new(ring), Exporters::new(ring)];
+        let [a, b] = &mut batched;
+        let multi = simulate_multi_observed(&lib, &traces, &config, &mut [a, b]);
+        let mut single = [
+            OneByOne(Exporters::new(ring)),
+            OneByOne(Exporters::new(ring)),
+        ];
+        let [a, b] = &mut single;
+        let single_multi = simulate_multi_observed(&lib, &traces, &config, &mut [a, b]);
+        prop_assert_eq!(&multi, &single_multi);
+        for (tenant, (batched, single)) in batched.into_iter().zip(single).enumerate() {
+            let none = PlanCacheStats::default();
+            prop_assert_eq!(
+                batched.export(&none),
+                single.0.export(&none),
+                "tenant {}",
+                tenant
+            );
+        }
     }
 }

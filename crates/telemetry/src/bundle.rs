@@ -26,7 +26,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::JsonValue;
+use crate::json::{JsonValue, Reader, Token};
 use crate::perfetto::escape_json_into;
 
 /// Version of the bundle container format. Independent of the event-log
@@ -155,11 +155,94 @@ pub struct Bundle {
     pub complete: bool,
 }
 
-fn field_u64(value: &JsonValue, name: &str) -> Result<u64, String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("bundle header missing numeric `{name}`"))
+/// The header's integer members, in the order they are checked.
+const HEADER_NUMBERS: [&str; 10] = [
+    "bundle_version",
+    "trace_id",
+    "tenant",
+    "attempt",
+    "event_schema_version",
+    "plan_hits",
+    "plan_misses",
+    "events_dropped",
+    "decisions_dropped",
+    "journal_dropped",
+];
+
+/// The header's string members.
+const HEADER_STRINGS: [&str; 4] = ["bundle", "reason", "job_id", "config_hash"];
+
+/// Reads the header line with the pull reader, so its integers are exact
+/// to `u64::MAX`: a [`JsonValue`] number is an `f64`, which rounds a
+/// trace id or a counter above 2^53. The first occurrence of a member
+/// counts, as [`JsonValue::get`] has it.
+fn parse_header(line: &str) -> Result<BundleMeta, String> {
+    let not_json = |e| format!("bundle header is not JSON: {e}");
+    let mut numbers: [Option<Option<u64>>; HEADER_NUMBERS.len()] = Default::default();
+    let mut strings: [Option<Option<String>>; HEADER_STRINGS.len()] = Default::default();
+    let mut r = Reader::new(line);
+    let first = r.value().map_err(not_json)?;
+    if first == Token::ObjectStart {
+        while let Some(key) = r.key().map_err(not_json)? {
+            let value = r.value().map_err(not_json)?;
+            if let Some(i) = HEADER_NUMBERS.iter().position(|n| *n == key) {
+                let number = match &value {
+                    Token::Number(n) => n.as_u64(),
+                    _ => None,
+                };
+                numbers[i].get_or_insert(number);
+            } else if let Some(i) = HEADER_STRINGS.iter().position(|n| *n == key) {
+                let string = match &value {
+                    Token::String(s) => Some(s.clone().into_owned()),
+                    _ => None,
+                };
+                strings[i].get_or_insert(string);
+            }
+            r.skip(&value).map_err(not_json)?;
+        }
+    } else {
+        r.skip(&first).map_err(not_json)?;
+    }
+    r.finish().map_err(not_json)?;
+    let [magic, reason, job_id, config_hash] = strings.map(Option::flatten);
+    if magic.as_deref() != Some("rispp-flight") {
+        return Err(
+            "not a rispp-flight bundle (missing `\"bundle\":\"rispp-flight\"` header)".into(),
+        );
+    }
+    let number = |name: &str| {
+        let i = HEADER_NUMBERS
+            .iter()
+            .position(|n| *n == name)
+            .expect("a header number");
+        numbers[i]
+            .flatten()
+            .ok_or_else(|| format!("bundle header missing numeric `{name}`"))
+    };
+    let version = number("bundle_version")?;
+    if version != u64::from(BUNDLE_FORMAT_VERSION) {
+        return Err(format!(
+            "unsupported bundle_version {version} (this reader understands {BUNDLE_FORMAT_VERSION})"
+        ));
+    }
+    let config_hash_hex = config_hash.ok_or("bundle header missing `config_hash`")?;
+    let config_hash = u64::from_str_radix(&config_hash_hex, 16)
+        .map_err(|_| format!("bundle config_hash `{config_hash_hex}` is not hex"))?;
+    Ok(BundleMeta {
+        reason: reason.unwrap_or_default(),
+        job_id: job_id.unwrap_or_default(),
+        trace_id: number("trace_id")?,
+        tenant: u16::try_from(number("tenant")?).map_err(|_| "bundle tenant out of range")?,
+        attempt: u32::try_from(number("attempt")?).map_err(|_| "bundle attempt out of range")?,
+        event_schema_version: u32::try_from(number("event_schema_version")?)
+            .map_err(|_| "bundle event_schema_version out of range")?,
+        config_hash,
+        plan_hits: number("plan_hits")?,
+        plan_misses: number("plan_misses")?,
+        events_dropped: number("events_dropped")?,
+        decisions_dropped: number("decisions_dropped")?,
+        journal_dropped: number("journal_dropped")?,
+    })
 }
 
 impl Bundle {
@@ -169,52 +252,7 @@ impl Bundle {
     /// [`Bundle::complete`] so a truncated bundle can still be read.
     pub fn parse(text: &str) -> Result<Bundle, String> {
         let mut lines = text.lines();
-        let header_line = lines.next().ok_or("empty bundle")?;
-        let header =
-            JsonValue::parse(header_line).map_err(|e| format!("bundle header is not JSON: {e}"))?;
-        if header.get("bundle").and_then(JsonValue::as_str) != Some("rispp-flight") {
-            return Err(
-                "not a rispp-flight bundle (missing `\"bundle\":\"rispp-flight\"` header)".into(),
-            );
-        }
-        let version = field_u64(&header, "bundle_version")?;
-        if version != u64::from(BUNDLE_FORMAT_VERSION) {
-            return Err(format!(
-                "unsupported bundle_version {version} (this reader understands {BUNDLE_FORMAT_VERSION})"
-            ));
-        }
-        let config_hash_hex = header
-            .get("config_hash")
-            .and_then(JsonValue::as_str)
-            .ok_or("bundle header missing `config_hash`")?;
-        let config_hash = u64::from_str_radix(config_hash_hex, 16)
-            .map_err(|_| format!("bundle config_hash `{config_hash_hex}` is not hex"))?;
-        let meta = BundleMeta {
-            reason: header
-                .get("reason")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            job_id: header
-                .get("job_id")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            trace_id: field_u64(&header, "trace_id")?,
-            tenant: u16::try_from(field_u64(&header, "tenant")?)
-                .map_err(|_| "bundle tenant out of range")?,
-            attempt: u32::try_from(field_u64(&header, "attempt")?)
-                .map_err(|_| "bundle attempt out of range")?,
-            event_schema_version: u32::try_from(field_u64(&header, "event_schema_version")?)
-                .map_err(|_| "bundle event_schema_version out of range")?,
-            config_hash,
-            plan_hits: field_u64(&header, "plan_hits")?,
-            plan_misses: field_u64(&header, "plan_misses")?,
-            events_dropped: field_u64(&header, "events_dropped")?,
-            decisions_dropped: field_u64(&header, "decisions_dropped")?,
-            journal_dropped: field_u64(&header, "journal_dropped")?,
-        };
-
+        let meta = parse_header(lines.next().ok_or("empty bundle")?)?;
         let mut bundle = Bundle {
             meta,
             ..Bundle::default()
@@ -236,8 +274,10 @@ impl Bundle {
                     bundle.events.push(value);
                 }
                 Some("explain") => {
-                    let now = field_u64(&value, "now")
-                        .map_err(|_| format!("explain line {} missing `now`", seen + 1))?;
+                    let now = value
+                        .get("now")
+                        .and_then(JsonValue::as_u64)
+                        .ok_or_else(|| format!("explain line {} missing `now`", seen + 1))?;
                     let summary = value
                         .get("summary")
                         .and_then(JsonValue::as_str)
@@ -263,7 +303,7 @@ impl Bundle {
                     }
                 }
                 Some("end") => {
-                    let lines_before = field_u64(&value, "lines").unwrap_or(0);
+                    let lines_before = value.get("lines").and_then(JsonValue::as_u64).unwrap_or(0);
                     bundle.complete = lines_before == seen as u64;
                     return Ok(bundle);
                 }
@@ -373,5 +413,18 @@ mod tests {
         write_end_line(&mut out, 1);
         let bundle = Bundle::parse(&out).expect("parses");
         assert_eq!(bundle.meta.config_hash, u64::MAX);
+    }
+
+    #[test]
+    fn header_integers_are_exact_past_2_pow_53() {
+        let mut m = meta();
+        m.trace_id = u64::MAX;
+        m.plan_hits = (1 << 53) + 1;
+        m.plan_misses = u64::MAX - 1;
+        m.events_dropped = (1 << 60) + 7;
+        let mut out = String::new();
+        write_bundle_header(&mut out, &m);
+        write_end_line(&mut out, 1);
+        assert_eq!(Bundle::parse(&out).expect("parses").meta, m);
     }
 }

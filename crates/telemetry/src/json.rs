@@ -8,8 +8,8 @@
 //! they hold no escape, and numbers keep their text, so an integer
 //! decodes exactly ([`Number::as_u64`]). [`JsonValue::parse`] builds a
 //! tree from those tokens. The grammar is standard JSON (RFC 8259),
-//! except that numbers follow Rust's float syntax (`01`, `1.` and `-.5`
-//! are accepted). Arrays and objects may nest at most 128 levels deep.
+//! numbers included (`01`, `1.`, `-.5` and `1.e5` are refused). Arrays
+//! and objects may nest at most 128 levels deep.
 
 use std::borrow::Cow;
 
@@ -45,7 +45,7 @@ impl Number<'_> {
     /// The nearest `f64`.
     #[must_use]
     pub fn as_f64(&self) -> f64 {
-        // The reader admits only texts that Rust's float grammar accepts.
+        // Every RFC 8259 number is also a Rust float literal.
         self.0.parse().unwrap_or(f64::NAN)
     }
 
@@ -541,29 +541,32 @@ impl<'a> Reader<'a> {
         n
     }
 
-    /// `-? digits* (. digits*)? ([eE] [+-]? digits*)?`, with at least one
-    /// digit before the exponent and one in it: the shapes Rust's float
-    /// grammar accepts.
+    /// `-? (0 | [1-9] digits*) (. digits+)? ([eE] [+-]? digits+)?`, RFC
+    /// 8259's number: a leading zero stands alone, and a fraction or an
+    /// exponent needs a digit.
     #[inline]
     fn number(&mut self) -> Result<Number<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut mantissa_digits = self.digits();
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        // Bitwise, not short-circuit: one branch on the outcome, not one
+        // per digit count.
+        let mut ok = (int_digits > 0) & !(leading_zero & (int_digits > 1));
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            mantissa_digits += self.digits();
+            ok &= self.digits() > 0;
         }
-        let mut exponent_ok = true;
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            exponent_ok = self.digits() > 0;
+            ok &= self.digits() > 0;
         }
-        if mantissa_digits == 0 || !exponent_ok {
+        if !ok {
             return Err(self.err("invalid number"));
         }
         Ok(Number(&self.text[start..self.pos]))
@@ -829,7 +832,8 @@ mod tests {
         assert_eq!(exact("18446744073709551615"), Some(u64::MAX));
         assert_eq!(exact("18446744073709551616"), None);
         assert_eq!(exact("99999999999999999999"), None);
-        assert_eq!(exact("000000000000000000000042"), Some(42));
+        assert_eq!(exact("42.000000000000000000000"), Some(42));
+        assert_eq!(exact("0.000000000000000000042e21"), Some(42));
         // Fraction and exponent forms count when their value is whole.
         assert_eq!(exact("1e3"), Some(1_000));
         assert_eq!(exact("1000.0"), Some(1_000));
@@ -844,19 +848,25 @@ mod tests {
         assert_eq!(exact("-0"), Some(0));
         assert_eq!(exact("-0.0e5"), Some(0));
         assert_eq!(exact("-1"), None);
-        assert_eq!(exact("01"), Some(1));
-        assert_eq!(exact("1."), Some(1));
     }
 
     #[test]
-    fn numbers_follow_the_float_grammar() {
+    fn numbers_follow_rfc_8259() {
         for ok in [
-            "0", "-0", "01", "1.", "-.5", "1.e5", "1E+2", "1e-400", "1e400",
+            "0", "-0", "7", "-10", "0.5", "-0.25", "1e5", "1E+2", "0e0", "1e-400", "1e400",
+            "12.50e-3",
         ] {
             let v = JsonValue::parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
             assert_eq!(v.as_f64(), ok.parse::<f64>().ok(), "{ok}");
         }
+        // Rust's float grammar takes the first six; RFC 8259 does not.
         for (bad, at) in [
+            ("08", 2),
+            ("-01", 3),
+            ("00", 2),
+            ("1.", 2),
+            ("-.5", 3),
+            ("1.e5", 4),
             ("-", 1),
             ("-.", 2),
             ("1e", 2),

@@ -4,8 +4,8 @@
 # strict rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`), the
 # committed cycle records against fresh runs of their commands, the
 # EXPERIMENTS.md output blocks against `rispp-cli reproduce`, and the
-# benchmark's fig7 throughput gate (last, so a slow host cannot stop the
-# lint gates from running).
+# benchmark's fig7 and observed throughput gates (last, so a slow host
+# cannot stop the lint gates from running).
 # Everything runs offline against the vendored dev-dependencies in
 # vendor/.
 set -euo pipefail
@@ -271,35 +271,42 @@ if [ "$blocks" -eq 0 ]; then
 fi
 
 if [ "${RISPP_CI_SKIP_PERF:-0}" != "1" ]; then
-  echo "==> fig7 throughput (benchmark) vs committed BENCH_fig7.json"
-  # Wall-clock gate at the benchmark's reference host speed: the benchmark
+  # Wall-clock gates at the benchmark's reference host speed: the benchmark
   # scales each rate by how much slower than the reference its speed probe
   # ran beside the timed passes, so a busy or slow host moves the gated
-  # rate far less than raw wall-clock and the gate reads the code. The
-  # better of two runs must reach 80% of the committed record, the verdict
-  # line of the median of five runs of the same command. Each run also
-  # gates the fig7 cycle pin and exits nonzero on any mismatch. Set
-  # RISPP_CI_SKIP_PERF=1 on machines whose speed the probe cannot relate
-  # to the recording host.
+  # rate far less than raw wall-clock and the gate reads the code. For each
+  # gated workload the better of two runs must reach 80% of the committed
+  # record, the verdict line of the median of five runs of the same
+  # command: fig7 (telemetry compiled in but off) and observed (explain,
+  # journal and the metrics, Perfetto and flight-recorder observers on
+  # every job, so the cost of telemetry when on). Each run also gates the
+  # workload's correctness checks (fig7: the cycle pin) and exits nonzero
+  # on any failure. Set RISPP_CI_SKIP_PERF=1 on machines whose speed the
+  # probe cannot relate to the recording host.
   jobs_per_s() { grep -o '"jobs_per_s":{"value":[0-9.]*' | cut -d: -f3; }
-  baseline=$(jobs_per_s <BENCH_fig7.json)
-  best=0
-  for run in 1 2; do
-    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml \
-      --bin benchmark -- --workload fig7 --seed 2008 --seconds 10 \
-      >target/ci_fig7.txt || {
-      echo "ci: fig7 benchmark run $run exited $? (1: a correctness gate such as the cycle pin failed); output in target/ci_fig7.txt" >&2
+  throughput_gate() { # workload, committed record
+    echo "==> $1 throughput (benchmark) vs committed $2"
+    baseline=$(jobs_per_s <"$2")
+    best=0
+    for run in 1 2; do
+      cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml \
+        --bin benchmark -- --workload "$1" --seed 2008 --seconds 10 \
+        >"target/ci_$1.txt" || {
+        echo "ci: $1 benchmark run $run exited $? (1: a correctness gate such as the fig7 cycle pin failed); output in target/ci_$1.txt" >&2
+        exit 1
+      }
+      rate=$(tail -1 "target/ci_$1.txt" | jobs_per_s)
+      echo "    run $run: ${rate} jobs/s"
+      best=$(awk -v a="$best" -v b="$rate" 'BEGIN{print (b>a)?b:a}')
+    done
+    echo "    committed ${baseline} jobs/s, measured best-of-2 ${best} jobs/s"
+    awk -v b="$baseline" -v m="$best" 'BEGIN{exit !(m >= 0.8 * b)}' || {
+      echo "ci: $1 throughput regression — ${best} jobs/s is below 80% of the committed ${baseline} (set RISPP_CI_SKIP_PERF=1 to skip on incomparable hardware)" >&2
       exit 1
     }
-    rate=$(tail -1 target/ci_fig7.txt | jobs_per_s)
-    echo "    run $run: ${rate} jobs/s"
-    best=$(awk -v a="$best" -v b="$rate" 'BEGIN{print (b>a)?b:a}')
-  done
-  echo "    committed ${baseline} jobs/s, measured best-of-2 ${best} jobs/s"
-  awk -v b="$baseline" -v m="$best" 'BEGIN{exit !(m >= 0.8 * b)}' || {
-    echo "ci: fig7 throughput regression — ${best} jobs/s is below 80% of the committed ${baseline} (set RISPP_CI_SKIP_PERF=1 to skip on incomparable hardware)" >&2
-    exit 1
   }
+  throughput_gate fig7 BENCH_fig7.json
+  throughput_gate observed BENCH_observed.json
 fi
 
 echo "ci: all gates passed"
