@@ -32,7 +32,7 @@ use crate::burst::{Burst, BurstBlocks, BurstRun, SiRate, SiTotals, Stretch, Stre
 use crate::context::UpgradeBuffers;
 use crate::explain::{DecisionExplain, ScheduleExplain, SelectionExplain};
 use crate::plan_cache::{
-    digest_words, library_fingerprint, PlanCacheHandle, PlanCacheStats, PlannedDecision,
+    digest_words, library_fingerprint, PlanCacheHandle, PlanCacheStats, PlanKey, PlannedDecision,
 };
 use crate::recovery::{backoff_cycles, RecoveryStats, DEFAULT_MAX_RETRIES};
 use crate::scheduler::SchedulerKind;
@@ -408,13 +408,9 @@ impl<'a> FabricArbiter<'a> {
         for &(si, e) in demands {
             expected[si.index()] = e;
         }
-        let request = ScheduleRequest::new(
-            self.library,
-            selected.clone(),
-            fabric.available().clone(),
-            expected,
-        )?
-        .with_foreign_pressure(pressure);
+        let request =
+            ScheduleRequest::new(self.library, selected, fabric.available().clone(), expected)?
+                .with_foreign_pressure(pressure);
         let mut schedule_explain =
             explain.then(|| ScheduleExplain::new(self.scheduler_kind.abbreviation()));
         let schedule = self.scheduler_kind.schedule_with(
@@ -423,13 +419,14 @@ impl<'a> FabricArbiter<'a> {
             schedule_explain.as_mut(),
         );
         debug_assert!(schedule.validate(&request).is_ok());
-        let decision = PlannedDecision {
-            key: key.into(),
-            selected,
-            atoms: schedule.atoms().collect(),
-            supremum: request.supremum(),
-            explain: selection_explain.zip(schedule_explain).map(Box::new),
-        };
+        let decision = PlannedDecision::new(
+            key,
+            request.selected(),
+            schedule.steps().iter().map(|step| step.atom),
+            selection_explain
+                .zip(schedule_explain)
+                .map(|(selection, schedule)| (Arc::new(selection), Arc::new(schedule))),
+        );
         // Hand the allocations back for the next decision.
         self.scratch.sched_buffers.reclaim(schedule);
         (self.scratch.expected_buf, self.scratch.pressure_buf) = request.into_scratch();
@@ -444,37 +441,37 @@ impl<'a> FabricArbiter<'a> {
     fn apply_decision(&mut self, app: usize, demands: &[(SiId, u64)], decision: &PlannedDecision) {
         let fabric = &self.fabric;
         let usable = fabric.usable_container_count();
+        let shared = self.contexts.len() > 1;
+        let ctx = &mut self.contexts[app];
+        ctx.selected.clear();
+        ctx.selected.extend(decision.selected());
+        decision.supremum_into(self.library, &mut ctx.supremum);
         // Quarantines shrank the fabric below what any Molecule needs: the
         // hot spot continues purely on the cISA software path.
-        let degraded = !demands.is_empty()
-            && decision.selected.is_empty()
-            && usable < fabric.container_count();
+        let degraded =
+            !demands.is_empty() && ctx.selected.is_empty() && usable < fabric.container_count();
         // Cross-app atom reuse: atoms this plan wants that a co-tenant
         // already has loaded arrive for free.
         let mut reused = 0u64;
-        if self.contexts.len() > 1 {
+        if shared {
             for c in fabric.containers() {
                 if let (Some(atom), Some(owner)) = (c.loaded_atom(), fabric.owner_of(c.id())) {
-                    if usize::from(owner) != app && decision.supremum.count(atom.index()) > 0 {
+                    if usize::from(owner) != app && ctx.supremum.count(atom.index()) > 0 {
                         reused += 1;
                     }
                 }
             }
         }
-        let now = fabric.now();
-        let ctx = &mut self.contexts[app];
-        ctx.selected.clone_from(&decision.selected);
         ctx.degraded_to_software += u64::from(degraded);
         if self.explain {
-            // The explain flag is a key word, so a cached decision carries
-            // its records whenever capture is on.
+            // The explain flag is a key field, so a cached decision carries
+            // its records whenever capture is on; every replay shares them.
             let (selection, schedule) = decision
                 .explain
-                .as_deref()
-                .cloned()
+                .clone()
                 .expect("explained decisions carry their records");
             ctx.decisions.push(DecisionExplain {
-                now,
+                now: fabric.now(),
                 hot_spot: ctx.current_hot_spot,
                 containers: usable,
                 selection,
@@ -482,7 +479,6 @@ impl<'a> FabricArbiter<'a> {
             });
         }
         ctx.atoms_shared += reused;
-        ctx.supremum.clone_from(&decision.supremum);
         // The fabric protects the union of every co-tenant's claim, so one
         // tenant's plan can never unprotect what another still needs.
         let protect = Molecule::supremum(self.contexts.iter().map(|c| &c.supremum))
@@ -490,11 +486,11 @@ impl<'a> FabricArbiter<'a> {
         let fabric = &mut self.fabric;
         fabric.clear_pending_app(app_tag(app));
         fabric.set_protected(protect);
-        fabric.enqueue_schedule_app(app_tag(app), decision.atoms.iter().copied());
+        fabric.enqueue_schedule_app(app_tag(app), decision.atoms());
     }
 
-    /// Writes the canonical plan-key words for planning `demands` of `app`
-    /// into `key` (see the `crate::PlanCache` module docs for the layout):
+    /// Writes the packed plan key for planning `demands` of `app` into
+    /// `key` (see the `crate::PlanCache` module docs for the layout):
     /// every input [`decide`](Self::decide) reads and nothing else. Where
     /// the Atoms sit and who owns them is read only by
     /// [`apply_decision`](Self::apply_decision), live on a hit as on a
@@ -507,26 +503,20 @@ impl<'a> FabricArbiter<'a> {
         key: &mut Vec<u64>,
     ) {
         let fabric = &self.fabric;
-        key.push(self.plan_namespace);
-        key.push(self.scheduler_kind as u64);
-        key.push(self.epoch);
-        key.push(self.contexts.len() as u64);
-        key.push(app as u64);
-        key.push(u64::from(self.explain));
-        key.push(u64::from(fabric.usable_container_count()));
-        key.push(u64::from(fabric.container_count()));
-        key.push(demands.len() as u64);
-        for &(si, expected) in demands {
-            key.push(u64::from(si.0));
-            key.push(expected);
+        PlanKey {
+            namespace: self.plan_namespace,
+            scheduler: self.scheduler_kind,
+            epoch: self.epoch,
+            tenants: self.contexts.len(),
+            app,
+            explain: self.explain,
+            usable: fabric.usable_container_count(),
+            containers: fabric.container_count(),
+            demands,
+            available: fabric.available().counts(),
+            pressure,
         }
-        let available = fabric.available();
-        key.push(available.arity() as u64);
-        for &count in available.counts() {
-            key.push(u64::from(count));
-        }
-        key.push(pressure.len() as u64);
-        key.extend_from_slice(pressure);
+        .write(key);
     }
 
     /// Advances the fabric to `now` and heals every fault event (see

@@ -11,6 +11,7 @@
 //! and the hot path stays allocation-free.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rispp_model::SiId;
 use rispp_monitor::HotSpotId;
@@ -204,6 +205,9 @@ impl fmt::Display for ScheduleExplain {
 /// One complete run-time decision: the Molecule selection and the Atom
 /// schedule computed at a (re-)planning point, stamped with the simulated
 /// cycle and the hot spot it served.
+///
+/// The two traces are shared, not copied: every decision replayed from
+/// one memoised plan holds the same records.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DecisionExplain {
     /// Simulated cycle at which the decision was taken.
@@ -213,9 +217,9 @@ pub struct DecisionExplain {
     /// Usable (non-quarantined) containers the decision saw.
     pub containers: u16,
     /// The Molecule-selection trace.
-    pub selection: SelectionExplain,
+    pub selection: Arc<SelectionExplain>,
     /// The Atom-schedule trace.
-    pub schedule: ScheduleExplain,
+    pub schedule: Arc<ScheduleExplain>,
 }
 
 impl DecisionExplain {
@@ -285,7 +289,7 @@ mod tests {
             now: 1_234,
             hot_spot: Some(HotSpotId(7)),
             containers: 10,
-            selection: SelectionExplain {
+            selection: Arc::new(SelectionExplain {
                 containers: 10,
                 demands: vec![(SiId(0), 1000)],
                 initial: vec![SelectedMolecule::new(SiId(0), 0)],
@@ -305,8 +309,8 @@ mod tests {
                     }),
                 }],
                 selection: vec![SelectedMolecule::new(SiId(0), 2)],
-            },
-            schedule: ScheduleExplain {
+            }),
+            schedule: Arc::new(ScheduleExplain {
                 scheduler: "HEF",
                 rounds: vec![ScheduleRound {
                     phase: "upgrade",
@@ -318,7 +322,7 @@ mod tests {
                         cost: 1,
                     }),
                 }],
-            },
+            }),
         };
         let text = explain.to_string();
         assert!(text.contains("cycle 1234"));
@@ -336,7 +340,7 @@ mod tests {
             now: 77,
             hot_spot: Some(HotSpotId(3)),
             containers: 8,
-            selection: SelectionExplain {
+            selection: Arc::new(SelectionExplain {
                 containers: 8,
                 rejected: vec![SiId(5)],
                 rounds: vec![
@@ -353,8 +357,8 @@ mod tests {
                 ],
                 selection: vec![SelectedMolecule::new(SiId(0), 1)],
                 ..SelectionExplain::default()
-            },
-            schedule: ScheduleExplain::new("SJF"),
+            }),
+            schedule: Arc::new(ScheduleExplain::new("SJF")),
         };
         let line = explain.summary();
         assert!(!line.contains('\n'));

@@ -16,20 +16,48 @@
 //! verifies the complete key material (a 64-bit collision degrades to a
 //! miss, never to a wrong plan).
 //!
-//! # Key derivation
+//! # Key layout
 //!
-//! The key is a sequence of `u64` words holding exactly what the
-//! arbiter's `decide` reads, in order: the cache namespace (config hash
-//! XOR library fingerprint), the scheduler kind, the fabric **epoch**, the
-//! tenant count and application index, the explain flag, the usable/total
-//! container counts (the quantized time-budget class of the plan), the
-//! demand suprema `(SiId, expected)` pairs, the available-Atom multiset
-//! and the contention-pressure vector. Which container holds which Atom,
-//! what is still loading and which tenant owns what are not key words:
+//! The key is a slice of `u64` words holding exactly what the arbiter's
+//! `decide` reads, packed so that two plan inputs share a key exactly when
+//! they agree on all of it. In order:
+//!
+//! - the cache namespace (config hash XOR library fingerprint) and the
+//!   fabric **epoch**, one word each;
+//! - two header words of four 16-bit lanes: the scheduler kind with the
+//!   explain flag, the tenant count, the application index, the usable and
+//!   total container counts (the quantized time-budget class of the plan),
+//!   and the numbers of demands, Atom types and contention-pressure
+//!   entries. A field that does not fit its lane (65,535 or more) stores
+//!   the all-ones lane and follows the header as a full word;
+//! - the demanded SI ids, four lanes per word, then their expected
+//!   executions, one word each;
+//! - the available-Atom multiset (one count per Atom type), four lanes per
+//!   word;
+//! - the contention-pressure vector, one word each.
+//!
+//! The last word of a lane list pads with zero lanes; the header's lengths
+//! say where each list ends. Which container holds which Atom, what is
+//! still loading and which tenant owns what are not key material:
 //! `decide` never reads them, so two fabrics holding the same multiset in
 //! different containers share one plan. The side effects of applying a
 //! plan that do read the containers (cross-app reuse, the load queue) run
 //! live on a hit exactly as on a miss.
+//!
+//! # Entry layout
+//!
+//! A memoised decision is one `Arc` around one boxed word slice, two heap
+//! blocks in all. The slice begins with a header of three 16-bit lanes
+//! (the key's word count, the number of selected Molecules and the length
+//! of the Atom loading sequence, spilled to full words like the key's
+//! fields), then holds the key material, the selection as (SI id, variant
+//! index) lane pairs, two Molecules per word, and the Atom loading
+//! sequence, four Atom ids per word. Variant indices fit their lane because
+//! `SiLibraryBuilder::build` refuses more than 65,536 Molecules per SI.
+//! The plan's supremum is not stored: applying the decision recomputes it
+//! from the selection. When the decision was explained, its selection and
+//! schedule records sit beside the slice as two `Arc`s, which every
+//! `DecisionExplain` replayed from the entry shares.
 //!
 //! The digest folds one word per step (rotate, XOR, multiply by an odd
 //! constant) and ends in a 64-bit avalanche, so every key word reaches the
@@ -71,20 +99,29 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rispp_model::{AtomTypeId, Molecule, SiLibrary};
+use rispp_model::{AtomTypeId, Molecule, SiId, SiLibrary};
 
 use crate::explain::{ScheduleExplain, SelectionExplain};
+use crate::scheduler::SchedulerKind;
 use crate::types::SelectedMolecule;
 
 /// Number of independent `Mutex<HashMap>` shards (power of two).
 const SHARDS: usize = 16;
 
-/// Entries per shard before each new key evicts a resident one (16 Ki
-/// entries in all). This is a memory bound, not a working set: one
-/// benchmark fig7 pass (the 101-job sweep sharing one fresh cache)
-/// inserts 18,716 decisions, and the 420 distinct requests of the
-/// benchmark's serve mix need about 22 K, so both run with the cache full.
-const DEFAULT_SHARD_CAPACITY: usize = 1024;
+/// Entries per shard before each new key evicts a resident one (32 Ki
+/// entries in all). This is a memory bound: at about 223 heap bytes an
+/// entry (the tier-1 `plan_cache_bytes` pin), a full cache holds about
+/// 7.3 MB. Both working sets of the benchmark fit it: one fig7 pass (the
+/// 101-job sweep sharing one fresh cache) inserts 18,716 decisions, and
+/// the 420 distinct requests of the serve mix need about 22 K.
+const DEFAULT_SHARD_CAPACITY: usize = 2048;
+
+/// 16-bit lanes per packed word.
+const LANES: usize = 4;
+
+/// The lane of a header field too large for it; the field follows the
+/// header words in full.
+const SPILLED: u16 = u16::MAX;
 
 /// Start state of the key digest (the fractional digits of π).
 const DIGEST_SEED: u64 = 0x243f_6a88_85a3_08d3;
@@ -149,24 +186,209 @@ impl Hasher for DigestHasher {
     }
 }
 
+/// Appends `values` four to a word, lowest lane first; the unused lanes of
+/// the last word are zero.
+fn push_lanes(words: &mut Vec<u64>, values: impl IntoIterator<Item = u16>) {
+    let mut word = 0u64;
+    let mut lane = 0;
+    for value in values {
+        word |= u64::from(value) << (16 * lane);
+        lane += 1;
+        if lane == LANES {
+            words.push(word);
+            (word, lane) = (0, 0);
+        }
+    }
+    if lane > 0 {
+        words.push(word);
+    }
+}
+
+/// Lane `index` of a lane list that [`push_lanes`] wrote at the start of
+/// `words`.
+fn lane(words: &[u64], index: usize) -> u16 {
+    (words[index / LANES] >> (16 * (index % LANES))) as u16
+}
+
+/// Whether a header field is too large for its lane.
+fn spills(field: u64) -> bool {
+    field >= u64::from(SPILLED)
+}
+
+/// Appends `fields` as a header: one lane each, then every field too large
+/// for its lane as a full word, in field order.
+fn push_header(words: &mut Vec<u64>, fields: &[u64]) {
+    push_lanes(
+        words,
+        fields
+            .iter()
+            .map(|&field| u16::try_from(field).unwrap_or(SPILLED)),
+    );
+    words.extend(fields.iter().filter(|&&field| spills(field)));
+}
+
+/// Words a header of `fields` takes.
+fn header_len(fields: &[u64]) -> usize {
+    fields.len().div_ceil(LANES) + fields.iter().filter(|&&field| spills(field)).count()
+}
+
+/// Reads the header of `N` fields that [`push_header`] wrote at the start
+/// of `words`: the fields and the number of words it takes.
+fn read_header<const N: usize>(words: &[u64]) -> ([u64; N], usize) {
+    let mut fields = [0; N];
+    let mut end = N.div_ceil(LANES);
+    for (index, field) in fields.iter_mut().enumerate() {
+        *field = match lane(words, index) {
+            SPILLED => {
+                end += 1;
+                words[end - 1]
+            }
+            lane => u64::from(lane),
+        };
+    }
+    (fields, end)
+}
+
+/// Everything the arbiter's `decide` reads: the inputs of one plan key.
+#[derive(Debug)]
+pub(crate) struct PlanKey<'a> {
+    /// The handle's namespace XOR the library fingerprint.
+    pub(crate) namespace: u64,
+    pub(crate) scheduler: SchedulerKind,
+    pub(crate) epoch: u64,
+    pub(crate) tenants: usize,
+    pub(crate) app: usize,
+    pub(crate) explain: bool,
+    pub(crate) usable: u16,
+    pub(crate) containers: u16,
+    /// `(SI, expected executions)` in the order the hot spot lists them.
+    pub(crate) demands: &'a [(SiId, u64)],
+    /// The available-Atom multiset: one count per Atom type.
+    pub(crate) available: &'a [u16],
+    pub(crate) pressure: &'a [u64],
+}
+
+impl PlanKey<'_> {
+    /// Appends the packed key material (see the module docs for the
+    /// layout) to `key`.
+    pub(crate) fn write(&self, key: &mut Vec<u64>) {
+        key.push(self.namespace);
+        key.push(self.epoch);
+        push_header(
+            key,
+            &[
+                (self.scheduler as u64) << 1 | u64::from(self.explain),
+                self.tenants as u64,
+                self.app as u64,
+                u64::from(self.usable),
+                u64::from(self.containers),
+                self.demands.len() as u64,
+                self.available.len() as u64,
+                self.pressure.len() as u64,
+            ],
+        );
+        push_lanes(key, self.demands.iter().map(|&(si, _)| si.0));
+        key.extend(self.demands.iter().map(|&(_, expected)| expected));
+        push_lanes(key, self.available.iter().copied());
+        key.extend_from_slice(self.pressure);
+    }
+}
+
 /// A planning decision: everything the arbiter derives from a plan key —
-/// the selected Molecule variants, the Atom loading sequence the scheduler
-/// produced (FSFR/ASF/SJF/**HEF ordering** preserved verbatim) and the
-/// plan's supremum, plus the explain records when the deciding context had
+/// the selected Molecule variants and the Atom loading sequence the
+/// scheduler produced (FSFR/ASF/SJF/**HEF ordering** preserved verbatim),
+/// packed with the key into one word slice (see the module docs for the
+/// layout), plus the explain records when the deciding context had
 /// decision capture on.
 #[derive(Debug)]
 pub(crate) struct PlannedDecision {
-    /// The full key material the decision was planned under (empty without
-    /// a cache), verified on lookup so a digest collision degrades to a
-    /// miss.
-    pub(crate) key: Box<[u64]>,
-    pub(crate) selected: Vec<SelectedMolecule>,
-    pub(crate) atoms: Vec<AtomTypeId>,
-    pub(crate) supremum: Molecule,
+    /// Header, key material (empty without a cache; verified on lookup so
+    /// a digest collision degrades to a miss), selection and Atom sequence.
+    words: Box<[u64]>,
     /// Present iff the key's explain flag was set: the explain records are
     /// themselves pure functions of the key material, so replaying them on
     /// a hit is bit-identical to recomputing them.
-    pub(crate) explain: Option<Box<(SelectionExplain, ScheduleExplain)>>,
+    pub(crate) explain: Option<(Arc<SelectionExplain>, Arc<ScheduleExplain>)>,
+}
+
+impl PlannedDecision {
+    /// Packs `key`, `selected` and `atoms` into one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variant index exceeds 65,535, which
+    /// `SiLibraryBuilder::build` rules out.
+    pub(crate) fn new(
+        key: &[u64],
+        selected: &[SelectedMolecule],
+        atoms: impl ExactSizeIterator<Item = AtomTypeId>,
+        explain: Option<(Arc<SelectionExplain>, Arc<ScheduleExplain>)>,
+    ) -> Self {
+        let lengths = [key.len() as u64, selected.len() as u64, atoms.len() as u64];
+        let len = header_len(&lengths)
+            + key.len()
+            + selected.len().div_ceil(LANES / 2)
+            + atoms.len().div_ceil(LANES);
+        let mut words = Vec::with_capacity(len);
+        push_header(&mut words, &lengths);
+        words.extend_from_slice(key);
+        push_lanes(
+            &mut words,
+            selected.iter().flat_map(|s| {
+                let variant =
+                    u16::try_from(s.variant_index).expect("at most 65,536 Molecules per SI");
+                [s.si.0, variant]
+            }),
+        );
+        push_lanes(&mut words, atoms.map(|atom| atom.0));
+        debug_assert_eq!(words.len(), len);
+        PlannedDecision {
+            words: words.into_boxed_slice(),
+            explain,
+        }
+    }
+
+    /// The header fields `[key words, selected Molecules, Atoms]` and the
+    /// word where the key begins.
+    fn header(&self) -> ([usize; 3], usize) {
+        let (fields, start) = read_header::<3>(&self.words);
+        (fields.map(|field| field as usize), start)
+    }
+
+    /// The key material the decision was planned under.
+    pub(crate) fn key(&self) -> &[u64] {
+        let ([key, _, _], start) = self.header();
+        &self.words[start..start + key]
+    }
+
+    /// The selected Molecules.
+    pub(crate) fn selected(&self) -> impl ExactSizeIterator<Item = SelectedMolecule> + '_ {
+        let ([key, selected, _], start) = self.header();
+        let words = &self.words[start + key..];
+        (0..selected).map(move |i| {
+            SelectedMolecule::new(
+                SiId(lane(words, 2 * i)),
+                usize::from(lane(words, 2 * i + 1)),
+            )
+        })
+    }
+
+    /// The Atom loading sequence, in the scheduler's order.
+    pub(crate) fn atoms(&self) -> impl ExactSizeIterator<Item = AtomTypeId> + '_ {
+        let ([key, selected, atoms], start) = self.header();
+        let words = &self.words[start + key + selected.div_ceil(LANES / 2)..];
+        (0..atoms).map(move |i| AtomTypeId(lane(words, i)))
+    }
+
+    /// Writes the plan's supremum `sup(M)` into `out`: the union of the
+    /// selected Molecules over `library`, zero when nothing is selected.
+    pub(crate) fn supremum_into(&self, library: &SiLibrary, out: &mut Molecule) {
+        *out = Molecule::zero(library.arity());
+        for s in self.selected() {
+            let si = library.si(s.si).expect("selected SI within library");
+            out.union_assign(&si.variants()[s.variant_index].atoms);
+        }
+    }
 }
 
 /// Deterministic per-run plan-cache counters, surfaced through
@@ -307,7 +529,7 @@ impl PlanCache {
     /// a miss. Alloc-free.
     pub(crate) fn lookup(&self, key_words: &[u64], hash: u64) -> Option<Arc<PlannedDecision>> {
         match self.shard(hash).map.get(&hash) {
-            Some(entry) if entry.key.as_ref() == key_words => {
+            Some(entry) if entry.key() == key_words => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(entry))
             }
@@ -451,15 +673,15 @@ pub(crate) fn library_fingerprint(library: &SiLibrary) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn decision(key: &[u64]) -> Arc<PlannedDecision> {
-        Arc::new(PlannedDecision {
-            key: key.into(),
-            selected: Vec::new(),
-            atoms: vec![AtomTypeId(1), AtomTypeId(0)],
-            supremum: Molecule::zero(2),
-            explain: None,
-        })
+        Arc::new(PlannedDecision::new(
+            key,
+            &[],
+            [AtomTypeId(1), AtomTypeId(0)].into_iter(),
+            None,
+        ))
     }
 
     #[test]
@@ -599,6 +821,334 @@ mod tests {
         assert_ne!(digest_words(&a), digest_words(&b));
         cache.insert(digest_words(&a), decision(&a));
         assert!(cache.lookup(&b, digest_words(&b)).is_none());
+    }
+
+    /// Owned inputs of one plan key.
+    #[derive(Debug, Clone)]
+    struct Inputs {
+        namespace: u64,
+        scheduler: SchedulerKind,
+        epoch: u64,
+        tenants: usize,
+        app: usize,
+        explain: bool,
+        usable: u16,
+        containers: u16,
+        demands: Vec<(SiId, u64)>,
+        available: Vec<u16>,
+        pressure: Vec<u64>,
+    }
+
+    impl Inputs {
+        fn packed(&self) -> Vec<u64> {
+            let mut key = Vec::new();
+            PlanKey {
+                namespace: self.namespace,
+                scheduler: self.scheduler,
+                epoch: self.epoch,
+                tenants: self.tenants,
+                app: self.app,
+                explain: self.explain,
+                usable: self.usable,
+                containers: self.containers,
+                demands: &self.demands,
+                available: &self.available,
+                pressure: &self.pressure,
+            }
+            .write(&mut key);
+            key
+        }
+
+        /// The key as one word per field: the reference the packed key
+        /// must agree with.
+        fn words(&self) -> Vec<u64> {
+            let mut key = vec![
+                self.namespace,
+                self.scheduler as u64,
+                self.epoch,
+                self.tenants as u64,
+                self.app as u64,
+                u64::from(self.explain),
+                u64::from(self.usable),
+                u64::from(self.containers),
+                self.demands.len() as u64,
+            ];
+            for &(si, expected) in &self.demands {
+                key.extend([u64::from(si.0), expected]);
+            }
+            key.push(self.available.len() as u64);
+            key.extend(self.available.iter().map(|&count| u64::from(count)));
+            key.push(self.pressure.len() as u64);
+            key.extend_from_slice(&self.pressure);
+            key
+        }
+    }
+
+    /// Reads a packed key back into one word per field: a reference
+    /// decoder of the layout in the module docs.
+    fn unpack(key: &[u64]) -> Vec<u64> {
+        let (header, end) = read_header::<8>(&key[2..]);
+        let [kind_explain, tenants, app, usable, containers, demands, arity, pressure] = header;
+        let mut words = vec![
+            key[0],
+            kind_explain >> 1,
+            key[1],
+            tenants,
+            app,
+            kind_explain & 1,
+            usable,
+            containers,
+            demands,
+        ];
+        let (demands, arity, pressure) = (demands as usize, arity as usize, pressure as usize);
+        let ids = &key[2 + end..];
+        let expected = &ids[demands.div_ceil(LANES)..];
+        for (i, &expected) in expected[..demands].iter().enumerate() {
+            words.extend([u64::from(lane(ids, i)), expected]);
+        }
+        let counts = &expected[demands..];
+        words.push(arity as u64);
+        words.extend((0..arity).map(|i| u64::from(lane(counts, i))));
+        let rest = &counts[arity.div_ceil(LANES)..];
+        assert_eq!(rest.len(), pressure, "the key ends with its pressure");
+        words.push(pressure as u64);
+        words.extend_from_slice(rest);
+        words
+    }
+
+    /// A `u16` that is often one of the two values a header lane cannot
+    /// hold directly.
+    fn lane_value() -> impl Strategy<Value = u16> {
+        (0u8..4, any::<u16>()).prop_map(|(edge, value)| match edge {
+            0 => u16::MAX,
+            1 => u16::MAX - 1,
+            _ => value,
+        })
+    }
+
+    /// Plan inputs: 0-8 demands, 1-70 Atom types, empty or full pressure,
+    /// 1-4 tenants, usable containers up to the total.
+    fn inputs() -> impl Strategy<Value = Inputs> {
+        let header = (
+            (any::<u64>(), any::<u64>()),
+            (0usize..4, any::<bool>()),
+            (1usize..=4, any::<prop::sample::Index>()),
+            (lane_value(), any::<prop::sample::Index>()),
+        );
+        let lists = (
+            prop::collection::vec((any::<u16>(), any::<u64>()), 0..9),
+            prop::collection::vec(lane_value(), 1..71),
+            (any::<bool>(), prop::collection::vec(any::<u64>(), 70)),
+        );
+        (header, lists).prop_map(
+            |(
+                ((namespace, epoch), (kind, explain), (tenants, app), (containers, usable)),
+                (demands, available, (pressured, pressure)),
+            )| Inputs {
+                namespace,
+                scheduler: SchedulerKind::ALL[kind],
+                epoch,
+                tenants,
+                app: app.index(tenants),
+                explain,
+                usable: usable.index(usize::from(containers) + 1) as u16,
+                containers,
+                demands: demands.into_iter().map(|(si, e)| (SiId(si), e)).collect(),
+                pressure: if pressured {
+                    pressure[..available.len()].to_vec()
+                } else {
+                    Vec::new()
+                },
+                available,
+            },
+        )
+    }
+
+    /// `inputs` with one field changed the least it can be (`what` picks
+    /// the field; 0 changes nothing), so a packing that dropped or
+    /// truncated that field would give both the same key.
+    fn nudge(inputs: &Inputs, what: u8, pick: usize) -> Inputs {
+        let mut b = inputs.clone();
+        let d = b.demands.len();
+        match what {
+            1 => b.namespace ^= 1,
+            2 => b.epoch = b.epoch.wrapping_add(1),
+            3 => b.scheduler = SchedulerKind::ALL[(b.scheduler as usize + 1 + pick % 3) % 4],
+            4 => b.explain = !b.explain,
+            5 => b.tenants += 1,
+            6 => b.app = (b.app + 1) % b.tenants,
+            7 => b.usable = ((u32::from(b.usable) + 1) % (u32::from(b.containers) + 1)) as u16,
+            8 => {
+                b.containers = b.containers.wrapping_add(1);
+                b.usable = b.usable.min(b.containers);
+            }
+            9 => b.demands.push((SiId(0), 0)),
+            10 => {
+                b.demands.pop();
+            }
+            11 if d > 0 => b.demands[pick % d].0 .0 ^= 1 << (pick % 16),
+            12 if d > 0 => b.demands[pick % d].1 ^= 1 << (pick % 64),
+            13 if d > 1 => b.demands.swap(pick % d, (pick + 1) % d),
+            14 => {
+                b.available.push(0);
+                if !b.pressure.is_empty() {
+                    b.pressure.push(0);
+                }
+            }
+            15 => {
+                b.available.pop();
+                b.pressure.truncate(b.available.len());
+            }
+            16 => {
+                let i = pick % b.available.len();
+                b.available[i] ^= 1 << (pick % 16);
+            }
+            17 => {
+                b.pressure = if b.pressure.is_empty() {
+                    vec![0; b.available.len()]
+                } else {
+                    Vec::new()
+                };
+            }
+            18 if !b.pressure.is_empty() => {
+                let i = pick % b.pressure.len();
+                b.pressure[i] ^= 1 << (pick % 64);
+            }
+            _ => {}
+        }
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn packed_keys_are_equal_exactly_when_their_inputs_are(
+            a in inputs(),
+            what in 0u8..19,
+            pick in any::<usize>(),
+        ) {
+            let b = nudge(&a, what, pick);
+            prop_assert_eq!(unpack(&a.packed()), a.words());
+            prop_assert_eq!(unpack(&b.packed()), b.words());
+            prop_assert_eq!(
+                a.packed() == b.packed(),
+                a.words() == b.words(),
+                "{:?} vs {:?}",
+                a,
+                b
+            );
+        }
+
+        #[test]
+        fn an_entry_decodes_to_what_it_was_built_from(
+            arity in 1usize..=70,
+            molecules in prop::collection::vec(
+                prop::collection::vec((any::<prop::sample::Index>(), 1u16..4), 1..4),
+                1..6,
+            ),
+            picks in prop::collection::vec((any::<bool>(), any::<prop::sample::Index>()), 5),
+            atoms in prop::collection::vec(any::<prop::sample::Index>(), 0..42),
+            key in prop::collection::vec(any::<u64>(), 0..31),
+        ) {
+            let library = library(arity, &molecules);
+            let selected: Vec<SelectedMolecule> = (0..library.len())
+                .filter_map(|i| {
+                    let si = library.si(SiId(i as u16)).expect("in range");
+                    let (chosen, pick) = picks[i];
+                    chosen.then(|| SelectedMolecule::new(si.id(), pick.index(si.variants().len())))
+                })
+                .collect();
+            let atoms: Vec<AtomTypeId> =
+                atoms.iter().map(|atom| AtomTypeId(atom.index(arity) as u16)).collect();
+            let decision = PlannedDecision::new(&key, &selected, atoms.iter().copied(), None);
+            prop_assert_eq!(decision.key(), &key[..]);
+            prop_assert_eq!(decision.selected().collect::<Vec<_>>(), selected.clone());
+            prop_assert_eq!(decision.atoms().collect::<Vec<_>>(), atoms);
+            let request = crate::ScheduleRequest::new(
+                &library,
+                selected,
+                Molecule::zero(arity),
+                vec![0; library.len()],
+            )
+            .expect("a valid selection");
+            let mut supremum = Molecule::from_counts([7]);
+            decision.supremum_into(&library, &mut supremum);
+            prop_assert_eq!(supremum, request.supremum());
+        }
+    }
+
+    /// A library of `arity` Atom types whose SI `i` offers the Molecules
+    /// `molecules[i]`, each one `(Atom type, count)` on top of one Atom of
+    /// type `i % arity` (duplicates are dropped).
+    fn library(arity: usize, molecules: &[Vec<(prop::sample::Index, u16)>]) -> SiLibrary {
+        let universe = rispp_model::AtomUniverse::from_types(
+            (0..arity).map(|i| rispp_model::AtomTypeInfo::new(format!("A{i}"))),
+        )
+        .expect("unique names");
+        let mut builder = rispp_model::SiLibraryBuilder::new(universe);
+        for (i, variants) in molecules.iter().enumerate() {
+            let mut si = builder
+                .special_instruction(format!("S{i}"), 1_000)
+                .expect("unique names");
+            for (latency, &(atom, count)) in (1..).zip(variants) {
+                let mut counts = vec![0u16; arity];
+                counts[i % arity] = 1;
+                counts[atom.index(arity)] += count;
+                let _ = si.molecule(Molecule::from_counts(counts), latency);
+            }
+        }
+        builder.build().expect("every SI has a Molecule")
+    }
+
+    #[test]
+    fn entries_hold_the_largest_variant_and_empty_parts() {
+        let selected = [
+            SelectedMolecule::new(SiId(3), 65_535),
+            SelectedMolecule::new(SiId(u16::MAX), 0),
+            SelectedMolecule::new(SiId(0), 7),
+        ];
+        let atoms = [AtomTypeId(u16::MAX), AtomTypeId(0), AtomTypeId(5)];
+        for (key, selected, atoms) in [
+            (&[1u64, 2][..], &selected[..], &atoms[..]),
+            (&[], &selected[..1], &atoms[..1]),
+            (&[9], &[], &[]),
+        ] {
+            let decision = PlannedDecision::new(key, selected, atoms.iter().copied(), None);
+            assert_eq!(decision.key(), key);
+            assert_eq!(decision.selected().collect::<Vec<_>>(), selected);
+            assert_eq!(decision.atoms().collect::<Vec<_>>(), atoms);
+        }
+    }
+
+    #[test]
+    fn header_fields_too_large_for_a_lane_keep_full_words() {
+        // 65,535 and more spill to a full word after the header words;
+        // smaller fields stay in their lane.
+        let mut words = Vec::new();
+        let fields = [65_534, 65_535, 0, 1 << 40, 3];
+        push_header(&mut words, &fields);
+        assert_eq!(words.len(), header_len(&fields));
+        assert_eq!(words.len(), 2 + 2);
+        assert_eq!(read_header::<5>(&words), (fields, 4));
+        // A key of 65,536 Atom types with full pressure: the arity and the
+        // pressure length spill, and the key still decodes.
+        let inputs = Inputs {
+            namespace: 1,
+            scheduler: SchedulerKind::Hef,
+            epoch: 2,
+            tenants: 3,
+            app: 2,
+            explain: true,
+            usable: u16::MAX,
+            containers: u16::MAX,
+            demands: vec![(SiId(u16::MAX), u64::MAX)],
+            available: vec![u16::MAX; 65_536],
+            pressure: vec![1; 65_536],
+        };
+        let key = inputs.packed();
+        assert_eq!(unpack(&key), inputs.words());
+        assert_eq!(key.len(), 2 + 2 + 4 + 1 + 1 + 16_384 + 65_536);
     }
 
     #[test]

@@ -222,11 +222,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 /// [`parse_request`], with the id to answer a refusal under: the line's
-/// `id` when the line is valid JSON whose first `id` member is a string,
-/// `""` otherwise.
+/// first `id` member when it is a string read whole, even on a line that
+/// turns out not to be valid JSON further on, `""` otherwise.
 pub(crate) fn decode_request(line: &str) -> Result<Request, (String, String)> {
-    let mut members = read_request(line).map_err(|e| (String::new(), format!("bad JSON: {e}")))?;
-    members.request().map_err(|message| {
+    let mut members = RequestMembers::default();
+    let decoded = match read_request(line, &mut members) {
+        Ok(()) => members.request(),
+        Err(e) => Err(format!("bad JSON: {e}")),
+    };
+    decoded.map_err(|message| {
         let id = members
             .id
             .as_ref()
@@ -312,11 +316,11 @@ struct RequestMembers<'a> {
     chaos_panics: Option<Leaf<'a>>,
 }
 
-/// Reads a whole request line. A line that is not an object has no
-/// members, but must still be valid JSON.
-fn read_request(line: &str) -> Result<RequestMembers<'_>, JsonError> {
+/// Reads a whole request line into `m`. A line that is not an object has
+/// no members, but must still be valid JSON. On a syntax error `m` keeps
+/// the members read before it.
+fn read_request<'a>(line: &'a str, m: &mut RequestMembers<'a>) -> Result<(), JsonError> {
     let mut r = Reader::new(line);
-    let mut m = RequestMembers::default();
     let first = r.value()?;
     if matches!(first, Token::ObjectStart) {
         while let Some(key) = r.key()? {
@@ -333,8 +337,7 @@ fn read_request(line: &str) -> Result<RequestMembers<'_>, JsonError> {
     } else {
         r.skip(&first)?;
     }
-    r.finish()?;
-    Ok(m)
+    r.finish()
 }
 
 impl RequestMembers<'_> {
@@ -1372,7 +1375,14 @@ mod tests {
             "a"
         );
         assert_eq!(id(r#"{"op":"launch","id":7,"id":"b"}"#), "");
-        assert_eq!(id(r#"{"op":"launch","id":"a"} x"#), "");
+        // A syntax error keeps the id read before it.
+        assert_eq!(id(r#"{"op":"launch","id":"a"} x"#), "a");
+        assert_eq!(
+            id(r#"{"op":"submit","id":"job-a","config":{"containers":08},"trace":"fig7:1"}"#),
+            "job-a"
+        );
+        assert_eq!(id(r#"{"op":"submit","config":08,"id":"job-a"}"#), "");
+        assert_eq!(id(r#"{"id":"a\q"}"#), "");
         assert_eq!(id(r#"["id","a"]"#), "");
     }
 

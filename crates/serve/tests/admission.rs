@@ -416,6 +416,8 @@ fn malformed_submits_are_refused_on_the_wire() {
         let tail = &tail[tail.find(']').expect("hint pair") + 2..];
         format!("{head}{hints}{tail}")
     };
+    // Every refusal answers under the id the line carries, a syntax error
+    // after the id included, so a pipelining client can match it.
     let refusals = [
         (config("5"), "`config` must be an object"),
         (
@@ -441,12 +443,26 @@ fn malformed_submits_are_refused_on_the_wire() {
             good.replace(r#""containers":2"#, r#""containers":2.e0"#),
             "invalid number",
         ),
+        (
+            r#"{"op":"submit","id":"job-a","config":{"containers":08},"trace":"fig7:1"}"#
+                .to_owned(),
+            "invalid number",
+        ),
     ];
     // More refusals than the poison threshold: none of them ran.
     for _ in 0..=ServerConfig::default().poison_threshold {
         for (line, message) in &refusals {
             assert_ne!(line, &good, "the line must be malformed");
             let answer = ask(line);
+            let id = if line.contains(r#""id":"job-a""#) {
+                "job-a"
+            } else {
+                "good"
+            };
+            assert!(
+                answer.contains(&format!(r#""id":"{id}""#)),
+                "{line}: {answer}"
+            );
             assert!(answer.contains(r#""status":"error""#), "{line}: {answer}");
             assert!(answer.contains(r#""attempts":0"#), "{line}: {answer}");
             assert!(answer.contains(message), "{line}: {answer}");

@@ -4,8 +4,8 @@
 # strict rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`), the
 # committed cycle records against fresh runs of their commands, the
 # EXPERIMENTS.md output blocks against `rispp-cli reproduce`, and the
-# benchmark's fig7 and observed throughput gates (last, so a slow host
-# cannot stop the lint gates from running).
+# benchmark's fig7, observed and serve-mix throughput gates (last, so a
+# slow host cannot stop the lint gates from running).
 # Everything runs offline against the vendored dev-dependencies in
 # vendor/.
 set -euo pipefail
@@ -277,12 +277,13 @@ if [ "${RISPP_CI_SKIP_PERF:-0}" != "1" ]; then
   # rate far less than raw wall-clock and the gate reads the code. For each
   # gated workload the better of two runs must reach 80% of the committed
   # record, the verdict line of the median of five runs of the same
-  # command: fig7 (telemetry compiled in but off) and observed (explain,
+  # command: fig7 (telemetry compiled in but off), observed (explain,
   # journal and the metrics, Perfetto and flight-recorder observers on
-  # every job, so the cost of telemetry when on). Each run also gates the
-  # workload's correctness checks (fig7: the cycle pin) and exits nonzero
-  # on any failure. Set RISPP_CI_SKIP_PERF=1 on machines whose speed the
-  # probe cannot relate to the recording host.
+  # every job, so the cost of telemetry when on) and serve-mix (the job
+  # server's request path, its plans served from the warm plan cache).
+  # Each run also gates the workload's correctness checks (fig7: the cycle
+  # pin) and exits nonzero on any failure. Set RISPP_CI_SKIP_PERF=1 on
+  # machines whose speed the probe cannot relate to the recording host.
   jobs_per_s() { grep -o '"jobs_per_s":{"value":[0-9.]*' | cut -d: -f3; }
   throughput_gate() { # workload, committed record
     echo "==> $1 throughput (benchmark) vs committed $2"
@@ -307,6 +308,7 @@ if [ "${RISPP_CI_SKIP_PERF:-0}" != "1" ]; then
   }
   throughput_gate fig7 BENCH_fig7.json
   throughput_gate observed BENCH_observed.json
+  throughput_gate serve-mix BENCH_serve_mix.json
 fi
 
 echo "ci: all gates passed"

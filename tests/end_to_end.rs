@@ -372,7 +372,7 @@ fn a_shared_cache_smaller_than_its_working_set_keeps_hitting() {
     // W = 1,152 distinct plans the job list needs (counted with an
     // unbounded cache). Pass 2 re-derives pass 1's keys in the same order:
     // a cyclic working set 1.43 times the bound. Evicting one entry per
-    // new key keeps 601 of pass 2's 1,152 lookups hitting (52 %; the floor
+    // new key keeps 600 of pass 2's 1,152 lookups hitting (52 %; the floor
     // is 40 %). Every run equals planning from scratch.
     use rispp::core::{PlanCache, PlanCacheHandle, PlanCacheStats};
     use std::sync::Arc;
