@@ -29,40 +29,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Incremental CRC-32 state for streaming packets.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Starts a fresh checksum.
-    #[must_use]
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Absorbs bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        let t = table();
-        for &b in data {
-            self.state = (self.state >> 8) ^ t[((self.state ^ u32::from(b)) & 0xFF) as usize];
-        }
-    }
-
-    /// Finalises the checksum.
-    #[must_use]
-    pub fn finish(self) -> u32 {
-        !self.state
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,15 +42,6 @@ mod tests {
     #[test]
     fn empty_input() {
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data: Vec<u8> = (0..200).map(|i| (i * 7 % 256) as u8).collect();
-        let mut s = Crc32::new();
-        s.update(&data[..77]);
-        s.update(&data[77..]);
-        assert_eq!(s.finish(), crc32(&data));
     }
 
     #[test]

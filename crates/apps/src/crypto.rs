@@ -175,7 +175,8 @@ impl GatewayConfig {
         }
     }
 
-    /// A tiny configuration for tests.
+    /// A tiny configuration for tests: the gateway's unit tests and the
+    /// tier-1 `the_concept_generalises_beyond_video` replay it.
     #[must_use]
     pub fn tiny() -> Self {
         GatewayConfig {

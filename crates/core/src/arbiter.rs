@@ -173,10 +173,6 @@ pub struct FabricArbiter<'a> {
     plan_cache: Option<PlanCacheHandle>,
     /// Handle namespace XOR the library fingerprint — the first key word.
     plan_namespace: u64,
-    /// Plan-invalidation epoch: bumped on every quarantine and permanent
-    /// tile failure, embedded in every plan key (see [`crate::PlanCache`]
-    /// module docs).
-    epoch: u64,
     /// Deterministic per-arbiter cache counters (the cache's own totals
     /// are racy under sharing).
     plan_stats: PlanCacheStats,
@@ -235,12 +231,6 @@ impl<'a> FabricArbiter<'a> {
     #[must_use]
     pub fn selected(&self, app: u16) -> &[SelectedMolecule] {
         &self.contexts[usize::from(app)].selected
-    }
-
-    /// The active hot spot of application `app`, if any.
-    #[must_use]
-    pub fn current_hot_spot(&self, app: u16) -> Option<HotSpotId> {
-        self.contexts[usize::from(app)].current_hot_spot
     }
 
     /// Enters a hot spot of application `app` at cycle `now`: forecasts
@@ -484,9 +474,9 @@ impl<'a> FabricArbiter<'a> {
         let protect = Molecule::supremum(self.contexts.iter().map(|c| &c.supremum))
             .unwrap_or_else(|| Molecule::zero(self.library.arity()));
         let fabric = &mut self.fabric;
-        fabric.clear_pending_app(app_tag(app));
+        fabric.clear_pending(app_tag(app));
         fabric.set_protected(protect);
-        fabric.enqueue_schedule_app(app_tag(app), decision.atoms());
+        fabric.enqueue_schedule(app_tag(app), decision.atoms());
     }
 
     /// Writes the packed plan key for planning `demands` of `app` into
@@ -506,7 +496,6 @@ impl<'a> FabricArbiter<'a> {
         PlanKey {
             namespace: self.plan_namespace,
             scheduler: self.scheduler_kind,
-            epoch: self.epoch,
             tenants: self.contexts.len(),
             app,
             explain: self.explain,
@@ -564,15 +553,14 @@ impl<'a> FabricArbiter<'a> {
                             self.fabric
                                 .quarantine(container)
                                 .expect("fabric event names one of its own containers");
-                            // Structural change: invalidate every plan
-                            // memoised against the old fabric shape.
-                            self.epoch = self.epoch.wrapping_add(1);
+                            // Structural change: the usable-container count
+                            // in every later plan key drops with it.
                             self.plan_stats.epoch_bumps += 1;
                             needs_replan = true;
                         } else {
                             let delay = backoff_cycles(self.abort_streaks[container.index()]);
                             self.fabric
-                                .enqueue_load_app(owner, atom, at.saturating_add(delay));
+                                .enqueue_load(owner, atom, at.saturating_add(delay));
                             self.contexts[usize::from(owner)].load_retries += 1;
                         }
                     }
@@ -586,13 +574,12 @@ impl<'a> FabricArbiter<'a> {
                         // target, so this physically rewrites the corrupted
                         // region.
                         let owner = self.fabric.owner_of(container).unwrap_or(0);
-                        self.fabric.enqueue_load_app(owner, atom, at);
+                        self.fabric.enqueue_load(owner, atom, at);
                         self.contexts[usize::from(owner)].load_retries += 1;
                     }
                     FabricEvent::ContainerFailed { .. } => {
-                        // Permanent tile failure: same invalidation rule
-                        // as a quarantine.
-                        self.epoch = self.epoch.wrapping_add(1);
+                        // Permanent tile failure: a structural change like
+                        // a quarantine.
                         self.plan_stats.epoch_bumps += 1;
                         needs_replan = true;
                     }
@@ -626,6 +613,8 @@ impl<'a> FabricArbiter<'a> {
 
     /// The fastest Molecule variant of `si` available to `app` right now,
     /// as `(variant index, latency)`, memoised per fabric generation.
+    /// Bursts read the memo directly; this entry is the test hook with
+    /// which `best_variant_cache.rs` checks it against a fresh search.
     ///
     /// # Panics
     ///
@@ -876,6 +865,9 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// Advances the fabric to `now`, healing any fault events on the way.
+    /// A test hook: the engine advances the fabric through hot-spot entries
+    /// and bursts, while `recovery.rs`, `plan_cache_epochs.rs`,
+    /// `lru_eviction_guard.rs` and `best_variant_cache.rs` drive it here.
     pub fn advance_to(&mut self, now: u64) {
         self.sync_fabric(now);
     }
@@ -957,19 +949,12 @@ impl<'a> FabricArbiter<'a> {
         self.fabric.available()
     }
 
-    /// Deterministic plan-cache counters of this arbiter (all zero when no
-    /// cache is attached — planning then always runs from scratch).
+    /// Deterministic plan-cache counters of this arbiter. With no cache
+    /// attached, planning always runs from scratch and only
+    /// `epoch_bumps`, the count of structural fabric changes, moves.
     #[must_use]
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_stats
-    }
-
-    /// Current plan-invalidation epoch of the fabric: bumped on every
-    /// container quarantine and permanent tile failure, and embedded in
-    /// every plan key derived afterwards.
-    #[must_use]
-    pub fn fabric_epoch(&self) -> u64 {
-        self.epoch
     }
 }
 
@@ -1046,9 +1031,9 @@ impl<'a> FabricArbiterBuilder<'a> {
     /// arbiter heals them: aborted loads retry after a backoff doubling
     /// from [`BACKOFF_BASE_CYCLES`](crate::BACKOFF_BASE_CYCLES), corrupted
     /// Atoms are scrubbed by reloading them, and a container exceeding
-    /// [`max_retries`](Self::max_retries) is quarantined. A
-    /// [null](FaultModel::is_null) model leaves behaviour bit-identical to
-    /// not attaching one.
+    /// [`max_retries`](Self::max_retries) is quarantined. A null model
+    /// (every rate zero) leaves behaviour bit-identical to not attaching
+    /// one.
     #[must_use]
     pub fn fault_model(mut self, model: FaultModel) -> Self {
         self.fault = Some(model);
@@ -1132,7 +1117,6 @@ impl<'a> FabricArbiterBuilder<'a> {
             scheduler_kind: self.scheduler,
             plan_cache: self.plan_cache,
             plan_namespace,
-            epoch: 0,
             plan_stats: PlanCacheStats::default(),
         }
     }

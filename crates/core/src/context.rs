@@ -316,12 +316,6 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
         &self.candidates
     }
 
-    /// Additional atoms the candidate at `index` needs: `|a⃗ ⊖ o|`.
-    #[must_use]
-    pub fn additional_atoms(&self, candidate: &Candidate) -> u32 {
-        self.scheduled.residual_atoms(&candidate.atoms)
-    }
-
     /// Contention surcharge of the candidate at `index` on a shared
     /// multi-tenant fabric: for every atom the candidate still needs
     /// (per-component residual over `a⃗`), the number of *other*

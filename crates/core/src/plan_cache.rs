@@ -22,8 +22,7 @@
 //! `decide` reads, packed so that two plan inputs share a key exactly when
 //! they agree on all of it. In order:
 //!
-//! - the cache namespace (config hash XOR library fingerprint) and the
-//!   fabric **epoch**, one word each;
+//! - the cache namespace (config hash XOR library fingerprint), one word;
 //! - two header words of four 16-bit lanes: the scheduler kind with the
 //!   explain flag, the tenant count, the application index, the usable and
 //!   total container counts (the quantized time-budget class of the plan),
@@ -64,16 +63,16 @@
 //! bits that pick the shard and the hash-map bucket. The shard maps take
 //! the digest as their hash unchanged.
 //!
-//! # Epoch-based invalidation
+//! # Structural fabric changes
 //!
-//! Structural fabric changes — a container quarantine, a permanent tile
-//! failure — bump the fabric's epoch counter, which is embedded in every
-//! key derived afterwards, so a plan computed before the change can never
-//! be replayed after it. (Tenant count and container counts are key words
-//! too, so tenant join/leave and a resized fabric separate keys by
-//! construction even without an explicit bump.) Epochs only need to be
-//! monotonic per arbiter; they are compared for key equality, never
-//! ordered.
+//! A container quarantine and a permanent tile failure need no key word of
+//! their own. Both take the container out of service, which lowers the
+//! usable-container count and removes the tile's Atom from the available
+//! multiset, and those are key words that `decide` reads. Since the key
+//! holds everything `decide` reads, a plan replayed after such a change is
+//! the plan `decide` would compute for the new fabric shape. (Tenant count
+//! and container counts are key words too, so tenant join/leave and a
+//! resized fabric separate keys by construction.)
 //!
 //! # Sharding, eviction & determinism
 //!
@@ -109,9 +108,9 @@ use crate::types::SelectedMolecule;
 const SHARDS: usize = 16;
 
 /// Entries per shard before each new key evicts a resident one (32 Ki
-/// entries in all). This is a memory bound: at about 223 heap bytes an
+/// entries in all). This is a memory bound: at about 216 heap bytes an
 /// entry (the tier-1 `plan_cache_bytes` pin), a full cache holds about
-/// 7.3 MB. Both working sets of the benchmark fit it: one fig7 pass (the
+/// 7.1 MB. Both working sets of the benchmark fit it: one fig7 pass (the
 /// 101-job sweep sharing one fresh cache) inserts 18,716 decisions, and
 /// the 420 distinct requests of the serve mix need about 22 K.
 const DEFAULT_SHARD_CAPACITY: usize = 2048;
@@ -255,7 +254,6 @@ pub(crate) struct PlanKey<'a> {
     /// The handle's namespace XOR the library fingerprint.
     pub(crate) namespace: u64,
     pub(crate) scheduler: SchedulerKind,
-    pub(crate) epoch: u64,
     pub(crate) tenants: usize,
     pub(crate) app: usize,
     pub(crate) explain: bool,
@@ -273,7 +271,6 @@ impl PlanKey<'_> {
     /// layout) to `key`.
     pub(crate) fn write(&self, key: &mut Vec<u64>) {
         key.push(self.namespace);
-        key.push(self.epoch);
         push_header(
             key,
             &[
@@ -405,8 +402,9 @@ pub struct PlanCacheStats {
     /// Entries dropped by shard-capacity eviction, as observed by this
     /// run's insertions.
     pub evictions: u64,
-    /// Fabric-epoch bumps (quarantine / permanent failure) that
-    /// invalidated every previously cached plan for that fabric.
+    /// Structural fabric changes the arbiter saw: container quarantines
+    /// and permanent tile failures. Each lowers the usable-container count
+    /// that plan keys carry.
     pub epoch_bumps: u64,
 }
 
@@ -828,7 +826,6 @@ mod tests {
     struct Inputs {
         namespace: u64,
         scheduler: SchedulerKind,
-        epoch: u64,
         tenants: usize,
         app: usize,
         explain: bool,
@@ -845,7 +842,6 @@ mod tests {
             PlanKey {
                 namespace: self.namespace,
                 scheduler: self.scheduler,
-                epoch: self.epoch,
                 tenants: self.tenants,
                 app: self.app,
                 explain: self.explain,
@@ -865,7 +861,6 @@ mod tests {
             let mut key = vec![
                 self.namespace,
                 self.scheduler as u64,
-                self.epoch,
                 self.tenants as u64,
                 self.app as u64,
                 u64::from(self.explain),
@@ -887,12 +882,11 @@ mod tests {
     /// Reads a packed key back into one word per field: a reference
     /// decoder of the layout in the module docs.
     fn unpack(key: &[u64]) -> Vec<u64> {
-        let (header, end) = read_header::<8>(&key[2..]);
+        let (header, end) = read_header::<8>(&key[1..]);
         let [kind_explain, tenants, app, usable, containers, demands, arity, pressure] = header;
         let mut words = vec![
             key[0],
             kind_explain >> 1,
-            key[1],
             tenants,
             app,
             kind_explain & 1,
@@ -901,7 +895,7 @@ mod tests {
             demands,
         ];
         let (demands, arity, pressure) = (demands as usize, arity as usize, pressure as usize);
-        let ids = &key[2 + end..];
+        let ids = &key[1 + end..];
         let expected = &ids[demands.div_ceil(LANES)..];
         for (i, &expected) in expected[..demands].iter().enumerate() {
             words.extend([u64::from(lane(ids, i)), expected]);
@@ -930,7 +924,7 @@ mod tests {
     /// 1-4 tenants, usable containers up to the total.
     fn inputs() -> impl Strategy<Value = Inputs> {
         let header = (
-            (any::<u64>(), any::<u64>()),
+            any::<u64>(),
             (0usize..4, any::<bool>()),
             (1usize..=4, any::<prop::sample::Index>()),
             (lane_value(), any::<prop::sample::Index>()),
@@ -942,12 +936,11 @@ mod tests {
         );
         (header, lists).prop_map(
             |(
-                ((namespace, epoch), (kind, explain), (tenants, app), (containers, usable)),
+                (namespace, (kind, explain), (tenants, app), (containers, usable)),
                 (demands, available, (pressured, pressure)),
             )| Inputs {
                 namespace,
                 scheduler: SchedulerKind::ALL[kind],
-                epoch,
                 tenants,
                 app: app.index(tenants),
                 explain,
@@ -972,45 +965,44 @@ mod tests {
         let d = b.demands.len();
         match what {
             1 => b.namespace ^= 1,
-            2 => b.epoch = b.epoch.wrapping_add(1),
-            3 => b.scheduler = SchedulerKind::ALL[(b.scheduler as usize + 1 + pick % 3) % 4],
-            4 => b.explain = !b.explain,
-            5 => b.tenants += 1,
-            6 => b.app = (b.app + 1) % b.tenants,
-            7 => b.usable = ((u32::from(b.usable) + 1) % (u32::from(b.containers) + 1)) as u16,
-            8 => {
+            2 => b.scheduler = SchedulerKind::ALL[(b.scheduler as usize + 1 + pick % 3) % 4],
+            3 => b.explain = !b.explain,
+            4 => b.tenants += 1,
+            5 => b.app = (b.app + 1) % b.tenants,
+            6 => b.usable = ((u32::from(b.usable) + 1) % (u32::from(b.containers) + 1)) as u16,
+            7 => {
                 b.containers = b.containers.wrapping_add(1);
                 b.usable = b.usable.min(b.containers);
             }
-            9 => b.demands.push((SiId(0), 0)),
-            10 => {
+            8 => b.demands.push((SiId(0), 0)),
+            9 => {
                 b.demands.pop();
             }
-            11 if d > 0 => b.demands[pick % d].0 .0 ^= 1 << (pick % 16),
-            12 if d > 0 => b.demands[pick % d].1 ^= 1 << (pick % 64),
-            13 if d > 1 => b.demands.swap(pick % d, (pick + 1) % d),
-            14 => {
+            10 if d > 0 => b.demands[pick % d].0 .0 ^= 1 << (pick % 16),
+            11 if d > 0 => b.demands[pick % d].1 ^= 1 << (pick % 64),
+            12 if d > 1 => b.demands.swap(pick % d, (pick + 1) % d),
+            13 => {
                 b.available.push(0);
                 if !b.pressure.is_empty() {
                     b.pressure.push(0);
                 }
             }
-            15 => {
+            14 => {
                 b.available.pop();
                 b.pressure.truncate(b.available.len());
             }
-            16 => {
+            15 => {
                 let i = pick % b.available.len();
                 b.available[i] ^= 1 << (pick % 16);
             }
-            17 => {
+            16 => {
                 b.pressure = if b.pressure.is_empty() {
                     vec![0; b.available.len()]
                 } else {
                     Vec::new()
                 };
             }
-            18 if !b.pressure.is_empty() => {
+            17 if !b.pressure.is_empty() => {
                 let i = pick % b.pressure.len();
                 b.pressure[i] ^= 1 << (pick % 64);
             }
@@ -1025,7 +1017,7 @@ mod tests {
         #[test]
         fn packed_keys_are_equal_exactly_when_their_inputs_are(
             a in inputs(),
-            what in 0u8..19,
+            what in 0u8..18,
             pick in any::<usize>(),
         ) {
             let b = nudge(&a, what, pick);
@@ -1136,7 +1128,6 @@ mod tests {
         let inputs = Inputs {
             namespace: 1,
             scheduler: SchedulerKind::Hef,
-            epoch: 2,
             tenants: 3,
             app: 2,
             explain: true,
@@ -1148,7 +1139,7 @@ mod tests {
         };
         let key = inputs.packed();
         assert_eq!(unpack(&key), inputs.words());
-        assert_eq!(key.len(), 2 + 2 + 4 + 1 + 1 + 16_384 + 65_536);
+        assert_eq!(key.len(), 1 + 2 + 4 + 1 + 1 + 16_384 + 65_536);
     }
 
     #[test]

@@ -256,11 +256,13 @@ impl GreedySelector {
 /// Molecule (or none) per demanded SI and keeps the feasible combination
 /// with the highest expected benefit.
 ///
-/// Exponential in the number of SIs × variants — intended as the
-/// ground-truth reference for evaluating [`GreedySelector`] on small
-/// instances (see the selection ablation), not for run-time use (the
+/// Exponential in the number of SIs × variants, so no run uses it (the
 /// paper's run-time system must decide within a fraction of one Atom
-/// load).
+/// load). It is kept as the ground truth for Molecule selection, the
+/// optimum that paper Section 4.2 bounds the heuristic by: the unit tests
+/// `exhaustive_matches_or_beats_greedy_on_small_instances` and
+/// `greedy_is_close_to_optimal_on_the_test_library` compare
+/// [`GreedySelector`] against it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExhaustiveSelector;
 

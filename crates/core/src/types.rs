@@ -223,20 +223,6 @@ impl<'a> ScheduleRequest<'a> {
             .unwrap_or_else(|| Molecule::zero(self.library.arity()))
     }
 
-    /// `NA = |sup(M)|`: the number of Atom Containers the selection needs.
-    #[must_use]
-    pub fn required_containers(&self) -> u32 {
-        self.supremum().total_atoms()
-    }
-
-    /// Consumes the request, returning the expected-executions storage so a
-    /// repeat caller (e.g. [`FabricArbiter`](crate::FabricArbiter)) can
-    /// reuse the allocation.
-    #[must_use]
-    pub fn into_expected(self) -> Vec<u64> {
-        self.expected
-    }
-
     /// Consumes the request, returning the `(expected, foreign_pressure)`
     /// storage so the arbiter can reuse both allocations across plans.
     #[must_use]
@@ -427,7 +413,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.supremum(), Molecule::from_counts([2, 2]));
-        assert_eq!(req.required_containers(), 4);
+        assert_eq!(req.supremum().total_atoms(), 4);
     }
 
     #[test]
@@ -465,7 +451,7 @@ mod tests {
     fn empty_selection_is_trivially_valid() {
         let lib = library();
         let req = ScheduleRequest::new(&lib, vec![], Molecule::zero(2), vec![0, 0]).unwrap();
-        assert_eq!(req.required_containers(), 0);
+        assert_eq!(req.supremum().total_atoms(), 0);
         Schedule::default().validate(&req).unwrap();
     }
 

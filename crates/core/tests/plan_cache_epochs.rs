@@ -1,9 +1,10 @@
-//! Epoch-based plan-cache invalidation: quarantine and permanent tile
-//! failure bump the fabric epoch, and the epoch is a plan-key word, so a
-//! post-quarantine replan can never replay a pre-quarantine decision.
-//! The safety property is phrased behaviourally — a cached manager must
-//! be bit-identical to an uncached one through an arbitrary quarantine
-//! cascade — plus structural pins on the epoch counter itself.
+//! Plan-cache safety through structural fabric changes: a quarantine or a
+//! permanent tile failure lowers the usable-container count, which is a
+//! plan-key word, so a post-quarantine replan can never replay a
+//! pre-quarantine decision. The safety property is phrased behaviourally
+//! — a cached manager must be bit-identical to an uncached one through an
+//! arbitrary quarantine cascade — plus pins on the count of structural
+//! changes (`PlanCacheStats::epoch_bumps`).
 
 use proptest::prelude::*;
 use rispp_core::{FabricArbiter, PlanCacheHandle, SchedulerKind};
@@ -29,11 +30,11 @@ fn library() -> SiLibrary {
     b.build().unwrap()
 }
 
-/// Quarantine every tile via certain CRC aborts, then verify that the
-/// epoch advanced once per quarantined container, that the degraded
-/// post-quarantine plan replaced the stale hardware plan, and that
-/// identical replans at the *stable* post-quarantine epoch do hit the
-/// cache — the bump invalidates history, not memoisation itself.
+/// Quarantine every tile via certain CRC aborts, then verify that one
+/// structural change is counted per quarantined container, that the
+/// degraded post-quarantine plan replaced the stale hardware plan, and
+/// that identical replans on the *stable* post-quarantine fabric do hit
+/// the cache — the change invalidates history, not memoisation itself.
 ///
 /// Demands are pinned with `enter_hot_spot_with_profile`: the online
 /// forecast evolves its expectations between entries, which (correctly)
@@ -54,7 +55,11 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
         .max_retries(2)
         .build();
 
-    assert_eq!(mgr.fabric_epoch(), 0, "fresh fabric starts at epoch zero");
+    assert_eq!(
+        mgr.plan_cache_stats().epoch_bumps,
+        0,
+        "a fresh fabric has seen no structural change"
+    );
     let demands = [(SiId(0), 400u64)];
     mgr.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 0)
         .unwrap();
@@ -78,20 +83,21 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
     mgr.advance_to(400_000_000);
     assert_eq!(mgr.fabric().usable_container_count(), 0);
 
-    let epoch = mgr.fabric_epoch();
-    assert_eq!(epoch, 3, "each of the 3 quarantined tiles bumps the epoch");
     let baseline = mgr.plan_cache_stats();
-    assert_eq!(baseline.epoch_bumps, 3, "bumps are counted: {baseline:?}");
-    // The stale epoch-0 hardware plan was NOT replayed across the bumps:
-    // the dead fabric forced a fresh degraded selection.
+    assert_eq!(
+        baseline.epoch_bumps, 3,
+        "each of the 3 quarantined tiles is counted: {baseline:?}"
+    );
+    // The stale healthy-fabric plan was NOT replayed across the
+    // quarantines: the dead fabric forced a fresh degraded selection.
     assert!(
         mgr.selected(0).is_empty(),
         "the dead fabric must carry the degraded plan, not the cached one"
     );
 
-    // Identical replans at the now-stable epoch replay from the cache
-    // (the cascade's own replan seeded the epoch-3 entry), while every
-    // pre-bump entry stays unreachable by key construction.
+    // Identical replans on the now-stable fabric replay from the cache
+    // (the cascade's own replan seeded the dead-fabric entry), while every
+    // pre-quarantine entry stays unreachable by key construction.
     mgr.exit_hot_spot(0, 400_000_001);
     mgr.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 400_000_002)
         .unwrap();
@@ -101,7 +107,7 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
     let after = mgr.plan_cache_stats();
     assert!(
         after.hits > baseline.hits,
-        "stable-epoch replans must hit: {after:?} vs {baseline:?}"
+        "stable-fabric replans must hit: {after:?} vs {baseline:?}"
     );
     assert!(
         after.misses <= baseline.misses + 1,
@@ -112,22 +118,21 @@ fn quarantine_bumps_epoch_and_stale_plans_never_hit() {
         "replayed plan is the degraded one"
     );
     assert_eq!(
-        mgr.fabric_epoch(),
-        epoch,
-        "no further faults, no further bumps"
+        after.epoch_bumps, baseline.epoch_bumps,
+        "no further faults, no further structural changes"
     );
 }
 
-/// Cross-manager sharing only matches plans at the *same* epoch and
-/// fabric state: a fault-free manager sharing the cache of one that
-/// lived through quarantines replays its healthy epoch-0 plan (a real
-/// hit) and decides exactly what a cache-free manager would.
+/// Cross-manager sharing only matches plans for the *same* fabric state:
+/// a fault-free manager sharing the cache of one that lived through
+/// quarantines replays its healthy first plan (a real hit) and decides
+/// exactly what a cache-free manager would.
 #[test]
 fn shared_cache_matches_epochs_and_never_changes_decisions() {
     let lib = library();
     let handle = PlanCacheHandle::private();
-    // Manager A plans at epoch 0 on a fresh fabric, then quarantines all
-    // three tiles (epoch 3) and replans degraded.
+    // Manager A plans on a fresh fabric, then quarantines all three tiles
+    // and replans degraded.
     let mut a = FabricArbiter::builder(&lib)
         .containers(3)
         .plan_cache(handle.clone())
@@ -145,13 +150,13 @@ fn shared_cache_matches_epochs_and_never_changes_decisions() {
     a.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 200_000_001)
         .unwrap();
     a.advance_to(400_000_000);
-    assert!(a.fabric_epoch() > 0);
+    assert!(a.plan_cache_stats().epoch_bumps > 0);
     assert!(a.selected(0).is_empty(), "A ends degraded on a dead fabric");
 
-    // Manager B shares the cache, is fault-free and sits at epoch 0 on a
-    // fresh fabric — exactly the state of A's *first* plan. That healthy
-    // entry (and only that one) is replayed: none of A's post-quarantine
-    // plans can match, their epoch word differs.
+    // Manager B shares the cache and is fault-free on a fresh fabric —
+    // exactly the state of A's *first* plan. That healthy entry (and only
+    // that one) is replayed: none of A's post-quarantine plans can match,
+    // their usable-container count differs.
     let mut b = FabricArbiter::builder(&lib)
         .containers(3)
         .plan_cache(handle.clone())
@@ -159,11 +164,11 @@ fn shared_cache_matches_epochs_and_never_changes_decisions() {
     b.enter_hot_spot_with_profile(0, HotSpotId(0), &demands, 0)
         .unwrap();
     let stats = b.plan_cache_stats();
-    assert_eq!(stats.hits, 1, "B replays A's epoch-0 plan: {stats:?}");
-    assert_eq!(b.fabric_epoch(), 0);
+    assert_eq!(stats.hits, 1, "B replays A's first plan: {stats:?}");
+    assert_eq!(stats.epoch_bumps, 0);
     assert!(
         !b.selected(0).is_empty(),
-        "B got the healthy hardware plan, not A's degraded epoch-3 plan"
+        "B got the healthy hardware plan, not A's degraded plan"
     );
 
     // And the replayed decision equals a fully private manager's (no
@@ -178,7 +183,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Through an arbitrary fault cascade — including quarantines and the
-    /// epoch bumps they trigger — a plan-cached manager is bit-identical
+    /// structural changes they count — a plan-cached manager is bit-identical
     /// to an uncached one: same burst segments, same fabric statistics,
     /// same recovery counters. A stale pre-quarantine plan sneaking
     /// through the cache would schedule atoms onto dead tiles and break
@@ -234,12 +239,14 @@ proptest! {
         prop_assert_eq!(ends[0], ends[1], "cache must not change timing");
         prop_assert_eq!(cached.fabric().stats(), plain.fabric().stats());
         prop_assert_eq!(cached.recovery_stats(0), plain.recovery_stats(0));
-        // Both managers saw the same faults, so the same bumps.
-        prop_assert_eq!(cached.fabric_epoch(), plain.fabric_epoch());
+        // Both managers saw the same faults, so the same structural
+        // changes.
+        let bumps = cached.plan_cache_stats().epoch_bumps;
+        prop_assert_eq!(bumps, plain.plan_cache_stats().epoch_bumps);
         prop_assert_eq!(
             cached.fabric().stats().containers_quarantined,
-            cached.fabric_epoch(),
-            "exactly one bump per quarantined tile"
+            bumps,
+            "exactly one count per quarantined tile"
         );
     }
 }

@@ -91,15 +91,6 @@ impl AtomContainer {
         }
     }
 
-    /// The corrupted atom, if the container is in the `Faulty` state.
-    #[must_use]
-    pub fn faulty_atom(&self) -> Option<AtomTypeId> {
-        match self.state {
-            ContainerState::Faulty { atom } => Some(atom),
-            _ => None,
-        }
-    }
-
     /// Whether this container is permanently out of service.
     #[must_use]
     pub fn is_quarantined(&self) -> bool {
@@ -194,10 +185,14 @@ mod tests {
         ac.finish_load();
         assert_eq!(ac.corrupt(), Some(AtomTypeId(2)));
         assert_eq!(ac.loaded_atom(), None);
-        assert_eq!(ac.faulty_atom(), Some(AtomTypeId(2)));
+        assert_eq!(
+            ac.state(),
+            ContainerState::Faulty {
+                atom: AtomTypeId(2)
+            }
+        );
         // Quarantine is terminal.
         ac.quarantine();
         assert!(ac.is_quarantined());
-        assert_eq!(ac.faulty_atom(), None);
     }
 }

@@ -40,9 +40,9 @@ pub struct LoadCompleted {
 
 /// Everything that can happen on the fabric while time advances.
 ///
-/// Returned in chronological order by [`Fabric::advance_events`]. The first
-/// variant is the only one a fault-free fabric ever produces; the rest are
-/// injected by the [`FaultModel`] or by an explicit
+/// Written in chronological order by [`Fabric::advance_events_into`]. The
+/// first variant is the only one a fault-free fabric ever produces; the
+/// rest are injected by the [`FaultModel`] or by an explicit
 /// [`Fabric::quarantine`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricEvent {
@@ -326,7 +326,7 @@ impl Fabric {
     /// permanent-failure schedule is drawn immediately; CRC and SEU draws
     /// happen as loads start and complete.
     ///
-    /// A [null](FaultModel::is_null) model behaves bit-identically to
+    /// A null model (every rate zero) behaves bit-identically to
     /// [`Fabric::new`].
     ///
     /// # Panics
@@ -387,7 +387,7 @@ impl Fabric {
         &self.config
     }
 
-    /// Current simulated cycle (last `advance_to` target).
+    /// Current simulated cycle (last `advance_events_into` target).
     #[must_use]
     pub fn now(&self) -> u64 {
         self.now
@@ -423,19 +423,22 @@ impl Fabric {
     }
 
     /// Load currently streaming through the port, if any:
-    /// `(atom, container, finish)`.
+    /// `(atom, container, finish)`. A test hook: `fault_injection.rs`
+    /// reads it.
     #[must_use]
     pub fn in_flight(&self) -> Option<(AtomTypeId, ContainerId, u64)> {
         self.in_flight.map(|fl| (fl.atom, fl.container, fl.finish))
     }
 
-    /// Number of queued (not yet started) loads.
+    /// Number of queued (not yet started) loads. A test hook:
+    /// `fabric_behaviour.rs` reads it.
     #[must_use]
     pub fn pending_count(&self) -> usize {
         self.queue.len()
     }
 
-    /// Whether the port is idle and no loads are queued.
+    /// Whether the port is idle and no loads are queued. A test hook:
+    /// `fabric_behaviour.rs` and `fault_injection.rs` read it.
     #[must_use]
     pub fn is_idle(&self) -> bool {
         self.in_flight.is_none() && self.queue.is_empty()
@@ -486,34 +489,16 @@ impl Fabric {
         self.protected = protected;
     }
 
-    /// Appends an atom-load request to the port queue.
+    /// Appends a load of `atom` on behalf of application `app` that must
+    /// not start before cycle `not_before` (0 for no delay; retries back
+    /// off through it). The tag flows into the container's ownership record
+    /// when the load starts and into the per-app port accounting when it
+    /// completes; a single-owner fabric uses app 0.
     ///
     /// # Panics
     ///
     /// Panics if the atom type is outside the universe.
-    pub fn enqueue_load(&mut self, atom: AtomTypeId) {
-        self.enqueue_load_after(atom, 0);
-    }
-
-    /// Appends an atom-load request that must not start before cycle
-    /// `not_before` (retry backoff after an aborted load).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the atom type is outside the universe.
-    pub fn enqueue_load_after(&mut self, atom: AtomTypeId, not_before: u64) {
-        self.enqueue_load_app(0, atom, not_before);
-    }
-
-    /// Appends an atom-load request on behalf of application `app` (the
-    /// multi-tenant entry point; `app` 0 is the single-owner default). The
-    /// tag flows into the container's ownership record when the load starts
-    /// and into the per-app port accounting when it completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the atom type is outside the universe.
-    pub fn enqueue_load_app(&mut self, app: u16, atom: AtomTypeId, not_before: u64) {
+    pub fn enqueue_load(&mut self, app: u16, atom: AtomTypeId, not_before: u64) {
         assert!(
             atom.index() < self.bitstream_bytes.len(),
             "atom type {atom} outside universe"
@@ -523,31 +508,19 @@ impl Fabric {
         self.try_start_next(self.now);
     }
 
-    /// Appends a full schedule (sequence of atom loads) to the queue.
-    pub fn enqueue_schedule<I: IntoIterator<Item = AtomTypeId>>(&mut self, atoms: I) {
-        self.enqueue_schedule_app(0, atoms);
-    }
-
-    /// Appends a full schedule on behalf of application `app`.
-    pub fn enqueue_schedule_app<I: IntoIterator<Item = AtomTypeId>>(&mut self, app: u16, atoms: I) {
+    /// Appends a full schedule (sequence of atom loads) on behalf of
+    /// application `app`.
+    pub fn enqueue_schedule<I: IntoIterator<Item = AtomTypeId>>(&mut self, app: u16, atoms: I) {
         for atom in atoms {
-            self.enqueue_load_app(app, atom, 0);
+            self.enqueue_load(app, atom, 0);
         }
     }
 
-    /// Drops all queued loads (the in-flight bitstream, if any, completes).
-    ///
-    /// Called on a hot-spot switch when a fresh schedule supersedes the old
-    /// one.
-    pub fn clear_pending(&mut self) {
-        self.stats.loads_cancelled += self.queue.len() as u64;
-        self.queue.clear();
-    }
-
-    /// Drops the queued loads tagged for application `app`, leaving other
-    /// tenants' pending loads in place. With every entry tagged `app` this
-    /// is exactly [`Fabric::clear_pending`].
-    pub fn clear_pending_app(&mut self, app: u16) {
+    /// Drops the queued loads tagged for application `app` (the in-flight
+    /// bitstream, if any, completes), leaving other tenants' pending loads
+    /// in place. Called on a hot-spot switch when a fresh schedule
+    /// supersedes the old one.
+    pub fn clear_pending(&mut self, app: u16) {
         let before = self.queue.len();
         self.queue.retain(|&(_, _, a)| a != app);
         self.stats.loads_cancelled += (before - self.queue.len()) as u64;
@@ -643,41 +616,11 @@ impl Fabric {
         Ok(())
     }
 
-    /// Advances simulated time to `now`, completing every load that
-    /// finishes by then and starting queued loads as the port frees up.
-    /// Returns only the completion events in chronological order; use
-    /// [`Fabric::advance_events`] to observe fault events too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` moves backwards.
-    pub fn advance_to(&mut self, now: u64) -> Vec<LoadCompleted> {
-        self.advance_events(now)
-            .into_iter()
-            .filter_map(|e| match e {
-                FabricEvent::Completed(done) => Some(done),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Advances simulated time to `now`, processing port completions,
     /// CRC aborts, SEU corruptions and scheduled tile failures in
-    /// chronological order. Returns every event that occurred.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` moves backwards.
-    pub fn advance_events(&mut self, now: u64) -> Vec<FabricEvent> {
-        let mut events = Vec::new();
-        self.advance_events_into(now, &mut events);
-        events
-    }
-
-    /// Buffer-reusing form of [`Fabric::advance_events`]: clears `events`
-    /// and writes the occurred events into it, so event-driven hot loops
-    /// (the arbiter's fabric sync) can step many event windows without
-    /// allocating a `Vec` per window.
+    /// chronological order. Clears `events` and writes every event that
+    /// occurred into it, so event-driven hot loops (the arbiter's fabric
+    /// sync) can step many event windows without allocating per window.
     ///
     /// # Panics
     ///

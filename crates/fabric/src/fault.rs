@@ -61,12 +61,6 @@ impl FaultModel {
         FaultModel::default()
     }
 
-    /// Whether every rate is zero (the model never perturbs a run).
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        self.crc_abort_ppm == 0 && self.seu_per_gcycle == 0 && self.permanent_failure_ppm == 0
-    }
-
     /// A single-knob model: `rate` in `[0, 1]` scales all three mechanisms.
     ///
     /// CRC aborts hit `rate` of all loads; loaded Atoms suffer SEUs at
@@ -161,13 +155,6 @@ impl XorShift64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_model_detection() {
-        assert!(FaultModel::none().is_null());
-        assert!(FaultModel::uniform(0.0, 42).is_null());
-        assert!(!FaultModel::uniform(0.05, 42).is_null());
-    }
 
     #[test]
     fn uniform_scales_all_mechanisms() {

@@ -10,9 +10,9 @@
 //! The central type is [`Fabric`]: it accepts a queue of atom-load requests
 //! (the output of an SI scheduler), serialises them through the port, and
 //! reports at which cycle each Atom becomes available. The run-time system
-//! polls [`Fabric::advance_to`] as simulated time progresses and reads the
-//! currently [`Fabric::available`] atoms to pick the fastest Molecule per
-//! SI execution.
+//! polls [`Fabric::advance_events_into`] as simulated time progresses and
+//! reads the currently [`Fabric::available`] atoms to pick the fastest
+//! Molecule per SI execution.
 //!
 //! # Examples
 //!
@@ -23,8 +23,9 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let universe = AtomUniverse::from_types([AtomTypeInfo::new("SAV")])?;
 //! let mut fabric = Fabric::new(FabricConfig::prototype(4), &universe);
-//! fabric.enqueue_load(AtomTypeId(0));
-//! let events = fabric.advance_to(10_000_000);
+//! fabric.enqueue_load(0, AtomTypeId(0), 0);
+//! let mut events = Vec::new();
+//! fabric.advance_events_into(10_000_000, &mut events);
 //! assert_eq!(events.len(), 1);
 //! assert_eq!(fabric.available().count(0), 1);
 //! # Ok(())

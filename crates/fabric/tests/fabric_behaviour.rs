@@ -1,7 +1,9 @@
 //! Behavioural and property tests of the reconfigurable-fabric simulator.
 
 use proptest::prelude::*;
-use rispp_fabric::{ContainerState, Fabric, FabricConfig, ReconfigPortConfig};
+use rispp_fabric::{
+    ContainerState, Fabric, FabricConfig, FabricEvent, LoadCompleted, ReconfigPortConfig,
+};
 use rispp_model::{AtomTypeId, AtomTypeInfo, AtomUniverse, Molecule};
 
 fn universe(n: usize) -> AtomUniverse {
@@ -12,19 +14,32 @@ fn fabric(containers: u16, types: usize) -> Fabric {
     Fabric::new(FabricConfig::prototype(containers), &universe(types))
 }
 
+/// Steps `f` to `now` and keeps the load completions.
+fn advance(f: &mut Fabric, now: u64) -> Vec<LoadCompleted> {
+    let mut events = Vec::new();
+    f.advance_events_into(now, &mut events);
+    events
+        .into_iter()
+        .filter_map(|e| match e {
+            FabricEvent::Completed(done) => Some(done),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn loads_are_serialised_through_the_port() {
     let mut f = fabric(4, 2);
-    f.enqueue_load(AtomTypeId(0));
-    f.enqueue_load(AtomTypeId(1));
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    f.enqueue_load(0, AtomTypeId(1), 0);
     let per_atom = ReconfigPortConfig::prototype().load_cycles(60_488).unwrap();
     // After one load time only the first atom is there.
-    let ev = f.advance_to(per_atom);
+    let ev = advance(&mut f, per_atom);
     assert_eq!(ev.len(), 1);
     assert_eq!(ev[0].atom, AtomTypeId(0));
     assert_eq!(f.available().counts(), &[1, 0]);
     // Second completes one load time later.
-    let ev = f.advance_to(2 * per_atom);
+    let ev = advance(&mut f, 2 * per_atom);
     assert_eq!(ev.len(), 1);
     assert_eq!(f.available().counts(), &[1, 1]);
     assert!(f.is_idle());
@@ -41,8 +56,8 @@ fn per_atom_load_time_matches_paper_average() {
 #[test]
 fn atoms_unavailable_while_loading() {
     let mut f = fabric(2, 1);
-    f.enqueue_load(AtomTypeId(0));
-    f.advance_to(10);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    advance(&mut f, 10);
     assert_eq!(f.available().counts(), &[0]);
     assert!(matches!(
         f.containers()[0].state(),
@@ -54,16 +69,16 @@ fn atoms_unavailable_while_loading() {
 #[test]
 fn eviction_prefers_unprotected_lru() {
     let mut f = fabric(2, 3);
-    f.enqueue_load(AtomTypeId(0));
-    f.enqueue_load(AtomTypeId(1));
-    f.advance_to(1_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    f.enqueue_load(0, AtomTypeId(1), 0);
+    advance(&mut f, 1_000_000);
     assert_eq!(f.available().counts(), &[1, 1, 0]);
     // Protect type 1; touch type 0 recently — eviction should still pick
     // type 0's container because type 1 is protected.
     f.set_protected(Molecule::from_counts([0, 1, 0]));
     f.mark_used(&Molecule::from_counts([1, 0, 0]), 999_999);
-    f.enqueue_load(AtomTypeId(2));
-    f.advance_to(2_000_000);
+    f.enqueue_load(0, AtomTypeId(2), 0);
+    advance(&mut f, 2_000_000);
     assert_eq!(f.available().counts(), &[0, 1, 1]);
     assert_eq!(f.stats().evictions, 1);
 }
@@ -71,14 +86,14 @@ fn eviction_prefers_unprotected_lru() {
 #[test]
 fn eviction_falls_back_to_lru_when_everything_protected() {
     let mut f = fabric(2, 3);
-    f.enqueue_load(AtomTypeId(0));
-    f.enqueue_load(AtomTypeId(1));
-    f.advance_to(1_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    f.enqueue_load(0, AtomTypeId(1), 0);
+    advance(&mut f, 1_000_000);
     f.set_protected(Molecule::from_counts([1, 1, 1]));
     f.mark_used(&Molecule::from_counts([1, 0, 0]), 500);
     f.mark_used(&Molecule::from_counts([0, 1, 0]), 900);
-    f.enqueue_load(AtomTypeId(2));
-    f.advance_to(2_000_000);
+    f.enqueue_load(0, AtomTypeId(2), 0);
+    advance(&mut f, 2_000_000);
     // Type 0 was used least recently -> evicted.
     assert_eq!(f.available().counts(), &[0, 1, 1]);
 }
@@ -86,15 +101,15 @@ fn eviction_falls_back_to_lru_when_everything_protected() {
 #[test]
 fn clear_pending_keeps_in_flight_load() {
     let mut f = fabric(4, 2);
-    f.enqueue_load(AtomTypeId(0));
-    f.enqueue_load(AtomTypeId(1));
-    f.advance_to(10);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    f.enqueue_load(0, AtomTypeId(1), 0);
+    advance(&mut f, 10);
     assert_eq!(f.pending_count(), 1);
-    f.clear_pending();
+    f.clear_pending(0);
     assert_eq!(f.pending_count(), 0);
     assert_eq!(f.stats().loads_cancelled, 1);
     // The in-flight atom still completes.
-    let ev = f.advance_to(1_000_000);
+    let ev = advance(&mut f, 1_000_000);
     assert_eq!(ev.len(), 1);
     assert_eq!(f.available().counts(), &[1, 0]);
 }
@@ -102,9 +117,9 @@ fn clear_pending_keeps_in_flight_load() {
 #[test]
 fn single_container_fabric_replaces_its_atom() {
     let mut f = fabric(1, 2);
-    f.enqueue_load(AtomTypeId(0));
-    f.enqueue_load(AtomTypeId(1));
-    let ev = f.advance_to(10_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    f.enqueue_load(0, AtomTypeId(1), 0);
+    let ev = advance(&mut f, 10_000_000);
     assert_eq!(ev.len(), 2);
     assert_eq!(f.available().counts(), &[0, 1]);
     assert_eq!(f.stats().evictions, 1);
@@ -114,22 +129,22 @@ fn single_container_fabric_replaces_its_atom() {
 #[should_panic(expected = "monotone")]
 fn time_cannot_move_backwards() {
     let mut f = fabric(1, 1);
-    f.advance_to(100);
-    f.advance_to(50);
+    advance(&mut f, 100);
+    advance(&mut f, 50);
 }
 
 #[test]
 #[should_panic(expected = "outside universe")]
 fn unknown_atom_type_panics() {
     let mut f = fabric(1, 1);
-    f.enqueue_load(AtomTypeId(7));
+    f.enqueue_load(0, AtomTypeId(7), 0);
 }
 
 #[test]
 fn port_busy_cycles_accumulate() {
     let mut f = fabric(2, 1);
-    f.enqueue_load(AtomTypeId(0));
-    f.advance_to(10_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    advance(&mut f, 10_000_000);
     let per_atom = ReconfigPortConfig::prototype().load_cycles(60_488).unwrap();
     assert_eq!(f.stats().port_busy_cycles, per_atom);
 }
@@ -148,9 +163,9 @@ proptest! {
         let mut last_event = 0u64;
         let mut completed = 0usize;
         for (i, &a) in loads.iter().enumerate() {
-            f.enqueue_load(AtomTypeId(a));
+            f.enqueue_load(0, AtomTypeId(a), 0);
             let now = (i as u64 + 1) * step;
-            for ev in f.advance_to(now) {
+            for ev in advance(&mut f, now) {
                 prop_assert!(ev.at >= last_event);
                 prop_assert!(ev.at <= now);
                 last_event = ev.at;
@@ -167,7 +182,7 @@ proptest! {
             prop_assert_eq!(f.available().counts(), &recount[..]);
         }
         // Drain everything.
-        for ev in f.advance_to(u64::from(u32::MAX)) {
+        for ev in advance(&mut f, u64::from(u32::MAX)) {
             prop_assert!(ev.at >= last_event);
             last_event = ev.at;
             completed += 1;

@@ -18,6 +18,13 @@ fn per_atom() -> u64 {
     ReconfigPortConfig::prototype().load_cycles(60_488).unwrap()
 }
 
+/// Steps `f` to `now` and returns the events that occurred.
+fn advance(f: &mut Fabric, now: u64) -> Vec<FabricEvent> {
+    let mut events = Vec::new();
+    f.advance_events_into(now, &mut events);
+    events
+}
+
 #[test]
 fn null_model_is_bit_identical_to_no_model() {
     let u = universe(3);
@@ -27,21 +34,20 @@ fn null_model_is_bit_identical_to_no_model() {
         &u,
         FaultModel::uniform(0.0, 0xDEAD),
     );
-    assert!(FaultModel::uniform(0.0, 0xDEAD).is_null());
     let script = [0u16, 1, 2, 0, 2, 1, 0];
     for (i, &a) in script.iter().enumerate() {
-        plain.enqueue_load(AtomTypeId(a));
-        nulled.enqueue_load(AtomTypeId(a));
+        plain.enqueue_load(0, AtomTypeId(a), 0);
+        nulled.enqueue_load(0, AtomTypeId(a), 0);
         let now = (i as u64 + 1) * 40_000;
-        assert_eq!(plain.advance_events(now), nulled.advance_events(now));
+        assert_eq!(advance(&mut plain, now), advance(&mut nulled, now));
         assert_eq!(plain.available(), nulled.available());
         assert_eq!(plain.generation(), nulled.generation());
         assert_eq!(plain.in_flight(), nulled.in_flight());
         assert_eq!(plain.next_event_at(), nulled.next_event_at());
     }
     assert_eq!(
-        plain.advance_events(10_000_000),
-        nulled.advance_events(10_000_000)
+        advance(&mut plain, 10_000_000),
+        advance(&mut nulled, 10_000_000)
     );
     assert_eq!(plain.stats(), nulled.stats());
 }
@@ -54,8 +60,8 @@ fn certain_crc_abort_rejects_every_load() {
         ..FaultModel::default()
     };
     let mut f = Fabric::with_fault_model(FabricConfig::prototype(2), &universe(2), model);
-    f.enqueue_load(AtomTypeId(0));
-    let events = f.advance_events(10_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    let events = advance(&mut f, 10_000_000);
     assert_eq!(
         events,
         vec![FabricEvent::LoadAborted {
@@ -82,8 +88,8 @@ fn seu_corrupts_then_scrub_reload_recovers() {
         ..FaultModel::default()
     };
     let mut f = Fabric::with_fault_model(FabricConfig::prototype(1), &universe(1), model);
-    f.enqueue_load(AtomTypeId(0));
-    let events = f.advance_events(10_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    let events = advance(&mut f, 10_000_000);
     assert_eq!(events.len(), 2, "completion then corruption: {events:?}");
     assert!(matches!(events[0], FabricEvent::Completed(done) if done.atom == AtomTypeId(0)));
     let FabricEvent::AtomCorrupted {
@@ -107,8 +113,8 @@ fn seu_corrupts_then_scrub_reload_recovers() {
     assert_eq!(f.stats().seu_corruptions, 1);
 
     // Scrub-and-reload: the faulty container is a load target again.
-    f.enqueue_load(AtomTypeId(0));
-    let events = f.advance_events(20_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    let events = advance(&mut f, 20_000_000);
     assert!(
         matches!(events[0], FabricEvent::Completed(done) if done.container == ContainerId(0)),
         "reload must scrub the faulty container: {events:?}"
@@ -126,7 +132,7 @@ fn scheduled_tile_failures_quarantine_containers() {
     };
     let mut f = Fabric::with_fault_model(FabricConfig::prototype(3), &universe(2), model);
     assert_eq!(f.usable_container_count(), 3);
-    let events = f.advance_events(100_000);
+    let events = advance(&mut f, 100_000);
     let failed = events
         .iter()
         .filter(|e| matches!(e, FabricEvent::ContainerFailed { .. }))
@@ -144,10 +150,10 @@ fn scheduled_tile_failures_quarantine_containers() {
         .all(rispp_fabric::AtomContainer::is_quarantined));
 
     // Loads on a dead fabric are dropped, not wedged: forward progress.
-    f.enqueue_load(AtomTypeId(0));
+    f.enqueue_load(0, AtomTypeId(0), 0);
     assert!(f.is_idle());
     assert_eq!(f.stats().loads_cancelled, 1);
-    assert!(f.advance_events(200_000).is_empty());
+    assert!(advance(&mut f, 200_000).is_empty());
 }
 
 #[test]
@@ -161,8 +167,8 @@ fn tile_failure_mid_load_aborts_the_transfer() {
         ..FaultModel::default()
     };
     let mut f = Fabric::with_fault_model(FabricConfig::prototype(1), &universe(1), model);
-    f.enqueue_load(AtomTypeId(0));
-    let events = f.advance_events(10_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    let events = advance(&mut f, 10_000_000);
     assert_eq!(events.len(), 2, "{events:?}");
     let FabricEvent::ContainerFailed { container, at } = events[0] else {
         panic!("expected failure first, got {:?}", events[0]);
@@ -183,8 +189,8 @@ fn tile_failure_mid_load_aborts_the_transfer() {
 #[test]
 fn manual_quarantine_removes_loaded_atoms() {
     let mut f = Fabric::new(FabricConfig::prototype(2), &universe(2));
-    f.enqueue_load(AtomTypeId(0));
-    f.advance_to(10_000_000);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    advance(&mut f, 10_000_000);
     assert_eq!(f.available().counts(), &[1, 0]);
     let gen = f.generation();
 
@@ -208,11 +214,11 @@ fn manual_quarantine_removes_loaded_atoms() {
 #[test]
 fn backoff_delays_a_queued_load() {
     let mut f = Fabric::new(FabricConfig::prototype(2), &universe(1));
-    f.enqueue_load_after(AtomTypeId(0), 5_000);
-    assert!(f.advance_events(4_999).is_empty());
+    f.enqueue_load(0, AtomTypeId(0), 5_000);
+    assert!(advance(&mut f, 4_999).is_empty());
     assert_eq!(f.in_flight(), None, "backoff window still closed");
     assert_eq!(f.next_event_at(), Some(5_000));
-    let events = f.advance_events(5_000 + per_atom());
+    let events = advance(&mut f, 5_000 + per_atom());
     assert_eq!(
         events,
         vec![FabricEvent::Completed(rispp_fabric::LoadCompleted {
@@ -229,15 +235,15 @@ fn loading_container_is_never_an_eviction_victim() {
     // overwritten by a subsequent load (the serial port guarantees the
     // in-flight transfer completes before the next victim is picked).
     let mut f = Fabric::new(FabricConfig::prototype(2), &universe(3));
-    f.enqueue_load(AtomTypeId(0));
-    f.enqueue_load(AtomTypeId(1));
-    f.enqueue_load(AtomTypeId(2));
-    f.advance_to(per_atom() / 2);
+    f.enqueue_load(0, AtomTypeId(0), 0);
+    f.enqueue_load(0, AtomTypeId(1), 0);
+    f.enqueue_load(0, AtomTypeId(2), 0);
+    advance(&mut f, per_atom() / 2);
     assert!(
         matches!(f.containers()[0].state(), ContainerState::Loading { atom, .. } if atom == AtomTypeId(0)),
         "first load must still be streaming"
     );
-    let events = f.advance_to(10_000_000);
+    let events = advance(&mut f, 10_000_000);
     assert_eq!(events.len(), 3, "every load must complete: {events:?}");
     assert_eq!(f.stats().loads_completed, 3);
     // The third load evicted a *Loaded* container (exactly one eviction);
@@ -262,14 +268,14 @@ proptest! {
         let mut a = Fabric::with_fault_model(FabricConfig::prototype(2), &u, model);
         let mut b = Fabric::with_fault_model(FabricConfig::prototype(2), &u, model);
         for (i, &atom) in loads.iter().enumerate() {
-            a.enqueue_load(AtomTypeId(atom));
-            b.enqueue_load(AtomTypeId(atom));
+            a.enqueue_load(0, AtomTypeId(atom), 0);
+            b.enqueue_load(0, AtomTypeId(atom), 0);
             let now = (i as u64 + 1) * step;
-            prop_assert_eq!(a.advance_events(now), b.advance_events(now));
+            prop_assert_eq!(advance(&mut a, now), advance(&mut b, now));
             prop_assert_eq!(a.available(), b.available());
             prop_assert_eq!(a.next_event_at(), b.next_event_at());
         }
-        prop_assert_eq!(a.advance_events(50_000_000), b.advance_events(50_000_000));
+        prop_assert_eq!(advance(&mut a, 50_000_000), advance(&mut b, 50_000_000));
         prop_assert_eq!(a.stats(), b.stats());
     }
 
@@ -286,8 +292,8 @@ proptest! {
         let model = FaultModel::uniform_ppm(rate_ppm, seed);
         let mut f = Fabric::with_fault_model(FabricConfig::prototype(3), &u, model);
         for (i, &atom) in loads.iter().enumerate() {
-            f.enqueue_load(AtomTypeId(atom));
-            f.advance_events((i as u64 + 1) * 60_000);
+            f.enqueue_load(0, AtomTypeId(atom), 0);
+            advance(&mut f, (i as u64 + 1) * 60_000);
             let mut recount = [0u16; 3];
             for c in f.containers() {
                 if let Some(a) = c.loaded_atom() {
@@ -296,7 +302,7 @@ proptest! {
             }
             prop_assert_eq!(f.available().counts(), &recount[..]);
         }
-        f.advance_events(100_000_000);
+        advance(&mut f, 100_000_000);
         let s = f.stats();
         prop_assert!(f.is_idle());
         prop_assert_eq!(

@@ -206,12 +206,6 @@ impl Frame {
         self.height() / MB_SIZE
     }
 
-    /// Total macroblocks (396 for CIF).
-    #[must_use]
-    pub fn mb_count(&self) -> usize {
-        self.mb_cols() * self.mb_rows()
-    }
-
     /// Luma PSNR against a reference frame.
     #[must_use]
     pub fn psnr_y(&self, reference: &Frame) -> f64 {
@@ -234,7 +228,6 @@ mod tests {
         let f = Frame::new(352, 288);
         assert_eq!(f.mb_cols(), 22);
         assert_eq!(f.mb_rows(), 18);
-        assert_eq!(f.mb_count(), 396);
         assert_eq!(f.cb.width(), 176);
         assert_eq!(f.to_string(), "352x288 4:2:0 frame");
     }

@@ -142,6 +142,8 @@ pub fn reconstruct_residual(quantised: &[i32; 16], qp: u8) -> [i32; 16] {
 
 /// Full residual round trip at `qp`: forward transform, quantise,
 /// dequantise, inverse transform. Returns the reconstructed residual.
+/// The encoder runs the two halves apart; this composition is what the
+/// round-trip unit tests and `kernel_properties.rs` bound.
 #[must_use]
 pub fn transform_roundtrip(residual: &[i32; 16], qp: u8) -> [i32; 16] {
     reconstruct_residual(&forward_quantised(residual, qp), qp)

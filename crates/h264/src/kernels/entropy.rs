@@ -15,7 +15,9 @@ pub fn zigzag_scan(block: &[i32; 16]) -> [i32; 16] {
     core::array::from_fn(|i| block[ZIGZAG_4X4[i]])
 }
 
-/// Inverse of [`zigzag_scan`].
+/// Inverse of [`zigzag_scan`]. The encoder never unscans; the
+/// `zigzag_roundtrip` property test uses it to show the scan is a
+/// permutation.
 #[must_use]
 pub fn zigzag_unscan(scanned: &[i32; 16]) -> [i32; 16] {
     let mut out = [0i32; 16];

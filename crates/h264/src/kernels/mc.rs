@@ -95,7 +95,9 @@ pub fn sample_quarter_pel(plane: &Plane, x4: isize, y4: isize) -> u8 {
 
 /// Motion-compensates a 16×16 luma block: reads `reference` at the
 /// quarter-pel motion vector `(mvx4, mvy4)` (quarter-pel units) for the
-/// macroblock at `(mb_x, mb_y)` and writes the prediction into `out`.
+/// macroblock at `(mb_x, mb_y)` and writes the prediction into `out`. The
+/// encoder compensates through [`InterpolatedRef::compensate_16x16`];
+/// this is the reference that `kernel_properties.rs` checks it against.
 pub fn compensate_16x16(
     reference: &Plane,
     mb_x: usize,

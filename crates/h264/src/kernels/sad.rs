@@ -19,7 +19,9 @@ pub fn sad_block(a: &[u8], b: &[u8], n: usize) -> u32 {
 }
 
 /// SAD of the 16×16 block at `(x, y)` in `cur` against the block at
-/// `(x + mvx, y + mvy)` in `reference` (border-clamped).
+/// `(x + mvx, y + mvy)` in `reference` (border-clamped). The encoder
+/// searches through `InterpolatedRef::sad_16x16`; this is the per-sample
+/// reference that `kernel_properties.rs` checks it against.
 #[must_use]
 pub fn sad_16x16(
     cur: &Plane,

@@ -6,8 +6,7 @@
 //! faster than the base-processor trap path (one Atom is already a wide,
 //! pipelined data path), and each further upgrade step shaves another
 //! 1.3–2×, spanning the multi-decade latency ladders visible in the
-//! paper's Figure 8. The [`rispp_model::latency::StageModel`] micro-model
-//! was used to sanity-check the relative shape of these tables.
+//! paper's Figure 8.
 
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 

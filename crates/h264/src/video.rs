@@ -16,10 +16,10 @@ use crate::frame::{Frame, Plane};
 /// ```
 /// use rispp_h264::SyntheticVideo;
 ///
-/// let mut video = SyntheticVideo::cif(42);
+/// let mut video = SyntheticVideo::new(352, 288, 42);
 /// let first = video.next_frame();
 /// let second = video.next_frame();
-/// assert_eq!(first.mb_count(), 396);
+/// assert_eq!(first.mb_cols() * first.mb_rows(), 396);
 /// assert_ne!(first, second); // motion between frames
 /// ```
 #[derive(Debug, Clone)]
@@ -43,12 +43,6 @@ struct MovingObject {
 }
 
 impl SyntheticVideo {
-    /// A CIF (352×288) sequence with the given seed.
-    #[must_use]
-    pub fn cif(seed: u64) -> Self {
-        SyntheticVideo::new(352, 288, seed)
-    }
-
     /// A sequence of arbitrary MB-aligned dimensions.
     ///
     /// # Panics
@@ -182,8 +176,8 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic() {
-        let mut a = SyntheticVideo::cif(7);
-        let mut b = SyntheticVideo::cif(7);
+        let mut a = SyntheticVideo::new(352, 288, 7);
+        let mut b = SyntheticVideo::new(352, 288, 7);
         assert_eq!(a.next_frame(), b.next_frame());
         assert_eq!(a.next_frame(), b.next_frame());
         assert_eq!(a.frame_index(), 2);
@@ -191,14 +185,14 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = SyntheticVideo::cif(1);
-        let mut b = SyntheticVideo::cif(2);
+        let mut a = SyntheticVideo::new(352, 288, 1);
+        let mut b = SyntheticVideo::new(352, 288, 2);
         assert_ne!(a.next_frame(), b.next_frame());
     }
 
     #[test]
     fn consecutive_frames_have_motion_but_similarity() {
-        let mut v = SyntheticVideo::cif(3);
+        let mut v = SyntheticVideo::new(352, 288, 3);
         let f0 = v.next_frame();
         let f1 = v.next_frame();
         let psnr = f1.psnr_y(&f0);
@@ -210,7 +204,7 @@ mod tests {
 
     #[test]
     fn motion_burst_increases_frame_difference() {
-        let mut v = SyntheticVideo::cif(4);
+        let mut v = SyntheticVideo::new(352, 288, 4);
         let mut frames = Vec::new();
         for _ in 0..100 {
             frames.push(v.next_frame());

@@ -17,7 +17,8 @@ pub fn union(a: &[u16], b: &[u16]) -> Vec<u16> {
     a.iter().zip(b).map(|(&x, &y)| x.max(y)).collect()
 }
 
-/// Component-wise minimum.
+/// Component-wise minimum: a reference formulation that
+/// `molecule_reference.rs` checks `Molecule::intersect` against.
 #[must_use]
 pub fn intersect(a: &[u16], b: &[u16]) -> Vec<u16> {
     a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect()

@@ -15,8 +15,6 @@
 //!   latency) and its base-processor (trap) fallback latency.
 //! * [`SiLibrary`] — a validated collection of SIs sharing one universe of
 //!   [`AtomTypeId`]s; the input to Molecule selection and Atom scheduling.
-//! * [`latency`] — the stage-based latency micro-model used to derive
-//!   plausible per-Molecule latencies for the benchmark SI libraries.
 //!
 //! # Examples
 //!
@@ -38,7 +36,6 @@
 mod atom;
 mod error;
 pub mod kernels;
-pub mod latency;
 mod molecule;
 mod si;
 

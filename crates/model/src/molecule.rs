@@ -52,9 +52,6 @@ pub struct Molecule {
 }
 
 impl Molecule {
-    /// Maximum arity stored without heap allocation ([`INLINE_LANES`]).
-    pub const INLINE_CAP: usize = INLINE_LANES;
-
     /// Creates the zero Molecule (the neutral element of `∪`) of the given
     /// arity.
     #[must_use]
@@ -237,7 +234,9 @@ impl Molecule {
     }
 
     /// The Meta-Molecule `m ∩ o` (component-wise minimum): atoms that are
-    /// collectively needed for both operands.
+    /// collectively needed for both operands. No run needs it; it is kept
+    /// as the meet of the paper's Section 4.1 lattice, whose laws
+    /// `lattice_properties.rs` checks.
     ///
     /// # Panics
     ///
@@ -365,36 +364,6 @@ impl Molecule {
             None => Some(m.clone()),
             Some(a) => Some(a.union(m)),
         })
-    }
-
-    /// The infimum of a set of Molecules: atoms collectively needed by *all*
-    /// Molecules of the set. Returns `None` for an empty iterator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Molecules have differing arities.
-    pub fn infimum<'a, I: IntoIterator<Item = &'a Molecule>>(set: I) -> Option<Molecule> {
-        set.into_iter().fold(None, |acc, m| match acc {
-            None => Some(m.clone()),
-            Some(a) => Some(a.intersect(m)),
-        })
-    }
-
-    /// Decomposes this Molecule into a sequence of Unit-Molecule indices:
-    /// atom type `i` appears `counts[i]` times, in ascending type order.
-    ///
-    /// The scheduling function SF of the paper (eq. 1/2) is a permutation of
-    /// exactly this multiset.
-    #[must_use]
-    pub fn to_unit_indices(&self) -> Vec<usize> {
-        let counts = self.counts();
-        let mut units = Vec::with_capacity(kernels::total_atoms(counts) as usize);
-        for (i, &c) in counts.iter().enumerate() {
-            for _ in 0..c {
-                units.push(i);
-            }
-        }
-        units
     }
 
     /// Runs `kernel` over both count slices into a fresh zero Molecule of
@@ -563,19 +532,8 @@ mod tests {
     }
 
     #[test]
-    fn infimum_is_dominated_by_all_members() {
-        let set = [m(&[1, 3]), m(&[2, 1])];
-        let inf = Molecule::infimum(set.iter()).expect("non-empty");
-        assert_eq!(inf, m(&[1, 1]));
-        for x in &set {
-            assert!(&inf <= x);
-        }
-    }
-
-    #[test]
     fn empty_set_has_no_supremum() {
         assert_eq!(Molecule::supremum(std::iter::empty()), None);
-        assert_eq!(Molecule::infimum(std::iter::empty()), None);
     }
 
     #[test]
@@ -602,12 +560,6 @@ mod tests {
     fn checked_ops_report_arity_mismatch() {
         let e = m(&[1]).checked_union(&m(&[1, 2])).unwrap_err();
         assert_eq!(e, ModelError::ArityMismatch { left: 1, right: 2 });
-    }
-
-    #[test]
-    fn unit_indices_expand_multiplicities() {
-        assert_eq!(m(&[2, 0, 1]).to_unit_indices(), vec![0, 0, 2]);
-        assert!(Molecule::zero(3).to_unit_indices().is_empty());
     }
 
     #[test]

@@ -43,7 +43,9 @@ impl MoleculeVariant {
         MoleculeVariant { atoms, latency }
     }
 
-    /// Whether this Molecule can execute given the available atoms.
+    /// Whether this Molecule can execute given the available atoms. The
+    /// reference definition that `fastest_available.rs` and
+    /// `best_variant_cache.rs` check the mask-based fast path against.
     #[must_use]
     pub fn is_available(&self, available: &Molecule) -> bool {
         self.atoms.is_subset(available)
@@ -181,7 +183,8 @@ impl SiDefinition {
     }
 
     /// The largest (fully parallel) Molecule: maximum total atoms, ties
-    /// broken by lowest latency.
+    /// broken by lowest latency. A test hook: the H.264 library's unit test
+    /// `bigger_molecules_of_balanced_chains_are_faster` reads it.
     ///
     /// # Panics
     ///

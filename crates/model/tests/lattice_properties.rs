@@ -134,13 +134,4 @@ proptest! {
         let other_bound = sup.saturating_add(&Molecule::unit(ARITY, 0));
         prop_assert!(sup <= other_bound);
     }
-
-    #[test]
-    fn unit_decomposition_roundtrips(a in molecule()) {
-        let mut rebuilt = Molecule::zero(ARITY);
-        for idx in a.to_unit_indices() {
-            rebuilt = rebuilt.saturating_add(&Molecule::unit(ARITY, idx));
-        }
-        prop_assert_eq!(rebuilt, a);
-    }
 }

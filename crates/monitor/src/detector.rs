@@ -10,7 +10,8 @@
 
 use rispp_model::SiId;
 
-/// A detected hot-spot transition.
+/// A detected hot-spot transition, as
+/// [`HotSpotDetector::transitions`] reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectedTransition {
     /// Cycle at which the new signature became stable.
@@ -19,7 +20,10 @@ pub struct DetectedTransition {
     pub signature: Vec<SiId>,
 }
 
-/// Windowed hot-spot detector.
+/// Windowed hot-spot detector: the paper's Section 3.1 task-II
+/// mechanism. No run attaches it; the tier-1 test
+/// `hot_spot_detector_recovers_the_encoder_phases` reads its
+/// [`transitions`](Self::transitions) over the H.264 trace.
 ///
 /// # Examples
 ///
@@ -94,18 +98,14 @@ impl HotSpotDetector {
         }
     }
 
-    /// Flushes the current window and returns all transitions seen so far.
+    /// Flushes the current window and returns all transitions seen so far
+    /// (what tier-1 `hot_spot_detector_recovers_the_encoder_phases`
+    /// checks).
     #[must_use]
     pub fn transitions(&self) -> Vec<DetectedTransition> {
         let mut snapshot = self.clone();
         snapshot.close_window();
         snapshot.transitions
-    }
-
-    /// The dominant SIs of the most recently *closed* window.
-    #[must_use]
-    pub fn last_signature(&self) -> &[SiId] {
-        &self.last_signature
     }
 
     fn close_window(&mut self) {

@@ -228,20 +228,8 @@ impl ExecutionMonitor {
             .unwrap_or(0)
     }
 
-    /// All `(si, expected)` pairs known for `hot_spot`, in SI-id order.
-    #[must_use]
-    pub fn expected_profile(&self, hot_spot: HotSpotId) -> Vec<(SiId, u64)> {
-        let mut v: Vec<(SiId, u64)> = self
-            .table
-            .iter()
-            .filter(|((hs, _), _)| *hs == hot_spot)
-            .map(|((_, si), s)| (*si, s.expected))
-            .collect();
-        v.sort_by_key(|(si, _)| *si);
-        v
-    }
-
-    /// Live (not yet folded) count of `si` in the current iteration.
+    /// Live (not yet folded) count of `si` in the current iteration. A test
+    /// hook: `stretch_walker.rs` and `lru_eviction_guard.rs` read it.
     #[must_use]
     pub fn live_count(&self, hot_spot: HotSpotId, si: SiId) -> u64 {
         let pending = if self.active == Some(hot_spot) {
@@ -347,14 +335,6 @@ mod tests {
         mon.seed(HotSpotId(0), SiId(3), 400);
         assert_eq!(mon.expected(HotSpotId(0), SiId(3)), 400);
         assert_eq!(mon.expected(HotSpotId(0), SiId(4)), 0);
-    }
-
-    #[test]
-    fn expected_profile_sorted_by_si() {
-        let mut mon = ExecutionMonitor::default();
-        run_iteration(&mut mon, HotSpotId(0), &[(SiId(2), 5), (SiId(0), 9)]);
-        let profile = mon.expected_profile(HotSpotId(0));
-        assert_eq!(profile, vec![(SiId(0), 9), (SiId(2), 5)]);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl<T> AdmissionQueue<T> {
         self.state.lock().expect("queue poisoned").jobs.len()
     }
 
-    /// Whether the queue has been closed for drain.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue poisoned").closed
-    }
-
     /// Admits a job or rejects it without blocking.
     ///
     /// # Errors

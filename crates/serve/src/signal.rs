@@ -13,23 +13,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
 
-/// Whether a termination signal has been observed since
-/// [`install_shutdown_flag`] (always `false` before installation or on
-/// non-Unix targets, where nothing is installed).
-#[must_use]
-pub fn shutdown_requested() -> bool {
-    SHUTDOWN_REQUESTED.load(Ordering::Relaxed)
-}
-
-/// Test/off-band hook: raises the same flag the signal handler would.
-pub fn request_shutdown() {
-    SHUTDOWN_REQUESTED.store(true, Ordering::Relaxed);
-}
-
 /// Installs handlers for SIGTERM (15) and SIGINT (2) that raise the
 /// drain flag, and returns the flag for polling. On non-Unix targets
-/// this installs nothing and the flag only moves via
-/// [`request_shutdown`].
+/// this installs nothing and the flag never moves.
 #[cfg(unix)]
 #[allow(unsafe_code)]
 pub fn install_shutdown_flag() -> &'static AtomicBool {
@@ -67,11 +53,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_shutdown_raises_the_flag() {
+    fn the_returned_flag_is_the_one_the_handler_raises() {
         // Note: the flag is process-global; this test only ever raises
         // it, matching how the daemon uses it (one-way latch).
-        request_shutdown();
-        assert!(shutdown_requested());
-        assert!(install_shutdown_flag().load(Ordering::Relaxed));
+        let flag = install_shutdown_flag();
+        SHUTDOWN_REQUESTED.store(true, Ordering::Relaxed);
+        assert!(flag.load(Ordering::Relaxed));
     }
 }

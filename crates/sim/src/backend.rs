@@ -29,8 +29,12 @@ use crate::trace::{Burst, Invocation};
 /// An execution system that the engine can replay a trace against.
 ///
 /// The replay loop drives the backend through the hot-spot lifecycle —
-/// [`enter_hot_spot`](ExecutionSystem::enter_hot_spot), a sequence of
-/// [`execute_burst`](ExecutionSystem::execute_burst) calls, then
+/// [`enter_hot_spot`](ExecutionSystem::enter_hot_spot), runs of bursts
+/// through [`execute_bursts_totals`](ExecutionSystem::execute_bursts_totals)
+/// (when every segment observer accepts totals) or
+/// [`execute_bursts_batched`](ExecutionSystem::execute_bursts_batched), a
+/// burst that neither consumed through
+/// [`execute_burst_into`](ExecutionSystem::execute_burst_into), then
 /// [`exit_hot_spot`](ExecutionSystem::exit_hot_spot) — and reads
 /// aggregate reconfiguration counters at the end of the run.
 ///

@@ -11,7 +11,7 @@ use crate::baseline::MolenSystem;
 use crate::cancel::{CancelToken, CancellableRun};
 use crate::context::TraceContext;
 use crate::multi::TenancyConfig;
-use crate::observer::{HotSpotOrigin, SimEvent, SimObserver};
+use crate::observer::{SimEvent, SimObserver};
 use crate::stats::{RunStats, DEFAULT_BUCKET_CYCLES};
 use crate::trace::Trace;
 
@@ -231,7 +231,10 @@ impl SimConfig {
     }
 
     /// Enables or disables plan-decision memoisation (builder style). See
-    /// [`SimConfig::plan_cache`].
+    /// [`SimConfig::plan_cache`]. Every run keeps the default (on); this is
+    /// the test hook with which tier-1
+    /// `plan_cache_is_bit_identical_to_planning_from_scratch` and
+    /// `backend_conformance.rs` plan without the cache.
     #[must_use]
     pub fn with_plan_cache(mut self, plan_cache: bool) -> Self {
         self.plan_cache = plan_cache;
@@ -247,12 +250,13 @@ impl SimConfig {
         self
     }
 
-    /// Builds the configured execution system over `library`.
-    ///
-    /// This is the factory behind [`simulate`]: every [`SystemKind`] maps
-    /// to one of the built-in [`ExecutionSystem`] implementations. Callers
-    /// that want a *custom* backend skip this and hand their own
-    /// implementation to [`simulate_with`] directly.
+    /// Builds the configured execution system over `library` with a
+    /// private plan cache: every [`SystemKind`] maps to one of the built-in
+    /// [`ExecutionSystem`] implementations. The entry points build through
+    /// [`build_system_shared`](SimConfig::build_system_shared); this form
+    /// is the test hook with which `backend_conformance.rs`,
+    /// `engine_batching.rs`, `observer_batching.rs` and
+    /// `fault_determinism.rs` wrap a built-in backend.
     #[must_use]
     pub fn build_system<'a>(&self, library: &'a SiLibrary) -> Box<dyn ExecutionSystem + 'a> {
         self.build_system_shared(library, None)
@@ -595,7 +599,6 @@ pub(crate) fn replay_invocation(
         SimEvent::HotSpotEntered {
             hot_spot: inv.hot_spot,
             now,
-            origin: HotSpotOrigin::Annotated,
         },
     );
     system.enter_hot_spot(inv, now);
@@ -767,8 +770,11 @@ pub(crate) fn finish_replay(
 /// Replays `trace` on the configured built-in system with extra observers
 /// attached alongside the [`RunStats`] collector.
 ///
-/// Used by the CLI (`--log-events`) and the sweep progress reporting; with
-/// an empty `extra` slice this is exactly [`simulate`].
+/// [`simulate`] runs through it with an empty `extra` slice, and
+/// [`simulate_multi_observed`](crate::simulate_multi_observed) replays
+/// solo tenants through it. The CLI (`--log-events`) and the sweep's
+/// progress reporting call
+/// [`simulate_observed_planned`](crate::simulate_observed_planned).
 ///
 /// # Panics
 ///
@@ -807,9 +813,10 @@ pub fn simulate_observed_planned(
 
 /// Replays `trace` on the configured system and returns the run statistics.
 ///
-/// Delegates to [`simulate_with`] through the [`SimConfig::build_system`]
-/// factory, so the enum-configured path and the trait path are the same
-/// code and produce bit-identical results by construction.
+/// Builds the system through [`SimConfig::build_system_shared`] and runs
+/// the replay loop of [`simulate_with`] on it, so the enum-configured path
+/// and the trait path are the same code and produce bit-identical results
+/// by construction.
 ///
 /// # Panics
 ///

@@ -1,9 +1,7 @@
-//! CSV and JSONL export of simulation results, for plotting the
-//! regenerated figures and inspecting event logs with external tools.
+//! CSV and JSONL export of simulation results, for tabulating sweeps and
+//! inspecting event logs with external tools.
 
 use std::fmt::Write as _;
-
-use rispp_model::SiLibrary;
 
 use crate::context::TraceContext;
 use crate::observer::SimEvent;
@@ -28,58 +26,6 @@ pub fn summary_csv_row(stats: &RunStats) -> String {
 #[must_use]
 pub fn summary_csv_header() -> &'static str {
     "system,total_cycles,executions,hardware_fraction,reconfigurations,reconfiguration_cycles"
-}
-
-/// Per-bucket execution counts as CSV: one row per bucket, one column per
-/// SI (named from the library), plus a combined column — the data behind
-/// the bars of paper Figures 2 and 8.
-///
-/// Returns an empty string when the run did not collect detail.
-#[must_use]
-pub fn buckets_csv(stats: &RunStats, library: &SiLibrary) -> String {
-    if !stats.has_detail() {
-        return String::new();
-    }
-    let mut out = String::from("bucket");
-    for si in library.iter() {
-        let _ = write!(out, ",{}", si.name().replace(',', ";"));
-    }
-    out.push_str(",combined\n");
-    let combined = stats.combined_buckets();
-    for (b, &total) in combined.iter().enumerate() {
-        let _ = write!(out, "{b}");
-        for si in library.iter() {
-            let _ = write!(out, ",{}", stats.executions_in_bucket(si.id(), b));
-        }
-        let _ = writeln!(out, ",{total}");
-    }
-    out
-}
-
-/// Per-SI latency timelines as CSV rows `si,cycle,latency` — the data
-/// behind the step-down lines of paper Figure 8.
-///
-/// Returns an empty string when the run did not collect detail.
-#[must_use]
-pub fn latency_timeline_csv(stats: &RunStats, library: &SiLibrary) -> String {
-    if !stats.has_detail() {
-        return String::new();
-    }
-    let mut out = String::from("si,cycle,latency\n");
-    for si in library.iter() {
-        if let Some(timeline) = stats.latency_timeline.get(si.id().index()) {
-            for event in timeline {
-                let _ = writeln!(
-                    out,
-                    "{},{},{}",
-                    si.name().replace(',', ";"),
-                    event.at,
-                    event.latency
-                );
-            }
-        }
-    }
-    out
 }
 
 /// Version of the JSONL event-log schema emitted by [`event_log_jsonl`].
@@ -108,73 +54,36 @@ pub fn write_schema_header(out: &mut String) {
 /// Renders a recorded event stream as a JSONL log: a schema-header line
 /// followed by one JSON object per event, each with an `"event"`
 /// discriminator — the serialisation behind
-/// [`TraceLogObserver::to_jsonl`](crate::TraceLogObserver::to_jsonl) and
-/// the CLI's `--log-events` flag.
-#[must_use]
-pub fn event_log_jsonl(events: &[SimEvent]) -> String {
-    event_log_jsonl_traced(events, None)
-}
-
-/// [`event_log_jsonl`] with an optional causal [`TraceContext`]: when
-/// `context` is `Some`, every row carries the schema-v4 `trace_id`,
+/// [`TraceLogObserver::to_jsonl`](crate::TraceLogObserver::to_jsonl).
+/// With a `context`, every row carries the schema-v4 `trace_id`,
 /// `trace_tenant` and `attempt` fields.
 #[must_use]
-pub fn event_log_jsonl_traced(events: &[SimEvent], context: Option<&TraceContext>) -> String {
+pub fn event_log_jsonl(events: &[SimEvent], context: Option<&TraceContext>) -> String {
     let mut out = String::new();
     write_schema_header(&mut out);
     for event in events {
-        write_event_jsonl_traced(&mut out, event, context);
+        write_event_jsonl(&mut out, event, context);
     }
     out
 }
 
-/// [`write_event_jsonl`] with an optional causal [`TraceContext`]. With a
-/// context the rendered row gains the trailing `trace_id`, `trace_tenant`
-/// and `attempt` fields (schema v4); without one it is byte-identical to
-/// [`write_event_jsonl`]. This is the single serialisation point shared
-/// by the streaming event log and the flight recorder, which is what
-/// makes a flight-recorder bundle tail bit-identical to the suffix of a
-/// `--log-events` file recorded with the same context.
-pub fn write_event_jsonl_traced(
-    out: &mut String,
-    event: &SimEvent,
-    context: Option<&TraceContext>,
-) {
-    let Some(ctx) = context else {
-        write_event_jsonl(out, event);
-        return;
-    };
-    write_event_jsonl(out, event);
-    // Every writer above emits exactly one `…}\n` line; splice the trace
-    // fields in front of the closing brace.
-    debug_assert!(out.ends_with("}\n"));
-    out.truncate(out.len() - 2);
-    let _ = writeln!(
-        out,
-        r#","trace_id":{},"trace_tenant":{},"attempt":{}}}"#,
-        ctx.trace_id, ctx.tenant, ctx.attempt
-    );
-}
-
 /// Appends one event as a single JSONL line to `out` — the streaming
-/// building block behind [`event_log_jsonl`] and
-/// [`TraceLogObserver::streaming`](crate::TraceLogObserver::streaming).
-pub fn write_event_jsonl(out: &mut String, event: &SimEvent) {
+/// building block behind [`event_log_jsonl`], the CLI's `--log-events`
+/// ([`TraceLogObserver::streaming`](crate::TraceLogObserver::streaming))
+/// and the flight recorder, which is what makes a flight-recorder bundle
+/// tail bit-identical to the suffix of a `--log-events` file recorded
+/// with the same context. With a `context` the row gains the trailing
+/// `trace_id`, `trace_tenant` and `attempt` fields (schema v4).
+pub fn write_event_jsonl(out: &mut String, event: &SimEvent, context: Option<&TraceContext>) {
     use rispp_fabric::FabricJournalEntry;
 
     match event {
-        SimEvent::HotSpotEntered {
-            hot_spot,
-            now,
-            origin,
-        } => {
-            let origin = match origin {
-                crate::HotSpotOrigin::Annotated => "annotated",
-                crate::HotSpotOrigin::Detected => "detected",
-            };
+        SimEvent::HotSpotEntered { hot_spot, now } => {
+            // Every entry comes from a trace annotation; the field keeps
+            // schema v4's shape.
             let _ = writeln!(
                 out,
-                r#"{{"event":"hot_spot_entered","hot_spot":{},"now":{now},"origin":"{origin}"}}"#,
+                r#"{{"event":"hot_spot_entered","hot_spot":{},"now":{now},"origin":"annotated"}}"#,
                 hot_spot.0
             );
         }
@@ -364,6 +273,17 @@ pub fn write_event_jsonl(out: &mut String, event: &SimEvent) {
             );
         }
     }
+    if let Some(ctx) = context {
+        // Every row above is exactly one `…}\n` line; splice the trace
+        // fields in front of the closing brace.
+        debug_assert!(out.ends_with("}\n"));
+        out.truncate(out.len() - 2);
+        let _ = writeln!(
+            out,
+            r#","trace_id":{},"trace_tenant":{},"attempt":{}}}"#,
+            ctx.trace_id, ctx.tenant, ctx.attempt
+        );
+    }
 }
 
 #[cfg(test)]
@@ -372,7 +292,7 @@ mod tests {
     use crate::engine::{simulate, SimConfig};
     use crate::trace::{Burst, Invocation, Trace};
     use rispp_core::SchedulerKind;
-    use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibraryBuilder};
+    use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
     use rispp_monitor::HotSpotId;
 
     fn library() -> SiLibrary {
@@ -385,7 +305,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn run(detail: bool) -> RunStats {
+    fn run() -> RunStats {
         let lib = library();
         let trace = Trace::from_invocations(vec![Invocation {
             hot_spot: HotSpotId(0),
@@ -397,58 +317,18 @@ mod tests {
             }],
             hints: vec![(SiId(0), 2_000)],
         }]);
-        simulate(
-            &lib,
-            &trace,
-            &SimConfig::rispp(2, SchedulerKind::Hef).with_detail(detail),
-        )
+        simulate(&lib, &trace, &SimConfig::rispp(2, SchedulerKind::Hef))
     }
 
     #[test]
     fn summary_row_has_all_fields() {
-        let stats = run(false);
+        let stats = run();
         let row = summary_csv_row(&stats);
         assert_eq!(
             row.split(',').count(),
             summary_csv_header().split(',').count()
         );
         assert!(row.starts_with("HEF,"));
-    }
-
-    #[test]
-    fn buckets_csv_sums_match() {
-        let lib = library();
-        let stats = run(true);
-        let csv = buckets_csv(&stats, &lib);
-        let mut total = 0u64;
-        for line in csv.lines().skip(1) {
-            let last = line.rsplit(',').next().unwrap();
-            total += last.parse::<u64>().unwrap();
-        }
-        assert_eq!(total, stats.total_executions());
-    }
-
-    #[test]
-    fn timeline_csv_contains_the_upgrade() {
-        let lib = library();
-        let stats = run(true);
-        let csv = latency_timeline_csv(&stats, &lib);
-        // First segment starts after the 100-cycle prologue at software
-        // latency; a later one records the upgraded 50-cycle molecule.
-        assert!(csv
-            .lines()
-            .any(|l| l.starts_with("X,") && l.ends_with(",1000")));
-        assert!(csv
-            .lines()
-            .any(|l| l.starts_with("X,") && l.ends_with(",50")));
-    }
-
-    #[test]
-    fn no_detail_yields_empty_exports() {
-        let lib = library();
-        let stats = run(false);
-        assert!(buckets_csv(&stats, &lib).is_empty());
-        assert!(latency_timeline_csv(&stats, &lib).is_empty());
     }
 
     #[test]
@@ -511,7 +391,7 @@ mod tests {
     /// object carrying its discriminator and every field a consumer needs.
     #[test]
     fn every_event_variant_round_trips_with_all_fields() {
-        use crate::observer::{HotSpotOrigin, SimEvent};
+        use crate::observer::SimEvent;
         use rispp_core::{BurstSegment, DecisionExplain};
         use rispp_fabric::{ContainerId, FabricJournalEntry};
         use rispp_model::AtomTypeId;
@@ -529,7 +409,6 @@ mod tests {
                 SimEvent::HotSpotEntered {
                     hot_spot: HotSpotId(1),
                     now: 10,
-                    origin: HotSpotOrigin::Detected,
                 },
                 "hot_spot_entered",
                 &["hot_spot", "now", "origin"],
@@ -686,7 +565,7 @@ mod tests {
         ];
 
         let events: Vec<SimEvent> = cases.iter().map(|(e, _, _)| e.clone()).collect();
-        let jsonl = event_log_jsonl(&events);
+        let jsonl = event_log_jsonl(&events, None);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), cases.len() + 1);
 
@@ -728,7 +607,7 @@ mod tests {
         let ctx = crate::TraceContext::new(9_001)
             .with_tenant(2)
             .with_attempt(3);
-        let traced = event_log_jsonl_traced(&events, Some(&ctx));
+        let traced = event_log_jsonl(&events, Some(&ctx));
         let traced_lines: Vec<&str> = traced.lines().collect();
         assert_eq!(traced_lines.len(), cases.len() + 1);
         for line in &traced_lines[1..] {

@@ -17,7 +17,7 @@
 //! the retained tail as a self-describing diagnostic bundle
 //! ([`rispp_telemetry::bundle`]). The event rows of the bundle are
 //! written through the *same* serialiser as `--log-events`
-//! ([`crate::export::write_event_jsonl_traced`]), so the bundle's tail is
+//! ([`crate::export::write_event_jsonl`]), so the bundle's tail is
 //! bit-identical to the suffix of a full event log recorded with the same
 //! trace context — forensics and logs never disagree.
 
@@ -158,15 +158,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Stamps dumped rows with `context` (builder style). The engine also
-    /// sets this via [`SimObserver::set_trace_context`] when the driving
-    /// [`SimConfig`](crate::SimConfig) carries a context.
-    #[must_use]
-    pub fn with_context(mut self, context: TraceContext) -> Self {
-        self.context = Some(context);
-        self
-    }
-
     /// The trace context stamped onto dumped rows, if any.
     #[must_use]
     pub fn context(&self) -> Option<TraceContext> {
@@ -193,18 +184,6 @@ impl FlightRecorder {
         self.events.clear();
         self.decisions.clear();
         self.journal.clear();
-    }
-
-    /// Renders the retained event tail as schema-v4 JSONL rows (no schema
-    /// header), stamped with the recorder's context. Bit-identical to the
-    /// suffix of a `--log-events` file written with the same context.
-    #[must_use]
-    pub fn event_tail_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.events.iter() {
-            export::write_event_jsonl_traced(&mut out, event, self.context.as_ref());
-        }
-        out
     }
 
     /// Renders the retained decisions and journal entries as a small
@@ -290,7 +269,9 @@ impl FlightRecorder {
         };
         let mut out = String::new();
         write_bundle_header(&mut out, &meta);
-        out.push_str(&self.event_tail_jsonl());
+        for event in self.events.iter() {
+            export::write_event_jsonl(&mut out, event, self.context.as_ref());
+        }
         let mut lines = 1 + self.events.len();
         for decision in self.decisions.iter() {
             write_explain_line(&mut out, decision.now, &decision.summary());
@@ -299,7 +280,7 @@ impl FlightRecorder {
         let mut row = String::new();
         for entry in self.journal.iter() {
             row.clear();
-            export::write_event_jsonl(&mut row, &SimEvent::ContainerTransition(*entry));
+            export::write_event_jsonl(&mut row, &SimEvent::ContainerTransition(*entry), None);
             write_journal_line(&mut out, &row);
             lines += 1;
         }
@@ -355,7 +336,6 @@ mod tests {
     use rispp_telemetry::Bundle;
 
     use super::*;
-    use crate::observer::HotSpotOrigin;
     use crate::{simulate_observed_planned, Burst, Invocation, SimConfig, Trace, TraceLogObserver};
 
     fn tiny_run() -> (rispp_model::SiLibrary, Trace) {
@@ -412,8 +392,7 @@ mod tests {
             let mut extra: Vec<&mut (dyn SimObserver + '_)> = vec![&mut log, &mut recorder];
             let _ = simulate_observed_planned(&library, &trace, &config, None, &mut extra);
         }
-        // The engine stamped both observers from the config.
-        assert_eq!(log.context(), Some(ctx));
+        // The engine stamped the recorder (and the log) from the config.
         assert_eq!(recorder.context(), Some(ctx));
         assert!(recorder.events_dropped() > 0, "tiny ring must overflow");
 
@@ -446,11 +425,11 @@ mod tests {
 
     #[test]
     fn reset_clears_rings_but_keeps_context() {
-        let mut recorder = FlightRecorder::new().with_context(TraceContext::new(5));
+        let mut recorder = FlightRecorder::new();
+        recorder.set_trace_context(TraceContext::new(5));
         recorder.on_event(&SimEvent::HotSpotEntered {
             hot_spot: HotSpotId(0),
             now: 0,
-            origin: HotSpotOrigin::Annotated,
         });
         assert_eq!(recorder.events().len(), 1);
         recorder.reset();

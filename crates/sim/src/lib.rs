@@ -81,8 +81,8 @@ pub use multi::{
     simulate_multi, simulate_multi_observed, MultiRunStats, TenancyConfig, TenantArbitration,
     TenantPolicy,
 };
-pub use observer::{HotSpotOrigin, ProgressObserver, SimEvent, SimObserver, TraceLogObserver};
+pub use observer::{ProgressObserver, SimEvent, SimObserver, TraceLogObserver};
 pub use stats::{LatencyEvent, RunStats, DEFAULT_BUCKET_CYCLES};
 pub use sweep::{SweepJob, SweepRunner, THREADS_ENV};
-pub use telemetry::{DetectorObserver, MetricsObserver, NullRecorder, PerfettoTraceObserver};
+pub use telemetry::{MetricsObserver, NullRecorder, PerfettoTraceObserver};
 pub use trace::{Burst, Invocation, Trace};

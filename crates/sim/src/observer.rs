@@ -21,31 +21,16 @@ use crate::context::TraceContext;
 use crate::stats::RunStats;
 use crate::trace::Burst;
 
-/// How a [`SimEvent::HotSpotEntered`] transition became known.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotSpotOrigin {
-    /// The trace carried an explicit hot-spot marker (the compile-time
-    /// annotation path of the paper).
-    Annotated,
-    /// The transition was inferred from the SI execution stream by the
-    /// windowed [`rispp_monitor::HotSpotDetector`] (the companion-work
-    /// hardware detector), surfaced by
-    /// [`DetectorObserver`](crate::DetectorObserver).
-    Detected,
-}
-
 /// One typed event of a simulation run, in emission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimEvent {
-    /// The system entered a hot spot at cycle `now` (before the prologue).
+    /// The system entered a hot spot at cycle `now` (before the prologue),
+    /// as the trace's hot-spot annotation marks it.
     HotSpotEntered {
         /// The hot spot being entered.
         hot_spot: HotSpotId,
         /// Cycle of entry.
         now: u64,
-        /// Whether the entry came from a trace annotation or was detected
-        /// from the execution stream.
-        origin: HotSpotOrigin,
     },
     /// One homogeneous-latency stretch of a burst finished replaying.
     SegmentExecuted {
@@ -181,10 +166,9 @@ pub enum SimEvent {
 /// across observers changes: an event still reaches every observer
 /// before the next one is emitted, but a batch goes whole to the first
 /// segment observer before the second sees any of it, so observers no
-/// longer alternate segment by segment inside a batch. A wrapper that
-/// inspects segments (like [`DetectorObserver`](crate::DetectorObserver))
-/// keeps the default `on_batch`, so each segment passes through its
-/// `on_event`.
+/// longer alternate segment by segment inside a batch. An observer that
+/// keeps the default `on_batch` (like [`TraceLogObserver`]) sees each
+/// segment through its `on_event`.
 ///
 /// When every observer that [wants segments](SimObserver::wants_segments)
 /// also [accepts totals](SimObserver::accepts_totals), a batched run
@@ -444,28 +428,6 @@ impl TraceLogObserver {
         log
     }
 
-    /// Stamps every exported row with `context` (builder style). The
-    /// engine also sets this automatically via
-    /// [`SimObserver::set_trace_context`] when the driving
-    /// [`SimConfig`](crate::SimConfig) carries a context.
-    #[must_use]
-    pub fn with_context(mut self, context: TraceContext) -> Self {
-        self.context = Some(context);
-        self
-    }
-
-    /// The trace context stamped onto exported rows, if any.
-    #[must_use]
-    pub fn context(&self) -> Option<TraceContext> {
-        self.context
-    }
-
-    /// Whether this log streams to a sink instead of buffering.
-    #[must_use]
-    pub fn is_streaming(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// The recorded events in emission order (always empty in streaming
     /// mode — they went to the sink).
     #[must_use]
@@ -478,7 +440,7 @@ impl TraceLogObserver {
     /// is attached.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        crate::export::event_log_jsonl_traced(&self.events, self.context.as_ref())
+        crate::export::event_log_jsonl(&self.events, self.context.as_ref())
     }
 
     /// Flushes the sink and reports the first I/O error encountered while
@@ -510,7 +472,7 @@ impl TraceLogObserver {
 impl SimObserver for TraceLogObserver {
     fn on_event(&mut self, event: &SimEvent) {
         if self.sink.is_some() {
-            crate::export::write_event_jsonl_traced(&mut self.line, event, self.context.as_ref());
+            crate::export::write_event_jsonl(&mut self.line, event, self.context.as_ref());
             self.flush_line();
         } else {
             self.events.push(event.clone());
@@ -598,7 +560,6 @@ mod tests {
             SimEvent::HotSpotEntered {
                 hot_spot: HotSpotId(0),
                 now: 0,
-                origin: HotSpotOrigin::Annotated,
             },
             SimEvent::RunFinished {
                 total_cycles: 1,
@@ -621,7 +582,6 @@ mod tests {
             p.on_event(&SimEvent::HotSpotEntered {
                 hot_spot: HotSpotId(0),
                 now: 0,
-                origin: HotSpotOrigin::Annotated,
             });
             p.on_event(&SimEvent::RunFinished {
                 total_cycles: 10,

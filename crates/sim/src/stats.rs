@@ -204,17 +204,6 @@ impl RunStats {
         }
         out
     }
-
-    /// The SI's latency at cycle `at` according to the recorded timeline.
-    #[must_use]
-    pub fn latency_at(&self, si: SiId, at: u64) -> Option<u32> {
-        self.latency_timeline
-            .get(si.index())?
-            .iter()
-            .take_while(|e| e.at <= at)
-            .last()
-            .map(|e| e.latency)
-    }
 }
 
 #[cfg(test)]
@@ -261,10 +250,11 @@ mod tests {
         s.record_segment(SiId(0), 0, 5, 10, 100, false);
         s.record_segment(SiId(0), 50, 5, 10, 100, false);
         s.record_segment(SiId(0), 100, 5, 10, 40, true);
-        assert_eq!(s.latency_timeline[0].len(), 2);
-        assert_eq!(s.latency_at(SiId(0), 0), Some(100));
-        assert_eq!(s.latency_at(SiId(0), 99), Some(100));
-        assert_eq!(s.latency_at(SiId(0), 150), Some(40));
+        let timeline: Vec<(u64, u32)> = s.latency_timeline[0]
+            .iter()
+            .map(|e| (e.at, e.latency))
+            .collect();
+        assert_eq!(timeline, vec![(0, 100), (100, 40)]);
     }
 
     #[test]

@@ -21,12 +21,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rispp_core::PlanCacheHandle;
 use rispp_model::SiLibrary;
-use rispp_telemetry::MetricsSnapshot;
 
 use crate::engine::{simulate_observed_planned, SimConfig};
 use crate::observer::SimObserver;
 use crate::stats::RunStats;
-use crate::telemetry::MetricsObserver;
 use crate::trace::Trace;
 
 /// Environment variable overriding the sweep worker count.
@@ -235,48 +233,6 @@ impl SweepRunner {
             )
             .0
         })
-    }
-
-    /// Like [`SweepRunner::run`], but attaches a fresh
-    /// [`MetricsObserver`] to every job and returns the per-job snapshots
-    /// merged into one. Jobs collect independently and the fold happens in
-    /// job order after the sweep (and snapshot merging is associative and
-    /// commutative besides), so the merged snapshot is bit-identical at
-    /// any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a trace references SIs outside `library` (propagated from
-    /// [`simulate`](crate::simulate)).
-    #[must_use]
-    pub fn run_metered(
-        &self,
-        library: &SiLibrary,
-        jobs: &[SweepJob<'_>],
-    ) -> (Vec<RunStats>, MetricsSnapshot) {
-        let pairs = self.run_map(jobs.len(), |i| {
-            let job = &jobs[i];
-            let mut metrics = MetricsObserver::new();
-            let (stats, plan) = {
-                let mut extra: [&mut dyn SimObserver; 1] = [&mut metrics];
-                simulate_observed_planned(
-                    library,
-                    job.trace,
-                    &job.config,
-                    self.plan_cache.as_ref(),
-                    &mut extra,
-                )
-            };
-            metrics.record_plan_cache(&plan);
-            (stats, metrics.into_snapshot())
-        });
-        let mut merged = MetricsSnapshot::default();
-        let mut stats = Vec::with_capacity(pairs.len());
-        for (s, snapshot) in pairs {
-            merged.merge(&snapshot);
-            stats.push(s);
-        }
-        (stats, merged)
     }
 }
 

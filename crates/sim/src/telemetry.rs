@@ -13,33 +13,28 @@
 //!   [`rispp_telemetry::MetricsRegistry`]: per-SI execution counts and
 //!   latency histograms, per-container load/ready/idle/quarantined cycle
 //!   totals, reconfiguration-port busy cycles, recovery counters and
-//!   scheduler decision/upgrade counts. Snapshots merge across sweep jobs.
+//!   scheduler decision/upgrade counts.
 //! * [`PerfettoTraceObserver`] — renders the run as Chrome trace-event
 //!   JSON (openable at <https://ui.perfetto.dev>): one track per Atom
 //!   Container with load/ready/quarantine spans, one track per SI with
 //!   execution-burst spans, and instant events for faults and decisions.
-//! * [`DetectorObserver`] — feeds the SI stream through the windowed
-//!   [`HotSpotDetector`] and surfaces detected phase changes as synthetic
-//!   [`SimEvent::HotSpotEntered`] events with
-//!   [`HotSpotOrigin::Detected`].
 
 use std::fmt::Write as _;
 
 use rispp_core::BurstSegment;
 use rispp_fabric::FabricJournalEntry;
 use rispp_model::SiId;
-use rispp_monitor::{HotSpotDetector, HotSpotId};
 use rispp_telemetry::{push_u64, MetricsRegistry, MetricsSnapshot, SegmentSpan, TraceBuilder};
 
 use crate::context::TraceContext;
-use crate::observer::{batch_pairs, HotSpotOrigin, SimEvent, SimObserver};
+use crate::observer::{batch_pairs, SimEvent, SimObserver};
 use crate::trace::Burst;
 
 /// The no-op recorder. It opts out of the per-segment stream and its
-/// `on_event` body is empty, so attaching it keeps the replay hot path
-/// allocation-free (verified by the alloc-counter test in
-/// `crates/sim/tests/telemetry_alloc_free.rs`). Nothing attaches it by
-/// default.
+/// `on_event` body is empty. No run attaches it: it is kept as the test
+/// hook with which `crates/sim/tests/telemetry_alloc_free.rs` shows that
+/// observer dispatch adds no allocation to the replay hot path, and which
+/// `telemetry_determinism.rs` attaches beside the exporters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 
@@ -165,7 +160,7 @@ impl MetricsObserver {
         MetricsObserver::default()
     }
 
-    /// Freezes the current state into a mergeable snapshot.
+    /// Freezes the current state into a snapshot.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut registry = self.registry.clone();
@@ -276,14 +271,11 @@ impl MetricsObserver {
 impl SimObserver for MetricsObserver {
     fn on_event(&mut self, event: &SimEvent) {
         match event {
-            SimEvent::HotSpotEntered { origin, .. } => {
-                let name = match origin {
-                    HotSpotOrigin::Annotated => {
-                        "rispp_hot_spots_entered_total{origin=\"annotated\"}"
-                    }
-                    HotSpotOrigin::Detected => "rispp_hot_spots_entered_total{origin=\"detected\"}",
-                };
-                self.registry.counter_add(name, 1);
+            SimEvent::HotSpotEntered { .. } => {
+                // Every entry is a trace annotation; the label keeps the
+                // metric family's shape.
+                self.registry
+                    .counter_add("rispp_hot_spots_entered_total{origin=\"annotated\"}", 1);
             }
             SimEvent::SegmentExecuted {
                 si,
@@ -313,8 +305,8 @@ impl SimObserver for MetricsObserver {
                 self.registry
                     .counter_add("rispp_degraded_to_software_total", *count);
             }
-            // Multi-tenant counters carry the application as a label, so a
-            // merged snapshot keeps the per-app breakdown.
+            // Multi-tenant counters carry the application as a label, so
+            // the snapshot keeps the per-app breakdown.
             SimEvent::TenantSwitched { tenant, .. } => {
                 self.labelled_counter_add(
                     "rispp_tenant_switches_total",
@@ -630,18 +622,15 @@ impl PerfettoTraceObserver {
 impl SimObserver for PerfettoTraceObserver {
     fn on_event(&mut self, event: &SimEvent) {
         match event {
-            SimEvent::HotSpotEntered {
-                hot_spot,
-                now,
-                origin,
-            } => {
+            SimEvent::HotSpotEntered { hot_spot, now } => {
                 numbered(&mut self.name, "hot spot ", u64::from(hot_spot.0));
-                let args = match origin {
-                    HotSpotOrigin::Annotated => "{\"origin\":\"annotated\"}",
-                    HotSpotOrigin::Detected => "{\"origin\":\"detected\"}",
-                };
-                self.trace
-                    .instant_with_args(PID_DECISIONS, 0, &self.name, *now, Some(args));
+                self.trace.instant_with_args(
+                    PID_DECISIONS,
+                    0,
+                    &self.name,
+                    *now,
+                    Some("{\"origin\":\"annotated\"}"),
+                );
             }
             SimEvent::SegmentExecuted {
                 si,
@@ -851,86 +840,6 @@ pub(crate) fn context_args(out: &mut String, context: TraceContext) {
     );
 }
 
-/// Feeds the SI execution stream through the windowed
-/// [`HotSpotDetector`] and forwards every event — plus a synthetic
-/// [`SimEvent::HotSpotEntered`] with [`HotSpotOrigin::Detected`] whenever
-/// the detector commits a new dominant-SI signature — to the wrapped
-/// observer. This makes the companion-work hardware detector's view of the
-/// run visible in the same event stream as the trace annotations, so logs
-/// and traces can compare annotated against detected phase boundaries.
-#[derive(Debug)]
-pub struct DetectorObserver<O> {
-    detector: HotSpotDetector,
-    inner: O,
-    /// The detector's last committed signature, cached so a change is
-    /// recognised without cloning the detector per segment.
-    signature: Vec<SiId>,
-    /// Most recent annotated hot spot, reused as the synthetic event's id
-    /// (detected signatures have no id of their own).
-    last_hot_spot: HotSpotId,
-}
-
-impl<O> DetectorObserver<O> {
-    /// Wraps `inner`, detecting over `window_cycles`-wide windows with the
-    /// given debounce (see [`HotSpotDetector::new`]).
-    #[must_use]
-    pub fn new(window_cycles: u64, stable_windows: u32, inner: O) -> Self {
-        DetectorObserver {
-            detector: HotSpotDetector::new(window_cycles, stable_windows),
-            inner,
-            signature: Vec::new(),
-            last_hot_spot: HotSpotId(0),
-        }
-    }
-
-    /// The wrapped detector (e.g. for [`HotSpotDetector::transitions`]).
-    #[must_use]
-    pub fn detector(&self) -> &HotSpotDetector {
-        &self.detector
-    }
-
-    /// Consumes the wrapper, returning the inner observer.
-    #[must_use]
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: SimObserver> SimObserver for DetectorObserver<O> {
-    fn on_event(&mut self, event: &SimEvent) {
-        if let SimEvent::HotSpotEntered {
-            hot_spot,
-            origin: HotSpotOrigin::Annotated,
-            ..
-        } = event
-        {
-            self.last_hot_spot = *hot_spot;
-        }
-        self.inner.on_event(event);
-        if let SimEvent::SegmentExecuted { si, segment, .. } = event {
-            self.detector.observe(*si, segment.start);
-            if self.detector.last_signature() != self.signature.as_slice() {
-                self.signature.clear();
-                self.signature
-                    .extend_from_slice(self.detector.last_signature());
-                self.inner.on_event(&SimEvent::HotSpotEntered {
-                    hot_spot: self.last_hot_spot,
-                    now: segment.start,
-                    origin: HotSpotOrigin::Detected,
-                });
-            }
-        }
-    }
-
-    fn set_trace_context(&mut self, context: TraceContext) {
-        self.inner.set_trace_context(context);
-    }
-
-    fn wants_segments(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -997,29 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshots_merge_across_jobs() {
-        let mut a = MetricsObserver::new();
-        a.on_event(&segment(0, 0, 5, 10));
-        a.on_event(&SimEvent::RunFinished {
-            total_cycles: 50,
-            reconfigurations: 0,
-            reconfiguration_cycles: 0,
-        });
-        let mut b = MetricsObserver::new();
-        b.on_event(&segment(0, 0, 7, 10));
-        b.on_event(&SimEvent::RunFinished {
-            total_cycles: 70,
-            reconfigurations: 0,
-            reconfiguration_cycles: 0,
-        });
-        let mut merged = a.into_snapshot();
-        merged.merge(&b.into_snapshot());
-        assert_eq!(merged.counter("rispp_si_executions_total{si=\"0\"}"), 12);
-        assert_eq!(merged.counter("rispp_runs_total"), 2);
-        assert_eq!(merged.counter("rispp_simulated_cycles_total"), 120);
-    }
-
-    #[test]
     fn perfetto_trace_has_container_and_si_tracks() {
         let mut p = PerfettoTraceObserver::new();
         let c = ContainerId(0);
@@ -1075,48 +961,5 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.get("name").and_then(JsonValue::as_str) == Some("decision")));
-    }
-
-    #[test]
-    fn detector_observer_synthesizes_detected_transitions() {
-        let mut log = crate::observer::TraceLogObserver::new();
-        {
-            let mut det = DetectorObserver::new(1_000, 1, &mut log);
-            det.on_event(&SimEvent::HotSpotEntered {
-                hot_spot: HotSpotId(4),
-                now: 0,
-                origin: HotSpotOrigin::Annotated,
-            });
-            for i in 0..100u64 {
-                det.on_event(&segment(0, i * 100, 1, 10));
-            }
-            for i in 100..200u64 {
-                det.on_event(&segment(6, i * 100, 1, 10));
-            }
-        }
-        let detected: Vec<_> = log
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    SimEvent::HotSpotEntered {
-                        origin: HotSpotOrigin::Detected,
-                        ..
-                    }
-                )
-            })
-            .collect();
-        assert!(
-            detected.len() >= 2,
-            "initial phase and the SI0→SI6 switch must both be detected: {detected:?}"
-        );
-        match detected.last().unwrap() {
-            SimEvent::HotSpotEntered { hot_spot, now, .. } => {
-                assert_eq!(*hot_spot, HotSpotId(4), "reuses last annotated id");
-                assert!(*now >= 10_000, "switch detected after the phase change");
-            }
-            other => panic!("expected hot-spot event, got {other:?}"),
-        }
     }
 }

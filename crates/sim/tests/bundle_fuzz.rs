@@ -1,8 +1,9 @@
 //! Fuzzes `rispp_telemetry::Bundle::parse`, the reader behind `rispp-cli
 //! forensics`. Bundles that `FlightRecorder::dump` writes for random runs
-//! must parse and give back their header and event lines; truncated,
-//! byte-mutated and arbitrary input must come back as `Ok` or `Err`,
-//! never as a panic.
+//! must parse and give back their header and event lines, and those lines
+//! must be the tail of a full `TraceLogObserver` log of the same run;
+//! truncated, byte-mutated and arbitrary input must come back as `Ok` or
+//! `Err`, never as a panic.
 
 use proptest::prelude::*;
 
@@ -77,12 +78,12 @@ fn text() -> impl Strategy<Value = String> {
         .prop_map(|ix| ix.into_iter().map(|i| PALETTE[i]).collect())
 }
 
-/// A recorded run's bundle, the metadata it must carry and its event
-/// rows as the recorder renders them.
+/// A recorded run's bundle, the metadata it must carry and the event
+/// rows it must hold: the last rows of the run's full event log.
 struct Dumped {
     text: String,
     meta: BundleMeta,
-    event_rows: String,
+    event_rows: Vec<String>,
     decisions: usize,
     journal: usize,
 }
@@ -114,6 +115,12 @@ fn dump(
     let count = |f: fn(&SimEvent) -> bool| log.events().iter().filter(|e| f(e)).count();
     let decisions = count(|e| matches!(e, SimEvent::Decision(_)));
     let journal = count(|e| matches!(e, SimEvent::ContainerTransition(_)));
+    let full = log.to_jsonl();
+    let rows: Vec<&str> = full.lines().skip(1).collect();
+    let event_rows = rows[rows.len().saturating_sub(ring)..]
+        .iter()
+        .map(|row| (*row).to_owned())
+        .collect();
     let (config_hash, plan_hits, plan_misses) = counters;
     let meta = BundleMeta {
         reason: reason.to_owned(),
@@ -132,7 +139,7 @@ fn dump(
     Dumped {
         text: recorder.dump(reason, job_id, config_hash, plan_hits, plan_misses),
         meta,
-        event_rows: recorder.event_tail_jsonl(),
+        event_rows,
         decisions: decisions.min(DECISIONS_KEPT),
         journal: journal.min(JOURNAL_KEPT),
     }
@@ -142,8 +149,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A dumped bundle parses complete, with the header it was written
-    /// with, its event rows byte for byte, and one section line per kept
-    /// decision and journal entry. Cutting it at any line boundary before
+    /// with, the event log's last rows byte for byte, and one section
+    /// line per kept decision and journal entry. Cutting it at any line boundary before
     /// the end line still parses, as an incomplete prefix; cutting it
     /// anywhere, or changing any one byte, never panics.
     #[test]
@@ -162,9 +169,8 @@ proptest! {
         let bundle = Bundle::parse(&d.text).expect("a dumped bundle parses");
         prop_assert!(bundle.complete);
         prop_assert_eq!(&bundle.meta, &d.meta);
-        let rows: Vec<&str> = d.event_rows.lines().collect();
-        prop_assert_eq!(&bundle.event_lines, &rows);
-        prop_assert_eq!(bundle.events.len(), rows.len());
+        prop_assert_eq!(&bundle.event_lines, &d.event_rows);
+        prop_assert_eq!(bundle.events.len(), d.event_rows.len());
         prop_assert_eq!(bundle.explains.len(), d.decisions);
         prop_assert_eq!(bundle.journal.len(), d.journal);
         prop_assert!(bundle.perfetto.is_some());

@@ -1,10 +1,9 @@
 //! Batched burst runs reach observers through `SimObserver::on_batch`.
 //! `RunStats` overrides it with one folding loop, and that loop must
 //! leave every field exactly as the trait's default (one
-//! `SegmentExecuted` event per segment) would. A wrapper that inspects
-//! segments, `DetectorObserver`, keeps the default, so batched and
-//! per-burst replays give it the same stream, detected transitions
-//! included.
+//! `SegmentExecuted` event per segment) would. `TraceLogObserver` keeps
+//! the default, so batched and per-burst replays give it the same event
+//! log.
 
 use std::borrow::Cow;
 
@@ -13,8 +12,8 @@ use rispp_core::{BurstSegment, SchedulerKind};
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
 use rispp_monitor::HotSpotId;
 use rispp_sim::{
-    simulate_with, Burst, DetectorObserver, ExecutionSystem, HotSpotOrigin, Invocation, RunStats,
-    SimConfig, SimEvent, SimObserver, SystemKind, Trace, TraceLogObserver,
+    simulate_with, Burst, ExecutionSystem, Invocation, RunStats, SimConfig, SimEvent, SimObserver,
+    SystemKind, Trace, TraceLogObserver,
 };
 
 const SIS: u16 = 3;
@@ -149,7 +148,7 @@ fn library() -> SiLibrary {
 }
 
 /// Alternating phases of many short bursts: X dominates one hot spot, Y
-/// the other, so the detector commits a new signature at each switch.
+/// the other, with a rare burst of the other SI between them.
 fn phased_trace() -> Trace {
     let phase = |hot_spot: u16, si: SiId, other: SiId| Invocation {
         hot_spot: HotSpotId(hot_spot),
@@ -185,23 +184,8 @@ fn phased_trace() -> Trace {
     )
 }
 
-fn detected(events: &[SimEvent]) -> usize {
-    events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                SimEvent::HotSpotEntered {
-                    origin: HotSpotOrigin::Detected,
-                    ..
-                }
-            )
-        })
-        .count()
-}
-
 #[test]
-fn detector_observer_sees_batched_segments_through_the_engine() {
+fn trace_log_sees_batched_segments_through_the_engine() {
     let lib = library();
     let trace = phased_trace();
     let mut kinds: Vec<SystemKind> = SchedulerKind::ALL
@@ -217,17 +201,18 @@ fn detector_observer_sees_batched_segments_through_the_engine() {
         let mut config = SimConfig::rispp(3, SchedulerKind::Hef);
         config.system = kind;
         let replay = |system: &mut dyn ExecutionSystem| {
-            let mut detector = DetectorObserver::new(2_000, 1, TraceLogObserver::new());
-            simulate_with(system, &trace, &mut [&mut detector]);
-            detector.into_inner().events().to_vec()
+            let mut log = TraceLogObserver::new();
+            simulate_with(system, &trace, &mut [&mut log]);
+            log.events().to_vec()
         };
         let batched = replay(config.build_system(&lib).as_mut());
         let per_burst = replay(&mut PerBurst(config.build_system(&lib)));
         assert!(
-            detected(&batched) >= 6,
-            "{}: every phase switch must be detected, got {}",
-            kind.label(),
-            detected(&batched)
+            batched
+                .iter()
+                .any(|e| matches!(e, SimEvent::SegmentExecuted { .. })),
+            "{}: the log must carry the replayed segments",
+            kind.label()
         );
         assert_eq!(batched, per_burst, "{}: event logs diverged", kind.label());
     }

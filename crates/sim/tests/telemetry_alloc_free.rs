@@ -1,8 +1,8 @@
 //! Counting-allocator harness for the telemetry hot path: attaching a
 //! [`NullRecorder`] to a simulation must add **zero** heap allocations
-//! over the bare run. The recorder is the default sink when no telemetry
-//! output was requested, so any allocation here would tax every
-//! simulation — including the fig7 throughput gate. A warm
+//! over the bare run. The recorder does nothing, so any allocation here
+//! is the engine's observer dispatch, which every observed simulation
+//! pays. A warm
 //! `FlightRecorder` or `MetricsObserver` reused for another run must not
 //! allocate either.
 //!

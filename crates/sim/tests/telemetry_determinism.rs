@@ -1,8 +1,7 @@
 //! Telemetry must be a pure observer: attaching recorders, enabling
 //! decision capture (`explain`) or the fabric journal must never perturb
 //! the simulated timeline. These tests pin that guarantee — plus the
-//! determinism of the merged metrics snapshot across sweep thread counts,
-//! the validity of the exported Perfetto trace on a real run, and that the
+//! validity of the exported Perfetto trace on a real run, and that the
 //! cheap paths behind the exports (folded tallies, whole-batch `on_batch`)
 //! write what the plain ones did.
 
@@ -14,8 +13,8 @@ use rispp_monitor::HotSpotId;
 use rispp_sim::{
     simulate, simulate_multi_observed, simulate_observed, simulate_observed_planned, Burst,
     FaultConfig, FlightRecorder, Invocation, MetricsObserver, NullRecorder, PerfettoTraceObserver,
-    SimConfig, SimEvent, SimObserver, SweepJob, SweepRunner, SystemKind, TenancyConfig,
-    TenantArbitration, TenantPolicy, Trace, TraceContext,
+    SimConfig, SimEvent, SimObserver, SystemKind, TenancyConfig, TenantArbitration, TenantPolicy,
+    Trace, TraceContext,
 };
 use rispp_telemetry::{push_u64, JsonValue, Metric, MetricsRegistry, MetricsSnapshot};
 
@@ -248,55 +247,6 @@ proptest! {
         let mut out = String::from("x");
         push_u64(&mut out, value);
         prop_assert_eq!(out, format!("x{value}"));
-    }
-}
-
-#[test]
-fn merged_metrics_snapshot_is_identical_across_thread_counts() {
-    let lib = library();
-    let small = trace(2);
-    let large = trace(8);
-    let mut jobs = Vec::new();
-    for t in [&small, &large] {
-        for kind in SchedulerKind::ALL {
-            jobs.push(SweepJob::new(
-                SimConfig::rispp(3, kind)
-                    .with_explain(true)
-                    .with_journal(true),
-                t,
-            ));
-        }
-        jobs.push(SweepJob::new(
-            SimConfig::rispp(3, SchedulerKind::Hef)
-                .with_explain(true)
-                .with_journal(true)
-                .with_fault(FaultConfig {
-                    rate_ppm: 150_000,
-                    seed: 0xDA7E,
-                    max_retries: 2,
-                }),
-            t,
-        ));
-    }
-
-    let (base_stats, base_snapshot) = SweepRunner::with_threads(1).run_metered(&lib, &jobs);
-    assert!(!base_snapshot.is_empty());
-    assert_eq!(base_snapshot.counter("rispp_runs_total"), jobs.len() as u64);
-    let total: u64 = base_stats.iter().map(|s| s.total_cycles).sum();
-    assert_eq!(base_snapshot.counter("rispp_simulated_cycles_total"), total);
-
-    for threads in [2usize, 4, 8] {
-        let (stats, snapshot) = SweepRunner::with_threads(threads).run_metered(&lib, &jobs);
-        assert_eq!(stats, base_stats, "stats diverged at {threads} thread(s)");
-        assert_eq!(
-            snapshot, base_snapshot,
-            "merged metrics diverged at {threads} thread(s)"
-        );
-        assert_eq!(
-            snapshot.to_json(),
-            base_snapshot.to_json(),
-            "JSON exposition diverged at {threads} thread(s)"
-        );
     }
 }
 

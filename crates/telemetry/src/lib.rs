@@ -6,8 +6,7 @@
 //!
 //! * [`MetricsRegistry`] — a deterministic registry of counters, gauges and
 //!   histograms keyed by name (BTree-ordered), with [`MetricsSnapshot`]
-//!   supporting cross-job [`MetricsSnapshot::merge`] and both JSON and
-//!   Prometheus-text exposition.
+//!   supporting both JSON and Prometheus-text exposition.
 //! * [`TraceBuilder`] — an incremental Chrome trace-event JSON writer
 //!   (duration/instant/counter/metadata events) whose output loads in
 //!   Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`. Simulated

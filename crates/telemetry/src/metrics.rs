@@ -113,20 +113,6 @@ impl Histogram {
         }
         Some(*self.bounds.last().expect("non-empty bounds"))
     }
-
-    /// Adds `other` into `self` bucket-wise. Both histograms must share
-    /// the same bounds (they do when both came from the same metric name).
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "merging histograms with different bucket bounds"
-        );
-        for (slot, &c) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += c;
-        }
-        self.sum = self.sum.saturating_add(other.sum);
-        self.count += other.count;
-    }
 }
 
 /// One named metric value.
@@ -134,7 +120,7 @@ impl Histogram {
 pub enum Metric {
     /// Monotonically increasing count.
     Counter(u64),
-    /// Last-written (or summed, on merge) signed level.
+    /// Last-written signed level.
     Gauge(i64),
     /// Distribution of `u64` observations.
     Histogram(Histogram),
@@ -195,13 +181,6 @@ impl MetricsRegistry {
         self.base_labels = labels.to_owned();
     }
 
-    /// The label set currently stitched into written metric names
-    /// (empty when undecorated).
-    #[must_use]
-    pub fn base_labels(&self) -> &str {
-        &self.base_labels
-    }
-
     /// Adds `delta` to the counter `name`, creating it at zero first.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
         match self.entry(name, || Metric::Counter(0)) {
@@ -216,19 +195,6 @@ impl MetricsRegistry {
             Metric::Gauge(v) => *v = value,
             other => panic!("metric {name} is a {}, not a gauge", other.kind()),
         }
-    }
-
-    /// Adds `delta` (possibly negative) to the gauge `name`.
-    pub fn gauge_add(&mut self, name: &str, delta: i64) {
-        match self.entry(name, || Metric::Gauge(0)) {
-            Metric::Gauge(v) => *v += delta,
-            other => panic!("metric {name} is a {}, not a gauge", other.kind()),
-        }
-    }
-
-    /// Records `value` into the histogram `name` with [`DEFAULT_BOUNDS`].
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.observe_with_bounds(name, value, &DEFAULT_BOUNDS);
     }
 
     /// Records `value` into the histogram `name`, creating it with the
@@ -294,39 +260,13 @@ impl MetricsRegistry {
     }
 }
 
-/// An immutable, mergeable view of a [`MetricsRegistry`].
+/// An immutable view of a [`MetricsRegistry`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     metrics: BTreeMap<String, Metric>,
 }
 
 impl MetricsSnapshot {
-    /// Merges `other` into `self`: counters and gauges add, histograms
-    /// merge bucket-wise. Merge is associative and commutative over
-    /// disjoint-or-matching keys, so folding per-job snapshots in job
-    /// order yields the same result at any sweep thread count.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, metric) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                None => {
-                    self.metrics.insert(name.clone(), metric.clone());
-                }
-                Some(Metric::Counter(a)) => match metric {
-                    Metric::Counter(b) => *a += b,
-                    other => panic!("metric {name} merge kind mismatch ({})", other.kind()),
-                },
-                Some(Metric::Gauge(a)) => match metric {
-                    Metric::Gauge(b) => *a += b,
-                    other => panic!("metric {name} merge kind mismatch ({})", other.kind()),
-                },
-                Some(Metric::Histogram(a)) => match metric {
-                    Metric::Histogram(b) => a.merge(b),
-                    other => panic!("metric {name} merge kind mismatch ({})", other.kind()),
-                },
-            }
-        }
-    }
-
     /// Looks up a metric by full name.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Metric> {
@@ -482,7 +422,7 @@ mod tests {
         r.counter_add("a_total", 2);
         r.counter_add("a_total", 3);
         r.gauge_set("g", 7);
-        r.gauge_add("g", -2);
+        r.gauge_set("g", 5);
         let s = r.snapshot();
         assert_eq!(s.counter("a_total"), 5);
         assert_eq!(s.gauge("g"), 5);
@@ -499,30 +439,6 @@ mod tests {
         assert_eq!(h.counts(), &[2, 1, 1]);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 1_065);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 1);
-        a.observe_with_bounds("h", 5, &[10, 100]);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("c", 2);
-        b.counter_add("only_b", 9);
-        b.observe_with_bounds("h", 50, &[10, 100]);
-
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb.clone();
-        ba.merge(&sa);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counter("c"), 3);
-        assert_eq!(ab.counter("only_b"), 9);
-        match ab.get("h") {
-            Some(Metric::Histogram(h)) => assert_eq!(h.count(), 2),
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 
     #[test]
@@ -711,50 +627,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different bucket bounds")]
-    fn merging_disjoint_bucket_layouts_panics() {
-        let mut a = Histogram::new(&[10, 100]);
-        a.observe(5);
-        let mut b = Histogram::new(&[16, 256]);
-        b.observe(5);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket bounds")]
-    fn snapshot_merge_panics_on_same_name_disjoint_bounds() {
-        let mut a = MetricsRegistry::new();
-        a.observe_with_bounds("h", 5, &[10, 100]);
-        let mut b = MetricsRegistry::new();
-        b.observe_with_bounds("h", 5, &[16]);
-        let mut sa = a.snapshot();
-        sa.merge(&b.snapshot());
-    }
-
-    #[test]
-    fn merging_an_empty_snapshot_is_identity() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("c", 3);
-        r.observe_with_bounds("h", 5, &[10]);
-        let mut s = r.snapshot();
-        let before = s.clone();
-        s.merge(&MetricsSnapshot::default());
-        assert_eq!(s, before);
-        // And empty-merge-full equals full.
-        let mut empty = MetricsSnapshot::default();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn base_labels_decorate_bare_and_labelled_names() {
         let mut r = MetricsRegistry::new();
         r.counter_add("before_total", 1);
         r.set_base_labels("trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\"");
-        assert_eq!(
-            r.base_labels(),
-            "trace_id=\"9\",trace_tenant=\"0\",attempt=\"1\""
-        );
         r.counter_add("plain_total", 2);
         r.counter_add("labelled_total{si=\"3\"}", 4);
         r.gauge_set("depth", 5);

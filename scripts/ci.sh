@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Local CI gate: release build, tier-1 tests, workspace tests, the
-# standalone benchmark package's tests, smokes, rustfmt, strict clippy,
-# strict rustdoc, then the fig7 cycle pin (`rispp-cli reproduce fig7`), the
-# committed cycle records against fresh runs of their commands, the
-# EXPERIMENTS.md output blocks against `rispp-cli reproduce`, and the
-# benchmark's fig7, observed and serve-mix throughput gates (last, so a
-# slow host cannot stop the lint gates from running).
+# standalone benchmark package's tests, the examples, smokes, rustfmt,
+# strict clippy, strict rustdoc, then the fig7 cycle pin (`rispp-cli
+# reproduce fig7`), the committed cycle records against fresh runs of
+# their commands, the EXPERIMENTS.md output blocks against `rispp-cli
+# reproduce`, and the benchmark's fig7, observed and serve-mix throughput
+# gates (last, so a slow host cannot stop the lint gates from running).
 # Everything runs offline against the vendored dev-dependencies in
 # vendor/.
 set -euo pipefail
@@ -26,6 +26,25 @@ echo "==> cargo test -q (benchmark package)"
 # The layered benchmark is a standalone package outside the workspace
 # (its own lock file and target directory), so --workspace skips it.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> examples (every [[example]] in Cargo.toml)"
+# Each example is the only runnable use of its API path, so it must run
+# to completion, not just compile. `cargo test` above built them in the
+# dev profile, and `cargo run` reuses that build.
+examples=$(awk '/^\[\[example\]\]/ { entry = 1; next }
+  entry && $1 == "name" { gsub(/"/, "", $3); print $3; entry = 0 }' Cargo.toml)
+if [ -z "$examples" ]; then
+  echo "ci: Cargo.toml declares no [[example]]" >&2
+  exit 1
+fi
+for example in $examples; do
+  cargo run -q --example "$example" >"target/ci_example_$example.txt" 2>&1 || {
+    echo "ci: example $example exited nonzero; its output:" >&2
+    tail -20 "target/ci_example_$example.txt" >&2
+    exit 1
+  }
+  echo "    $example: ok"
+done
 
 echo "==> fault smoke (rispp-cli simulate --fault-rate)"
 # Seeded so the run provably exercises the whole recovery path: the

@@ -7,7 +7,7 @@ use rispp::h264::{h264_si_library, EncoderConfig, EncoderWorkload, HotSpot, SiKi
 use rispp::sim::{
     simulate, simulate_multi, simulate_observed, simulate_observed_planned, FlightRecorder,
     MetricsObserver, PerfettoTraceObserver, SimConfig, SimEvent, SimObserver, SystemKind,
-    TenancyConfig, TenantArbitration, TenantPolicy, Trace, TraceContext,
+    TenancyConfig, TenantArbitration, TenantPolicy, Trace, TraceContext, TraceLogObserver,
 };
 
 fn small_workload() -> EncoderWorkload {
@@ -372,7 +372,7 @@ fn a_shared_cache_smaller_than_its_working_set_keeps_hitting() {
     // W = 1,152 distinct plans the job list needs (counted with an
     // unbounded cache). Pass 2 re-derives pass 1's keys in the same order:
     // a cyclic working set 1.43 times the bound. Evicting one entry per
-    // new key keeps 600 of pass 2's 1,152 lookups hitting (52 %; the floor
+    // new key keeps 592 of pass 2's 1,152 lookups hitting (51 %; the floor
     // is 40 %). Every run equals planning from scratch.
     use rispp::core::{PlanCache, PlanCacheHandle, PlanCacheStats};
     use std::sync::Arc;
@@ -480,11 +480,13 @@ fn two_tenant_results_are_pinned() {
 fn telemetry_exports_are_pinned() {
     // Every byte the exporters write for one traced 6-frame run, HEF at 8
     // ACs with explain and journal on: the metrics snapshot as JSON and as
-    // Prometheus text, the Perfetto trace and a flight bundle, each pinned
-    // by length and FNV-1a digest. Making telemetry cheaper must not move
-    // any of them. (The Prometheus pin is that of labelled histograms
-    // rendered as `family_bucket{si="N",...,le="..."}`, and both metrics
-    // pins carry the trace context's tenant as `trace_tenant`.)
+    // Prometheus text, the Perfetto trace, a flight bundle and the JSONL
+    // event log (`--log-events`), each pinned by length and FNV-1a digest.
+    // Making telemetry cheaper must not move any of them. (The Prometheus
+    // pin is that of labelled histograms rendered as
+    // `family_bucket{si="N",...,le="..."}`, both metrics pins carry the
+    // trace context's tenant as `trace_tenant`, and every log row carries
+    // the context's fields.)
     let library = h264_si_library();
     let workload = small_workload();
     let config = SimConfig::rispp(8, SchedulerKind::Hef)
@@ -494,12 +496,13 @@ fn telemetry_exports_are_pinned() {
     let mut metrics = MetricsObserver::new();
     let mut perfetto = PerfettoTraceObserver::new();
     let mut recorder = FlightRecorder::new();
+    let mut log = TraceLogObserver::new();
     let (_, plan) = simulate_observed_planned(
         &library,
         workload.trace(),
         &config,
         None,
-        &mut [&mut metrics, &mut perfetto, &mut recorder],
+        &mut [&mut metrics, &mut perfetto, &mut recorder, &mut log],
     );
     metrics.record_plan_cache(&plan);
     let snapshot = metrics.into_snapshot();
@@ -511,12 +514,14 @@ fn telemetry_exports_are_pinned() {
             "flight bundle",
             recorder.dump("pinned", "job-7", 7, plan.hits, plan.misses),
         ),
+        ("JSONL event log", log.to_jsonl()),
     ];
     let pins = [
         (10_770, 0x93fb_08c7_d505_4f54),
         (17_690, 0x0294_6a1b_40a0_4d90),
         (1_928_286, 0x648c_5ffb_459e_8013),
         (55_341, 0xa090_9c26_03e4_3d46),
+        (2_384_951, 0x6e1b_2020_0d0c_0be1),
     ];
     for ((what, text), pin) in exports.iter().zip(pins) {
         assert_eq!(

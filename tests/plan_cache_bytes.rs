@@ -4,7 +4,7 @@
 //! test) fills one shared cache with 1,152 plans; the bytes the cache
 //! holds afterwards, shard maps and slot lists included, divided by its
 //! entries must stay within [`MAX_BYTES_PER_ENTRY`]. The packed entries
-//! cost 223 bytes each here; with the key as one word per field and the
+//! cost 216 bytes each here; with the key as one word per field and the
 //! selection, Atom sequence and supremum held apart they cost 492. A
 //! change to the entry or key layout that fattens every entry fails here.
 //!
