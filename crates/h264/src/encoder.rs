@@ -14,7 +14,7 @@ use crate::kernels::hadamard::{forward_ht2x2, forward_ht4x4, inverse_ht2x2, inve
 use crate::kernels::intra::{predict_dc_16x16, predict_h_16x16, predict_v_16x16, Neighbours};
 use crate::kernels::mc::InterpolatedRef;
 use crate::kernels::sad::sad_block;
-use crate::me::{MotionEstimator, MotionVector};
+use crate::me::{HelperClaim, MotionEstimator, MotionVector};
 use crate::si_library::SiKind;
 use crate::video::SyntheticVideo;
 
@@ -154,8 +154,18 @@ impl Encoder {
     }
 
     /// Encodes the next frame, returning its report, and keeps the
-    /// reconstructed frame as the reference for the next one.
+    /// reconstructed frame as the reference for the next one. Motion
+    /// estimation searches macroblock rows on this thread and on helper
+    /// threads drawn from a process-wide budget of one fewer than the
+    /// available CPUs; the report does not depend on how many it gets.
     pub fn encode_next_frame(&mut self) -> FrameReport {
+        self.encode_frame(None)
+    }
+
+    /// [`Self::encode_next_frame`], searching with exactly `helpers`
+    /// helper threads outside the budget, or with what the budget grants
+    /// when `None`.
+    pub(crate) fn encode_frame(&mut self, helpers: Option<usize>) -> FrameReport {
         let source = self.video.next_frame();
         let index = self.video.frame_index() - 1;
         let mb_cols = source.mb_cols();
@@ -170,25 +180,28 @@ impl Encoder {
         let mut estimated_bits = 0u64;
 
         // --- Hot spot 1: Motion Estimation ------------------------------
-        let mut search_results = vec![None; mb_cols * mb_rows];
+        let mut searches = Vec::new();
         if let Some(reference) = &self.reference {
-            for mb_y in 0..mb_rows {
-                for mb_x in 0..mb_cols {
-                    let mb = mb_y * mb_cols + mb_x;
-                    let out = self.config.me.search(
-                        &source.y,
-                        reference,
-                        mb_x * MB_SIZE,
-                        mb_y * MB_SIZE,
-                        self.mv_predictors[mb],
-                    );
-                    me_bursts.push(vec![
-                        (SiKind::Sad, out.sad_count),
-                        (SiKind::Satd, out.satd_count),
-                    ]);
-                    self.mv_predictors[mb] = out.mv;
-                    search_results[mb] = Some(out);
-                }
+            // A row per thread at most; a count the caller sets bypasses
+            // the budget. The claim is returned as soon as the search ends.
+            let claim = match helpers {
+                Some(_) => HelperClaim::up_to(0),
+                None => HelperClaim::up_to(mb_rows.saturating_sub(1)),
+            };
+            searches = self.config.me.search_frame(
+                &source.y,
+                reference,
+                &self.mv_predictors,
+                helpers.unwrap_or(claim.count()),
+            );
+            drop(claim);
+            // Predictors change only now, after every search read its own.
+            for (predictor, out) in self.mv_predictors.iter_mut().zip(&searches) {
+                me_bursts.push(vec![
+                    (SiKind::Sad, out.sad_count),
+                    (SiKind::Satd, out.satd_count),
+                ]);
+                *predictor = out.mv;
             }
         }
 
@@ -230,7 +243,7 @@ impl Encoder {
 
                 // Inter candidate (when a reference exists).
                 let mut bursts: Vec<(SiKind, u32)> = Vec::with_capacity(5);
-                let mode = match (&self.reference, search_results[mb]) {
+                let mode = match (&self.reference, searches.get(mb)) {
                     (Some(reference), Some(sr)) => {
                         reference.compensate_16x16(x, y, sr.mv.x4, sr.mv.y4, &mut pred);
                         let inter_cost = sad_block(&src_block, &pred, MB_SIZE);
@@ -450,6 +463,38 @@ mod tests {
             .map(|r| r.executions(SiKind::Sad))
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_helper_count() {
+        let mut config = EncoderConfig::paper_cif();
+        config.frames = 4;
+        // Every field, PSNR as bits; a new field fails to compile here.
+        let fields = |report: &FrameReport| {
+            let FrameReport {
+                index,
+                me_bursts,
+                ee_bursts,
+                lf_bursts,
+                intra_mbs,
+                psnr_y,
+                estimated_bits,
+            } = report.clone();
+            let bursts = (me_bursts, ee_bursts, lf_bursts);
+            (index, bursts, intra_mbs, psnr_y.to_bits(), estimated_bits)
+        };
+        let encode = |helpers: usize| -> Vec<FrameReport> {
+            let mut encoder = Encoder::new(config);
+            (0..config.frames)
+                .map(|_| encoder.encode_frame(Some(helpers)))
+                .collect()
+        };
+        let alone = encode(0);
+        for helpers in [1, 3] {
+            for (a, b) in alone.iter().zip(&encode(helpers)) {
+                assert_eq!(fields(a), fields(b), "frame {}, {helpers} helpers", a.index);
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! absolute transform coefficients; H.264 encoders use it for sub-pel
 //! refinement and mode decision because it approximates the post-transform
 //! bit cost better than SAD.
+//!
+//! [`satd_4x4`] and [`satd_nxn`] are the definition. The motion search
+//! calls [`satd_16x16`], which has the SI's shape — subtract (`QSub`),
+//! transform across lanes (`Transform`), regroup (`Repack`), sum absolute
+//! values (`SAV`) — and equals `satd_nxn(a, b, 16)` exactly.
+
+use std::array;
 
 /// In-place 4-point Hadamard butterfly.
 fn hadamard4(a: &mut [i32; 4]) {
@@ -75,6 +82,51 @@ pub fn satd_nxn(a: &[u8], b: &[u8], n: usize) -> u32 {
     acc
 }
 
+/// SATD of two 16×16 row-major blocks: the same value as
+/// `satd_nxn(a, b, 16)`, in plain `i16` lane loops that LLVM vectorises.
+///
+/// Each 4-row strip is differenced and transformed vertically across all
+/// 16 columns at once, then regrouped so that the horizontal butterflies
+/// also run lane-wise. Every value fits `i16`: a difference is at most
+/// 255 in magnitude, and each of the three butterfly stages at most
+/// doubles it, to 2,040. The last stage is never computed, because
+/// `|s + t| + |s − t| = 2·max(|s|, |t|)`: a tile's `Σ|coef|` is twice
+/// the sum of those maxima. [`satd_4x4`] halves `Σ|coef|` rounding up,
+/// and that never rounds: each coefficient is a ±1 combination of the
+/// tile's 16 differences, so all 16 share the parity of their sum, and
+/// `Σ|coef|` is even. The maxima therefore add up to each tile's SATD,
+/// and their total to the block's.
+#[must_use]
+pub fn satd_16x16(a: &[u8; 256], b: &[u8; 256]) -> u32 {
+    // Per lane at most 4 strips × 2 maxima × 2,040 = 16,320.
+    let mut acc = [0u16; 16];
+    for (sa, sb) in a.chunks_exact(64).zip(b.chunks_exact(64)) {
+        let d: [[i16; 16]; 4] = array::from_fn(|r| {
+            array::from_fn(|c| i16::from(sa[16 * r + c]) - i16::from(sb[16 * r + c]))
+        });
+        // Vertical transform: row k of every tile in the strip.
+        let mut v = [[0i16; 16]; 4];
+        for c in 0..16 {
+            let (s0, s1) = (d[0][c] + d[2][c], d[1][c] + d[3][c]);
+            let (t0, t1) = (d[0][c] - d[2][c], d[1][c] - d[3][c]);
+            v[0][c] = s0 + s1;
+            v[1][c] = s0 - s1;
+            v[2][c] = t0 + t1;
+            v[3][c] = t0 - t1;
+        }
+        // Regroup: lane 4k + g of `col[m]` is column m of tile g, row k.
+        let col: [[i16; 16]; 4] = array::from_fn(|m| array::from_fn(|i| v[i / 4][4 * (i % 4) + m]));
+        // Horizontal transform's first stage, then the last stage as maxima.
+        for (i, sum) in acc.iter_mut().enumerate() {
+            let (p0, p1) = (col[0][i] + col[2][i], col[1][i] + col[3][i]);
+            let (q0, q1) = (col[0][i] - col[2][i], col[1][i] - col[3][i]);
+            *sum +=
+                p0.unsigned_abs().max(p1.unsigned_abs()) + q0.unsigned_abs().max(q1.unsigned_abs());
+        }
+    }
+    acc.iter().map(|&s| u32::from(s)).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +183,26 @@ mod tests {
         }
         assert_eq!(satd_nxn(&a, &b, 8), satd_4x4(&a, &b, 8));
         assert_eq!(satd_nxn(&a, &b, 8), 64);
+    }
+
+    #[test]
+    fn the_sum_before_halving_is_always_even() {
+        // Every coefficient is a ±1 combination of the 16 differences, so
+        // each has the parity of their sum, and `satd_4x4`'s `div_ceil(2)`
+        // never rounds.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            let mut block: [i32; 16] = core::array::from_fn(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % 511) as i32 - 255
+            });
+            let parity = block.iter().sum::<i32>() & 1;
+            hadamard_4x4(&mut block);
+            assert!(block.iter().all(|&c| c & 1 == parity), "{block:?}");
+            assert_eq!(block.iter().map(|c| c.abs()).sum::<i32>() % 2, 0);
+        }
     }
 
     #[test]

@@ -88,9 +88,9 @@ impl EncoderWorkload {
     }
 
     /// The paper's 140-frame CIF benchmark workload. It encodes ~55 K
-    /// macroblocks, about a second in a release build and still far
-    /// more than one replay of its trace, so generate it once and reuse
-    /// it across simulations.
+    /// macroblocks, about 0.3 s in a release build on two CPUs
+    /// (DESIGN.md §17) and still far more than one replay of its trace,
+    /// so generate it once and reuse it across simulations.
     #[must_use]
     pub fn paper_cif() -> Self {
         EncoderWorkload::generate(&EncoderConfig::paper_cif())

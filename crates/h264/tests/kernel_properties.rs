@@ -1,7 +1,8 @@
 //! Property-based tests of the codec kernels: transform/quantisation
 //! error bounds, metric axioms for SAD/SATD, interpolation invariants,
-//! equivalence of the interpolate-once reads with the per-sample
-//! reference, and deblocking safety.
+//! equivalence of the interpolate-once reads and of the lane-parallel
+//! 16×16 SATD with their per-sample and per-tile references, and
+//! deblocking safety.
 
 use proptest::prelude::*;
 use rispp_h264::kernels::dct::{forward_quantised, reconstruct_residual, transform_roundtrip};
@@ -11,7 +12,7 @@ use rispp_h264::kernels::mc::{
     clip3, compensate_16x16, pack_half_pel, point_filter, sample_quarter_pel, InterpolatedRef,
 };
 use rispp_h264::kernels::sad::{sad_16x16, sad_block};
-use rispp_h264::kernels::satd::satd_4x4;
+use rispp_h264::kernels::satd::{satd_16x16, satd_4x4, satd_nxn};
 use rispp_h264::Plane;
 
 fn residual() -> impl Strategy<Value = [i32; 16]> {
@@ -24,6 +25,22 @@ fn residual() -> impl Strategy<Value = [i32; 16]> {
 
 fn block() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 16)
+}
+
+/// A 16×16 block: uniformly random half the time, otherwise one of the
+/// extremes that push the SATD's `i16` lanes to their largest values —
+/// random 0/255 samples, all 0 or all 255, or a 0/255 checkerboard.
+fn block_16x16() -> impl Strategy<Value = [u8; 256]> {
+    (0u8..8, proptest::collection::vec(any::<u8>(), 256)).prop_map(|(kind, bytes)| {
+        let extreme = |bit: bool| if bit { 255 } else { 0 };
+        let phase = usize::from(bytes[0] & 1);
+        std::array::from_fn(|i| match kind {
+            4 => extreme(bytes[i] & 1 == 1),
+            5 => extreme(bytes[0] & 2 == 2),
+            6 | 7 => extreme((i % 16 + i / 16 + phase) % 2 == 1),
+            _ => bytes[i],
+        })
+    })
 }
 
 /// A plane of uniformly random samples, `w×h`.
@@ -82,6 +99,11 @@ proptest! {
             sad_16x16(&cur, &reference, x, y, mvx, mvy),
             "mv ({}, {}) at ({}, {})", mvx, mvy, x, y
         );
+    }
+
+    #[test]
+    fn the_16x16_satd_equals_its_per_tile_definition(a in block_16x16(), b in block_16x16()) {
+        prop_assert_eq!(satd_16x16(&a, &b), satd_nxn(&a, &b, 16));
     }
 
     #[test]

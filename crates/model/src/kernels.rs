@@ -3,44 +3,10 @@
 //! [`crate::Molecule`] calls these directly. They are plain loops over
 //! `u16` lanes, which LLVM auto-vectorises; DESIGN.md §10 records the
 //! measurements behind having no hand-vectorised variant.
-//!
-//! The `Vec`-returning [`union`], [`intersect`], [`residual`] and
-//! [`saturating_add`] are not on any hot path: they are the reference
-//! formulations `crates/model/tests/molecule_reference.rs` checks the
-//! `Molecule` API against.
+//! `crates/model/tests/molecule_reference.rs` checks the `Molecule` API
+//! against `Vec`-returning reference formulations of its own.
 
 use std::cmp::Ordering;
-
-/// Component-wise maximum.
-#[must_use]
-pub fn union(a: &[u16], b: &[u16]) -> Vec<u16> {
-    a.iter().zip(b).map(|(&x, &y)| x.max(y)).collect()
-}
-
-/// Component-wise minimum: a reference formulation that
-/// `molecule_reference.rs` checks `Molecule::intersect` against.
-#[must_use]
-pub fn intersect(a: &[u16], b: &[u16]) -> Vec<u16> {
-    a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect()
-}
-
-/// Component-wise saturating `o − a` (the residual `a ⊖ o`).
-#[must_use]
-pub fn residual(a: &[u16], o: &[u16]) -> Vec<u16> {
-    a.iter()
-        .zip(o)
-        .map(|(&x, &y)| y.saturating_sub(x))
-        .collect()
-}
-
-/// Component-wise saturating addition.
-#[must_use]
-pub fn saturating_add(a: &[u16], b: &[u16]) -> Vec<u16> {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| x.saturating_add(y))
-        .collect()
-}
 
 /// Component-wise maximum into `out`.
 pub fn union_into(a: &[u16], b: &[u16], out: &mut [u16]) {

@@ -6,16 +6,41 @@
 //! 0x7FFF/0x8000/0xFFFF lanes where a carry or borrow across lanes, or a
 //! missed saturation, shows first.
 //!
-//! The references are the `Vec`-returning `kernels::{union, intersect,
-//! residual, saturating_add}` (`Molecule` calls the `_into` forms) and,
-//! for the reductions and comparisons, plain iterator expressions written
-//! here.
+//! The references are the `Vec`-returning `union`, `intersect`,
+//! `residual` and `saturating_add` below (`Molecule` calls the `_into`
+//! kernels) and, for the reductions and comparisons, plain iterator
+//! expressions written here.
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
-use rispp_model::kernels::{intersect, residual, saturating_add, union};
 use rispp_model::{Molecule, INLINE_LANES};
+
+/// Component-wise maximum.
+fn union(a: &[u16], b: &[u16]) -> Vec<u16> {
+    a.iter().zip(b).map(|(&x, &y)| x.max(y)).collect()
+}
+
+/// Component-wise minimum.
+fn intersect(a: &[u16], b: &[u16]) -> Vec<u16> {
+    a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect()
+}
+
+/// Component-wise saturating `o − a` (the residual `a ⊖ o`).
+fn residual(a: &[u16], o: &[u16]) -> Vec<u16> {
+    a.iter()
+        .zip(o)
+        .map(|(&x, &y)| y.saturating_sub(x))
+        .collect()
+}
+
+/// Component-wise saturating addition.
+fn saturating_add(a: &[u16], b: &[u16]) -> Vec<u16> {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| x.saturating_add(y))
+        .collect()
+}
 
 /// Arities covering small vectors, the paper's H.264 universe (11), the 8-
 /// and 16-lane vector boundaries, the inline cap boundary and the spill

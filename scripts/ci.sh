@@ -195,7 +195,7 @@ echo "==> fig7 simulated-cycle pin vs committed BENCH_sweep.json"
 # Correctness gate, independent of host speed: `reproduce fig7`, the full
 # sweep over the committed frame count, must reproduce the committed
 # simulated cycles exactly, so any drift in the encoder, the trace or the
-# replay fails here. The encode takes about a second.
+# replay fails here. The 140-frame encode takes about 0.3 s on two CPUs.
 frames=$(grep -o '"frames": [0-9]*' BENCH_sweep.json | awk '{print $2}')
 pinned=$(grep -o '"simulated_cycles": [0-9]*' BENCH_sweep.json | awk '{print $2}')
 RISPP_THREADS=1 ./target/release/rispp-cli reproduce fig7 --frames "$frames" \
@@ -210,9 +210,9 @@ fi
 echo "==> committed BENCH_sweep/contention/resilience.json vs fresh runs"
 # Each cycle record must equal, byte for byte, what its command in
 # README's records table writes on this tree: the whole fig7 record the
-# cycle pin above just wrote, the two-tenant contention sweep and the
-# fault-rate ladder (about 0.5 s together). The benchmark reads the last
-# two as well, but RISPP_CI_SKIP_PERF=1 skips it.
+# cycle pin above just wrote (and again on one CPU), the two-tenant
+# contention sweep and the fault-rate ladder (about 0.5 s together). The
+# benchmark reads the last two as well, but RISPP_CI_SKIP_PERF=1 skips it.
 check_record() { # committed record, freshly written file
   if ! cmp -s "$1" "$2"; then
     echo "ci: $1 differs from a fresh run of its command (< committed, > tree):" >&2
@@ -222,6 +222,12 @@ check_record() { # committed record, freshly written file
   echo "    $1: identical"
 }
 check_record BENCH_sweep.json target/ci_sweep.json
+# The same command on one CPU: the encoder's helper budget is then zero,
+# so every macroblock row is searched on the calling thread, and the
+# record must not change.
+taskset -c 0 env RISPP_THREADS=1 ./target/release/rispp-cli reproduce fig7 \
+  --frames "$frames" --json target/ci_sweep_one_cpu.json >/dev/null 2>&1
+check_record BENCH_sweep.json target/ci_sweep_one_cpu.json
 ./target/release/rispp-cli contend --apps 2 --json target/ci_contention.json \
   >/dev/null 2>target/ci_contention.err || {
   echo "ci: \`rispp-cli contend --apps 2 --json\` failed:" >&2
