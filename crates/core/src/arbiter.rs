@@ -40,53 +40,81 @@ use crate::selection::{GreedySelector, SelectionRequest};
 use crate::types::{BurstSegment, ScheduleRequest, SelectedMolecule, SiExecution};
 use crate::CoreError;
 
-/// Per-SI memo of the fastest available Molecule variant, keyed by the
-/// fabric's generation counter. `generation` starts at `u64::MAX` (the
-/// fabric starts at 0) so the first lookup always computes.
-#[derive(Debug, Clone, Copy)]
+/// Per-SI memo of the fastest available Molecule variant, keyed by what
+/// the answer depends on: the available count of each atom type the SI's
+/// Molecules use, capped at the most any one of them needs
+/// ([`SiDefinition::atom_types`]). A load or eviction of any other type,
+/// or one that leaves every capped count where it was, keeps the memo.
+/// The fabric's generation is checked first, so a lookup on an unchanged
+/// fabric compares one word.
+#[derive(Debug, Clone)]
 pub(crate) struct BestVariantCache {
+    /// Fabric generation of the last lookup; starts at `u64::MAX` (the
+    /// fabric starts at 0) so the first lookup reads the counts.
     generation: u64,
+    /// The capped counts the memo was taken at, aligned with
+    /// [`SiDefinition::atom_types`].
+    counts: Vec<u16>,
     best: Option<(usize, u32)>,
 }
 
-impl Default for BestVariantCache {
-    fn default() -> Self {
+impl BestVariantCache {
+    /// A memo taken at zero atoms, where no Molecule fits (every one
+    /// requests at least one atom).
+    fn new(def: &SiDefinition) -> Self {
         BestVariantCache {
             generation: u64::MAX,
+            counts: vec![0; def.atom_types().len()],
             best: None,
         }
     }
-}
 
-impl BestVariantCache {
     /// The fastest variant of `def` available on `fabric` as `(variant
-    /// index, latency)`, looked up again only when the fabric's generation
-    /// moved.
+    /// index, latency)`, looked up again only when one of the SI's capped
+    /// atom counts moved.
     fn get(&mut self, fabric: &Fabric, def: &SiDefinition) -> Option<(usize, u32)> {
-        if self.generation != fabric.generation() {
+        if self.generation == fabric.generation() {
+            return self.best;
+        }
+        self.generation = fabric.generation();
+        let available = fabric.available();
+        let mut moved = false;
+        for (seen, &(atom, most)) in self.counts.iter_mut().zip(def.atom_types()) {
+            let count = available.count(atom.index()).min(most);
+            moved |= *seen != count;
+            *seen = count;
+        }
+        if moved {
             self.best = def
-                .fastest_available_index(fabric.available())
+                .fastest_available_index(available, fabric.present_types())
                 .map(|idx| (idx, def.variants()[idx].latency));
-            self.generation = fabric.generation();
         }
         self.best
     }
 }
 
-/// How `si` runs until `fabric` changes: on its fastest available
-/// Molecule (memoised in `caches`, one per SI), or trapping to software
-/// when none is faster.
-fn rate(fabric: &Fabric, library: &SiLibrary, caches: &mut [BestVariantCache], si: SiId) -> SiRate {
+/// How `si` runs until `until`, the fabric's next event: on its fastest
+/// available Molecule (memoised in `caches`, one per SI), or trapping to
+/// software when none is faster.
+fn rate(
+    fabric: &Fabric,
+    library: &SiLibrary,
+    caches: &mut [BestVariantCache],
+    si: SiId,
+    until: Option<u64>,
+) -> SiRate {
     let def = library.si(si).expect("si within library");
     let software = def.software_latency();
     match caches[si.index()].get(fabric, def) {
         Some((idx, latency)) if latency < software => SiRate {
             latency,
             variant: Some(idx),
+            until,
         },
         _ => SiRate {
             latency: software,
             variant: None,
+            until,
         },
     }
 }
@@ -612,9 +640,10 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// The fastest Molecule variant of `si` available to `app` right now,
-    /// as `(variant index, latency)`, memoised per fabric generation.
-    /// Bursts read the memo directly; this entry is the test hook with
-    /// which `best_variant_cache.rs` checks it against a fresh search.
+    /// as `(variant index, latency)`, memoised on the counts of the atom
+    /// types its Molecules use. Bursts read the memo directly; this entry
+    /// is the test hook with which `best_variant_cache.rs` checks it
+    /// against a fresh search.
     ///
     /// # Panics
     ///
@@ -624,10 +653,11 @@ impl<'a> FabricArbiter<'a> {
         self.contexts[usize::from(app)].best_cache[si.index()].get(&self.fabric, def)
     }
 
-    /// How `si` runs for `app` until the fabric changes (see [`rate`]).
-    fn rate(&mut self, app: u16, si: SiId) -> SiRate {
+    /// How `si` runs for `app` until the fabric's next event `until` (see
+    /// [`rate`]).
+    fn rate(&mut self, app: u16, si: SiId, until: Option<u64>) -> SiRate {
         let caches = &mut self.contexts[usize::from(app)].best_cache;
-        rate(&self.fabric, self.library, caches, si)
+        rate(&self.fabric, self.library, caches, si, until)
     }
 
     /// Executes one SI of application `app` at cycle `now`: forwards it to
@@ -641,7 +671,10 @@ impl<'a> FabricArbiter<'a> {
     /// Panics if `si` is outside the library.
     pub fn execute_si(&mut self, app: u16, si: SiId, now: u64) -> SiExecution {
         self.sync_fabric(now);
-        let SiRate { latency, variant } = self.rate(app, si);
+        let until = self.fabric.next_event_at();
+        let SiRate {
+            latency, variant, ..
+        } = self.rate(app, si, until);
         if let Some(idx) = variant {
             mark_variant(&mut self.fabric, self.library, si, idx, now);
         }
@@ -701,7 +734,8 @@ impl<'a> FabricArbiter<'a> {
             let SiRate {
                 latency,
                 variant: variant_index,
-            } = self.rate(app, si);
+                ..
+            } = self.rate(app, si, next_event);
             if let Some(idx) = variant_index {
                 mark_variant(&mut self.fabric, self.library, si, idx, t);
             }
@@ -745,7 +779,7 @@ impl<'a> FabricArbiter<'a> {
     /// deferred load start keeps its `not_before` time while the clock
     /// stays below it.
     ///
-    /// Returns 0 (consuming nothing) when a fabric event is already due at
+    /// Consumes no non-empty burst when a fabric event is already due at
     /// or before `start`; the caller then falls back to the per-burst path,
     /// which processes it.
     ///
@@ -792,9 +826,10 @@ impl<'a> FabricArbiter<'a> {
     }
 
     /// Both batched entry points: walks `run` from cycle `start` up to the
-    /// next fabric event, then applies what the walk consumed. A batch
-    /// processes no fabric events, so the fabric generation, and with it
-    /// each SI's best available variant, is constant across the walk.
+    /// next fabric event, every SI's limit, then applies what the walk
+    /// consumed. A batch processes no fabric events, so the available
+    /// atoms, and with them each SI's best available variant, are
+    /// constant across the walk.
     /// Monitor counts fold into one record per SI (its counters are
     /// add-accumulate, so the folded recording is state-identical to the
     /// per-burst sequence), and the clock lands once on the start of the
@@ -809,16 +844,14 @@ impl<'a> FabricArbiter<'a> {
     ) -> Stretch {
         let (fabric, lib) = (&self.fabric, self.library);
         let caches = &mut self.contexts[usize::from(app)].best_cache;
-        let resolve = |si| rate(fabric, lib, caches, si);
         let horizon = fabric.next_event_at();
+        let resolve = |si| rate(fabric, lib, caches, si, horizon);
         let walker = &mut self.scratch.walker;
         let stretch = match &mut out {
             StretchOut::Segments(segments) => {
-                walker.walk(run, start, horizon, resolve, |segment| {
-                    segments.push(segment)
-                })
+                walker.walk(run, start, resolve, |segment| segments.push(segment))
             }
-            StretchOut::Totals(_) => walker.walk(run, start, horizon, resolve, |_| {}),
+            StretchOut::Totals(_) => walker.walk(run, start, resolve, |_| {}),
         };
         // LRU marking is deferred: only the last use of each type inside
         // the batch survives (assignments of a monotone clock), so one
@@ -828,7 +861,8 @@ impl<'a> FabricArbiter<'a> {
         // would leave.
         let marks = &mut self.scratch.marks;
         marks.clear();
-        for si in (0u16..).map(SiId).take(lib.len()) {
+        for k in 0..walker.resolved().len() {
+            let si = walker.resolved()[k];
             let Some(variant) = walker.ran(si).and_then(|rate| rate.variant) else {
                 continue;
             };
@@ -1092,7 +1126,7 @@ impl<'a> FabricArbiterBuilder<'a> {
                 monitor: ExecutionMonitor::new(self.forecast),
                 current_hot_spot: None,
                 selected: Vec::new(),
-                best_cache: vec![BestVariantCache::default(); self.library.len()],
+                best_cache: self.library.iter().map(BestVariantCache::new).collect(),
                 last_demands: Vec::new(),
                 supremum: Molecule::zero(arity),
                 load_retries: 0,

@@ -8,10 +8,10 @@
 //! per-SI counts. A [`BurstIndex`] stores those counts and the overhead
 //! sum once per aligned block of [`BLOCK_BURSTS`] bursts of each
 //! invocation, and a [`StretchWalker`] consumes a whole block from them
-//! whenever its last execution starts before the next change of any
-//! SI's latency. The same holds for every backend whose latencies change
-//! only at known cycles: the arbiter's next fabric event, a Molen
-//! accelerator's readiness, or never (software), so all of them walk
+//! whenever its last execution starts before the next change of any of
+//! its SIs' latencies. The same holds for every backend whose latencies
+//! change only at known cycles: the arbiter's next fabric event, a Molen
+//! accelerator's own readiness, or never (software), so all of them walk
 //! their stretches through it.
 
 use rispp_model::SiId;
@@ -286,14 +286,20 @@ pub struct Stretch {
     pub end: Option<u64>,
 }
 
-/// How one SI runs for the rest of a stretch: its latency and, when it
-/// runs on accelerating hardware, the variant it runs on.
+/// How one SI runs for the rest of a stretch: its latency, the variant
+/// it runs on when it runs on accelerating hardware, and the cycle it
+/// holds until.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiRate {
     /// Cycles per execution.
     pub latency: u32,
     /// Hardware variant index; `None` when the SI traps to software.
     pub variant: Option<usize>,
+    /// The first cycle at which the rate may change (the arbiter's next
+    /// fabric event, a Molen accelerator's readiness); `None` when it
+    /// never does. An execution that starts at or after it is not the
+    /// walk's to consume.
+    pub until: Option<u64>,
 }
 
 /// One SI's state in a walk.
@@ -332,17 +338,26 @@ enum LastBurst {
 ///
 /// [`walk`](Self::walk) lays the bursts of a [`BurstRun`] back to back
 /// and consumes them up to the first non-empty burst whose last execution
-/// would start at or after the horizon, the next cycle at which some SI's
-/// latency may change. Until then each SI runs at the one [`SiRate`] the
-/// backend resolves for it on first use. Where the run carries a
-/// [`BurstBlocks`] index, a whole block is consumed from its sums when
-/// its last execution starts before the horizon: the last starts of
-/// successive non-empty bursts never decrease, so that one test covers
-/// every burst of the block. Without an index (the segment path), every
-/// burst is stepped on its own.
+/// would start at or after its SI's limit, the [`SiRate::until`] cycle at
+/// which that SI's latency may change. Until then each SI runs at the one
+/// [`SiRate`] the backend resolves for it on first use. Where the run
+/// carries a [`BurstBlocks`] index, a whole block is consumed from its
+/// sums when its last execution starts before the earliest limit of the
+/// SIs it runs: the last starts of successive non-empty bursts never
+/// decrease, so that one test covers every burst of the block. Without
+/// an index (the segment path), every burst is stepped on its own.
+///
+/// The per-SI table lives across walks: a walk resets only the entries
+/// the walk before it resolved, and [`report`](Self::report) and
+/// [`resolved`](Self::resolved) visit only its own, so a walk costs what
+/// it touches, not the library's size.
 #[derive(Debug, Clone, Default)]
 pub struct StretchWalker {
+    /// Per SI, by index: its state in the last walk. An entry outside
+    /// `resolved` is `Walked::default()`.
     sis: Vec<Walked>,
+    /// The SIs the last walk resolved, ascending once it returns.
+    resolved: Vec<SiId>,
     /// Start of the last consumed non-empty burst.
     last_start: Option<u64>,
     /// The first burst and the burst boundaries of the skipped block
@@ -352,27 +367,29 @@ pub struct StretchWalker {
 }
 
 impl StretchWalker {
-    /// Walks `run` from cycle `start` up to `horizon` (`None`: no SI's
-    /// latency ever changes). `rate` resolves an SI's rate on its first
-    /// use in the walk; `segment` receives the one unsplit segment of
-    /// each non-empty burst stepped on its own, in order. Returns how many
+    /// Walks `run` from cycle `start` up to the first non-empty burst
+    /// whose last execution would start at or after its SI's limit.
+    /// `rate` resolves an SI's rate, with that limit, on its first use in
+    /// the walk; `segment` receives the one unsplit segment of each
+    /// non-empty burst stepped on its own, in order. Returns how many
     /// bursts were consumed (empty ones included) and where the last
-    /// consumed non-empty burst ends. Consumes nothing when `horizon` is
-    /// at or before `start`.
+    /// consumed non-empty burst ends.
     pub fn walk(
         &mut self,
         run: BurstRun<'_>,
         start: u64,
-        horizon: Option<u64>,
         mut rate: impl FnMut(SiId) -> SiRate,
         mut segment: impl FnMut(BurstSegment),
     ) -> Stretch {
-        self.sis.clear();
+        for si in self.resolved.drain(..) {
+            self.sis[si.index()] = Walked::default();
+        }
+        debug_assert!(
+            self.sis.iter().all(|w| w.rate.is_none()),
+            "an entry the last walk touched was not reset"
+        );
         self.last_start = None;
         self.scanned = None;
-        if horizon.is_some_and(|event| event <= start) {
-            return Stretch::default();
-        }
         let BurstRun {
             bursts,
             from,
@@ -382,7 +399,7 @@ impl StretchWalker {
         let mut i = from;
         while i < bursts.len() {
             let skipped = if i.is_multiple_of(BLOCK_BURSTS) {
-                self.skip_block(bursts, blocks, i, t, horizon, &mut rate)
+                self.skip_block(bursts, blocks, i, t, &mut rate)
             } else {
                 None
             };
@@ -403,12 +420,12 @@ impl StretchWalker {
             let r = self.resolve(si, &mut rate);
             let per = u64::from(r.latency) + u64::from(overhead);
             // The burst is one segment iff its last execution starts
-            // strictly before the horizon: `div_ceil(event − t, per) ≥
+            // strictly before its SI's limit: `div_ceil(limit − t, per) ≥
             // count`, restated multiplicatively (in u128, so extreme
             // `count × per` products cannot wrap) to keep the division
             // off the per-burst path.
-            if let Some(event) = horizon {
-                if event <= t || u128::from(event - t) <= (u128::from(count) - 1) * u128::from(per)
+            if let Some(limit) = r.until {
+                if limit <= t || u128::from(limit - t) <= (u128::from(count) - 1) * u128::from(per)
                 {
                     break;
                 }
@@ -425,6 +442,7 @@ impl StretchWalker {
             t = end;
             i += 1;
         }
+        self.resolved.sort_unstable();
         Stretch {
             consumed: i - from,
             end: self.last_start.map(|_| t),
@@ -433,31 +451,37 @@ impl StretchWalker {
 
     /// Consumes the indexed block whose first burst is `bursts[i]`, which
     /// starts at cycle `t`, from its sums, and returns where it ends, when
-    /// its last execution starts before `horizon`: exactly the per-burst
-    /// test applied to its last non-empty burst. The block's cycles are
-    /// Σ latency × executions per SI plus its Σ count × overhead, in u128
-    /// so no sum can wrap.
+    /// its last execution starts before the earliest limit of the SIs it
+    /// runs: then every burst of the block passes the per-burst test
+    /// against its own SI's limit. The block's cycles are Σ latency ×
+    /// executions per SI plus its Σ count × overhead, in u128 so no sum
+    /// can wrap.
     fn skip_block(
         &mut self,
         bursts: &[Burst],
         blocks: BurstBlocks<'_>,
         i: usize,
         t: u64,
-        horizon: Option<u64>,
         rate: &mut impl FnMut(SiId) -> SiRate,
     ) -> Option<u64> {
         let block = blocks.block(i / BLOCK_BURSTS)?;
         let mut cycles = u128::from(block.overhead);
+        let mut limit: Option<u64> = None;
         for (&si, &n) in block.sis.iter().zip(block.counts) {
             if n > 0 {
-                cycles += u128::from(self.resolve(si, rate).latency) * u128::from(n);
+                let r = self.resolve(si, rate);
+                cycles += u128::from(r.latency) * u128::from(n);
+                limit = match (limit, r.until) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
             }
         }
         let last = bursts[i + block.last];
         let per = u64::from(self.latency(last.si)) + u64::from(last.overhead);
         let end = u64::try_from(u128::from(t) + cycles).ok()?;
         // Its final execution starts `per` before its end.
-        if horizon.is_some_and(|event| event <= end - per) {
+        if limit.is_some_and(|limit| limit <= end - per) {
             return None;
         }
         for (&si, &n) in block.sis.iter().zip(block.counts) {
@@ -472,12 +496,28 @@ impl StretchWalker {
     }
 
     /// `si`'s rate, resolved through `rate` on its first use in the walk.
+    /// Every stepped burst and every block's SIs come through here, so
+    /// the resolved case stays inline and the first use is out of line.
+    #[inline]
     fn resolve(&mut self, si: SiId, rate: &mut impl FnMut(SiId) -> SiRate) -> SiRate {
+        match self.sis.get(si.index()).and_then(|w| w.rate) {
+            Some(r) => r,
+            None => self.first_use(si, rate),
+        }
+    }
+
+    /// Resolves `si`'s rate and records `si` as resolved by this walk.
+    #[cold]
+    #[inline(never)]
+    fn first_use(&mut self, si: SiId, rate: &mut impl FnMut(SiId) -> SiRate) -> SiRate {
         let k = si.index();
         if k >= self.sis.len() {
             self.sis.resize(k + 1, Walked::default());
         }
-        *self.sis[k].rate.get_or_insert_with(|| rate(si))
+        let r = rate(si);
+        self.sis[k].rate = Some(r);
+        self.resolved.push(si);
+        r
     }
 
     /// The latency of an SI already resolved in this walk.
@@ -494,10 +534,19 @@ impl StretchWalker {
         self.sis.get(si.index()).and_then(Walked::ran)
     }
 
+    /// The SIs the last walk resolved a rate for, ascending: those it ran
+    /// and those whose first burst it stopped at.
+    /// [`last_burst`](Self::last_burst) tells them apart.
+    #[must_use]
+    pub fn resolved(&self) -> &[SiId] {
+        &self.resolved
+    }
+
     /// Hands the totals of every SI the last walk ran to `totals`, in SI
     /// order.
     pub fn report(&self, mut totals: impl FnMut(SiTotals)) {
-        for (si, w) in (0u16..).map(SiId).zip(&self.sis) {
+        for &si in &self.resolved {
+            let w = &self.sis[si.index()];
             if let Some(rate) = w.ran() {
                 totals(SiTotals {
                     si,

@@ -77,7 +77,9 @@ pub struct UpgradeContext<'a, 'lib> {
     /// `a⃗`: available ∪ already-scheduled atoms.
     scheduled: Molecule,
     /// Best (lowest) latency per SI id, initialised from the initially
-    /// available atoms (software latency when no Molecule is available).
+    /// available atoms (software latency when no Molecule is available)
+    /// for the selected SIs, the only ones the schedulers read; every
+    /// other entry holds 0.
     best_latency: Vec<u32>,
     candidates: Vec<Candidate>,
     steps: Vec<ScheduleStep>,
@@ -95,7 +97,8 @@ pub struct UpgradeContext<'a, 'lib> {
 impl<'a, 'lib> UpgradeContext<'a, 'lib> {
     /// Builds the context: enumerates `M′` per eq. (3) and initialises the
     /// `bestLatency` array from the currently available atoms (Figure 6,
-    /// lines 1–9).
+    /// lines 1–9) for the selected SIs: every candidate, commit and
+    /// importance belongs to one of them.
     #[must_use]
     pub fn new(request: &'a ScheduleRequest<'lib>) -> Self {
         Self::init(request, &mut UpgradeBuffers::new())
@@ -122,8 +125,9 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
 
         best_latency.clear();
         best_latency.resize(library.len(), 0);
-        for si in library.iter() {
-            best_latency[si.id().index()] = si.best_latency(available);
+        for sel in request.selected() {
+            let si = library.si(sel.si).expect("validated request");
+            best_latency[sel.si.index()] = si.best_latency(available);
         }
 
         candidates.clear();
@@ -179,9 +183,18 @@ impl<'a, 'lib> UpgradeContext<'a, 'lib> {
         &self.scheduled
     }
 
-    /// Current best latency of `si` considering scheduled upgrades.
+    /// Current best latency of `si`, a selected SI, considering scheduled
+    /// upgrades.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `si` is not selected (its entry is not kept).
     #[must_use]
     pub fn best_latency(&self, si: SiId) -> u32 {
+        debug_assert!(
+            self.request.selected().iter().any(|sel| sel.si == si),
+            "bestLatency is kept for selected SIs only"
+        );
         self.best_latency[si.index()]
     }
 

@@ -7,10 +7,16 @@
 //! and LRU stamps. It holds in a universe of more than 64 atom types too,
 //! where variants carry no type mask and the deferred marks go through
 //! the atom counts.
+//!
+//! The walker itself keeps its per-SI table across walks and resets only
+//! what the walk before touched: a reused walker must answer every walk,
+//! in any order of SIs and over libraries of more than 64 SIs, exactly as
+//! a fresh one does, and each burst stops at its own SI's limit.
 
 use proptest::prelude::*;
 use rispp_core::{
-    Burst, BurstIndex, BurstRun, FabricArbiter, SchedulerKind, SiTotals, BLOCK_BURSTS,
+    Burst, BurstBlocks, BurstIndex, BurstRun, BurstSegment, FabricArbiter, SchedulerKind, SiRate,
+    SiTotals, Stretch, StretchWalker, BLOCK_BURSTS,
 };
 use rispp_fabric::FaultModel;
 use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiId, SiLibrary, SiLibraryBuilder};
@@ -359,5 +365,234 @@ fn a_block_whose_last_execution_meets_the_event_is_not_skipped() {
         );
         assert!(start < event);
         assert_eq!(stretch.consumed, want, "last start {offset} from the event");
+    }
+}
+
+fn burst(si: u16, count: u32, overhead: u32) -> Burst {
+    Burst {
+        si: SiId(si),
+        count,
+        overhead,
+    }
+}
+
+/// Latency `10 + si`, even SIs on hardware variant 0, odd ones trapping;
+/// the rate never changes.
+fn fixed_rate(si: SiId) -> SiRate {
+    SiRate {
+        latency: 10 + u32::from(si.0),
+        variant: si.0.is_multiple_of(2).then_some(0),
+        until: None,
+    }
+}
+
+/// What one walk reports: the stretch, the totals in report order, the
+/// resolved SIs, where the last burst of every SI below `probe` sits, and
+/// the segments of the bursts it stepped.
+type Walked = (
+    Stretch,
+    Vec<SiTotals>,
+    Vec<SiId>,
+    Vec<Option<(u64, u64)>>,
+    Vec<BurstSegment>,
+);
+
+fn walk(
+    walker: &mut StretchWalker,
+    run: BurstRun<'_>,
+    start: u64,
+    rate: impl FnMut(SiId) -> SiRate,
+    probe: u16,
+) -> Walked {
+    let mut segments = Vec::new();
+    let stretch = walker.walk(run, start, rate, |s| segments.push(s));
+    let mut totals = Vec::new();
+    walker.report(|t| totals.push(t));
+    let resolved = walker.resolved().to_vec();
+    let last = (0..probe)
+        .map(|si| walker.last_burst(run, SiId(si)))
+        .collect();
+    (stretch, totals, resolved, last, segments)
+}
+
+/// Walks over SIs {0, 2}, then over {1}, then over {0} at a new rate: each
+/// walk reports only its own SIs, in SI order, resolves each once, and
+/// forgets where the SIs of the walk before it ran.
+#[test]
+fn a_reused_walker_reports_only_its_last_walk() {
+    let mut walker = StretchWalker::default();
+    let first = [burst(2, 3, 1), burst(0, 4, 1), burst(2, 1, 1)];
+    let run = BurstRun::new(&first, 0, BurstBlocks::EMPTY);
+    let (stretch, totals, resolved, last, _) = walk(&mut walker, run, 0, fixed_rate, 3);
+    // SI 2 runs 3 × 13 = 39 cycles, SI 0 4 × 11 = 44, SI 2 again 13.
+    assert_eq!(stretch.end, Some(96));
+    let ran = |si, executions, hardware| SiTotals {
+        si: SiId(si),
+        executions,
+        hardware_executions: if hardware { executions } else { 0 },
+    };
+    assert_eq!(totals, vec![ran(0, 4, true), ran(2, 4, true)], "SI order");
+    assert_eq!(resolved, vec![SiId(0), SiId(2)]);
+    assert_eq!(last, vec![Some((39, 83)), None, Some((83, 96))]);
+
+    let second = [burst(1, 5, 2)];
+    let run = BurstRun::new(&second, 0, BurstBlocks::EMPTY);
+    let (stretch, totals, resolved, last, _) = walk(&mut walker, run, 100, fixed_rate, 3);
+    assert_eq!(stretch.end, Some(165));
+    assert_eq!(totals, vec![ran(1, 5, false)], "only SI 1 ran in this walk");
+    assert_eq!(resolved, vec![SiId(1)]);
+    assert_eq!(last, vec![None, Some((100, 165)), None]);
+
+    let third = [burst(0, 2, 0)];
+    let run = BurstRun::new(&third, 0, BurstBlocks::EMPTY);
+    let mut calls = 0;
+    let slow = |si: SiId| {
+        assert_eq!(si, SiId(0));
+        calls += 1;
+        SiRate {
+            latency: 7,
+            variant: None,
+            until: None,
+        }
+    };
+    let (stretch, totals, _, last, _) = walk(&mut walker, run, 0, slow, 3);
+    assert_eq!(calls, 1, "SI 0 resolves afresh, once");
+    assert_eq!(stretch.end, Some(14));
+    assert_eq!(totals, vec![ran(0, 2, false)], "no executions carried over");
+    assert_eq!(last, vec![Some((0, 14)), None, None]);
+}
+
+/// Each burst stops at its own SI's limit: SI 1's limit at cycle 50 does
+/// not stop SI 0's bursts past it, only SI 1's first burst; in a block,
+/// the earliest limit of the SIs it runs decides whether it goes whole.
+#[test]
+fn each_burst_meets_its_own_limit() {
+    let limited = |si: SiId| SiRate {
+        until: (si == SiId(1)).then_some(50),
+        ..fixed_rate(si)
+    };
+    let mut walker = StretchWalker::default();
+    // SI 0 at 11 cycles a burst of one runs to 110 before SI 1 shows up.
+    let mut bursts = vec![burst(0, 1, 1); 10];
+    bursts.push(burst(1, 1, 0));
+    let run = BurstRun::new(&bursts, 0, BurstBlocks::EMPTY);
+    let (stretch, totals, resolved, _, _) = walk(&mut walker, run, 0, limited, 2);
+    assert_eq!(stretch.consumed, 10, "SI 1's burst starts past its limit");
+    assert_eq!(stretch.end, Some(110));
+    assert_eq!(totals.len(), 1);
+    assert_eq!(resolved, vec![SiId(0), SiId(1)], "SI 1 resolved, not run");
+
+    // One indexed block of SI 0 with one SI 1 burst in it ends at 352,
+    // its last execution starting at 341, past SI 1's limit: the block is
+    // stepped. With SI 1's burst at offset 3 (starting at 33) every burst
+    // still fits; at offset 5 (starting at 55) the walk stops there.
+    for (offset, want) in [(3, (BLOCK_BURSTS, Some(352))), (5, (5, Some(55)))] {
+        let mut block = vec![burst(0, 1, 1); BLOCK_BURSTS];
+        block[offset] = burst(1, 1, 0);
+        let index = BurstIndex::new([block.as_slice()]);
+        let run = BurstRun::new(&block, 0, index.invocation(0));
+        let (stretch, ..) = walk(&mut walker, run, 0, limited, 2);
+        assert_eq!((stretch.consumed, stretch.end), want, "SI 1 at {offset}");
+        // With SI 1's limit past the block's last start, it goes whole.
+        let late = |si: SiId| SiRate {
+            until: (si == SiId(1)).then_some(342),
+            ..fixed_rate(si)
+        };
+        let (stretch, totals, ..) = walk(&mut walker, run, 0, late, 2);
+        assert_eq!((stretch.consumed, stretch.end), (BLOCK_BURSTS, Some(352)));
+        assert_eq!(totals[1].executions, 1);
+    }
+}
+
+/// One walk: bursts as `(SI slot, count, overhead)` over six SI slots,
+/// each slot's `(latency, hardware, limit)`, and the start cycle.
+type WalkCase = (Vec<(u16, u32, u32)>, Vec<(u32, bool, Option<u64>)>, u64);
+
+/// Draws one walk over six SI slots (a caller maps them to SIs, so
+/// libraries reach past 64 SIs), each with a latency, a hardware flag and
+/// an optional limit.
+fn walk_case() -> impl Strategy<Value = WalkCase> {
+    (
+        prop::collection::vec((0u16..6, 0u32..4, 0u32..5), 1..3 * BLOCK_BURSTS + 5),
+        prop::collection::vec((1u32..50, any::<bool>(), any::<bool>(), 0u64..6_000), 6).prop_map(
+            |rates| {
+                rates
+                    .into_iter()
+                    .map(|(latency, hardware, limited, until)| {
+                        (latency, hardware, limited.then_some(until))
+                    })
+                    .collect()
+            },
+        ),
+        0u64..500,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A sequence of walks through one reused walker, blocked and
+    /// unblocked, against a fresh walker per walk: the same stretch,
+    /// totals, resolved SIs, segments and last bursts for every SI of a
+    /// library of up to 150 SIs.
+    #[test]
+    fn a_reused_walker_answers_as_a_fresh_one(
+        pool in prop::collection::vec(0u16..150, 6),
+        walks in prop::collection::vec(walk_case(), 1..6),
+    ) {
+        let mut reused = StretchWalker::default();
+        for (raw, rates, start) in &walks {
+            let bursts: Vec<Burst> = raw
+                .iter()
+                .map(|&(k, count, overhead)| burst(pool[usize::from(k)], count, overhead))
+                .collect();
+            let rate = |si: SiId| {
+                let k = pool.iter().position(|&p| p == si.0).expect("a pooled SI");
+                let (latency, hardware, until) = rates[k];
+                SiRate {
+                    latency,
+                    variant: hardware.then_some(k),
+                    until,
+                }
+            };
+            let index = BurstIndex::new([bursts.as_slice()]);
+            for blocks in [BurstBlocks::EMPTY, index.invocation(0)] {
+                let run = BurstRun::new(&bursts, 0, blocks);
+                let got = walk(&mut reused, run, *start, rate, 150);
+                let want = walk(&mut StretchWalker::default(), run, *start, rate, 150);
+                prop_assert_eq!(&got.0, &want.0);
+                prop_assert_eq!(&got.1, &want.1);
+                prop_assert_eq!(&got.2, &want.2);
+                prop_assert_eq!(&got.3, &want.3);
+                prop_assert_eq!(&got.4, &want.4);
+                prop_assert!(got.1.windows(2).all(|w| w[0].si < w[1].si), "SI order");
+            }
+        }
+    }
+
+    /// The blocked walk equals the unblocked one under per-SI limits:
+    /// a block goes whole only when every burst in it would.
+    #[test]
+    fn blocks_respect_every_limit_in_them(case in walk_case()) {
+        let (raw, rates, start) = case;
+        let bursts: Vec<Burst> = raw
+            .iter()
+            .map(|&(k, count, overhead)| burst(k, count, overhead))
+            .collect();
+        let rate = |si: SiId| {
+            let (latency, hardware, until) = rates[si.index()];
+            SiRate {
+                latency,
+                variant: hardware.then_some(0),
+                until,
+            }
+        };
+        let index = BurstIndex::new([bursts.as_slice()]);
+        let mut walker = StretchWalker::default();
+        let blocked = walk(&mut walker, BurstRun::new(&bursts, 0, index.invocation(0)), start, rate, 6);
+        let stepped = walk(&mut walker, BurstRun::new(&bursts, 0, BurstBlocks::EMPTY), start, rate, 6);
+        prop_assert_eq!(blocked.0, stepped.0);
+        prop_assert_eq!(blocked.1, stepped.1);
+        prop_assert_eq!(blocked.3, stepped.3);
     }
 }

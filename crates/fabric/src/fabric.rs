@@ -242,12 +242,32 @@ enum EventKind {
     Start,
 }
 
+/// Widest universe whose present atom types fit one mask word.
+const MASK_TYPES: usize = 64;
+
+/// Whether a container is a first-tier load target: Empty, or Faulty (a
+/// scrub-and-reload target).
+fn vacant(c: &AtomContainer) -> bool {
+    matches!(
+        c.state(),
+        ContainerState::Empty | ContainerState::Faulty { .. }
+    )
+}
+
 /// The reconfigurable fabric: Atom Containers plus the reconfiguration port.
 ///
 /// Loads are serialised through the single port in FIFO order. Eviction
 /// (overwriting a loaded atom) prefers atoms with instances in excess of the
 /// *protected* set (normally `sup(M)` of the currently selected Molecules),
 /// breaking ties by least-recent use.
+///
+/// Besides the containers, the fabric keeps what a load changes in step
+/// with it, so a load start reads it instead of recounting: the transfer
+/// cycles of each atom type (fixed once the port is), the number of Empty
+/// and Faulty containers, and the mask of atom types present in the
+/// available set. Debug builds recount the last two, and the loaded atoms
+/// per type against [`available`](Self::available), before every victim
+/// choice.
 ///
 /// With a [`FaultModel`] attached (see [`Fabric::with_fault_model`]) the
 /// fabric additionally injects CRC aborts, SEU corruption and permanent
@@ -256,14 +276,22 @@ enum EventKind {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     config: FabricConfig,
-    bitstream_bytes: Vec<u32>,
+    /// Port cycles to load one atom of each type, by type.
+    load_cycles: Vec<u64>,
     containers: Vec<AtomContainer>,
+    /// Containers that are Empty or Faulty; every state change goes
+    /// through [`Fabric::transition`], which keeps it.
+    vacant: u16,
     /// FIFO of `(atom, not_before, app)`: a load never starts before its
     /// `not_before` cycle (retry backoff uses this), and carries the
     /// application tag it was enqueued for (0 for single-owner fabrics).
     queue: VecDeque<(AtomTypeId, u64, u16)>,
     in_flight: Option<InFlight>,
     available: Molecule,
+    /// Bit `i` set iff `available` holds type `i`; every bit when the
+    /// universe has more than [`MASK_TYPES`] types. Kept by
+    /// [`Fabric::set_available`].
+    present: u64,
     generation: u64,
     protected: Molecule,
     /// Last cycle each atom *type* was executed. A container's effective
@@ -295,20 +323,22 @@ impl Fabric {
     /// [`ReconfigPortConfig::validate`] first.
     #[must_use]
     pub fn new(config: FabricConfig, universe: &AtomUniverse) -> Self {
-        config
+        let load_cycles = config
             .port
-            .validate()
+            .cycles_per_type(universe)
             .expect("fabric port configuration must be valid");
         let arity = universe.arity();
         Fabric {
             config,
-            bitstream_bytes: universe.iter().map(|(_, t)| t.bitstream_bytes).collect(),
+            load_cycles,
             containers: (0..config.containers)
                 .map(|i| AtomContainer::new(ContainerId(i)))
                 .collect(),
+            vacant: config.containers,
             queue: VecDeque::new(),
             in_flight: None,
             available: Molecule::zero(arity),
+            present: if arity > MASK_TYPES { u64::MAX } else { 0 },
             generation: 0,
             protected: Molecule::zero(arity),
             type_used: vec![0; arity],
@@ -399,12 +429,32 @@ impl Fabric {
         &self.available
     }
 
+    /// The atom types present in [`available`](Self::available) as a
+    /// mask: bit `i` is set iff type `i` has an available instance, and
+    /// every bit is set when the universe has more than 64 types. It is
+    /// the `present` input of `SiDefinition::fastest_available_index`,
+    /// kept as loads complete and atoms leave instead of rebuilt per
+    /// lookup.
+    #[must_use]
+    pub fn present_types(&self) -> u64 {
+        self.present
+    }
+
+    /// Number of Empty and Faulty containers, the first two tiers of the
+    /// victim choice, kept at every container transition. A test hook:
+    /// `fault_injection.rs` checks it against a recount of
+    /// [`containers`](Self::containers).
+    #[must_use]
+    pub fn vacant_count(&self) -> u16 {
+        self.vacant
+    }
+
     /// Generation counter of the available-atom set: incremented every time
     /// [`available`](Self::available) changes (a load completing, an atom
     /// being evicted, or a fault removing one). Callers caching anything
     /// derived from the available set — e.g. the best Molecule variant per
-    /// SI in `FabricArbiter::best_available_variant` — only need to
-    /// recompute when this value changes.
+    /// SI in `FabricArbiter::best_available_variant` — only need to look
+    /// again when this value changes.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -500,7 +550,7 @@ impl Fabric {
     /// Panics if the atom type is outside the universe.
     pub fn enqueue_load(&mut self, app: u16, atom: AtomTypeId, not_before: u64) {
         assert!(
-            atom.index() < self.bitstream_bytes.len(),
+            atom.index() < self.load_cycles.len(),
             "atom type {atom} outside universe"
         );
         self.stats.loads_enqueued += 1;
@@ -723,7 +773,7 @@ impl Fabric {
                 if let Some(f) = &mut self.fault {
                     f.clear(PRIO_CORRUPT, i);
                 }
-                if let Some(atom) = self.containers[i].corrupt() {
+                if let Some(atom) = self.transition(i, AtomContainer::corrupt) {
                     self.remove_available(atom);
                     self.stats.seu_corruptions += 1;
                     let container = self.containers[i].id();
@@ -746,7 +796,7 @@ impl Fabric {
                     .expect("finish event implies in-flight load");
                 let i = fl.container.index();
                 if fl.abort {
-                    self.containers[i].abort_load();
+                    self.transition(i, AtomContainer::abort_load);
                     self.stats.loads_aborted += 1;
                     self.stats.fault_cycles_lost += fl.cycles;
                     self.record(FabricJournalEntry::LoadAborted {
@@ -760,13 +810,11 @@ impl Fabric {
                         at: t,
                     });
                 } else {
-                    let c = &mut self.containers[i];
-                    c.finish_load();
-                    c.mark_used(t);
+                    self.transition(i, AtomContainer::finish_load);
+                    self.containers[i].mark_used(t);
                     let idx = fl.atom.index();
                     let have = self.available.count(idx);
-                    self.available.set_count(idx, have.saturating_add(1));
-                    self.generation += 1;
+                    self.set_available(idx, have.saturating_add(1));
                     self.stats.loads_completed += 1;
                     self.app_stats_mut(fl.app).0 += 1;
                     if let Some(f) = &mut self.fault {
@@ -802,7 +850,7 @@ impl Fabric {
         if let Some(atom) = self.containers[i].loaded_atom() {
             self.remove_available(atom);
         }
-        self.containers[i].quarantine();
+        self.transition(i, AtomContainer::quarantine);
         if let Some(f) = &mut self.fault {
             f.clear(PRIO_CORRUPT, i);
             f.clear(PRIO_FAIL, i);
@@ -826,8 +874,33 @@ impl Fabric {
     fn remove_available(&mut self, atom: AtomTypeId) {
         let idx = atom.index();
         let have = self.available.count(idx);
-        self.available.set_count(idx, have - 1);
+        self.set_available(idx, have - 1);
+    }
+
+    /// Sets the available count of type `idx`, keeping the present-types
+    /// mask, and moves the generation.
+    fn set_available(&mut self, idx: usize, count: u16) {
+        self.available.set_count(idx, count);
+        if self.available.arity() <= MASK_TYPES {
+            let bit = 1u64 << idx;
+            if count > 0 {
+                self.present |= bit;
+            } else {
+                self.present &= !bit;
+            }
+        }
         self.generation += 1;
+    }
+
+    /// Applies one state change to container `i`, keeping the count of
+    /// Empty and Faulty containers.
+    fn transition<R>(&mut self, i: usize, change: impl FnOnce(&mut AtomContainer) -> R) -> R {
+        let c = &mut self.containers[i];
+        let was = vacant(c);
+        let out = change(c);
+        let is = vacant(c);
+        self.vacant = self.vacant + u16::from(is) - u16::from(was);
+        out
     }
 
     fn try_start_next(&mut self, at: u64) {
@@ -862,11 +935,7 @@ impl Fabric {
                 }
                 self.remove_available(old);
             }
-            let cycles = self
-                .config
-                .port
-                .load_cycles(self.bitstream_bytes[atom.index()])
-                .expect("port config validated at construction");
+            let cycles = self.load_cycles[atom.index()];
             let finish = at + cycles;
             self.stats.port_busy_cycles += cycles;
             self.app_stats_mut(app).1 += cycles;
@@ -881,7 +950,7 @@ impl Fabric {
                 // atom no longer applies.
                 f.clear(PRIO_CORRUPT, victim.index());
             }
-            self.containers[victim.index()].begin_load(atom, finish);
+            self.transition(victim.index(), |c| c.begin_load(atom, finish));
             self.owners[victim.index()] = Some(app);
             self.record(FabricJournalEntry::LoadStarted {
                 container: victim,
@@ -907,51 +976,82 @@ impl Fabric {
     /// recently used first), otherwise the globally least recently used
     /// loaded container. Quarantined containers are never candidates.
     fn pick_container(&self) -> Option<ContainerId> {
-        // One pass covers the first two preference tiers and gathers the
-        // loaded-instances-per-type counts the eviction tiers need: the
-        // first empty container wins outright, the first faulty one is
-        // remembered as the scrub target.
+        self.debug_validate_kept_state();
+        // The first two tiers, searched only when the kept count says a
+        // container is in one: the first empty container wins outright,
+        // else the first faulty one is the scrub target.
+        if self.vacant > 0 {
+            let first = |tier: fn(ContainerState) -> bool| {
+                self.containers
+                    .iter()
+                    .find(|c| tier(c.state()))
+                    .map(AtomContainer::id)
+            };
+            return first(|s| s == ContainerState::Empty)
+                .or_else(|| first(|s| matches!(s, ContainerState::Faulty { .. })));
+        }
+        // Loaded instances per type equal `available` (only Loaded
+        // containers count in either), so the "in excess of the protected
+        // set" test is one bit per type, formed once per choice.
         let arity = self.available.arity();
-        let mut stack = [0u16; 64];
+        let mut stack = [0u64; 1];
         let mut heap = Vec::new();
-        let loaded: &mut [u16] = if arity <= stack.len() {
-            &mut stack[..arity]
+        let excess: &mut [u64] = if arity <= MASK_TYPES {
+            &mut stack
         } else {
-            heap.resize(arity, 0);
+            heap.resize(arity.div_ceil(MASK_TYPES), 0);
             &mut heap
         };
-        let mut faulty = None;
-        for c in &self.containers {
-            match c.state() {
-                ContainerState::Empty => return Some(c.id()),
-                ContainerState::Faulty { .. } if faulty.is_none() => faulty = Some(c.id()),
-                _ => {}
-            }
-            if let Some(a) = c.loaded_atom() {
-                loaded[a.index()] += 1;
+        let kept = self.protected.counts();
+        for (i, (&have, &keep)) in self.available.counts().iter().zip(kept).enumerate() {
+            if have > keep {
+                excess[i / MASK_TYPES] |= 1 << (i % MASK_TYPES);
             }
         }
-        if faulty.is_some() {
-            return faulty;
-        }
-        // Second pass fuses the last two tiers — least-recently-used among
+        // One pass fuses the last two tiers — least-recently-used among
         // containers holding an atom in excess of the protected set, else
         // least-recently-used loaded overall — tracking both minima at
         // once. Strict `<` keeps `min_by_key`'s first-minimum tie-break.
-        let mut excess: Option<(u64, ContainerId)> = None;
+        let mut in_excess: Option<(u64, ContainerId)> = None;
         let mut any: Option<(u64, ContainerId)> = None;
         for c in &self.containers {
             let Some(a) = c.loaded_atom() else { continue };
             let eff = self.effective_last_used(c);
-            if loaded[a.index()] > self.protected.count(a.index())
-                && excess.is_none_or(|(best, _)| eff < best)
+            let i = a.index();
+            if excess[i / MASK_TYPES] >> (i % MASK_TYPES) & 1 == 1
+                && in_excess.is_none_or(|(best, _)| eff < best)
             {
-                excess = Some((eff, c.id()));
+                in_excess = Some((eff, c.id()));
             }
             if any.is_none_or(|(best, _)| eff < best) {
                 any = Some((eff, c.id()));
             }
         }
-        excess.or(any).map(|(_, id)| id)
+        in_excess.or(any).map(|(_, id)| id)
+    }
+
+    /// Recounts what the fabric keeps beside its containers (debug builds
+    /// only): the Empty/Faulty count, the loaded atoms per type against
+    /// `available`, and the present-types mask.
+    fn debug_validate_kept_state(&self) {
+        if cfg!(debug_assertions) {
+            let vacant = self.containers.iter().filter(|c| vacant(c)).count();
+            debug_assert_eq!(usize::from(self.vacant), vacant, "stale vacant count");
+            let mut loaded = vec![0u16; self.available.arity()];
+            for a in self
+                .containers
+                .iter()
+                .filter_map(AtomContainer::loaded_atom)
+            {
+                loaded[a.index()] += 1;
+            }
+            debug_assert_eq!(self.available.counts(), &loaded[..], "stale available");
+            let present = if loaded.len() > MASK_TYPES {
+                u64::MAX
+            } else {
+                self.available.nonzero_mask()
+            };
+            debug_assert_eq!(self.present, present, "stale present-types mask");
+        }
     }
 }

@@ -1,3 +1,5 @@
+use rispp_model::AtomUniverse;
+
 use crate::error::FabricError;
 
 /// The prototype's processor clock in Hz: the base processor and the Atom
@@ -62,6 +64,23 @@ impl ReconfigPortConfig {
         let us = seconds * 1e6;
         // Rounded up to whole cycles of the 100 MHz clock.
         Ok((us * CLOCK_HZ as f64 / 1e6).ceil() as u64)
+    }
+
+    /// [`load_cycles`](Self::load_cycles) of one atom of each type of
+    /// `universe`, indexed by type. A fabric and the Molen baseline take
+    /// them once at construction: neither the port nor the universe
+    /// changes after that.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricError::ZeroBandwidth`] if the configured bandwidth
+    /// is zero.
+    pub fn cycles_per_type(&self, universe: &AtomUniverse) -> Result<Vec<u64>, FabricError> {
+        self.validate()?;
+        universe
+            .iter()
+            .map(|(_, info)| self.load_cycles(info.bitstream_bytes))
+            .collect()
     }
 }
 

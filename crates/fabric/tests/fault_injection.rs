@@ -1,14 +1,17 @@
 //! Behavioural tests of the seeded fault-injection layer: CRC aborts, SEU
 //! corruption, permanent tile failures, quarantine, and the determinism
-//! guarantees that make fault runs reproducible.
+//! guarantees that make fault runs reproducible. Under all of them, what
+//! the fabric keeps beside its containers (the Empty/Faulty count, the
+//! present-types mask) must equal a recount, and every load must land
+//! where the two-pass victim rule puts it.
 
 use proptest::prelude::*;
 use rispp_fabric::fault::PPM;
 use rispp_fabric::{
-    ContainerId, ContainerState, Fabric, FabricConfig, FabricError, FabricEvent, FaultModel,
-    ReconfigPortConfig,
+    ContainerId, ContainerState, Fabric, FabricConfig, FabricError, FabricEvent,
+    FabricJournalEntry, FaultModel, ReconfigPortConfig,
 };
-use rispp_model::{AtomTypeId, AtomTypeInfo, AtomUniverse};
+use rispp_model::{AtomTypeId, AtomTypeInfo, AtomUniverse, Molecule};
 
 fn universe(n: usize) -> AtomUniverse {
     AtomUniverse::from_types((0..n).map(|i| AtomTypeInfo::new(format!("T{i}")))).unwrap()
@@ -310,5 +313,214 @@ proptest! {
             s.loads_completed + s.loads_aborted + s.loads_cancelled
         );
         prop_assert!(s.containers_quarantined <= 3);
+    }
+}
+
+/// The containers as the journal tells them, with each one's own LRU
+/// stamp (its last load completion) and every atom type's last use as the
+/// test marked it: enough to choose a victim without asking the fabric.
+struct Shadow {
+    states: Vec<ContainerState>,
+    stamps: Vec<u64>,
+    type_used: Vec<u64>,
+}
+
+impl Shadow {
+    fn effective_last_used(&self, i: usize) -> u64 {
+        match self.states[i] {
+            ContainerState::Loaded { atom } => self.stamps[i].max(self.type_used[atom.index()]),
+            _ => self.stamps[i],
+        }
+    }
+
+    /// The victim rule in two passes, as the fabric once ran it: the
+    /// first Empty container, else the first Faulty one, else the least
+    /// recently used Loaded container whose type is loaded more often
+    /// than `protected` keeps, else the least recently used Loaded one
+    /// (first minimum on ties).
+    fn two_pass_victim(&self, protected: &Molecule) -> Option<ContainerId> {
+        let first = |tier: fn(&ContainerState) -> bool| self.states.iter().position(tier);
+        let pick = first(|s| *s == ContainerState::Empty)
+            .or_else(|| first(|s| matches!(s, ContainerState::Faulty { .. })))
+            .or_else(|| {
+                let mut loaded = vec![0u16; protected.arity()];
+                let atom = |i: usize| match self.states[i] {
+                    ContainerState::Loaded { atom } => Some(atom.index()),
+                    _ => None,
+                };
+                for a in (0..self.states.len()).filter_map(atom) {
+                    loaded[a] += 1;
+                }
+                let candidates = (0..self.states.len()).filter(|&i| atom(i).is_some());
+                candidates
+                    .clone()
+                    .filter(|&i| atom(i).is_some_and(|a| loaded[a] > protected.count(a)))
+                    .min_by_key(|&i| self.effective_last_used(i))
+                    .or_else(|| candidates.min_by_key(|&i| self.effective_last_used(i)))
+            });
+        pick.map(|i| ContainerId(u16::try_from(i).unwrap()))
+    }
+
+    /// Replays journal entries, checking each load's target against the
+    /// two-pass choice on the state just before it.
+    fn replay(&mut self, journal: &[FabricJournalEntry], protected: &Molecule) {
+        for entry in journal {
+            match *entry {
+                FabricJournalEntry::LoadStarted {
+                    container,
+                    atom,
+                    finish,
+                    ..
+                } => {
+                    assert_eq!(
+                        Some(container),
+                        self.two_pass_victim(protected),
+                        "victim of the load of {atom}"
+                    );
+                    self.states[container.index()] = ContainerState::Loading { atom, finish };
+                }
+                FabricJournalEntry::LoadFinished {
+                    container,
+                    atom,
+                    at,
+                } => {
+                    self.states[container.index()] = ContainerState::Loaded { atom };
+                    self.stamps[container.index()] = at;
+                }
+                FabricJournalEntry::LoadAborted { container, .. } => {
+                    self.states[container.index()] = ContainerState::Empty;
+                }
+                FabricJournalEntry::AtomCorrupted {
+                    container, atom, ..
+                } => {
+                    self.states[container.index()] = ContainerState::Faulty { atom };
+                }
+                FabricJournalEntry::ContainerQuarantined { container, .. } => {
+                    self.states[container.index()] = ContainerState::Quarantined;
+                }
+            }
+        }
+    }
+}
+
+/// One step of the kept-state proptest.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Enqueue a load of type `.0`, not before `.1` cycles from now.
+    Enqueue(u16, u64),
+    /// Advance the clock by this many cycles.
+    Advance(u64),
+    /// Mark atom type `.0` as executed now.
+    Mark(u16),
+    /// Protect `.0` instances of every type.
+    Protect(u16),
+    /// Quarantine container `.0`.
+    Quarantine(u16),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..12, 0u16..80, 0u64..300_000).prop_map(|(kind, a, t)| match kind {
+        0..=4 => Op::Enqueue(a, t % 3 * 20_000),
+        5..=8 => Op::Advance(1 + t),
+        9 => Op::Mark(a),
+        10 => Op::Protect(a % 3),
+        _ => Op::Quarantine(a),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random enqueues, advances, LRU marks, protected sets and
+    /// quarantines on a fabric with CRC aborts, SEUs and tile failures:
+    /// after every step the Empty/Faulty count, the present-types mask and
+    /// the available set equal a recount of `containers()`, and every load
+    /// the journal shows started where the two-pass rule, run on a shadow
+    /// of the containers, puts it.
+    #[test]
+    fn kept_state_matches_a_recount_and_victims_the_two_pass_rule(
+        seed in 0u64..u64::MAX,
+        (crc, seu, fail) in (0u32..400_000, 0u32..4_000, 0u32..300_000),
+        (containers, wide) in (1u16..7, 0u8..4),
+        ops in proptest::collection::vec(op(), 1..60),
+    ) {
+        // A wide universe (70 types) has no present-types mask to keep.
+        let arity = if wide == 0 { 70 } else { 4 };
+        let model = FaultModel {
+            seed,
+            crc_abort_ppm: crc,
+            seu_per_gcycle: seu,
+            permanent_failure_ppm: fail,
+            permanent_failure_horizon: 6_000_000,
+        };
+        let mut f = Fabric::with_fault_model(
+            FabricConfig::prototype(containers),
+            &universe(arity),
+            model,
+        );
+        f.set_journal_enabled(true);
+        let mut shadow = Shadow {
+            states: vec![ContainerState::Empty; usize::from(containers)],
+            stamps: vec![0; usize::from(containers)],
+            type_used: vec![0; arity],
+        };
+        let mut protected = Molecule::zero(arity);
+        let mut journal = Vec::new();
+        let mut events = Vec::new();
+        let mut now = 0;
+        // Atom types drawn from the first three and, in the wide
+        // universe, from past the 64th.
+        let atom = |a: u16| {
+            let t = usize::from(a % 3) + if arity > 64 && a % 2 == 1 { 65 } else { 0 };
+            AtomTypeId(u16::try_from(t).unwrap())
+        };
+        for op in ops {
+            match op {
+                Op::Enqueue(a, delay) => f.enqueue_load(0, atom(a), now + delay),
+                Op::Advance(dt) => {
+                    now += dt;
+                    f.advance_events_into(now, &mut events);
+                }
+                Op::Mark(a) => {
+                    let t = atom(a);
+                    f.mark_used(&Molecule::unit(arity, t.index()), now);
+                    shadow.type_used[t.index()] = now;
+                }
+                Op::Protect(n) => {
+                    protected = Molecule::from_counts((0..arity).map(|_| n));
+                    f.set_protected(protected.clone());
+                }
+                Op::Quarantine(c) => {
+                    f.quarantine(ContainerId(c % containers)).unwrap();
+                }
+            }
+            journal.clear();
+            f.drain_journal(&mut journal);
+            shadow.replay(&journal, &protected);
+
+            let states: Vec<ContainerState> = f.containers().iter().map(|c| c.state()).collect();
+            prop_assert_eq!(&states, &shadow.states, "the shadow follows the journal");
+            for (i, c) in f.containers().iter().enumerate() {
+                if c.loaded_atom().is_some() {
+                    prop_assert_eq!(f.effective_last_used(c), shadow.effective_last_used(i));
+                }
+            }
+            let vacant = states
+                .iter()
+                .filter(|s| matches!(s, ContainerState::Empty | ContainerState::Faulty { .. }))
+                .count();
+            prop_assert_eq!(usize::from(f.vacant_count()), vacant, "Empty/Faulty count");
+            let mut loaded = vec![0u16; arity];
+            for a in f.containers().iter().filter_map(|c| c.loaded_atom()) {
+                loaded[a.index()] += 1;
+            }
+            prop_assert_eq!(f.available().counts(), &loaded[..]);
+            let present = if arity > 64 {
+                u64::MAX
+            } else {
+                (0..arity).filter(|&t| loaded[t] > 0).map(|t| 1u64 << t).sum()
+            };
+            prop_assert_eq!(f.present_types(), present, "present-types mask");
+        }
     }
 }

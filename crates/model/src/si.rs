@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{AtomUniverse, ModelError, Molecule};
+use crate::{AtomTypeId, AtomUniverse, ModelError, Molecule};
 
 /// Identifier of a Special Instruction within an [`SiLibrary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,6 +77,9 @@ pub struct SiDefinition {
     /// [`Molecule::nonzero_mask`] per variant, aligned with `variants`;
     /// empty when the universe has more than 64 atom types.
     masks: Vec<u64>,
+    /// The nonzero components of the variants' supremum, ascending by
+    /// type; filled by [`SiLibraryBuilder::build`].
+    atom_types: Vec<(AtomTypeId, u16)>,
 }
 
 impl SiDefinition {
@@ -123,9 +126,17 @@ impl SiDefinition {
     /// Number of distinct atom types used across all Molecules.
     #[must_use]
     pub fn atom_type_count(&self) -> usize {
-        Molecule::supremum(self.variants.iter().map(|v| &v.atoms))
-            .map(|sup| sup.atom_type_count())
-            .unwrap_or(0)
+        self.atom_types.len()
+    }
+
+    /// The atom types this SI's Molecules use, ascending, each with the
+    /// most instances any one of them needs. Whether a variant fits
+    /// `available` depends only on `min(available[t], most)` over these,
+    /// so [`fastest_available_index`](Self::fastest_available_index) does
+    /// too: the arbiter keys its per-SI memo on exactly those counts.
+    #[must_use]
+    pub fn atom_types(&self) -> &[(AtomTypeId, u16)] {
+        &self.atom_types
     }
 
     /// [`Molecule::nonzero_mask`] of every variant, aligned with
@@ -143,31 +154,40 @@ impl SiDefinition {
     ///
     /// Walks the variants in ascending (latency, index) order, so the
     /// first one that fits is the answer. A variant fits when its atom
-    /// types lie inside the types present in `available` (one word, when
-    /// the universe has at most 64 types) and its counts do
-    /// ([`Molecule::is_subset`]). Returns `None` when no hardware Molecule
-    /// is available (the SI then traps to the base instruction set).
+    /// types lie inside `present` (one word, when the universe has at most
+    /// 64 types) and its counts lie inside `available`
+    /// ([`Molecule::is_subset`]). `present` must have bit `i` set for
+    /// every type `i` that `available` holds; a caller that keeps that
+    /// mask beside `available` (the fabric does) passes it in, and
+    /// `u64::MAX` is always correct, just slower. Returns `None` when no
+    /// hardware Molecule is available (the SI then traps to the base
+    /// instruction set).
     #[must_use]
-    pub fn fastest_available_index(&self, available: &Molecule) -> Option<usize> {
-        let types = if self.masks.is_empty() || available.arity() > MASK_TYPES {
-            u64::MAX
-        } else {
-            available.nonzero_mask()
-        };
+    pub fn fastest_available_index(&self, available: &Molecule, present: u64) -> Option<usize> {
+        debug_assert!(
+            available.arity() > MASK_TYPES || available.nonzero_mask() & !present == 0,
+            "the present-types mask misses a type of the available atoms"
+        );
         self.by_latency.iter().map(|&i| usize::from(i)).find(|&i| {
-            self.masks.get(i).is_none_or(|&mask| mask & !types == 0)
+            self.masks.get(i).is_none_or(|&mask| mask & !present == 0)
                 && self.variants[i].atoms.is_subset(available)
         })
     }
 
     /// The fastest Molecule executable with the `available` atoms (see
-    /// [`fastest_available_index`](Self::fastest_available_index)).
+    /// [`fastest_available_index`](Self::fastest_available_index), here
+    /// with the present-types mask taken from `available`).
     ///
     /// Returns `None` when no hardware Molecule is available (the SI then
     /// traps to the base instruction set).
     #[must_use]
     pub fn fastest_available(&self, available: &Molecule) -> Option<&MoleculeVariant> {
-        self.fastest_available_index(available)
+        let present = if available.arity() > MASK_TYPES {
+            u64::MAX
+        } else {
+            available.nonzero_mask()
+        };
+        self.fastest_available_index(available, present)
             .map(|i| &self.variants[i])
     }
 
@@ -327,6 +347,7 @@ impl SiLibraryBuilder {
             variant_totals: Vec::new(),
             by_latency: Vec::new(),
             masks: Vec::new(),
+            atom_types: Vec::new(),
         });
         Ok(SiBuilder {
             arity: self.universe.arity(),
@@ -374,6 +395,13 @@ impl SiLibraryBuilder {
             } else {
                 Vec::new()
             };
+            let sup = Molecule::supremum(si.variants.iter().map(|v| &v.atoms))
+                .expect("at least one variant");
+            si.atom_types = (0u16..)
+                .zip(sup.counts())
+                .filter(|&(_, &most)| most > 0)
+                .map(|(t, &most)| (AtomTypeId(t), most))
+                .collect();
         }
         Ok(SiLibrary {
             universe: self.universe,

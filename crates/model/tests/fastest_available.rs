@@ -5,7 +5,9 @@
 //! the lowest index), on libraries built through `SiLibraryBuilder`.
 //!
 //! Universes of 1 to 80 atom types run both the path with one-word type
-//! masks (at most 64 types) and the path without. Latencies come from a
+//! masks (at most 64 types) and the path without; the lookup gets both the
+//! present-types mask a fabric keeps and the mask that filters nothing,
+//! and each SI's `atom_types` must be its variants' supremum. Latencies come from a
 //! small set, so equally fast variants are common, and the probed atom
 //! sets include the empty one, exact fits, one atom short of a variant
 //! (its types present, a count missing) and `0xFFFF` counts.
@@ -120,6 +122,20 @@ proptest! {
     fn lookup_equals_the_full_scan((arity, sis, probes) in case()) {
         let library = library(arity, &sis);
         prop_assert_eq!(library.iter().all(|si| si.variant_masks().is_empty()), arity > 64);
+        for si in library.iter() {
+            // The memo key's types: the supremum's nonzero components.
+            let sup = Molecule::supremum(si.variants().iter().map(|v| &v.atoms)).unwrap();
+            let types: Vec<(usize, u16)> = sup
+                .counts()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &most)| most > 0)
+                .map(|(t, &most)| (t, most))
+                .collect();
+            let kept: Vec<(usize, u16)> =
+                si.atom_types().iter().map(|&(t, most)| (t.index(), most)).collect();
+            prop_assert_eq!(kept, types);
+        }
         for draw in &probes {
             let available = probe(arity, &library, draw);
             for si in library.iter() {
@@ -127,14 +143,24 @@ proptest! {
                     prop_assert_eq!(v.is_available(&available), v.atoms <= available);
                 }
                 let expected = reference(si, &available);
-                prop_assert_eq!(
-                    si.fastest_available_index(&available),
-                    expected,
-                    "{} over {} types, available {}",
-                    si.name(),
-                    arity,
-                    available
-                );
+                // The types present in `available`, as the fabric keeps
+                // them, and the mask that filters nothing.
+                let present = if arity > 64 {
+                    u64::MAX
+                } else {
+                    available.nonzero_mask()
+                };
+                for mask in [present, u64::MAX] {
+                    prop_assert_eq!(
+                        si.fastest_available_index(&available, mask),
+                        expected,
+                        "{} over {} types, available {}, mask {:#x}",
+                        si.name(),
+                        arity,
+                        available,
+                        mask
+                    );
+                }
                 prop_assert_eq!(
                     si.fastest_available(&available),
                     expected.map(|i| &si.variants()[i])

@@ -535,6 +535,7 @@ impl<'a> SoftwareBackend<'a> {
                 .expect("si within library")
                 .software_latency(),
             variant: None,
+            until: None,
         }
     }
 
@@ -544,8 +545,8 @@ impl<'a> SoftwareBackend<'a> {
         BurstSegment::software(start, u64::from(count), latency)
     }
 
-    /// Walks all of `run`: software latencies never change, so there is
-    /// no horizon.
+    /// Walks all of `run`: software latencies never change, so no rate
+    /// has a limit.
     fn walk_stretch(
         &mut self,
         run: BurstRun<'_>,
@@ -556,7 +557,7 @@ impl<'a> SoftwareBackend<'a> {
         let library = self.library;
         let stretch = self
             .walker
-            .walk(run, start, None, |si| Self::rate(library, si), segment);
+            .walk(run, start, |si| Self::rate(library, si), segment);
         self.walker.report(totals);
         stretch
     }

@@ -34,7 +34,8 @@ struct Resident {
 pub struct MolenSystem<'a> {
     library: &'a SiLibrary,
     containers: u16,
-    port: ReconfigPortConfig,
+    /// Port cycles to load one atom of each type, by type.
+    type_cycles: Vec<u64>,
     design: HashMap<HotSpotId, Vec<SelectedMolecule>>,
     resident: Vec<Option<Resident>>,
     port_busy_until: u64,
@@ -55,12 +56,13 @@ impl<'a> MolenSystem<'a> {
     /// [`rispp_fabric::Fabric::new`] does.
     #[must_use]
     pub fn new(library: &'a SiLibrary, containers: u16, port: ReconfigPortConfig) -> Self {
-        port.validate()
+        let type_cycles = port
+            .cycles_per_type(library.universe())
             .expect("baseline port configuration must be valid");
         MolenSystem {
             library,
             containers,
-            port,
+            type_cycles,
             design: HashMap::new(),
             resident: vec![None; library.len()],
             port_busy_until: 0,
@@ -111,20 +113,12 @@ impl<'a> MolenSystem<'a> {
     fn accelerator_load_cycles(&self, sel: SelectedMolecule) -> u64 {
         let atoms =
             &self.library.si(sel.si).expect("validated").variants()[sel.variant_index].atoms;
-        let universe = self.library.universe();
-        let mut cycles = 0u64;
-        for (idx, &count) in atoms.counts().iter().enumerate() {
-            let bytes = universe
-                .info(rispp_model::AtomTypeId(idx as u16))
-                .map(|i| i.bitstream_bytes)
-                .unwrap_or(0);
-            let per_load = self
-                .port
-                .load_cycles(bytes)
-                .expect("port validated at construction");
-            cycles += u64::from(count) * per_load;
-        }
-        cycles
+        atoms
+            .counts()
+            .iter()
+            .zip(&self.type_cycles)
+            .map(|(&count, &per_load)| u64::from(count) * per_load)
+            .sum()
     }
 
     /// Enters a hot spot: fixes the design-time accelerator set on first
@@ -239,12 +233,13 @@ impl<'a> MolenSystem<'a> {
         let mut t = start;
         let mut remaining = u64::from(count);
         while remaining > 0 {
-            let SiRate { latency, variant } = rate(self.library, &self.resident, si, t);
-            let next_change = self.resident[si.index()]
-                .map(|r| r.ready_at)
-                .filter(|&ready_at| ready_at > t);
+            let SiRate {
+                latency,
+                variant,
+                until,
+            } = rate(self.library, &self.resident, si, t);
             let per = u64::from(latency) + u64::from(overhead);
-            let n = match next_change {
+            let n = match until {
                 Some(event) => (event - t).div_ceil(per).min(remaining),
                 None => remaining,
             };
@@ -261,8 +256,8 @@ impl<'a> MolenSystem<'a> {
     }
 
     /// The batched burst calls of the baseline: walks `run` from cycle
-    /// `start` up to the earliest pending accelerator readiness, before
-    /// which every SI runs at one latency (its accelerator is ready, or it
+    /// `start`, each SI up to its own accelerator's readiness, before
+    /// which it runs at one latency (its accelerator is ready, or it
     /// traps), and reports what it consumed through `segment` (one unsplit
     /// segment per burst stepped on its own) and `totals`. Each resident
     /// SI that ran has its `last_used` land on the end of its last
@@ -274,25 +269,16 @@ impl<'a> MolenSystem<'a> {
         segment: impl FnMut(BurstSegment),
         totals: impl FnMut(SiTotals),
     ) -> Stretch {
-        let horizon = self
-            .resident
-            .iter()
-            .flatten()
-            .map(|r| r.ready_at)
-            .filter(|&ready_at| ready_at > start)
-            .min();
         let (library, resident) = (self.library, &self.resident);
-        let stretch = self.walker.walk(
-            run,
-            start,
-            horizon,
-            |si| rate(library, resident, si, start),
-            segment,
-        );
-        for (si, slot) in (0u16..).map(SiId).zip(&mut self.resident) {
-            let Some(r) = slot else { continue };
-            if let Some((_, end)) = self.walker.last_burst(run, si) {
-                r.last_used = end;
+        let stretch =
+            self.walker
+                .walk(run, start, |si| rate(library, resident, si, start), segment);
+        for k in 0..self.walker.resolved().len() {
+            let si = self.walker.resolved()[k];
+            if let Some(r) = &mut self.resident[si.index()] {
+                if let Some((_, end)) = self.walker.last_burst(run, si) {
+                    r.last_used = end;
+                }
             }
         }
         self.walker.report(totals);
@@ -304,7 +290,9 @@ impl<'a> MolenSystem<'a> {
 }
 
 /// How `si` runs at cycle `t`: on its resident accelerator once that is
-/// ready (never slower than software), else trapping to software.
+/// ready (never slower than software), with no limit inside a stretch,
+/// else trapping to software until the accelerator it waits for is
+/// ready.
 fn rate(library: &SiLibrary, resident: &[Option<Resident>], si: SiId, t: u64) -> SiRate {
     let def = library.si(si).expect("si within library");
     let software = def.software_latency();
@@ -312,10 +300,12 @@ fn rate(library: &SiLibrary, resident: &[Option<Resident>], si: SiId, t: u64) ->
         Some(r) if r.ready_at <= t => SiRate {
             latency: def.variants()[r.variant_index].latency.min(software),
             variant: Some(r.variant_index),
+            until: None,
         },
-        _ => SiRate {
+        pending => SiRate {
             latency: software,
             variant: None,
+            until: pending.map(|r| r.ready_at),
         },
     }
 }
